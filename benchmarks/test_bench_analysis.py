@@ -1,11 +1,12 @@
-"""Kernel speedup benchmark: python spec vs. numpy columnar kernels.
+"""Kernel speedup benchmark: record-at-a-time spec vs. columnar kernels.
 
 Simulates one large dataset (EU1-ADSL at 10 % of paper traffic — five
 times the other benchmarks' volume, so the analysis hot path dominates),
-then times the paper's heaviest analyses under ``REPRO_KERNELS=python``
-and ``REPRO_KERNELS=numpy``.  Both backends must produce identical
-results; the combined speedup (sum of python times over sum of numpy
-times) must be at least 5x and lands in ``benchmarks/out/BENCH_analysis.json``.
+then times the paper's heaviest analyses twice: through the spec in
+``tests/oracle/`` and through the runtime kernels.  Both must produce
+identical results; the combined speedup (sum of spec times over sum of
+kernel times) must be at least 5x and lands in
+``benchmarks/out/BENCH_analysis.json``.
 
 Methodology: each stage is timed with ``time.perf_counter``, best of
 ``REPEATS`` passes over a *fresh* :class:`FlowTable` per pass — no
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import gc
 import json
-import os
 import time
 from typing import Callable, Dict, List, Tuple
 
@@ -30,17 +30,18 @@ import pytest
 from repro.core import hotspots
 from repro.core.pipeline import StudyPipeline
 from repro.core.sessions import build_sessions, gap_sensitivity
+from repro.reporting.series import Cdf
 from repro.sim.driver import run_scenario
-from repro.trace.columnar import FlowTable, kernels_backend
+from repro.trace.columnar import FlowTable
 
 from benchmarks.conftest import OUT_DIR
+from tests.oracle import hotspots as oracle_hotspots
+from tests.oracle import sessions as oracle_sessions
 
 BENCH_DATASET = "EU1-ADSL"
 BENCH_SCALE = 0.1
 REPEATS = 3
 REQUIRED_SPEEDUP = 5.0
-
-pytest.importorskip("numpy")
 
 
 @pytest.fixture(scope="module")
@@ -74,18 +75,17 @@ def _fresh_source(records) -> FlowTable:
     per-stage cache stay cold.
     """
     table = FlowTable(list(records))
-    if kernels_backend() == "numpy":
-        table.columns()
-        table.dst_codes()
+    table.columns()
+    table.dst_codes()
     return table
 
 
 def _timed(records, fn: Callable[[FlowTable], object]) -> Tuple[float, object]:
     """Best-of-``REPEATS`` wall time over fresh tables, and the result.
 
-    The collector is paused inside the timed region (both backends
-    allocate tens of thousands of objects per pass; collection pauses
-    would otherwise dominate the faster one's timings).
+    The collector is paused inside the timed region (both sides allocate
+    tens of thousands of objects per pass; collection pauses would
+    otherwise dominate the faster one's timings).
     """
     best = float("inf")
     result = None
@@ -105,61 +105,50 @@ def _timed(records, fn: Callable[[FlowTable], object]) -> Tuple[float, object]:
     return best, result
 
 
-def _run_stages(records, report, smap, num_hours) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """Time every hot analysis stage under the *current* backend."""
-    stages: List[Tuple[str, Callable[[FlowTable], object]]] = [
-        ("build_sessions", lambda t: build_sessions(t, gap_s=1.0)),
-        ("gap_sensitivity", lambda t: gap_sensitivity(t)),
+def _stages(report, smap, num_hours) -> List[Tuple[str, Callable, Callable]]:
+    """``(name, kernel, spec)`` for every hot analysis stage."""
+    return [
+        (
+            "build_sessions",
+            lambda t: build_sessions(t, gap_s=1.0),
+            lambda t: oracle_sessions.build_sessions(t, gap_s=1.0),
+        ),
+        ("gap_sensitivity", gap_sensitivity, oracle_sessions.gap_sensitivity),
         (
             "top_nonpreferred_videos",
             lambda t: hotspots.top_nonpreferred_videos(t, report, smap, num_hours),
+            lambda t: oracle_hotspots.top_nonpreferred_videos(t, report, smap, num_hours),
         ),
         (
             "preferred_server_load",
             lambda t: hotspots.preferred_server_load(t, report, smap, num_hours),
+            lambda t: oracle_hotspots.preferred_server_load(t, report, smap, num_hours),
         ),
         (
             "nonpreferred_video_cdf",
-            lambda t: hotspots.nonpreferred_video_cdf(t, report, smap),
+            lambda t: hotspots.nonpreferred_video_cdf(t, report, smap)._values,
+            lambda t: Cdf(
+                oracle_hotspots.nonpreferred_requests_per_video(t, report, smap).values()
+            )._values,
         ),
     ]
-    seconds: Dict[str, float] = {}
-    outputs: Dict[str, object] = {}
-    for name, fn in stages:
-        seconds[name], outputs[name] = _timed(records, fn)
-    return seconds, outputs
 
 
 def test_bench_kernel_speedup(analysis_inputs):
     records, report, smap, num_hours = analysis_inputs
-    timings: Dict[str, Dict[str, float]] = {}
-    outputs: Dict[str, Dict[str, object]] = {}
-    saved = os.environ.get("REPRO_KERNELS")
-    try:
-        for backend in ("python", "numpy"):
-            os.environ["REPRO_KERNELS"] = backend
-            assert kernels_backend() == backend
-            timings[backend], outputs[backend] = _run_stages(records, report, smap, num_hours)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_KERNELS", None)
-        else:
-            os.environ["REPRO_KERNELS"] = saved
+    timings: Dict[str, Dict[str, float]] = {"spec": {}, "kernels": {}}
+    for name, kernel, spec in _stages(report, smap, num_hours):
+        timings["spec"][name], spec_out = _timed(records, spec)
+        timings["kernels"][name], kernel_out = _timed(records, kernel)
+        # The speedup only counts if the outputs are *identical*.
+        assert kernel_out == spec_out, name
 
-    # The speedup only counts if the outputs are *identical*.
-    for stage, py_out in outputs["python"].items():
-        np_out = outputs["numpy"][stage]
-        if stage == "nonpreferred_video_cdf":
-            assert py_out._values == np_out._values, stage
-        else:
-            assert py_out == np_out, stage
-
-    python_total = sum(timings["python"].values())
-    numpy_total = sum(timings["numpy"].values())
-    speedup = python_total / numpy_total
+    spec_total = sum(timings["spec"].values())
+    kernel_total = sum(timings["kernels"].values())
+    speedup = spec_total / kernel_total
     per_stage = {
-        stage: round(timings["python"][stage] / timings["numpy"][stage], 2)
-        for stage in timings["python"]
+        stage: round(timings["spec"][stage] / timings["kernels"][stage], 2)
+        for stage in timings["spec"]
     }
 
     doc = {
@@ -171,10 +160,10 @@ def test_bench_kernel_speedup(analysis_inputs):
             "best-of-repeats wall time per stage over a fresh FlowTable per "
             "pass; the one-time columnar materialisation is pre-built outside "
             "the timed region (a study builds each table once and shares it) "
-            "and benchmarked separately"
+            "and benchmarked separately; the spec is tests/oracle/"
         ),
-        "seconds_python": {k: round(v, 6) for k, v in timings["python"].items()},
-        "seconds_numpy": {k: round(v, 6) for k, v in timings["numpy"].items()},
+        "seconds_spec": {k: round(v, 6) for k, v in timings["spec"].items()},
+        "seconds_kernels": {k: round(v, 6) for k, v in timings["kernels"].items()},
         "speedup_per_stage": per_stage,
         "speedup_combined": round(speedup, 2),
         "required_speedup": REQUIRED_SPEEDUP,

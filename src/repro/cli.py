@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.active.testvideo import TestVideoExperiment
 from repro.core.asmap import render_table2
-from repro.exec.executor import BACKENDS, ParallelExecutor
+from repro.exec.executor import BACKENDS, ENV_BACKEND, ENV_WORKERS, ParallelExecutor
 from repro.core.geography import render_table3
 from repro.core.pipeline import StudyPipeline
 from repro.core.sessions import flows_per_session_histogram, build_sessions
@@ -42,7 +42,6 @@ from repro.monitor.run import (
     DEFAULT_EPOCH_S as MONITOR_DEFAULT_EPOCH_S,
 )
 from repro.sim.driver import run_all, run_scenario
-from repro.trace.columnar import KERNELS_ENV
 from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
 from repro.trace.logio import read_flow_log, write_flow_log
 from repro.whatif.compare import compare_variants, render_comparison
@@ -66,12 +65,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="worker bound for --parallel (default: CPU count)",
     )
     parser.add_argument(
-        "--kernels", choices=("python", "numpy"), default=None,
-        help="analysis kernel backend (default: $REPRO_KERNELS, "
-        "else numpy when available; outputs are identical "
-        "on both backends)",
-    )
-    parser.add_argument(
         "--faults", default=None, metavar="PLAN",
         help="deterministic fault-injection plan: a JSON object "
         "or a path to one (default: $REPRO_FAULTS; see "
@@ -87,18 +80,35 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class UsageError(ValueError):
+    """A bad command-line or environment value: one stderr line, exit 2."""
+
+
 def executor_from_args(args: argparse.Namespace) -> Optional[ParallelExecutor]:
     """The executor selected on the command line, or ``None`` for env/default.
 
     ``--parallel`` wins over ``REPRO_EXECUTOR``; ``--workers`` alone keeps
     the environment's backend but bounds its pool.
+
+    Raises:
+        UsageError: For a non-positive ``--workers``, or an invalid
+            ``REPRO_EXECUTOR`` / ``REPRO_EXECUTOR_WORKERS`` that the run
+            would fall back to.
     """
     backend = getattr(args, "parallel", None)
     workers = getattr(args, "workers", None)
-    if backend is None and workers is None:
-        return None
+    if workers is not None and workers < 1:
+        raise UsageError(f"--workers must be positive, got {workers}")
     if backend is None:
-        backend = ParallelExecutor.from_env().backend
+        try:
+            env_executor = ParallelExecutor.from_env()
+        except ValueError as error:
+            raise UsageError(
+                f"bad {ENV_BACKEND}/{ENV_WORKERS} setting: {error}"
+            ) from None
+        if workers is None:
+            return None
+        backend = env_executor.backend
     return ParallelExecutor(backend, max_workers=workers)
 
 
@@ -861,9 +871,16 @@ def cmd_anonymize(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
-    from repro.whatif.sweep import sweep_parameter
+    from repro.whatif.sweep import check_parameter, sweep_parameter
 
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        check_parameter(args.parameter)
+    except ValueError as error:
+        raise UsageError(str(error)) from None
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"--values must be comma-separated numbers: {args.values!r}") from None
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     sweep = sweep_parameter(
         args.dataset, args.parameter, values, scale=args.scale, seed=args.seed,
@@ -1184,10 +1201,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         out = sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "kernels", None):
-        # The backend never changes outputs, so it stays out of every
-        # artifact-cache key (same contract as REPRO_EXECUTOR).
-        os.environ[KERNELS_ENV] = args.kernels
     if getattr(args, "faults", None):
         from repro.faults import plan as faults_plan
         from repro.faults import report as degradation
@@ -1208,7 +1221,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     # one process (tests, notebooks) never bleed into each other.
     run = obs.new_run()
     with obs.span(f"cli/{args.command}"):
-        code = _COMMANDS[args.command](args, out)
+        try:
+            code = _COMMANDS[args.command](args, out)
+        except UsageError as error:
+            print(f"repro {args.command}: {error}", file=sys.stderr)
+            return 2
     trace_dir = (
         getattr(args, "trace", None)
         or os.environ.get(obs.ENV_TRACE_DIR, "").strip()

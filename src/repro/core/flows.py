@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Union
 
+import numpy as np
+
 from repro.reporting.series import Cdf
-from repro.trace.columnar import FlowTable, active_table, as_records
+from repro.trace.columnar import FlowTable, as_table
 from repro.trace.records import FlowRecord
 
 #: The paper's control/video size threshold, bytes.
@@ -61,23 +63,13 @@ def classify_flows(
     threshold: int = CONTROL_FLOW_THRESHOLD_BYTES,
 ) -> FlowClasses:
     """Split flows into control and video populations."""
-    table = active_table(records)
-    if table is not None:
-        import numpy as np
-
-        mask = table.columns().num_bytes >= threshold
-        recs = table.records
-        return FlowClasses(
-            control=[recs[i] for i in np.flatnonzero(~mask).tolist()],
-            video=[recs[i] for i in np.flatnonzero(mask).tolist()],
-        )
-    classes = FlowClasses()
-    for record in as_records(records):
-        if record.num_bytes >= threshold:
-            classes.video.append(record)
-        else:
-            classes.control.append(record)
-    return classes
+    table = as_table(records)
+    mask = table.columns().num_bytes >= threshold
+    recs = table.records
+    return FlowClasses(
+        control=[recs[i] for i in np.flatnonzero(~mask).tolist()],
+        video=[recs[i] for i in np.flatnonzero(mask).tolist()],
+    )
 
 
 def flow_size_cdf(records: Union[Sequence[FlowRecord], FlowTable]) -> Cdf:
@@ -86,10 +78,7 @@ def flow_size_cdf(records: Union[Sequence[FlowRecord], FlowTable]) -> Cdf:
     Raises:
         ValueError: On an empty dataset.
     """
-    table = active_table(records)
-    if table is not None:
-        return Cdf(table.columns().num_bytes)
-    return Cdf(r.num_bytes for r in records)
+    return Cdf(as_table(records).columns().num_bytes)
 
 
 def detect_size_threshold(

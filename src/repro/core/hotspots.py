@@ -15,12 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.nonpreferred import preference_masks, video_flow_preference
+import numpy as np
+
+from repro.core.nonpreferred import preference_masks
 from repro.core.preferred import PreferredDcReport
 from repro.core.sessions import Session
 from repro.geoloc.clustering import ServerMap
 from repro.reporting.series import Cdf, Series, hourly_counts
-from repro.trace.columnar import FlowTable, active_table
+from repro.trace.columnar import FlowTable, as_table
 from repro.trace.records import FlowRecord
 
 
@@ -34,32 +36,20 @@ def nonpreferred_requests_per_video(
     Only videos downloaded at least once from a non-preferred data center
     appear (the Figure 13 population), keyed in first-download order.
     """
-    table = active_table(records)
-    if table is not None:
-        import numpy as np
-
-        is_video, verdict = preference_masks(table, report, server_map)
-        cols = table.columns()
-        nonpref_idx = np.flatnonzero(is_video & (verdict == 0))
-        per_code = np.bincount(
-            cols.video_code[nonpref_idx], minlength=len(cols.video_ids)
-        )
-        # np.unique's return_index gives the first occurrence, so sorting
-        # by it reproduces the spec's dict-insertion (first-download) order
-        # — sorted() ties on equal counts break on that order downstream.
-        seen_codes, first = np.unique(
-            cols.video_code[nonpref_idx], return_index=True
-        )
-        order = np.argsort(first, kind="stable")
-        return {
-            str(cols.video_ids[code]): int(per_code[code])
-            for code in seen_codes[order].tolist()
-        }
-    split = video_flow_preference(records, report, server_map)
-    counts: Dict[str, int] = {}
-    for flow in split[False]:
-        counts[flow.video_id] = counts.get(flow.video_id, 0) + 1
-    return counts
+    table = as_table(records)
+    is_video, verdict = preference_masks(table, report, server_map)
+    cols = table.columns()
+    nonpref_idx = np.flatnonzero(is_video & (verdict == 0))
+    per_code = np.bincount(cols.video_code[nonpref_idx], minlength=len(cols.video_ids))
+    # np.unique's return_index gives the first occurrence, so sorting
+    # by it reproduces the spec's dict-insertion (first-download) order
+    # — sorted() ties on equal counts break on that order downstream.
+    seen_codes, first = np.unique(cols.video_code[nonpref_idx], return_index=True)
+    order = np.argsort(first, kind="stable")
+    return {
+        str(cols.video_ids[code]): int(per_code[code])
+        for code in seen_codes[order].tolist()
+    }
 
 
 def nonpreferred_video_cdf(
@@ -140,48 +130,31 @@ def top_nonpreferred_videos(
     Raises:
         ValueError: If no video was ever served from non-preferred.
     """
-    counts = nonpreferred_requests_per_video(records, report, server_map)
+    table = as_table(records)
+    counts = nonpreferred_requests_per_video(table, report, server_map)
     if not counts:
         raise ValueError("no non-preferred video downloads")
     top = sorted(counts, key=lambda v: -counts[v])[:top_k]
 
-    table = active_table(records)
-    if table is not None:
-        import numpy as np
+    is_video, verdict = preference_masks(table, report, server_map)
+    cols = table.columns()
+    # Grouped histogram: one bincount over (video rank, hour) pairs.
+    rank = np.full(len(cols.video_ids), -1, dtype=np.int64)
+    rank[np.searchsorted(cols.video_ids, np.asarray(top))] = np.arange(len(top))
+    flow_rank = rank[cols.video_code]
+    in_window = (cols.hour >= 0) & (cols.hour < num_hours)
+    sel = is_video & (flow_rank >= 0) & in_window
 
-        is_video, verdict = preference_masks(table, report, server_map)
-        cols = table.columns()
-        # Grouped histogram: one bincount over (video rank, hour) pairs.
-        rank = np.full(len(cols.video_ids), -1, dtype=np.int64)
-        rank[np.searchsorted(cols.video_ids, np.asarray(top))] = np.arange(len(top))
-        flow_rank = rank[cols.video_code]
-        in_window = (cols.hour >= 0) & (cols.hour < num_hours)
-        sel = is_video & (flow_rank >= 0) & in_window
+    def grouped(mask) -> "np.ndarray":
+        keys = flow_rank[mask] * num_hours + cols.hour[mask]
+        return np.bincount(keys, minlength=len(top) * num_hours).reshape(
+            len(top), num_hours
+        )
 
-        def grouped(mask) -> "np.ndarray":
-            keys = flow_rank[mask] * num_hours + cols.hour[mask]
-            return np.bincount(keys, minlength=len(top) * num_hours).reshape(
-                len(top), num_hours
-            )
-
-        totals = grouped(sel & (verdict != -1))
-        nonprefs = grouped(sel & (verdict == 0))
-        total_by_video = {v: totals[i].tolist() for i, v in enumerate(top)}
-        nonpref_by_video = {v: nonprefs[i].tolist() for i, v in enumerate(top)}
-    else:
-        split = video_flow_preference(records, report, server_map)
-        top_set = set(top)
-        total_by_video = {v: [0] * num_hours for v in top}
-        nonpref_by_video = {v: [0] * num_hours for v in top}
-        for preferred, flows in ((True, split[True]), (False, split[False])):
-            for f in flows:
-                if f.video_id not in top_set:
-                    continue
-                hour = f.hour
-                if 0 <= hour < num_hours:
-                    total_by_video[f.video_id][hour] += 1
-                    if not preferred:
-                        nonpref_by_video[f.video_id][hour] += 1
+    totals = grouped(sel & (verdict != -1))
+    nonprefs = grouped(sel & (verdict == 0))
+    total_by_video = {v: totals[i].tolist() for i, v in enumerate(top)}
+    nonpref_by_video = {v: nonprefs[i].tolist() for i, v in enumerate(top)}
 
     series: List[HotVideoSeries] = []
     for video_id in top:
@@ -243,54 +216,28 @@ def preferred_server_load(
     avg_series = Series(label=f"{report.dataset_name} avg")
     max_series = Series(label=f"{report.dataset_name} max")
 
-    table = active_table(records)
-    if table is not None:
-        import numpy as np
-
-        # verdict == 1 is exactly "dst_ip clustered into the preferred
-        # data center" — the preferred_ips set of the spec path.
-        _, verdict = preference_masks(table, report, server_map)
-        cols = table.columns()
-        _, dst_code = table.dst_codes()
-        num_servers = int(dst_code.max()) + 1 if len(dst_code) else 0
-        if num_servers:
-            sel = (verdict == 1) & (cols.hour >= 0) & (cols.hour < num_hours)
-            keys = cols.hour[sel] * num_servers + dst_code[sel]
-            matrix = np.bincount(keys, minlength=num_hours * num_servers).reshape(
-                num_hours, num_servers
-            )
-        else:
-            matrix = np.zeros((num_hours, 1), dtype=np.int64)
-        sums = matrix.sum(axis=1)
-        active = (matrix > 0).sum(axis=1)
-        peaks = matrix.max(axis=1)
-        for hour in range(num_hours):
-            if active[hour]:
-                avg_series.append(float(hour), int(sums[hour]) / int(active[hour]))
-                max_series.append(float(hour), float(int(peaks[hour])))
-            else:
-                avg_series.append(float(hour), 0.0)
-                max_series.append(float(hour), 0.0)
-        return ServerLoadReport(avg_per_hour=avg_series, max_per_hour=max_series)
-
-    preferred_ips = {
-        ip
-        for ip in server_map.by_ip
-        if server_map.by_ip[ip].cluster_id == report.preferred_id
-    }
-    per_hour_server: Dict[int, Dict[int, int]] = {}
-    for record in records:
-        if record.dst_ip not in preferred_ips:
-            continue
-        bucket = per_hour_server.setdefault(record.hour, {})
-        bucket[record.dst_ip] = bucket.get(record.dst_ip, 0) + 1
-
+    table = as_table(records)
+    # verdict == 1 is exactly "dst_ip clustered into the preferred
+    # data center" — the preferred_ips set of the record spec.
+    _, verdict = preference_masks(table, report, server_map)
+    cols = table.columns()
+    _, dst_code = table.dst_codes()
+    num_servers = int(dst_code.max()) + 1 if len(dst_code) else 0
+    if num_servers:
+        sel = (verdict == 1) & (cols.hour >= 0) & (cols.hour < num_hours)
+        keys = cols.hour[sel] * num_servers + dst_code[sel]
+        matrix = np.bincount(keys, minlength=num_hours * num_servers).reshape(
+            num_hours, num_servers
+        )
+    else:
+        matrix = np.zeros((num_hours, 1), dtype=np.int64)
+    sums = matrix.sum(axis=1)
+    active = (matrix > 0).sum(axis=1)
+    peaks = matrix.max(axis=1)
     for hour in range(num_hours):
-        bucket = per_hour_server.get(hour, {})
-        if bucket:
-            loads = list(bucket.values())
-            avg_series.append(float(hour), sum(loads) / len(loads))
-            max_series.append(float(hour), float(max(loads)))
+        if active[hour]:
+            avg_series.append(float(hour), int(sums[hour]) / int(active[hour]))
+            max_series.append(float(hour), float(int(peaks[hour])))
         else:
             avg_series.append(float(hour), 0.0)
             max_series.append(float(hour), 0.0)

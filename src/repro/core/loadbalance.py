@@ -13,11 +13,11 @@ from typing import List, Sequence, Union
 
 import math
 
-from repro.core.nonpreferred import preference_masks, video_flow_preference
+from repro.core.nonpreferred import preference_masks
 from repro.core.preferred import PreferredDcReport
 from repro.geoloc.clustering import ServerMap
 from repro.reporting.series import Series, hourly_counts
-from repro.trace.columnar import FlowTable, active_table
+from repro.trace.columnar import FlowTable, as_table
 from repro.trace.records import FlowRecord
 
 
@@ -92,16 +92,11 @@ def analyze_load_balance(
     num_hours: int,
 ) -> LoadBalanceReport:
     """Build Figure 11's series for one dataset."""
-    table = active_table(records)
-    if table is not None:
-        is_video, verdict = preference_masks(table, report, server_map)
-        hour = table.columns().hour
-        local_hours = hourly_counts(hour[is_video & (verdict == 1)], num_hours)
-        other_hours = hourly_counts(hour[is_video & (verdict == 0)], num_hours)
-    else:
-        split = video_flow_preference(records, report, server_map)
-        local_hours = hourly_counts((f.hour for f in split[True]), num_hours)
-        other_hours = hourly_counts((f.hour for f in split[False]), num_hours)
+    table = as_table(records)
+    is_video, verdict = preference_masks(table, report, server_map)
+    hour = table.columns().hour
+    local_hours = hourly_counts(hour[is_video & (verdict == 1)], num_hours)
+    other_hours = hourly_counts(hour[is_video & (verdict == 0)], num_hours)
 
     local_fraction = Series(label=f"{report.dataset_name} local fraction")
     flows_per_hour = Series(label=f"{report.dataset_name} video flows/h")

@@ -16,12 +16,14 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.flows import CONTROL_FLOW_THRESHOLD_BYTES, is_video_flow
 from repro.core.preferred import PreferredDcReport
 from repro.core.sessions import Session
 from repro.geoloc.clustering import ServerMap
 from repro.reporting.series import Cdf, hourly_fraction
-from repro.trace.columnar import FlowTable, active_table, as_records
+from repro.trace.columnar import FlowTable, as_table
 from repro.trace.records import FlowRecord
 
 
@@ -59,8 +61,6 @@ def preference_masks(
         non-preferred, ``-1`` unclustered.  The verdict is resolved once
         per distinct server address, not once per flow.
     """
-    import numpy as np
-
     cols = table.columns()
     dst_unique, dst_code = table.dst_codes()
     preferred_id = report.preferred_id
@@ -87,26 +87,13 @@ def video_flow_preference(
         ``{True: flows to preferred, False: flows to non-preferred}``;
         flows to unclustered servers are dropped.
     """
-    table = active_table(records)
-    if table is not None:
-        import numpy as np
-
-        is_video, verdict = preference_masks(table, report, server_map)
-        recs = table.records
-        return {
-            True: [recs[i] for i in np.flatnonzero(is_video & (verdict == 1)).tolist()],
-            False: [recs[i] for i in np.flatnonzero(is_video & (verdict == 0)).tolist()],
-        }
-    test = _preferred_test(report, server_map)
-    split: Dict[bool, List[FlowRecord]] = {True: [], False: []}
-    for record in as_records(records):
-        if not is_video_flow(record):
-            continue
-        verdict = test(record.dst_ip)
-        if verdict is None:
-            continue
-        split[verdict].append(record)
-    return split
+    table = as_table(records)
+    is_video, verdict = preference_masks(table, report, server_map)
+    recs = table.records
+    return {
+        True: [recs[i] for i in np.flatnonzero(is_video & (verdict == 1)).tolist()],
+        False: [recs[i] for i in np.flatnonzero(is_video & (verdict == 0)).tolist()],
+    }
 
 
 def hourly_nonpreferred_cdf(
@@ -128,23 +115,15 @@ def hourly_nonpreferred_cdf(
     Raises:
         ValueError: If no hour has enough flows.
     """
-    table = active_table(records)
-    if table is not None:
-        is_video, verdict = preference_masks(table, report, server_map)
-        hour = table.columns().hour
-        fractions = hourly_fraction(
-            hour[is_video & (verdict == 0)],
-            hour[is_video & (verdict != -1)],
-            num_hours,
-            min_denominator=min_flows_per_hour,
-        )
-    else:
-        split = video_flow_preference(records, report, server_map)
-        all_hours = [f.hour for f in split[True]] + [f.hour for f in split[False]]
-        fractions = hourly_fraction(
-            (f.hour for f in split[False]), all_hours, num_hours,
-            min_denominator=min_flows_per_hour,
-        )
+    table = as_table(records)
+    is_video, verdict = preference_masks(table, report, server_map)
+    hour = table.columns().hour
+    fractions = hourly_fraction(
+        hour[is_video & (verdict == 0)],
+        hour[is_video & (verdict != -1)],
+        num_hours,
+        min_denominator=min_flows_per_hour,
+    )
     if not fractions:
         raise ValueError("no hour has enough video flows")
     return Cdf(fractions.values())
@@ -160,15 +139,9 @@ def nonpreferred_fraction(
     Raises:
         ValueError: With no classifiable video flows.
     """
-    table = active_table(records)
-    if table is not None:
-        is_video, verdict = preference_masks(table, report, server_map)
-        nonpref = int((is_video & (verdict == 0)).sum())
-        total = nonpref + int((is_video & (verdict == 1)).sum())
-    else:
-        split = video_flow_preference(records, report, server_map)
-        nonpref = len(split[False])
-        total = len(split[True]) + nonpref
+    is_video, verdict = preference_masks(as_table(records), report, server_map)
+    nonpref = int((is_video & (verdict == 0)).sum())
+    total = nonpref + int((is_video & (verdict == 1)).sum())
     if total == 0:
         raise ValueError("no classifiable video flows")
     return nonpref / total

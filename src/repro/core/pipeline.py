@@ -174,12 +174,11 @@ class StudyPipeline:
     def focus_tables(self) -> Dict[str, FlowTable]:
         """Columnar views over :attr:`focus_records` (one per dataset).
 
-        The tables wrap the same record lists — they iterate identically
-        under the pure-Python kernels — and materialise their numpy
-        columns lazily, the first time a ``REPRO_KERNELS=numpy`` analysis
-        touches them.  Every kernel-backed analysis method below hands
-        these (not the raw lists) to the core modules, so the columnar
-        work is done once per dataset, not once per figure.
+        The tables wrap the same record lists and materialise their numpy
+        columns lazily, the first time an analysis touches them.  Every
+        analysis method below hands these (not the raw lists) to the core
+        modules, so the columnar work is done once per dataset, not once
+        per figure.
         """
         return {name: FlowTable(records) for name, records in self.focus_records.items()}
 

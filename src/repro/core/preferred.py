@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.geoloc.clustering import DataCenterCluster, ServerMap
 from repro.reporting.series import Series
-from repro.trace.columnar import group_sum_int64, use_numpy
+from repro.trace.columnar import group_sum_int64
 from repro.trace.records import Dataset
 
 #: A data center must carry at least this byte share to be considered when
@@ -153,61 +155,36 @@ def analyze_preferred(
 
     views: Dict[str, DataCenterView] = {}
     total_bytes = 0
-    if use_numpy():
-        # Columnar kernel: collapse the per-record loop to per-distinct-
-        # server aggregates (bincount / reduceat), then replay the tiny
-        # per-server loop in first-occurrence order so view creation
-        # order, byte totals, and min-RTTs match the spec exactly.
-        import numpy as np
-
-        cols = dataset.columnar().columns()
-        dst, num_bytes = cols.dst_ip, cols.num_bytes
-        if keep is not None:
-            mask = np.isin(dst, np.fromiter(keep, np.int64, count=len(keep)))
-            dst, num_bytes = dst[mask], num_bytes[mask]
-        uniq, first_idx, inverse = np.unique(
-            dst, return_index=True, return_inverse=True
-        )
-        flows_per_ip = np.bincount(inverse, minlength=len(uniq))
-        bytes_per_ip = group_sum_int64(inverse, num_bytes, len(uniq))
-        for j in np.argsort(first_idx, kind="stable").tolist():
-            ip = int(uniq[j])
-            cluster = server_map.by_ip.get(ip)
-            if cluster is None:
-                continue
-            view = views.get(cluster.cluster_id)
-            if view is None:
-                view = DataCenterView(
-                    cluster=cluster,
-                    distance_km=haversine_km(vantage_point, cluster.estimate),
-                )
-                views[cluster.cluster_id] = view
-            view.num_bytes += int(bytes_per_ip[j])
-            view.num_flows += int(flows_per_ip[j])
-            total_bytes += int(bytes_per_ip[j])
-            rtt = rtts_ms.get(ip)
-            if rtt is not None and rtt < view.min_rtt_ms:
-                view.min_rtt_ms = rtt
-    else:
-        for record in dataset:
-            if keep is not None and record.dst_ip not in keep:
-                continue
-            cluster = server_map.by_ip.get(record.dst_ip)
-            if cluster is None:
-                continue
-            view = views.get(cluster.cluster_id)
-            if view is None:
-                view = DataCenterView(
-                    cluster=cluster,
-                    distance_km=haversine_km(vantage_point, cluster.estimate),
-                )
-                views[cluster.cluster_id] = view
-            view.num_bytes += record.num_bytes
-            view.num_flows += 1
-            total_bytes += record.num_bytes
-            rtt = rtts_ms.get(record.dst_ip)
-            if rtt is not None and rtt < view.min_rtt_ms:
-                view.min_rtt_ms = rtt
+    # Collapse the flows to per-distinct-server aggregates (bincount /
+    # reduceat), then replay the tiny per-server loop in first-occurrence
+    # order so view creation order, byte totals, and min-RTTs match the
+    # record spec exactly.
+    cols = dataset.columnar().columns()
+    dst, num_bytes = cols.dst_ip, cols.num_bytes
+    if keep is not None:
+        mask = np.isin(dst, np.fromiter(keep, np.int64, count=len(keep)))
+        dst, num_bytes = dst[mask], num_bytes[mask]
+    uniq, first_idx, inverse = np.unique(dst, return_index=True, return_inverse=True)
+    flows_per_ip = np.bincount(inverse, minlength=len(uniq))
+    bytes_per_ip = group_sum_int64(inverse, num_bytes, len(uniq))
+    for j in np.argsort(first_idx, kind="stable").tolist():
+        ip = int(uniq[j])
+        cluster = server_map.by_ip.get(ip)
+        if cluster is None:
+            continue
+        view = views.get(cluster.cluster_id)
+        if view is None:
+            view = DataCenterView(
+                cluster=cluster,
+                distance_km=haversine_km(vantage_point, cluster.estimate),
+            )
+            views[cluster.cluster_id] = view
+        view.num_bytes += int(bytes_per_ip[j])
+        view.num_flows += int(flows_per_ip[j])
+        total_bytes += int(bytes_per_ip[j])
+        rtt = rtts_ms.get(ip)
+        if rtt is not None and rtt < view.min_rtt_ms:
+            view.min_rtt_ms = rtt
     if not views:
         raise ValueError(f"no clustered traffic in {dataset.name}")
 

@@ -9,26 +9,21 @@ The paper's sensitivity analysis (Figure 5) sweeps T over
 {1, 5, 10, 60, 300} seconds and settles on T = 1 s; Figure 6 then reports
 the flows-per-session distribution at T = 1 s for every dataset.
 
-Two interchangeable implementations back :func:`build_sessions` and
-:func:`gap_sensitivity` (see ``REPRO_KERNELS`` in
-:mod:`repro.trace.columnar`): the record-at-a-time Python spec below, and
-a columnar kernel — one stable lexsort on (client, video, t_start, t_end)
-plus a group-wise running-max horizon — that produces the identical
-session lists.  Either way the Figure 5 sweep shares a single sorted
-pass: only the gap comparison is re-evaluated per T.
+:func:`build_sessions` and :func:`gap_sensitivity` run on the columnar
+session index of :mod:`repro.trace.columnar`: one stable lexsort on
+(client, video, t_start, t_end) plus a group-wise running-max horizon.
+The Figure 5 sweep shares that single sorted pass — only the gap
+comparison is re-evaluated per T.  The record-at-a-time spec of the rule
+lives in ``tests/oracle/sessions.py``, and the parity tests hold these
+kernels to its exact session lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
-from repro.trace.columnar import (
-    FlowTable,
-    active_table,
-    as_records,
-    histogram_from_sizes,
-)
+from repro.trace.columnar import FlowTable, as_table, histogram_from_sizes
 from repro.trace.records import FlowRecord
 
 #: The paper's chosen session gap.
@@ -86,62 +81,31 @@ class Session:
         return sum(f.num_bytes for f in self.flows)
 
 
-def _sorted_groups(records: Iterable[FlowRecord]) -> List[List[FlowRecord]]:
-    """Flows grouped by (client, video), groups and members in spec order."""
-    by_key: Dict[Tuple[int, str], List[FlowRecord]] = {}
-    for record in records:
-        by_key.setdefault((record.src_ip, record.video_id), []).append(record)
-    return [
-        sorted(by_key[key], key=lambda f: (f.t_start, f.t_end)) for key in sorted(by_key)
-    ]
-
-
-def _group_session_sizes(flows: Sequence[FlowRecord], gap_s: float) -> List[int]:
-    """Session sizes of one sorted (client, video) group."""
-    sizes: List[int] = []
-    size = 1
-    # Track the latest end seen so an early long flow keeps covering
-    # later short ones (flows genuinely overlap during redirects).
-    horizon = flows[0].t_end
-    for flow in flows[1:]:
-        if flow.t_start - horizon < gap_s:
-            size += 1
-        else:
-            sizes.append(size)
-            size = 1
-        horizon = max(horizon, flow.t_end)
-    sizes.append(size)
-    return sizes
-
-
-def _build_sessions_python(
-    records: Iterable[FlowRecord], gap_s: float
+def build_sessions(
+    records: Union[Iterable[FlowRecord], FlowTable], gap_s: float = DEFAULT_GAP_S
 ) -> List[Session]:
-    sessions: List[Session] = []
-    for flows in _sorted_groups(records):
-        first = flows[0]
-        current = Session(client_ip=first.src_ip, video_id=first.video_id, flows=[first])
-        horizon = first.t_end
-        for flow in flows[1:]:
-            if flow.t_start - horizon < gap_s:
-                current.flows.append(flow)
-            else:
-                sessions.append(current)
-                current = Session(
-                    client_ip=flow.src_ip, video_id=flow.video_id, flows=[flow]
-                )
-            horizon = max(horizon, flow.t_end)
-        sessions.append(current)
-    return sessions
+    """Group flows into video sessions.
 
+    Args:
+        records: Flow records (any order), or a
+            :class:`~repro.trace.columnar.FlowTable` over them.
+        gap_s: The session gap T.
 
-def _build_sessions_numpy(table: FlowTable, gap_s: float) -> List[Session]:
+    Returns:
+        Sessions ordered by (client, video, start time).
+
+    Raises:
+        ValueError: For a non-positive gap.
+    """
+    if gap_s <= 0:
+        raise ValueError("gap_s must be positive")
+    table = as_table(records)
     index = table.session_index()
     n = len(index.order)
     if n == 0:
         return []
-    records = table.records
-    ordered = [records[i] for i in index.order.tolist()]
+    recs = table.records
+    ordered = [recs[i] for i in index.order.tolist()]
     # Pull each session's key from the columns instead of the first record:
     # 75k attribute lookups cost more than three vectorised gathers.
     cols = table.columns()
@@ -155,31 +119,6 @@ def _build_sessions_numpy(table: FlowTable, gap_s: float) -> List[Session]:
     return list(
         map(Session, client_ips, map(video_ids.__getitem__, video_codes), flow_lists)
     )
-
-
-def build_sessions(
-    records: Union[Iterable[FlowRecord], FlowTable], gap_s: float = DEFAULT_GAP_S
-) -> List[Session]:
-    """Group flows into video sessions.
-
-    Args:
-        records: Flow records (any order), or a
-            :class:`~repro.trace.columnar.FlowTable` over them.
-        gap_s: The session gap T.
-
-    Returns:
-        Sessions ordered by (client, video, start time) — identical on
-        either kernel backend.
-
-    Raises:
-        ValueError: For a non-positive gap.
-    """
-    if gap_s <= 0:
-        raise ValueError("gap_s must be positive")
-    table = active_table(records)
-    if table is not None:
-        return _build_sessions_numpy(table, gap_s)
-    return _build_sessions_python(as_records(records), gap_s)
 
 
 def _histogram_from_counts(sizes: Sequence[int]) -> Dict[str, float]:
@@ -224,8 +163,8 @@ def gap_sensitivity(
 ) -> Dict[float, Dict[str, float]]:
     """Figure 5: the flows-per-session histogram for each gap value.
 
-    The grouping and sorting work is shared across the sweep on both
-    backends — only the gap-break comparison is re-evaluated per T.
+    The grouping and sorting work is shared across the sweep — only the
+    gap-break comparison is re-evaluated per T.
 
     Raises:
         ValueError: For a non-positive gap, or with no sessions.
@@ -233,17 +172,5 @@ def gap_sensitivity(
     for gap in gaps_s:
         if gap <= 0:
             raise ValueError("gap_s must be positive")
-    table = active_table(records)
-    if table is not None:
-        index = table.session_index()
-        return {
-            gap: histogram_from_sizes(index.session_sizes(gap)) for gap in gaps_s
-        }
-    groups = _sorted_groups(as_records(records))
-    out: Dict[float, Dict[str, float]] = {}
-    for gap in gaps_s:
-        sizes: List[int] = []
-        for flows in groups:
-            sizes.extend(_group_session_sizes(flows, gap))
-        out[gap] = _histogram_from_counts(sizes)
-    return out
+    index = as_table(records).session_index()
+    return {gap: histogram_from_sizes(index.session_sizes(gap)) for gap in gaps_s}

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.trace.columnar import group_sum_int64, use_numpy
+import numpy as np
+
+from repro.trace.columnar import group_sum_int64
 
 if TYPE_CHECKING:  # import-time cycle: repro.stream imports this module
     from repro.stream.events import StreamWindow
@@ -110,23 +112,16 @@ class HotSpotDetector:
 
 
 def _video_counts(window: StreamWindow) -> Dict[str, int]:
-    """Per-video flow counts for one window."""
+    """Per-video flow counts for one window, keyed in first-flow order."""
     if len(window) == 0:
         return {}
-    if use_numpy():
-        import numpy as np
-
-        cols = window.table.columns()
-        per_code = np.bincount(cols.video_code, minlength=len(cols.video_ids))
-        return {
-            str(video_id): int(count)
-            for video_id, count in zip(cols.video_ids.tolist(), per_code.tolist())
-            if count
-        }
-    counts: Dict[str, int] = {}
-    for record in window.records:
-        counts[record.video_id] = counts.get(record.video_id, 0) + 1
-    return counts
+    cols = window.table.columns()
+    codes, first, counts = np.unique(cols.video_code, return_index=True, return_counts=True)
+    video_ids = cols.video_ids.tolist()  # built-in str, not numpy str_
+    return {
+        video_ids[codes[j]]: int(counts[j])
+        for j in np.argsort(first, kind="stable").tolist()
+    }
 
 
 @dataclass(frozen=True)
@@ -193,16 +188,7 @@ class LoadBalanceDetector:
 
 def _top_server_bytes(window: StreamWindow) -> Tuple[int, int, int]:
     """(busiest server's bytes, total bytes, distinct servers) for a window."""
-    if use_numpy():
-        import numpy as np
-
-        cols = window.table.columns()
-        uniq, inverse = np.unique(cols.dst_ip, return_inverse=True)
-        per_server = group_sum_int64(inverse, cols.num_bytes, len(uniq))
-        return int(per_server.max()), int(cols.num_bytes.sum()), len(uniq)
-    per_server: Dict[int, int] = {}
-    total = 0
-    for record in window.records:
-        per_server[record.dst_ip] = per_server.get(record.dst_ip, 0) + record.num_bytes
-        total += record.num_bytes
-    return max(per_server.values()), total, len(per_server)
+    cols = window.table.columns()
+    uniq, inverse = np.unique(cols.dst_ip, return_inverse=True)
+    per_server = group_sum_int64(inverse, cols.num_bytes, len(uniq))
+    return int(per_server.max()), int(cols.num_bytes.sum()), len(uniq)

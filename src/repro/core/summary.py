@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.reporting.tables import TextTable, format_bytes
-from repro.trace.columnar import use_numpy
 from repro.trace.records import Dataset
 
 
@@ -47,23 +48,13 @@ class DatasetSummary:
 
 def summarize(dataset: Dataset) -> DatasetSummary:
     """Compute the Table I row for one dataset."""
-    if use_numpy():
-        import numpy as np
-
-        cols = dataset.columnar().columns()
-        return DatasetSummary(
-            name=dataset.name,
-            flows=len(dataset),
-            volume_bytes=int(cols.num_bytes.sum()),
-            num_servers=int(np.unique(cols.dst_ip).size),
-            num_clients=int(np.unique(cols.src_ip).size),
-        )
+    cols = dataset.columnar().columns()
     return DatasetSummary(
         name=dataset.name,
         flows=len(dataset),
-        volume_bytes=dataset.total_bytes,
-        num_servers=len(dataset.server_ips),
-        num_clients=len(dataset.client_ips),
+        volume_bytes=int(cols.num_bytes.sum()),
+        num_servers=int(np.unique(cols.dst_ip).size),
+        num_clients=int(np.unique(cols.src_ip).size),
     )
 
 

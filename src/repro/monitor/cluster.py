@@ -10,8 +10,8 @@ center; similar RTT, same site" structure Section V of the paper leans
 on).  Prefixes whose probe was lost under a fault plan carry no RTT and
 are pooled into one unprobed cloud: probe degradation may *coarsen* the
 clustering but never invents distance — the dissimilarity metric
-(:mod:`repro.monitor.detect`) matches clouds by prefix overlap, so a
-lost probe cannot masquerade as a migration.
+(:mod:`repro.monitor.detect`) charges RTT drift per prefix probed in
+both epochs, so a lost probe cannot masquerade as a migration.
 
 Clustering is exact and deterministic: sorted inputs, no RNG, no
 iteration-order dependence — clustered snapshots are byte-identical on

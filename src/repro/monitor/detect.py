@@ -8,17 +8,19 @@ threshold.  The distance has two terms:
   epochs' per-prefix byte-share distributions.  Mass that moved between
   server /24 groups (a drained data center, a flipped preferred
   mapping, a policy switch) lands here, at full weight.
-* **Cloud RTT drift** — edge-clouds are matched across the epochs by
-  share-weighted prefix overlap (greedy, best overlap first), and each
-  matched pair contributes its overlap times the normalised shift of
-  its RTT centroid.  The same addresses answering from a different
-  network distance — a migration YouLighter's clustering is built to
-  catch — lands here even when volumes barely move.
+* **RTT drift** — every prefix probed in *both* epochs contributes the
+  byte share it kept (the smaller of its two shares) times the
+  normalised shift of its RTT.  The same addresses answering from a
+  different network distance — a migration YouLighter's clustering is
+  built to catch — lands here even when volumes barely move.
 
 Both terms are built to *shrink*, never grow, under probe degradation:
-a lost probe removes a prefix from the RTT axis (its mass still matches
-by overlap) and can therefore lower the drift term's weight but cannot
-add distance.  That is the change-vs-degradation disambiguation the
+probes never touch the migration term, and a lost probe only removes
+its prefix's non-negative summand from the drift term.  The drift is
+deliberately per prefix rather than per matched edge-cloud: a lost
+probe re-clusters its epoch (it can split a cloud in two), which would
+re-pair the remaining clouds and move their centroids, and either can
+*add* distance.  That is the change-vs-degradation disambiguation the
 fault-plan confusion test pins: a static world under a nonzero
 :class:`~repro.faults.plan.FaultPlan` must stay alarm-free.
 
@@ -42,8 +44,8 @@ from repro.monitor.cluster import ClusteredSnapshot
 #: changes land at 0.85+.  See docs/faq.md for tuning guidance.
 DEFAULT_THRESHOLD = 0.5
 
-#: RTT-centroid shift (ms) that counts as a full migration of the
-#: matched mass; smaller shifts contribute proportionally.
+#: Per-prefix RTT shift (ms) that counts as a full migration of the
+#: prefix's kept mass; smaller shifts contribute proportionally.
 DEFAULT_RTT_SCALE_MS = 50.0
 
 
@@ -55,13 +57,14 @@ def pattern_dissimilarity(
     """Bounded distance in ``[0, 1]`` between two clustered snapshots.
 
     Zero for identical traffic patterns; 1 for complete migration.
-    Symmetric, and exactly 0 when both epochs put identical shares on
-    identical prefixes with identical cloud centroids.
+    Symmetric, exactly 0 when both epochs put identical shares on
+    identical prefixes with identical RTTs, and never larger after a
+    probe is lost in either epoch.
 
     Args:
         a: Earlier epoch.
         b: Later epoch.
-        rtt_scale_ms: Centroid shift treated as a full migration.
+        rtt_scale_ms: RTT shift treated as a full migration.
     """
     shares_a = a.prefix_shares()
     shares_b = b.prefix_shares()
@@ -70,34 +73,15 @@ def pattern_dissimilarity(
         abs(shares_a.get(p, 0.0) - shares_b.get(p, 0.0)) for p in prefixes
     )
 
-    drift = 0.0
-    overlaps: List[Tuple[float, int, int]] = []
-    for i, cloud_a in enumerate(a.clouds):
-        if cloud_a.rtt_ms is None:
-            continue
-        members_a = set(cloud_a.prefixes)
-        for j, cloud_b in enumerate(b.clouds):
-            if cloud_b.rtt_ms is None:
-                continue
-            overlap = sum(
-                min(shares_a.get(p, 0.0), shares_b.get(p, 0.0))
-                for p in members_a.intersection(cloud_b.prefixes)
-            )
-            if overlap > 0.0:
-                overlaps.append((overlap, i, j))
-    # Greedy one-to-one matching, biggest shared mass first; ties break
-    # on cloud order for determinism.
-    overlaps.sort(key=lambda item: (-item[0], item[1], item[2]))
-    matched_a: set = set()
-    matched_b: set = set()
-    for overlap, i, j in overlaps:
-        if i in matched_a or j in matched_b:
-            continue
-        matched_a.add(i)
-        matched_b.add(j)
-        shift = abs(a.clouds[i].rtt_ms - b.clouds[j].rtt_ms)
-        drift += overlap * min(1.0, shift / rtt_scale_ms)
-
+    rtt_a = dict(a.snapshot.rtt_ms)
+    rtt_b = dict(b.snapshot.rtt_ms)
+    # Sorted, so the float sum is order-identical in both directions.
+    probed_both = sorted(shares_a.keys() & shares_b.keys() & rtt_a.keys() & rtt_b.keys())
+    drift = sum(
+        min(shares_a[p], shares_b[p])
+        * min(1.0, abs(rtt_a[p] - rtt_b[p]) / rtt_scale_ms)
+        for p in probed_both
+    )
     return min(1.0, migration + drift)
 
 

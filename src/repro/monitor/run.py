@@ -296,7 +296,7 @@ def run_monitor(
             are fresh workload samples of the same (or changed) scenario.
         threshold: Alarm threshold on the pattern dissimilarity.
         rtt_gap_ms: Edge-cloud single-linkage gap.
-        rtt_scale_ms: Centroid shift treated as a full migration.
+        rtt_scale_ms: RTT shift treated as a full migration.
         probes: Pings per prefix RTT measurement.
         prefix_len: Server-side aggregation prefix length.
         base_policy: Selection policy the base scenario runs.

@@ -11,10 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-try:  # optional: array fast paths for the columnar kernels
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None
+import numpy as np
 
 
 class Cdf:
@@ -30,8 +27,8 @@ class Cdf:
     """
 
     def __init__(self, values: Iterable[float]):
-        if _np is not None and isinstance(values, _np.ndarray):
-            self._values = _np.sort(values.astype(float, copy=False)).tolist()
+        if isinstance(values, np.ndarray):
+            self._values = np.sort(values.astype(float, copy=False)).tolist()
         else:
             self._values: List[float] = sorted(float(v) for v in values)
         if not self._values:
@@ -154,10 +151,10 @@ def hourly_counts(hours: Iterable[int], num_hours: int) -> List[int]:
     Returns:
         A list of length ``num_hours`` of counts.
     """
-    if _np is not None and isinstance(hours, _np.ndarray):
-        h = hours.astype(_np.int64, copy=False)
+    if isinstance(hours, np.ndarray):
+        h = hours.astype(np.int64, copy=False)
         h = h[(h >= 0) & (h < num_hours)]
-        return _np.bincount(h, minlength=num_hours).tolist()
+        return np.bincount(h, minlength=num_hours).tolist()
     counts = [0] * num_hours
     for hour in hours:
         if 0 <= hour < num_hours:

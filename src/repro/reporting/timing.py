@@ -27,8 +27,7 @@ def phase_timer(name: str) -> Iterator[None]:
 
     The pipeline wraps its analysis stages (session building, the gap
     sweep, the hot-spot scans) with this, so ``timing_*.json`` breaks out
-    where a study's analysis time goes — the view that makes the
-    ``REPRO_KERNELS`` speedup visible.  Nested/repeated uses of one name
+    where a study's analysis time goes.  Nested/repeated uses of one name
     accumulate.
 
     This is now a thin shim over :func:`repro.obs.span`: a phase is a
@@ -93,8 +92,8 @@ def timing_summary(
             artifact records how much of the run was served from cache.
         phases: Optional per-phase wall times (the shape returned by
             :func:`phases_summary`); included under ``"phases"`` when
-            non-empty, alongside the active kernel backend, so the
-            analysis-phase breakdown lands in ``timing_*.json``.
+            non-empty, so the analysis-phase breakdown lands in
+            ``timing_*.json``.
         degradation: Optional
             :class:`~repro.faults.report.DegradationReport`; its
             per-stage counters land under ``"degradation"`` so chaos
@@ -140,10 +139,7 @@ def timing_summary(
     if cache is not None:
         summary["cache"] = cache
     if phases:
-        from repro.trace.columnar import kernels_backend
-
         summary["phases"] = dict(phases)
-        summary["kernels"] = kernels_backend()
     if degradation is not None and degradation.stages:
         summary["degradation"] = degradation.as_dict()
     if metrics and any(metrics.get(k) for k in ("counters", "gauges", "histograms")):

@@ -35,21 +35,14 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Hashable, List, Sequence, Tuple, TypeVar
 
-from repro.core.sessions import DEFAULT_GAP_S, Session, _sorted_groups
+import numpy as np
+
+from repro.core.sessions import DEFAULT_GAP_S, Session
 from repro.stream.accumulators import (
     HourlyShareAccumulator,
     TrafficAccumulator,
 )
-from repro.trace.columnar import FlowTable, active_table
-from repro.trace.records import FlowRecord
-
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - CI image always has numpy
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+from repro.trace.columnar import as_table
 
 #: One (client, video) group's local sessions inside one shard:
 #: ``(items, max_t_end)`` with ``items`` a time-ordered list of
@@ -101,8 +94,7 @@ def session_partial(
     session ``(first_t_start, size)`` pairs plus the group's max
     ``t_end`` — a few scalars per session instead of the flows
     themselves, so shard workers never ship records back.  Runs on the
-    columnar session index under ``REPRO_KERNELS=numpy`` and on the
-    record spec otherwise; both produce identical partials.
+    columnar session index.
 
     Args:
         records: The shard's flows (a
@@ -111,15 +103,7 @@ def session_partial(
     """
     if gap_s <= 0:
         raise ValueError("gap_s must be positive")
-    table = active_table(records)
-    if table is not None:
-        return _session_partial_numpy(table, gap_s)
-    if isinstance(records, FlowTable):
-        records = records.records
-    return _session_partial_python(records, gap_s)
-
-
-def _session_partial_numpy(table: FlowTable, gap_s: float) -> SessionPartial:
+    table = as_table(records)
     if len(table) == 0:
         return {}
     index = table.session_index()
@@ -142,31 +126,6 @@ def _session_partial_numpy(table: FlowTable, gap_s: float) -> SessionPartial:
         if entry is None:
             entry = out[key] = ([], group_max_te[session_grp[i]])
         entry[0].append((ts, size))
-    return out
-
-
-def _session_partial_python(
-    records: Sequence[FlowRecord], gap_s: float
-) -> SessionPartial:
-    out: SessionPartial = {}
-    for flows in _sorted_groups(records):
-        first = flows[0]
-        items: List[Tuple[float, object]] = []
-        start_ts = first.t_start
-        size = 1
-        horizon = first.t_end
-        max_te = first.t_end
-        for flow in flows[1:]:
-            if flow.t_start - horizon < gap_s:
-                size += 1
-            else:
-                items.append((start_ts, size))
-                start_ts = flow.t_start
-                size = 1
-            horizon = max(horizon, flow.t_end)
-            max_te = max(max_te, flow.t_end)
-        items.append((start_ts, size))
-        out[(first.src_ip, first.video_id)] = (items, max_te)
     return out
 
 

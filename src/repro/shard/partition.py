@@ -17,14 +17,12 @@ every shard is a warm hit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List
 
-from repro.trace.columnar import FlowTable, HAVE_NUMPY
+import numpy as np
 
-if HAVE_NUMPY:
-    import numpy as np
+from repro.trace.columnar import FlowTable
 
 
 @dataclass(frozen=True)
@@ -93,38 +91,22 @@ def partition_table(table: FlowTable, window_s: float, dataset: str) -> List[Sha
     n = len(table)
     if n == 0:
         return []
-    if HAVE_NUMPY:
-        t_start = table.columns().t_start
-        if len(t_start) > 1 and bool(np.any(t_start[1:] < t_start[:-1])):
-            raise ValueError("records are not sorted by t_start")
-        first = math.floor(float(t_start[0]) / window_s)
-        last = math.floor(float(t_start[-1]) / window_s)
-        # One searchsorted over all window boundaries: cut[i] is the first
-        # row at or past boundary (first + i) * window_s.
-        bounds = (np.arange(first, last + 2, dtype=np.float64)) * window_s
-        cuts = np.searchsorted(t_start, bounds, side="left")
-        shards = []
-        for i in range(len(bounds) - 1):
-            lo, hi = int(cuts[i]), int(cuts[i + 1])
-            if lo == hi:
-                continue
-            index = first + i
-            key = ShardKey(dataset=dataset, index=index,
-                           t_lo=index * window_s, t_hi=(index + 1) * window_s)
-            shards.append(Shard(key=key, lo=lo, hi=hi))
-        return shards
-    starts = [r.t_start for r in table.records]
-    if any(b < a for a, b in zip(starts, starts[1:])):
+    t_start = table.columns().t_start
+    if len(t_start) > 1 and bool(np.any(t_start[1:] < t_start[:-1])):
         raise ValueError("records are not sorted by t_start")
-    first = math.floor(starts[0] / window_s)
-    last = math.floor(starts[-1] / window_s)
+    first = math.floor(float(t_start[0]) / window_s)
+    last = math.floor(float(t_start[-1]) / window_s)
+    # One searchsorted over all window boundaries: cut[i] is the first
+    # row at or past boundary (first + i) * window_s.
+    bounds = (np.arange(first, last + 2, dtype=np.float64)) * window_s
+    cuts = np.searchsorted(t_start, bounds, side="left")
     shards = []
-    lo = 0
-    for index in range(first, last + 1):
-        hi = bisect_left(starts, (index + 1) * window_s, lo=lo)
-        if hi > lo:
-            key = ShardKey(dataset=dataset, index=index,
-                           t_lo=index * window_s, t_hi=(index + 1) * window_s)
-            shards.append(Shard(key=key, lo=lo, hi=hi))
-        lo = hi
+    for i in range(len(bounds) - 1):
+        lo, hi = int(cuts[i]), int(cuts[i + 1])
+        if lo == hi:
+            continue
+        index = first + i
+        key = ShardKey(dataset=dataset, index=index,
+                       t_lo=index * window_s, t_hi=(index + 1) * window_s)
+        shards.append(Shard(key=key, lo=lo, hi=hi))
     return shards

@@ -52,16 +52,10 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.trace.columnar import FlowTable, _Columns
 from repro.trace.records import FlowRecord
-
-try:  # numpy is optional repo-wide; the shm transport needs it
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - CI image always has numpy
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 #: Environment variable selecting the transport backend.
 ENV_SHM = "REPRO_SHM"
@@ -99,8 +93,7 @@ def shm_mode() -> str:
 
     Reads :data:`ENV_SHM` on every call so tests can switch modes.
     ``auto`` resolves to ``shm`` when ``multiprocessing.shared_memory``
-    imports (and numpy is present), else ``file``; without numpy every
-    mode degrades to ``off``.
+    imports, else ``file``.
 
     Raises:
         ValueError: For an unrecognised mode name.
@@ -108,8 +101,6 @@ def shm_mode() -> str:
     value = os.environ.get(ENV_SHM, "auto").strip().lower() or "auto"
     if value not in SHM_MODES:
         raise ValueError(f"unknown {ENV_SHM}={value!r}; expected one of {SHM_MODES}")
-    if not HAVE_NUMPY:
-        return "off"
     if value == "auto":
         return "shm" if _have_shared_memory() else "file"
     return value

@@ -18,14 +18,17 @@ full record list:
 * :class:`SessionStatsAccumulator` — the Figure 5/6 flows-per-session
   histogram over incrementally closed sessions.
 
-Accumulators honour ``REPRO_KERNELS``: under the numpy backend each
-window is collapsed with the columnar kernels; under python they iterate
-records.  Both paths produce identical integers.
+Each window is collapsed with the columnar kernels of
+:mod:`repro.trace.columnar`; the parity tests hold the folded state to
+the record-at-a-time spec in ``tests/oracle/accumulators.py`` — same
+integers, same first-occurrence order.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.core import asmap
 from repro.core.flows import CONTROL_FLOW_THRESHOLD_BYTES
@@ -40,7 +43,7 @@ from repro.geo.coords import GeoPoint, haversine_km
 from repro.geoloc.clustering import ServerMap
 from repro.net.asn import AsRegistry, GOOGLE_ASN
 from repro.stream.events import StreamWindow
-from repro.trace.columnar import group_sum_int64, use_numpy
+from repro.trace.columnar import group_sum_int64
 
 #: Composite (server, hour) key stride for the hourly kernel; hours stay
 #: far below it for any plausible trace length.
@@ -89,37 +92,22 @@ class TrafficAccumulator:
         """Fold one sealed window in."""
         if len(window) == 0:
             return
-        if use_numpy():
-            import numpy as np
-
-            cols = window.table.columns()
-            self.flows += len(window)
-            self.total_bytes += int(cols.num_bytes.sum())
-            self._clients.update(np.unique(cols.src_ip).tolist())
-            uniq, first_idx, inverse = np.unique(
-                cols.dst_ip, return_index=True, return_inverse=True
-            )
-            bytes_per = group_sum_int64(inverse, cols.num_bytes, len(uniq))
-            flows_per = np.bincount(inverse, minlength=len(uniq))
-            video_per = np.bincount(
-                inverse[cols.num_bytes >= CONTROL_FLOW_THRESHOLD_BYTES],
-                minlength=len(uniq),
-            )
-            for j in np.argsort(first_idx, kind="stable").tolist():
-                stats = self._stats(int(uniq[j]))
-                stats.num_bytes += int(bytes_per[j])
-                stats.num_flows += int(flows_per[j])
-                stats.video_flows += int(video_per[j])
-        else:
-            for record in window.records:
-                self.flows += 1
-                self.total_bytes += record.num_bytes
-                self._clients.add(record.src_ip)
-                stats = self._stats(record.dst_ip)
-                stats.num_bytes += record.num_bytes
-                stats.num_flows += 1
-                if record.num_bytes >= CONTROL_FLOW_THRESHOLD_BYTES:
-                    stats.video_flows += 1
+        cols = window.table.columns()
+        self.flows += len(window)
+        self.total_bytes += int(cols.num_bytes.sum())
+        self._clients.update(np.unique(cols.src_ip).tolist())
+        uniq, first_idx, inverse = np.unique(cols.dst_ip, return_index=True, return_inverse=True)
+        bytes_per = group_sum_int64(inverse, cols.num_bytes, len(uniq))
+        flows_per = np.bincount(inverse, minlength=len(uniq))
+        video_per = np.bincount(
+            inverse[cols.num_bytes >= CONTROL_FLOW_THRESHOLD_BYTES],
+            minlength=len(uniq),
+        )
+        for j in np.argsort(first_idx, kind="stable").tolist():
+            stats = self._stats(int(uniq[j]))
+            stats.num_bytes += int(bytes_per[j])
+            stats.num_flows += int(flows_per[j])
+            stats.video_flows += int(video_per[j])
 
     def _stats(self, ip: int) -> _ServerStats:
         stats = self._servers.get(ip)
@@ -270,23 +258,16 @@ class HourlyShareAccumulator:
         """Fold one sealed window in."""
         if len(window) == 0:
             return
-        if use_numpy():
-            import numpy as np
-
-            cols = window.table.columns()
-            video = cols.num_bytes >= CONTROL_FLOW_THRESHOLD_BYTES
-            key = cols.dst_ip[video] * _HOUR_STRIDE + cols.hour[video]
-            uniq, counts = np.unique(key, return_counts=True)
-            for composite, count in zip(uniq.tolist(), counts.tolist()):
-                ip, hour = divmod(composite, _HOUR_STRIDE)
-                hours = self._counts.setdefault(ip, {})
-                hours[hour] = hours.get(hour, 0) + count
-        else:
-            for record in window.records:
-                if record.num_bytes < CONTROL_FLOW_THRESHOLD_BYTES:
-                    continue
-                hours = self._counts.setdefault(record.dst_ip, {})
-                hours[record.hour] = hours.get(record.hour, 0) + 1
+        cols = window.table.columns()
+        video = cols.num_bytes >= CONTROL_FLOW_THRESHOLD_BYTES
+        key = cols.dst_ip[video] * _HOUR_STRIDE + cols.hour[video]
+        uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
+        # Replay in first-occurrence order: servers and hours enter the
+        # dicts in the order the window's flows first reach them.
+        for j in np.argsort(first, kind="stable").tolist():
+            ip, hour = divmod(int(uniq[j]), _HOUR_STRIDE)
+            hours = self._counts.setdefault(ip, {})
+            hours[hour] = hours.get(hour, 0) + int(counts[j])
 
     def fractions(
         self,

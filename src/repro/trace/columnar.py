@@ -2,13 +2,9 @@
 
 The analysis modules (:mod:`repro.core.sessions`, :mod:`repro.core.flows`,
 :mod:`repro.core.preferred`, :mod:`repro.core.hotspots`,
-:mod:`repro.core.nonpreferred`, :mod:`repro.core.summary`) are written as
-record-at-a-time Python over :class:`~repro.trace.records.FlowRecord`
-dataclasses — an executable spec of the paper's Section VI methodology.  At
-higher ``--scale`` that spec becomes the bottleneck: a cold ``repro study``
-spends most of its time iterating flows in the interpreter.
-
-This module adds the columnar alternative those modules switch to:
+:mod:`repro.core.nonpreferred`, :mod:`repro.core.summary`) run the paper's
+Section VI methodology as vectorised kernels over the column arrays kept
+here:
 
 * :class:`FlowTable` — a lazy, cached materialization of a record sequence
   into numpy column arrays (``src_ip``, ``dst_ip``, ``num_bytes``,
@@ -21,18 +17,16 @@ This module adds the columnar alternative those modules switch to:
   :func:`histogram_from_sizes`) used by the per-hour / per-DC / per-video
   kernels.
 
-The switch is ``REPRO_KERNELS=python|numpy`` (numpy is the default, with a
-silent fallback to python when numpy is not importable).  Both backends
-produce **identical** results — same session lists, same figure series,
-byte-identical digests — so the backend never enters artifact-cache keys,
-exactly like the execution backend (``REPRO_EXECUTOR``) before it.
+The record-at-a-time executable spec of the same methodology lives in
+``tests/oracle/``; the parity tests require every kernel to reproduce it
+exactly — same session lists, same figure series, byte-identical digests.
 
 Exactness notes, because parity is a hard requirement:
 
 * Session horizons are computed by cumulative-max over *ranks* of ``t_end``
   (integers), not over offset-shifted floats, so the horizon handed to the
   ``t_start - horizon < gap`` comparison is the exact same double the
-  Python loop sees.
+  spec's record loop sees.
 * Byte totals are aggregated with int64 ``np.add.reduceat``, never float
   weights, so sums are exact at any scale.
 * Kernel outputs are converted back to built-in ``int``/``float``/``str``
@@ -42,50 +36,12 @@ Exactness notes, because parity is a hard requirement:
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
+import numpy as np
+
 from repro.trace.records import FlowRecord
-
-try:  # numpy is an optional dependency of the analysis layer
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-#: Environment variable selecting the kernel backend.
-KERNELS_ENV = "REPRO_KERNELS"
-
-#: Valid backend names.
-KERNEL_BACKENDS = ("python", "numpy")
-
-
-def kernels_backend() -> str:
-    """The active kernel backend (``"python"`` or ``"numpy"``).
-
-    Reads :data:`KERNELS_ENV` on every call so tests and the CLI can switch
-    backends mid-process.  ``numpy`` silently degrades to ``python`` when
-    numpy cannot be imported.
-
-    Raises:
-        ValueError: For an unrecognised backend name.
-    """
-    value = os.environ.get(KERNELS_ENV, "numpy").strip().lower() or "numpy"
-    if value not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown {KERNELS_ENV}={value!r}; expected one of {KERNEL_BACKENDS}"
-        )
-    if value == "numpy" and not HAVE_NUMPY:
-        return "python"
-    return value
-
-
-def use_numpy() -> bool:
-    """Whether the numpy kernels are active."""
-    return kernels_backend() == "numpy"
 
 
 class _Columns:
@@ -143,7 +99,7 @@ class SessionIndex:
 
     Attributes:
         order: Indices sorting the table by (client, video, t_start, t_end),
-            stable — the exact order the Python spec visits flows in.
+            stable — the exact order the record spec visits flows in.
         new_group: Boolean per sorted row: first row of a (client, video)
             group.
         t_start: ``t_start`` in sorted order.
@@ -175,7 +131,7 @@ class SessionIndex:
         # Exact group-wise running max of t_end: rank the values (ints),
         # cumulative-max the ranks with a per-group int64 offset, then map
         # back.  No float arithmetic touches the horizon, so it is
-        # bit-identical to the Python loop's max() chain.
+        # bit-identical to the spec's max() chain.
         grp = np.cumsum(new_group) - 1
         uniq_te, te_rank = np.unique(te, return_inverse=True)
         base = grp.astype(np.int64) * np.int64(len(uniq_te))
@@ -207,12 +163,11 @@ class SessionIndex:
 class FlowTable:
     """A columnar view over a flow-record sequence.
 
-    The table keeps the original record list (so the pure-Python spec can
-    iterate it unchanged — a ``FlowTable`` is a ``Sequence[FlowRecord]``)
-    and materialises the numpy columns lazily, the first time a kernel
-    asks.  Build one per dataset / filtered record list and pass it to the
-    analysis functions; they use the arrays when ``REPRO_KERNELS=numpy``
-    and fall back to iterating the records otherwise.
+    The table keeps the original record list (a ``FlowTable`` is a
+    ``Sequence[FlowRecord]``, so kernels can hand back the records they
+    select) and materialises the numpy columns lazily, the first time a
+    kernel asks.  Build one per dataset / filtered record list and pass it
+    to the analysis functions, so every analysis shares its cached columns.
     """
 
     __slots__ = (
@@ -248,13 +203,7 @@ class FlowTable:
     # ------------------------------------------------------- columns
 
     def columns(self) -> _Columns:
-        """The materialised column arrays (built on first use).
-
-        Raises:
-            RuntimeError: If numpy is unavailable.
-        """
-        if not HAVE_NUMPY:  # pragma: no cover - CI image always has numpy
-            raise RuntimeError("numpy is not available; use the python kernels")
+        """The materialised column arrays (built on first use)."""
         if self._cols is None:
             self._cols = _Columns(self.records)
         return self._cols
@@ -325,26 +274,15 @@ def resident_columnar() -> Dict[str, int]:
     }
 
 
-def active_table(records: Union[Sequence[FlowRecord], FlowTable]) -> Optional[FlowTable]:
-    """The :class:`FlowTable` to run numpy kernels over, or ``None``.
+def as_table(records: Union[Sequence[FlowRecord], FlowTable]) -> FlowTable:
+    """The :class:`FlowTable` to run the kernels over.
 
-    Returns ``None`` when the python backend is active — callers then take
-    their record-at-a-time path.  When the numpy backend is active, an
-    existing table passes through (reusing its cached columns); a plain
+    An existing table passes through (reusing its cached columns); a plain
     record sequence gets a throwaway table.
     """
-    if not use_numpy():
-        return None
     if isinstance(records, FlowTable):
         return records
     return FlowTable(records)
-
-
-def as_records(records: Union[Sequence[FlowRecord], FlowTable]) -> Sequence[FlowRecord]:
-    """The underlying record sequence (identity for plain sequences)."""
-    if isinstance(records, FlowTable):
-        return records.records
-    return records
 
 
 # ---------------------------------------------------------------- helpers

@@ -188,9 +188,8 @@ class Dataset:
         )
         digest.update(header.encode("ascii"))
         digest.update(b"\n")
-        # The columnar view is passed (not the raw list) so the numpy
-        # kernels reuse the dataset's cached session index; the python
-        # backend iterates the same records through it unchanged.
+        # The columnar view is passed (not the raw list) so the kernels
+        # reuse the dataset's cached session index.
         for session in build_sessions(self.columnar(), gap_s=gap_s):
             flows = session.flows
             line = (

@@ -75,6 +75,17 @@ class SweepResult:
         return 0
 
 
+def check_parameter(parameter: str) -> None:
+    """Reject a sweep parameter that names no :class:`ScenarioSpec` field.
+
+    Raises:
+        ValueError: For unknown spec fields.
+    """
+    field_names = {f.name for f in dataclasses.fields(ScenarioSpec)}
+    if parameter not in field_names:
+        raise ValueError(f"ScenarioSpec has no field {parameter!r}")
+
+
 def sweep_parameter(
     scenario_name: str,
     parameter: str,
@@ -118,9 +129,7 @@ def sweep_parameter(
         raise KeyError(f"unknown scenario {scenario_name!r}")
     if not values:
         raise ValueError("empty sweep grid")
-    field_names = {f.name for f in dataclasses.fields(ScenarioSpec)}
-    if parameter not in field_names:
-        raise ValueError(f"ScenarioSpec has no field {parameter!r}")
+    check_parameter(parameter)
 
     grid = GridSpec(
         base=scenario_name, axes=(GridAxis(parameter, tuple(values)),)

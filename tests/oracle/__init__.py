@@ -1,0 +1,18 @@
+"""Record-at-a-time executable spec of the Section VI analysis.
+
+Every module here restates one runtime kernel as a plain loop over
+:class:`~repro.trace.records.FlowRecord` objects — the methodology as
+the paper words it, with no columns, sorting tricks or grouped
+reductions.  The modules mirror the runtime layout (``oracle.preferred``
+specifies :mod:`repro.core.preferred`, ``oracle.accumulators`` specifies
+:mod:`repro.stream.accumulators`, and so on); ``oracle.sessions`` also
+carries the shard-local :func:`repro.shard.merge.session_partial`, which
+is the session rule again.
+
+Nothing under ``src/`` imports this package: it exists so the parity
+tests (``tests/test_columnar_kernels.py`` and the hypothesis properties
+in ``tests/test_properties.py``) can require the columnar kernels to
+reproduce it *exactly* — same session lists, same dict order, same
+floats — and so ``benchmarks/test_bench_analysis.py`` can time the
+kernels against it.
+"""

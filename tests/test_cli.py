@@ -1,8 +1,14 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import build_parser, main
 
@@ -132,12 +138,14 @@ class TestComposite:
         second = float(lines[2].split()[-1])
         assert first > second  # spill lowers the preferred share
 
-    def test_sweep_bad_parameter(self):
-        with pytest.raises(ValueError):
-            run_cli(
-                "sweep", "--dataset", "EU1-FTTH",
-                "--parameter", "warp_factor", "--values", "1",
-            )
+    def test_sweep_bad_parameter(self, capsys):
+        code, text = run_cli(
+            "sweep", "--dataset", "EU1-FTTH",
+            "--parameter", "warp_factor", "--values", "1",
+        )
+        assert code == 2
+        assert text == ""
+        assert "warp_factor" in capsys.readouterr().err
 
     def test_whatif_named_variants(self):
         code, text = run_cli(
@@ -246,3 +254,43 @@ class TestStudyStreamGating:
         for flag in flags:
             assert flag in error
         assert expected in error  # names the exact batch equivalent
+
+
+#: Bad inputs that must end in exit 2 with one stderr line:
+#: (argv, extra environment, text the message must contain).
+BAD_INPUTS = [
+    (["study", "--workers", "0"], {}, "--workers"),
+    (["study"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
+    (["study"], {"REPRO_EXECUTOR_WORKERS": "many"}, "REPRO_EXECUTOR_WORKERS"),
+    (
+        ["sweep", "--dataset", "EU1-ADSL", "--parameter", "bogus", "--values", "1,2"],
+        {},
+        "bogus",
+    ),
+    (
+        ["sweep", "--dataset", "EU1-ADSL", "--parameter", "rebalance_probability",
+         "--values", "0.1,lots"],
+        {},
+        "--values",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, env, needle", BAD_INPUTS, ids=[" ".join(case[0]) for case in BAD_INPUTS]
+)
+def test_bad_input_exits_2_with_one_line(argv, env, needle):
+    # A real process, so an uncaught exception would show as a traceback.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    child_env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    child_env.update(env, PYTHONPATH=src, REPRO_CACHE="off")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=child_env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert needle in lines[0]
+    assert result.stdout == ""

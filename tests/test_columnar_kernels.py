@@ -1,10 +1,11 @@
-"""Python-vs-numpy kernel parity (the ``REPRO_KERNELS`` contract).
+"""Kernel-vs-spec parity: the columnar kernels against ``tests/oracle/``.
 
-The columnar kernels in :mod:`repro.trace.columnar` must be *exact*
-replacements for the record-at-a-time Python spec: same session lists,
-same histograms, same CDF samples, same digests — not merely close.
-These tests drive both backends over randomized flow tables and the
-shared simulated study and assert byte-for-byte equality.
+The columnar kernels in :mod:`repro.trace.columnar` and the analysis
+modules built on them must be *exact* replacements for the
+record-at-a-time spec in :mod:`tests.oracle`: same session lists, same
+dict order, same histograms, same CDF samples, same digests — not merely
+close.  These tests drive both over randomized flow tables and the
+shared simulated study and assert equality.
 """
 
 from __future__ import annotations
@@ -15,19 +16,32 @@ from typing import List
 import pytest
 
 from repro.core import flows, hotspots, loadbalance, nonpreferred, preferred
+from repro.core import sessions as core_sessions
 from repro.core.sessions import (
     PAPER_GAP_SWEEP_S,
     build_sessions,
     flows_per_session_histogram,
     gap_sensitivity,
 )
+from repro.core.streaming import _top_server_bytes, _video_counts
 from repro.core.summary import summarize
-from repro.trace.columnar import FlowTable, kernels_backend, use_numpy
+from repro.reporting.series import Cdf
+from repro.shard.merge import session_partial
+from repro.shard.partition import partition_table
+from repro.stream.accumulators import HourlyShareAccumulator, TrafficAccumulator
+from repro.stream.events import StreamWindow
+from repro.trace.columnar import FlowTable
 from repro.trace.records import FlowRecord
 
-numpy = pytest.importorskip("numpy")
-
-BACKENDS = ("python", "numpy")
+from tests.oracle import accumulators as oracle_accumulators
+from tests.oracle import flows as oracle_flows
+from tests.oracle import hotspots as oracle_hotspots
+from tests.oracle import loadbalance as oracle_loadbalance
+from tests.oracle import nonpreferred as oracle_nonpreferred
+from tests.oracle import preferred as oracle_preferred
+from tests.oracle import sessions as oracle_sessions
+from tests.oracle import streaming as oracle_streaming
+from tests.oracle import summary as oracle_summary
 
 
 def random_flows(rng: random.Random, n: int) -> List[FlowRecord]:
@@ -54,11 +68,40 @@ def random_flows(rng: random.Random, n: int) -> List[FlowRecord]:
     return out
 
 
-def run_on(monkeypatch, backend: str, fn):
-    """Run ``fn()`` with the kernel backend forced to ``backend``."""
-    monkeypatch.setenv("REPRO_KERNELS", backend)
-    assert kernels_backend() == backend
-    return fn()
+def random_windows(rng: random.Random, n: int, num_windows: int) -> List[StreamWindow]:
+    """Time-sorted flows over several hours, cut into consecutive windows.
+
+    Half the flows are control-sized, so the video-flow thresholds of the
+    accumulators see both sides; starts span six hours, so hourly keys
+    vary within and across windows.
+    """
+    clients = [rng.randrange(1, 50) for _ in range(6)]
+    videos = [f"vid{i:07d}" for i in range(7)]
+    servers = [rng.randrange(100, 160) for _ in range(8)]
+    records = sorted(
+        (
+            FlowRecord(
+                src_ip=rng.choice(clients),
+                dst_ip=rng.choice(servers),
+                num_bytes=rng.choice(
+                    [rng.randrange(0, 1000), rng.randrange(1000, 5_000_000)]
+                ),
+                t_start=t_start,
+                t_end=t_start + rng.choice([0.0, 2.0, 90.0]),
+                video_id=rng.choice(videos),
+                resolution="360p",
+            )
+            for t_start in (float(rng.randrange(0, 6 * 3600)) for _ in range(n))
+        ),
+        key=lambda r: (r.t_start, r.t_end),
+    )
+    bounds = sorted(rng.sample(range(1, n), num_windows - 1))
+    cuts = [0] + bounds + [n]
+    return [
+        StreamWindow(k, records[lo].t_start, records[hi - 1].t_start + 1.0,
+                     FlowTable(records[lo:hi]))
+        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+    ]
 
 
 def session_shape(sessions) -> list:
@@ -66,99 +109,137 @@ def session_shape(sessions) -> list:
     return [(s.client_ip, s.video_id, s.flows) for s in sessions]
 
 
+def traffic_state(acc: TrafficAccumulator) -> tuple:
+    """Every field of a traffic accumulator, server order included."""
+    servers = [
+        (ip, s.num_bytes, s.num_flows, s.video_flows) for ip, s in acc._servers.items()
+    ]
+    return acc.flows, acc.total_bytes, sorted(acc._clients), servers
+
+
+def hourly_state(acc: HourlyShareAccumulator) -> list:
+    """The hourly accumulator's counts, server and hour order included."""
+    return [(ip, list(hours.items())) for ip, hours in acc._counts.items()]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
-def test_build_sessions_parity(monkeypatch, seed):
+def test_build_sessions_parity(seed):
     records = random_flows(random.Random(seed), n=120)
-    got = {
-        backend: run_on(monkeypatch, backend, lambda: build_sessions(records))
-        for backend in BACKENDS
-    }
-    assert session_shape(got["python"]) == session_shape(got["numpy"])
+    assert session_shape(build_sessions(records)) == session_shape(
+        oracle_sessions.build_sessions(records)
+    )
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12, 13])
-def test_gap_sensitivity_parity(monkeypatch, seed):
+def test_gap_sensitivity_parity(seed):
     records = random_flows(random.Random(seed), n=150)
-    got = {
-        backend: run_on(
-            monkeypatch, backend, lambda: gap_sensitivity(records, PAPER_GAP_SWEEP_S)
-        )
-        for backend in BACKENDS
-    }
-    assert got["python"] == got["numpy"]
+    got = gap_sensitivity(records, PAPER_GAP_SWEEP_S)
+    want = oracle_sessions.gap_sensitivity(records, PAPER_GAP_SWEEP_S)
+    assert list(got.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("seed", [20, 21, 22])
-def test_histogram_and_cdf_parity(monkeypatch, seed):
+def test_histogram_and_cdf_parity(seed):
     records = random_flows(random.Random(seed), n=90)
-    hists = {}
-    cdfs = {}
-    for backend in BACKENDS:
-        hists[backend] = run_on(
-            monkeypatch,
-            backend,
-            lambda: flows_per_session_histogram(build_sessions(records)),
-        )
-        cdfs[backend] = run_on(monkeypatch, backend, lambda: flows.flow_size_cdf(records))
-    assert hists["python"] == hists["numpy"]
-    assert cdfs["python"]._values == cdfs["numpy"]._values
+    hist = flows_per_session_histogram(build_sessions(records))
+    want = flows_per_session_histogram(oracle_sessions.build_sessions(records))
+    assert list(hist.items()) == list(want.items())
+    cdf = flows.flow_size_cdf(records)
+    spec = oracle_flows.flow_size_cdf(records)
+    assert cdf._values == spec._values
     for p in (0.01, 0.25, 0.5, 0.9, 0.99):
-        assert cdfs["python"].quantile(p) == cdfs["numpy"].quantile(p)
+        assert cdf.quantile(p) == spec.quantile(p)
 
 
-def test_classify_flows_parity(monkeypatch):
+def test_classify_flows_parity():
     records = random_flows(random.Random(33), n=80)
-    got = {
-        backend: run_on(monkeypatch, backend, lambda: flows.classify_flows(records))
-        for backend in BACKENDS
-    }
-    assert got["python"].video == got["numpy"].video
-    assert got["python"].control == got["numpy"].control
+    got = flows.classify_flows(records)
+    want = oracle_flows.classify_flows(records)
+    assert got.video == want.video
+    assert got.control == want.control
 
 
-def test_empty_dataset(monkeypatch):
-    for backend in BACKENDS:
-        assert run_on(monkeypatch, backend, lambda: build_sessions([])) == []
-        with pytest.raises(ValueError):
-            run_on(monkeypatch, backend, lambda: gap_sensitivity([]))
+@pytest.mark.parametrize("gap_s", [0.25, 1.0, 5.0, 60.0])
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_session_partial_parity(seed, gap_s):
+    records = random_flows(random.Random(seed), n=120)
+    got = session_partial(FlowTable(records), gap_s)
+    want = oracle_sessions.session_partial(records, gap_s)
+    assert list(got.items()) == list(want.items())
 
 
-def test_single_flow(monkeypatch):
+@pytest.mark.parametrize("seed", [50, 51, 52, 53])
+def test_traffic_accumulator_parity(seed):
+    windows = random_windows(random.Random(seed), n=200, num_windows=5)
+    got, want = TrafficAccumulator(), TrafficAccumulator()
+    for window in windows:
+        got.observe_window(window)
+        oracle_accumulators.observe_traffic(want, window)
+        assert traffic_state(got) == traffic_state(want)
+
+
+@pytest.mark.parametrize("seed", [60, 61, 62, 63])
+def test_hourly_accumulator_parity(seed):
+    windows = random_windows(random.Random(seed), n=200, num_windows=5)
+    got, want = HourlyShareAccumulator(), HourlyShareAccumulator()
+    for window in windows:
+        got.observe_window(window)
+        oracle_accumulators.observe_hourly(want, window)
+        assert hourly_state(got) == hourly_state(want)
+
+
+@pytest.mark.parametrize("seed", [70, 71, 72])
+def test_window_detector_inputs_parity(seed):
+    for window in random_windows(random.Random(seed), n=150, num_windows=4):
+        assert list(_video_counts(window).items()) == list(
+            oracle_streaming.video_counts(window).items()
+        )
+        assert _top_server_bytes(window) == oracle_streaming.top_server_bytes(window)
+    empty = StreamWindow(0, 0.0, 1.0, FlowTable([]))
+    assert _video_counts(empty) == oracle_streaming.video_counts(empty) == {}
+
+
+def test_empty_dataset():
+    assert build_sessions([]) == oracle_sessions.build_sessions([]) == []
+    assert session_partial([]) == oracle_sessions.session_partial([]) == {}
+    with pytest.raises(ValueError):
+        gap_sensitivity([])
+    with pytest.raises(ValueError):
+        oracle_sessions.gap_sensitivity([])
+
+
+def test_single_flow():
     records = [FlowRecord(1, 100, 500, 0.0, 1.0, "v" * 11, "360p")]
-    for backend in BACKENDS:
-        sessions = run_on(monkeypatch, backend, lambda: build_sessions(records))
-        assert len(sessions) == 1
-        assert sessions[0].flows == records
+    sessions = build_sessions(records)
+    assert len(sessions) == 1
+    assert sessions[0].flows == records
+    assert session_shape(sessions) == session_shape(oracle_sessions.build_sessions(records))
 
 
-def test_fully_overlapping_flows(monkeypatch):
-    # All flows cover [0, 100): one session regardless of backend or gap.
+def test_fully_overlapping_flows():
+    # All flows cover [0, 100): one session at any gap.
     records = [
         FlowRecord(1, 100 + i, 1000 + i, 0.0, 100.0, "v" * 11, "360p") for i in range(6)
     ]
-    got = {
-        backend: run_on(monkeypatch, backend, lambda: build_sessions(records, gap_s=1.0))
-        for backend in BACKENDS
-    }
-    assert len(got["python"]) == len(got["numpy"]) == 1
-    assert session_shape(got["python"]) == session_shape(got["numpy"])
+    got = build_sessions(records, gap_s=1.0)
+    want = oracle_sessions.build_sessions(records, gap_s=1.0)
+    assert len(got) == len(want) == 1
+    assert session_shape(got) == session_shape(want)
 
 
-def test_t_start_ties(monkeypatch):
+def test_t_start_ties():
     # Identical t_start, differing t_end: the (t_start, t_end) sort and the
-    # running-max horizon must agree across backends.
+    # running-max horizon must agree with the spec.
     records = [
         FlowRecord(1, 100, 10, 5.0, 5.0 + e, "v" * 11, "360p")
         for e in (3.0, 0.0, 1.0, 2.0)
     ] + [FlowRecord(1, 101, 10, 9.5, 20.0, "v" * 11, "360p")]
-    got = {
-        backend: run_on(monkeypatch, backend, lambda: build_sessions(records, gap_s=1.0))
-        for backend in BACKENDS
-    }
-    assert session_shape(got["python"]) == session_shape(got["numpy"])
+    assert session_shape(build_sessions(records, gap_s=1.0)) == session_shape(
+        oracle_sessions.build_sessions(records, gap_s=1.0)
+    )
 
 
-def test_long_flow_covers_later_short_ones(monkeypatch):
+def test_long_flow_covers_later_short_ones():
     # An early long flow must keep extending the horizon across breaks.
     records = [
         FlowRecord(2, 100, 10, 0.0, 50.0, "w" * 11, "360p"),
@@ -166,21 +247,11 @@ def test_long_flow_covers_later_short_ones(monkeypatch):
         FlowRecord(2, 102, 10, 49.0, 49.5, "w" * 11, "360p"),
         FlowRecord(2, 103, 10, 60.0, 61.0, "w" * 11, "360p"),
     ]
-    got = {
-        backend: run_on(monkeypatch, backend, lambda: build_sessions(records, gap_s=1.0))
-        for backend in BACKENDS
-    }
-    assert [len(s.flows) for s in got["python"]] == [3, 1]
-    assert session_shape(got["python"]) == session_shape(got["numpy"])
-
-
-def test_backend_env_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", "fortran")
-    with pytest.raises(ValueError):
-        kernels_backend()
-    monkeypatch.delenv("REPRO_KERNELS")
-    assert kernels_backend() == "numpy"
-    assert use_numpy()
+    got = build_sessions(records, gap_s=1.0)
+    assert [len(s.flows) for s in got] == [3, 1]
+    assert session_shape(got) == session_shape(
+        oracle_sessions.build_sessions(records, gap_s=1.0)
+    )
 
 
 def test_flow_table_is_a_sequence():
@@ -195,8 +266,9 @@ class TestStudyParity:
     """Figure-level parity over the shared simulated study.
 
     The pipeline fixture's server map, preferred reports, and focus
-    records are backend-independent *inputs*; each analysis below is
-    re-run from those inputs under both backends and compared exactly.
+    records are the *inputs*; each analysis below runs from those inputs
+    through the kernels and through the spec, and the outputs are
+    compared exactly.
     """
 
     NAME = "EU1-ADSL"
@@ -210,110 +282,123 @@ class TestStudyParity:
             pipeline.dataset(self.NAME).num_hours,
         )
 
-    def test_nonpreferred_fraction(self, monkeypatch, inputs):
-        records, report, smap, _ = inputs
-        got = {
-            b: run_on(
-                monkeypatch, b, lambda: nonpreferred.nonpreferred_fraction(records, report, smap)
+    @pytest.fixture(scope="class")
+    def windows(self, pipeline):
+        """The dataset cut into six-hour windows, as the stream seals them."""
+        dataset = pipeline.dataset(self.NAME)
+        records = dataset.records
+        return [
+            StreamWindow(
+                shard.key.index,
+                shard.key.t_lo,
+                shard.key.t_hi,
+                FlowTable(records[shard.lo : shard.hi]),
             )
-            for b in BACKENDS
-        }
-        assert got["python"] == got["numpy"]
+            for shard in partition_table(dataset.columnar(), 6 * 3600.0, self.NAME)
+        ]
 
-    def test_fig9_hourly_cdf(self, monkeypatch, inputs):
+    def test_build_sessions(self, pipeline):
+        dataset = pipeline.dataset(self.NAME)
+        assert session_shape(build_sessions(dataset.columnar())) == session_shape(
+            oracle_sessions.build_sessions(dataset.records)
+        )
+
+    def test_video_flow_preference(self, inputs):
+        records, report, smap, _ = inputs
+        got = nonpreferred.video_flow_preference(records, report, smap)
+        want = oracle_nonpreferred.video_flow_preference(records, report, smap)
+        assert list(got.items()) == list(want.items())
+
+    def test_nonpreferred_fraction(self, inputs):
+        records, report, smap, _ = inputs
+        assert nonpreferred.nonpreferred_fraction(
+            records, report, smap
+        ) == oracle_nonpreferred.nonpreferred_fraction(records, report, smap)
+
+    def test_fig9_hourly_cdf(self, inputs):
         records, report, smap, num_hours = inputs
-        got = {
-            b: run_on(
-                monkeypatch,
-                b,
-                lambda: nonpreferred.hourly_nonpreferred_cdf(records, report, smap, num_hours),
-            )
-            for b in BACKENDS
-        }
-        assert got["python"]._values == got["numpy"]._values
+        got = nonpreferred.hourly_nonpreferred_cdf(records, report, smap, num_hours)
+        want = oracle_nonpreferred.hourly_nonpreferred_cdf(records, report, smap, num_hours)
+        assert got._values == want._values
 
-    def test_fig13_video_cdf_and_counts(self, monkeypatch, inputs):
+    def test_fig13_video_cdf_and_counts(self, inputs):
         records, report, smap, _ = inputs
-        counts = {
-            b: run_on(
-                monkeypatch,
-                b,
-                lambda: hotspots.nonpreferred_requests_per_video(records, report, smap),
-            )
-            for b in BACKENDS
-        }
+        counts = hotspots.nonpreferred_requests_per_video(records, report, smap)
+        want = oracle_hotspots.nonpreferred_requests_per_video(records, report, smap)
         # Dict *order* matters too: downstream top-k relies on stable ties.
-        assert list(counts["python"].items()) == list(counts["numpy"].items())
-        cdfs = {
-            b: run_on(
-                monkeypatch,
-                b,
-                lambda: hotspots.nonpreferred_video_cdf(records, report, smap),
-            )
-            for b in BACKENDS
-        }
-        assert cdfs["python"]._values == cdfs["numpy"]._values
+        assert list(counts.items()) == list(want.items())
+        cdf = hotspots.nonpreferred_video_cdf(records, report, smap)
+        assert cdf._values == Cdf(want.values())._values
 
-    def test_fig14_hot_videos(self, monkeypatch, inputs):
+    def test_fig14_hot_videos(self, inputs):
         records, report, smap, num_hours = inputs
-        got = {
-            b: run_on(
-                monkeypatch,
-                b,
-                lambda: hotspots.top_nonpreferred_videos(records, report, smap, num_hours),
-            )
-            for b in BACKENDS
-        }
-        assert got["python"] == got["numpy"]
+        assert hotspots.top_nonpreferred_videos(
+            records, report, smap, num_hours
+        ) == oracle_hotspots.top_nonpreferred_videos(records, report, smap, num_hours)
 
-    def test_fig15_server_load(self, monkeypatch, inputs):
+    def test_fig15_server_load(self, inputs):
         records, report, smap, num_hours = inputs
-        got = {
-            b: run_on(
-                monkeypatch,
-                b,
-                lambda: hotspots.preferred_server_load(records, report, smap, num_hours),
-            )
-            for b in BACKENDS
-        }
-        assert got["python"] == got["numpy"]
+        assert hotspots.preferred_server_load(
+            records, report, smap, num_hours
+        ) == oracle_hotspots.preferred_server_load(records, report, smap, num_hours)
 
-    def test_fig11_load_balance(self, monkeypatch, inputs):
+    def test_fig11_load_balance(self, inputs):
         records, report, smap, num_hours = inputs
-        got = {
-            b: run_on(
-                monkeypatch,
-                b,
-                lambda: loadbalance.analyze_load_balance(records, report, smap, num_hours),
-            )
-            for b in BACKENDS
-        }
-        assert got["python"] == got["numpy"]
+        assert loadbalance.analyze_load_balance(
+            records, report, smap, num_hours
+        ) == oracle_loadbalance.analyze_load_balance(records, report, smap, num_hours)
 
-    def test_preferred_report(self, monkeypatch, pipeline):
+    def test_preferred_report(self, pipeline):
         dataset = pipeline.dataset(self.NAME)
         rtts = pipeline.rtt_campaigns[self.NAME]
-        got = {
-            b: run_on(
-                monkeypatch,
-                b,
-                lambda: preferred.analyze_preferred(
-                    dataset,
-                    pipeline.server_map,
-                    rtts,
-                    focus_ips=pipeline.focus_ips[self.NAME],
-                ),
-            )
-            for b in BACKENDS
-        }
-        assert got["python"] == got["numpy"]
+        focus = pipeline.focus_ips[self.NAME]
+        got = preferred.analyze_preferred(
+            dataset, pipeline.server_map, rtts, focus_ips=focus
+        )
+        want = oracle_preferred.analyze_preferred(
+            dataset, pipeline.server_map, rtts, focus_ips=focus
+        )
+        assert got == want
 
-    def test_table1_summary(self, monkeypatch, pipeline):
+    def test_table1_summary(self, pipeline):
         dataset = pipeline.dataset(self.NAME)
-        got = {b: run_on(monkeypatch, b, lambda: summarize(dataset)) for b in BACKENDS}
-        assert got["python"] == got["numpy"]
+        assert summarize(dataset) == oracle_summary.summarize(dataset)
 
     def test_summary_digest(self, monkeypatch, pipeline):
+        # The dataset digest hashes every session; feeding it the spec's
+        # sessions instead of the kernel's must not move a byte.
         dataset = pipeline.dataset(self.NAME)
-        got = {b: run_on(monkeypatch, b, lambda: dataset.summary_digest()) for b in BACKENDS}
-        assert got["python"] == got["numpy"]
+        got = dataset.summary_digest()
+        calls = []
+
+        def spec_sessions(table, gap_s):
+            calls.append(gap_s)
+            return oracle_sessions.build_sessions(table.records, gap_s)
+
+        monkeypatch.setattr(core_sessions, "build_sessions", spec_sessions)
+        assert dataset.summary_digest() == got
+        assert calls, "summary_digest did not build its sessions through the spec"
+
+    def test_session_partials(self, windows):
+        for window in windows:
+            assert list(session_partial(window.table).items()) == list(
+                oracle_sessions.session_partial(window.records).items()
+            )
+
+    def test_stream_accumulators(self, windows):
+        traffic, traffic_spec = TrafficAccumulator(), TrafficAccumulator()
+        hourly, hourly_spec = HourlyShareAccumulator(), HourlyShareAccumulator()
+        for window in windows:
+            traffic.observe_window(window)
+            oracle_accumulators.observe_traffic(traffic_spec, window)
+            hourly.observe_window(window)
+            oracle_accumulators.observe_hourly(hourly_spec, window)
+        assert traffic_state(traffic) == traffic_state(traffic_spec)
+        assert hourly_state(hourly) == hourly_state(hourly_spec)
+
+    def test_window_detector_inputs(self, windows):
+        for window in windows:
+            assert list(_video_counts(window).items()) == list(
+                oracle_streaming.video_counts(window).items()
+            )
+            assert _top_server_bytes(window) == oracle_streaming.top_server_bytes(window)

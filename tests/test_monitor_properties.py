@@ -10,8 +10,8 @@ Randomised checks of the contracts :mod:`repro.monitor` advertises:
 - **Planted change**: a single scheduled change is detected at exactly
   its epoch, wherever it lands in the horizon.
 - **Metric axioms**: the pattern dissimilarity is symmetric, bounded in
-  ``[0, 1]``, and zero on identical snapshots, for arbitrary cell
-  layouts.
+  ``[0, 1]``, zero on identical snapshots, and never grows when probes
+  are lost, for arbitrary cell layouts.
 
 The whole module skips cleanly when hypothesis is not installed.
 """
@@ -24,7 +24,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.exec.executor import ParallelExecutor  # noqa: E402
@@ -175,6 +175,13 @@ def test_dissimilarity_axioms(cells_a, rtts_a, cells_b, rtts_b):
 @settings(max_examples=100, deadline=None)
 @given(cells=_CELLS, rtts_a=_RTTS, rtts_b=_RTTS,
        dropped=st.sets(st.integers(min_value=1, max_value=6)))
+# The lost probe moves its cloud's centroid.
+@example(cells=[("Net-1", 3, 1), ("Net-1", 5, 1)], rtts_a={3: 1.0, 5: 2.0},
+         rtts_b={3: 1.0, 5: 2.0}, dropped={3})
+# The lost probe splits its cloud in two, which re-pairs the clouds.
+@example(cells=[("Net-1", 1, 20), ("Net-1", 2, 30), ("Net-1", 3, 50)],
+         rtts_a={1: 1.0, 2: 8.0, 3: 15.0}, rtts_b={1: 40.0, 2: 100.0, 3: 15.0},
+         dropped={2})
 def test_probe_loss_never_increases_distance(cells, rtts_a, rtts_b, dropped):
     full = pattern_dissimilarity(
         cluster_snapshot(_snapshot(cells, rtts_a)),

@@ -7,7 +7,8 @@ Randomised checks of the invariants the analysis stack leans on:
   each (client, video) pair to a single session.
 - :func:`repro.artifacts.keys.canonicalize` is deterministic, JSON-stable
   and insensitive to mapping/set iteration order.
-- The python and numpy kernels agree flow-for-flow on generated tables.
+- The columnar kernels agree flow-for-flow with the record-at-a-time spec
+  in ``tests/oracle/`` on generated tables.
 
 The whole module skips cleanly when hypothesis is not installed.
 """
@@ -30,8 +31,9 @@ from repro.core.sessions import (  # noqa: E402
     build_sessions,
     gap_sensitivity,
 )
-from repro.trace.columnar import KERNELS_ENV, kernels_backend  # noqa: E402
 from repro.trace.records import FlowRecord  # noqa: E402
+
+from tests.oracle import sessions as oracle_sessions  # noqa: E402
 
 
 def flow_records(min_size=0, max_size=60):
@@ -162,41 +164,20 @@ class TestCanonicalize:
 
 
 class TestKernelParity:
-    @pytest.fixture(autouse=True)
-    def _numpy_available(self):
-        pytest.importorskip("numpy")
-
-    def _on(self, monkeypatch, backend, fn):
-        monkeypatch.setenv(KERNELS_ENV, backend)
-        assert kernels_backend() == backend
-        return fn()
-
     @given(records=flow_records(), gap_s=gaps)
     @settings(max_examples=50, deadline=None)
     def test_session_parity(self, records, gap_s):
-        monkeypatch = pytest.MonkeyPatch()
-        try:
-            py = self._on(monkeypatch, "python",
-                          lambda: build_sessions(records, gap_s=gap_s))
-            np_ = self._on(monkeypatch, "numpy",
-                           lambda: build_sessions(records, gap_s=gap_s))
-        finally:
-            monkeypatch.undo()
-        assert [(s.client_ip, s.video_id, s.flows) for s in py] == \
-            [(s.client_ip, s.video_id, s.flows) for s in np_]
+        got = build_sessions(records, gap_s=gap_s)
+        want = oracle_sessions.build_sessions(records, gap_s=gap_s)
+        assert [(s.client_ip, s.video_id, s.flows) for s in got] == \
+            [(s.client_ip, s.video_id, s.flows) for s in want]
 
     @given(records=flow_records(min_size=1))
     @settings(max_examples=30, deadline=None)
     def test_gap_sweep_parity(self, records):
-        monkeypatch = pytest.MonkeyPatch()
-        try:
-            py = self._on(monkeypatch, "python",
-                          lambda: gap_sensitivity(records, PAPER_GAP_SWEEP_S))
-            np_ = self._on(monkeypatch, "numpy",
-                           lambda: gap_sensitivity(records, PAPER_GAP_SWEEP_S))
-        finally:
-            monkeypatch.undo()
-        assert py == np_
+        got = gap_sensitivity(records, PAPER_GAP_SWEEP_S)
+        want = oracle_sessions.gap_sensitivity(records, PAPER_GAP_SWEEP_S)
+        assert list(got.items()) == list(want.items())
 
 
 class TestWindowedSessions:
