@@ -84,6 +84,17 @@ class UsageError(ValueError):
     """A bad command-line or environment value: one stderr line, exit 2."""
 
 
+def _landmark_count(args: argparse.Namespace) -> Optional[int]:
+    """The CBG landmark budget ``--landmarks`` asks for (``None`` = all 215).
+
+    Raises:
+        UsageError: Below the four landmarks CBG needs.
+    """
+    if args.landmarks < 4:
+        raise UsageError(f"--landmarks must be at least 4, got {args.landmarks}")
+    return None if args.landmarks >= 215 else args.landmarks
+
+
 def executor_from_args(args: argparse.Namespace) -> Optional[ParallelExecutor]:
     """The executor selected on the command line, or ``None`` for env/default.
 
@@ -174,20 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tumbling-window width for --stream, in seconds "
         "(default 3600; any positive value yields the "
         "same bytes)",
-    )
-    p_study.add_argument(
-        "--sharded", action="store_true",
-        help="sharded scale-out: partition each week into "
-        "(vantage, time-window) shards analyzed over "
-        "shared-memory columns and merged exactly; output "
-        "is byte-identical to the batch path at any "
-        "--shard-window-s",
-    )
-    p_study.add_argument(
-        "--shard-window-s", type=float, default=86400.0,
-        help="shard grain for --sharded, in seconds of trace "
-        "per shard (default 86400; any positive value "
-        "yields the same bytes)",
     )
     _add_common(p_study)
 
@@ -465,6 +462,7 @@ def _render_study(args: argparse.Namespace):
     import io
 
     buffer = io.StringIO()
+    landmark_count = _landmark_count(args)
     executor = executor_from_args(args)
     if args.shared:
         from repro.sim.multistudy import run_shared_study
@@ -475,7 +473,6 @@ def _render_study(args: argparse.Namespace):
             scale=args.scale, seed=args.seed, executor=executor,
             policy_kind=getattr(args, "policy", "preferred"),
         )
-    landmark_count = None if args.landmarks >= 215 else args.landmarks
     pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
     if args.full:
         from repro.core.report import render_study_report
@@ -514,12 +511,11 @@ def _render_stream_study(args: argparse.Namespace):
     """
     from repro.stream.study import render_stream_report, run_streaming_study
 
-    landmark_count = None if args.landmarks >= 215 else args.landmarks
     study = run_streaming_study(
         scale=args.scale,
         seed=args.seed,
         window_s=args.window_s,
-        landmark_count=landmark_count,
+        landmark_count=_landmark_count(args),
         executor=executor_from_args(args),
     )
     stats_path = os.environ.get("REPRO_STREAM_STATS", "").strip()
@@ -539,83 +535,39 @@ def _render_stream_study(args: argparse.Namespace):
     return render_stream_report(study), study.digests()
 
 
-def _render_sharded_study(args: argparse.Namespace):
-    """Run the study through the sharded path (see :mod:`repro.shard`).
-
-    Returns:
-        ``(text, digests)`` with exactly the bytes :func:`_render_study`
-        produces for the same parameters.
-    """
-    from repro.exec.executor import default_executor
-    from repro.shard.study import run_sharded_study
-    from repro.stream.study import peak_rss_kb, render_stream_report
-
-    landmark_count = None if args.landmarks >= 215 else args.landmarks
-    executor = default_executor(executor_from_args(args))
-    study = run_sharded_study(
-        scale=args.scale,
-        seed=args.seed,
-        shard_window_s=args.shard_window_s,
-        landmark_count=landmark_count,
-        executor=executor,
-    )
-    stats_path = os.environ.get("REPRO_SHARD_STATS", "").strip()
-    if stats_path:
-        import json
-
-        payload = {
-            "shard_window_s": args.shard_window_s,
-            "peak_rss_kb": peak_rss_kb(),
-            "datasets": study.stats(),
-            "dispatch_bytes": sum(s.dispatch_bytes for s in executor.stats),
-            "result_bytes": sum(s.result_bytes for s in executor.stats),
-        }
-        with open(stats_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return render_stream_report(study), study.digests()
-
-
 def cmd_study(args: argparse.Namespace, out) -> int:
     from repro.artifacts.keys import stage_key
     from repro.artifacts.store import default_store
 
-    if args.stream and args.sharded:
-        print(
-            "repro study --stream and --sharded are alternative execution "
-            "strategies for the same byte-identical report; pick one.",
-            file=sys.stderr,
-        )
-        return 2
-    if args.policy != "preferred" and (args.stream or args.sharded or args.shared):
-        # The streamed/sharded paths and the shared multi-study build their
-        # worlds internally and run the baseline policy only; a non-default
+    if args.stream and not args.window_s > 0:
+        raise UsageError(f"--window-s must be positive, got {args.window_s}")
+    if args.policy != "preferred" and (args.stream or args.shared):
+        # The streamed path and the shared multi-study build their worlds
+        # internally and run the baseline policy only; a non-default
         # --policy there would silently evaluate the wrong mechanism.
         print(
             f"repro study --policy {args.policy} requires the batch "
-            "independent-worlds path; drop --stream/--sharded/--shared.",
+            "independent-worlds path; drop --stream/--shared.",
             file=sys.stderr,
         )
         return 2
-    strategy = "--stream" if args.stream else "--sharded" if args.sharded else None
     unsupported = [
         flag
         for flag, active in (
             ("--shared", args.shared), ("--full", args.full),
             ("--validate", args.validate),
         )
-        if strategy is not None and active
+        if args.stream and active
     ]
     if unsupported:
-        # Fail fast and name the way out: the streamed and sharded paths
-        # render the summary report only (ROADMAP item 1 follow-up), so
-        # these flags need the batch path.
+        # Fail fast and name the way out: the streamed path renders the
+        # summary report only, so these flags need the batch path.
         batch = "repro study " + " ".join(unsupported)
         verb = "requires" if len(unsupported) == 1 else "require"
         print(
-            f"repro study {strategy} renders the summary report only; "
+            f"repro study --stream renders the summary report only; "
             f"{', '.join(unsupported)} {verb} the batch path. "
-            f"Drop {strategy} and run the batch equivalent: {batch}",
+            f"Drop --stream and run the batch equivalent: {batch}",
             file=sys.stderr,
         )
         return 2
@@ -623,9 +575,9 @@ def cmd_study(args: argparse.Namespace, out) -> int:
     # whole study is one read, which is what makes re-runs startup-bound.
     # Keyed by everything the text depends on; --parallel/--workers change
     # only how the work is scheduled, never the bytes, so they stay out —
-    # and so do --stream/--window-s and --sharded/--shard-window-s, which
-    # are execution strategies under the same byte-parity contract (a
-    # streamed, sharded or batch run fills and hits the same artifact).
+    # and so do --stream/--window-s, an execution strategy under the same
+    # byte-parity contract (a streamed or batch run fills and hits the
+    # same artifact).
     store = default_store()
     payload = None
     key = None
@@ -643,8 +595,6 @@ def cmd_study(args: argparse.Namespace, out) -> int:
     if payload is None:
         if args.stream:
             text, digests = _render_stream_study(args)
-        elif args.sharded:
-            text, digests = _render_sharded_study(args)
         else:
             text, digests = _render_study(args)
         payload = {"text": text, "digests": digests}
@@ -682,8 +632,8 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
             file=sys.stderr,
         )
         return 2
+    landmark_count = _landmark_count(args)
     executor = executor_from_args(args)
-    landmark_count = None if args.landmarks >= 215 else args.landmarks
     evaluations = [
         evaluate_policy(
             kind, scale=args.scale, seed=args.seed,
@@ -740,6 +690,8 @@ def _cmd_sessions_stream(args: argparse.Namespace, out) -> int:
     from repro.stream.source import replay_flow_log
     from repro.stream.windows import TumblingWindower, WindowedSessionBuilder
 
+    if not args.window_s > 0:
+        raise UsageError(f"--window-s must be positive, got {args.window_s}")
     gaps = [float(g) for g in args.gaps.split(",") if g.strip()]
     if not gaps:
         flows = sum(
@@ -823,9 +775,9 @@ def cmd_whatif(args: argparse.Namespace, out) -> int:
 def cmd_figures(args: argparse.Namespace, out) -> int:
     from repro.reporting.gnuplot import export_figure_cdfs
 
+    landmark_count = _landmark_count(args)
     executor = executor_from_args(args)
     results = run_all(scale=args.scale, seed=args.seed, executor=executor)
-    landmark_count = None if args.landmarks >= 215 else args.landmarks
     pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
 
     written = []
@@ -1201,6 +1153,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         out = sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    scale = getattr(args, "scale", None)
+    if scale is not None and not scale > 0:
+        print(f"repro {args.command}: --scale must be positive, got {scale}", file=sys.stderr)
+        return 2
     if getattr(args, "faults", None):
         from repro.faults import plan as faults_plan
         from repro.faults import report as degradation

@@ -59,9 +59,9 @@ def render_timing_table(timings: Sequence[TaskTiming], title: str = "TASK TIMING
     """A per-task timing table, slowest first (stragglers on top).
 
     The payload column shows each task's serialized traffic
-    (dispatch + result pickled bytes) — the direct view of what the
-    shared-memory transport removes.  In-process backends serialize
-    nothing, so the column reads 0.0 there.
+    (dispatch + result pickled bytes) — what the process backend pays
+    to ship work and results across the pool boundary.  In-process
+    backends serialize nothing, so the column reads 0.0 there.
     """
     table = TextTable(["task", "seconds", "payload KB", "status"], title=title)
     for timing in sorted(timings, key=lambda t: t.seconds, reverse=True):

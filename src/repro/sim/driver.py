@@ -144,44 +144,6 @@ def _scenario_task(key: Tuple) -> SimulationResult:
     return simulate_week(spec, scale, seed, duration_s, policy_kind)
 
 
-def _scenario_task_shm(arg: Tuple) -> Tuple:
-    """The zero-copy variant: publish the columns, return a slim result.
-
-    The flow records — the dominant pickle term — stay behind in a
-    shared-memory segment named by the dispatching scope; only the
-    record-free result and a table handle travel back.
-    """
-    from dataclasses import replace
-
-    from repro.shard.shm import publish_table
-
-    key, segment_name = arg
-    result = _scenario_task(key)
-    handle = publish_table(result.dataset.columnar(), name=segment_name)
-    slim = replace(result, dataset=replace(result.dataset, records=[]))
-    return (slim, handle)
-
-
-def _rehydrate_shm(slim_and_handle: Tuple) -> SimulationResult:
-    """Attach a slim result's columns, restoring a full-featured result.
-
-    The rehydrated dataset's ``records`` is the attached
-    :class:`~repro.trace.columnar.FlowTable` — a ``Sequence[FlowRecord]``
-    that materialises record objects only if something iterates it — and
-    its columnar cache is primed with the same table, so numpy kernels
-    run zero-copy over the shared columns.
-    """
-    from dataclasses import replace
-
-    from repro.shard.shm import attach_table
-
-    slim, handle = slim_and_handle
-    table = attach_table(handle)
-    dataset = replace(slim.dataset, records=table)
-    dataset.__dict__["_columnar"] = (table, table)
-    return replace(slim, dataset=dataset)
-
-
 def run_all(
     scale: float = DEFAULT_SCALE,
     seed: int = 7,
@@ -189,7 +151,6 @@ def run_all(
     policy_kind: str = "preferred",
     names: Optional[Tuple[str, ...]] = None,
     executor: Optional[ParallelExecutor] = None,
-    transport: Optional[str] = None,
 ) -> Dict[str, SimulationResult]:
     """Simulate every dataset of the study.
 
@@ -200,19 +161,10 @@ def run_all(
 
     Args:
         executor: Fan-out strategy; ``None`` reads ``REPRO_EXECUTOR``.
-        transport: ``"shm"`` ships each dataset's columns through a
-            shared-memory segment instead of pickling its records
-            (:mod:`repro.shard.shm`); ``None`` uses plain pickling.
-            Results are identical either way.
 
     Returns:
         Mapping from dataset name to its result, in the paper's order.
-
-    Raises:
-        ValueError: For an unknown transport name.
     """
-    if transport not in (None, "shm"):
-        raise ValueError(f"unknown transport {transport!r}; expected None or 'shm'")
     selected = names if names is not None else DATASET_NAMES
     scenarios = _paper_scenarios()
     for name in selected:
@@ -225,24 +177,9 @@ def run_all(
     pending = [name for name in selected if keys[name] not in _CACHE]
     if pending:
         with obs.span("sim/run_all", datasets=len(pending), scale=scale):
-            executor = default_executor(executor)
-            if transport == "shm":
-                from repro.shard.shm import SegmentScope
-
-                with SegmentScope() as scope:
-                    slim = executor.map(
-                        _scenario_task_shm,
-                        [
-                            (keys[name], scope.name_for(f"run-all-{name}"))
-                            for name in pending
-                        ],
-                        labels=pending,
-                    )
-                    fresh = [_rehydrate_shm(pair) for pair in slim]
-            else:
-                fresh = executor.map(
-                    _scenario_task, [keys[name] for name in pending], labels=pending
-                )
+            fresh = default_executor(executor).map(
+                _scenario_task, [keys[name] for name in pending], labels=pending
+            )
         for name, result in zip(pending, fresh):
             _CACHE[keys[name]] = result
     return {name: _CACHE[keys[name]] for name in selected}

@@ -411,31 +411,9 @@ def _shared_study_task(config: Dict) -> Dict[str, SimulationResult]:
     )
 
 
-def _shared_study_task_shm(arg: Tuple) -> Dict[str, Tuple]:
-    """The zero-copy variant: publish each dataset's columns, return slims.
-
-    Mirrors :func:`repro.sim.driver._scenario_task_shm` at the study
-    level — one shared-memory segment per dataset, named by the parent's
-    scope, so the flow records never ride the result pickle.
-    """
-    from dataclasses import replace
-
-    from repro.shard.shm import publish_table
-
-    config, segment_names = arg
-    results = _shared_study_task(config)
-    packed: Dict[str, Tuple] = {}
-    for name, result in results.items():
-        handle = publish_table(result.dataset.columnar(), name=segment_names[name])
-        slim = replace(result, dataset=replace(result.dataset, records=[]))
-        packed[name] = (slim, handle)
-    return packed
-
-
 def run_shared_studies(
     configs: Sequence[Dict],
     executor: Optional[ParallelExecutor] = None,
-    transport: Optional[str] = None,
 ) -> List[Dict[str, SimulationResult]]:
     """Fan out several complete shared studies, one per executor task.
 
@@ -448,10 +426,6 @@ def run_shared_studies(
     Args:
         configs: One kwargs-style dict per study.
         executor: Fan-out strategy; ``None`` reads ``REPRO_EXECUTOR``.
-        transport: ``"shm"`` ships each dataset's columns through a
-            shared-memory segment instead of pickling its records
-            (:mod:`repro.shard.shm`); ``None`` uses plain pickling.
-            Results are identical either way.
 
     Warm configs resolve from the artifact store in the parent (their
     ``"sim/shared_study"`` keys are pre-checked via
@@ -463,12 +437,10 @@ def run_shared_studies(
         Per-config result mappings, in input order.
 
     Raises:
-        ValueError: With no configs, or an unknown transport name.
+        ValueError: With no configs.
     """
     if not configs:
         raise ValueError("no study configs given")
-    if transport not in (None, "shm"):
-        raise ValueError(f"unknown transport {transport!r}; expected None or 'shm'")
     configs = list(configs)
     store = default_store()
     results: List[Optional[Dict[str, SimulationResult]]] = [None] * len(configs)
@@ -489,33 +461,9 @@ def run_shared_studies(
                                 if k != "names")
             for i in pending
         ]
-        if transport == "shm":
-            from repro.shard.shm import SegmentScope
-            from repro.sim.driver import _rehydrate_shm
-
-            with SegmentScope() as scope:
-                packed = executor.map(
-                    _shared_study_task_shm,
-                    [
-                        (
-                            configs[i],
-                            {
-                                name: scope.name_for(f"study-{i}-{name}")
-                                for name in configs[i].get("names", DATASET_NAMES)
-                            },
-                        )
-                        for i in pending
-                    ],
-                    labels=labels,
-                )
-                fresh = [
-                    {name: _rehydrate_shm(pair) for name, pair in study.items()}
-                    for study in packed
-                ]
-        else:
-            fresh = executor.map(
-                _shared_study_task, [configs[i] for i in pending], labels=labels
-            )
+        fresh = executor.map(
+            _shared_study_task, [configs[i] for i in pending], labels=labels
+        )
         for i, result in zip(pending, fresh):
             results[i] = result
     return results

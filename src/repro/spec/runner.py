@@ -178,8 +178,8 @@ def run_grid(
             tasks, [f"{task[0].name}/{task[-1]}" for task in tasks], executor
         )
         if active is not None:
-            # Serialized payload traffic of this grid's map batches — the
-            # term the shared-memory transport exists to remove.
+            # Serialized payload traffic of this grid's map batches: what
+            # the process backend pickles across the pool boundary.
             batches = executor.stats[batches_before:]
             active.attrs["dispatch_bytes"] = sum(s.dispatch_bytes for s in batches)
             active.attrs["result_bytes"] = sum(s.result_bytes for s in batches)

@@ -21,7 +21,10 @@ path, at any window size, because
 Memory stays bounded by distinct entities — servers, clients, open
 sessions, one window's records — never by the flow count.  (The request
 *schedule* is still materialised per world by the workload generator;
-flow records, the dominant term, are not.)
+flow records, the dominant term, are not.)  This makes ``--stream`` the
+study's one low-memory mode; for wall time, the batch path fans the
+vantage points out with ``--parallel process`` instead (see "Scale-out"
+in docs/architecture.md).
 """
 
 from __future__ import annotations

@@ -187,7 +187,7 @@ class FlowTable:
         self._session_index: Optional[SessionIndex] = None
         self._dst_unique = None
         self._dst_code = None
-        _register_table(self)
+        _TABLES.add(self)
 
     # ------------------------------------------------ sequence protocol
 
@@ -229,8 +229,7 @@ class FlowTable:
         """Bytes of columnar memory this table has materialised so far.
 
         Counts only what actually exists — an un-materialised table
-        reports 0, and shared-memory attached tables report the mapped
-        column sizes — so ``repro cache stats`` shows resident columnar
+        reports 0 — so ``repro cache stats`` shows resident columnar
         memory, not a hypothetical.  The record objects themselves are
         not counted (they are interpreter objects, not column storage).
         """
@@ -254,10 +253,6 @@ class FlowTable:
 
 #: Every live FlowTable in this process, for resident-memory accounting.
 _TABLES: "weakref.WeakSet[FlowTable]" = weakref.WeakSet()
-
-
-def _register_table(table: FlowTable) -> None:
-    _TABLES.add(table)
 
 
 def resident_columnar() -> Dict[str, int]:

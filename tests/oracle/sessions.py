@@ -81,29 +81,3 @@ def gap_sensitivity(
             sizes.extend(_group_session_sizes(flows, gap))
         out[gap] = _histogram_from_counts(sizes)
     return out
-
-
-def session_partial(records: Sequence[FlowRecord], gap_s: float = DEFAULT_GAP_S):
-    """Spec of :func:`repro.shard.merge.session_partial`."""
-    if gap_s <= 0:
-        raise ValueError("gap_s must be positive")
-    out = {}
-    for flows in _sorted_groups(records):
-        first = flows[0]
-        items: List[Tuple[float, object]] = []
-        start_ts = first.t_start
-        size = 1
-        horizon = first.t_end
-        max_te = first.t_end
-        for flow in flows[1:]:
-            if flow.t_start - horizon < gap_s:
-                size += 1
-            else:
-                items.append((start_ts, size))
-                start_ts = flow.t_start
-                size = 1
-            horizon = max(horizon, flow.t_end)
-            max_te = max(max_te, flow.t_end)
-        items.append((start_ts, size))
-        out[(first.src_ip, first.video_id)] = (items, max_te)
-    return out

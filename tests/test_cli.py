@@ -273,6 +273,12 @@ BAD_INPUTS = [
         {},
         "--values",
     ),
+    (["study", "--scale", "-1"], {}, "--scale"),
+    (["simulate", "--dataset", "EU1-ADSL", "--out", "x.tsv", "--scale", "0"], {}, "--scale"),
+    (["study", "--landmarks", "3"], {}, "--landmarks"),
+    (["eval", "--landmarks", "3"], {}, "--landmarks"),
+    (["study", "--stream", "--window-s", "0"], {}, "--window-s"),
+    (["sessions", "--flows", "missing.tsv", "--stream", "--window-s", "0"], {}, "--window-s"),
 ]
 
 

@@ -10,6 +10,7 @@ shared simulated study and assert equality.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List
 
@@ -26,11 +27,10 @@ from repro.core.sessions import (
 from repro.core.streaming import _top_server_bytes, _video_counts
 from repro.core.summary import summarize
 from repro.reporting.series import Cdf
-from repro.shard.merge import session_partial
-from repro.shard.partition import partition_table
 from repro.stream.accumulators import HourlyShareAccumulator, TrafficAccumulator
-from repro.stream.events import StreamWindow
-from repro.trace.columnar import FlowTable
+from repro.stream.events import FlowArrival, StreamWindow
+from repro.stream.windows import TumblingWindower
+from repro.trace.columnar import FlowTable, resident_columnar
 from repro.trace.records import FlowRecord
 
 from tests.oracle import accumulators as oracle_accumulators
@@ -159,15 +159,6 @@ def test_classify_flows_parity():
     assert got.control == want.control
 
 
-@pytest.mark.parametrize("gap_s", [0.25, 1.0, 5.0, 60.0])
-@pytest.mark.parametrize("seed", [40, 41, 42])
-def test_session_partial_parity(seed, gap_s):
-    records = random_flows(random.Random(seed), n=120)
-    got = session_partial(FlowTable(records), gap_s)
-    want = oracle_sessions.session_partial(records, gap_s)
-    assert list(got.items()) == list(want.items())
-
-
 @pytest.mark.parametrize("seed", [50, 51, 52, 53])
 def test_traffic_accumulator_parity(seed):
     windows = random_windows(random.Random(seed), n=200, num_windows=5)
@@ -199,9 +190,21 @@ def test_window_detector_inputs_parity(seed):
     assert _video_counts(empty) == oracle_streaming.video_counts(empty) == {}
 
 
+def test_nbytes_and_resident_columnar():
+    table = FlowTable(random_flows(random.Random(80), n=20))
+    assert table.nbytes() == 0  # nothing materialised yet
+    table.columns()
+    resident = table.nbytes()
+    assert resident > 0
+    table.session_index()
+    assert table.nbytes() > resident  # index arrays count too
+    summary = resident_columnar()
+    assert summary["tables"] >= 1
+    assert summary["resident_bytes"] >= table.nbytes()
+
+
 def test_empty_dataset():
     assert build_sessions([]) == oracle_sessions.build_sessions([]) == []
-    assert session_partial([]) == oracle_sessions.session_partial([]) == {}
     with pytest.raises(ValueError):
         gap_sensitivity([])
     with pytest.raises(ValueError):
@@ -285,17 +288,10 @@ class TestStudyParity:
     @pytest.fixture(scope="class")
     def windows(self, pipeline):
         """The dataset cut into six-hour windows, as the stream seals them."""
-        dataset = pipeline.dataset(self.NAME)
-        records = dataset.records
-        return [
-            StreamWindow(
-                shard.key.index,
-                shard.key.t_lo,
-                shard.key.t_hi,
-                FlowTable(records[shard.lo : shard.hi]),
-            )
-            for shard in partition_table(dataset.columnar(), 6 * 3600.0, self.NAME)
-        ]
+        windower = TumblingWindower(6 * 3600.0)
+        for seq, record in enumerate(pipeline.dataset(self.NAME).records):
+            windower.push(FlowArrival(record, seq))
+        return windower.advance(math.inf)
 
     def test_build_sessions(self, pipeline):
         dataset = pipeline.dataset(self.NAME)
@@ -378,12 +374,6 @@ class TestStudyParity:
         monkeypatch.setattr(core_sessions, "build_sessions", spec_sessions)
         assert dataset.summary_digest() == got
         assert calls, "summary_digest did not build its sessions through the spec"
-
-    def test_session_partials(self, windows):
-        for window in windows:
-            assert list(session_partial(window.table).items()) == list(
-                oracle_sessions.session_partial(window.records).items()
-            )
 
     def test_stream_accumulators(self, windows):
         traffic, traffic_spec = TrafficAccumulator(), TrafficAccumulator()

@@ -156,9 +156,7 @@ class TestEvalCli:
 
 
 class TestStudyPolicyFlag:
-    @pytest.mark.parametrize(
-        "flag", ["--stream", "--sharded", "--shared"]
-    )
+    @pytest.mark.parametrize("flag", ["--stream", "--shared"])
     def test_policy_needs_the_batch_path(self, flag, capsys):
         code, _ = run_cli("study", "--policy", "gwtw", flag)
         assert code == 2

@@ -208,3 +208,40 @@ class TestTimings:
         assert summary["straggler"]["label"] in ("x", "y")
         assert (tmp_path / "timing.json").exists()
         assert timing_summary([])["tasks"] == 0
+
+
+def _double(x):
+    return x * 2
+
+
+class TestPayloadBytes:
+    def test_in_process_backends_serialize_nothing(self):
+        for backend in ("serial", "thread"):
+            executor = ParallelExecutor(backend, max_workers=2)
+            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
+            stats = executor.stats[-1]
+            assert stats.dispatch_bytes == 0
+            assert stats.result_bytes == 0
+
+    def test_process_backend_measures_both_directions(self):
+        executor = ParallelExecutor("process", max_workers=2)
+        assert executor.map(_double, ["x", "y", "z"]) == ["xx", "yy", "zz"]
+        stats = executor.stats[-1]
+        assert stats.dispatch_bytes > 0
+        assert stats.result_bytes > 0
+        for timing in stats.timings:
+            assert timing.dispatch_bytes > 0
+            assert timing.result_bytes > 0
+
+    def test_timing_summary_carries_payload_totals(self):
+        executor = ParallelExecutor("process", max_workers=2)
+        executor.map(_double, [1, 2, 3])
+        summary = timing_summary(executor.stats)
+        assert summary["dispatch_bytes"] == sum(
+            r["dispatch_bytes"] for r in summary["timings"]
+        ) > 0
+        assert summary["result_bytes"] == sum(
+            r["result_bytes"] for r in summary["timings"]
+        ) > 0
+        table = render_timing_table(executor.stats[-1].timings)
+        assert "payload KB" in table
