@@ -18,10 +18,9 @@ one artifact.
 ``policy_kind`` is set: ``build_config()`` then returns the canonical
 build inputs ``(spec, scale, seed, duration_s, policy_kind)`` that key
 its stages.  ``policy_kind=None`` is the opt-out for worlds that are
-*not* a pure function of those inputs — shared-world facades (their
-results depend on every co-resident vantage point) and hand-assembled
-test worlds.  The opt-out is reserved for exactly those construction
-paths: worlds built by the spec layer
+*not* a pure function of those inputs — hand-assembled test worlds.
+The opt-out is reserved for exactly that construction path: worlds
+built by the spec layer
 (:func:`repro.spec.model.apply_spec`, grid points, registry scenarios)
 always come out of :func:`~repro.sim.scenarios.build_world` with a
 policy kind and therefore always carry a full fingerprint — a

@@ -15,10 +15,10 @@ Arguments that merely steer *how* the work is done, not *what* it produces
 The wrapper exposes ``cache_key(*args, **kwargs)`` so orchestration layers
 can pre-check the store and fan out only the missing work::
 
-    @memoized_stage("sim/shared_study", ignore=("executor",))
-    def run_shared_study(scale=0.02, seed=7, executor=None): ...
+    @memoized_stage("example/stage", ignore=("executor",))
+    def run_stage(scale=0.02, seed=7, executor=None): ...
 
-    key = run_shared_study.cache_key(scale=0.05)   # no work done
+    key = run_stage.cache_key(scale=0.05)   # no work done
 """
 
 from __future__ import annotations

@@ -29,12 +29,9 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.active.testvideo import TestVideoExperiment
-from repro.core.asmap import render_table2
 from repro.exec.executor import BACKENDS, ENV_BACKEND, ENV_WORKERS, ParallelExecutor
-from repro.core.geography import render_table3
 from repro.core.pipeline import StudyPipeline
 from repro.core.sessions import flows_per_session_histogram, build_sessions
-from repro.core.summary import render_table1
 from repro.cdn.selection import registered_policy_kinds
 from repro.monitor.detect import DEFAULT_THRESHOLD
 from repro.monitor.run import (
@@ -43,6 +40,7 @@ from repro.monitor.run import (
 )
 from repro.sim.driver import run_all, run_scenario
 from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
+from repro.stream.study import render_stream_report
 from repro.trace.logio import read_flow_log, write_flow_log
 from repro.whatif.compare import compare_variants, render_comparison
 from repro.whatif.variants import standard_variants, variant_by_name
@@ -95,6 +93,18 @@ def _landmark_count(args: argparse.Namespace) -> Optional[int]:
     return None if args.landmarks >= 215 else args.landmarks
 
 
+def _env_executor() -> ParallelExecutor:
+    """The executor ``REPRO_EXECUTOR`` / ``REPRO_EXECUTOR_WORKERS`` select.
+
+    Raises:
+        UsageError: For an invalid setting of either variable.
+    """
+    try:
+        return ParallelExecutor.from_env()
+    except ValueError as error:
+        raise UsageError(f"bad {ENV_BACKEND}/{ENV_WORKERS} setting: {error}") from None
+
+
 def executor_from_args(args: argparse.Namespace) -> Optional[ParallelExecutor]:
     """The executor selected on the command line, or ``None`` for env/default.
 
@@ -111,12 +121,7 @@ def executor_from_args(args: argparse.Namespace) -> Optional[ParallelExecutor]:
     if workers is not None and workers < 1:
         raise UsageError(f"--workers must be positive, got {workers}")
     if backend is None:
-        try:
-            env_executor = ParallelExecutor.from_env()
-        except ValueError as error:
-            raise UsageError(
-                f"bad {ENV_BACKEND}/{ENV_WORKERS} setting: {error}"
-            ) from None
+        env_executor = _env_executor()
         if workers is None:
             return None
         backend = env_executor.backend
@@ -151,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=registered_policy_kinds(), default="preferred",
         help="selection policy every simulated world runs "
         "(default preferred; batch path only)",
-    )
-    p_study.add_argument(
-        "--shared", action="store_true",
-        help="run all vantage points against one shared CDN "
-        "(interleaved, interacting) instead of "
-        "independent per-scenario worlds",
     )
     p_study.add_argument(
         "--full", action="store_true",
@@ -464,35 +463,17 @@ def _render_study(args: argparse.Namespace):
     buffer = io.StringIO()
     landmark_count = _landmark_count(args)
     executor = executor_from_args(args)
-    if args.shared:
-        from repro.sim.multistudy import run_shared_study
-
-        results = run_shared_study(scale=args.scale, seed=args.seed, executor=executor)
-    else:
-        results = run_all(
-            scale=args.scale, seed=args.seed, executor=executor,
-            policy_kind=getattr(args, "policy", "preferred"),
-        )
+    results = run_all(
+        scale=args.scale, seed=args.seed, executor=executor,
+        policy_kind=getattr(args, "policy", "preferred"),
+    )
     pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
     if args.full:
         from repro.core.report import render_study_report
 
         print(render_study_report(pipeline), file=buffer)
     else:
-        print(render_table1(pipeline.summaries.values()), file=buffer)
-        print("", file=buffer)
-        print(render_table2(pipeline.as_breakdowns.values()), file=buffer)
-        print("", file=buffer)
-        print(render_table3(pipeline.table3_rows), file=buffer)
-        print("", file=buffer)
-        for name in pipeline.dataset_names:
-            report = pipeline.preferred_reports[name]
-            print(
-                f"{name:12s} preferred={report.preferred_id:24s} "
-                f"share={report.byte_share(report.preferred_id):6.1%} "
-                f"non-preferred flows={pipeline.nonpreferred_fraction(name):6.1%}",
-                file=buffer,
-            )
+        buffer.write(render_stream_report(pipeline))
     if args.validate:
         from repro.core.validation import render_validation, validate_study
 
@@ -509,7 +490,7 @@ def _render_stream_study(args: argparse.Namespace):
         ``(text, digests)`` with exactly the bytes :func:`_render_study`
         produces for the same parameters.
     """
-    from repro.stream.study import render_stream_report, run_streaming_study
+    from repro.stream.study import run_streaming_study
 
     study = run_streaming_study(
         scale=args.scale,
@@ -541,22 +522,19 @@ def cmd_study(args: argparse.Namespace, out) -> int:
 
     if args.stream and not args.window_s > 0:
         raise UsageError(f"--window-s must be positive, got {args.window_s}")
-    if args.policy != "preferred" and (args.stream or args.shared):
-        # The streamed path and the shared multi-study build their worlds
-        # internally and run the baseline policy only; a non-default
-        # --policy there would silently evaluate the wrong mechanism.
+    if args.policy != "preferred" and args.stream:
+        # The streamed path builds its worlds internally and runs the
+        # baseline policy only; a non-default --policy there would
+        # silently evaluate the wrong mechanism.
         print(
             f"repro study --policy {args.policy} requires the batch "
-            "independent-worlds path; drop --stream/--shared.",
+            "path; drop --stream.",
             file=sys.stderr,
         )
         return 2
     unsupported = [
         flag
-        for flag, active in (
-            ("--shared", args.shared), ("--full", args.full),
-            ("--validate", args.validate),
-        )
+        for flag, active in (("--full", args.full), ("--validate", args.validate))
         if args.stream and active
     ]
     if unsupported:
@@ -587,7 +565,6 @@ def cmd_study(args: argparse.Namespace, out) -> int:
             "seed": args.seed,
             "landmarks": args.landmarks,
             "policy": args.policy,
-            "shared": bool(args.shared),
             "full": bool(args.full),
             "validate": bool(args.validate),
         })
@@ -1156,6 +1133,13 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     scale = getattr(args, "scale", None)
     if scale is not None and not scale > 0:
         print(f"repro {args.command}: --scale must be positive, got {scale}", file=sys.stderr)
+        return 2
+    try:
+        # Every command may fan out through the environment's executor,
+        # so a bad setting fails here, not only where a command reads it.
+        _env_executor()
+    except UsageError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
     if getattr(args, "faults", None):
         from repro.faults import plan as faults_plan

@@ -65,6 +65,11 @@ class StudyResults:
 class StudyPipeline:
     """The paper's analysis pipeline over a set of simulated datasets.
 
+    The active half (RTT campaigns, CBG landmarks, clustering) reads only
+    each input's ``world`` and :meth:`_server_ips`, so
+    :class:`~repro.stream.study.StreamStudy` inherits it unchanged and
+    overrides the passive trace aggregates alone.
+
     Args:
         results: Mapping dataset name → simulation result (dataset + the
             physical world behind it, for active measurements).
@@ -138,6 +143,10 @@ class StudyPipeline:
             seed=derive_seed(self._seed, "prober", label),
         )
 
+    def _server_ips(self, name: str) -> List[int]:
+        """One dataset's distinct server addresses, sorted."""
+        return self._results[name].dataset.server_ips
+
     # --------------------------------------------------------- T1, T2, focus
 
     @cached_property
@@ -196,9 +205,8 @@ class StudyPipeline:
         site_of_ip = self._site_of_ip
         jobs: List[CampaignJob] = []
         for name, result in self._results.items():
-            dataset = result.dataset
             targets: Dict[object, Site] = {}
-            for ip in dataset.server_ips:
+            for ip in self._server_ips(name):
                 site = site_of_ip(ip)
                 if site is not None:
                     targets[ip] = site
@@ -206,7 +214,7 @@ class StudyPipeline:
                 CampaignJob(
                     label=f"campaign/{name}",
                     latency=self._latency,
-                    origin=dataset.vantage.probe_site,
+                    origin=result.world.vantage.probe_site,
                     targets=targets,
                     probes=self._probes,
                     seed=derive_seed(self._seed, "prober", f"campaign/{name}"),
@@ -263,11 +271,13 @@ class StudyPipeline:
     @cached_property
     def table3_rows(self) -> List[geography.ContinentRow]:
         """Table III rows."""
-        return geography.continent_table(
-            [r.dataset for r in self._results.values()],
-            self.server_map,
-            self.focus_ips,
-        )
+        return [
+            geography.ContinentRow(
+                name=name,
+                counts=self.server_map.continent_counts(self.focus_ips[name]),
+            )
+            for name in self.dataset_names
+        ]
 
     # ------------------------------------------------------- F4, F5, F6
 

@@ -15,7 +15,6 @@ from repro.sim.scenarios import (
 )
 from repro.sim.engine import RequestProcessor, SimulationResult, run_requests
 from repro.sim.driver import run_all, run_scenario
-from repro.sim.multistudy import build_shared_worlds, run_shared, run_shared_study
 
 
 def __getattr__(name: str):
@@ -41,7 +40,4 @@ __all__ = [
     "run_requests",
     "run_all",
     "run_scenario",
-    "build_shared_worlds",
-    "run_shared",
-    "run_shared_study",
 ]

@@ -142,12 +142,7 @@ class SimulationResult:
 
 
 class RequestProcessor:
-    """Per-vantage processing state: monitor, RNG, caches, result tallies.
-
-    Both the per-scenario engine (:func:`run_requests`) and the shared-world
-    engine (:func:`repro.sim.multistudy.run_shared`) drive one of these per
-    dataset.
-    """
+    """Per-vantage processing state: monitor, RNG, caches, result tallies."""
 
     def __init__(
         self,
@@ -353,9 +348,9 @@ def run_many(
     applies to them — see :mod:`repro.artifacts.keys`.
 
     Args:
-        worlds: Independent built worlds (must not share a ``system``;
-            shared-world studies are causally serial — see
-            :func:`repro.sim.multistudy.run_shared`).
+        worlds: Independent built worlds (must not share a ``system``:
+            vantage points on one CDN interact, so their weeks cannot run
+            as separate tasks).
         miss_probability: Monitor classification-miss probability.
         executor: Fan-out strategy; defaults to the environment's.
 
@@ -371,9 +366,7 @@ def run_many(
     worlds = list(worlds)
     systems = {id(world.system) for world in worlds}
     if len(systems) != len(worlds):
-        raise ValueError(
-            "run_many needs independent worlds; use run_shared for a shared CdnSystem"
-        )
+        raise ValueError("run_many needs independent worlds, each with its own CdnSystem")
 
     store = default_store()
     results: List[Optional[SimulationResult]] = [None] * len(worlds)

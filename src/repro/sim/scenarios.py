@@ -145,8 +145,7 @@ class ScenarioSpec:
     #: Probability DNS hands out a non-preferred answer as background LB.
     spill_probability: float
     #: Client address space (a /15 split into /18 subnets).  Distinct per
-    #: scenario so that shared-world studies can interleave all five
-    #: vantage points' clients without address collisions.
+    #: scenario, so no two vantage points' client addresses collide.
     client_block: str = "128.210.0.0/15"
     #: Host an in-ISP data center (the EU2 situation)?
     internal_dc: bool = False
@@ -300,8 +299,7 @@ class ScenarioWorld:
         duration_s: Simulation window.
         policy_kind: Selection-policy kind this world was built with, or
             ``None`` for worlds not built canonically by
-            :func:`build_world` (shared-world facades, hand-assembled test
-            worlds).  ``None`` opts the world out of artifact caching —
+            :func:`build_world` (hand-assembled test worlds).  ``None`` opts the world out of artifact caching —
             see :meth:`build_config`.  Worlds produced by
             :func:`repro.spec.model.apply_spec` always come through
             :func:`build_world` and therefore always carry a canonical
@@ -328,9 +326,8 @@ class ScenarioWorld:
         A world straight out of :func:`build_world` is a pure function of
         ``(spec, scale, seed, duration_s, policy_kind)``, so running it is
         cacheable under a key over exactly those inputs.  Worlds whose
-        ``policy_kind`` is ``None`` — shared-world facades (their results
-        depend on every co-resident vantage point) and hand-built test
-        worlds — return ``None`` and are never cached at this level.
+        ``policy_kind`` is ``None`` — hand-built test worlds — return
+        ``None`` and are never cached at this level.
         """
         if self.policy_kind is None:
             return None

@@ -2,9 +2,10 @@
 
 :func:`stream_dataset` drives one world's live-emit event stream through
 the tumbling windower and every online accumulator; :class:`StreamStudy`
-then runs the *active* half of the methodology (RTT campaigns, CBG
-clustering) over the retained worlds and derives the same tables the
-batch :class:`~repro.core.pipeline.StudyPipeline` renders.
+is the batch :class:`~repro.core.pipeline.StudyPipeline` with its passive
+trace aggregates read from those accumulators, so it runs the same
+*active* half of the methodology (RTT campaigns, CBG clustering) over
+the retained worlds and derives the same tables.
 
 Byte parity is the design contract: ``repro study --stream`` produces
 the identical report text and identical ``--digests`` lines as the batch
@@ -33,35 +34,29 @@ import io
 import resource
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.core import asmap
-from repro.core.geography import ContinentRow, render_table3
-from repro.core.preferred import PreferredDcReport
 from repro.core.asmap import render_table2
+from repro.core.geography import render_table3
+from repro.core.pipeline import StudyPipeline
+from repro.core.preferred import PreferredDcReport
 from repro.core.sessions import DEFAULT_GAP_S
 from repro.core.streaming import HotSpotDetector, LoadBalanceDetector
 from repro.core.summary import DatasetSummary, render_table1
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
-from repro.geo.landmarks import LandmarkSet, generate_landmarks
-from repro.geoloc.cbg import CbgGeolocator
-from repro.geoloc.clustering import ServerMap, cluster_servers
-from repro.geoloc.probing import CampaignJob, RttProber, run_campaigns
-from repro.net.latency import Site
 from repro.reporting.timing import phase_timer
 from repro.sim.driver import DEFAULT_SCALE
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY
 from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, ScenarioWorld, build_world
-from repro.sim.seeding import derive_seed
 from repro.stream.accumulators import (
     HourlyShareAccumulator,
     SessionStatsAccumulator,
     TrafficAccumulator,
 )
 from repro.stream.digest import StreamingDigest
-from repro.stream.events import WatermarkAdvance
 from repro.stream.source import simulated_stream
 from repro.stream.windows import TumblingWindower, WindowedSessionBuilder
 from repro.trace.records import WEEK_S
@@ -192,18 +187,18 @@ def stream_dataset(
     )
 
 
-class StreamStudy:
+class StreamStudy(StudyPipeline):
     """The study's tables, derived from streamed datasets.
 
     The measurement half — RTT campaigns, CBG landmarks, clustering — is
-    the same *active* methodology the batch
-    :class:`~repro.core.pipeline.StudyPipeline` runs, with the same
-    derived seeds, span names and degradation stages; only the passive
-    trace aggregates come from accumulators instead of materialised
-    datasets.
+    inherited from :class:`~repro.core.pipeline.StudyPipeline`, with the
+    same derived seeds, span names and degradation stages; only the
+    passive trace aggregates come from accumulators instead of
+    materialised datasets.  The record-level methods (sessions and
+    Figures 4, 5 and 9-16) need materialised records and stay batch-only.
 
     Args:
-        streamed: Mapping dataset name → streamed dataset, in
+        results: Mapping dataset name → streamed dataset, in
             presentation order.
         landmark_count: CBG landmark budget (``None`` = full set).
         probes_per_measurement: Pings per RTT measurement.
@@ -211,56 +206,12 @@ class StreamStudy:
         executor: Fan-out strategy for the RTT campaigns.
     """
 
-    def __init__(
-        self,
-        streamed: Mapping[str, StreamedDataset],
-        landmark_count: Optional[int] = None,
-        probes_per_measurement: int = 6,
-        seed: int = 11,
-        executor: Optional[ParallelExecutor] = None,
-    ):
-        if not streamed:
-            raise ValueError("study needs at least one dataset")
-        self._streamed = dict(streamed)
-        self._landmark_count = landmark_count
-        self._probes = probes_per_measurement
-        self._seed = seed
-        self._executor = executor
-
-    # ------------------------------------------------------------ plumbing
-
-    @property
-    def dataset_names(self) -> List[str]:
-        """Dataset names in insertion order."""
-        return list(self._streamed)
-
     def streamed(self, name: str) -> StreamedDataset:
         """One streamed dataset."""
-        return self._streamed[name]
+        return self._results[name]
 
-    @cached_property
-    def _site_of_ip(self) -> Callable[[int], Optional[Site]]:
-        worlds = [s.world for s in self._streamed.values()]
-
-        def site_of_ip(ip: int) -> Optional[Site]:
-            for world in worlds:
-                site = world.site_of_server_ip(ip)
-                if site is not None:
-                    return site
-            return None
-
-        return site_of_ip
-
-    @cached_property
-    def _latency(self):
-        return next(iter(self._streamed.values())).world.latency
-
-    def _prober(self, label: str) -> RttProber:
-        return RttProber(
-            self._latency,
-            probes=self._probes,
-            seed=derive_seed(self._seed, "prober", label),
-        )
+    def _server_ips(self, name: str) -> List[int]:
+        return self._results[name].traffic.server_ips()
 
     # --------------------------------------------------------- T1, T2, focus
 
@@ -268,7 +219,7 @@ class StreamStudy:
     def summaries(self) -> Dict[str, DatasetSummary]:
         """Table I rows."""
         return {
-            name: s.traffic.summary(name) for name, s in self._streamed.items()
+            name: s.traffic.summary(name) for name, s in self._results.items()
         }
 
     @cached_property
@@ -278,7 +229,7 @@ class StreamStudy:
             name: s.traffic.as_breakdown(
                 name, s.world.vantage.asn, s.world.registry
             )
-            for name, s in self._streamed.items()
+            for name, s in self._results.items()
         }
 
     @cached_property
@@ -286,81 +237,8 @@ class StreamStudy:
         """Per-dataset Google-focus server lists (Section IV)."""
         return {
             name: s.traffic.focus_ips(s.world.vantage.asn, s.world.registry)
-            for name, s in self._streamed.items()
+            for name, s in self._results.items()
         }
-
-    # ------------------------------------------------------------------- F2
-
-    @cached_property
-    def rtt_campaigns(self) -> Dict[str, Dict[int, float]]:
-        """Figure 2 campaigns, identical to the batch pipeline's."""
-        site_of_ip = self._site_of_ip
-        jobs: List[CampaignJob] = []
-        for name, s in self._streamed.items():
-            targets: Dict[object, Site] = {}
-            for ip in s.traffic.server_ips():
-                site = site_of_ip(ip)
-                if site is not None:
-                    targets[ip] = site
-            jobs.append(
-                CampaignJob(
-                    label=f"campaign/{name}",
-                    latency=self._latency,
-                    origin=s.world.vantage.probe_site,
-                    targets=targets,
-                    probes=self._probes,
-                    seed=derive_seed(self._seed, "prober", f"campaign/{name}"),
-                )
-            )
-        with obs.span("pipeline/rtt_campaigns", campaigns=len(jobs)):
-            measured = run_campaigns(jobs, executor=self._executor)
-        degradation.stage_completed("pipeline/rtt_campaigns")
-        return dict(zip(self._streamed, measured))
-
-    # ------------------------------------------------------- CBG (F3, T3)
-
-    @cached_property
-    def landmarks(self) -> LandmarkSet:
-        """The CBG landmark population."""
-        full = generate_landmarks(seed=derive_seed(self._seed, "landmarks"))
-        if self._landmark_count is not None and self._landmark_count < len(full):
-            return full.subsample(self._landmark_count, seed=self._seed)
-        return full
-
-    @cached_property
-    def geolocator(self) -> CbgGeolocator:
-        """The calibrated CBG instance."""
-        return CbgGeolocator(self.landmarks, self._prober("cbg"))
-
-    @cached_property
-    def server_map(self) -> ServerMap:
-        """CBG clustering over the union of all datasets' focus servers."""
-        union: List[int] = sorted(
-            {ip for ips in self.focus_ips.values() for ip in ips}
-        )
-        site_of_ip = self._site_of_ip
-
-        def geolocate(ip: int):
-            site = site_of_ip(ip)
-            if site is None:
-                raise LookupError(f"cannot reach server {ip} for probing")
-            return self.geolocator.geolocate_target(site)
-
-        with obs.span("pipeline/server_map", servers=len(union)):
-            server_map = cluster_servers(union, geolocate)
-        degradation.stage_completed("pipeline/server_map")
-        return server_map
-
-    @cached_property
-    def table3_rows(self) -> List[ContinentRow]:
-        """Table III rows."""
-        return [
-            ContinentRow(
-                name=name,
-                counts=self.server_map.continent_counts(self.focus_ips[name]),
-            )
-            for name in self._streamed
-        ]
 
     # ------------------------------------------------------- F7-F10
 
@@ -369,7 +247,7 @@ class StreamStudy:
         """Per-dataset preferred-data-center reports."""
         with phase_timer("analysis/preferred"):
             reports: Dict[str, PreferredDcReport] = {}
-            for name, s in self._streamed.items():
+            for name, s in self._results.items():
                 reports[name] = s.traffic.preferred_report(
                     name,
                     self.server_map,
@@ -382,13 +260,13 @@ class StreamStudy:
 
     def nonpreferred_fraction(self, name: str) -> float:
         """Overall non-preferred video-flow share for one dataset."""
-        return self._streamed[name].traffic.nonpreferred_fraction(
+        return self._results[name].traffic.nonpreferred_fraction(
             self.preferred_reports[name], self.server_map, self.focus_ips[name]
         )
 
     def hourly_nonpreferred(self, name: str) -> Dict[int, float]:
         """Figure 9's hourly non-preferred fractions for one dataset."""
-        s = self._streamed[name]
+        s = self._results[name]
         return s.hourly.fractions(
             self.preferred_reports[name],
             self.server_map,
@@ -398,18 +276,18 @@ class StreamStudy:
 
     def session_histogram(self, name: str) -> Dict[str, float]:
         """One Figure 6 bar group, from the incremental builder."""
-        return self._streamed[name].session_stats.histogram()
+        return self._results[name].session_stats.histogram()
 
     # ---------------------------------------------------------------- stats
 
     def digests(self) -> Dict[str, str]:
         """Per-dataset streaming content digests."""
-        return {name: s.digest.hexdigest() for name, s in self._streamed.items()}
+        return {name: s.digest.hexdigest() for name, s in self._results.items()}
 
     def stats(self) -> Dict[str, Dict[str, object]]:
         """Machine-readable per-dataset streaming statistics."""
         out: Dict[str, Dict[str, object]] = {}
-        for name, s in self._streamed.items():
+        for name, s in self._results.items():
             out[name] = {
                 "flows": s.traffic.flows,
                 "windows": s.windows,
@@ -448,12 +326,13 @@ def run_streaming_study(
     return StreamStudy(streamed, landmark_count=landmark_count, executor=executor)
 
 
-def render_stream_report(study: StreamStudy) -> str:
-    """Render the study summary — byte-identical to the batch report.
+def render_stream_report(study: StudyPipeline) -> str:
+    """Render the study summary: Tables I-III and the preferred-DC lines.
 
-    The text reproduces ``repro study``'s default (non ``--full``) output
-    exactly; the parity tests and the ``stream-smoke`` CI job diff the
-    two byte for byte.
+    This is ``repro study``'s default (non ``--full``) output for a batch
+    :class:`~repro.core.pipeline.StudyPipeline` and a :class:`StreamStudy`
+    alike; the parity tests and the ``stream-smoke`` CI job diff the two
+    modes byte for byte.
     """
     buffer = io.StringIO()
     print(render_table1(study.summaries.values()), file=buffer)

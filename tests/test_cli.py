@@ -242,7 +242,6 @@ class TestGridCommand:
 class TestStudyStreamGating:
     @pytest.mark.parametrize("flags,expected", [
         (["--full"], "repro study --full"),
-        (["--shared"], "repro study --shared"),
         (["--validate"], "repro study --validate"),
         (["--full", "--validate"], "repro study --full --validate"),
     ])
@@ -262,6 +261,8 @@ BAD_INPUTS = [
     (["study", "--workers", "0"], {}, "--workers"),
     (["study"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
     (["study"], {"REPRO_EXECUTOR_WORKERS": "many"}, "REPRO_EXECUTOR_WORKERS"),
+    (["cache", "stats"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
+    (["coldvideo"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
     (
         ["sweep", "--dataset", "EU1-ADSL", "--parameter", "bogus", "--values", "1,2"],
         {},

@@ -156,7 +156,7 @@ class TestEvalCli:
 
 
 class TestStudyPolicyFlag:
-    @pytest.mark.parametrize("flag", ["--stream", "--shared"])
+    @pytest.mark.parametrize("flag", ["--stream"])
     def test_policy_needs_the_batch_path(self, flag, capsys):
         code, _ = run_cli("study", "--policy", "gwtw", flag)
         assert code == 2

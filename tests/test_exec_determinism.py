@@ -4,7 +4,7 @@ The executor's contract is that fan-out is a pure mechanical speedup —
 every unit of work owns RNGs derived from its own ``(scenario, vantage)``
 path, so serial, thread and process backends must produce *identical*
 simulation results, down to the flow-log bytes.  These tests hold the three
-wired hot paths (scenario fan-out, shared-world generation, RTT campaigns)
+wired hot paths (scenario fan-out, independent-world runs, RTT campaigns)
 to that contract, and check that one poisoned vantage point cannot take
 down its siblings' results.
 """
@@ -17,7 +17,6 @@ from repro.exec import BACKENDS, ExecutionError, ParallelExecutor
 from repro.sim import driver
 from repro.sim.driver import _scenario_task
 from repro.sim.engine import run_many
-from repro.sim.multistudy import build_shared_worlds, run_shared
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.trace.records import WEEK_S
 
@@ -90,20 +89,9 @@ def test_run_many_matches_run_requests(backend):
 
 
 def test_run_many_rejects_shared_system():
-    worlds = build_shared_worlds(scale=SCALE, seed=SEED,
-                                 names=("EU1-FTTH", "EU1-Campus"))
+    world = build_world(PAPER_SCENARIOS["EU1-FTTH"], scale=SCALE, seed=SEED)
     with pytest.raises(ValueError, match="independent worlds"):
-        run_many(list(worlds.values()))
-
-
-def test_shared_world_generation_backends_identical():
-    snapshots = {}
-    for backend in ("serial", "process"):
-        worlds = build_shared_worlds(scale=SCALE, seed=SEED)
-        results = run_shared(worlds,
-                             executor=ParallelExecutor(backend, max_workers=2))
-        snapshots[backend] = _snapshot(results)
-    assert snapshots["serial"] == snapshots["process"]
+        run_many([world, world])
 
 
 def test_rtt_campaigns_backends_identical():

@@ -467,7 +467,7 @@ class TestCliStream:
             assert streamed == batch
 
     def test_stream_rejects_full_and_validate(self):
-        for flag in ("--full", "--validate", "--shared"):
+        for flag in ("--full", "--validate"):
             code, text = self.run("study", "--stream", flag,
                                   "--scale", "0.004", "--landmarks", "40")
             assert code == 2
