@@ -25,13 +25,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.active.testvideo import TestVideoExperiment
 from repro.exec.executor import BACKENDS, ENV_BACKEND, ENV_WORKERS, ParallelExecutor
 from repro.core.pipeline import StudyPipeline
-from repro.core.sessions import flows_per_session_histogram, build_sessions
+from repro.core.sessions import SessionStatsAccumulator, build_sessions, flows_per_session_histogram
 from repro.cdn.selection import registered_policy_kinds
 from repro.monitor.detect import DEFAULT_THRESHOLD
 from repro.monitor.run import (
@@ -40,8 +40,11 @@ from repro.monitor.run import (
 )
 from repro.sim.driver import run_all, run_scenario
 from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
+from repro.stream.source import replay_flow_log
 from repro.stream.study import render_stream_report
+from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
 from repro.trace.logio import read_flow_log, write_flow_log
+from repro.trace.records import FlowRecord
 from repro.whatif.compare import compare_variants, render_comparison
 from repro.whatif.variants import standard_variants, variant_by_name
 
@@ -639,76 +642,89 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _parse_gaps(text: str) -> List[float]:
+    """The ``--gaps`` values: comma-separated positive seconds.
+
+    Raises:
+        UsageError: For a non-number or a non-positive gap.
+    """
+    try:
+        gaps = [float(g) for g in text.split(",") if g.strip()]
+    except ValueError:
+        raise UsageError(f"--gaps must be comma-separated numbers: {text!r}") from None
+    for gap in gaps:
+        if not gap > 0:
+            raise UsageError(f"--gaps must be positive, got {gap:g}")
+    return gaps
+
+
+def _read_log(path: str) -> List[FlowRecord]:
+    """A whole flow log; an unreadable or malformed one is a usage error."""
+    try:
+        return read_flow_log(path)
+    except (OSError, ValueError) as error:
+        raise UsageError(f"cannot read flow log {path}: {error}") from None
+
+
+def _replay_log(path: str, lag_s: float):
+    """:func:`_read_log`'s streamed form: the log's replay events."""
+    try:
+        yield from replay_flow_log(path, watermark_lag_s=lag_s)
+    except (OSError, ValueError) as error:
+        raise UsageError(f"cannot read flow log {path}: {error}") from None
+
+
+def _session_line(gap: float, sessions: int, histogram) -> str:
+    cells = " ".join(f"{k}:{histogram[k]:.3f}" for k in ("1", "2", "3", ">9"))
+    return f"T={gap:>6.1f}s sessions={sessions:7d}  {cells}"
+
+
 def cmd_sessions(args: argparse.Namespace, out) -> int:
+    gaps = _parse_gaps(args.gaps)
     if args.stream:
-        return _cmd_sessions_stream(args, out)
-    records = read_flow_log(args.flows)
+        return _cmd_sessions_stream(args, gaps, out)
+    records = _read_log(args.flows)
     if not records:
         print("flow log is empty", file=out)
         return 1
-    gaps = [float(g) for g in args.gaps.split(",") if g.strip()]
     print(f"{len(records)} flows", file=out)
     for gap in gaps:
         sessions = build_sessions(records, gap_s=gap)
-        histogram = flows_per_session_histogram(sessions)
-        cells = " ".join(f"{k}:{histogram[k]:.3f}" for k in ("1", "2", "3", ">9"))
-        print(f"T={gap:>6.1f}s sessions={len(sessions):7d}  {cells}", file=out)
+        print(_session_line(gap, len(sessions), flows_per_session_histogram(sessions)), file=out)
     return 0
 
 
-def _cmd_sessions_stream(args: argparse.Namespace, out) -> int:
+def _cmd_sessions_stream(args: argparse.Namespace, gaps: List[float], out) -> int:
     """Streamed ``sessions``: one replay pass per gap, bounded memory.
 
     Prints exactly the batch command's bytes for any time-sorted log (or
     any log whose disorder stays within ``--lag-s``).
     """
-    from repro.stream.accumulators import SessionStatsAccumulator
-    from repro.stream.events import FlowArrival
-    from repro.stream.source import replay_flow_log
-    from repro.stream.windows import TumblingWindower, WindowedSessionBuilder
-
     if not args.window_s > 0:
         raise UsageError(f"--window-s must be positive, got {args.window_s}")
-    gaps = [float(g) for g in args.gaps.split(",") if g.strip()]
-    if not gaps:
-        flows = sum(
-            1
-            for event in replay_flow_log(args.flows, watermark_lag_s=args.lag_s)
-            if isinstance(event, FlowArrival)
-        )
-        if flows == 0:
-            print("flow log is empty", file=out)
-            return 1
-        print(f"{flows} flows", file=out)
-        return 0
+    if not args.lag_s >= 0:
+        raise UsageError(f"--lag-s must be non-negative, got {args.lag_s}")
     lines = []
     flows = 0
-    for gap in gaps:
-        windower = TumblingWindower(args.window_s)
-        builder = WindowedSessionBuilder(gap)
+
+    def count(window) -> None:
+        nonlocal flows
+        flows += len(window)
+
+    # With no gaps, one pass still counts the flows.
+    for gap in gaps or [None]:
+        builder = None if gap is None else WindowedSessionBuilder(gap)
         stats = SessionStatsAccumulator()
         flows = 0
-        last_boundary = float("-inf")
-        for event in replay_flow_log(args.flows, watermark_lag_s=args.lag_s):
-            for window in windower.push(event):
-                flows += len(window)
-                stats.add(builder.observe_window(window))
-            boundary = windower.sealed_boundary_s
-            if boundary > last_boundary:
-                last_boundary = boundary
-                stats.add(builder.advance(boundary))
-        for window in windower.finish():
-            flows += len(window)
-            stats.add(builder.observe_window(window))
-        stats.add(builder.finish())
+        drive(
+            _replay_log(args.flows, args.lag_s), TumblingWindower(args.window_s),
+            count, builder, stats.add,
+        )
         if flows == 0:
             print("flow log is empty", file=out)
             return 1
-        histogram = stats.histogram()
-        cells = " ".join(f"{k}:{histogram[k]:.3f}" for k in ("1", "2", "3", ">9"))
-        lines.append(
-            f"T={gap:>6.1f}s sessions={builder.sessions_closed:7d}  {cells}"
-        )
+        if builder is not None:
+            lines.append(_session_line(gap, stats.sessions, stats.histogram()))
     print(f"{flows} flows", file=out)
     for line in lines:
         print(line, file=out)
@@ -788,9 +804,12 @@ def cmd_figures(args: argparse.Namespace, out) -> int:
 def cmd_anonymize(args: argparse.Namespace, out) -> int:
     from repro.trace.anonymize import PrefixPreservingAnonymizer
 
-    records = read_flow_log(args.flows)
+    records = _read_log(args.flows)
     anonymizer = PrefixPreservingAnonymizer(args.key.encode())
-    count = write_flow_log(anonymizer.anonymize_records(records), args.out)
+    try:
+        count = write_flow_log(anonymizer.anonymize_records(records), args.out)
+    except OSError as error:
+        raise UsageError(f"cannot write flow log {args.out}: {error}") from None
     print(
         f"anonymised {count} flows -> {args.out} "
         "(prefix structure preserved; addresses keyed)",

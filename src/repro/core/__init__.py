@@ -9,6 +9,8 @@ Module map (paper section → module):
 
 * §VI-A flow types and sessions → :mod:`repro.core.flows`,
   :mod:`repro.core.sessions`
+* the traffic folds that Tables I-II, §VI-B and Figure 9 read, in batch
+  and streamed alike → :mod:`repro.core.folds`
 * §III-B Table I → :mod:`repro.core.summary`
 * §IV Table II → :mod:`repro.core.asmap`
 * §V Table III, Figures 2-3 → :mod:`repro.core.geography`

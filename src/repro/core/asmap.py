@@ -63,27 +63,11 @@ def breakdown_by_as(dataset: Dataset, registry: AsRegistry) -> AsBreakdown:
     Raises:
         ValueError: On an empty dataset.
     """
-    if len(dataset) == 0:
-        raise ValueError(f"dataset {dataset.name} is empty")
-    vantage_asn = dataset.vantage.asn
-    server_groups: Dict[int, str] = {}
-    for ip in dataset.server_ips:
-        asn = registry.asn_of(ip)
-        server_groups[ip] = _group_of(asn, vantage_asn) if asn is not None else "others"
+    # Deferred: the fold module builds on this module's types.
+    from repro.core.folds import TrafficAccumulator
 
-    server_counts = {g: 0 for g in AS_GROUPS}
-    for group in server_groups.values():
-        server_counts[group] += 1
-    byte_counts = {g: 0 for g in AS_GROUPS}
-    for record in dataset:
-        byte_counts[server_groups[record.dst_ip]] += record.num_bytes
-
-    num_servers = len(server_groups)
-    total_bytes = max(1, sum(byte_counts.values()))
-    return AsBreakdown(
-        name=dataset.name,
-        server_fractions={g: server_counts[g] / num_servers for g in AS_GROUPS},
-        byte_fractions={g: byte_counts[g] / total_bytes for g in AS_GROUPS},
+    return TrafficAccumulator(dataset.columnar()).as_breakdown(
+        dataset.name, dataset.vantage.asn, registry
     )
 
 
@@ -94,13 +78,11 @@ def google_focus_ips(dataset: Dataset, registry: AsRegistry) -> List[int]:
     Google AS.  For the EU2 dataset, we include accesses to the data center
     located inside the corresponding ISP."
     """
-    vantage_asn = dataset.vantage.asn
-    keep: List[int] = []
-    for ip in dataset.server_ips:
-        asn = registry.asn_of(ip)
-        if asn == GOOGLE_ASN or (asn is not None and asn == vantage_asn):
-            keep.append(ip)
-    return keep
+    from repro.core.folds import TrafficAccumulator
+
+    return TrafficAccumulator(dataset.columnar()).focus_ips(
+        dataset.vantage.asn, registry
+    )
 
 
 def render_table2(breakdowns: Iterable[AsBreakdown]) -> str:

@@ -1,53 +1,62 @@
-"""Online per-window accumulators with bounded memory.
+"""The passive-trace folds behind Tables I-II, Section VI-B and Figure 9.
 
-Each accumulator folds sealed :class:`~repro.stream.events.StreamWindow`
-batches into running state sized by *distinct entities* (servers,
-clients, hours, histogram buckets) — never by the flow count — and can
-reproduce, exactly, the aggregate the batch analysis computes from the
-full record list:
+Each fold consumes :class:`~repro.trace.columnar.FlowTable` batches in
+record order and keeps state sized by *distinct entities* (servers,
+clients, hours) — never by the flow count.  Batch analysis folds a whole
+dataset as one batch and the streamed study folds sealed windows; both
+read the same views, so there is one implementation of each aggregate:
 
-* :class:`TrafficAccumulator` — Table I scalars, per-server byte/flow/
-  video-flow totals in first-occurrence order.  Its derivation methods
-  rebuild the Table II AS breakdown, the Section IV focus list, the
+* :class:`TrafficAccumulator` — Table I scalars and per-server byte/flow/
+  video-flow totals in first-occurrence order.  Its views are the
+  Table I row, the Table II AS breakdown, the Section IV focus list, the
   Section VI-B preferred-data-center report and the Figure 9/10
-  non-preferred fraction with the same ints, the same float divisions
-  and the same tie-breaking order as the batch code paths (pinned by the
-  streaming parity tests).
+  non-preferred fraction.
 * :class:`HourlyShareAccumulator` — per-hour, per-server video-flow
-  counts (Figure 9's raw material), O(servers x hours).
-* :class:`SessionStatsAccumulator` — the Figure 5/6 flows-per-session
-  histogram over incrementally closed sessions.
+  counts, O(servers x hours); its view is the Figure 9 CDF.
+* :class:`EdgeCloudAccumulator` — per-(client subnet x server prefix)
+  totals, the monitor's epoch snapshots.
 
-Each window is collapsed with the columnar kernels of
-:mod:`repro.trace.columnar`; the parity tests hold the folded state to
-the record-at-a-time spec in ``tests/oracle/accumulators.py`` — same
-integers, same first-occurrence order.
+Folding is exact at any batch boundary: totals are integers, and the
+per-server dicts keep first-occurrence order, which is the order the
+preferred-DC rule creates views in and tie-breaks by.  The parity tests
+hold the folded state to the record-at-a-time spec in
+``tests/oracle/accumulators.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core import asmap
 from repro.core.flows import CONTROL_FLOW_THRESHOLD_BYTES
-from repro.core.preferred import (
-    DataCenterView,
-    PreferredDcReport,
-    _pick_preferred,
-)
-from repro.core.sessions import HISTOGRAM_BUCKETS, Session
+from repro.core.preferred import DataCenterView, PreferredDcReport, _pick_preferred
 from repro.core.summary import DatasetSummary
 from repro.geo.coords import GeoPoint, haversine_km
-from repro.geoloc.clustering import ServerMap
+from repro.geoloc.clustering import DataCenterCluster, ServerMap
 from repro.net.asn import AsRegistry, GOOGLE_ASN
-from repro.stream.events import StreamWindow
-from repro.trace.columnar import group_sum_int64
+from repro.reporting.series import Cdf
+from repro.trace.columnar import FlowTable, group_sum_int64
 
 #: Composite (server, hour) key stride for the hourly kernel; hours stay
 #: far below it for any plausible trace length.
 _HOUR_STRIDE = 1 << 20
+
+
+def _clustered(
+    items: Iterable[Tuple[int, object]],
+    server_map: ServerMap,
+    focus_ips: Optional[Iterable[int]],
+) -> Iterator[Tuple[int, object, DataCenterCluster]]:
+    """``(ip, state, cluster)`` for the focus servers CBG clustered."""
+    keep = set(focus_ips) if focus_ips is not None else None
+    for ip, state in items:
+        if keep is not None and ip not in keep:
+            continue
+        cluster = server_map.by_ip.get(ip)
+        if cluster is not None:
+            yield ip, state, cluster
 
 
 class _ServerStats:
@@ -62,38 +71,33 @@ class _ServerStats:
 
 
 class TrafficAccumulator:
-    """Table I/II/VI-B state for one dataset, updated per sealed window.
+    """Table I/II/VI-B state for one dataset.
+
+    Args:
+        table: A first batch to fold in (a whole dataset, for batch use).
 
     Attributes:
         flows: Total flows seen.
         total_bytes: Total bytes seen.
     """
 
-    def __init__(self):
+    def __init__(self, table: Optional[FlowTable] = None):
         self.flows = 0
         self.total_bytes = 0
         self._clients: Set[int] = set()
-        # Insertion order = first occurrence in stream (= record) order;
-        # the preferred-DC derivation replays it to reproduce the batch
-        # path's view-creation order and stable-sort tie behaviour.
+        # Insertion order = first occurrence in record order; the
+        # preferred-DC view replays it for view-creation order and
+        # stable-sort tie behaviour.
         self._servers: Dict[int, _ServerStats] = {}
+        if table is not None:
+            self.observe(table)
 
-    @property
-    def num_servers(self) -> int:
-        """Distinct server addresses seen."""
-        return len(self._servers)
-
-    @property
-    def num_clients(self) -> int:
-        """Distinct client addresses seen."""
-        return len(self._clients)
-
-    def observe_window(self, window: StreamWindow) -> None:
-        """Fold one sealed window in."""
-        if len(window) == 0:
+    def observe(self, table: FlowTable) -> None:
+        """Fold the next batch of records in."""
+        if len(table) == 0:
             return
-        cols = window.table.columns()
-        self.flows += len(window)
+        cols = table.columns()
+        self.flows += len(table)
         self.total_bytes += int(cols.num_bytes.sum())
         self._clients.update(np.unique(cols.src_ip).tolist())
         uniq, first_idx, inverse = np.unique(cols.dst_ip, return_index=True, return_inverse=True)
@@ -115,53 +119,50 @@ class TrafficAccumulator:
             stats = self._servers[ip] = _ServerStats()
         return stats
 
-    # -------------------------------------------------- batch-equivalent views
+    # ------------------------------------------------------------- views
 
     def server_ips(self) -> List[int]:
-        """Distinct server addresses, sorted (as ``Dataset.server_ips``)."""
+        """Distinct server addresses, sorted."""
         return sorted(self._servers)
 
     def summary(self, name: str) -> DatasetSummary:
-        """The Table I row (equal to ``summarize`` over the batch dataset)."""
+        """The Table I row."""
         return DatasetSummary(
             name=name,
             flows=self.flows,
             volume_bytes=self.total_bytes,
-            num_servers=self.num_servers,
-            num_clients=self.num_clients,
+            num_servers=len(self._servers),
+            num_clients=len(self._clients),
         )
 
     def as_breakdown(
         self, name: str, vantage_asn: int, registry: AsRegistry
     ) -> asmap.AsBreakdown:
-        """The Table II row (equal to ``breakdown_by_as``).
+        """The Table II row.
 
         Raises:
-            ValueError: With no flows (the batch path raises too).
+            ValueError: With no flows.
         """
         if self.flows == 0:
             raise ValueError(f"dataset {name} is empty")
-        server_groups = {
-            ip: asmap._group_of(asn, vantage_asn) if asn is not None else "others"
-            for ip, asn in ((ip, registry.asn_of(ip)) for ip in self.server_ips())
-        }
         server_counts = {g: 0 for g in asmap.AS_GROUPS}
         byte_counts = {g: 0 for g in asmap.AS_GROUPS}
-        for ip, group in server_groups.items():
+        for ip in self.server_ips():
+            asn = registry.asn_of(ip)
+            group = asmap._group_of(asn, vantage_asn) if asn is not None else "others"
             server_counts[group] += 1
             byte_counts[group] += self._servers[ip].num_bytes
-        num_servers = len(server_groups)
         total_bytes = max(1, sum(byte_counts.values()))
         return asmap.AsBreakdown(
             name=name,
             server_fractions={
-                g: server_counts[g] / num_servers for g in asmap.AS_GROUPS
+                g: server_counts[g] / len(self._servers) for g in asmap.AS_GROUPS
             },
             byte_fractions={g: byte_counts[g] / total_bytes for g in asmap.AS_GROUPS},
         )
 
     def focus_ips(self, vantage_asn: int, registry: AsRegistry) -> List[int]:
-        """The Section IV focus list (equal to ``google_focus_ips``)."""
+        """The Section IV focus list: Google-AS and in-ISP servers, sorted."""
         keep: List[int] = []
         for ip in self.server_ips():
             asn = registry.asn_of(ip)
@@ -173,28 +174,25 @@ class TrafficAccumulator:
         self,
         name: str,
         server_map: ServerMap,
-        rtts_ms: Dict[int, float],
-        focus_ips: Sequence[int],
+        rtts_ms: Mapping[int, float],
         vantage_point: GeoPoint,
+        focus_ips: Optional[Iterable[int]] = None,
     ) -> PreferredDcReport:
-        """The Section VI-B report (equal to ``analyze_preferred``).
+        """The Section VI-B report.
 
-        Replays the per-server totals in first-occurrence order, which is
-        the batch path's view-creation order: byte-descending stable sort
-        and the majors/min-RTT rule then tie-break identically.
+        Per-server totals are replayed in first-occurrence order, so views
+        are created — and the byte-descending stable sort and the
+        majors/min-RTT rule tie-break — in record order.
+
+        Args:
+            focus_ips: Servers to keep (default: every clustered server).
 
         Raises:
             ValueError: If no clustered traffic survives the filter.
         """
-        keep = set(focus_ips)
         views: Dict[str, DataCenterView] = {}
         total_bytes = 0
-        for ip, stats in self._servers.items():
-            if ip not in keep:
-                continue
-            cluster = server_map.by_ip.get(ip)
-            if cluster is None:
-                continue
+        for ip, stats, cluster in _clustered(self._servers.items(), server_map, focus_ips):
             view = views.get(cluster.cluster_id)
             if view is None:
                 view = DataCenterView(
@@ -222,22 +220,16 @@ class TrafficAccumulator:
         self,
         report: PreferredDcReport,
         server_map: ServerMap,
-        focus_ips: Sequence[int],
+        focus_ips: Optional[Iterable[int]] = None,
     ) -> float:
-        """The Figure 9/10 scalar (equal to ``nonpreferred_fraction``).
+        """Share of clustered video flows served by non-preferred data centers.
 
         Raises:
             ValueError: With no classifiable video flows.
         """
-        keep = set(focus_ips)
         preferred = 0
         nonpreferred = 0
-        for ip, stats in self._servers.items():
-            if ip not in keep:
-                continue
-            cluster = server_map.by_ip.get(ip)
-            if cluster is None:
-                continue
+        for _, stats, cluster in _clustered(self._servers.items(), server_map, focus_ips):
             if cluster.cluster_id == report.preferred_id:
                 preferred += stats.video_flows
             else:
@@ -249,98 +241,77 @@ class TrafficAccumulator:
 
 
 class HourlyShareAccumulator:
-    """Per-hour, per-server video-flow counts (Figure 9's raw material)."""
+    """Per-hour, per-server video-flow counts (Figure 9's raw material).
 
-    def __init__(self):
+    Args:
+        table: A first batch to fold in (a whole dataset, for batch use).
+    """
+
+    def __init__(self, table: Optional[FlowTable] = None):
         self._counts: Dict[int, Dict[int, int]] = {}  # ip -> hour -> count
+        if table is not None:
+            self.observe(table)
 
-    def observe_window(self, window: StreamWindow) -> None:
-        """Fold one sealed window in."""
-        if len(window) == 0:
+    def observe(self, table: FlowTable) -> None:
+        """Fold the next batch of records in."""
+        if len(table) == 0:
             return
-        cols = window.table.columns()
+        cols = table.columns()
         video = cols.num_bytes >= CONTROL_FLOW_THRESHOLD_BYTES
         key = cols.dst_ip[video] * _HOUR_STRIDE + cols.hour[video]
         uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
         # Replay in first-occurrence order: servers and hours enter the
-        # dicts in the order the window's flows first reach them.
+        # dicts in the order the batch's flows first reach them.
         for j in np.argsort(first, kind="stable").tolist():
             ip, hour = divmod(int(uniq[j]), _HOUR_STRIDE)
             hours = self._counts.setdefault(ip, {})
             hours[hour] = hours.get(hour, 0) + int(counts[j])
 
-    def fractions(
+    def cdf(
         self,
         report: PreferredDcReport,
         server_map: ServerMap,
         num_hours: int,
         focus_ips: Optional[Iterable[int]] = None,
         min_flows_per_hour: int = 5,
-    ) -> Dict[int, float]:
-        """Hourly non-preferred video-flow fractions (the Figure 9 input).
+    ) -> Cdf:
+        """Figure 9: CDF of the hourly non-preferred video-flow fraction.
 
-        Equal to the ``hourly_fraction`` computation the batch Figure 9
-        path performs over the focus table.
+        Hours outside ``[0, num_hours)`` and hours with fewer than
+        ``min_flows_per_hour`` clustered video flows are skipped.
+
+        Raises:
+            ValueError: If no hour has enough flows.
         """
-        keep = set(focus_ips) if focus_ips is not None else None
         numerator = [0] * num_hours
         denominator = [0] * num_hours
-        for ip, hours in self._counts.items():
-            if keep is not None and ip not in keep:
-                continue
-            cluster = server_map.by_ip.get(ip)
-            if cluster is None:
-                continue
+        for _, hours, cluster in _clustered(self._counts.items(), server_map, focus_ips):
             nonpreferred = cluster.cluster_id != report.preferred_id
             for hour, count in hours.items():
-                if hour >= num_hours:
+                if not 0 <= hour < num_hours:
                     continue
                 denominator[hour] += count
                 if nonpreferred:
                     numerator[hour] += count
-        return {
-            h: numerator[h] / denominator[h]
+        fractions = [
+            numerator[h] / denominator[h]
             for h in range(num_hours)
             if denominator[h] >= min_flows_per_hour
-        }
-
-
-class SessionStatsAccumulator:
-    """The Figure 5/6 histogram over incrementally closed sessions."""
-
-    def __init__(self):
-        self._counts = {label: 0 for label in HISTOGRAM_BUCKETS}
-        self.sessions = 0
-
-    def add(self, sessions: Iterable[Session]) -> None:
-        """Count a batch of closed sessions."""
-        for session in sessions:
-            n = session.num_flows
-            self._counts[str(n) if n <= 9 else ">9"] += 1
-            self.sessions += 1
-
-    def histogram(self) -> Dict[str, float]:
-        """Bucket fractions (equal to ``flows_per_session_histogram``).
-
-        Raises:
-            ValueError: With no sessions.
-        """
-        if self.sessions == 0:
-            raise ValueError("no sessions")
-        return {
-            label: self._counts[label] / self.sessions for label in HISTOGRAM_BUCKETS
-        }
+        ]
+        if not fractions:
+            raise ValueError("no hour has enough video flows")
+        return Cdf(fractions)
 
 
 class EdgeCloudAccumulator:
     """Per-(client subnet x server /24) volume totals for epoch snapshots.
 
-    The raw material of :mod:`repro.monitor`'s edge-cloud snapshots: for
-    every sealed window, fold each flow's bytes into the cell keyed by
-    the client's subnet name and the server address's ``/prefix_len``
-    network.  State is sized by distinct (subnet, prefix) pairs — a few
-    dozen for any scenario — never by the flow count, so month-long
-    worlds stream through without materialising.
+    The raw material of :mod:`repro.monitor`'s edge-cloud snapshots: fold
+    each flow's bytes into the cell keyed by the client's subnet name and
+    the server address's ``/prefix_len`` network.  State is sized by
+    distinct (subnet, prefix) pairs — a few dozen for any scenario —
+    never by the flow count, so month-long worlds stream through without
+    materialising.
 
     All totals are exact integers accumulated in pure python (cells are
     too few for the columnar kernels to matter), so snapshots are
@@ -364,9 +335,9 @@ class EdgeCloudAccumulator:
         self.bytes_total = 0
         self.flows_total = 0
 
-    def observe_window(self, window: StreamWindow) -> None:
-        """Fold one sealed window in."""
-        for record in window.records:
+    def observe(self, table: FlowTable) -> None:
+        """Fold the next batch of records in."""
+        for record in table.records:
             subnet = self._subnet_of(record.src_ip)
             if subnet is None:
                 continue

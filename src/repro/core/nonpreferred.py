@@ -19,10 +19,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from repro.core.flows import CONTROL_FLOW_THRESHOLD_BYTES, is_video_flow
+from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.preferred import PreferredDcReport
 from repro.core.sessions import Session
 from repro.geoloc.clustering import ServerMap
-from repro.reporting.series import Cdf, hourly_fraction
+from repro.reporting.series import Cdf
 from repro.trace.columnar import FlowTable, as_table
 from repro.trace.records import FlowRecord
 
@@ -115,18 +116,9 @@ def hourly_nonpreferred_cdf(
     Raises:
         ValueError: If no hour has enough flows.
     """
-    table = as_table(records)
-    is_video, verdict = preference_masks(table, report, server_map)
-    hour = table.columns().hour
-    fractions = hourly_fraction(
-        hour[is_video & (verdict == 0)],
-        hour[is_video & (verdict != -1)],
-        num_hours,
-        min_denominator=min_flows_per_hour,
+    return HourlyShareAccumulator(as_table(records)).cdf(
+        report, server_map, num_hours, min_flows_per_hour=min_flows_per_hour
     )
-    if not fractions:
-        raise ValueError("no hour has enough video flows")
-    return Cdf(fractions.values())
 
 
 def nonpreferred_fraction(
@@ -139,12 +131,9 @@ def nonpreferred_fraction(
     Raises:
         ValueError: With no classifiable video flows.
     """
-    is_video, verdict = preference_masks(as_table(records), report, server_map)
-    nonpref = int((is_video & (verdict == 0)).sum())
-    total = nonpref + int((is_video & (verdict == 1)).sum())
-    if total == 0:
-        raise ValueError("no classifiable video flows")
-    return nonpref / total
+    return TrafficAccumulator(as_table(records)).nonpreferred_fraction(
+        report, server_map
+    )
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ from repro.core import peering as peering_mod
 from repro.core import preferred as preferred_mod
 from repro.core import sessions as sessions_mod
 from repro.core import subnets as subnets_mod
-from repro.core.summary import DatasetSummary, summarize
+from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
+from repro.core.summary import DatasetSummary
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.geo.landmarks import LandmarkSet, generate_landmarks
@@ -41,7 +42,7 @@ from repro.geoloc.cbg import CbgGeolocator
 from repro.geoloc.clustering import ServerMap, cluster_servers
 from repro.geoloc.probing import CampaignJob, RttProber, run_campaigns
 from repro.net.latency import Site
-from repro.reporting.series import Cdf, Series
+from repro.reporting.series import Cdf
 from repro.reporting.timing import phase_timer
 from repro.sim.engine import SimulationResult
 from repro.sim.seeding import derive_seed
@@ -65,10 +66,10 @@ class StudyResults:
 class StudyPipeline:
     """The paper's analysis pipeline over a set of simulated datasets.
 
-    The active half (RTT campaigns, CBG landmarks, clustering) reads only
-    each input's ``world`` and :meth:`_server_ips`, so
-    :class:`~repro.stream.study.StreamStudy` inherits it unchanged and
-    overrides the passive trace aggregates alone.
+    Tables I-II, the focus list, the preferred-DC reports, Figure 9 and
+    the RTT campaigns' server lists read two per-dataset folds,
+    :attr:`traffic` and :attr:`hourly`, each over its dataset as one
+    batch; :class:`~repro.stream.study.StreamStudy` swaps in streamed ones.
 
     Args:
         results: Mapping dataset name → simulation result (dataset + the
@@ -143,22 +144,38 @@ class StudyPipeline:
             seed=derive_seed(self._seed, "prober", label),
         )
 
-    def _server_ips(self, name: str) -> List[int]:
-        """One dataset's distinct server addresses, sorted."""
-        return self._results[name].dataset.server_ips
+    # ------------------------------------------------------------- folds
+
+    @cached_property
+    def traffic(self) -> Dict[str, TrafficAccumulator]:
+        """Per-dataset traffic folds (Tables I-II, focus, Section VI-B)."""
+        return {
+            name: TrafficAccumulator(r.dataset.columnar())
+            for name, r in self._results.items()
+        }
+
+    @cached_property
+    def hourly(self) -> Dict[str, HourlyShareAccumulator]:
+        """Per-dataset hourly video-flow folds (Figure 9 only)."""
+        return {
+            name: HourlyShareAccumulator(r.dataset.columnar())
+            for name, r in self._results.items()
+        }
 
     # --------------------------------------------------------- T1, T2, focus
 
     @cached_property
     def summaries(self) -> Dict[str, DatasetSummary]:
         """Table I rows."""
-        return {name: summarize(r.dataset) for name, r in self._results.items()}
+        return {name: self.traffic[name].summary(name) for name in self._results}
 
     @cached_property
     def as_breakdowns(self) -> Dict[str, asmap.AsBreakdown]:
         """Table II rows."""
         return {
-            name: asmap.breakdown_by_as(r.dataset, r.world.registry)
+            name: self.traffic[name].as_breakdown(
+                name, r.world.vantage.asn, r.world.registry
+            )
             for name, r in self._results.items()
         }
 
@@ -166,7 +183,7 @@ class StudyPipeline:
     def focus_ips(self) -> Dict[str, List[int]]:
         """Per-dataset Google-focus server lists (Section IV)."""
         return {
-            name: asmap.google_focus_ips(r.dataset, r.world.registry)
+            name: self.traffic[name].focus_ips(r.world.vantage.asn, r.world.registry)
             for name, r in self._results.items()
         }
 
@@ -206,7 +223,7 @@ class StudyPipeline:
         jobs: List[CampaignJob] = []
         for name, result in self._results.items():
             targets: Dict[object, Site] = {}
-            for ip in self._server_ips(name):
+            for ip in self.traffic[name].server_ips():
                 site = site_of_ip(ip)
                 if site is not None:
                     targets[ip] = site
@@ -313,10 +330,11 @@ class StudyPipeline:
         with phase_timer("analysis/preferred"):
             reports: Dict[str, preferred_mod.PreferredDcReport] = {}
             for name, result in self._results.items():
-                reports[name] = preferred_mod.analyze_preferred(
-                    result.dataset,
+                reports[name] = self.traffic[name].preferred_report(
+                    name,
                     self.server_map,
                     self.rtt_campaigns[name],
+                    result.world.vantage.city.point,
                     focus_ips=self.focus_ips[name],
                 )
         degradation.stage_completed("pipeline/preferred")
@@ -326,18 +344,18 @@ class StudyPipeline:
 
     def fig9_cdf(self, name: str, min_flows_per_hour: int = 5) -> Cdf:
         """One Figure 9 curve."""
-        return nonpreferred.hourly_nonpreferred_cdf(
-            self.focus_tables[name],
+        return self.hourly[name].cdf(
             self.preferred_reports[name],
             self.server_map,
-            self.dataset(name).num_hours,
+            int(self._results[name].world.duration_s // 3600.0),
+            focus_ips=self.focus_ips[name],
             min_flows_per_hour=min_flows_per_hour,
         )
 
     def nonpreferred_fraction(self, name: str) -> float:
         """Overall non-preferred video-flow share for one dataset."""
-        return nonpreferred.nonpreferred_fraction(
-            self.focus_tables[name], self.preferred_reports[name], self.server_map
+        return self.traffic[name].nonpreferred_fraction(
+            self.preferred_reports[name], self.server_map, self.focus_ips[name]
         )
 
     def one_flow_breakdown(self, name: str) -> nonpreferred.OneFlowBreakdown:

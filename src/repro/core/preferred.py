@@ -10,14 +10,11 @@ preferred one."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
-import numpy as np
-
-from repro.geo.coords import GeoPoint, haversine_km
+from repro.geo.coords import GeoPoint
 from repro.geoloc.clustering import DataCenterCluster, ServerMap
 from repro.reporting.series import Series
-from repro.trace.columnar import group_sum_int64
 from repro.trace.records import Dataset
 
 #: A data center must carry at least this byte share to be considered when
@@ -92,11 +89,6 @@ class PreferredDcReport:
             return 0.0
         return self.view(cluster_id).num_bytes / self.total_bytes
 
-    def is_preferred_ip(self, server_ip: int, server_map: ServerMap) -> bool:
-        """Whether a server address belongs to the preferred data center."""
-        cluster = server_map.by_ip.get(server_ip)
-        return cluster is not None and cluster.cluster_id == self.preferred_id
-
     # ------------------------------------------------------------- figures
 
     def cumulative_by_rtt(self) -> Series:
@@ -149,52 +141,13 @@ def analyze_preferred(
     Raises:
         ValueError: If no traffic survives the filter.
     """
+    # Deferred: the fold module builds on this module's types.
+    from repro.core.folds import TrafficAccumulator
+
     if vantage_point is None:
         vantage_point = dataset.vantage.city.point
-    keep = set(focus_ips) if focus_ips is not None else None
-
-    views: Dict[str, DataCenterView] = {}
-    total_bytes = 0
-    # Collapse the flows to per-distinct-server aggregates (bincount /
-    # reduceat), then replay the tiny per-server loop in first-occurrence
-    # order so view creation order, byte totals, and min-RTTs match the
-    # record spec exactly.
-    cols = dataset.columnar().columns()
-    dst, num_bytes = cols.dst_ip, cols.num_bytes
-    if keep is not None:
-        mask = np.isin(dst, np.fromiter(keep, np.int64, count=len(keep)))
-        dst, num_bytes = dst[mask], num_bytes[mask]
-    uniq, first_idx, inverse = np.unique(dst, return_index=True, return_inverse=True)
-    flows_per_ip = np.bincount(inverse, minlength=len(uniq))
-    bytes_per_ip = group_sum_int64(inverse, num_bytes, len(uniq))
-    for j in np.argsort(first_idx, kind="stable").tolist():
-        ip = int(uniq[j])
-        cluster = server_map.by_ip.get(ip)
-        if cluster is None:
-            continue
-        view = views.get(cluster.cluster_id)
-        if view is None:
-            view = DataCenterView(
-                cluster=cluster,
-                distance_km=haversine_km(vantage_point, cluster.estimate),
-            )
-            views[cluster.cluster_id] = view
-        view.num_bytes += int(bytes_per_ip[j])
-        view.num_flows += int(flows_per_ip[j])
-        total_bytes += int(bytes_per_ip[j])
-        rtt = rtts_ms.get(ip)
-        if rtt is not None and rtt < view.min_rtt_ms:
-            view.min_rtt_ms = rtt
-    if not views:
-        raise ValueError(f"no clustered traffic in {dataset.name}")
-
-    ordered = sorted(views.values(), key=lambda v: -v.num_bytes)
-    preferred_id = _pick_preferred(ordered, total_bytes)
-    return PreferredDcReport(
-        dataset_name=dataset.name,
-        views=ordered,
-        preferred_id=preferred_id,
-        total_bytes=total_bytes,
+    return TrafficAccumulator(dataset.columnar()).preferred_report(
+        dataset.name, server_map, rtts_ms, vantage_point, focus_ips
     )
 
 

@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Union
 
-from repro.trace.columnar import FlowTable, as_table, histogram_from_sizes
+import numpy as np
+
+from repro.trace.columnar import FlowTable, as_table
 from repro.trace.records import FlowRecord
 
 #: The paper's chosen session gap.
@@ -121,14 +123,46 @@ def build_sessions(
     )
 
 
-def _histogram_from_counts(sizes: Sequence[int]) -> Dict[str, float]:
-    if not sizes:
-        raise ValueError("no sessions")
-    counts = {label: 0 for label in HISTOGRAM_BUCKETS}
-    for n in sizes:
-        counts[str(n) if n <= 9 else ">9"] += 1
-    total = len(sizes)
-    return {label: counts[label] / total for label in HISTOGRAM_BUCKETS}
+class SessionStatsAccumulator:
+    """The Figure 5/6 flows-per-session histogram, folded batch by batch.
+
+    The one bucketing of session sizes, for batch and streamed sessions.
+
+    Args:
+        sizes: Flow counts of a first batch of sessions.
+
+    Attributes:
+        sessions: Sessions counted so far.
+    """
+
+    def __init__(self, sizes=()):
+        # Index n counts n-flow sessions for n = 1..9; index 10 is ">9".
+        self._counts = np.zeros(len(HISTOGRAM_BUCKETS) + 1, dtype=np.int64)
+        self.sessions = 0
+        self.add_sizes(sizes)
+
+    def add_sizes(self, sizes) -> None:
+        """Count sessions of the given flow counts (a sequence or an array)."""
+        sizes = np.minimum(np.asarray(sizes, dtype=np.int64), len(HISTOGRAM_BUCKETS))
+        self._counts += np.bincount(sizes, minlength=len(self._counts))
+        self.sessions += len(sizes)
+
+    def add(self, sessions: Iterable[Session]) -> None:
+        """Count a batch of sessions."""
+        self.add_sizes([session.num_flows for session in sessions])
+
+    def histogram(self) -> Dict[str, float]:
+        """Bucket label (``"1"``..``"9"``, ``">9"``) → fraction of sessions.
+
+        Raises:
+            ValueError: With no sessions.
+        """
+        if self.sessions == 0:
+            raise ValueError("no sessions")
+        return {
+            label: count / self.sessions
+            for label, count in zip(HISTOGRAM_BUCKETS, self._counts[1:].tolist())
+        }
 
 
 def flows_per_session_histogram(sessions: Sequence[Session]) -> Dict[str, float]:
@@ -140,7 +174,7 @@ def flows_per_session_histogram(sessions: Sequence[Session]) -> Dict[str, float]
     Raises:
         ValueError: With no sessions.
     """
-    return _histogram_from_counts([session.num_flows for session in sessions])
+    return SessionStatsAccumulator([s.num_flows for s in sessions]).histogram()
 
 
 def multi_flow_fraction(sessions: Sequence[Session]) -> float:
@@ -173,4 +207,7 @@ def gap_sensitivity(
         if gap <= 0:
             raise ValueError("gap_s must be positive")
     index = as_table(records).session_index()
-    return {gap: histogram_from_sizes(index.session_sizes(gap)) for gap in gaps_s}
+    return {
+        gap: SessionStatsAccumulator(index.session_sizes(gap)).histogram()
+        for gap in gaps_s
+    }

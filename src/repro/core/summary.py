@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from repro.reporting.tables import TextTable, format_bytes
 from repro.trace.records import Dataset
 
@@ -48,14 +46,10 @@ class DatasetSummary:
 
 def summarize(dataset: Dataset) -> DatasetSummary:
     """Compute the Table I row for one dataset."""
-    cols = dataset.columnar().columns()
-    return DatasetSummary(
-        name=dataset.name,
-        flows=len(dataset),
-        volume_bytes=int(cols.num_bytes.sum()),
-        num_servers=int(np.unique(cols.dst_ip).size),
-        num_clients=int(np.unique(cols.src_ip).size),
-    )
+    # Deferred: the fold module builds on this module's types.
+    from repro.core.folds import TrafficAccumulator
+
+    return TrafficAccumulator(dataset.columnar()).summary(dataset.name)
 
 
 def render_table1(summaries: Iterable[DatasetSummary]) -> str:

@@ -2,7 +2,7 @@
 
 One :class:`EpochSnapshot` is everything the monitor keeps of an epoch:
 per-(client subnet x server /24) byte/flow totals folded online by an
-:class:`~repro.stream.accumulators.EdgeCloudAccumulator` while the
+:class:`~repro.core.folds.EdgeCloudAccumulator` while the
 epoch's flows stream through a tumbling windower, plus one min-filtered
 RTT measurement per observed server prefix (a fault-aware ping campaign
 — under an active :class:`~repro.faults.plan.FaultPlan`, lost probes
@@ -25,14 +25,14 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro import obs
+from repro.core.folds import EdgeCloudAccumulator
 from repro.exec.executor import ParallelExecutor
 from repro.geoloc.probing import CampaignJob, run_campaigns
 from repro.net.ip import format_ip
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY
 from repro.sim.scenarios import ScenarioWorld
-from repro.stream.accumulators import EdgeCloudAccumulator
 from repro.stream.source import simulated_stream
-from repro.stream.windows import TumblingWindower
+from repro.stream.windows import TumblingWindower, drive
 
 #: Decimal places RTT centroids are rounded to before storage; fixed so
 #: snapshot bytes (and digests) are stable across platforms.
@@ -154,11 +154,10 @@ def build_epoch_snapshot(
     accumulator = EdgeCloudAccumulator(subnet_of, prefix_len=prefix_len)
     windower = TumblingWindower(min(window_s, world.duration_s))
     with obs.span("monitor/ingest", dataset=name, epoch=epoch):
-        for event in simulated_stream(world, miss_probability=miss_probability):
-            for window in windower.push(event):
-                accumulator.observe_window(window)
-        for window in windower.finish():
-            accumulator.observe_window(window)
+        drive(
+            simulated_stream(world, miss_probability=miss_probability),
+            windower, lambda window: accumulator.observe(window.table),
+        )
         obs.inc("monitor.flows", accumulator.flows_total, dataset=name)
 
     prefixes = accumulator.prefixes()

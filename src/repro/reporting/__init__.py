@@ -4,7 +4,7 @@ Everything the benchmarks print goes through this package, so the
 regenerated tables and figure series share one look.
 """
 
-from repro.reporting.series import Cdf, Series, hourly_counts, hourly_fraction
+from repro.reporting.series import Cdf, Series, hourly_counts
 from repro.reporting.tables import TextTable, format_bytes, format_fraction
 from repro.reporting.timing import render_timing_table, timing_summary, write_timing_json
 
@@ -12,7 +12,6 @@ __all__ = [
     "Cdf",
     "Series",
     "hourly_counts",
-    "hourly_fraction",
     "TextTable",
     "format_bytes",
     "format_fraction",

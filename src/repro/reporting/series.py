@@ -9,7 +9,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -160,24 +160,3 @@ def hourly_counts(hours: Iterable[int], num_hours: int) -> List[int]:
         if 0 <= hour < num_hours:
             counts[hour] += 1
     return counts
-
-
-def hourly_fraction(
-    numerator_hours: Iterable[int], denominator_hours: Iterable[int], num_hours: int,
-    min_denominator: int = 1,
-) -> Dict[int, float]:
-    """Per-hour ratio of two hourly counts.
-
-    Hours whose denominator is below ``min_denominator`` are omitted (the
-    paper's hourly-fraction plots are undefined on empty hours).
-
-    Returns:
-        Mapping hour → fraction.
-    """
-    num = hourly_counts(numerator_hours, num_hours)
-    den = hourly_counts(denominator_hours, num_hours)
-    return {
-        h: num[h] / den[h]
-        for h in range(num_hours)
-        if den[h] >= min_denominator
-    }

@@ -7,22 +7,23 @@ materialised week: the simulator's live-emit mode
 :class:`~repro.stream.events.FlowArrival` and
 :class:`~repro.stream.events.WatermarkAdvance` events; a
 :class:`~repro.stream.windows.TumblingWindower` seals them into
-per-window :class:`~repro.trace.columnar.FlowTable` batches (so the
-numpy kernels run unchanged); a
-:class:`~repro.stream.windows.WindowedSessionBuilder` closes gap-T
-sessions incrementally; and the online accumulators
-(:mod:`repro.stream.accumulators`, :mod:`repro.core.streaming`) update
-per window with memory bounded by servers x hours + open sessions +
-one window — never by the flow count.
+per-window :class:`~repro.trace.columnar.FlowTable` batches, and
+:func:`~repro.stream.windows.drive` hands each sealed window to the
+consumers and closes gap-T sessions as the sealed boundary moves.
 
-The whole path is a drop-in execution strategy, not a fork of the
-analysis: ``repro study --stream`` renders byte-identical output (and
-``--digests`` lines) to the batch path at any window size.  See
-docs/architecture.md ("Streaming ingestion") for the watermark
-semantics and the equivalence argument.
+The stream is a schedule, not a second analysis.  The study's folds
+(:mod:`repro.core.folds`) are the ones batch analysis runs over a whole
+dataset as one batch; here they fold window by window, so every table
+is the same code in both modes.  Sessions are split by the one session
+index, with only each (client, video) group's last session carried
+between windows (:class:`~repro.stream.windows.WindowedSessionBuilder`).
+Memory stays bounded by servers x hours + open sessions + one window —
+never by the flow count — and ``repro study --stream`` renders
+byte-identical output (and ``--digests`` lines) to the batch path at any
+window size.  See docs/architecture.md ("Streaming ingestion") for the
+watermark semantics and the equivalence argument.
 """
 
-from repro.stream.accumulators import EdgeCloudAccumulator
 from repro.stream.events import FlowArrival, StreamWindow, WatermarkAdvance
 from repro.stream.digest import StreamingDigest
 from repro.stream.source import inject_disorder, replay_flow_log, replay_records, simulated_stream
@@ -33,10 +34,9 @@ from repro.stream.study import (
     run_streaming_study,
     stream_dataset,
 )
-from repro.stream.windows import TumblingWindower, WindowedSessionBuilder
+from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
 
 __all__ = [
-    "EdgeCloudAccumulator",
     "FlowArrival",
     "StreamStudy",
     "StreamWindow",
@@ -45,6 +45,7 @@ __all__ = [
     "TumblingWindower",
     "WatermarkAdvance",
     "WindowedSessionBuilder",
+    "drive",
     "inject_disorder",
     "render_stream_report",
     "replay_flow_log",

@@ -22,14 +22,12 @@ by distinct videos / windows, never by the flow count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.stream.events import StreamWindow
 from repro.trace.columnar import group_sum_int64
-
-if TYPE_CHECKING:  # import-time cycle: repro.stream imports this module
-    from repro.stream.events import StreamWindow
 
 
 @dataclass(frozen=True)

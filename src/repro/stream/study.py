@@ -1,11 +1,11 @@
 """The streamed study: the paper's headline analysis with bounded memory.
 
 :func:`stream_dataset` drives one world's live-emit event stream through
-the tumbling windower and every online accumulator; :class:`StreamStudy`
-is the batch :class:`~repro.core.pipeline.StudyPipeline` with its passive
-trace aggregates read from those accumulators, so it runs the same
-*active* half of the methodology (RTT campaigns, CBG clustering) over
-the retained worlds and derives the same tables.
+the tumbling windower into the study's folds; :class:`StreamStudy` is
+the batch :class:`~repro.core.pipeline.StudyPipeline` with those window-
+by-window folds in place of its one-batch ones, so every view — the
+tables, the preferred-DC reports, Figure 9, the RTT campaigns and CBG
+clustering — is the same code in both modes.
 
 Byte parity is the design contract: ``repro study --stream`` produces
 the identical report text and identical ``--digests`` lines as the batch
@@ -15,9 +15,11 @@ path, at any window size, because
   records (same RNG consumption, see
   :func:`repro.sim.engine.stream_requests`),
 * sealed windows concatenate to the batch record order (see
-  :mod:`repro.stream.windows`), and
-* every accumulator reproduces its batch aggregate exactly (see
-  :mod:`repro.stream.accumulators`).
+  :mod:`repro.stream.windows`),
+* the folds of :mod:`repro.core.folds` give the same state whether they
+  see the records in one batch or window by window, and
+* sessions are split by the one session index, with only the last
+  session of each (client, video) group carried between windows.
 
 Memory stays bounded by distinct entities — servers, clients, open
 sessions, one window's records — never by the flow count.  (The request
@@ -34,31 +36,24 @@ import io
 import resource
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro import obs
-from repro.core import asmap
 from repro.core.asmap import render_table2
+from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.geography import render_table3
 from repro.core.pipeline import StudyPipeline
-from repro.core.preferred import PreferredDcReport
-from repro.core.sessions import DEFAULT_GAP_S
-from repro.core.streaming import HotSpotDetector, LoadBalanceDetector
-from repro.core.summary import DatasetSummary, render_table1
+from repro.core.sessions import DEFAULT_GAP_S, SessionStatsAccumulator
+from repro.core.summary import render_table1
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
-from repro.reporting.timing import phase_timer
 from repro.sim.driver import DEFAULT_SCALE
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY
 from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, ScenarioWorld, build_world
-from repro.stream.accumulators import (
-    HourlyShareAccumulator,
-    SessionStatsAccumulator,
-    TrafficAccumulator,
-)
+from repro.stream.detectors import HotSpotDetector, LoadBalanceDetector
 from repro.stream.digest import StreamingDigest
 from repro.stream.source import simulated_stream
-from repro.stream.windows import TumblingWindower, WindowedSessionBuilder
+from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
 from repro.trace.records import WEEK_S
 
 
@@ -84,7 +79,6 @@ class StreamedDataset:
         digest: Running content digest over the sealed windows.
         windows: Windows sealed.
         late_records: Arrivals dropped for violating the watermark.
-        sessions_closed: Sessions closed incrementally.
         peak_open_sessions: High-water mark of concurrently open sessions.
         peak_window_records: Largest single sealed window.
         rss_after_kb: Process peak RSS when this dataset finished — the
@@ -101,7 +95,6 @@ class StreamedDataset:
     digest: StreamingDigest
     windows: int
     late_records: int
-    sessions_closed: int
     peak_open_sessions: int
     peak_window_records: int
     rss_after_kb: int
@@ -133,39 +126,28 @@ def stream_dataset(
     hot_spots = HotSpotDetector()
     balance = LoadBalanceDetector()
     digest = StreamingDigest()
-    peak_open = 0
     peak_window = 0
-    last_boundary = float("-inf")
+
+    def on_window(window) -> None:
+        nonlocal peak_window
+        digest.update_window(window)
+        traffic.observe(window.table)
+        hourly.observe(window.table)
+        hot_spots.observe_window(window)
+        balance.observe_window(window)
+        peak_window = max(peak_window, len(window))
+        obs.inc("stream.windows", dataset=name)
+        obs.observe("stream.window_records", len(window), dataset=name)
+
+    def on_sessions(closed) -> None:
+        session_stats.add(closed)
+        obs.set_gauge("stream.open_sessions", builder.open_sessions, dataset=name)
+
     with obs.span("stream/ingest", dataset=name, window_s=window_s):
-        for event in simulated_stream(world, miss_probability=miss_probability):
-            for window in windower.push(event):
-                digest.update_window(window)
-                traffic.observe_window(window)
-                hourly.observe_window(window)
-                hot_spots.observe_window(window)
-                balance.observe_window(window)
-                session_stats.add(builder.observe_window(window))
-                peak_window = max(peak_window, len(window))
-                obs.inc("stream.windows", dataset=name)
-                obs.observe("stream.window_records", len(window), dataset=name)
-            boundary = windower.sealed_boundary_s
-            if boundary > last_boundary:
-                # The boundary moves once per window period, so session
-                # sweeps are per-window, not per-event.
-                last_boundary = boundary
-                peak_open = max(peak_open, builder.open_sessions)
-                session_stats.add(builder.advance(boundary))
-                obs.set_gauge("stream.open_sessions", builder.open_sessions, dataset=name)
-        for window in windower.finish():
-            # Defensive: a well-formed source ends with an infinite
-            # watermark, which already sealed everything above.
-            digest.update_window(window)
-            traffic.observe_window(window)
-            hourly.observe_window(window)
-            hot_spots.observe_window(window)
-            balance.observe_window(window)
-            session_stats.add(builder.observe_window(window))
-        session_stats.add(builder.finish())
+        drive(
+            simulated_stream(world, miss_probability=miss_probability),
+            windower, on_window, builder, on_sessions,
+        )
         obs.set_gauge("stream.peak_rss", peak_rss_kb())
     if windower.late_records:
         degradation.record("stream/windower", degraded=1, late=windower.late_records)
@@ -180,8 +162,7 @@ def stream_dataset(
         digest=digest,
         windows=windower.windows_sealed,
         late_records=windower.late_records,
-        sessions_closed=builder.sessions_closed,
-        peak_open_sessions=peak_open,
+        peak_open_sessions=builder.peak_open_sessions,
         peak_window_records=peak_window,
         rss_after_kb=peak_rss_kb(),
     )
@@ -190,12 +171,12 @@ def stream_dataset(
 class StreamStudy(StudyPipeline):
     """The study's tables, derived from streamed datasets.
 
-    The measurement half — RTT campaigns, CBG landmarks, clustering — is
-    inherited from :class:`~repro.core.pipeline.StudyPipeline`, with the
-    same derived seeds, span names and degradation stages; only the
-    passive trace aggregates come from accumulators instead of
-    materialised datasets.  The record-level methods (sessions and
-    Figures 4, 5 and 9-16) need materialised records and stay batch-only.
+    Everything is inherited from :class:`~repro.core.pipeline.StudyPipeline`
+    — the table and figure views, the RTT campaigns and CBG clustering,
+    with the same derived seeds, span names and degradation stages —
+    except the folds, which come from the stream instead of one batch
+    over a materialised dataset.  The record-level methods (sessions and
+    Figures 4, 5 and 10-16) need materialised records and stay batch-only.
 
     Args:
         results: Mapping dataset name → streamed dataset, in
@@ -210,72 +191,22 @@ class StreamStudy(StudyPipeline):
         """One streamed dataset."""
         return self._results[name]
 
-    def _server_ips(self, name: str) -> List[int]:
-        return self._results[name].traffic.server_ips()
-
-    # --------------------------------------------------------- T1, T2, focus
+    @cached_property
+    def traffic(self) -> Dict[str, TrafficAccumulator]:
+        """Per-dataset traffic folds, accumulated window by window."""
+        return {name: s.traffic for name, s in self._results.items()}
 
     @cached_property
-    def summaries(self) -> Dict[str, DatasetSummary]:
-        """Table I rows."""
-        return {
-            name: s.traffic.summary(name) for name, s in self._results.items()
-        }
-
-    @cached_property
-    def as_breakdowns(self) -> Dict[str, asmap.AsBreakdown]:
-        """Table II rows."""
-        return {
-            name: s.traffic.as_breakdown(
-                name, s.world.vantage.asn, s.world.registry
-            )
-            for name, s in self._results.items()
-        }
-
-    @cached_property
-    def focus_ips(self) -> Dict[str, List[int]]:
-        """Per-dataset Google-focus server lists (Section IV)."""
-        return {
-            name: s.traffic.focus_ips(s.world.vantage.asn, s.world.registry)
-            for name, s in self._results.items()
-        }
-
-    # ------------------------------------------------------- F7-F10
-
-    @cached_property
-    def preferred_reports(self) -> Dict[str, PreferredDcReport]:
-        """Per-dataset preferred-data-center reports."""
-        with phase_timer("analysis/preferred"):
-            reports: Dict[str, PreferredDcReport] = {}
-            for name, s in self._results.items():
-                reports[name] = s.traffic.preferred_report(
-                    name,
-                    self.server_map,
-                    self.rtt_campaigns[name],
-                    self.focus_ips[name],
-                    s.world.vantage.city.point,
-                )
-        degradation.stage_completed("pipeline/preferred")
-        return reports
-
-    def nonpreferred_fraction(self, name: str) -> float:
-        """Overall non-preferred video-flow share for one dataset."""
-        return self._results[name].traffic.nonpreferred_fraction(
-            self.preferred_reports[name], self.server_map, self.focus_ips[name]
-        )
-
-    def hourly_nonpreferred(self, name: str) -> Dict[int, float]:
-        """Figure 9's hourly non-preferred fractions for one dataset."""
-        s = self._results[name]
-        return s.hourly.fractions(
-            self.preferred_reports[name],
-            self.server_map,
-            num_hours=int(s.world.duration_s // 3600),
-            focus_ips=self.focus_ips[name],
-        )
+    def hourly(self) -> Dict[str, HourlyShareAccumulator]:
+        """Per-dataset hourly video-flow folds, accumulated window by window."""
+        return {name: s.hourly for name, s in self._results.items()}
 
     def session_histogram(self, name: str) -> Dict[str, float]:
-        """One Figure 6 bar group, from the incremental builder."""
+        """Flows-per-session histogram over every streamed flow.
+
+        Unlike the batch Figure 6 bars, which count the focus flows'
+        sessions, the incremental builder sees all flows.
+        """
         return self._results[name].session_stats.histogram()
 
     # ---------------------------------------------------------------- stats
@@ -292,7 +223,7 @@ class StreamStudy(StudyPipeline):
                 "flows": s.traffic.flows,
                 "windows": s.windows,
                 "late_records": s.late_records,
-                "sessions_closed": s.sessions_closed,
+                "sessions_closed": s.session_stats.sessions,
                 "peak_open_sessions": s.peak_open_sessions,
                 "peak_window_records": s.peak_window_records,
                 "hot_spot_events": len(s.hot_spots.events),

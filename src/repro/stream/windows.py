@@ -12,24 +12,23 @@ tie-break).  That identity is what makes every downstream digest and
 table byte-identical to the batch path.
 
 :class:`WindowedSessionBuilder` is the incremental form of
-:func:`repro.core.sessions.build_sessions`: it consumes sealed windows
-(global record order, so each (client, video) group arrives in the exact
-order the batch spec visits it), applies the same
-``t_start - horizon < gap`` break rule, and closes a session once the
-sealed boundary passes ``horizon + gap`` — every flow that could still
-join would start before the boundary, and all such flows have already
-arrived.  Open state is dropped as sessions close, so memory follows the
-number of *concurrently active* (client, video) pairs, not the flow
-count.
+:func:`repro.core.sessions.build_sessions` and splits each window with
+it, keeping only the last session of each (client, video) group open.
+A session closes once the sealed boundary passes ``horizon + gap``:
+every flow that could still join would start before the boundary, and
+all such flows have already arrived.  Memory follows the number of
+*concurrently active* (client, video) pairs, not the flow count.
+
+:func:`drive` is the one loop that pushes events through a windower,
+folds each sealed window and closes sessions as the boundary moves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.core.sessions import Session
+from repro.core.sessions import Session, build_sessions
 from repro.stream.events import FlowArrival, StreamWindow, WatermarkAdvance
 from repro.trace.columnar import FlowTable
 from repro.trace.records import FlowRecord
@@ -83,11 +82,6 @@ class TumblingWindower:
             return -math.inf
         return self._sealed_until * self._window_s
 
-    @property
-    def open_windows(self) -> int:
-        """Unsealed windows currently holding records."""
-        return len(self._pending)
-
     def push(self, event: Union[FlowArrival, WatermarkAdvance]) -> List[StreamWindow]:
         """Feed one event; return any windows it sealed (possibly none)."""
         if isinstance(event, FlowArrival):
@@ -139,14 +133,6 @@ class TumblingWindower:
         )
 
 
-@dataclass
-class _OpenSession:
-    """One still-growing (client, video) session."""
-
-    flows: List[FlowRecord] = field(default_factory=list)
-    horizon: float = -math.inf  # running max of member t_end
-
-
 class WindowedSessionBuilder:
     """Incremental gap-T session construction over sealed windows.
 
@@ -160,15 +146,16 @@ class WindowedSessionBuilder:
         gap_s: The session gap T.
 
     Attributes:
-        sessions_closed: Sessions emitted so far.
+        peak_open_sessions: Most sessions open at any :meth:`advance`.
     """
 
     def __init__(self, gap_s: float):
         if gap_s <= 0:
             raise ValueError("gap_s must be positive")
         self._gap_s = gap_s
-        self._open: Dict[Tuple[int, str], _OpenSession] = {}
-        self.sessions_closed = 0
+        # (client, video) -> (last session, its horizon = max member t_end)
+        self._open: Dict[Tuple[int, str], Tuple[Session, float]] = {}
+        self.peak_open_sessions = 0
 
     @property
     def open_sessions(self) -> int:
@@ -176,25 +163,27 @@ class WindowedSessionBuilder:
         return len(self._open)
 
     def observe_window(self, window: StreamWindow) -> List[Session]:
-        """Feed one sealed window; return sessions its flows broke closed."""
+        """Feed one sealed window; return sessions its flows broke closed.
+
+        The open sessions' flows and the window's records are split by
+        :func:`~repro.core.sessions.build_sessions` as one table.  Carried
+        flows started in earlier windows, so the stable sort keeps them
+        ahead of the window's flows in their group.  Every session but
+        the last of a group is final; the last stays open.
+        """
+        carried = [flow for session, _ in self._open.values() for flow in session.flows]
+        sessions = build_sessions(FlowTable(carried + window.records), self._gap_s)
+        self._open = {}
         closed: List[Session] = []
-        for record in window.records:
-            key = (record.src_ip, record.video_id)
-            state = self._open.get(key)
-            if state is None:
-                self._open[key] = _OpenSession([record], record.t_end)
-            elif record.t_start - state.horizon < self._gap_s:
-                state.flows.append(record)
-                if record.t_end > state.horizon:
-                    state.horizon = record.t_end
+        for session, following in zip(sessions, sessions[1:] + [None]):
+            key = (session.client_ip, session.video_id)
+            if following is not None and (following.client_ip, following.video_id) == key:
+                closed.append(session)
             else:
-                # The batch spec carries the group horizon across session
-                # breaks, but a break implies t_end >= t_start >= horizon
-                # + gap > horizon, so the new flow's t_end IS the carried
-                # max — restarting the state loses nothing.
-                closed.append(Session(client_ip=key[0], video_id=key[1], flows=state.flows))
-                self._open[key] = _OpenSession([record], record.t_end)
-        self.sessions_closed += len(closed)
+                # After a break the new flow's t_end exceeds every earlier
+                # t_end of the group, so the last session's own max is the
+                # group horizon the gap rule compares against.
+                self._open[key] = (session, max(flow.t_end for flow in session.flows))
         return closed
 
     def advance(self, sealed_boundary_s: float) -> List[Session]:
@@ -207,14 +196,49 @@ class WindowedSessionBuilder:
                 ``horizon + gap`` lies at or below the boundary is final:
                 any joining flow would start before ``horizon + gap``.
         """
+        self.peak_open_sessions = max(self.peak_open_sessions, len(self._open))
         closed: List[Session] = []
-        for key, state in list(self._open.items()):
-            if state.horizon + self._gap_s <= sealed_boundary_s:
-                closed.append(Session(client_ip=key[0], video_id=key[1], flows=state.flows))
+        for key, (session, horizon) in list(self._open.items()):
+            if horizon + self._gap_s <= sealed_boundary_s:
+                closed.append(session)
                 del self._open[key]
-        self.sessions_closed += len(closed)
         return closed
 
     def finish(self) -> List[Session]:
         """Close everything still open (end of stream)."""
         return self.advance(math.inf)
+
+
+def drive(
+    events: Iterable[Union[FlowArrival, WatermarkAdvance]],
+    windower: TumblingWindower,
+    on_window: Callable[[StreamWindow], None],
+    builder: Optional[WindowedSessionBuilder] = None,
+    on_sessions: Callable[[List[Session]], None] = lambda sessions: None,
+) -> None:
+    """Push every event through ``windower`` and fold what it seals.
+
+    Each sealed window goes to ``on_window``, then to the ``builder``,
+    which also closes sessions whenever the sealed boundary moves; closed
+    sessions go to ``on_sessions``.  When the events run out, everything
+    still pending is sealed and closed.
+    """
+    last_boundary = -math.inf
+
+    def seal(windows: List[StreamWindow]) -> None:
+        for window in windows:
+            on_window(window)
+            if builder is not None:
+                on_sessions(builder.observe_window(window))
+
+    for event in events:
+        seal(windower.push(event))
+        boundary = windower.sealed_boundary_s
+        if builder is not None and boundary > last_boundary:
+            # The boundary moves once per window period, so session
+            # sweeps are per-window, not per-event.
+            last_boundary = boundary
+            on_sessions(builder.advance(boundary))
+    seal(windower.finish())
+    if builder is not None:
+        on_sessions(builder.finish())

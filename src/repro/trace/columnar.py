@@ -2,7 +2,7 @@
 
 The analysis modules (:mod:`repro.core.sessions`, :mod:`repro.core.flows`,
 :mod:`repro.core.preferred`, :mod:`repro.core.hotspots`,
-:mod:`repro.core.nonpreferred`, :mod:`repro.core.summary`) run the paper's
+:mod:`repro.core.nonpreferred`, :mod:`repro.core.folds`) run the paper's
 Section VI methodology as vectorised kernels over the column arrays kept
 here:
 
@@ -13,9 +13,8 @@ here:
 * :class:`SessionIndex` — the gap-*independent* part of session building
   (one lexsort over (client, video, start, end) plus the group-wise
   running-max horizon), shared by every gap value of the Figure 5 sweep;
-* small grouped-aggregation helpers (:func:`group_sum_int64`,
-  :func:`histogram_from_sizes`) used by the per-hour / per-DC / per-video
-  kernels.
+* :func:`group_sum_int64`, the exact grouped sum used by the per-hour /
+  per-DC / per-video kernels.
 
 The record-at-a-time executable spec of the same methodology lives in
 ``tests/oracle/``; the parity tests require every kernel to reproduce it
@@ -300,22 +299,4 @@ def group_sum_int64(codes, values, num_groups: int):
         np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
     )
     out[sorted_codes[boundaries]] = np.add.reduceat(sorted_values, boundaries)
-    return out
-
-
-def histogram_from_sizes(sizes) -> Dict[str, float]:
-    """The Figure 5/6 bucket histogram from an array of session sizes.
-
-    Returns the same ``{"1"..."9", ">9"} -> fraction`` mapping (same key
-    order, same built-in floats) as the record-at-a-time path.
-
-    Raises:
-        ValueError: With no sessions.
-    """
-    total = int(len(sizes))
-    if total == 0:
-        raise ValueError("no sessions")
-    counts = np.bincount(np.minimum(sizes, 10), minlength=11)
-    out = {str(i): int(counts[i]) / total for i in range(1, 10)}
-    out[">9"] = int(counts[10]) / total
     return out

@@ -5,7 +5,7 @@ Every module here restates one runtime kernel as a plain loop over
 the paper words it, with no columns, sorting tricks or grouped
 reductions.  The modules mirror the runtime layout (``oracle.preferred``
 specifies :mod:`repro.core.preferred`, ``oracle.accumulators`` specifies
-:mod:`repro.stream.accumulators`, and so on).
+:mod:`repro.core.folds`, and so on).
 
 Nothing under ``src/`` imports this package: it exists so the parity
 tests (``tests/test_columnar_kernels.py`` and the hypothesis properties

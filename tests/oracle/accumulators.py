@@ -1,14 +1,14 @@
-"""Spec of :mod:`repro.stream.accumulators`: window folds, one flow at a time."""
+"""Spec of :mod:`repro.core.folds`: the traffic and hourly folds, one flow at a time."""
 
 from __future__ import annotations
 
 from repro.core.flows import CONTROL_FLOW_THRESHOLD_BYTES
-from repro.stream.accumulators import HourlyShareAccumulator, TrafficAccumulator
+from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.stream.events import StreamWindow
 
 
 def observe_traffic(acc: TrafficAccumulator, window: StreamWindow) -> None:
-    """Spec of :meth:`TrafficAccumulator.observe_window`."""
+    """Spec of :meth:`TrafficAccumulator.observe`."""
     for record in window.records:
         acc.flows += 1
         acc.total_bytes += record.num_bytes
@@ -21,7 +21,7 @@ def observe_traffic(acc: TrafficAccumulator, window: StreamWindow) -> None:
 
 
 def observe_hourly(acc: HourlyShareAccumulator, window: StreamWindow) -> None:
-    """Spec of :meth:`HourlyShareAccumulator.observe_window`."""
+    """Spec of :meth:`HourlyShareAccumulator.observe`."""
     for record in window.records:
         if record.num_bytes < CONTROL_FLOW_THRESHOLD_BYTES:
             continue

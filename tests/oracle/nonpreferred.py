@@ -8,8 +8,20 @@ from repro.core.flows import is_video_flow
 from repro.core.nonpreferred import _preferred_test
 from repro.core.preferred import PreferredDcReport
 from repro.geoloc.clustering import ServerMap
-from repro.reporting.series import Cdf, hourly_fraction
+from repro.reporting.series import Cdf, hourly_counts
 from repro.trace.records import FlowRecord
+
+
+def hourly_fraction(
+    numerator_hours: Iterable[int],
+    denominator_hours: Iterable[int],
+    num_hours: int,
+    min_denominator: int = 1,
+) -> Dict[int, float]:
+    """Per-hour ratio of two hourly counts, skipping thin hours."""
+    num = hourly_counts(numerator_hours, num_hours)
+    den = hourly_counts(denominator_hours, num_hours)
+    return {h: num[h] / den[h] for h in range(num_hours) if den[h] >= min_denominator}
 
 
 def video_flow_preference(

@@ -6,9 +6,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.sessions import (
     DEFAULT_GAP_S,
+    HISTOGRAM_BUCKETS,
     PAPER_GAP_SWEEP_S,
     Session,
-    _histogram_from_counts,
 )
 from repro.trace.records import FlowRecord
 
@@ -39,6 +39,16 @@ def _group_session_sizes(flows: Sequence[FlowRecord], gap_s: float) -> List[int]
         horizon = max(horizon, flow.t_end)
     sizes.append(size)
     return sizes
+
+
+def histogram(sizes: Sequence[int]) -> Dict[str, float]:
+    """Spec of the Figure 5/6 bucketing (``SessionStatsAccumulator``)."""
+    if not sizes:
+        raise ValueError("no sessions")
+    counts = {label: 0 for label in HISTOGRAM_BUCKETS}
+    for n in sizes:
+        counts[str(n) if n <= 9 else ">9"] += 1
+    return {label: counts[label] / len(sizes) for label in HISTOGRAM_BUCKETS}
 
 
 def build_sessions(
@@ -79,5 +89,5 @@ def gap_sensitivity(
         sizes: List[int] = []
         for flows in groups:
             sizes.extend(_group_session_sizes(flows, gap))
-        out[gap] = _histogram_from_counts(sizes)
+        out[gap] = histogram(sizes)
     return out

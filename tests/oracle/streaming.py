@@ -1,4 +1,4 @@
-"""Spec of :mod:`repro.core.streaming`: per-window detector inputs."""
+"""Spec of :mod:`repro.stream.detectors`: per-window detector inputs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from repro.stream.events import StreamWindow
 
 
 def video_counts(window: StreamWindow) -> Dict[str, int]:
-    """Spec of :func:`repro.core.streaming._video_counts`."""
+    """Spec of :func:`repro.stream.detectors._video_counts`."""
     if len(window) == 0:
         return {}
     counts: Dict[str, int] = {}
@@ -18,7 +18,7 @@ def video_counts(window: StreamWindow) -> Dict[str, int]:
 
 
 def top_server_bytes(window: StreamWindow) -> Tuple[int, int, int]:
-    """Spec of :func:`repro.core.streaming._top_server_bytes`."""
+    """Spec of :func:`repro.stream.detectors._top_server_bytes`."""
     per_server: Dict[int, int] = {}
     total = 0
     for record in window.records:

@@ -280,20 +280,34 @@ BAD_INPUTS = [
     (["eval", "--landmarks", "3"], {}, "--landmarks"),
     (["study", "--stream", "--window-s", "0"], {}, "--window-s"),
     (["sessions", "--flows", "missing.tsv", "--stream", "--window-s", "0"], {}, "--window-s"),
+    (["sessions", "--flows", "missing.tsv", "--stream", "--lag-s", "-1"], {}, "--lag-s"),
+    (["sessions", "--flows", "missing.tsv"], {}, "missing.tsv"),
+    (["sessions", "--flows", "missing.tsv", "--stream"], {}, "missing.tsv"),
+    (["sessions", "--flows", "malformed.tsv"], {}, "expected 7 fields"),
+    (["sessions", "--flows", "malformed.tsv", "--stream"], {}, "expected 7 fields"),
+    # --gaps is checked before the (malformed) log is read.
+    (["sessions", "--flows", "malformed.tsv", "--gaps", "0"], {}, "--gaps"),
+    (["sessions", "--flows", "malformed.tsv", "--gaps", "abc"], {}, "--gaps"),
+    (["sessions", "--flows", "malformed.tsv", "--gaps", "-1", "--stream"], {}, "--gaps"),
+    (["anonymize", "--flows", "missing.tsv", "--key", "k", "--out", "o.tsv"], {}, "missing.tsv"),
+    (["anonymize", "--flows", "malformed.tsv", "--key", "k", "--out", "o.tsv"], {},
+     "expected 7 fields"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, env, needle", BAD_INPUTS, ids=[" ".join(case[0]) for case in BAD_INPUTS]
 )
-def test_bad_input_exits_2_with_one_line(argv, env, needle):
+def test_bad_input_exits_2_with_one_line(argv, env, needle, tmp_path):
     # A real process, so an uncaught exception would show as a traceback.
+    # It runs in an empty directory holding only a malformed flow log.
+    (tmp_path / "malformed.tsv").write_text("not a flow record\n")
     src = str(Path(repro.__file__).resolve().parents[1])
     child_env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     child_env.update(env, PYTHONPATH=src, REPRO_CACHE="off")
     result = subprocess.run(
         [sys.executable, "-m", "repro", *argv],
-        env=child_env, capture_output=True, text=True, timeout=120,
+        env=child_env, capture_output=True, text=True, timeout=120, cwd=tmp_path,
     )
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr

@@ -24,10 +24,10 @@ from repro.core.sessions import (
     flows_per_session_histogram,
     gap_sensitivity,
 )
-from repro.core.streaming import _top_server_bytes, _video_counts
+from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.summary import summarize
 from repro.reporting.series import Cdf
-from repro.stream.accumulators import HourlyShareAccumulator, TrafficAccumulator
+from repro.stream.detectors import _top_server_bytes, _video_counts
 from repro.stream.events import FlowArrival, StreamWindow
 from repro.stream.windows import TumblingWindower
 from repro.trace.columnar import FlowTable, resident_columnar
@@ -142,7 +142,9 @@ def test_gap_sensitivity_parity(seed):
 def test_histogram_and_cdf_parity(seed):
     records = random_flows(random.Random(seed), n=90)
     hist = flows_per_session_histogram(build_sessions(records))
-    want = flows_per_session_histogram(oracle_sessions.build_sessions(records))
+    want = oracle_sessions.histogram(
+        [s.num_flows for s in oracle_sessions.build_sessions(records)]
+    )
     assert list(hist.items()) == list(want.items())
     cdf = flows.flow_size_cdf(records)
     spec = oracle_flows.flow_size_cdf(records)
@@ -164,7 +166,7 @@ def test_traffic_accumulator_parity(seed):
     windows = random_windows(random.Random(seed), n=200, num_windows=5)
     got, want = TrafficAccumulator(), TrafficAccumulator()
     for window in windows:
-        got.observe_window(window)
+        got.observe(window.table)
         oracle_accumulators.observe_traffic(want, window)
         assert traffic_state(got) == traffic_state(want)
 
@@ -174,7 +176,7 @@ def test_hourly_accumulator_parity(seed):
     windows = random_windows(random.Random(seed), n=200, num_windows=5)
     got, want = HourlyShareAccumulator(), HourlyShareAccumulator()
     for window in windows:
-        got.observe_window(window)
+        got.observe(window.table)
         oracle_accumulators.observe_hourly(want, window)
         assert hourly_state(got) == hourly_state(want)
 
@@ -379,9 +381,9 @@ class TestStudyParity:
         traffic, traffic_spec = TrafficAccumulator(), TrafficAccumulator()
         hourly, hourly_spec = HourlyShareAccumulator(), HourlyShareAccumulator()
         for window in windows:
-            traffic.observe_window(window)
+            traffic.observe(window.table)
             oracle_accumulators.observe_traffic(traffic_spec, window)
-            hourly.observe_window(window)
+            hourly.observe(window.table)
             oracle_accumulators.observe_hourly(hourly_spec, window)
         assert traffic_state(traffic) == traffic_state(traffic_spec)
         assert hourly_state(hourly) == hourly_state(hourly_spec)

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.folds import EdgeCloudAccumulator
 from repro.monitor import (
     DEFAULT_THRESHOLD,
     Alarm,
@@ -34,8 +35,6 @@ from repro.monitor import (
 )
 from repro.spec.info import SpecError
 from repro.spec.model import Spec, par_delta
-from repro.stream.accumulators import EdgeCloudAccumulator
-from repro.stream.events import StreamWindow
 from repro.trace.columnar import FlowTable
 from repro.trace.records import FlowRecord
 
@@ -137,9 +136,8 @@ class TestEvolutionPlan:
 # ------------------------------------------------------------- accumulator
 
 
-def _window(records):
-    return StreamWindow(index=0, t_lo=0.0, t_hi=3600.0,
-                        table=FlowTable(records))
+def _table(records):
+    return FlowTable(records)
 
 
 def _flow(src, dst, num_bytes):
@@ -151,12 +149,12 @@ def _flow(src, dst, num_bytes):
 class TestEdgeCloudAccumulator:
     def test_cells_and_totals(self):
         acc = EdgeCloudAccumulator(lambda ip: "Net-1" if ip < 100 else "Net-2")
-        acc.observe_window(_window([
+        acc.observe(_table([
             _flow(1, 0x01020304, 1000),
             _flow(2, 0x01020305, 500),   # same /24 as above
             _flow(200, 0x0A000001, 300),
         ]))
-        acc.observe_window(_window([_flow(3, 0x01020399, 50)]))
+        acc.observe(_table([_flow(3, 0x01020399, 50)]))
         cells = acc.cells()
         assert cells == sorted(cells)
         by_key = {(s, p): (b, f) for s, p, b, f in cells}
@@ -167,13 +165,13 @@ class TestEdgeCloudAccumulator:
 
     def test_unknown_subnet_skipped(self):
         acc = EdgeCloudAccumulator(lambda ip: None)
-        acc.observe_window(_window([_flow(1, 0x01020304, 1000)]))
+        acc.observe(_table([_flow(1, 0x01020304, 1000)]))
         assert acc.cells() == []
         assert acc.flows_total == 0
 
     def test_representative_ip_is_lowest(self):
         acc = EdgeCloudAccumulator(lambda ip: "Net-1")
-        acc.observe_window(_window([
+        acc.observe(_table([
             _flow(1, 0x01020310, 1), _flow(1, 0x01020304, 1),
         ]))
         assert acc.representative_ip(0x010203) == 0x01020304

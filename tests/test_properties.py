@@ -202,33 +202,29 @@ class TestWindowedSessions:
         start and delivered in reverse.
         """
         from repro.stream.events import FlowArrival, WatermarkAdvance
-        from repro.stream.windows import TumblingWindower, WindowedSessionBuilder
+        from repro.stream.windows import (
+            TumblingWindower,
+            WindowedSessionBuilder,
+            drive,
+        )
 
         order = sorted(range(len(records)), key=lambda i: records[i].t_start)
-        windower = TumblingWindower(window_s)
-        builder = WindowedSessionBuilder(gap_s)
-        sessions, windowed = [], []
-        last_boundary = float("-inf")
-
-        def feed(event):
-            nonlocal last_boundary
-            for window in windower.push(event):
-                windowed.extend(window.records)
-                sessions.extend(builder.observe_window(window))
-            if windower.sealed_boundary_s > last_boundary:
-                last_boundary = windower.sealed_boundary_s
-                sessions.extend(builder.advance(last_boundary))
-
+        events = []
         for pos in range(0, len(order), chunk):
             batch = order[pos:pos + chunk]
-            feed(WatermarkAdvance(t_s=records[batch[0]].t_start))
-            for index in reversed(batch):
-                feed(FlowArrival(record=records[index], seq=index))
-        feed(WatermarkAdvance(t_s=float("inf")))
-        for window in windower.finish():
-            windowed.extend(window.records)
-            sessions.extend(builder.observe_window(window))
-        sessions.extend(builder.finish())
+            events.append(WatermarkAdvance(t_s=records[batch[0]].t_start))
+            events.extend(
+                FlowArrival(record=records[index], seq=index)
+                for index in reversed(batch)
+            )
+        events.append(WatermarkAdvance(t_s=float("inf")))
+        windower = TumblingWindower(window_s)
+        sessions, windowed = [], []
+        drive(
+            events, windower,
+            lambda window: windowed.extend(window.records),
+            WindowedSessionBuilder(gap_s), sessions.extend,
+        )
         assert windower.late_records == 0
         return sessions, windowed
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.reporting.series import Cdf, Series, hourly_counts, hourly_fraction
+from repro.reporting.series import Cdf, Series, hourly_counts
 from repro.reporting.tables import TextTable, format_bytes, format_fraction
 
 
@@ -93,15 +93,6 @@ class TestHourly:
     def test_counts(self):
         counts = hourly_counts([0, 0, 1, 5, 99], num_hours=6)
         assert counts == [2, 1, 0, 0, 0, 1][:6]
-
-    def test_fraction(self):
-        fractions = hourly_fraction([0, 0], [0, 0, 0, 0, 1], num_hours=2)
-        assert fractions[0] == pytest.approx(0.5)
-        assert fractions[1] == pytest.approx(0.0)
-
-    def test_min_denominator(self):
-        fractions = hourly_fraction([0], [0, 1], num_hours=2, min_denominator=2)
-        assert fractions == {}
 
 
 class TestTextTable:

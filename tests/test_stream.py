@@ -16,8 +16,13 @@ from collections import Counter
 import pytest
 
 from repro.cli import main
-from repro.core.sessions import build_sessions, flows_per_session_histogram
-from repro.core.streaming import HotSpotDetector, LoadBalanceDetector
+from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
+from repro.core.pipeline import StudyPipeline
+from repro.core.sessions import (
+    SessionStatsAccumulator,
+    build_sessions,
+    flows_per_session_histogram,
+)
 from repro.core.summary import summarize
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
@@ -33,12 +38,8 @@ from repro.stream import (
     replay_records,
     simulated_stream,
 )
-from repro.stream.accumulators import (
-    HourlyShareAccumulator,
-    SessionStatsAccumulator,
-    TrafficAccumulator,
-)
-from repro.stream.study import stream_dataset
+from repro.stream.detectors import HotSpotDetector, LoadBalanceDetector
+from repro.stream.study import StreamStudy, stream_dataset
 from repro.trace.logio import format_record, write_flow_log
 from repro.trace.records import FlowRecord
 
@@ -171,6 +172,20 @@ class TestWindowedSessionBuilder:
         assert len(b.advance(w.sealed_boundary_s)) == 1
         assert b.open_sessions == 0
 
+    def test_break_inside_a_window_then_join_from_the_next(self):
+        # b breaks from a inside window [0, 10); c starts in the next
+        # window within the gap of b's horizon, so it joins b's session.
+        a, b, c = rec(0.0, 1.0), rec(5.0, 9.5), rec(10.5, 11.0)
+        builder = WindowedSessionBuilder(gap_s=2.0)
+        w = TumblingWindower(10.0)
+        for seq, r in enumerate((a, b, c)):
+            w.push(FlowArrival(r, seq=seq))
+        first, second = w.advance(20.0)
+        assert [s.flows for s in builder.observe_window(first)] == [[a]]
+        assert builder.advance(10.0) == []  # horizon 9.5 + gap 2 > 10
+        assert builder.observe_window(second) == []
+        assert [s.flows for s in builder.finish()] == [[b, c]]
+
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValueError):
             WindowedSessionBuilder(0.0)
@@ -271,6 +286,77 @@ class TestSimulatedStreamParity:
         assert coarse.windows < streamed_eu1.windows
 
 
+PARITY_NAMES = ("EU1-ADSL", "EU2")
+
+
+@pytest.fixture(scope="module")
+def study_pair(study_results, streamed_eu1):
+    """A batch pipeline and a streamed study over the same two weeks."""
+    from tests.conftest import TEST_SCALE, TEST_SEED
+
+    world = build_world(PAPER_SCENARIOS["EU2"], scale=TEST_SCALE, seed=TEST_SEED)
+    streamed = {"EU1-ADSL": streamed_eu1, "EU2": stream_dataset(world, window_s=1800.0)}
+    batch = StudyPipeline(
+        {name: study_results[name] for name in PARITY_NAMES}, landmark_count=60
+    )
+    return batch, StreamStudy(streamed, landmark_count=60)
+
+
+class TestStudyParity:
+    """Every view StreamStudy shares with StudyPipeline is equal.
+
+    ``session_histogram`` is not shared: the streamed one counts every
+    flow's sessions, the batch one the focus flows' (Figure 6).
+    """
+
+    @pytest.mark.parametrize(
+        "accessor",
+        ["summaries", "as_breakdowns", "focus_ips", "rtt_campaigns", "table3_rows"],
+    )
+    def test_tables(self, study_pair, accessor):
+        batch, stream = study_pair
+        assert getattr(stream, accessor) == getattr(batch, accessor)
+
+    def test_traffic_folds(self, study_pair):
+        batch, stream = study_pair
+        for name in PARITY_NAMES:
+            assert [
+                (ip, s.num_bytes, s.num_flows, s.video_flows)
+                for ip, s in stream.traffic[name]._servers.items()
+            ] == [
+                (ip, s.num_bytes, s.num_flows, s.video_flows)
+                for ip, s in batch.traffic[name]._servers.items()
+            ]
+
+    def test_server_map(self, study_pair):
+        batch, stream = study_pair
+        assert {ip: c.cluster_id for ip, c in stream.server_map.by_ip.items()} == {
+            ip: c.cluster_id for ip, c in batch.server_map.by_ip.items()
+        }
+
+    def test_preferred_reports(self, study_pair):
+        batch, stream = study_pair
+
+        def shape(report):
+            return (
+                report.dataset_name, report.preferred_id, report.total_bytes,
+                [(v.cluster_id, v.num_bytes, v.num_flows, v.min_rtt_ms, v.distance_km)
+                 for v in report.views],
+            )
+
+        for name in PARITY_NAMES:
+            assert shape(stream.preferred_reports[name]) == shape(
+                batch.preferred_reports[name]
+            )
+
+    @pytest.mark.parametrize("name", PARITY_NAMES)
+    def test_per_dataset_views(self, study_pair, name):
+        batch, stream = study_pair
+        assert stream.nonpreferred_fraction(name) == batch.nonpreferred_fraction(name)
+        assert stream.fig9_cdf(name)._values == batch.fig9_cdf(name)._values
+        assert stream.rtt_cdf(name)._values == batch.rtt_cdf(name)._values
+
+
 class TestAccumulators:
     def windows_of(self, records, window_s=10.0):
         w = TumblingWindower(window_s)
@@ -285,7 +371,7 @@ class TestAccumulators:
                    rec(25.0, 26.0, src=1, dst=101, num_bytes=7000)]
         acc = TrafficAccumulator()
         for win in self.windows_of(records):
-            acc.observe_window(win)
+            acc.observe(win.table)
         summary = acc.summary("X")
         assert summary.flows == 3
         assert summary.volume_bytes == 11500
@@ -298,7 +384,7 @@ class TestAccumulators:
         records = [rec(0.0, 1.0, num_bytes=999), rec(1.0, 2.0, num_bytes=1000)]
         acc = TrafficAccumulator()
         for win in self.windows_of(records):
-            acc.observe_window(win)
+            acc.observe(win.table)
         stats = acc._servers[100]
         assert stats.num_flows == 2 and stats.video_flows == 1
 
@@ -307,7 +393,7 @@ class TestAccumulators:
                    rec(3630.0, 3631.0, num_bytes=10)]  # control flow
         acc = HourlyShareAccumulator()
         for win in self.windows_of(records, window_s=1800.0):
-            acc.observe_window(win)
+            acc.observe(win.table)
         assert acc._counts == {100: {0: 1, 1: 1}}
 
     def test_session_stats_histogram_parity(self):
