@@ -13,19 +13,11 @@ raises :class:`CanonicalizationError` — an unhashable input must never be
 silently folded into a key, because two different worlds would then share
 one artifact.
 
-**The fingerprint rule for worlds.**  A
-:class:`~repro.sim.scenarios.ScenarioWorld` participates in caching iff
-``policy_kind`` is set: ``build_config()`` then returns the canonical
-build inputs ``(spec, scale, seed, duration_s, policy_kind)`` that key
-its stages.  ``policy_kind=None`` is the opt-out for worlds that are
-*not* a pure function of those inputs — hand-assembled test worlds.
-The opt-out is reserved for exactly that construction path: worlds
-built by the spec layer
-(:func:`repro.spec.model.apply_spec`, grid points, registry scenarios)
-always come out of :func:`~repro.sim.scenarios.build_world` with a
-policy kind and therefore always carry a full fingerprint — a
-declaratively-described world can never silently fall out of the cache.
-Declarative values (:class:`~repro.spec.info.ScenarioInfo`,
+Worlds are never keyed directly: a stage over a simulated week is keyed
+by the build inputs ``(spec, scale, seed, duration_s, policy_kind)`` that
+:func:`~repro.sim.scenarios.build_world` is a pure function of (see
+:func:`repro.sim.driver.simulate_week`), so a world mutated after its
+build cannot reach the cache.  Declarative values (:class:`~repro.spec.info.ScenarioInfo`,
 :class:`~repro.spec.model.Spec`, grid specs/points) plug into keys via
 their ``cache_fingerprint()`` hooks, so equal descriptions — however
 assembled, whatever order their deltas were written in — produce equal

@@ -12,26 +12,47 @@ function's output must depend only on its (canonicalisable) arguments.
 Arguments that merely steer *how* the work is done, not *what* it produces
 — an ``executor``, a progress callback — are excluded with ``ignore=``.
 
-The wrapper exposes ``cache_key(*args, **kwargs)`` so orchestration layers
-can pre-check the store and fan out only the missing work::
+The wrapper exposes ``cache_key(*args, **kwargs)`` (the key a call would
+hit, no work done) and ``map(arg_tuples, executor=None, labels=None)``,
+the one cached fan-out: every task is looked up once in the calling
+process, only the misses fan out over the executor, and each miss is
+stored by the task that computed it::
 
     @memoized_stage("example/stage", ignore=("executor",))
     def run_stage(scale=0.02, seed=7, executor=None): ...
 
     key = run_stage.cache_key(scale=0.05)   # no work done
+    values, hits = run_stage.map([(0.01,), (0.05,)])
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from typing import Callable, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.artifacts.keys import stage_key
+from repro.artifacts.keys import CanonicalizationError, stage_key
 from repro.artifacts.store import default_store
+from repro.exec.executor import default_executor
 
 _MISS = object()
+
+
+def _fill(task: Tuple) -> Any:
+    """Process-safe unit of work: compute one missed stage call, store it.
+
+    The stage travels by reference (a module-level decorated function),
+    so a process worker runs the same function and writes to the same
+    store directory the parent looked in.
+    """
+    stage_fn, key, args = task
+    with obs.span(f"stage/{stage_fn.stage}", cached=False):
+        value = stage_fn.__wrapped__(*args)
+        store = default_store()
+        if key is not None and store is not None:
+            store.put(key, value, stage=stage_fn.stage)
+    return value
 
 
 def memoized_stage(
@@ -49,7 +70,7 @@ def memoized_stage(
     Returns:
         The decorating function.  The wrapper bypasses the cache entirely
         when the default store is disabled, and exposes ``cache_key()``,
-        ``stage`` and ``__wrapped__``.
+        ``map()``, ``stage`` and ``__wrapped__``.
     """
     ignored = frozenset(ignore)
 
@@ -92,7 +113,62 @@ def memoized_stage(
                 store.put(key, value, stage=stage)
                 return value
 
+        def map_tasks(
+            arg_tuples: Sequence[Sequence],
+            executor=None,
+            labels: Optional[Sequence[str]] = None,
+        ) -> Tuple[List[Any], List[bool]]:
+            """Run the stage over many calls: hits read, misses fanned out.
+
+            Each task's key is looked up once, here, under a
+            ``stage/<name>`` span carrying ``cached``; only the misses
+            fan out over ``default_executor(executor)``, and each is
+            computed and stored once by its task.  A call whose
+            arguments cannot be canonicalised is computed and never
+            stored; with the cache disabled every call is computed.
+
+            Args:
+                arg_tuples: Positional arguments, one tuple per call.
+                executor: Fan-out strategy for the misses; ``None``
+                    reads ``REPRO_EXECUTOR``.
+                labels: Executor labels, parallel to ``arg_tuples``.
+
+            Returns:
+                ``(values, hits)``: the values in input order, and
+                whether each was served from the store.
+            """
+            tasks = [tuple(args) for args in arg_tuples]
+            store = default_store()
+            values: List[Any] = [None] * len(tasks)
+            hits = [False] * len(tasks)
+            keys: List[Optional[str]] = [None] * len(tasks)
+            for i, args in enumerate(tasks):
+                if store is None:
+                    break
+                try:
+                    keys[i] = cache_key(*args)
+                except CanonicalizationError:
+                    continue
+                with obs.span(f"stage/{stage}") as active:
+                    value = store.get(keys[i], _MISS, stage=stage)
+                    hits[i] = value is not _MISS
+                    if active is not None:
+                        active.attrs["cached"] = hits[i]
+                if hits[i]:
+                    values[i] = value
+            pending = [i for i, hit in enumerate(hits) if not hit]
+            if pending:
+                fresh = default_executor(executor).map(
+                    _fill,
+                    [(wrapper, keys[i], tasks[i]) for i in pending],
+                    labels=None if labels is None else [labels[i] for i in pending],
+                )
+                for i, value in zip(pending, fresh):
+                    values[i] = value
+            return values, hits
+
         wrapper.cache_key = cache_key
+        wrapper.map = map_tasks
         wrapper.stage = stage
         return wrapper
 

@@ -45,8 +45,6 @@ DEFAULT_CACHE_DIR = "~/.cache/repro"
 
 _OFF_VALUES = ("0", "off", "false", "no")
 
-_MISS = object()
-
 
 @dataclass
 class CacheStats:
@@ -280,15 +278,6 @@ class ArtifactStore:
         self.stats.bytes_written += len(blob)
         self._record("put", stage, len(blob))
         return len(blob)
-
-    def get_or_compute(self, key: str, compute, stage: str = "") -> Any:
-        """The artifact for ``key``, computing and storing it on a miss."""
-        value = self.get(key, _MISS, stage=stage)
-        if value is not _MISS:
-            return value
-        value = compute()
-        self.put(key, value, stage=stage)
-        return value
 
     # -------------------------------------------------------------- counters
 

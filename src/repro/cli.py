@@ -754,7 +754,10 @@ def cmd_coldvideo(args: argparse.Namespace, out) -> int:
 
 def cmd_whatif(args: argparse.Namespace, out) -> int:
     if args.variants.strip():
-        variants = [variant_by_name(name.strip()) for name in args.variants.split(",")]
+        try:
+            variants = [variant_by_name(name.strip()) for name in args.variants.split(",")]
+        except KeyError as error:
+            raise UsageError(error.args[0]) from None
     else:
         variants = standard_variants()
     report = compare_variants(
@@ -769,6 +772,10 @@ def cmd_figures(args: argparse.Namespace, out) -> int:
     from repro.reporting.gnuplot import export_figure_cdfs
 
     landmark_count = _landmark_count(args)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as error:
+        raise UsageError(f"cannot create --out-dir {args.out_dir}: {error}") from None
     executor = executor_from_args(args)
     results = run_all(scale=args.scale, seed=args.seed, executor=executor)
     pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
@@ -919,9 +926,12 @@ def cmd_grid(args: argparse.Namespace, out) -> int:
             print(f"cannot plan grid: {error}", file=sys.stderr)
             return 2
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(grid.to_json())
-                handle.write("\n")
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(grid.to_json())
+                    handle.write("\n")
+            except OSError as error:
+                raise UsageError(f"cannot write grid {args.out}: {error}") from None
             print(f"wrote {args.out}", file=sys.stderr)
         if args.as_json:
             import json
@@ -1089,8 +1099,7 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
         else:
             doc = obs.read_trace(args.trace_file)
     except (OSError, ValueError) as error:
-        print(f"cannot read trace: {error}", file=out)
-        return 2
+        raise UsageError(f"cannot read trace: {error}") from None
     if args.trace_command == "summary":
         if args.as_json:
             import json

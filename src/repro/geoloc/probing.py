@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.artifacts.keys import CanonicalizationError, stage_key
-from repro.artifacts.store import default_store
-from repro.exec.executor import ParallelExecutor, default_executor
+from repro.artifacts.memo import memoized_stage
+from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan
 from repro.faults.retry import ProbeTimeout, RetryPolicy, default_retry_policy
@@ -197,23 +196,20 @@ def _measure_with_timeouts(
     )
 
 
-#: Distinct miss sentinel for store lookups.
-_CAMPAIGN_MISS = object()
-
-
-def _campaign_cache_key(job: CampaignJob) -> Optional[str]:
-    """The job's artifact key, or ``None`` when it cannot be derived.
+@memoized_stage("geoloc/campaign")
+def measure_campaign(job: CampaignJob):
+    """One campaign's raw result (disk-memoized).
 
     A :class:`CampaignJob` is a frozen dataclass over canonicalisable
     parts (the delay model carries a ``cache_fingerprint``; sites are
-    dataclasses), so the whole job canonicalises wholesale.  Exotic
-    target labels that resist canonicalisation just make the job
-    uncacheable — never wrongly shared.
+    dataclasses), so the whole job keys the artifact.  Under an active
+    fault plan the value is a :class:`CampaignOutcome`; the plan is
+    folded into every stage key, so faulted campaigns never shadow clean
+    ones.
     """
-    try:
-        return stage_key("geoloc/campaign", job)
-    except CanonicalizationError:
-        return None
+    if active_plan() is not None:
+        return run_campaign_job_faulted(job)
+    return run_campaign_job(job)
 
 
 def run_campaigns(
@@ -224,48 +220,23 @@ def run_campaigns(
 
     Every job owns its RNG, so campaigns never share random state and the
     backends are interchangeable.  Measured matrices are small and
-    campaigns are re-run for every analysis pass, so each job resolves
-    against the artifact store first (stage ``"geoloc/campaign"``); only
-    unmeasured campaigns fan out.
+    campaigns are re-run for every analysis pass, so they go through
+    :func:`measure_campaign`'s cached fan-out: only unmeasured campaigns
+    run.  Exotic target labels that resist canonicalisation just make a
+    job uncacheable — never wrongly shared.
 
-    Under an active fault plan the faulted runner is used instead (probe
-    loss and retried timeouts; lost targets are simply absent from the
-    returned mapping) and each campaign's degradation is recorded.  The
-    cache still applies — an active plan is folded into every stage key,
-    so faulted campaigns never shadow clean ones.
+    Under an active fault plan each campaign runs the faulted runner
+    (probe loss and retried timeouts; lost targets are simply absent
+    from the returned mapping) and its degradation is recorded.
 
     Returns:
         One measurement mapping per job, in input order.
     """
     jobs = list(jobs)
-    plan = active_plan()
-    store = default_store()
-    results: List[Optional[Dict[object, float]]] = [None] * len(jobs)
-    keys: List[Optional[str]] = [None] * len(jobs)
-    pending: List[int] = []
-    for i, job in enumerate(jobs):
-        if store is not None:
-            keys[i] = _campaign_cache_key(job)
-            if keys[i] is not None:
-                hit = store.get(keys[i], _CAMPAIGN_MISS, stage="geoloc/campaign")
-                if hit is not _CAMPAIGN_MISS:
-                    results[i] = _unpack_outcome(jobs[i], hit)
-                    continue
-        pending.append(i)
-
-    if pending:
-        executor = default_executor(executor)
-        task = run_campaign_job_faulted if plan is not None else run_campaign_job
-        fresh = executor.map(
-            task,
-            [jobs[i] for i in pending],
-            labels=[jobs[i].label for i in pending],
-        )
-        for i, measured in zip(pending, fresh):
-            if store is not None and keys[i] is not None:
-                store.put(keys[i], measured, stage="geoloc/campaign")
-            results[i] = _unpack_outcome(jobs[i], measured)
-    return results
+    values, _ = measure_campaign.map(
+        [(job,) for job in jobs], executor, labels=[job.label for job in jobs]
+    )
+    return [_unpack_outcome(job, value) for job, value in zip(jobs, values)]
 
 
 def _unpack_outcome(job: CampaignJob, value) -> Dict[object, float]:

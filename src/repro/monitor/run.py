@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.artifacts.keys import CanonicalizationError, stage_key
-from repro.artifacts.store import default_store
-from repro.exec.executor import ParallelExecutor, default_executor
+from repro.artifacts.memo import memoized_stage
+from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.monitor.cluster import (
     DEFAULT_RTT_GAP_MS,
@@ -59,9 +58,6 @@ DEFAULT_EPOCH_S = 86400.0
 #: Default monitored horizon, chosen so the canned
 #: :func:`~repro.monitor.evolution.standard_evolution` schedule fits.
 DEFAULT_EPOCHS = 8
-
-_MISS = object()
-
 
 @dataclass(frozen=True)
 class EpochComputation:
@@ -94,20 +90,20 @@ def _degradation_delta(
     return delta
 
 
-def _epoch_task(payload: Tuple) -> EpochComputation:
-    """Process-safe unit of work: build, stream and snapshot one epoch."""
-    (
-        base,
-        spec,
-        epoch,
-        epoch_s,
-        scale,
-        seed,
-        base_policy,
-        probes,
-        prefix_len,
-        miss_probability,
-    ) = payload
+@memoized_stage("monitor/epoch")
+def monitor_epoch(
+    base: ScenarioSpec,
+    spec: Spec,
+    epoch: int,
+    epoch_s: float,
+    scale: float,
+    seed: int,
+    base_policy: str,
+    probes: int,
+    prefix_len: int,
+    miss_probability: float,
+) -> EpochComputation:
+    """Build, stream and snapshot one epoch (disk-memoized, epoch-keyed)."""
     before = degradation.collect().stages
     with obs.span("monitor/epoch", dataset=base.name, epoch=epoch):
         scenario, policy = apply_to_scenario(base, spec, base_policy=base_policy)
@@ -320,71 +316,23 @@ def run_monitor(
 
         base = scenario_spec(base)
 
-    specs: List[Spec] = [plan.spec_at(e) for e in range(epochs)]
-    store = default_store()
-    computations: List[Optional[EpochComputation]] = [None] * epochs
-    keys: List[Optional[str]] = [None] * epochs
-    cached: List[bool] = [False] * epochs
-    pending: List[int] = []
-
     with obs.span(
         "monitor/run", base=base.name, epochs=epochs, epoch_s=epoch_s
     ):
-        for e in range(epochs):
-            if store is not None:
-                try:
-                    keys[e] = stage_key(
-                        "monitor/epoch",
-                        {
-                            "base": base,
-                            "spec": specs[e],
-                            "epoch": e,
-                            "epoch_s": epoch_s,
-                            "scale": scale,
-                            "seed": seed,
-                            "base_policy": base_policy,
-                            "probes": probes,
-                            "prefix_len": prefix_len,
-                            "miss_probability": miss_probability,
-                        },
-                    )
-                except CanonicalizationError:
-                    keys[e] = None
-                if keys[e] is not None:
-                    hit = store.get(keys[e], _MISS, stage="monitor/epoch")
-                    if hit is not _MISS:
-                        computations[e] = hit
-                        cached[e] = True
-                        obs.inc("monitor.epochs_cached")
-                        continue
-            pending.append(e)
-
-        if pending:
-            executor = default_executor(executor)
-            fresh = executor.map(
-                _epoch_task,
-                [
-                    (
-                        base,
-                        specs[e],
-                        e,
-                        epoch_s,
-                        scale,
-                        seed,
-                        base_policy,
-                        probes,
-                        prefix_len,
-                        miss_probability,
-                    )
-                    for e in pending
-                ],
-                labels=[f"{base.name}/epoch{e}" for e in pending],
-            )
-            for e, computation in zip(pending, fresh):
-                computations[e] = computation
-                obs.inc("monitor.epochs_computed")
-                if store is not None and keys[e] is not None:
-                    store.put(keys[e], computation, stage="monitor/epoch")
+        computations, cached = monitor_epoch.map(
+            [
+                (base, plan.spec_at(e), e, epoch_s, scale, seed, base_policy,
+                 probes, prefix_len, miss_probability)
+                for e in range(epochs)
+            ],
+            executor,
+            labels=[f"{base.name}/epoch{e}" for e in range(epochs)],
+        )
+        warm = sum(cached)
+        if warm:
+            obs.inc("monitor.epochs_cached", warm)
+        if warm < epochs:
+            obs.inc("monitor.epochs_computed", epochs - warm)
 
         clustered = [
             cluster_snapshot(computation.snapshot, rtt_gap_ms=rtt_gap_ms)

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.artifacts.memo import memoized_stage
-from repro.exec.executor import ParallelExecutor, default_executor
+from repro.exec.executor import ParallelExecutor
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY, SimulationResult, run_requests
 from repro.sim.scenarios import DATASET_NAMES, ScenarioSpec, _paper_scenarios, build_world
 from repro.trace.records import WEEK_S
@@ -125,23 +125,15 @@ def simulate_week(
 
     This is the study's most expensive pure stage, so it is the cache's
     anchor: every entry point — :func:`run_spec`, :func:`run_all` tasks,
-    :func:`repro.sim.engine.run_many`, what-if variants and sweep grid
-    points — keys the same ``"sim/run_week"`` artifacts, so a week
-    simulated by any of them is a warm hit for all of them.
+    what-if variants and sweep grid points — keys the same
+    ``"sim/run_week"`` artifacts, so a week simulated by any of them is a
+    warm hit for all of them.  ``build_world`` and ``run_requests`` are
+    looked up in this module on every call, so a caller can patch them
+    here to time the two halves.
     """
     world = build_world(spec, scale=scale, seed=seed, duration_s=duration_s,
                         policy_kind=policy_kind)
     return run_requests(world, miss_probability=miss_probability)
-
-
-def _scenario_task(key: Tuple) -> SimulationResult:
-    """Process-safe unit of work: build one scenario's world and run it.
-
-    Runs through :func:`simulate_week`, so a process worker reads and
-    populates the shared on-disk artifact store.
-    """
-    spec, scale, seed, duration_s, policy_kind = key
-    return simulate_week(spec, scale, seed, duration_s, policy_kind)
 
 
 def run_all(
@@ -155,9 +147,11 @@ def run_all(
     """Simulate every dataset of the study.
 
     The five vantage points' weeks are independent (each world derives all
-    of its randomness from its own scenario name), so they fan out over the
-    executor — one task per dataset, byte-identical across backends.
-    Results land in the in-process memo cache either way.
+    of its randomness from its own scenario name), so the weeks missing
+    from the in-process memo go through :func:`simulate_week`'s cached
+    fan-out: disk hits are read here, and the rest run one task per
+    dataset, byte-identical across backends.  Results land in the
+    in-process memo cache either way.
 
     Args:
         executor: Fan-out strategy; ``None`` reads ``REPRO_EXECUTOR``.
@@ -177,8 +171,8 @@ def run_all(
     pending = [name for name in selected if keys[name] not in _CACHE]
     if pending:
         with obs.span("sim/run_all", datasets=len(pending), scale=scale):
-            fresh = default_executor(executor).map(
-                _scenario_task, [keys[name] for name in pending], labels=pending
+            fresh, _ = simulate_week.map(
+                [keys[name] for name in pending], executor, labels=pending
             )
         for name, result in zip(pending, fresh):
             _CACHE[keys[name]] = result

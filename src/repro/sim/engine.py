@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cdn.cluster import RequestOutcome
-from repro.exec.executor import ParallelExecutor, default_executor
 from repro.net.dns import LocalResolver
 from repro.net.latency import Site
 from repro.sim.scenarios import ScenarioWorld
@@ -311,88 +310,3 @@ def stream_requests(
             seq += 1
         fresh.clear()
     yield WatermarkAdvance(t_s=math.inf)
-
-
-#: Distinct miss sentinel (a cached stage value can legitimately be None).
-_RUN_MISS = object()
-
-
-def _run_world_task(args: Tuple[ScenarioWorld, float]) -> SimulationResult:
-    """Process-safe unit of work: one vantage point's whole week."""
-    world, miss_probability = args
-    return run_requests(world, miss_probability=miss_probability)
-
-
-def run_many(
-    worlds: Sequence[ScenarioWorld],
-    miss_probability: float = DEFAULT_MISS_PROBABILITY,
-    executor: Optional[ParallelExecutor] = None,
-) -> List[SimulationResult]:
-    """Run several independent worlds, one per executor task.
-
-    Each world owns all of its random state (its RNGs were derived from
-    its own ``(seed, scenario)`` path at build time), so the backends are
-    interchangeable: results are byte-identical in every mode and arrive
-    in input order.
-
-    Worlds built canonically by :func:`~repro.sim.scenarios.build_world`
-    (``policy_kind`` set) resolve against the on-disk artifact store
-    first, under the same ``"sim/run_week"`` keys
-    :func:`repro.sim.driver.simulate_week` writes; only the missing weeks
-    fan out.  A hand-modified world must clear ``world.policy_kind`` (set
-    it to ``None``) to opt out — the cache cannot see mutations made
-    after the build.  The idiomatic alternative is to express the change
-    as a :class:`~repro.spec.model.Spec` delta and rebuild through
-    :func:`repro.spec.model.apply_spec`: spec-built worlds always carry a
-    canonical fingerprint, so the opt-out (and its cold-path cost) never
-    applies to them — see :mod:`repro.artifacts.keys`.
-
-    Args:
-        worlds: Independent built worlds (must not share a ``system``:
-            vantage points on one CDN interact, so their weeks cannot run
-            as separate tasks).
-        miss_probability: Monitor classification-miss probability.
-        executor: Fan-out strategy; defaults to the environment's.
-
-    Returns:
-        One :class:`SimulationResult` per world, in input order.
-
-    Raises:
-        ValueError: If two worlds share a CDN system.
-    """
-    from repro.artifacts.store import default_store
-    from repro.sim.driver import simulate_week
-
-    worlds = list(worlds)
-    systems = {id(world.system) for world in worlds}
-    if len(systems) != len(worlds):
-        raise ValueError("run_many needs independent worlds, each with its own CdnSystem")
-
-    store = default_store()
-    results: List[Optional[SimulationResult]] = [None] * len(worlds)
-    keys: List[Optional[str]] = [None] * len(worlds)
-    pending: List[int] = []
-    for i, world in enumerate(worlds):
-        if store is not None and world.policy_kind is not None:
-            keys[i] = simulate_week.cache_key(
-                world.spec, world.scale, world.seed, world.duration_s,
-                world.policy_kind, miss_probability,
-            )
-            hit = store.get(keys[i], _RUN_MISS, stage="sim/run_week")
-            if hit is not _RUN_MISS:
-                results[i] = hit
-                continue
-        pending.append(i)
-
-    if pending:
-        executor = default_executor(executor)
-        fresh = executor.map(
-            _run_world_task,
-            [(worlds[i], miss_probability) for i in pending],
-            labels=[worlds[i].spec.name for i in pending],
-        )
-        for i, result in zip(pending, fresh):
-            results[i] = result
-            if store is not None and keys[i] is not None:
-                store.put(keys[i], result, stage="sim/run_week")
-    return results

@@ -297,13 +297,7 @@ class ScenarioWorld:
         google_dc_ids: Ranked (DNS-eligible) data-center IDs.
         internal_dc_id: The in-ISP data center's ID (EU2 only).
         duration_s: Simulation window.
-        policy_kind: Selection-policy kind this world was built with, or
-            ``None`` for worlds not built canonically by
-            :func:`build_world` (hand-assembled test worlds).  ``None`` opts the world out of artifact caching —
-            see :meth:`build_config`.  Worlds produced by
-            :func:`repro.spec.model.apply_spec` always come through
-            :func:`build_world` and therefore always carry a canonical
-            fingerprint: the spec layer has no ``None`` escape-hatch.
+        policy_kind: Selection-policy kind this world was built with.
     """
 
     spec: ScenarioSpec
@@ -318,26 +312,7 @@ class ScenarioWorld:
     google_dc_ids: List[str]
     internal_dc_id: Optional[str]
     duration_s: float
-    policy_kind: Optional[str] = None
-
-    def build_config(self) -> Optional[Dict]:
-        """The canonical build inputs, or ``None`` if not cacheable.
-
-        A world straight out of :func:`build_world` is a pure function of
-        ``(spec, scale, seed, duration_s, policy_kind)``, so running it is
-        cacheable under a key over exactly those inputs.  Worlds whose
-        ``policy_kind`` is ``None`` — hand-built test worlds — return
-        ``None`` and are never cached at this level.
-        """
-        if self.policy_kind is None:
-            return None
-        return {
-            "spec": self.spec,
-            "scale": self.scale,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "policy_kind": self.policy_kind,
-        }
+    policy_kind: str
 
     @property
     def probe_site(self) -> Site:

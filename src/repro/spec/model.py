@@ -15,9 +15,8 @@ objects —
 Applying a spec never mutates anything: :func:`apply_to_scenario` returns
 a fresh :class:`~repro.sim.scenarios.ScenarioSpec` (plus the selection
 policy), and :func:`apply_spec` builds the runnable
-:class:`~repro.sim.scenarios.ScenarioWorld` from it — always canonically,
-so the result carries a full cache fingerprint (``policy_kind`` is never
-``None`` on a spec-built world; see :mod:`repro.artifacts.keys`).
+:class:`~repro.sim.scenarios.ScenarioWorld` from it through
+:func:`~repro.sim.scenarios.build_world`.
 
 Specs compose (:meth:`Spec.compose` — apply ``b`` after ``a`` as one
 spec; associative for disjoint deltas) and diff (:func:`diff` — the spec
@@ -541,10 +540,7 @@ def apply_spec(
         base_policy: Policy the ``"policy"`` par starts from.
 
     Returns:
-        The built :class:`~repro.sim.scenarios.ScenarioWorld`.  Spec-built
-        worlds are *always* canonically fingerprinted — ``policy_kind`` is
-        set, ``build_config()`` is non-``None`` — so they participate in
-        artifact caching unconditionally (see :mod:`repro.artifacts.keys`).
+        The built :class:`~repro.sim.scenarios.ScenarioWorld`.
 
     Raises:
         SpecError: If the spec cannot apply to the base.
@@ -561,10 +557,7 @@ def apply_spec(
         duration_s = WEEK_S
     with obs.span("spec/apply", base=base.name):
         scenario, policy = apply_to_scenario(base, spec, base_policy=base_policy)
-        world = build_world(
+        return build_world(
             scenario, scale=scale, seed=seed, duration_s=duration_s,
             policy_kind=policy,
         )
-    if world.policy_kind is None:  # pragma: no cover - build_world guarantees it
-        raise AssertionError("apply_spec built a world without a fingerprint")
-    return world

@@ -2,8 +2,8 @@
 
 Each grid point materialises to a ``(scenario, scale, seed, duration_s,
 policy, label)`` task — the exact task shape what-if comparisons and
-sweeps use — and resolves through
-:func:`repro.whatif.metrics.resolve_metric_rows`: rows already in the
+sweeps use — and resolves through the cached fan-out of
+:func:`repro.whatif.metrics.scenario_metrics`: rows already in the
 artifact store are read back without simulating, and only the cold
 points fan out over the :class:`~repro.exec.executor.ParallelExecutor`.
 Re-running an extended grid therefore simulates exactly the added
@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.artifacts.store import default_store
 from repro.exec.executor import ParallelExecutor, default_executor
 from repro.spec.grid import GridPoint, GridSpec, enumerate_points
 from repro.spec.model import apply_to_scenario
 from repro.trace.records import WEEK_S
-from repro.whatif.metrics import ScenarioMetrics, resolve_metric_rows
+from repro.whatif.metrics import ScenarioMetrics, scenario_metrics
 
 
 @dataclass
@@ -88,22 +89,6 @@ def _point_tasks(
     return tasks
 
 
-def _warm_flags(tasks: Sequence[Tuple]) -> List[bool]:
-    """Which tasks' metric rows are already in the artifact store."""
-    from repro.artifacts.store import default_store
-    from repro.whatif.metrics import scenario_metrics
-
-    store = default_store()
-    if store is None:
-        return [False] * len(tasks)
-    miss = object()
-    return [
-        store.get(scenario_metrics.cache_key(*task), miss,
-                  stage="whatif/metrics") is not miss
-        for task in tasks
-    ]
-
-
 def plan_grid(
     grid: GridSpec,
     scale: float = 0.01,
@@ -124,7 +109,11 @@ def plan_grid(
     """
     points = enumerate_points(grid)
     tasks = _point_tasks(points, scale, seed, duration_s, base_policy)
-    flags = _warm_flags(tasks)
+    store = default_store()
+    flags = [
+        store is not None and store.has(scenario_metrics.cache_key(*task))
+        for task in tasks
+    ]
     return [
         {
             "label": point.label,
@@ -168,16 +157,16 @@ def run_grid(
     """
     points = enumerate_points(grid)
     tasks = _point_tasks(points, scale, seed, duration_s, base_policy)
-    flags = _warm_flags(tasks)
-    warm = sum(flags)
     executor = default_executor(executor)
     batches_before = len(executor.stats)
-    with obs.span("grid/run", base=grid.base, points=len(points),
-                  warm=warm, cold=len(points) - warm) as active:
-        rows = resolve_metric_rows(
-            tasks, [f"{task[0].name}/{task[-1]}" for task in tasks], executor
+    with obs.span("grid/run", base=grid.base, points=len(points)) as active:
+        rows, hits = scenario_metrics.map(
+            tasks, executor,
+            labels=[f"{task[0].name}/{task[-1]}" for task in tasks],
         )
+        warm = sum(hits)
         if active is not None:
+            active.attrs.update(warm=warm, cold=len(points) - warm)
             # Serialized payload traffic of this grid's map batches: what
             # the process backend pickles across the pool boundary.
             batches = executor.stats[batches_before:]

@@ -9,7 +9,7 @@ from repro.exec.executor import ParallelExecutor
 from repro.reporting.tables import TextTable, format_fraction
 from repro.sim.scenarios import PAPER_SCENARIOS
 from repro.trace.records import WEEK_S
-from repro.whatif.metrics import ScenarioMetrics, resolve_metric_rows
+from repro.whatif.metrics import ScenarioMetrics, scenario_metrics
 from repro.whatif.variants import Variant, baseline_variant
 
 
@@ -95,9 +95,9 @@ def compare_variants(
         (variant.apply(spec), scale, seed, duration_s, variant.policy_kind, variant.name)
         for variant in ordered
     ]
-    rows = resolve_metric_rows(
-        tasks, [f"{scenario_name}/{variant.name}" for variant in ordered],
-        executor,
+    rows, _ = scenario_metrics.map(
+        tasks, executor,
+        labels=[f"{scenario_name}/{variant.name}" for variant in ordered],
     )
     report = ComparisonReport(scenario_name=scenario_name)
     report.rows.extend(rows)

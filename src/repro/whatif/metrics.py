@@ -11,12 +11,10 @@ where the bytes come from, how much crosses the peering edge) and users
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.artifacts.memo import memoized_stage
-from repro.artifacts.store import default_store
 from repro.cdn.redirection import CAUSE_MISS, CAUSE_OVERLOAD_INTER, CAUSE_OVERLOAD_INTRA
-from repro.exec.executor import ParallelExecutor, default_executor
 from repro.reporting.series import Cdf
 from repro.sim.engine import SimulationResult
 
@@ -121,65 +119,12 @@ def scenario_metrics(
     The row is a few hundred bytes, so a warm sweep or comparison loads
     only rows — the multi-megabyte week artifacts underneath
     (``"sim/run_week"``, written by the driver's memo layer on the cold
-    pass) never leave the disk.
+    pass) never leave the disk.  Grids, sweeps and variant comparisons
+    fan rows out through ``scenario_metrics.map``, so a grid point and a
+    variant with identical inputs share one artifact, and only the
+    compact row crosses the process boundary.
     """
     from repro.sim.driver import run_spec
 
     run = run_spec(spec, scale=scale, seed=seed, duration_s=duration_s, policy_kind=policy_kind)
     return extract_metrics(run, label=label)
-
-
-def _metric_row_task(args: Tuple) -> ScenarioMetrics:
-    """Process-safe unit of work: simulate one point, keep its metric row.
-
-    Only the compact row crosses the process boundary — the full week's
-    trace stays in the worker (and in the worker's artifact store).
-    """
-    return scenario_metrics(*args)
-
-
-#: Distinct miss sentinel for store lookups.
-_ROW_MISS = object()
-
-
-def resolve_metric_rows(
-    tasks: Sequence[Tuple],
-    labels: Sequence[str],
-    executor: Optional["ParallelExecutor"],
-) -> List[ScenarioMetrics]:
-    """Metric rows for the tasks: warm rows from the store, rest fanned out.
-
-    Shared by sweeps and variant comparisons — both fan out
-    ``(spec, scale, seed, duration_s, policy_kind, label)`` tuples — so a
-    grid point and a variant with identical inputs share one artifact.
-
-    Args:
-        tasks: Argument tuples for :func:`scenario_metrics`.
-        labels: Executor labels, parallel to ``tasks``.
-        executor: Fan-out strategy for the cold tasks; ``None`` reads
-            ``REPRO_EXECUTOR``.
-
-    Returns:
-        One row per task, in input order.
-    """
-    store = default_store()
-    rows: List[Optional[ScenarioMetrics]] = [None] * len(tasks)
-    pending: List[int] = []
-    for i, task in enumerate(tasks):
-        if store is not None:
-            hit = store.get(scenario_metrics.cache_key(*task), _ROW_MISS,
-                            stage="whatif/metrics")
-            if hit is not _ROW_MISS:
-                rows[i] = hit
-                continue
-        pending.append(i)
-    if pending:
-        executor = default_executor(executor)
-        fresh = executor.map(
-            _metric_row_task,
-            [tasks[i] for i in pending],
-            labels=[labels[i] for i in pending],
-        )
-        for i, row in zip(pending, fresh):
-            rows[i] = row
-    return rows

@@ -6,7 +6,8 @@ import pytest
 
 from repro.artifacts.keys import CanonicalizationError
 from repro.artifacts.memo import memoized_stage
-from repro.artifacts.store import reset_default_store
+from repro.artifacts.store import ArtifactStore, reset_default_store
+from repro.exec import BACKENDS, ParallelExecutor
 
 
 @pytest.fixture
@@ -100,3 +101,59 @@ class TestMemoizedStage:
         compute(5)
         objects = list((cache_env / "objects").rglob("*.pkl"))
         assert len(objects) == 1
+
+
+class Opaque:
+    """A picklable argument with no canonical form, hence no cache key."""
+
+    def __init__(self, n):
+        self.n = n
+
+
+@memoized_stage("test/map")
+def mapped(a, b):
+    """Module-level, so process workers can unpickle it by reference."""
+    n = b.n if isinstance(b, Opaque) else b
+    return (a, n, 10 * a + n)
+
+
+def _events(root):
+    """The store ledger's ``test/map`` tally (every process writes it)."""
+    stages = ArtifactStore(root).lifetime_counters()["stages"]
+    return stages.get("test/map", {"hits": 0, "misses": 0, "puts": 0})
+
+
+@pytest.mark.parametrize("opaque", [False, True],
+                         ids=["cacheable", "uncanonicalisable"])
+@pytest.mark.parametrize("warmth", ["cold", "warm", "mixed"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_map(cache_env, monkeypatch, backend, warmth, opaque):
+    tasks = [(i, Opaque(i + 1) if opaque and i == 2 else i + 1)
+             for i in range(4)]
+    cacheable = [i for i, (_, b) in enumerate(tasks) if not isinstance(b, Opaque)]
+    warm = {"cold": [], "warm": cacheable, "mixed": cacheable[::2]}[warmth]
+    for i in warm:
+        mapped(*tasks[i])
+    expected = [mapped.__wrapped__(*task) for task in tasks]
+    executor = ParallelExecutor(backend, max_workers=2)
+    labels = [f"t{i}" for i in range(len(tasks))]
+
+    before = _events(cache_env)
+    values, hits = mapped.map(tasks, executor, labels=labels)
+    after = _events(cache_env)
+    assert values == expected
+    assert hits == [i in warm for i in range(len(tasks))]
+    gets = after["hits"] + after["misses"] - before["hits"] - before["misses"]
+    assert gets == len(cacheable)  # one lookup per cacheable task
+    assert after["hits"] - before["hits"] == len(warm)
+    assert after["puts"] - before["puts"] == len(cacheable) - len(warm)
+    assert [t.label for t in executor.timings] == [
+        labels[i] for i in range(len(tasks)) if i not in warm
+    ]
+
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    reset_default_store()
+    values, hits = mapped.map(tasks, executor, labels=labels)
+    assert values == expected
+    assert hits == [False] * len(tasks)
+    assert _events(cache_env) == after

@@ -166,17 +166,6 @@ class TestArtifactStore:
             store.put(KEY, lambda: None, stage="s")
         assert not store.has(KEY)
 
-    def test_get_or_compute(self, store):
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "value"
-
-        assert store.get_or_compute(KEY, compute, stage="s") == "value"
-        assert store.get_or_compute(KEY, compute, stage="s") == "value"
-        assert len(calls) == 1
-
     def test_session_counters(self, store):
         store.get(KEY, None, stage="s")
         size = store.put(KEY, "x" * 100, stage="s")

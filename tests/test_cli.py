@@ -292,6 +292,14 @@ BAD_INPUTS = [
     (["anonymize", "--flows", "missing.tsv", "--key", "k", "--out", "o.tsv"], {}, "missing.tsv"),
     (["anonymize", "--flows", "malformed.tsv", "--key", "k", "--out", "o.tsv"], {},
      "expected 7 fields"),
+    # Checked before anything is simulated.
+    (["whatif", "--dataset", "EU1-ADSL", "--variants", "bogus"], {},
+     "unknown variant 'bogus'"),
+    (["figures", "--out-dir", "malformed.tsv/figs"], {}, "--out-dir"),
+    (["grid", "plan", "--axis", "server_capacity_multiple=3",
+      "--out", "malformed.tsv/g.json"], {}, "malformed.tsv/g.json"),
+    (["monitor", "--epochs", "0"], {}, "epochs must be >= 1"),
+    (["trace", "summary", "missing.jsonl"], {}, "missing.jsonl"),
 ]
 
 

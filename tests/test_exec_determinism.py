@@ -3,9 +3,8 @@
 The executor's contract is that fan-out is a pure mechanical speedup —
 every unit of work owns RNGs derived from its own ``(scenario, vantage)``
 path, so serial, thread and process backends must produce *identical*
-simulation results, down to the flow-log bytes.  These tests hold the three
-wired hot paths (scenario fan-out, independent-world runs, RTT campaigns)
-to that contract, and check that one poisoned vantage point cannot take
+simulation results, down to the flow-log bytes.  These tests hold the two
+wired hot paths (scenario fan-out, RTT campaigns) to that contract, and check that one poisoned vantage point cannot take
 down its siblings' results.
 """
 
@@ -15,9 +14,7 @@ import pytest
 
 from repro.exec import BACKENDS, ExecutionError, ParallelExecutor
 from repro.sim import driver
-from repro.sim.driver import _scenario_task
-from repro.sim.engine import run_many
-from repro.sim.scenarios import PAPER_SCENARIOS, build_world
+from repro.sim.scenarios import PAPER_SCENARIOS
 from repro.trace.records import WEEK_S
 
 SCALE = 0.004
@@ -73,27 +70,6 @@ def test_run_all_hits_cache_after_parallel_run(serial_snapshot):
     driver.clear_cache()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_many_matches_run_requests(backend):
-    names = ("EU1-FTTH", "EU1-Campus")
-    worlds = [
-        build_world(PAPER_SCENARIOS[name], scale=SCALE, seed=SEED)
-        for name in names
-    ]
-    fanned = run_many(worlds, executor=ParallelExecutor(backend, max_workers=2))
-    driver.clear_cache()
-    serial = driver.run_all(scale=SCALE, seed=SEED, names=names,
-                            executor=ParallelExecutor("serial"))
-    assert _snapshot(dict(zip(names, fanned))) == _snapshot(serial)
-    driver.clear_cache()
-
-
-def test_run_many_rejects_shared_system():
-    world = build_world(PAPER_SCENARIOS["EU1-FTTH"], scale=SCALE, seed=SEED)
-    with pytest.raises(ValueError, match="independent worlds"):
-        run_many([world, world])
-
-
 def test_rtt_campaigns_backends_identical():
     from repro.core.pipeline import StudyPipeline
 
@@ -114,6 +90,11 @@ def test_rtt_campaigns_backends_identical():
     driver.clear_cache()
 
 
+def _simulate_task(key):
+    """One scenario week as a plain executor task (errors stay contained)."""
+    return driver.simulate_week(*key)
+
+
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_poisoned_vantage_does_not_lose_the_others(backend):
     """One bad scenario surfaces as an ExecutionError; siblings survive."""
@@ -128,7 +109,7 @@ def test_poisoned_vantage_does_not_lose_the_others(backend):
     ]
     executor = ParallelExecutor(backend, max_workers=2)
     results = executor.map(
-        _scenario_task, keys,
+        _simulate_task, keys,
         labels=[good[0], "EU2-poisoned", good[1]],
         on_error="return",
     )

@@ -463,6 +463,33 @@ class TestRunMonitor:
                             epoch_s=EPOCH_S, scale=SCALE, seed=SEED)
         assert [r.cached for r in other.rows] == [True, True, False]
 
+    def test_epoch_key_is_the_hand_built_stage_key(self):
+        """The memoized epoch stage keys exactly the dict it always did."""
+        from repro.artifacts.keys import stage_key
+        from repro.monitor.run import monitor_epoch
+        from repro.spec.registry import scenario_spec
+
+        base = scenario_spec("EU1-ADSL")
+        spec = planted_plan().spec_at(2)
+        key = monitor_epoch.cache_key(
+            base, spec, 2, EPOCH_S, SCALE, SEED, "preferred", 4, 24, 0.002
+        )
+        assert key == stage_key(
+            "monitor/epoch",
+            {
+                "base": base,
+                "spec": spec,
+                "epoch": 2,
+                "epoch_s": EPOCH_S,
+                "scale": SCALE,
+                "seed": SEED,
+                "base_policy": "preferred",
+                "probes": 4,
+                "prefix_len": 24,
+                "miss_probability": 0.002,
+            },
+        )
+
 
 class TestRunMonitorFaulted:
     @pytest.fixture()

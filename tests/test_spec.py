@@ -286,7 +286,12 @@ class TestApply:
         world = apply_spec("EU1-FTTH", par_delta(policy="proportional"),
                            scale=0.002, duration_s=3600.0)
         assert world.policy_kind == "proportional"
-        assert world.build_config() is not None
+        # Its build inputs key the week it runs.
+        key = driver.simulate_week.cache_key(
+            world.spec, world.scale, world.seed, world.duration_s,
+            world.policy_kind,
+        )
+        assert len(key) == 64
 
     def test_apply_spec_unknown_base_name(self):
         with pytest.raises(KeyError):
