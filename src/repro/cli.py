@@ -439,6 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace, out) -> int:
+    if not args.duration_days > 0:
+        raise UsageError(f"--duration-days must be positive, got {args.duration_days:g}")
     result = run_scenario(
         args.dataset,
         scale=args.scale,
@@ -732,6 +734,11 @@ def _cmd_sessions_stream(args: argparse.Namespace, gaps: List[float], out) -> in
 
 
 def cmd_coldvideo(args: argparse.Namespace, out) -> int:
+    if args.nodes < 1:
+        raise UsageError(f"--nodes must be at least 1, got {args.nodes}")
+    if args.samples < 2:
+        # Each node's RTT1/RTT2 ratio needs a first and a later sample.
+        raise UsageError(f"--samples must be at least 2, got {args.samples}")
     world = build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.002, seed=args.seed)
     experiment = TestVideoExperiment(world, num_nodes=args.nodes, seed=args.seed)
     report = experiment.run(num_samples=args.samples)
@@ -1033,8 +1040,7 @@ def cmd_cache(args: argparse.Namespace, out) -> int:
         try:
             budget = parse_size(args.max_size)
         except ValueError as error:
-            print(f"bad --max-size: {error}", file=out)
-            return 2
+            raise UsageError(f"bad --max-size {args.max_size!r}: {error}") from None
         removed, freed = store.gc(budget)
         print(
             f"evicted {removed} artifacts ({freed / 1e6:.1f} MB) from {store.root}",

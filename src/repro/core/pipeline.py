@@ -268,14 +268,16 @@ class StudyPipeline:
             {ip for ips in self.focus_ips.values() for ip in ips}
         )
         site_of_ip = self._site_of_ip
+        # Calibrated here, under its own span, not inside the target loop.
+        geolocator = self.geolocator
 
         def geolocate(ip: int):
             site = site_of_ip(ip)
             if site is None:
                 raise LookupError(f"cannot reach server {ip} for probing")
-            return self.geolocator.geolocate_target(site)
+            return geolocator.geolocate_target(site)
 
-        with obs.span("pipeline/server_map", servers=len(union)):
+        with obs.span("pipeline/server_map", servers=len(union), layer="measure.cbg.geolocate"):
             server_map = cluster_servers(union, geolocate)
         degradation.stage_completed("pipeline/server_map")
         return server_map

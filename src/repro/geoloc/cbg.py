@@ -29,15 +29,17 @@ falls back to the tightest landmark's neighbourhood.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.faults import report as degradation
 from repro.faults.plan import active_plan
-from repro.geo.coords import GeoPoint, destination_point, haversine_km, haversine_km_many
+from repro.geo.coords import EARTH_RADIUS_KM, GeoPoint, haversine_km, haversine_km_many
 from repro.geo.landmarks import Landmark, LandmarkSet
 from repro.geoloc.probing import RttProber
 from repro.net.latency import AccessTechnology, C_FIBER_KM_PER_MS, Site
@@ -52,6 +54,12 @@ MIN_RADIUS_KM = 30.0
 
 #: Sunflower samples laid over the tightest constraint circle.
 _REGION_SAMPLES = 512
+
+#: How far a constraint disc must reach past the sampled disc before the
+#: region test skips it.  Far above the rounding error of a computed
+#: great-circle distance (under 1 m even for near-antipodal points), so a
+#: skipped disc provably contains every sample.
+_CONTAINMENT_SLACK_KM = 1.0
 
 #: Relaxation schedule when the intersection comes up empty.
 _RELAX_FACTOR = 1.05
@@ -174,9 +182,15 @@ class CbgGeolocator:
         if len(landmarks) < 4:
             raise ValueError("CBG needs at least 4 landmarks")
         self._landmarks = list(landmarks)
+        self._sites = [landmark_site(lm) for lm in self._landmarks]
         self._prober = prober
         self._bestlines: Dict[str, Bestline] = {}
-        self._calibrate()
+        with obs.span(
+            "geoloc/cbg/calibrate",
+            layer="measure.cbg.calibrate",
+            landmarks=len(self._landmarks),
+        ):
+            self._calibrate()
 
     @property
     def landmarks(self) -> List[Landmark]:
@@ -191,26 +205,32 @@ class CbgGeolocator:
         """
         return self._bestlines[landmark_name]
 
-    def _landmark_site(self, landmark: Landmark) -> Site:
-        return Site(
-            key=f"lm:{landmark.name}",
-            point=landmark.point,
-            access=AccessTechnology.CAMPUS,
-        )
-
     def _calibrate(self) -> None:
-        """Fit every landmark's bestline from inter-landmark RTTs."""
-        sites = {lm.name: self._landmark_site(lm) for lm in self._landmarks}
-        points = {lm.name: lm.point for lm in self._landmarks}
-        for lm in self._landmarks:
-            distances: List[float] = []
-            rtts: List[float] = []
-            for other in self._landmarks:
-                if other.name == lm.name:
-                    continue
-                distances.append(haversine_km(points[lm.name], points[other.name]))
-                rtts.append(self._prober.measure_ms(sites[lm.name], sites[other.name]))
-            self._bestlines[lm.name] = fit_bestline(distances, rtts)
+        """Fit every landmark's bestline from inter-landmark RTTs.
+
+        The distance, floor and noise rate of a landmark pair are fixed,
+        so they are computed once per unordered pair (great-circle
+        distance and the floor RTT are symmetric to the bit, and the
+        path profile is keyed on the unordered pair); only the probe
+        draws are per measurement.  Each landmark's row is then measured
+        in landmark order, drawing exactly what a ``measure_ms`` per
+        ordered pair would.
+        """
+        sites = self._sites
+        count = len(sites)
+        floor_and_rate = self._prober.latency.floor_and_rate
+        distances = [[0.0] * count for _ in range(count)]
+        paths = [[(0.0, 0.0)] * count for _ in range(count)]
+        for i in range(count):
+            for j in range(i + 1, count):
+                distances[i][j] = distances[j][i] = haversine_km(sites[i].point, sites[j].point)
+                paths[i][j] = paths[j][i] = floor_and_rate(sites[i], sites[j])
+        measure = self._prober.measure_floor_ms
+        for i, lm in enumerate(self._landmarks):
+            others = [j for j in range(count) if j != i]
+            row = paths[i]
+            rtts = [measure(*row[j]) for j in others]
+            self._bestlines[lm.name] = fit_bestline([distances[i][j] for j in others], rtts)
 
     # ------------------------------------------------------------- geolocate
 
@@ -230,14 +250,14 @@ class CbgGeolocator:
         may_drop = (
             len(self._landmarks) - 4 if plan is not None and plan.probe_loss else 0
         )
-        for lm in self._landmarks:
+        for lm, site in zip(self._landmarks, self._sites):
             if may_drop > 0 and plan.decide(
                 plan.probe_loss, "cbg/loss", target.key, lm.name
             ):
                 lost += 1
                 may_drop -= 1
                 continue
-            rtts[lm.name] = self._prober.measure_ms(self._landmark_site(lm), target)
+            rtts[lm.name] = self._prober.measure_ms(site, target)
         if lost:
             degradation.record(
                 "geoloc/cbg", degraded=1, probes_lost=lost
@@ -333,12 +353,14 @@ class CbgGeolocator:
 
         mask = np.ones(lats.shape[0], dtype=bool)
         for center, radius in zip(centers, radii):
+            # Every sample lies within anchor_radius of the anchor, so by
+            # the triangle inequality a disc reaching past the anchor's
+            # disc holds them all and cannot clear a mask bit.
+            if haversine_km(center, anchor) + anchor_radius + _CONTAINMENT_SLACK_KM < radius:
+                continue
+            mask &= haversine_km_many(center, lats, lons) <= radius
             if not mask.any():
                 return None
-            distances = haversine_km_many(center, lats, lons)
-            mask &= distances <= radius
-        if not mask.any():
-            return None
         feasible_lats = lats[mask]
         feasible_lons = lons[mask]
         centroid = _spherical_centroid(feasible_lats, feasible_lons)
@@ -347,18 +369,56 @@ class CbgGeolocator:
         return centroid, confidence
 
 
-def _sunflower(center: GeoPoint, radius_km: float, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """A sunflower-spiral sample of the disc around ``center``."""
+def landmark_site(landmark: Landmark) -> Site:
+    """The probing site of a landmark (a campus host at its position)."""
+    return Site(
+        key=f"lm:{landmark.name}",
+        point=landmark.point,
+        access=AccessTechnology.CAMPUS,
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _spiral(count: int) -> Tuple[Tuple[float, float, float], ...]:
+    """Per-sample ``(sqrt((i + 0.5) / count), sin(bearing), cos(bearing))``.
+
+    The sunflower's radial fractions and bearings depend only on the
+    sample count, so they are computed on first use and reused.
+    """
     golden = math.pi * (3.0 - math.sqrt(5.0))
-    lats = np.empty(count)
-    lons = np.empty(count)
+    spiral = []
     for i in range(count):
-        r = radius_km * math.sqrt((i + 0.5) / count)
-        theta = math.degrees(golden * i) % 360.0
-        p = destination_point(center, theta, r)
-        lats[i] = p.lat
-        lons[i] = p.lon
-    return lats, lons
+        theta = math.radians(math.degrees(golden * i) % 360.0)
+        spiral.append((math.sqrt((i + 0.5) / count), math.sin(theta), math.cos(theta)))
+    return tuple(spiral)
+
+
+def _sunflower(center: GeoPoint, radius_km: float, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A sunflower-spiral sample of the disc around ``center``.
+
+    Sample ``i`` is :func:`~repro.geo.coords.destination_point` of
+    ``center`` at bearing ``golden_angle * i`` and distance
+    ``radius_km * sqrt((i + 0.5) / count)``, with that formula inlined in
+    the same operation order.
+    """
+    lat1 = math.radians(center.lat)
+    lon1 = math.radians(center.lon)
+    sin_lat1 = math.sin(lat1)
+    cos_lat1 = math.cos(lat1)
+    lats = []
+    lons = []
+    for root, sin_theta, cos_theta in _spiral(count):
+        delta = radius_km * root / EARTH_RADIUS_KM
+        sin_delta = math.sin(delta)
+        cos_delta = math.cos(delta)
+        lat2 = math.asin(sin_lat1 * cos_delta + cos_lat1 * sin_delta * cos_theta)
+        lon2 = lon1 + math.atan2(
+            sin_theta * sin_delta * cos_lat1, cos_delta - sin_lat1 * math.sin(lat2)
+        )
+        lon2 = (lon2 + 3.0 * math.pi) % (2.0 * math.pi) - math.pi
+        lats.append(math.degrees(lat2))
+        lons.append(math.degrees(lon2))
+    return np.array(lats), np.array(lons)
 
 
 def _spherical_centroid(lats: np.ndarray, lons: np.ndarray) -> GeoPoint:

@@ -18,7 +18,7 @@ from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan
 from repro.faults.retry import ProbeTimeout, RetryPolicy, default_retry_policy
-from repro.net.latency import LatencyModel, Site
+from repro.net.latency import LatencyModel, Site, min_of_probes
 
 
 class RttProber:
@@ -38,10 +38,25 @@ class RttProber:
         self._rng = random.Random(seed)
         self.measurements = 0
 
+    @property
+    def latency(self) -> LatencyModel:
+        """The delay model this prober measures."""
+        return self._latency
+
     def measure_ms(self, origin: Site, target: Site) -> float:
         """One min-filtered RTT measurement, in milliseconds."""
+        return self.measure_floor_ms(*self._latency.floor_and_rate(origin, target))
+
+    def measure_floor_ms(self, floor_ms: float, rate: float) -> float:
+        """One min-filtered measurement of a path with a known floor.
+
+        ``(floor_ms, rate)`` is :meth:`LatencyModel.floor_and_rate` of the
+        path, so a caller measuring the same pair repeatedly (CBG's
+        landmark calibration) computes it once.  Draws exactly what
+        :meth:`measure_ms` of that pair would.
+        """
         self.measurements += 1
-        return self._latency.measure_min_rtt_ms(origin, target, self._rng, self._probes)
+        return min_of_probes(floor_ms, rate, self._rng, self._probes)
 
     def campaign(self, origin: Site, targets: Mapping[str, Site]) -> Dict[str, float]:
         """Measure from one origin to many labelled targets.

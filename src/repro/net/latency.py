@@ -190,16 +190,21 @@ class LatencyModel:
 
     def min_rtt_ms(self, a: Site, b: Site) -> float:
         """The floor RTT between two sites (no queueing), in ms."""
+        return self._floor_ms(a, b, self.path_profile(a, b))
+
+    def floor_and_rate(self, a: Site, b: Site) -> Tuple[float, float]:
+        """``(floor RTT in ms, queueing-noise rate)`` of the path.
+
+        Everything a probe of the path needs that does not vary per
+        probe: each probe is ``floor + rng.expovariate(rate)``.
+        """
         profile = self.path_profile(a, b)
-        distance = haversine_km(a.point, b.point)
-        propagation = 2.0 * distance / C_FIBER_KM_PER_MS * profile.inflation
-        access = a.access.last_mile_ms + b.access.last_mile_ms + a.extra_ms + b.extra_ms
-        return propagation + profile.detour_ms + access + PROCESSING_MS
+        return self._floor_ms(a, b, profile), 1.0 / profile.jitter_ms
 
     def sample_rtt_ms(self, a: Site, b: Site, rng: random.Random) -> float:
         """One probe's RTT: the floor plus exponential queueing noise."""
         profile = self.path_profile(a, b)
-        return self.min_rtt_ms(a, b) + rng.expovariate(1.0 / profile.jitter_ms)
+        return self._floor_ms(a, b, profile) + rng.expovariate(1.0 / profile.jitter_ms)
 
     def measure_min_rtt_ms(self, a: Site, b: Site, rng: random.Random, probes: int = 10) -> float:
         """Minimum over ``probes`` samples — what ``ping`` campaigns report.
@@ -209,7 +214,15 @@ class LatencyModel:
         """
         if probes < 1:
             raise ValueError("probes must be >= 1")
-        return min(self.sample_rtt_ms(a, b, rng) for _ in range(probes))
+        floor, rate = self.floor_and_rate(a, b)
+        return min_of_probes(floor, rate, rng, probes)
+
+    @staticmethod
+    def _floor_ms(a: Site, b: Site, profile: PathProfile) -> float:
+        distance = haversine_km(a.point, b.point)
+        propagation = 2.0 * distance / C_FIBER_KM_PER_MS * profile.inflation
+        access = a.access.last_mile_ms + b.access.last_mile_ms + a.extra_ms + b.extra_ms
+        return propagation + profile.detour_ms + access + PROCESSING_MS
 
     @staticmethod
     def ideal_rtt_ms(distance_km: float) -> float:
@@ -242,6 +255,17 @@ class LatencyModel:
             "processing_ms": PROCESSING_MS,
             "floor_ms": self.min_rtt_ms(a, b),
         }
+
+
+def min_of_probes(floor_ms: float, rate: float, rng: random.Random, probes: int) -> float:
+    """The minimum of ``probes`` probes ``floor_ms + rng.expovariate(rate)``.
+
+    The draws are taken in probe order, one per probe, so the result and
+    the RNG state afterwards match ``probes`` calls of
+    :meth:`LatencyModel.sample_rtt_ms` bit for bit.
+    """
+    draw = rng.expovariate
+    return min(floor_ms + draw(rate) for _ in range(probes))
 
 
 def _pair_key(a: str, b: str) -> Tuple[str, str]:

@@ -13,4 +13,10 @@ in ``tests/test_properties.py``) can require the columnar kernels to
 reproduce it *exactly* — same session lists, same dict order, same
 floats — and so ``benchmarks/test_bench_analysis.py`` can time the
 kernels against it.
+
+``oracle.cbg`` does the same for CBG and its probes
+(:mod:`repro.geoloc.cbg`, :mod:`repro.net.latency`): pair-by-pair
+calibration, point-by-point region sampling and per-probe floors, which
+``tests/test_geoloc_cbg_oracle.py`` requires the runtime to match bit for
+bit and ``benchmarks/test_bench_cbg.py`` times.
 """

@@ -300,6 +300,16 @@ BAD_INPUTS = [
       "--out", "malformed.tsv/g.json"], {}, "malformed.tsv/g.json"),
     (["monitor", "--epochs", "0"], {}, "epochs must be >= 1"),
     (["trace", "summary", "missing.jsonl"], {}, "missing.jsonl"),
+    # Checked before the world is built.
+    (["coldvideo", "--nodes", "0"], {}, "--nodes"),
+    (["coldvideo", "--nodes", "-3"], {}, "--nodes"),
+    (["coldvideo", "--samples", "1"], {}, "--samples"),
+    # Checked before anything is simulated.
+    (["simulate", "--dataset", "EU1-ADSL", "--out", "x.tsv", "--duration-days", "0"], {},
+     "--duration-days"),
+    (["simulate", "--dataset", "EU1-ADSL", "--out", "x.tsv", "--duration-days", "-1"], {},
+     "--duration-days"),
+    (["cache", "gc", "--max-size", "lots"], {}, "repro cache: bad --max-size"),
 ]
 
 
