@@ -77,7 +77,7 @@ def build_planetlab_nodes(
         raise ValueError("count must be >= 1")
     if atlas is None:
         atlas = default_atlas()
-    pools = {c: list(atlas.cities_in(c)) for c in set(_CONTINENT_ORDER)}
+    pools = {c: list(atlas.cities_in(c)) for c in dict.fromkeys(_CONTINENT_ORDER)}
     nodes: List[PlanetLabNode] = []
     used = set()
     slot = 0

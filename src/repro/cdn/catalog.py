@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -87,6 +88,18 @@ def hostname_for_video(video_id: str, num_shards: int = DEFAULT_NUM_SHARDS) -> s
     return f"v{shard_of(video_id, num_shards)}.lscache.youtube.sim"
 
 
+def check_catalog_args(featured_share: float) -> None:
+    """The range check :class:`VideoCatalog` runs on ``featured_share``."""
+    if not 0.0 <= featured_share < 1.0:
+        raise ValueError(f"featured_share must be in [0, 1), got {featured_share!r}")
+
+
+def check_mass_fraction(mass_fraction: float, name: str = "mass_fraction") -> None:
+    """The range :meth:`VideoCatalog.popularity_cutoff_rank` accepts."""
+    if not 0.0 < mass_fraction <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {mass_fraction!r}")
+
+
 @dataclass(frozen=True)
 class Video:
     """One catalog entry.
@@ -140,8 +153,7 @@ class VideoCatalog:
     ):
         if size < 10:
             raise ValueError("catalog needs at least 10 videos")
-        if not 0.0 <= featured_share < 1.0:
-            raise ValueError("featured_share must be in [0, 1)")
+        check_catalog_args(featured_share)
         self._size = size
         self._alpha = zipf_alpha
         self._featured_share = featured_share
@@ -234,8 +246,9 @@ class VideoCatalog:
                 if u < self._featured_share:
                     return featured
                 u = (u - self._featured_share) / (1.0 - self._featured_share)
-        target = u * self._total_weight
-        index = int(np.searchsorted(self._cumulative, target, side="right"))
+        # bisect over the float64 buffer finds np.searchsorted's
+        # side="right" index without numpy's per-call overhead.
+        index = bisect_right(memoryview(self._cumulative), u * self._total_weight)
         return self._videos[min(index, self._size - 1)]
 
     def popularity_cutoff_rank(self, mass_fraction: float) -> int:
@@ -244,7 +257,6 @@ class VideoCatalog:
         Used by content placement: the head of the catalog (e.g. the ranks
         covering 70 % of requests) is replicated to every data center.
         """
-        if not 0.0 < mass_fraction <= 1.0:
-            raise ValueError("mass_fraction must be in (0, 1]")
+        check_mass_fraction(mass_fraction)
         target = mass_fraction * self._total_weight
         return int(np.searchsorted(self._cumulative, target, side="left")) + 1

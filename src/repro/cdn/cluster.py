@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cdn.catalog import Resolution, Video, VideoCatalog, hostname_for_video, shard_of
 from repro.cdn.datacenter import ContentServer, DataCenter, DataCenterDirectory
@@ -21,6 +21,7 @@ from repro.cdn.selection import SelectionPolicy
 from repro.cdn.store import ContentPlacement
 from repro.net.dns import LocalResolver
 from repro.net.latency import AccessTechnology, LatencyModel, Site
+from repro.transient import Transient
 
 #: Flow kinds (ground truth; the trace schema does not carry them — the
 #: analysis re-derives control vs. video from flow size, as the paper does).
@@ -45,12 +46,36 @@ _GOODPUT_BPS: Dict[AccessTechnology, float] = {
 }
 
 
+#: Resolution label of legacy/third-party asset flows.
+_ASSET_LABEL = Resolution.R240.label
+
+#: One flow as it leaves a request: :class:`FlowEvent`'s fields, in order.
+Flow = Tuple[float, float, int, int, int, str, str, str]
+
+
+def check_cdn_args(
+    legacy_probability: float = 0.0,
+    third_party_probability: float = 0.0,
+    fragment_probability: float = 0.07,
+) -> None:
+    """The range checks :class:`CdnSystem` runs on its probabilities."""
+    for name, value in (
+        ("legacy_probability", legacy_probability),
+        ("third_party_probability", third_party_probability),
+        ("fragment_probability", fragment_probability),
+    ):
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+
+
 @dataclass
 class FlowEvent:
     """One observed TCP flow between a client and a content server.
 
-    This is the pre-trace form; the monitor converts it into the flow-log
-    record schema (:mod:`repro.trace.records`).
+    :meth:`CdnSystem.handle_request` returns flows in this form; the
+    request loop hands them to the monitor as plain :data:`Flow` tuples,
+    which it converts into the flow-log record schema
+    (:mod:`repro.trace.records`).
 
     Attributes:
         t_start: Flow start, seconds from trace start.
@@ -90,7 +115,26 @@ class RequestOutcome:
     served_dc_id: str
 
 
-class CdnSystem:
+class ServingClient(NamedTuple):
+    """What every request of one client shares (see :meth:`CdnSystem.serve`).
+
+    Attributes:
+        client_ip: The client's address.
+        floors: Floor RTT to each data center, shared by the client's
+            whole latency class.
+        goodput_bps: Sustained goodput of the client's access technology.
+        resolver: The client's local DNS resolver.
+        ranking: The policy's data-center ranking for that resolver.
+    """
+
+    client_ip: int
+    floors: "_Floors"
+    goodput_bps: float
+    resolver: LocalResolver
+    ranking: List[str]
+
+
+class CdnSystem(Transient):
     """The simulated YouTube CDN.
 
     Args:
@@ -113,6 +157,11 @@ class CdnSystem:
             the source of the paper's >2-flow sessions ("They account for
             5.18-10% of the total number of sessions", Section VI-C).
     """
+
+    #: Serving's stateless half (:class:`_ServingTables`), built on first
+    #: use and never pickled.
+    _tables: Optional["_ServingTables"] = None
+    _transient = ("_tables",)
 
     def __init__(
         self,
@@ -144,12 +193,7 @@ class CdnSystem:
             s for dc in (third_party_dcs or []) for s in dc.servers
         ]
         self._third_party_dc_by_id = {dc.dc_id: dc for dc in (third_party_dcs or [])}
-        if not 0.0 <= legacy_probability < 1.0:
-            raise ValueError("legacy_probability must be in [0, 1)")
-        if not 0.0 <= third_party_probability < 1.0:
-            raise ValueError("third_party_probability must be in [0, 1)")
-        if not 0.0 <= fragment_probability < 1.0:
-            raise ValueError("fragment_probability must be in [0, 1)")
+        check_cdn_args(legacy_probability, third_party_probability, fragment_probability)
         self._legacy_probability = legacy_probability
         self._third_party_probability = third_party_probability
         self._fragment_probability = fragment_probability
@@ -167,113 +211,17 @@ class CdnSystem:
             raise KeyError(f"server {server.ip_str} belongs to no known data center")
         return dc.server_site(server)
 
-    def _control_flow(
-        self,
-        t: float,
-        client_ip: int,
-        client_site: Site,
-        server: ContentServer,
-        video: Video,
-        resolution: Resolution,
-        rng: random.Random,
-    ) -> FlowEvent:
-        rtt_s = self.latency.min_rtt_ms(client_site, self.server_site(server)) / 1000.0
-        duration = 2.0 * rtt_s + rng.uniform(0.01, 0.08)
-        return FlowEvent(
-            t_start=t,
-            t_end=t + duration,
-            client_ip=client_ip,
-            server_ip=server.ip,
-            num_bytes=rng.randint(*_CONTROL_BYTES),
-            video_id=video.video_id,
-            resolution=resolution.label,
-            kind=KIND_CONTROL,
-        )
+    # ----------------------------------------------------------- precompute
 
-    def _video_flow(
-        self,
-        t: float,
-        client_ip: int,
-        client_site: Site,
-        server: ContentServer,
-        video: Video,
-        resolution: Resolution,
-        rng: random.Random,
-        watch_fraction: Optional[float] = None,
-    ) -> FlowEvent:
-        if watch_fraction is None:
-            # Many viewers watch to the end; the rest abandon part-way.
-            watch_fraction = 1.0 if rng.random() < 0.40 else rng.uniform(0.05, 1.0)
-        num_bytes = max(_MIN_VIDEO_BYTES, int(video.size_bytes(resolution) * watch_fraction))
-        goodput = _GOODPUT_BPS[client_site.access] * rng.uniform(0.55, 1.1)
-        duration = num_bytes * 8.0 / goodput + rng.uniform(0.1, 0.5)
-        return FlowEvent(
-            t_start=t,
-            t_end=t + duration,
-            client_ip=client_ip,
-            server_ip=server.ip,
-            num_bytes=num_bytes,
-            video_id=video.video_id,
-            resolution=resolution.label,
-            kind=KIND_VIDEO,
-        )
+    def _serving_tables(self) -> "_ServingTables":
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = _ServingTables(self)
+        return tables
 
-    def _fragment(self, flow: FlowEvent, rng: random.Random) -> List[FlowEvent]:
-        """Split a video flow into two back-to-back connections.
-
-        The player reconnects mid-download (same server): the trace shows
-        two video flows whose gap is well under the session threshold.
-        """
-        split = rng.uniform(0.25, 0.75)
-        duration = flow.t_end - flow.t_start
-        first_end = flow.t_start + duration * split
-        gap = rng.uniform(0.05, 0.4)
-        first = FlowEvent(
-            t_start=flow.t_start,
-            t_end=first_end,
-            client_ip=flow.client_ip,
-            server_ip=flow.server_ip,
-            num_bytes=int(flow.num_bytes * split),
-            video_id=flow.video_id,
-            resolution=flow.resolution,
-            kind=flow.kind,
-        )
-        second = FlowEvent(
-            t_start=first_end + gap,
-            t_end=first_end + gap + duration * (1.0 - split),
-            client_ip=flow.client_ip,
-            server_ip=flow.server_ip,
-            num_bytes=flow.num_bytes - first.num_bytes,
-            video_id=flow.video_id,
-            resolution=flow.resolution,
-            kind=flow.kind,
-        )
-        return [first, second]
-
-    def _asset_flow(
-        self,
-        t: float,
-        client_ip: int,
-        client_site: Site,
-        pool: List[ContentServer],
-        rng: random.Random,
-    ) -> FlowEvent:
-        server = pool[rng.randrange(len(pool))]
-        # Small legacy videos / assets: log-normal around ~0.8 MB.
-        num_bytes = int(min(6.0e6, max(3.0e4, rng.lognormvariate(math.log(8.0e5), 1.0))))
-        goodput = _GOODPUT_BPS[client_site.access] * rng.uniform(0.55, 1.1)
-        duration = num_bytes * 8.0 / goodput + rng.uniform(0.1, 0.4)
-        video = self.catalog.by_rank(rng.randrange(len(self.catalog)))
-        return FlowEvent(
-            t_start=t,
-            t_end=t + duration,
-            client_ip=client_ip,
-            server_ip=server.ip,
-            num_bytes=num_bytes,
-            video_id=video.video_id,
-            resolution=Resolution.R240.label,
-            kind=KIND_ASSET,
-        )
+    def serving_client(self, client_ip: int, site: Site, resolver: LocalResolver) -> ServingClient:
+        """The stateless half of every request ``client_ip`` makes from ``site``."""
+        return self._serving_tables().client(client_ip, site, resolver)
 
     # --------------------------------------------------------------- request
 
@@ -309,59 +257,167 @@ class CdnSystem:
         Returns:
             The :class:`RequestOutcome` with all flows the monitor will see.
         """
-        hostname = hostname_for_video(video.video_id, self.num_shards)
-        answer = resolver.query(hostname, t_s)
-        first_server = self.directory.server_at(answer.ip)
-        if first_server is None:
-            raise LookupError(f"DNS answered an unknown server address: {answer.ip}")
-        ranking = self.policy.ranking_for(resolver.resolver_id)
-        shard = shard_of(video.video_id, self.num_shards)
-        decision = self.redirection.route(first_server, video, ranking, t_s, shard=shard)
-
-        events: List[FlowEvent] = []
-        cursor = t_s
-        for hop in decision.hops[:-1]:
-            flow = self._control_flow(cursor, client_ip, client_site, hop, video, resolution, rng)
-            events.append(flow)
-            cursor = flow.t_end + rng.uniform(0.05, 0.35)
-        video_flow = self._video_flow(
-            cursor,
-            client_ip,
-            client_site,
-            decision.serving_server,
-            video,
-            resolution,
-            rng,
-            watch_fraction,
-        )
-        if (
-            self._fragment_probability
-            and video_flow.num_bytes >= 4 * _MIN_VIDEO_BYTES
-            and rng.random() < self._fragment_probability
-        ):
-            events.extend(self._fragment(video_flow, rng))
-        else:
-            events.append(video_flow)
-
-        if self._legacy_servers and rng.random() < self._legacy_probability:
-            events.append(
-                self._asset_flow(
-                    t_s + rng.uniform(0.0, 2.0), client_ip, client_site, self._legacy_servers, rng
-                )
-            )
-        if self._third_party_servers and rng.random() < self._third_party_probability:
-            events.append(
-                self._asset_flow(
-                    t_s + rng.uniform(0.0, 2.0),
-                    client_ip,
-                    client_site,
-                    self._third_party_servers,
-                    rng,
-                )
-            )
+        flows: List[Flow] = []
+        client = self.serving_client(client_ip, client_site, resolver)
+        decision = self.serve(client, video, resolution, t_s, rng, flows, watch_fraction)
         return RequestOutcome(
-            events=events,
+            events=[FlowEvent(*flow) for flow in flows],
             decision=decision,
-            dns_dc_id=first_server.dc_id,
+            dns_dc_id=decision.hops[0].dc_id,
             served_dc_id=decision.serving_server.dc_id,
         )
+
+    def serve(
+        self,
+        client: ServingClient,
+        video: Video,
+        resolution: Resolution,
+        t_s: float,
+        rng: random.Random,
+        flows: List[Flow],
+        watch_fraction: Optional[float] = None,
+    ) -> ServeDecision:
+        """The stateful half of :meth:`handle_request`.
+
+        Resolves, routes and times one request, appending its flows to
+        ``flows`` as :data:`Flow` tuples in time order.  What consumes no
+        randomness and is shared between requests comes precomputed in
+        ``client``; the policy, redirection and ``rng`` draws happen in
+        the order the Section II sequence makes them.
+
+        Returns:
+            The redirection engine's hop chain; its first hop is the
+            server the DNS answer pointed at.
+        """
+        src_ip, floors, goodput_bps, resolver, ranking = client
+        video_id = video.video_id
+        shard = shard_of(video_id, self.num_shards)
+        label = self._serving_tables().labels[resolution]
+
+        # A cached answer is keyed by hostname, so only a caching resolver
+        # needs one.  Without a cache, the shard goes straight to the
+        # policy: no name to format and parse back, no address to look up
+        # again (a seventh of the serving loop).
+        if resolver.cache_enabled:
+            hostname = hostname_for_video(video_id, self.num_shards)
+            first_server = self.directory.server_at(resolver.query(hostname, t_s).ip)
+        else:
+            first_server = resolver.forward_shard(shard, t_s)
+        if first_server is None:
+            raise LookupError(f"DNS answered an unknown server for video {video_id}")
+        decision = self.redirection.route(first_server, video, ranking, t_s, shard=shard)
+
+        hops = decision.hops
+        cursor = t_s
+        for hop in hops[:-1]:
+            # A redirect: one control exchange, then the next connection.
+            t_end = cursor + (2.0 * (floors.of(hop) / 1000.0) + rng.uniform(0.01, 0.08))
+            num_bytes = rng.randint(*_CONTROL_BYTES)
+            flows.append((cursor, t_end, src_ip, hop.ip, num_bytes, video_id, label, KIND_CONTROL))
+            cursor = t_end + rng.uniform(0.05, 0.35)
+
+        if watch_fraction is None:
+            # Many viewers watch to the end; the rest abandon part-way.
+            watch_fraction = 1.0 if rng.random() < 0.40 else rng.uniform(0.05, 1.0)
+        num_bytes = max(_MIN_VIDEO_BYTES, int(video.size_bytes(resolution) * watch_fraction))
+        goodput = goodput_bps * rng.uniform(0.55, 1.1)
+        duration = num_bytes * 8.0 / goodput + rng.uniform(0.1, 0.5)
+        if (
+            self._fragment_probability
+            and num_bytes >= 4 * _MIN_VIDEO_BYTES
+            and rng.random() < self._fragment_probability
+        ):
+            # The player reconnects mid-download (same server): two video
+            # flows whose gap is well under the session threshold.
+            split = rng.uniform(0.25, 0.75)
+            # Split the span the unsplit flow's end minus start covers,
+            # rounding included, not the drawn duration.
+            duration = (cursor + duration) - cursor
+            first_end = cursor + duration * split
+            second_start = first_end + rng.uniform(0.05, 0.4)
+            first_bytes = int(num_bytes * split)
+            parts = (
+                (cursor, first_end, first_bytes),
+                (second_start, second_start + duration * (1.0 - split), num_bytes - first_bytes),
+            )
+        else:
+            parts = ((cursor, cursor + duration, num_bytes),)
+        dst_ip = hops[-1].ip
+        for start, end, size in parts:
+            flows.append((start, end, src_ip, dst_ip, size, video_id, label, KIND_VIDEO))
+
+        for pool, probability in (
+            (self._legacy_servers, self._legacy_probability),
+            (self._third_party_servers, self._third_party_probability),
+        ):
+            if pool and rng.random() < probability:
+                t = t_s + rng.uniform(0.0, 2.0)
+                flows.append(self._asset_flow(t, src_ip, goodput_bps, pool, rng))
+        return decision
+
+    def _asset_flow(
+        self,
+        t: float,
+        src_ip: int,
+        goodput_bps: float,
+        pool: List[ContentServer],
+        rng: random.Random,
+    ) -> Flow:
+        server = pool[rng.randrange(len(pool))]
+        # Small legacy videos / assets: log-normal around ~0.8 MB.
+        num_bytes = int(min(6.0e6, max(3.0e4, rng.lognormvariate(math.log(8.0e5), 1.0))))
+        goodput = goodput_bps * rng.uniform(0.55, 1.1)
+        duration = num_bytes * 8.0 / goodput + rng.uniform(0.1, 0.4)
+        video = self.catalog.by_rank(rng.randrange(len(self.catalog)))
+        video_id = video.video_id
+        return (t, t + duration, src_ip, server.ip, num_bytes, video_id, _ASSET_LABEL, KIND_ASSET)
+
+
+class _Floors(dict):
+    """Floor RTT (ms) from one latency class to each data center, by ID.
+
+    Filled on first use: the floor depends only on the class and the
+    server's data center, never on which server or client it is.
+    """
+
+    def __init__(self, system: CdnSystem, site: Site):
+        super().__init__()
+        self._system = system
+        self._site = site
+
+    def of(self, server: ContentServer) -> float:
+        """Floor RTT to ``server``'s data center."""
+        floor = self.get(server.dc_id)
+        if floor is None:
+            system = self._system
+            floor = system.latency.min_rtt_ms(self._site, system.server_site(server))
+            self[server.dc_id] = floor
+        return floor
+
+
+class _ServingTables:
+    """Serving's stateless half for one :class:`CdnSystem`, built on demand.
+
+    Per latency class (clients that share a routing group, location,
+    access technology and egress latency — Gürsun's routing-equivalent
+    partition), the floor RTT to each data center; per resolution, its
+    label.  Nothing here consumes randomness, and none of it is pickled.
+    Nothing is kept per video: a video's shard is one crc32, and a table
+    over every requested video would grow with the week (tens of MB at
+    10 % scale).
+    """
+
+    def __init__(self, system: CdnSystem):
+        self._system = system
+        self._floors: Dict[tuple, _Floors] = {}
+        #: One label string per resolution, shared by every flow record.
+        self.labels: Dict[Resolution, str] = {r: r.label for r in Resolution}
+
+    def client(self, client_ip: int, site: Site, resolver: LocalResolver) -> ServingClient:
+        system = self._system
+        latency_class = (site.routing_group, site.point, site.access, site.extra_ms)
+        floors = self._floors.get(latency_class)
+        if floors is None:
+            floors = self._floors[latency_class] = _Floors(system, site)
+        ranking = system.policy.ranking_for(resolver.resolver_id)
+        return ServingClient(client_ip, floors, _GOODPUT_BPS[site.access], resolver, ranking)

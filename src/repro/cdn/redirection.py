@@ -31,6 +31,7 @@ from repro.cdn.catalog import Video
 from repro.cdn.datacenter import ContentServer, DataCenter, DataCenterDirectory
 from repro.cdn.store import ContentPlacement
 from repro.geo.coords import haversine_km
+from repro.transient import Transient
 
 #: Safety bound on redirection chains.
 MAX_HOPS = 4
@@ -42,6 +43,24 @@ CAUSE_MISS = "miss"
 CAUSE_OVERLOAD_INTRA = "overload-intra"
 CAUSE_OVERLOAD_INTER = "overload-inter"
 CAUSE_REBALANCE = "rebalance"
+
+
+def check_redirection_args(
+    rebalance_probability: float = 0.08,
+    intra_shed_fraction: float = 0.25,
+    origin_fetch_probability: float = 0.35,
+) -> None:
+    """The range checks :class:`RedirectionEngine` runs on its arguments."""
+    if not 0.0 <= rebalance_probability < 1.0:
+        raise ValueError(
+            f"rebalance_probability must be in [0, 1), got {rebalance_probability!r}"
+        )
+    if not 0.0 <= intra_shed_fraction <= 1.0:
+        raise ValueError(f"intra_shed_fraction must be in [0, 1], got {intra_shed_fraction!r}")
+    if not 0.0 <= origin_fetch_probability <= 1.0:
+        raise ValueError(
+            f"origin_fetch_probability must be in [0, 1], got {origin_fetch_probability!r}"
+        )
 
 
 @dataclass
@@ -69,7 +88,7 @@ class ServeDecision:
         return len(self.hops) > 1
 
 
-class RedirectionEngine:
+class RedirectionEngine(Transient):
     """Routes requests through content servers, tracking per-server load.
 
     Args:
@@ -89,6 +108,11 @@ class RedirectionEngine:
         seed: RNG seed.
     """
 
+    #: Per landing data center, the placement's other data centers,
+    #: nearest first.  Built on first use, never pickled.
+    _nearest: Optional[Dict[str, List[DataCenter]]] = None
+    _transient = ("_nearest",)
+
     def __init__(
         self,
         directory: DataCenterDirectory,
@@ -98,12 +122,9 @@ class RedirectionEngine:
         origin_fetch_probability: float = 0.35,
         seed: int = 0,
     ):
-        if not 0.0 <= rebalance_probability < 1.0:
-            raise ValueError("rebalance_probability must be in [0, 1)")
-        if not 0.0 <= intra_shed_fraction <= 1.0:
-            raise ValueError("intra_shed_fraction must be in [0, 1]")
-        if not 0.0 <= origin_fetch_probability <= 1.0:
-            raise ValueError("origin_fetch_probability must be in [0, 1]")
+        check_redirection_args(
+            rebalance_probability, intra_shed_fraction, origin_fetch_probability
+        )
         self._directory = directory
         self._placement = placement
         self._rebalance_probability = rebalance_probability
@@ -132,12 +153,6 @@ class RedirectionEngine:
             self._load[server_ip] = [hour, 1.0]
         else:
             entry[1] += 1.0
-
-    def _is_overloaded(self, server: ContentServer, dc: DataCenter, now_s: float) -> bool:
-        cap = dc.server_capacity_per_hour
-        if cap is None:
-            return False
-        return self._serves_this_hour(server.ip, now_s) >= cap
 
     def server_load(self, server_ip: int, now_s: float) -> float:
         """Current-hour serve count of a server (diagnostics)."""
@@ -189,18 +204,26 @@ class RedirectionEngine:
                 the client's eligible set (an in-ISP data center serves
                 only the host ISP's customers).
         """
-        best: Optional[DataCenter] = None
-        best_km = float("inf")
-        for dc_id in self._placement.holders(video):
-            if dc_id == from_dc.dc_id:
-                continue
-            if allowed is not None and dc_id not in allowed:
-                continue
-            dc = self._directory.get(dc_id)
-            d = haversine_km(from_dc.city.point, dc.city.point)
-            if d < best_km:
-                best, best_km = dc, d
-        return best
+        nearest = self._nearest
+        if nearest is None:
+            nearest = self._nearest = {}
+        order = nearest.get(from_dc.dc_id)
+        if order is None:
+            # A stable sort: equally distant data centers keep placement order.
+            order = nearest[from_dc.dc_id] = sorted(
+                (
+                    self._directory.get(dc_id)
+                    for dc_id in self._placement.dc_ids
+                    if dc_id != from_dc.dc_id
+                ),
+                key=lambda dc: haversine_km(from_dc.city.point, dc.city.point),
+            )
+        for dc in order:
+            if (allowed is None or dc.dc_id in allowed) and self._placement.is_resident(
+                dc.dc_id, video
+            ):
+                return dc
+        return None
 
     def _next_ranked_dc(
         self, ranking: Sequence[str], current_dc_id: str, video: Video
@@ -246,14 +269,17 @@ class RedirectionEngine:
         Returns:
             The :class:`ServeDecision` with the full hop chain.
         """
-        decision = ServeDecision(hops=[first_server])
+        decision = ServeDecision([first_server], [])
         server = first_server
-        # Data centers this client may be redirected to: wherever its DNS
-        # ranking can reach, plus wherever it already landed.
-        allowed = frozenset(ranking) | {first_server.dc_id}
+        allowed: Optional[frozenset] = None
+        placement = self._placement
         for _ in range(MAX_HOPS - 1):
             dc = self._directory.get(server.dc_id)
-            if not self._placement.is_resident(dc.dc_id, video):
+            if not placement.is_resident(dc.dc_id, video):
+                if allowed is None:
+                    # Data centers this client may be redirected to: wherever
+                    # its DNS ranking can reach, plus wherever it first landed.
+                    allowed = frozenset(ranking) | {first_server.dc_id}
                 holder = None
                 if self._rng.random() < self._origin_fetch_probability:
                     origins = [
@@ -270,13 +296,14 @@ class RedirectionEngine:
                     break  # nobody else has it; serve from here regardless
                 # The landing data center fetches the content as well, so
                 # subsequent requests are served locally (pull-through).
-                self._placement.pull_through(dc.dc_id, video)
+                placement.pull_through(dc.dc_id, video)
                 server = self._server_in_dc(holder, now_s)
                 decision.hops.append(server)
                 decision.causes.append(CAUSE_MISS)
                 self.miss_redirects += 1
                 continue
-            if self._is_overloaded(server, dc, now_s):
+            cap = dc.server_capacity_per_hour
+            if cap is not None and self._serves_this_hour(server.ip, now_s) >= cap:
                 shed_local = self._rng.random() < self._intra_shed_fraction
                 sibling = (
                     self._sibling_with_headroom(dc, server.ip, now_s) if shed_local else None
@@ -317,5 +344,5 @@ class RedirectionEngine:
                     self.rebalances += 1
                     continue
             break
-        self._record_serve(decision.serving_server.ip, now_s)
+        self._record_serve(server.ip, now_s)
         return decision

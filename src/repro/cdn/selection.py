@@ -57,6 +57,12 @@ def parse_shard(hostname: str) -> int:
     return int(label[1:])
 
 
+def check_spill_probability(spill_probability: float) -> None:
+    """The range check :class:`PreferredDcPolicy` runs on ``spill_probability``."""
+    if not 0.0 <= spill_probability < 1.0:
+        raise ValueError(f"spill_probability must be in [0, 1), got {spill_probability!r}")
+
+
 class SelectionPolicy(abc.ABC):
     """Base class: a :class:`repro.net.dns.NameMapper` over a data-center set.
 
@@ -105,12 +111,15 @@ class SelectionPolicy(abc.ABC):
         dc = self._directory.get(dc_id)
         return dc.server_by_index(shard % dc.size)
 
-    def map_name(self, hostname: str, resolver_id: str, now_s: float) -> Answer:
-        """Resolve a sharded content hostname for a querying resolver."""
-        shard = parse_shard(hostname)
+    def assign(self, shard: int, resolver_id: str, now_s: float) -> ContentServer:
+        """Pick the data center for one query and answer with its shard server."""
         dc_id = self.select_dc(resolver_id, now_s)
         self.assignments[dc_id] = self.assignments.get(dc_id, 0) + 1
-        server = self.server_for_shard(dc_id, shard)
+        return self.server_for_shard(dc_id, shard)
+
+    def map_name(self, hostname: str, resolver_id: str, now_s: float) -> Answer:
+        """Resolve a sharded content hostname for a querying resolver."""
+        server = self.assign(parse_shard(hostname), resolver_id, now_s)
         return Answer(ip=server.ip, ttl_s=self._ttl_s)
 
 
@@ -148,8 +157,7 @@ class PreferredDcPolicy(SelectionPolicy):
             if len(ranking) < 2:
                 raise ValueError(f"ranking for {resolver_id!r} needs >= 2 data centers")
         self._rankings: Dict[str, List[str]] = {r: list(v) for r, v in rankings.items()}
-        if not 0.0 <= spill_probability < 1.0:
-            raise ValueError("spill_probability must be in [0, 1)")
+        check_spill_probability(spill_probability)
         self._capacity = dict(dns_capacity_per_hour or {})
         self._spill_probability = spill_probability
         self._rng = random.Random(seed)

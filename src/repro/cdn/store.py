@@ -17,10 +17,26 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.cdn.catalog import Video, VideoCatalog
+from repro.cdn.catalog import Video, VideoCatalog, check_mass_fraction
+from repro.transient import Transient
 
 
-class ContentPlacement:
+def check_placement_args(
+    replicated_mass: float = 0.75,
+    regional_presence_prob: float = 0.8,
+    cache_capacity: Optional[int] = None,
+) -> None:
+    """The range checks :class:`ContentPlacement` runs on its arguments."""
+    check_mass_fraction(replicated_mass, "replicated_mass")
+    if not 0.0 <= regional_presence_prob < 1.0:
+        raise ValueError(
+            f"regional_presence_prob must be in [0, 1), got {regional_presence_prob!r}"
+        )
+    if cache_capacity is not None and cache_capacity < 1:
+        raise ValueError(f"cache_capacity must be >= 1 (or None), got {cache_capacity!r}")
+
+
+class ContentPlacement(Transient):
     """Tracks which data centers hold which videos.
 
     Args:
@@ -42,6 +58,11 @@ class ContentPlacement:
             Origin copies are never evicted.
     """
 
+    #: ``"|<dc_id>"`` per data center, encoded: the tail-residency hash
+    #: input after the video ID.  Built on first use, never pickled.
+    _suffixes: Optional[List[bytes]] = None
+    _transient = ("_suffixes",)
+
     def __init__(
         self,
         catalog: VideoCatalog,
@@ -55,10 +76,7 @@ class ContentPlacement:
             raise ValueError("placement needs at least one data center")
         if origin_count < 1:
             raise ValueError("origin_count must be >= 1")
-        if not 0.0 <= regional_presence_prob < 1.0:
-            raise ValueError("regional_presence_prob must be in [0, 1)")
-        if cache_capacity is not None and cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1 (or None)")
+        check_placement_args(replicated_mass, regional_presence_prob, cache_capacity)
         self._catalog = catalog
         self._dc_ids: List[str] = list(dc_ids)
         self._head_ranks = catalog.popularity_cutoff_rank(replicated_mass)
@@ -87,11 +105,14 @@ class ContentPlacement:
             for k in range(self._origin_count):
                 holders.add(self._dc_ids[(base + k * 7919) % n])
             threshold = int(self._regional_presence_prob * 1_000_000)
-            for dc_id in self._dc_ids:
+            suffixes = self._suffixes
+            if suffixes is None:
+                suffixes = self._suffixes = [f"|{dc_id}".encode() for dc_id in self._dc_ids]
+            for dc_id, suffix in zip(self._dc_ids, suffixes):
                 if dc_id in holders:
                     continue
-                draw = zlib.crc32(f"{video.video_id}|{dc_id}".encode()) % 1_000_000
-                if draw < threshold:
+                # crc32 of "<video_id>|<dc_id>", continued from the ID's own crc32.
+                if zlib.crc32(suffix, base) % 1_000_000 < threshold:
                     holders.add(dc_id)
             self._tail_holders[video.video_id] = holders
         return holders
@@ -169,6 +190,11 @@ class ContentPlacement:
             holders.add(self._dc_ids[(base + k * 7919) % n])
         self._tail_holders[video.video_id] = holders
         return sorted(holders)
+
+    @property
+    def dc_ids(self) -> List[str]:
+        """Every data center the placement tracks, in its stable order."""
+        return list(self._dc_ids)
 
     @property
     def head_ranks(self) -> int:

@@ -441,6 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args: argparse.Namespace, out) -> int:
     if not args.duration_days > 0:
         raise UsageError(f"--duration-days must be positive, got {args.duration_days:g}")
+    try:
+        # Fail before the week is simulated; append mode keeps an existing log.
+        open(args.out, "a", encoding="ascii").close()
+    except OSError as error:
+        raise UsageError(f"cannot write flow log {args.out}: {error}") from None
     result = run_scenario(
         args.dataset,
         scale=args.scale,
@@ -833,6 +838,7 @@ def cmd_anonymize(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
+    from repro.spec.info import SpecError
     from repro.whatif.sweep import check_parameter, sweep_parameter
 
     try:
@@ -844,10 +850,13 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     except ValueError:
         raise UsageError(f"--values must be comma-separated numbers: {args.values!r}") from None
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    sweep = sweep_parameter(
-        args.dataset, args.parameter, values, scale=args.scale, seed=args.seed,
-        executor=executor_from_args(args),
-    )
+    try:
+        sweep = sweep_parameter(
+            args.dataset, args.parameter, values, scale=args.scale, seed=args.seed,
+            executor=executor_from_args(args),
+        )
+    except SpecError as error:
+        raise UsageError(str(error)) from None
     header = f"{args.parameter:>24s}  " + "  ".join(f"{m:>18s}" for m in metrics)
     print(header, file=out)
     for value, row in zip(sweep.values, sweep.metrics):

@@ -14,7 +14,7 @@ Crucially, the authoritative answer depends on *which local resolver asks*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Protocol, Tuple
+from typing import Any, Dict, Protocol, Tuple
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,10 @@ class NameMapper(Protocol):
         """Resolve ``hostname`` for the given querying resolver at ``now_s``."""
         ...
 
+    def assign(self, shard: int, resolver_id: str, now_s: float) -> Any:
+        """:meth:`map_name` for a known name shard, returning the server itself."""
+        ...
+
 
 @dataclass
 class AuthoritativeServer:
@@ -58,6 +62,11 @@ class AuthoritativeServer:
         """Answer one query from a local resolver."""
         self.queries += 1
         return self.mapper.map_name(hostname, resolver_id, now_s)
+
+    def resolve_shard(self, shard: int, resolver_id: str, now_s: float) -> Any:
+        """:meth:`resolve` for a known name shard: the answered server itself."""
+        self.queries += 1
+        return self.mapper.assign(shard, resolver_id, now_s)
 
 
 @dataclass
@@ -99,6 +108,16 @@ class LocalResolver:
         if self.cache_enabled and answer.ttl_s > 0:
             self._cache[hostname] = (answer, now_s + answer.ttl_s)
         return answer
+
+    def forward_shard(self, shard: int, now_s: float) -> Any:
+        """An uncached :meth:`query` for a name whose shard the caller knows.
+
+        Counts the miss and asks the authoritative server, which answers
+        with the shard's server instead of an address to look up again.
+        Only valid without a cache: a cached answer is keyed by hostname.
+        """
+        self.misses += 1
+        return self.authoritative.resolve_shard(shard, self.resolver_id, now_s)
 
     def flush(self) -> None:
         """Drop all cached entries."""

@@ -34,7 +34,6 @@ close one (Figure 8).
 from __future__ import annotations
 
 import enum
-import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -271,25 +270,3 @@ def min_of_probes(floor_ms: float, rate: float, rng: random.Random, probes: int)
 def _pair_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
-
-def geographic_midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
-    """Approximate midpoint of two points (for diagnostics and plots)."""
-    # Average in 3-D Cartesian space, then project back to the sphere.
-    def to_xyz(p: GeoPoint):
-        lat = math.radians(p.lat)
-        lon = math.radians(p.lon)
-        return (
-            math.cos(lat) * math.cos(lon),
-            math.cos(lat) * math.sin(lon),
-            math.sin(lat),
-        )
-
-    ax, ay, az = to_xyz(a)
-    bx, by, bz = to_xyz(b)
-    mx, my, mz = (ax + bx) / 2.0, (ay + by) / 2.0, (az + bz) / 2.0
-    norm = math.sqrt(mx * mx + my * my + mz * mz)
-    if norm == 0.0:
-        return GeoPoint(0.0, 0.0)
-    lat = math.degrees(math.asin(mz / norm))
-    lon = math.degrees(math.atan2(my, mx))
-    return GeoPoint(lat, lon)

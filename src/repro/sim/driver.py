@@ -131,8 +131,9 @@ def simulate_week(
     looked up in this module on every call, so a caller can patch them
     here to time the two halves.
     """
-    world = build_world(spec, scale=scale, seed=seed, duration_s=duration_s,
-                        policy_kind=policy_kind)
+    with obs.span("sim/build", layer="sim.build", dataset=spec.name):
+        world = build_world(spec, scale=scale, seed=seed, duration_s=duration_s,
+                            policy_kind=policy_kind)
     return run_requests(world, miss_probability=miss_probability)
 
 

@@ -13,9 +13,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cdn.cluster import RequestOutcome
-from repro.net.dns import LocalResolver
-from repro.net.latency import Site
+from repro import obs
+from repro.cdn.cluster import Flow, ServingClient
+from repro.cdn.datacenter import ContentServer
 from repro.sim.scenarios import ScenarioWorld
 from repro.sim.seeding import derive_seed
 from repro.trace.monitor import EdgeMonitor
@@ -82,13 +82,17 @@ class GroundTruthLog:
         video_id: str,
         t_s: float,
         anchor_dc: str,
-        dns_dc: str,
-        chain_dcs: Sequence[str],
+        hops: Sequence[ContentServer],
     ) -> None:
-        """Record one request's truth (label derived, no randomness)."""
+        """Record one request's truth (label derived, no randomness).
+
+        ``hops`` is the served request's server chain: the DNS answer
+        first, the server that delivered the video last.
+        """
+        dns_dc = hops[0].dc_id
         if dns_dc != anchor_dc:
             label = TRUTH_DNS
-        elif any(dc_id != anchor_dc for dc_id in chain_dcs):
+        elif len(hops) > 1 and any(hop.dc_id != anchor_dc for hop in hops):
             label = TRUTH_REDIRECTION
         else:
             label = TRUTH_PREFERRED
@@ -97,7 +101,7 @@ class GroundTruthLog:
         self.t_s.append(t_s)
         self.anchor_dcs.append(anchor_dc)
         self.dns_dcs.append(dns_dc)
-        self.served_dcs.append(chain_dcs[-1] if chain_dcs else dns_dc)
+        self.served_dcs.append(hops[-1].dc_id)
         self.labels.append(label)
 
     def label_counts(self) -> Counter:
@@ -159,8 +163,8 @@ class RequestProcessor:
         self._serve_rng = random.Random(
             derive_seed(world.seed, world.spec.name, "serve")
         )
-        self._site_cache: Dict[int, Site] = {}
-        self._resolver_cache: Dict[int, LocalResolver] = {}
+        self._clients: Dict[int, ServingClient] = {}
+        self._flows: List[Flow] = []
         self.result = SimulationResult(world=world, dataset=None, requests=0)
         # Anchor resolver for ground-truth labels: the first non-divergent
         # subnet's resolver — the vantage point's canonical view, matching
@@ -176,69 +180,58 @@ class RequestProcessor:
         if self._anchor_resolver is None and subnets:
             self._anchor_resolver = f"{world.spec.name}/{subnets[0].name}"
 
-    def process(self, request: Request) -> RequestOutcome:
+    def _client(self, client_ip: int) -> ServingClient:
+        vantage = self.world.vantage
+        client = self.world.system.serving_client(
+            client_ip, vantage.client_site(client_ip), vantage.resolver_for(client_ip)
+        )
+        self._clients[client_ip] = client
+        return client
+
+    def process(self, request: Request) -> None:
         """Serve one request, record its flows and ground truth."""
         world = self.world
         result = self.result
         client_ip = request.client.ip
-        site = self._site_cache.get(client_ip)
-        if site is None:
-            site = world.vantage.client_site(client_ip)
-            self._site_cache[client_ip] = site
-        resolver = self._resolver_cache.get(client_ip)
-        if resolver is None:
-            resolver = world.vantage.resolver_for(client_ip)
-            self._resolver_cache[client_ip] = resolver
-        outcome = world.system.handle_request(
-            client_ip=client_ip,
-            client_site=site,
-            resolver=resolver,
-            video=request.video,
-            resolution=request.resolution,
-            t_s=request.t_s,
-            rng=self._serve_rng,
+        client = self._clients.get(client_ip) or self._client(client_ip)
+        flows = self._flows
+        flows.clear()
+        t_s = request.t_s
+        decision = world.system.serve(
+            client, request.video, request.resolution, t_s, self._serve_rng, flows
         )
-        self.monitor.observe_all(outcome.events)
+        self.monitor.observe(flows)
+        hops = decision.hops
+        dns_dc = hops[0].dc_id
+        served_dc = hops[-1].dc_id
         result.requests += 1
-        result.dns_dc_counts[outcome.dns_dc_id] += 1
-        result.served_dc_counts[outcome.served_dc_id] += 1
+        result.dns_dc_counts[dns_dc] += 1
+        result.served_dc_counts[served_dc] += 1
         # Ground truth: what the policy intended vs. what happened.  The
         # anchor lookup is a pure observation (preferred_now consumes no
         # randomness), so recording truth never perturbs the week.
         anchor_dc = None
         if self._anchor_resolver is not None:
             try:
-                anchor_dc = world.system.policy.preferred_now(
-                    self._anchor_resolver, request.t_s
-                )
+                anchor_dc = world.system.policy.preferred_now(self._anchor_resolver, t_s)
             except KeyError:
                 anchor_dc = None
         if anchor_dc is None:
             # Hand-built worlds without a configured anchor resolver:
             # degrade to labelling relative to the DNS answer itself.
-            anchor_dc = outcome.dns_dc_id
-        result.truth.append(
-            client_ip=client_ip,
-            video_id=request.video.video_id,
-            t_s=request.t_s,
-            anchor_dc=anchor_dc,
-            dns_dc=outcome.dns_dc_id,
-            chain_dcs=[hop.dc_id for hop in outcome.decision.hops],
-        )
-        if outcome.decision.causes:
-            for cause in outcome.decision.causes:
+            anchor_dc = dns_dc
+        result.truth.append(client_ip, request.video.video_id, t_s, anchor_dc, hops)
+        if decision.causes:
+            for cause in decision.causes:
                 result.cause_counts[cause] += 1
         else:
             result.cause_counts["direct"] += 1
         if len(result.startup_delay_samples) < _MAX_PERF_SAMPLES:
-            serving = outcome.decision.serving_server
-            rtt_ms = world.latency.min_rtt_ms(site, world.system.server_site(serving))
-            video_flow = outcome.events[len(outcome.decision.hops) - 1]
+            rtt_ms = client.floors.of(hops[-1])
             # Startup = redirect chain latency + one more RTT to first byte.
-            startup = (video_flow.t_start - request.t_s) + 2.0 * rtt_ms / 1000.0
+            startup = (flows[len(hops) - 1][0] - t_s) + 2.0 * rtt_ms / 1000.0
             result.startup_delay_samples.append(startup)
             result.serving_rtt_samples.append(rtt_ms)
-        return outcome
 
     def finish(self) -> SimulationResult:
         """Close collection and return the populated result."""
@@ -264,12 +257,20 @@ def run_requests(
     Returns:
         The :class:`SimulationResult` with the dataset and ground truth.
     """
+    name = world.spec.name
     if requests is None:
-        requests = world.generator.generate(world.duration_s)
+        with obs.span("sim/workload", layer="sim.workload", dataset=name) as active:
+            requests = world.generator.generate(world.duration_s)
+            if active is not None:
+                active.attrs["requests"] = len(requests)
     processor = RequestProcessor(world, miss_probability=miss_probability)
-    for request in requests:
-        processor.process(request)
-    return processor.finish()
+    with obs.span("sim/serve", layer="sim.serve", dataset=name, requests=len(requests)) as active:
+        for request in requests:
+            processor.process(request)
+        result = processor.finish()
+        if active is not None:
+            active.attrs["flows"] = processor.monitor.observed
+    return result
 
 
 def stream_requests(

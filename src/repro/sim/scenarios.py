@@ -18,17 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cdn.catalog import DEFAULT_NUM_SHARDS, VideoCatalog
-from repro.cdn.cluster import CdnSystem
+from repro.cdn.catalog import DEFAULT_NUM_SHARDS, VideoCatalog, check_catalog_args
+from repro.cdn.cluster import CdnSystem, check_cdn_args
 from repro.cdn.datacenter import DataCenter, DataCenterDirectory, build_datacenter
-from repro.cdn.redirection import RedirectionEngine
+from repro.cdn.redirection import RedirectionEngine, check_redirection_args
 from repro.cdn.selection import (
     PolicyContext,
     SelectionPolicy,
+    check_spill_probability,
     make_policy,
     registered_policy_kinds,
 )
-from repro.cdn.store import ContentPlacement
+from repro.cdn.store import ContentPlacement, check_placement_args
 from repro.geo.cities import City, default_atlas
 from repro.net.asn import (
     AsRegistry,
@@ -202,6 +203,24 @@ class ScenarioSpec:
     #: Cities removed from :data:`GOOGLE_DC_PLAN` (drained/decommissioned
     #: data-center what-ifs; the complementary half of the topology axis).
     removed_dcs: Tuple[str, ...] = ()
+
+    def check_ranges(self) -> None:
+        """Run the world builder's range checks, before anything simulates.
+
+        Each check is the one the component's constructor runs.
+
+        Raises:
+            ValueError: Naming the first out-of-range field and its value.
+        """
+        check_spill_probability(self.spill_probability)
+        check_catalog_args(self.featured_share)
+        check_placement_args(
+            self.replicated_mass, self.regional_presence_prob, self.cache_capacity
+        )
+        check_redirection_args(
+            self.rebalance_probability, origin_fetch_probability=self.origin_fetch_probability
+        )
+        check_cdn_args(self.legacy_probability, self.third_party_probability)
 
     def diurnal_profile(self) -> DiurnalProfile:
         """The arrival profile matching the vantage point's nature."""

@@ -19,6 +19,7 @@ from repro import obs
 from repro.artifacts.store import default_store
 from repro.exec.executor import ParallelExecutor, default_executor
 from repro.spec.grid import GridPoint, GridSpec, enumerate_points
+from repro.spec.info import SpecError
 from repro.spec.model import apply_to_scenario
 from repro.trace.records import WEEK_S
 from repro.whatif.metrics import ScenarioMetrics, scenario_metrics
@@ -65,14 +66,20 @@ def materialize_point(
         :func:`~repro.whatif.metrics.scenario_metrics`.
 
     Raises:
-        SpecError: If the point's delta cannot apply to its base.
+        SpecError: If the point's delta cannot apply to its base, or sets
+            a value out of the scenario's range.
         KeyError: For unknown base names.
     """
     from repro.spec.registry import scenario_spec
 
-    return apply_to_scenario(
+    scenario, policy = apply_to_scenario(
         scenario_spec(point.base), point.delta, base_policy=base_policy
     )
+    try:
+        scenario.check_ranges()
+    except ValueError as error:
+        raise SpecError(f"point {point.label}: {error}") from None
+    return scenario, policy
 
 
 def _point_tasks(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, List, Optional
 
-from repro.cdn.cluster import FlowEvent
+from repro.cdn.cluster import Flow
 from repro.net.topology import VantagePoint
 from repro.trace.records import Dataset, FlowRecord
 
@@ -51,32 +51,25 @@ class EdgeMonitor:
         self.observed = 0
         self.missed = 0
 
-    def observe(self, event: FlowEvent) -> Optional[FlowRecord]:
-        """Observe one flow crossing the edge; record it unless missed."""
-        self.observed += 1
-        if self._miss_probability and self._rng.random() < self._miss_probability:
-            self.missed += 1
-            return None
-        record = FlowRecord(
-            src_ip=event.client_ip,
-            dst_ip=event.server_ip,
-            num_bytes=event.num_bytes,
-            t_start=event.t_start,
-            t_end=event.t_end,
-            video_id=event.video_id,
-            resolution=event.resolution,
-        )
-        self._recorded += 1
-        if self._sink is not None:
-            self._sink(record)
-        else:
-            self._records.append(record)
-        return record
+    def observe(self, flows: Iterable[Flow]) -> None:
+        """Observe flows crossing the edge; record each one unless missed.
 
-    def observe_all(self, events: Iterable[FlowEvent]) -> None:
-        """Observe a batch of flows."""
-        for event in events:
-            self.observe(event)
+        Args:
+            flows: :data:`~repro.cdn.cluster.Flow` tuples (a
+                :class:`~repro.cdn.cluster.FlowEvent`'s fields, in order),
+                in the order they cross the edge: one miss draw each.
+        """
+        miss_probability = self._miss_probability
+        draw = self._rng.random
+        keep = self._records.append if self._sink is None else self._sink
+        for t_start, t_end, client_ip, server_ip, num_bytes, video_id, label, _ in flows:
+            self.observed += 1
+            if miss_probability and draw() < miss_probability:
+                self.missed += 1
+                continue
+            record = FlowRecord(client_ip, server_ip, num_bytes, t_start, t_end, video_id, label)
+            self._recorded += 1
+            keep(record)
 
     def finish(self, name: str, duration_s: float) -> Dataset:
         """Close collection and return the dataset (records time-sorted).

@@ -8,6 +8,7 @@ share of the requests, as in any real edge trace.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -57,7 +58,9 @@ class ClientPopulation:
         """
         if not 0.0 <= u < 1.0:
             raise ValueError(f"u out of [0,1): {u}")
-        index = int(np.searchsorted(self._cumulative, u * self._total, side="right"))
+        # bisect over the float64 buffer finds np.searchsorted's
+        # side="right" index without numpy's per-call overhead.
+        index = bisect_right(memoryview(self._cumulative), u * self._total)
         return self._clients[min(index, len(self._clients) - 1)]
 
     def by_subnet(self) -> Dict[str, List[Client]]:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from operator import attrgetter
+from typing import List, NamedTuple, Optional
 
 from repro.cdn.catalog import Resolution, Video, VideoCatalog
 from repro.workload.clients import Client, ClientPopulation
@@ -27,8 +27,7 @@ _RESOLUTION_WEIGHTS = (
 )
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One user video request.
 
     Attributes:
@@ -114,17 +113,18 @@ class RequestGenerator:
             count = _poisson(rate, rng)
             for _ in range(count):
                 t = hour_start + rng.uniform(0.0, span)
-                requests.extend(self._one_playback(t, rng, duration_s))
-        requests.sort(key=lambda r: r.t_s)
+                self._one_playback(t, rng, duration_s, requests)
+        requests.sort(key=attrgetter("t_s"))
         return requests
 
     def _one_playback(
-        self, t_s: float, rng: random.Random, duration_s: float
-    ) -> Iterator[Request]:
+        self, t_s: float, rng: random.Random, duration_s: float, requests: List[Request]
+    ) -> None:
+        """Append one playback's request and its follow-up interactions."""
         client = self._population.sample(rng.random())
         video = self._catalog.sample(rng.random(), t_s)
         resolution = sample_resolution(rng)
-        yield Request(t_s=t_s, client=client, video=video, resolution=resolution)
+        requests.append(Request(t_s, client, video, resolution))
         cursor = t_s
         current_resolution = resolution
         for gap in self._interactions.draw_gaps(rng):
@@ -132,13 +132,7 @@ class RequestGenerator:
             if cursor >= duration_s:
                 break
             current_resolution = self._interactions.next_resolution(current_resolution, rng)
-            yield Request(
-                t_s=cursor,
-                client=client,
-                video=video,
-                resolution=current_resolution,
-                is_interaction=True,
-            )
+            requests.append(Request(cursor, client, video, current_resolution, True))
 
 
 def _poisson(rate: float, rng: random.Random) -> int:

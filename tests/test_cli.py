@@ -61,6 +61,19 @@ class TestSimulateAndSessions:
         code, text = run_cli("sessions", "--flows", str(log))
         assert code == 1
 
+    def test_simulate_keeps_old_log_until_the_week_is_written(self, tmp_path, monkeypatch):
+        import repro.cli as cli
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        log = tmp_path / "flows.tsv"
+        log.write_text("#src\nold\n")
+        monkeypatch.setattr(cli, "run_scenario", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("simulate", "--dataset", "EU1-FTTH", "--out", str(log))
+        assert log.read_text() == "#src\nold\n"
+
     def test_simulate_proportional_policy(self, tmp_path):
         log = tmp_path / "old.tsv"
         code, _ = run_cli(
@@ -122,6 +135,21 @@ class TestComposite:
                              "--seed", "5")
         assert code == 0
         assert "ratio>1.2" in text
+
+    def test_coldvideo_ignores_hash_seed(self):
+        # The PlanetLab node list once depended on set iteration order.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "3"):
+            env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+            env.update(PYTHONPATH=src, PYTHONHASHSEED=hash_seed, REPRO_CACHE="off")
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "coldvideo", "--scale", "0.004"],
+                env=env, capture_output=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_sweep(self):
         code, text = run_cli(
@@ -310,6 +338,16 @@ BAD_INPUTS = [
     (["simulate", "--dataset", "EU1-ADSL", "--out", "x.tsv", "--duration-days", "-1"], {},
      "--duration-days"),
     (["cache", "gc", "--max-size", "lots"], {}, "repro cache: bad --max-size"),
+    # Checked before anything is simulated.
+    (["simulate", "--dataset", "EU1-ADSL", "--out", "missing-dir/x.tsv"], {},
+     "repro simulate: cannot write flow log missing-dir/x.tsv"),
+    # Out-of-range scenario values are rejected when each point is composed.
+    (["sweep", "--dataset", "EU2", "--parameter", "rebalance_probability",
+      "--values", "0.1,2.0"], {}, "rebalance_probability must be in [0, 1), got 2.0"),
+    (["grid", "run", "--base", "EU2", "--axis", "rebalance_probability=2.0"], {},
+     "rebalance_probability must be in [0, 1), got 2.0"),
+    (["grid", "plan", "--base", "EU2", "--axis", "rebalance_probability=2.0"], {},
+     "rebalance_probability must be in [0, 1), got 2.0"),
 ]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -488,6 +489,22 @@ RUN = dict(scale=0.002, seed=7, duration_s=21600.0)
 
 
 class TestRunner:
+    @pytest.mark.parametrize("axis, value, needle", [
+        ("rebalance_probability", 2.0, "rebalance_probability must be in [0, 1), got 2.0"),
+        ("origin_fetch_probability", 1.5, "origin_fetch_probability must be in [0, 1], got 1.5"),
+        ("replicated_mass", 0.0, "replicated_mass must be in (0, 1], got 0.0"),
+        ("cache_capacity", 0, "cache_capacity must be >= 1 (or None), got 0"),
+    ])
+    def test_out_of_range_point_fails_before_any_simulation(self, axis, value, needle):
+        valid = 5 if axis == "cache_capacity" else 0.1  # runs first, if anything does
+        grid = GridSpec(base="EU2", axes=(GridAxis(axis, (valid, value)),))
+        for run in (plan_grid, run_grid):
+            with pytest.raises(SpecError, match=re.escape(needle)):
+                run(grid, **RUN)
+        # Composing alone stays permissive: only a point about to run is checked.
+        scenario, _ = apply_to_scenario(scenario_spec("EU2"), par_delta(**{axis: value}))
+        assert getattr(scenario, axis) == value
+
     def test_plan_marks_everything_cold_without_cache(self):
         grid = GridSpec(axes=(GridAxis("policy", ("preferred", "geographic")),))
         plan = plan_grid(grid, **RUN)

@@ -1,5 +1,6 @@
 """Tests for the trace package: records, monitor, log I/O."""
 
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -123,29 +124,29 @@ class TestMonitor:
     def vantage(self):
         return build_world(PAPER_SCENARIOS["EU1-Campus"], scale=0.01, seed=2).vantage
 
-    def make_event(self, i=0):
-        return FlowEvent(
+    def make_event(self, i=0, video_id="AAAAAAAAAAA"):
+        """One flow as requests hand it to the monitor (FlowEvent's fields)."""
+        return astuple(FlowEvent(
             t_start=float(i), t_end=float(i) + 1.0,
             client_ip=parse_ip("128.210.0.5"), server_ip=parse_ip("173.194.0.10"),
-            num_bytes=1000, video_id="AAAAAAAAAAA", resolution="360p", kind="video",
-        )
+            num_bytes=1000, video_id=video_id, resolution="360p", kind="video",
+        ))
 
     def test_records_all_without_misses(self, vantage):
         monitor = EdgeMonitor(vantage, miss_probability=0.0)
-        monitor.observe_all(self.make_event(i) for i in range(10))
+        monitor.observe(self.make_event(i) for i in range(10))
         assert monitor.record_count == 10
         assert monitor.missed == 0
 
     def test_miss_probability(self, vantage):
         monitor = EdgeMonitor(vantage, miss_probability=0.5, seed=1)
-        monitor.observe_all(self.make_event(i) for i in range(1000))
+        monitor.observe(self.make_event(i) for i in range(1000))
         assert 350 < monitor.record_count < 650
         assert monitor.missed + monitor.record_count == 1000
 
     def test_finish_sorts(self, vantage):
         monitor = EdgeMonitor(vantage, miss_probability=0.0)
-        for i in (5, 1, 3):
-            monitor.observe(self.make_event(i))
+        monitor.observe(self.make_event(i) for i in (5, 1, 3))
         ds = monitor.finish("X", 3600.0)
         starts = [r.t_start for r in ds.records]
         assert starts == sorted(starts)
@@ -156,15 +157,7 @@ class TestMonitor:
 
     def _observed_ids(self, vantage, seed):
         monitor = EdgeMonitor(vantage, miss_probability=0.3, seed=seed)
-        for i in range(200):
-            event = self.make_event(i)
-            event = FlowEvent(
-                t_start=event.t_start, t_end=event.t_end,
-                client_ip=event.client_ip, server_ip=event.server_ip,
-                num_bytes=event.num_bytes, video_id=f"vid{i:08d}",
-                resolution=event.resolution, kind=event.kind,
-            )
-            monitor.observe(event)
+        monitor.observe(self.make_event(i, video_id=f"vid{i:08d}") for i in range(200))
         return {r.video_id for r in monitor.finish("X", 3600.0).records}
 
     def test_same_seed_drops_the_same_flows(self, vantage):
@@ -181,7 +174,7 @@ class TestMonitor:
         counts = []
         for _ in range(2):
             monitor = EdgeMonitor(vantage, miss_probability=0.3, seed=5)
-            monitor.observe_all(self.make_event(i) for i in range(300))
+            monitor.observe(self.make_event(i) for i in range(300))
             counts.append((monitor.observed, monitor.missed,
                            monitor.record_count))
         assert counts[0] == counts[1]
