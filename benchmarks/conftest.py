@@ -24,7 +24,7 @@ os.environ.setdefault("REPRO_CACHE", "off")
 from repro import obs
 from repro.artifacts.store import default_store
 from repro.core.pipeline import StudyPipeline
-from repro.exec import ParallelExecutor
+from repro.exec.executor import ParallelExecutor
 from repro.reporting.timing import phases_summary, write_timing_json
 from repro.sim.driver import run_all
 

@@ -8,7 +8,7 @@ CI benchmark-smoke job reports for the serial and process matrix legs.
 
 import time
 
-from repro.exec import ParallelExecutor
+from repro.exec.executor import ParallelExecutor
 from repro.reporting.timing import write_timing_json
 from repro.sim import driver
 

@@ -28,7 +28,7 @@ import pytest
 
 from repro.sim.driver import run_scenario
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
-from repro.stream import stream_dataset
+from repro.stream.study import stream_dataset
 
 from benchmarks.conftest import OUT_DIR
 

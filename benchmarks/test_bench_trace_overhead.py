@@ -12,7 +12,7 @@ slower, this fails before the trace ever reaches a user.
 import time
 
 from repro import obs
-from repro.exec import ParallelExecutor
+from repro.exec.executor import ParallelExecutor
 from repro.sim import driver
 
 from benchmarks.conftest import OUT_DIR

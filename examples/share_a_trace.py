@@ -18,7 +18,8 @@ from pathlib import Path
 from repro.core.flows import classify_flows
 from repro.core.sessions import build_sessions, flows_per_session_histogram
 from repro.sim.driver import run_scenario
-from repro.trace import PrefixPreservingAnonymizer, read_flow_log, write_flow_log
+from repro.trace.anonymize import PrefixPreservingAnonymizer
+from repro.trace.logio import read_flow_log, write_flow_log
 from repro.trace.anonymize import verify_prefix_preservation
 
 

@@ -14,7 +14,8 @@ Run:
     python examples/whatif_capacity_planning.py
 """
 
-from repro.whatif import compare_variants, render_comparison, standard_variants
+from repro.whatif.compare import compare_variants, render_comparison
+from repro.whatif.variants import standard_variants
 
 
 def main() -> None:

@@ -17,8 +17,9 @@ The package has three layers:
 
 Quick start::
 
-    from repro.sim import run_scenario
-    from repro.core import classify_flows, build_sessions
+    from repro.sim.driver import run_scenario
+    from repro.core.flows import classify_flows
+    from repro.core.sessions import build_sessions
 
     result = run_scenario("EU1-ADSL", scale=0.01)
     flows = classify_flows(result.dataset.records)
@@ -26,5 +27,3 @@ Quick start::
 """
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__"]

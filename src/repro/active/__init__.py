@@ -6,18 +6,3 @@ world every 30 minutes for 12 hours, and watch the serving data center move
 from a far-away origin (first fetch) to the node's preferred data center
 (every later fetch) — Figures 17 and 18.
 """
-
-from repro.active.planetlab import PlanetLabNode, build_planetlab_nodes
-from repro.active.testvideo import (
-    NodeRttSeries,
-    TestVideoExperiment,
-    TestVideoReport,
-)
-
-__all__ = [
-    "PlanetLabNode",
-    "build_planetlab_nodes",
-    "NodeRttSeries",
-    "TestVideoExperiment",
-    "TestVideoReport",
-]

@@ -17,43 +17,3 @@ Warm re-runs and sweeps then pay only for changed stages: an N-variant
 sweep simulates the shared base world once, and a re-run of an unchanged
 study is pure artifact loads.
 """
-
-from repro.artifacts.keys import (
-    CODE_VERSION,
-    CanonicalizationError,
-    ENV_CODE_VERSION,
-    canonicalize,
-    code_version,
-    stage_key,
-)
-from repro.artifacts.memo import memoized_stage
-from repro.artifacts.store import (
-    ArtifactStore,
-    CacheStats,
-    DEFAULT_CACHE_DIR,
-    ENV_CACHE,
-    ENV_CACHE_DIR,
-    cache_enabled,
-    cache_root,
-    default_store,
-    reset_default_store,
-)
-
-__all__ = [
-    "ArtifactStore",
-    "CacheStats",
-    "CanonicalizationError",
-    "CODE_VERSION",
-    "DEFAULT_CACHE_DIR",
-    "ENV_CACHE",
-    "ENV_CACHE_DIR",
-    "ENV_CODE_VERSION",
-    "cache_enabled",
-    "cache_root",
-    "canonicalize",
-    "code_version",
-    "default_store",
-    "memoized_stage",
-    "reset_default_store",
-    "stage_key",
-]

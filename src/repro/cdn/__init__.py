@@ -15,33 +15,3 @@ Mechanism-for-mechanism model of the system the paper reverse-engineers:
   (:mod:`repro.cdn.redirection`);
 * the assembled system (:mod:`repro.cdn.cluster`).
 """
-
-from repro.cdn.catalog import Resolution, Video, VideoCatalog, hostname_for_video, shard_of
-from repro.cdn.datacenter import ContentServer, DataCenter
-from repro.cdn.store import ContentPlacement
-from repro.cdn.selection import (
-    PreferredDcPolicy,
-    ProportionalPolicy,
-    SelectionPolicy,
-)
-from repro.cdn.redirection import RedirectionEngine, ServeDecision
-from repro.cdn.cluster import CdnSystem, FlowEvent, RequestOutcome
-
-__all__ = [
-    "Resolution",
-    "Video",
-    "VideoCatalog",
-    "hostname_for_video",
-    "shard_of",
-    "ContentServer",
-    "DataCenter",
-    "ContentPlacement",
-    "PreferredDcPolicy",
-    "ProportionalPolicy",
-    "SelectionPolicy",
-    "RedirectionEngine",
-    "ServeDecision",
-    "CdnSystem",
-    "FlowEvent",
-    "RequestOutcome",
-]

@@ -18,6 +18,12 @@ scenario-spec grids (axes × values over a registry base) and runs them
 with per-point cache reuse; ``monitor`` watches an evolving world across
 epochs and raises change-point alarms; ``cache`` inspects and manages the
 stage-artifact store that makes warm re-runs of the above incremental.
+
+Each command imports what it runs inside its ``cmd_*`` function, and the
+parser reads its choices and defaults from :mod:`repro.defaults`, so
+``repro cache stats`` or ``repro --help`` loads neither numpy nor the world
+model, and a batch ``repro study`` loads none of the monitor, what-if or
+grid code.
 """
 
 from __future__ import annotations
@@ -28,25 +34,8 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro import obs
-from repro.active.testvideo import TestVideoExperiment
+from repro.defaults import DATASET_NAMES, DEFAULT_EPOCH_S, DEFAULT_EPOCHS, DEFAULT_THRESHOLD
 from repro.exec.executor import BACKENDS, ENV_BACKEND, ENV_WORKERS, ParallelExecutor
-from repro.core.pipeline import StudyPipeline
-from repro.core.sessions import SessionStatsAccumulator, build_sessions, flows_per_session_histogram
-from repro.cdn.selection import registered_policy_kinds
-from repro.monitor.detect import DEFAULT_THRESHOLD
-from repro.monitor.run import (
-    DEFAULT_EPOCHS as MONITOR_DEFAULT_EPOCHS,
-    DEFAULT_EPOCH_S as MONITOR_DEFAULT_EPOCH_S,
-)
-from repro.sim.driver import run_all, run_scenario
-from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
-from repro.stream.source import replay_flow_log
-from repro.stream.study import render_stream_report
-from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
-from repro.trace.logio import read_flow_log, write_flow_log
-from repro.trace.records import FlowRecord
-from repro.whatif.compare import compare_variants, render_comparison
-from repro.whatif.variants import standard_variants, variant_by_name
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -94,6 +83,20 @@ def _landmark_count(args: argparse.Namespace) -> Optional[int]:
     if args.landmarks < 4:
         raise UsageError(f"--landmarks must be at least 4, got {args.landmarks}")
     return None if args.landmarks >= 215 else args.landmarks
+
+
+def _check_policies(kinds: Sequence[str]) -> None:
+    """Fail before anything simulates when a kind names no registered policy.
+
+    Raises:
+        UsageError: Naming the first unknown kind and the registered ones.
+    """
+    from repro.cdn.selection import UnknownPolicyError, registered_policy_kinds
+
+    registered = registered_policy_kinds()
+    for kind in kinds:
+        if kind not in registered:
+            raise UsageError(str(UnknownPolicyError(kind)))
 
 
 def _env_executor() -> ParallelExecutor:
@@ -144,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dataset", choices=DATASET_NAMES, required=True)
     p_sim.add_argument("--out", required=True, help="output flow-log path (TSV)")
     p_sim.add_argument(
-        "--policy", choices=registered_policy_kinds(), default="preferred",
+        "--policy", default="preferred",
         help="selection policy the simulated CDN runs (default preferred)",
     )
     p_sim.add_argument("--duration-days", type=float, default=7.0)
@@ -156,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CBG landmark budget (default 120; max 215)",
     )
     p_study.add_argument(
-        "--policy", choices=registered_policy_kinds(), default="preferred",
+        "--policy", default="preferred",
         help="selection policy every simulated world runs "
         "(default preferred; batch path only)",
     )
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--policy", default="preferred", metavar="KIND[,KIND...]",
         help="comma-separated selection-policy kinds to evaluate "
-        f"(registered: {', '.join(registered_policy_kinds())})",
+        "(default preferred; an unknown kind exits 2 naming the registered ones)",
     )
     p_eval.add_argument(
         "--landmarks", type=int, default=60,
@@ -344,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="base scenario to monitor (default EU1-ADSL)",
     )
     p_monitor.add_argument(
-        "--epochs", type=int, default=MONITOR_DEFAULT_EPOCHS,
-        help=f"number of consecutive epochs (default {MONITOR_DEFAULT_EPOCHS})",
+        "--epochs", type=int, default=DEFAULT_EPOCHS,
+        help=f"number of consecutive epochs (default {DEFAULT_EPOCHS})",
     )
     p_monitor.add_argument(
-        "--epoch-s", type=float, default=MONITOR_DEFAULT_EPOCH_S,
+        "--epoch-s", type=float, default=DEFAULT_EPOCH_S,
         help="epoch length in seconds (default 86400 = one day)",
     )
     p_monitor.add_argument(
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default {DEFAULT_THRESHOLD})",
     )
     p_monitor.add_argument(
-        "--policy", choices=registered_policy_kinds(), default="preferred",
+        "--policy", default="preferred",
         help="selection policy the base scenario runs (default preferred)",
     )
     p_monitor.add_argument(
@@ -439,6 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args: argparse.Namespace, out) -> int:
+    from repro.sim.driver import run_scenario
+    from repro.trace.logio import write_flow_log
+
+    _check_policies([args.policy])
     if not args.duration_days > 0:
         raise UsageError(f"--duration-days must be positive, got {args.duration_days:g}")
     try:
@@ -470,6 +477,10 @@ def _render_study(args: argparse.Namespace):
     """
     import io
 
+    from repro.core.pipeline import StudyPipeline
+    from repro.sim.driver import run_all
+    from repro.stream.study import render_stream_report
+
     buffer = io.StringIO()
     landmark_count = _landmark_count(args)
     executor = executor_from_args(args)
@@ -500,7 +511,7 @@ def _render_stream_study(args: argparse.Namespace):
         ``(text, digests)`` with exactly the bytes :func:`_render_study`
         produces for the same parameters.
     """
-    from repro.stream.study import run_streaming_study
+    from repro.stream.study import render_stream_report, run_streaming_study
 
     study = run_streaming_study(
         scale=args.scale,
@@ -536,12 +547,7 @@ def cmd_study(args: argparse.Namespace, out) -> int:
         # The streamed path builds its worlds internally and runs the
         # baseline policy only; a non-default --policy there would
         # silently evaluate the wrong mechanism.
-        print(
-            f"repro study --policy {args.policy} requires the batch "
-            "path; drop --stream.",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(f"--policy {args.policy} requires the batch path; drop --stream")
     unsupported = [
         flag
         for flag, active in (("--full", args.full), ("--validate", args.validate))
@@ -552,13 +558,11 @@ def cmd_study(args: argparse.Namespace, out) -> int:
         # summary report only, so these flags need the batch path.
         batch = "repro study " + " ".join(unsupported)
         verb = "requires" if len(unsupported) == 1 else "require"
-        print(
-            f"repro study --stream renders the summary report only; "
+        raise UsageError(
+            f"--stream renders the summary report only; "
             f"{', '.join(unsupported)} {verb} the batch path. "
-            f"Drop --stream and run the batch equivalent: {batch}",
-            file=sys.stderr,
+            f"Drop --stream and run the batch equivalent: {batch}"
         )
-        return 2
     # The rendered report is itself a stage artifact: on a warm cache the
     # whole study is one read, which is what makes re-runs startup-bound.
     # Keyed by everything the text depends on; --parallel/--workers change
@@ -580,6 +584,9 @@ def cmd_study(args: argparse.Namespace, out) -> int:
         })
         payload = store.get(key, None, stage="cli/study")
     if payload is None:
+        # Only a run that succeeded stored a report under this policy, so
+        # the registry (and the world model it loads) is read on a miss.
+        _check_policies([args.policy])
         if args.stream:
             text, digests = _render_stream_study(args)
         else:
@@ -607,18 +614,8 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
 
     kinds = tuple(k.strip() for k in args.policy.split(",") if k.strip())
     if not kinds:
-        print("repro eval: --policy names no policies", file=sys.stderr)
-        return 2
-    registered = registered_policy_kinds()
-    unknown = [k for k in kinds if k not in registered]
-    if unknown:
-        # Fail before any five-week simulation starts.
-        print(
-            f"unknown policy {unknown[0]!r}; registered policies: "
-            f"{', '.join(registered)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError("--policy names no policies")
+    _check_policies(kinds)
     landmark_count = _landmark_count(args)
     executor = executor_from_args(args)
     evaluations = [
@@ -665,8 +662,10 @@ def _parse_gaps(text: str) -> List[float]:
     return gaps
 
 
-def _read_log(path: str) -> List[FlowRecord]:
-    """A whole flow log; an unreadable or malformed one is a usage error."""
+def _read_log(path: str):
+    """A whole flow log's records; an unreadable or malformed one is a usage error."""
+    from repro.trace.logio import read_flow_log
+
     try:
         return read_flow_log(path)
     except (OSError, ValueError) as error:
@@ -675,6 +674,8 @@ def _read_log(path: str) -> List[FlowRecord]:
 
 def _replay_log(path: str, lag_s: float):
     """:func:`_read_log`'s streamed form: the log's replay events."""
+    from repro.stream.source import replay_flow_log
+
     try:
         yield from replay_flow_log(path, watermark_lag_s=lag_s)
     except (OSError, ValueError) as error:
@@ -687,6 +688,8 @@ def _session_line(gap: float, sessions: int, histogram) -> str:
 
 
 def cmd_sessions(args: argparse.Namespace, out) -> int:
+    from repro.core.sessions import build_sessions, flows_per_session_histogram
+
     gaps = _parse_gaps(args.gaps)
     if args.stream:
         return _cmd_sessions_stream(args, gaps, out)
@@ -707,6 +710,9 @@ def _cmd_sessions_stream(args: argparse.Namespace, gaps: List[float], out) -> in
     Prints exactly the batch command's bytes for any time-sorted log (or
     any log whose disorder stays within ``--lag-s``).
     """
+    from repro.core.sessions import SessionStatsAccumulator
+    from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
+
     if not args.window_s > 0:
         raise UsageError(f"--window-s must be positive, got {args.window_s}")
     if not args.lag_s >= 0:
@@ -739,6 +745,9 @@ def _cmd_sessions_stream(args: argparse.Namespace, gaps: List[float], out) -> in
 
 
 def cmd_coldvideo(args: argparse.Namespace, out) -> int:
+    from repro.active.testvideo import TestVideoExperiment
+    from repro.sim.scenarios import PAPER_SCENARIOS, build_world
+
     if args.nodes < 1:
         raise UsageError(f"--nodes must be at least 1, got {args.nodes}")
     if args.samples < 2:
@@ -765,6 +774,9 @@ def cmd_coldvideo(args: argparse.Namespace, out) -> int:
 
 
 def cmd_whatif(args: argparse.Namespace, out) -> int:
+    from repro.whatif.compare import compare_variants, render_comparison
+    from repro.whatif.variants import standard_variants, variant_by_name
+
     if args.variants.strip():
         try:
             variants = [variant_by_name(name.strip()) for name in args.variants.split(",")]
@@ -781,7 +793,9 @@ def cmd_whatif(args: argparse.Namespace, out) -> int:
 
 
 def cmd_figures(args: argparse.Namespace, out) -> int:
+    from repro.core.pipeline import StudyPipeline
     from repro.reporting.gnuplot import export_figure_cdfs
+    from repro.sim.driver import run_all
 
     landmark_count = _landmark_count(args)
     try:
@@ -822,6 +836,7 @@ def cmd_figures(args: argparse.Namespace, out) -> int:
 
 def cmd_anonymize(args: argparse.Namespace, out) -> int:
     from repro.trace.anonymize import PrefixPreservingAnonymizer
+    from repro.trace.logio import write_flow_log
 
     records = _read_log(args.flows)
     anonymizer = PrefixPreservingAnonymizer(args.key.encode())
@@ -919,8 +934,7 @@ def cmd_grid(args: argparse.Namespace, out) -> int:
         try:
             difference = diff_grids(load_grid(args.grid_a), load_grid(args.grid_b))
         except (SpecError, KeyError, OSError) as error:
-            print(f"cannot diff grids: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot diff grids: {error}") from None
         for bucket in ("added", "removed"):
             for label in difference[bucket]:
                 print(f"{bucket} {label}", file=out)
@@ -930,8 +944,7 @@ def cmd_grid(args: argparse.Namespace, out) -> int:
     try:
         grid = _grid_from_args(args)
     except (ValueError, OSError) as error:
-        print(f"bad grid: {error}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad grid: {error}") from None
 
     if args.grid_command == "plan":
         from repro.spec.runner import plan_grid
@@ -939,8 +952,7 @@ def cmd_grid(args: argparse.Namespace, out) -> int:
         try:
             plan = plan_grid(grid, scale=args.scale, seed=args.seed)
         except (SpecError, KeyError) as error:
-            print(f"cannot plan grid: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot plan grid: {error}") from None
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as handle:
@@ -980,8 +992,7 @@ def cmd_grid(args: argparse.Namespace, out) -> int:
                 executor=executor_from_args(args),
             )
         except (SpecError, KeyError) as error:
-            print(f"cannot run grid: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot run grid: {error}") from None
         width = max(24, max(len(p.label) for p in result.points))
         header = f"{'point':>{width}s}  " + "  ".join(f"{m:>18s}" for m in metrics)
         print(header, file=out)
@@ -1028,10 +1039,13 @@ def cmd_cache(args: argparse.Namespace, out) -> int:
 
     store = ArtifactStore()
     if args.cache_command == "stats":
-        from repro.trace.columnar import resident_columnar
-
         summary = store.stats_summary()
-        summary["columnar"] = resident_columnar()
+        # Live tables exist only in a process that has loaded the columnar
+        # module; a fresh one reports zero without loading it (or numpy).
+        columnar = sys.modules.get("repro.trace.columnar")
+        summary["columnar"] = (
+            columnar.resident_columnar() if columnar else {"tables": 0, "resident_bytes": 0}
+        )
         if args.as_json:
             import json
 
@@ -1060,23 +1074,19 @@ def cmd_cache(args: argparse.Namespace, out) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace, out) -> int:
-    from repro.monitor import (
-        STATIC_PLAN,
-        load_evolution,
-        render_timeline,
-        run_monitor,
-        standard_evolution,
-    )
+    from repro.monitor.evolution import STATIC_PLAN, load_evolution, standard_evolution
+    from repro.monitor.report import render_timeline
+    from repro.monitor.run import run_monitor
     from repro.spec.info import SpecError
 
+    _check_policies([args.policy])
     if args.static:
         plan = STATIC_PLAN
     elif args.plan:
         try:
             plan = load_evolution(args.plan)
         except (SpecError, OSError) as error:
-            print(f"bad --plan: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(f"bad --plan: {error}") from None
     else:
         plan = standard_evolution()
     try:
@@ -1092,8 +1102,7 @@ def cmd_monitor(args: argparse.Namespace, out) -> int:
             executor=executor_from_args(args),
         )
     except (SpecError, ValueError) as error:
-        print(f"cannot monitor: {error}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot monitor: {error}") from None
     if args.as_json:
         import json
 
@@ -1107,12 +1116,14 @@ def cmd_monitor(args: argparse.Namespace, out) -> int:
 
 
 def cmd_trace(args: argparse.Namespace, out) -> int:
+    from repro.obs import export
+
     try:
         if args.trace_command == "diff":
-            doc_a = obs.read_trace(args.trace_a)
-            doc_b = obs.read_trace(args.trace_b)
+            doc_a = export.read_trace(args.trace_a)
+            doc_b = export.read_trace(args.trace_b)
         else:
-            doc = obs.read_trace(args.trace_file)
+            doc = export.read_trace(args.trace_file)
     except (OSError, ValueError) as error:
         raise UsageError(f"cannot read trace: {error}") from None
     if args.trace_command == "summary":
@@ -1121,25 +1132,47 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
 
             print(
                 json.dumps(
-                    obs.summary_dict(doc, max_depth=args.depth),
+                    export.summary_dict(doc, max_depth=args.depth),
                     indent=2, sort_keys=True,
                 ),
                 file=out,
             )
         else:
-            print(obs.render_summary(doc, max_depth=args.depth), file=out)
+            print(export.render_summary(doc, max_depth=args.depth), file=out)
         return 0
     if args.trace_command == "slowest":
-        print(obs.render_slowest(doc, top=args.top), file=out)
+        print(export.render_slowest(doc, top=args.top), file=out)
         return 0
     if args.trace_command == "export":
-        path = obs.write_chrome(doc, args.out)
+        path = export.write_chrome(doc, args.out)
         print(f"wrote {path} (open in chrome://tracing or ui.perfetto.dev)", file=out)
         return 0
     if args.trace_command == "diff":
-        print(obs.render_diff(doc_a, doc_b, top=args.top), file=out)
+        print(export.render_diff(doc_a, doc_b, top=args.top), file=out)
         return 0
     raise AssertionError(f"unhandled trace command {args.trace_command!r}")
+
+
+def _install_fault_plan(spec: str) -> None:
+    """Make ``--faults`` this run's fault plan.
+
+    Normalises the plan into ``REPRO_FAULTS`` so process-pool workers
+    inherit it, and starts the degradation collector fresh: this run's
+    report must cover exactly this run.
+
+    Raises:
+        UsageError: For a plan that does not parse or cannot be read.
+    """
+    from repro.faults import plan as faults_plan
+    from repro.faults import report as degradation
+
+    try:
+        plan = faults_plan.FaultPlan.from_spec(spec)
+    except (ValueError, OSError) as error:
+        raise UsageError(f"bad --faults plan: {error}") from None
+    os.environ[faults_plan.ENV_FAULTS] = plan.to_json()
+    faults_plan.clear_current_plan()
+    degradation.reset()
 
 
 _COMMANDS = {
@@ -1173,32 +1206,18 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         out = sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    scale = getattr(args, "scale", None)
-    if scale is not None and not scale > 0:
-        print(f"repro {args.command}: --scale must be positive, got {scale}", file=sys.stderr)
-        return 2
     try:
+        scale = getattr(args, "scale", None)
+        if scale is not None and not scale > 0:
+            raise UsageError(f"--scale must be positive, got {scale}")
         # Every command may fan out through the environment's executor,
         # so a bad setting fails here, not only where a command reads it.
         _env_executor()
+        if getattr(args, "faults", None):
+            _install_fault_plan(args.faults)
     except UsageError as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
-    if getattr(args, "faults", None):
-        from repro.faults import plan as faults_plan
-        from repro.faults import report as degradation
-
-        # Normalise the plan into REPRO_FAULTS so process-pool workers
-        # inherit it, and start the degradation collector fresh — this
-        # run's report must cover exactly this run.
-        try:
-            plan = faults_plan.FaultPlan.from_spec(args.faults)
-        except (ValueError, OSError) as error:
-            print(f"bad --faults plan: {error}", file=sys.stderr)
-            return 2
-        os.environ[faults_plan.ENV_FAULTS] = plan.to_json()
-        faults_plan.clear_current_plan()
-        degradation.reset()
     # One fresh run context per invocation: the tracer, metrics and
     # degradation counters all start empty, so sequential invocations in
     # one process (tests, notebooks) never bleed into each other.
@@ -1217,7 +1236,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     if trace_dir and obs.trace_enabled() and args.command != "trace":
         # stderr, not `out`: stdout must stay byte-identical whether or
         # not a trace is being written.
-        path = obs.write_trace(run, trace_dir)
+        from repro.obs.export import write_trace
+
+        path = write_trace(run, trace_dir)
         print(f"trace: {path}", file=sys.stderr)
     return code
 

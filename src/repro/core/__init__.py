@@ -22,73 +22,3 @@ Module map (paper section → module):
 * §VII-C Figures 13-16 → :mod:`repro.core.hotspots`
 * end-to-end orchestration → :mod:`repro.core.pipeline`
 """
-
-from repro.core.flows import (
-    CONTROL_FLOW_THRESHOLD_BYTES,
-    FlowClasses,
-    classify_flows,
-    flow_size_cdf,
-    is_video_flow,
-)
-from repro.core.sessions import (
-    Session,
-    build_sessions,
-    flows_per_session_histogram,
-    multi_flow_fraction,
-)
-from repro.core.summary import DatasetSummary, summarize
-from repro.core.asmap import AsBreakdown, breakdown_by_as, google_focus_ips
-from repro.core.preferred import DataCenterView, PreferredDcReport, analyze_preferred
-from repro.core.nonpreferred import (
-    MultiFlowBreakdown,
-    SessionPattern,
-    hourly_nonpreferred_cdf,
-    multi_flow_breakdown,
-    one_flow_breakdown,
-    two_flow_breakdown,
-)
-from repro.core.characterize import TraceProfile, characterize
-from repro.core.evolution import EpochDiff, compare_epochs
-from repro.core.peering import AsTraffic, PeeringReport, analyze_peering
-from repro.core.confidence import ConfidenceInterval, bootstrap_interval, fraction_interval
-from repro.core.report import render_study_report
-from repro.core.pipeline import StudyPipeline, StudyResults
-
-__all__ = [
-    "CONTROL_FLOW_THRESHOLD_BYTES",
-    "FlowClasses",
-    "classify_flows",
-    "flow_size_cdf",
-    "is_video_flow",
-    "Session",
-    "build_sessions",
-    "flows_per_session_histogram",
-    "multi_flow_fraction",
-    "DatasetSummary",
-    "summarize",
-    "AsBreakdown",
-    "breakdown_by_as",
-    "google_focus_ips",
-    "DataCenterView",
-    "PreferredDcReport",
-    "analyze_preferred",
-    "MultiFlowBreakdown",
-    "SessionPattern",
-    "hourly_nonpreferred_cdf",
-    "multi_flow_breakdown",
-    "one_flow_breakdown",
-    "two_flow_breakdown",
-    "TraceProfile",
-    "characterize",
-    "EpochDiff",
-    "compare_epochs",
-    "AsTraffic",
-    "PeeringReport",
-    "analyze_peering",
-    "ConfidenceInterval",
-    "bootstrap_interval",
-    "fraction_interval",
-    "render_study_report",
-    "StudyPipeline",
-    "StudyResults",
-]

@@ -25,14 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
 
 from repro import obs
-from repro.core import asmap, flows, geography, hotspots, loadbalance, nonpreferred
-from repro.core import peering as peering_mod
+from repro.core import asmap, flows, geography, nonpreferred
 from repro.core import preferred as preferred_mod
 from repro.core import sessions as sessions_mod
-from repro.core import subnets as subnets_mod
 from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.summary import DatasetSummary
 from repro.exec.executor import ParallelExecutor
@@ -48,6 +46,14 @@ from repro.sim.engine import SimulationResult
 from repro.sim.seeding import derive_seed
 from repro.trace.columnar import FlowTable
 from repro.trace.records import Dataset, FlowRecord
+
+if TYPE_CHECKING:
+    # Only the full report and the figures run these analyses; each
+    # method imports its module, so the summary study never loads them.
+    from repro.core.hotspots import HotServerReport, HotVideoSeries, ServerLoadReport
+    from repro.core.loadbalance import LoadBalanceReport
+    from repro.core.peering import PeeringReport
+    from repro.core.subnets import SubnetShare
 
 
 @dataclass
@@ -400,15 +406,19 @@ class StudyPipeline:
             min_flows=min_flows,
         )
 
-    def peering(self, name: str) -> peering_mod.PeeringReport:
+    def peering(self, name: str) -> PeeringReport:
         """Peering-traffic breakdown for one dataset (capacity planning)."""
+        from repro.core import peering as peering_mod
+
         result = self._results[name]
         return peering_mod.analyze_peering(result.dataset, result.world.registry)
 
     # ---------------------------------------------------- F11, F12
 
-    def load_balance(self, name: str) -> loadbalance.LoadBalanceReport:
+    def load_balance(self, name: str) -> LoadBalanceReport:
         """One dataset's Figure 11 panels."""
+        from repro.core import loadbalance
+
         return loadbalance.analyze_load_balance(
             self.focus_tables[name],
             self.preferred_reports[name],
@@ -416,8 +426,10 @@ class StudyPipeline:
             self.dataset(name).num_hours,
         )
 
-    def subnet_shares(self, name: str) -> List[subnets_mod.SubnetShare]:
+    def subnet_shares(self, name: str) -> List[SubnetShare]:
         """One dataset's Figure 12 bars."""
+        from repro.core import subnets as subnets_mod
+
         return subnets_mod.subnet_shares(
             self.dataset(name),
             self.preferred_reports[name],
@@ -429,13 +441,17 @@ class StudyPipeline:
 
     def fig13_cdf(self, name: str) -> Cdf:
         """One Figure 13 curve."""
+        from repro.core import hotspots
+
         with phase_timer("analysis/hotspots"):
             return hotspots.nonpreferred_video_cdf(
                 self.focus_tables[name], self.preferred_reports[name], self.server_map
             )
 
-    def hot_videos(self, name: str, top_k: int = 4) -> List[hotspots.HotVideoSeries]:
+    def hot_videos(self, name: str, top_k: int = 4) -> List[HotVideoSeries]:
         """Figure 14's hot-video time lines."""
+        from repro.core import hotspots
+
         with phase_timer("analysis/hotspots"):
             return hotspots.top_nonpreferred_videos(
                 self.focus_tables[name],
@@ -445,8 +461,10 @@ class StudyPipeline:
                 top_k=top_k,
             )
 
-    def server_load(self, name: str) -> hotspots.ServerLoadReport:
+    def server_load(self, name: str) -> ServerLoadReport:
         """Figure 15's load panels."""
+        from repro.core import hotspots
+
         with phase_timer("analysis/hotspots"):
             return hotspots.preferred_server_load(
                 self.focus_tables[name],
@@ -455,7 +473,7 @@ class StudyPipeline:
                 self.dataset(name).num_hours,
             )
 
-    def hot_server(self, name: str, video_id: Optional[str] = None) -> hotspots.HotServerReport:
+    def hot_server(self, name: str, video_id: Optional[str] = None) -> HotServerReport:
         """Figure 16: the hot video's server, with session-pattern split.
 
         Args:
@@ -463,6 +481,8 @@ class StudyPipeline:
             video_id: The video to follow; defaults to the dataset's top
                 non-preferred video ("video1" in the paper).
         """
+        from repro.core import hotspots
+
         if video_id is None:
             video_id = self.hot_videos(name, top_k=1)[0].video_id
         return hotspots.hot_server_sessions(

@@ -8,11 +8,3 @@ pipeline's verdicts against it, per selection policy.  Like
 :mod:`repro.core.validation`, it crosses the firewall on purpose, and
 nothing in :mod:`repro.core` depends on it.
 """
-
-from repro.eval.attribution import (  # noqa: F401
-    AttributionScore,
-    PolicyEvaluation,
-    evaluate_policy,
-    render_attribution,
-    score_attribution,
-)

@@ -3,25 +3,3 @@
 See :mod:`repro.exec.executor` for the design notes and the determinism
 contract.
 """
-
-from repro.exec.executor import (
-    BACKENDS,
-    ENV_BACKEND,
-    ENV_WORKERS,
-    ExecutionError,
-    MapStats,
-    ParallelExecutor,
-    TaskTiming,
-    default_executor,
-)
-
-__all__ = [
-    "BACKENDS",
-    "ENV_BACKEND",
-    "ENV_WORKERS",
-    "ExecutionError",
-    "MapStats",
-    "ParallelExecutor",
-    "TaskTiming",
-    "default_executor",
-]

@@ -30,13 +30,7 @@ import os
 import pickle
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -478,6 +472,10 @@ class ParallelExecutor:
         """Fan a batch out over a worker pool, preserving input order."""
         workers = self.max_workers or os.cpu_count() or 1
         workers = max(1, min(workers, len(items)))
+        # The pools load the threading and multiprocessing machinery, which
+        # a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
         pool_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
         packed = self.backend == "process"
         outcomes: List[Optional[TaskOutcome]] = [None] * len(items)

@@ -22,42 +22,3 @@ is folded into every artifact-cache key, so faulted runs never share
 artifacts with clean ones; an all-zero plan is inert and byte-identical
 to no plan at all.
 """
-
-from repro.faults.plan import (
-    ENV_FAULTS,
-    FaultPlan,
-    RATE_FIELDS,
-    active_plan,
-    clear_current_plan,
-    current_plan,
-    set_current_plan,
-)
-from repro.faults.report import DegradationReport, collect, record, stage_completed
-from repro.faults.retry import (
-    DEFAULT_RETRY_ON,
-    ProbeTimeout,
-    RetryPolicy,
-    TransientFault,
-    WorkerCrash,
-    default_retry_policy,
-)
-
-__all__ = [
-    "DEFAULT_RETRY_ON",
-    "DegradationReport",
-    "ENV_FAULTS",
-    "FaultPlan",
-    "ProbeTimeout",
-    "RATE_FIELDS",
-    "RetryPolicy",
-    "TransientFault",
-    "WorkerCrash",
-    "active_plan",
-    "clear_current_plan",
-    "collect",
-    "current_plan",
-    "default_retry_policy",
-    "record",
-    "set_current_plan",
-    "stage_completed",
-]

@@ -5,32 +5,3 @@ on.  Distances drive the latency model (:mod:`repro.net.latency`), city
 locations anchor data centers (:mod:`repro.cdn.datacenter`), and the landmark
 set feeds constraint-based geolocation (:mod:`repro.geoloc.cbg`).
 """
-
-from repro.geo.coords import (
-    EARTH_RADIUS_KM,
-    GeoPoint,
-    destination_point,
-    haversine_km,
-    haversine_km_many,
-    initial_bearing_deg,
-)
-from repro.geo.regions import Continent, continent_of_country
-from repro.geo.cities import City, WorldAtlas, default_atlas
-from repro.geo.landmarks import Landmark, LandmarkSet, generate_landmarks
-
-__all__ = [
-    "EARTH_RADIUS_KM",
-    "GeoPoint",
-    "destination_point",
-    "haversine_km",
-    "haversine_km_many",
-    "initial_bearing_deg",
-    "Continent",
-    "continent_of_country",
-    "City",
-    "WorldAtlas",
-    "default_atlas",
-    "Landmark",
-    "LandmarkSet",
-    "generate_landmarks",
-]

@@ -16,24 +16,3 @@ Three geolocation methods, matching the paper's comparison:
 Plus the active-probing plumbing (:mod:`repro.geoloc.probing`) and the
 server-to-data-center clustering step (:mod:`repro.geoloc.clustering`).
 """
-
-from repro.geoloc.probing import RttProber
-from repro.geoloc.cbg import Bestline, CbgGeolocator, CbgResult
-from repro.geoloc.geodb import GeoDatabase, build_reference_geodb
-from repro.geoloc.rdns import ReverseDnsTable, build_reverse_dns, infer_city_from_hostname
-from repro.geoloc.clustering import DataCenterCluster, ServerMap, cluster_servers
-
-__all__ = [
-    "RttProber",
-    "Bestline",
-    "CbgGeolocator",
-    "CbgResult",
-    "GeoDatabase",
-    "build_reference_geodb",
-    "ReverseDnsTable",
-    "build_reverse_dns",
-    "infer_city_from_hostname",
-    "DataCenterCluster",
-    "ServerMap",
-    "cluster_servers",
-]

@@ -16,66 +16,3 @@ See docs/architecture.md ("Longitudinal monitoring") for the snapshot
 definition, the dissimilarity metric, alarm semantics, and how CDN
 changes are kept distinguishable from fault-plan degradation.
 """
-
-from repro.monitor.cluster import (
-    DEFAULT_RTT_GAP_MS,
-    ClusteredSnapshot,
-    EdgeCloud,
-    cluster_snapshot,
-)
-from repro.monitor.detect import (
-    DEFAULT_RTT_SCALE_MS,
-    DEFAULT_THRESHOLD,
-    Alarm,
-    DetectionScore,
-    consecutive_distances,
-    detect_alarms,
-    pattern_dissimilarity,
-    score_detection,
-)
-from repro.monitor.evolution import (
-    STATIC_PLAN,
-    EvolutionPlan,
-    EvolutionStep,
-    load_evolution,
-    standard_evolution,
-)
-from repro.monitor.report import render_timeline
-from repro.monitor.run import (
-    DEFAULT_EPOCH_S,
-    DEFAULT_EPOCHS,
-    EpochComputation,
-    EpochRow,
-    MonitorReport,
-    run_monitor,
-)
-from repro.monitor.snapshot import EpochSnapshot, build_epoch_snapshot
-
-__all__ = [
-    "Alarm",
-    "ClusteredSnapshot",
-    "DEFAULT_EPOCHS",
-    "DEFAULT_EPOCH_S",
-    "DEFAULT_RTT_GAP_MS",
-    "DEFAULT_RTT_SCALE_MS",
-    "DEFAULT_THRESHOLD",
-    "DetectionScore",
-    "EdgeCloud",
-    "EpochComputation",
-    "EpochRow",
-    "EpochSnapshot",
-    "EvolutionPlan",
-    "EvolutionStep",
-    "MonitorReport",
-    "STATIC_PLAN",
-    "build_epoch_snapshot",
-    "cluster_snapshot",
-    "consecutive_distances",
-    "detect_alarms",
-    "load_evolution",
-    "pattern_dissimilarity",
-    "render_timeline",
-    "run_monitor",
-    "score_detection",
-    "standard_evolution",
-]

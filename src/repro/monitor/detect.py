@@ -35,14 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.defaults import DEFAULT_THRESHOLD
 from repro.monitor.cluster import ClusteredSnapshot
-
-#: Default alarm threshold on the dissimilarity distance: alarm when at
-#: least half the pattern moved.  At the scales the tests and CI run,
-#: between-epoch sampling noise stays below ~0.35 even in the noisiest
-#: (proportional-policy, half-day-epoch) regime, while scheduled CDN
-#: changes land at 0.85+.  See docs/faq.md for tuning guidance.
-DEFAULT_THRESHOLD = 0.5
 
 #: Per-prefix RTT shift (ms) that counts as a full migration of the
 #: prefix's kept mass; smaller shifts contribute proportionally.

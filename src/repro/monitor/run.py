@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.artifacts.memo import memoized_stage
+from repro.defaults import DEFAULT_EPOCH_S, DEFAULT_EPOCHS
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.monitor.cluster import (
@@ -52,12 +53,6 @@ from repro.sim.scenarios import ScenarioSpec, build_world
 from repro.sim.seeding import derive_seed
 from repro.spec.model import Spec, apply_to_scenario
 
-#: Default epoch length: one simulated day.
-DEFAULT_EPOCH_S = 86400.0
-
-#: Default monitored horizon, chosen so the canned
-#: :func:`~repro.monitor.evolution.standard_evolution` schedule fits.
-DEFAULT_EPOCHS = 8
 
 @dataclass(frozen=True)
 class EpochComputation:

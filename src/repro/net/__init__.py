@@ -6,40 +6,3 @@ whois-style IP-to-AS mapping (Table II), a distance-driven delay model
 (Section II step 3), and the vantage-point/subnet topology (Section III-B
 and Figure 12).
 """
-
-from repro.net.ip import (
-    IPv4Network,
-    Ipv4Allocator,
-    format_ip,
-    ip_in_network,
-    parse_ip,
-    parse_network,
-    slash24_of,
-)
-from repro.net.asn import AutonomousSystem, AsRegistry, GOOGLE_ASN, YOUTUBE_EU_ASN
-from repro.net.latency import AccessTechnology, LatencyModel, PathProfile
-from repro.net.dns import Answer, AuthoritativeServer, LocalResolver, NameMapper
-from repro.net.topology import Subnet, VantagePoint
-
-__all__ = [
-    "IPv4Network",
-    "Ipv4Allocator",
-    "format_ip",
-    "ip_in_network",
-    "parse_ip",
-    "parse_network",
-    "slash24_of",
-    "AutonomousSystem",
-    "AsRegistry",
-    "GOOGLE_ASN",
-    "YOUTUBE_EU_ASN",
-    "AccessTechnology",
-    "LatencyModel",
-    "PathProfile",
-    "Answer",
-    "AuthoritativeServer",
-    "LocalResolver",
-    "NameMapper",
-    "Subnet",
-    "VantagePoint",
-]

@@ -15,33 +15,23 @@ take" across the pipeline.  The pieces:
 * :mod:`repro.obs.export` — trace JSONL, Chrome ``trace_event`` export,
   and the summary/slowest/diff renderers behind ``repro trace``.
 
+The package re-exports the span, counter and run-context names, because
+every command loads them anyway; import the exporters from
+:mod:`repro.obs.export`, which only traced runs and ``repro trace`` load.
+
 Set ``REPRO_TRACE=off`` to disable everything; the study's outputs are
 byte-identical either way because nothing here touches RNG state or
 artifact-cache keys.
 """
 
-from repro.obs.export import (
-    TraceDoc,
-    phase_times,
-    read_trace,
-    render_diff,
-    render_slowest,
-    render_summary,
-    summary_dict,
-    to_chrome,
-    write_chrome,
-    write_trace,
-)
-from repro.obs.metrics import HISTOGRAM_BOUNDS, Histogram, MetricsRegistry
-from repro.obs.runctx import RunContext, current_run, new_run, set_current_run
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runctx import current_run, new_run, set_current_run
 from repro.obs.tracer import (
     ENV_TRACE,
     ENV_TRACE_DIR,
     SpanContext,
     SpanRecord,
     TaskCapture,
-    Tracer,
-    current_tracer,
     inc,
     merge_capture,
     observe,
@@ -54,33 +44,18 @@ from repro.obs.tracer import (
 __all__ = [
     "ENV_TRACE",
     "ENV_TRACE_DIR",
-    "HISTOGRAM_BOUNDS",
-    "Histogram",
     "MetricsRegistry",
-    "RunContext",
     "SpanContext",
     "SpanRecord",
     "TaskCapture",
-    "TraceDoc",
-    "Tracer",
     "current_run",
-    "current_tracer",
     "inc",
     "merge_capture",
     "new_run",
     "observe",
-    "phase_times",
-    "read_trace",
-    "render_diff",
-    "render_slowest",
-    "render_summary",
     "set_current_run",
     "set_gauge",
     "span",
-    "summary_dict",
     "task_capture",
-    "to_chrome",
     "trace_enabled",
-    "write_chrome",
-    "write_trace",
 ]

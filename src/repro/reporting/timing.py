@@ -1,7 +1,7 @@
 """Execution-timing reports: speedup, stragglers, and JSON artifacts.
 
-The :class:`~repro.exec.ParallelExecutor` records a wall-clock
-:class:`~repro.exec.TaskTiming` per unit of work; this module turns those
+The :class:`~repro.exec.executor.ParallelExecutor` records a wall-clock
+:class:`~repro.exec.executor.TaskTiming` per unit of work; this module turns those
 records into the benchmark-facing views — a straggler table and a JSON
 document the CI benchmark-smoke job uploads as an artifact.
 """
@@ -30,7 +30,7 @@ def phase_timer(name: str) -> Iterator[None]:
     where a study's analysis time goes.  Nested/repeated uses of one name
     accumulate.
 
-    This is now a thin shim over :func:`repro.obs.span`: a phase is a
+    This is now a thin shim over :func:`repro.obs.tracer.span`: a phase is a
     span with ``kind="phase"``, recorded on the current run's tracer.
     Phase accounting is therefore scoped to the run — sequential studies
     in one process no longer bleed phase times into each other — and the
@@ -43,8 +43,10 @@ def phase_timer(name: str) -> Iterator[None]:
 
 def phases_summary(reset: bool = False) -> Dict[str, float]:
     """A copy of the accumulated per-phase wall times, name → seconds."""
+    from repro.obs.export import phase_times
+
     tracer = obs.current_run().tracer
-    snapshot = obs.phase_times(tracer.records)
+    snapshot = phase_times(tracer.records)
     if reset:
         tracer.drop(_is_phase)
     return snapshot

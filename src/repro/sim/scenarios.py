@@ -30,6 +30,7 @@ from repro.cdn.selection import (
     registered_policy_kinds,
 )
 from repro.cdn.store import ContentPlacement, check_placement_args
+from repro.defaults import DATASET_NAMES
 from repro.geo.cities import City, default_atlas
 from repro.net.asn import (
     AsRegistry,
@@ -247,16 +248,6 @@ class ScenarioSpec:
         if len(set(cities)) != len(cities):
             raise ValueError(f"duplicate data-center cities in plan: {cities}")
         return plan
-
-
-#: Dataset names of Table I, in the paper's order.
-DATASET_NAMES: Tuple[str, ...] = (
-    "US-Campus",
-    "EU1-Campus",
-    "EU1-ADSL",
-    "EU1-FTTH",
-    "EU2",
-)
 
 
 def _paper_scenarios() -> Dict[str, ScenarioSpec]:

@@ -10,67 +10,3 @@ The subsystem has four layers:
 - :mod:`repro.spec.grid` / :mod:`repro.spec.runner` — :class:`GridSpec`
   axis enumeration and cached, parallel grid execution.
 """
-
-from repro.spec.grid import (
-    GridAxis,
-    GridPoint,
-    GridSpec,
-    diff_grids,
-    enumerate_points,
-    load_grid,
-)
-from repro.spec.info import EMPTY_INFO, ScenarioInfo, SpecError, describe
-from repro.spec.model import (
-    EMPTY_SPEC,
-    Spec,
-    apply_spec,
-    apply_to_scenario,
-    compose_all,
-    diff,
-    load_spec,
-    par_delta,
-)
-from repro.spec.registry import (
-    BARE_BASE,
-    DATASET_SPECS,
-    named_spec,
-    paper_scenarios,
-    register_spec,
-    scenario_spec,
-    spec_names,
-    unregister_spec,
-)
-from repro.spec.runner import GridRunResult, materialize_point, plan_grid, run_grid
-
-__all__ = [
-    "BARE_BASE",
-    "DATASET_SPECS",
-    "EMPTY_INFO",
-    "EMPTY_SPEC",
-    "GridAxis",
-    "GridPoint",
-    "GridRunResult",
-    "GridSpec",
-    "ScenarioInfo",
-    "Spec",
-    "SpecError",
-    "apply_spec",
-    "apply_to_scenario",
-    "compose_all",
-    "describe",
-    "diff",
-    "diff_grids",
-    "enumerate_points",
-    "load_grid",
-    "load_spec",
-    "materialize_point",
-    "named_spec",
-    "paper_scenarios",
-    "par_delta",
-    "plan_grid",
-    "register_spec",
-    "run_grid",
-    "scenario_spec",
-    "spec_names",
-    "unregister_spec",
-]

@@ -23,34 +23,3 @@ byte-identical output (and ``--digests`` lines) to the batch path at any
 window size.  See docs/architecture.md ("Streaming ingestion") for the
 watermark semantics and the equivalence argument.
 """
-
-from repro.stream.events import FlowArrival, StreamWindow, WatermarkAdvance
-from repro.stream.digest import StreamingDigest
-from repro.stream.source import inject_disorder, replay_flow_log, replay_records, simulated_stream
-from repro.stream.study import (
-    StreamStudy,
-    StreamedDataset,
-    render_stream_report,
-    run_streaming_study,
-    stream_dataset,
-)
-from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
-
-__all__ = [
-    "FlowArrival",
-    "StreamStudy",
-    "StreamWindow",
-    "StreamedDataset",
-    "StreamingDigest",
-    "TumblingWindower",
-    "WatermarkAdvance",
-    "WindowedSessionBuilder",
-    "drive",
-    "inject_disorder",
-    "render_stream_report",
-    "replay_flow_log",
-    "replay_records",
-    "run_streaming_study",
-    "simulated_stream",
-    "stream_dataset",
-]

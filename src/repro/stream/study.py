@@ -36,7 +36,7 @@ import io
 import resource
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro import obs
 from repro.core.asmap import render_table2
@@ -50,11 +50,12 @@ from repro.faults import report as degradation
 from repro.sim.driver import DEFAULT_SCALE
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY
 from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, ScenarioWorld, build_world
-from repro.stream.detectors import HotSpotDetector, LoadBalanceDetector
-from repro.stream.digest import StreamingDigest
-from repro.stream.source import simulated_stream
-from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
 from repro.trace.records import WEEK_S
+
+if TYPE_CHECKING:
+    # The batch study renders through this module but never streams.
+    from repro.stream.detectors import HotSpotDetector, LoadBalanceDetector
+    from repro.stream.digest import StreamingDigest
 
 
 def peak_rss_kb() -> int:
@@ -117,6 +118,11 @@ def stream_dataset(
     Returns:
         The :class:`StreamedDataset` with every accumulator final.
     """
+    from repro.stream.detectors import HotSpotDetector, LoadBalanceDetector
+    from repro.stream.digest import StreamingDigest
+    from repro.stream.source import simulated_stream
+    from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
+
     name = world.spec.name
     windower = TumblingWindower(window_s)
     builder = WindowedSessionBuilder(gap_s)

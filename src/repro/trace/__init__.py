@@ -7,21 +7,3 @@ and ending time and both the VideoID and the resolution of the video
 requested are available" (Section III-B).  This package reproduces that
 schema and the passive monitor that fills it.
 """
-
-from repro.trace.records import Dataset, FlowRecord
-from repro.trace.monitor import EdgeMonitor
-from repro.trace.logio import read_flow_log, write_flow_log
-from repro.trace.anonymize import PrefixPreservingAnonymizer
-from repro.trace.adapters import ColumnMapping, ImportResult, import_flow_log
-
-__all__ = [
-    "Dataset",
-    "FlowRecord",
-    "EdgeMonitor",
-    "read_flow_log",
-    "write_flow_log",
-    "PrefixPreservingAnonymizer",
-    "ColumnMapping",
-    "ImportResult",
-    "import_flow_log",
-]

@@ -8,20 +8,3 @@ user performance."  With the generative world model in hand, those
 questions become runnable experiments: define a variant of a scenario,
 simulate both, and compare ISP-facing and user-facing metrics.
 """
-
-from repro.whatif.variants import Variant, standard_variants
-from repro.whatif.metrics import ScenarioMetrics, extract_metrics
-from repro.whatif.compare import ComparisonReport, compare_variants, render_comparison
-from repro.whatif.sweep import SweepResult, sweep_parameter
-
-__all__ = [
-    "Variant",
-    "standard_variants",
-    "ScenarioMetrics",
-    "extract_metrics",
-    "ComparisonReport",
-    "compare_variants",
-    "render_comparison",
-    "SweepResult",
-    "sweep_parameter",
-]

@@ -7,20 +7,3 @@ panel), heavy-tailed per-client activity, Zipf video popularity with
 seeks) that create the loosely-spaced extra flows behind Figure 5's
 session-gap sensitivity.
 """
-
-from repro.workload.diurnal import DiurnalProfile, CAMPUS_SHAPE, RESIDENTIAL_SHAPE
-from repro.workload.clients import Client, ClientPopulation, build_population
-from repro.workload.interactions import InteractionModel
-from repro.workload.requests import Request, RequestGenerator
-
-__all__ = [
-    "DiurnalProfile",
-    "CAMPUS_SHAPE",
-    "RESIDENTIAL_SHAPE",
-    "Client",
-    "ClientPopulation",
-    "build_population",
-    "InteractionModel",
-    "Request",
-    "RequestGenerator",
-]

@@ -7,7 +7,7 @@ import pytest
 from repro.artifacts.keys import CanonicalizationError
 from repro.artifacts.memo import memoized_stage
 from repro.artifacts.store import ArtifactStore, reset_default_store
-from repro.exec import BACKENDS, ParallelExecutor
+from repro.exec.executor import BACKENDS, ParallelExecutor
 
 
 @pytest.fixture

@@ -62,14 +62,15 @@ class TestSimulateAndSessions:
         assert code == 1
 
     def test_simulate_keeps_old_log_until_the_week_is_written(self, tmp_path, monkeypatch):
-        import repro.cli as cli
+        from repro.sim import driver
 
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
         log = tmp_path / "flows.tsv"
         log.write_text("#src\nold\n")
-        monkeypatch.setattr(cli, "run_scenario", interrupted)
+        # cmd_simulate looks run_scenario up in the driver when it runs.
+        monkeypatch.setattr(driver, "run_scenario", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_cli("simulate", "--dataset", "EU1-FTTH", "--out", str(log))
         assert log.read_text() == "#src\nold\n"
@@ -98,7 +99,7 @@ class TestAnonymize:
         )
         assert code == 0
         assert "anonymised" in text
-        from repro.trace import read_flow_log
+        from repro.trace.logio import read_flow_log
 
         original = read_flow_log(log)
         anonymised = read_flow_log(out_log)
@@ -348,6 +349,19 @@ BAD_INPUTS = [
      "rebalance_probability must be in [0, 1), got 2.0"),
     (["grid", "plan", "--base", "EU2", "--axis", "rebalance_probability=2.0"], {},
      "rebalance_probability must be in [0, 1), got 2.0"),
+    # --policy is checked against the registry before anything is simulated.
+    (["study", "--policy", "bogus"], {}, "repro study: unknown policy 'bogus'"),
+    (["simulate", "--dataset", "EU1-ADSL", "--out", "x.tsv", "--policy", "bogus"], {},
+     "repro simulate: unknown policy 'bogus'"),
+    (["monitor", "--policy", "bogus"], {}, "repro monitor: unknown policy 'bogus'"),
+    (["eval", "--policy", "bogus"], {}, "repro eval: unknown policy 'bogus'"),
+    (["monitor", "--plan", "missing.json"], {}, "repro monitor: bad --plan"),
+    (["grid", "diff", "missing.json", "missing.json"], {}, "repro grid: cannot diff grids"),
+    (["grid", "run", "--axis", "nonsense"], {}, "repro grid: bad grid"),
+    (["study", "--faults", "{"], {}, "repro study: bad --faults plan"),
+    (["study", "--stream", "--policy", "gwtw"], {},
+     "repro study: --policy gwtw requires the batch path"),
+    (["study", "--stream", "--full"], {}, "repro study: --stream renders the summary report only"),
 ]
 
 

@@ -6,11 +6,11 @@ documentation cannot silently rot.
 
 import pytest
 
-from repro.core import build_sessions, classify_flows
+from repro.core.flows import classify_flows
 from repro.core.report import render_study_report
-from repro.core.sessions import flows_per_session_histogram
-from repro.sim import run_scenario
-from repro.trace import read_flow_log, write_flow_log
+from repro.core.sessions import build_sessions, flows_per_session_histogram
+from repro.sim.driver import run_scenario
+from repro.trace.logio import read_flow_log, write_flow_log
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +52,7 @@ class TestTourSections3Through8:
         assert pipeline.site_of_ip(pipeline.dataset("EU2").server_ips[0]) is not None
 
     def test_geoloc_surface(self, pipeline):
-        from repro.geo import generate_landmarks
+        from repro.geo.landmarks import generate_landmarks
 
         landmarks = generate_landmarks(seed=42)
         assert len(landmarks) == 215
@@ -60,7 +60,7 @@ class TestTourSections3Through8:
         assert len(sub) == 40
 
     def test_whatif_surface(self):
-        from repro.whatif import compare_variants, render_comparison
+        from repro.whatif.compare import compare_variants, render_comparison
         from repro.whatif.variants import variant_by_name
 
         cmp = compare_variants(

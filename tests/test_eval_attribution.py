@@ -164,11 +164,14 @@ class TestStudyPolicyFlag:
         assert "--policy gwtw" in err
         assert "batch" in err
 
-    def test_unknown_policy_rejected_by_the_parser(self):
-        with pytest.raises(SystemExit):
-            from repro.cli import build_parser
-
-            build_parser().parse_args(["study", "--policy", "round-robin"])
+    def test_unknown_policy_rejected_before_simulating(self, capsys):
+        # The parser takes any kind; the command checks it against the
+        # registry before a week is simulated.
+        code, out = run_cli("study", "--policy", "round-robin")
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("repro study: unknown policy 'round-robin'")
+        assert "registered policies" in err
 
 
 class TestSpecPolicyValidation:

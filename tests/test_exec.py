@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.exec import (
+from repro.exec.executor import (
     BACKENDS,
     ENV_BACKEND,
     ENV_WORKERS,

@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.exec import BACKENDS, ExecutionError, ParallelExecutor
+from repro.exec.executor import BACKENDS, ExecutionError, ParallelExecutor
 from repro.sim import driver
 from repro.sim.scenarios import PAPER_SCENARIOS
 from repro.trace.records import WEEK_S

@@ -2,7 +2,7 @@
 
 Unit coverage for evolution plans, the edge-cloud accumulator, snapshot
 construction, clustering, the pattern-dissimilarity metric, alarms and
-scoring — plus integration coverage of :func:`repro.monitor.run_monitor`
+scoring — plus integration coverage of :func:`repro.monitor.run.run_monitor`
 (static vs evolving vs faulted worlds, epoch caching) and the ``repro
 monitor`` / ``repro trace summary --json`` CLI surfaces.
 """
@@ -16,23 +16,24 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.folds import EdgeCloudAccumulator
-from repro.monitor import (
+from repro.monitor.cluster import cluster_snapshot
+from repro.monitor.detect import (
     DEFAULT_THRESHOLD,
     Alarm,
-    EpochSnapshot,
+    detect_alarms,
+    pattern_dissimilarity,
+    score_detection,
+)
+from repro.monitor.evolution import (
     EvolutionPlan,
     EvolutionStep,
     STATIC_PLAN,
-    build_epoch_snapshot,
-    cluster_snapshot,
-    detect_alarms,
     load_evolution,
-    pattern_dissimilarity,
-    render_timeline,
-    run_monitor,
-    score_detection,
     standard_evolution,
 )
+from repro.monitor.report import render_timeline
+from repro.monitor.run import run_monitor
+from repro.monitor.snapshot import EpochSnapshot, build_epoch_snapshot
 from repro.spec.info import SpecError
 from repro.spec.model import Spec, par_delta
 from repro.trace.columnar import FlowTable

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.monitor import run_monitor, standard_evolution
+from repro.monitor.evolution import standard_evolution
+from repro.monitor.run import run_monitor
 
 GOLDEN = Path(__file__).parent / "golden" / "monitor_0.01.digests"
 

@@ -28,15 +28,11 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.exec.executor import ParallelExecutor  # noqa: E402
-from repro.monitor import (  # noqa: E402
-    EpochSnapshot,
-    EvolutionPlan,
-    EvolutionStep,
-    STATIC_PLAN,
-    cluster_snapshot,
-    pattern_dissimilarity,
-    run_monitor,
-)
+from repro.monitor.cluster import cluster_snapshot  # noqa: E402
+from repro.monitor.detect import pattern_dissimilarity  # noqa: E402
+from repro.monitor.evolution import EvolutionPlan, EvolutionStep, STATIC_PLAN  # noqa: E402
+from repro.monitor.run import run_monitor  # noqa: E402
+from repro.monitor.snapshot import EpochSnapshot  # noqa: E402
 from repro.spec.model import par_delta  # noqa: E402
 
 SCALE = 0.01

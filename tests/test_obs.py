@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from repro import obs
+from repro.obs import export
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
 from repro.obs.metrics import HISTOGRAM_BOUNDS, Histogram, MetricsRegistry
@@ -203,9 +204,9 @@ class TestExport:
 
     def test_jsonl_roundtrip(self, tmp_path):
         run = self._traced_run()
-        path = obs.write_trace(run, tmp_path)
+        path = export.write_trace(run, tmp_path)
         assert path.name == "trace_export-run.jsonl"
-        doc = obs.read_trace(path)
+        doc = export.read_trace(path)
         assert doc.run_id == "export-run"
         assert sorted(r.name for r in doc.spans) == ["child", "root"]
         assert doc.metrics["counters"] == {"n": 2}
@@ -214,27 +215,27 @@ class TestExport:
         bogus = tmp_path / "not_a_trace.jsonl"
         bogus.write_text('{"event":"hit","stage":"x"}\n')
         with pytest.raises(ValueError, match="no run header"):
-            obs.read_trace(bogus)
+            export.read_trace(bogus)
         truncated = tmp_path / "truncated.jsonl"
         truncated.write_text('{"type":"run","run_id":"r"}\n{"type":"span"}\n')
         with pytest.raises(ValueError, match="malformed span"):
-            obs.read_trace(truncated)
+            export.read_trace(truncated)
 
     def test_summary_shows_tree_and_counters(self, tmp_path):
-        doc = obs.read_trace(obs.write_trace(self._traced_run(), tmp_path))
-        text = obs.render_summary(doc)
+        doc = export.read_trace(export.write_trace(self._traced_run(), tmp_path))
+        text = export.render_summary(doc)
         assert "TRACE export-run" in text
         assert "root" in text and "  child" in text
         assert "n=2" in text
 
     def test_slowest_ranks_by_exclusive_time(self, tmp_path):
-        doc = obs.read_trace(obs.write_trace(self._traced_run(), tmp_path))
-        text = obs.render_slowest(doc, top=1)
+        doc = export.read_trace(export.write_trace(self._traced_run(), tmp_path))
+        text = export.render_slowest(doc, top=1)
         assert len(text.splitlines()) == 2  # header + one row
 
     def test_chrome_export_is_valid_trace_event_json(self, tmp_path):
-        doc = obs.read_trace(obs.write_trace(self._traced_run(), tmp_path))
-        out = obs.write_chrome(doc, tmp_path / "chrome.json")
+        doc = export.read_trace(export.write_trace(self._traced_run(), tmp_path))
+        out = export.write_chrome(doc, tmp_path / "chrome.json")
         payload = json.loads(out.read_text())
         events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
         assert {e["name"] for e in events} == {"root", "child"}
@@ -242,23 +243,23 @@ class TestExport:
             assert event["ts"] >= 0 and event["dur"] >= 0
 
     def test_chrome_gives_worker_tasks_their_own_tracks(self):
-        doc = obs.TraceDoc(run_id="r", spans=[
+        doc = export.TraceDoc(run_id="r", spans=[
             obs.SpanRecord("s1", None, "map", 0.0, 1.0),
             obs.SpanRecord("s1.t0.a1.s1", "s1", "task:a", 0.0, 0.5),
             obs.SpanRecord("s1.t1.a1.s1", "s1", "task:b", 0.0, 0.5),
         ])
-        events = [e for e in obs.to_chrome(doc)["traceEvents"] if e["ph"] == "X"]
+        events = [e for e in export.to_chrome(doc)["traceEvents"] if e["ph"] == "X"]
         tids = {e["name"]: e["tid"] for e in events}
         assert tids["map"] != tids["task:a"] != tids["task:b"]
 
     def test_diff_reports_per_name_deltas(self):
-        a = obs.TraceDoc(run_id="a", spans=[
+        a = export.TraceDoc(run_id="a", spans=[
             obs.SpanRecord("s1", None, "stage/sim", 0.0, 1.0),
         ])
-        b = obs.TraceDoc(run_id="b", spans=[
+        b = export.TraceDoc(run_id="b", spans=[
             obs.SpanRecord("s1", None, "stage/sim", 0.0, 3.0),
         ])
-        text = obs.render_diff(a, b)
+        text = export.render_diff(a, b)
         assert "stage/sim" in text
         assert "+2.000" in text
 

@@ -1,0 +1,87 @@
+"""What each command loads: the import closure of real ``repro`` processes.
+
+Every module a process imports is compiled from source when no bytecode
+is cached, so a command that loads code it never runs pays for it at
+every start.  These tests run the real entry point under
+``python -X importtime``, which lists every module the process imported,
+and hold each command to the packages it needs.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from typing import List, Set
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: The world model and the numeric stack: what program start avoids.
+WORLD_MODEL = (
+    "numpy",
+    "repro.sim",
+    "repro.cdn",
+    "repro.geo",
+    "repro.net",
+    "repro.workload",
+    "repro.core",
+)
+
+#: Code a batch summary study never runs.
+NOT_IN_A_STUDY = (
+    "repro.whatif",
+    "repro.monitor",
+    "repro.active",
+    "repro.spec.grid",
+    "repro.spec.runner",
+    "repro.stream.detectors",
+    "repro.core.hotspots",
+    "repro.core.loadbalance",
+)
+
+_IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s+(\S+)\s*$")
+
+
+def loaded_modules(argv: List[str], tmp_path: Path) -> Set[str]:
+    """Every module ``python -m repro <argv>`` imports, in a fresh process."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=SRC, REPRO_CACHE="off", REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", *argv],
+        env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    modules = {
+        match.group(1)
+        for match in map(_IMPORT_LINE.match, result.stderr.splitlines())
+        if match
+    }
+    assert "repro.cli" in modules, "no -X importtime lines were parsed"
+    return modules
+
+
+def offending(modules: Set[str], packages) -> List[str]:
+    return sorted(
+        name for name in modules
+        if any(name == pkg or name.startswith(pkg + ".") for pkg in packages)
+    )
+
+
+@pytest.mark.parametrize("argv", [["cache", "stats"], ["--help"]], ids=" ".join)
+def test_start_up_commands_skip_the_world_model(argv, tmp_path):
+    modules = loaded_modules(argv, tmp_path)
+    assert offending(modules, WORLD_MODEL) == []
+
+
+def test_batch_study_loads_only_what_it_runs(tmp_path):
+    modules = loaded_modules(
+        ["study", "--scale", "0.004", "--landmarks", "40", "--seed", "7"], tmp_path
+    )
+    assert {"numpy", "repro.core.pipeline", "repro.sim.driver"} <= modules
+    assert offending(modules, NOT_IN_A_STUDY) == []

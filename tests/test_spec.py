@@ -20,33 +20,26 @@ import pytest
 from repro.artifacts.store import reset_default_store
 from repro.sim import driver
 from repro.sim.scenarios import GOOGLE_DC_PLAN, PAPER_SCENARIOS, build_world
-from repro.spec import (
-    BARE_BASE,
-    EMPTY_INFO,
+from repro.spec.grid import GridAxis, GridPoint, GridSpec, diff_grids, enumerate_points, load_grid
+from repro.spec.info import EMPTY_INFO, ScenarioInfo, SpecError, describe
+from repro.spec.model import (
     EMPTY_SPEC,
-    GridAxis,
-    GridPoint,
-    GridSpec,
-    ScenarioInfo,
     Spec,
-    SpecError,
     apply_spec,
     apply_to_scenario,
-    describe,
     diff,
-    diff_grids,
-    enumerate_points,
-    load_grid,
     load_spec,
-    named_spec,
     par_delta,
-    plan_grid,
+)
+from repro.spec.registry import (
+    BARE_BASE,
+    named_spec,
     register_spec,
-    run_grid,
     scenario_spec,
     spec_names,
     unregister_spec,
 )
+from repro.spec.runner import plan_grid, run_grid
 
 
 class TestScenarioInfo:
@@ -309,13 +302,14 @@ class TestApply:
 
 class TestRegistry:
     def test_spec_package_imports_first(self):
-        # repro.spec and repro.sim import each other (the registry needs
-        # ScenarioSpec; PAPER_SCENARIOS materialises from the registry).
-        # Either package must be importable first in a fresh interpreter.
-        for first in ("repro.spec", "repro.sim", "repro.sim.driver"):
+        # repro.spec.registry and repro.sim.scenarios import each other (the
+        # registry needs ScenarioSpec; PAPER_SCENARIOS materialises from the
+        # registry).  Either module must be importable first in a fresh
+        # interpreter.
+        for first in ("repro.spec.registry", "repro.sim.scenarios", "repro.sim.driver"):
             code = (
                 f"import {first}\n"
-                "from repro.sim import PAPER_SCENARIOS\n"
+                "from repro.sim.scenarios import PAPER_SCENARIOS\n"
                 "from repro.spec.registry import paper_scenarios\n"
                 "assert PAPER_SCENARIOS == paper_scenarios()\n"
             )

@@ -26,14 +26,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.artifacts.keys import stage_key  # noqa: E402
 from repro.sim.scenarios import PAPER_SCENARIOS  # noqa: E402
-from repro.spec import (  # noqa: E402
-    ScenarioInfo,
-    Spec,
-    SpecError,
-    apply_to_scenario,
-    describe,
-    par_delta,
-)
+from repro.spec.info import ScenarioInfo, SpecError, describe  # noqa: E402
+from repro.spec.model import Spec, apply_to_scenario, par_delta  # noqa: E402
 
 # ----------------------------------------------------------------- strategies
 

@@ -27,17 +27,10 @@ from repro.core.summary import summarize
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
-from repro.stream import (
-    FlowArrival,
-    StreamingDigest,
-    TumblingWindower,
-    WatermarkAdvance,
-    WindowedSessionBuilder,
-    inject_disorder,
-    replay_flow_log,
-    replay_records,
-    simulated_stream,
-)
+from repro.stream.digest import StreamingDigest
+from repro.stream.events import FlowArrival, WatermarkAdvance
+from repro.stream.source import inject_disorder, replay_flow_log, replay_records, simulated_stream
+from repro.stream.windows import TumblingWindower, WindowedSessionBuilder
 from repro.stream.detectors import HotSpotDetector, LoadBalanceDetector
 from repro.stream.study import StreamStudy, stream_dataset
 from repro.trace.logio import format_record, write_flow_log
