@@ -38,7 +38,6 @@ MAX_HOPS = 4
 
 #: Hop causes recorded on a decision (ground truth for tests/diagnostics —
 #: the analysis pipeline never sees these).
-CAUSE_DIRECT = "direct"
 CAUSE_MISS = "miss"
 CAUSE_OVERLOAD_INTRA = "overload-intra"
 CAUSE_OVERLOAD_INTER = "overload-inter"

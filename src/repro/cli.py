@@ -1118,6 +1118,10 @@ def cmd_monitor(args: argparse.Namespace, out) -> int:
 def cmd_trace(args: argparse.Namespace, out) -> int:
     from repro.obs import export
 
+    for flag, value in (("--top", getattr(args, "top", None)),
+                        ("--depth", getattr(args, "depth", None))):
+        if value is not None and value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     try:
         if args.trace_command == "diff":
             doc_a = export.read_trace(args.trace_a)

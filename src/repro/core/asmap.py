@@ -71,20 +71,6 @@ def breakdown_by_as(dataset: Dataset, registry: AsRegistry) -> AsBreakdown:
     )
 
 
-def google_focus_ips(dataset: Dataset, registry: AsRegistry) -> List[int]:
-    """The server addresses the rest of the analysis focuses on.
-
-    Section IV: "we only focus on accesses to video servers located in the
-    Google AS.  For the EU2 dataset, we include accesses to the data center
-    located inside the corresponding ISP."
-    """
-    from repro.core.folds import TrafficAccumulator
-
-    return TrafficAccumulator(dataset.columnar()).focus_ips(
-        dataset.vantage.asn, registry
-    )
-
-
 def render_table2(breakdowns: Iterable[AsBreakdown]) -> str:
     """Render Table II."""
     table = TextTable(

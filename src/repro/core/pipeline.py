@@ -187,7 +187,12 @@ class StudyPipeline:
 
     @cached_property
     def focus_ips(self) -> Dict[str, List[int]]:
-        """Per-dataset Google-focus server lists (Section IV)."""
+        """Per-dataset Google-focus server lists (Section IV).
+
+        "We only focus on accesses to video servers located in the Google
+        AS.  For the EU2 dataset, we include accesses to the data center
+        located inside the corresponding ISP."
+        """
         return {
             name: self.traffic[name].focus_ips(r.world.vantage.asn, r.world.registry)
             for name, r in self._results.items()

@@ -21,9 +21,6 @@ from repro.trace.records import Dataset
 #: applying the paper's smallest-RTT tie-break (the EU2 rule).
 MAJOR_SHARE_THRESHOLD = 0.15
 
-#: A single data center above this share is the preferred one outright.
-DOMINANT_SHARE_THRESHOLD = 0.50
-
 
 @dataclass
 class DataCenterView:

@@ -74,16 +74,6 @@ def haversine_km_many(origin: GeoPoint, lats: np.ndarray, lons: np.ndarray) -> n
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> float:
-    """Initial great-circle bearing from ``a`` to ``b`` in degrees ``[0, 360)``."""
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
-    dlon = math.radians(b.lon - a.lon)
-    x = math.sin(dlon) * math.cos(lat2)
-    y = math.cos(lat1) * math.sin(lat2) - math.sin(lat1) * math.cos(lat2) * math.cos(dlon)
-    return math.degrees(math.atan2(x, y)) % 360.0
-
-
 def destination_point(origin: GeoPoint, bearing_deg: float, distance_km: float) -> GeoPoint:
     """The point ``distance_km`` away from ``origin`` along ``bearing_deg``.
 

@@ -96,8 +96,3 @@ def continent_of_country(country_code: str) -> Continent:
         return _COUNTRY_CONTINENT[country_code.upper()]
     except KeyError:
         raise KeyError(f"unknown country code: {country_code!r}") from None
-
-
-def known_countries() -> frozenset:
-    """All country codes the registry knows about."""
-    return frozenset(_COUNTRY_CONTINENT)

@@ -11,20 +11,11 @@ all registered at headquarters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.geo.cities import City, WorldAtlas, default_atlas
 from repro.net.asn import AsRegistry, GOOGLE_ASN, YOUTUBE_EU_ASN
 from repro.net.ip import IPv4Network
-
-
-@dataclass(frozen=True)
-class GeoDbEntry:
-    """One database row: a prefix and its claimed location."""
-
-    network: IPv4Network
-    city: City
 
 
 class GeoDatabase:
@@ -86,27 +77,3 @@ def build_reference_geodb(
         for network in registry.announced_networks(asn):
             db.add(network, hq)
     return db
-
-
-def add_isp_entries(db: GeoDatabase, networks, city: City) -> int:
-    """Register accurate entries for an access ISP's customer space.
-
-    The paper notes that location databases "are fairly accurate for IPs
-    belonging to commercial ISPs" — it is the corporate-infrastructure
-    space they get wrong.  Use this to model that asymmetry: feed it the
-    vantage point's client blocks and their true PoP city.
-
-    Args:
-        db: The database to extend.
-        networks: Iterable of :class:`~repro.net.ip.IPv4Network` client
-            blocks.
-        city: The PoP's true city.
-
-    Returns:
-        Number of entries added.
-    """
-    count = 0
-    for network in networks:
-        db.add(network, city)
-        count += 1
-    return count

@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.cdn.datacenter import DataCenter
-from repro.geo.cities import City, WorldAtlas, default_atlas
 
-#: IATA-style codes for the cities that host legacy infrastructure (plus a
-#: few extras so the parser is useful beyond the built-in scenarios).
+#: IATA-style codes for the cities that host legacy infrastructure.
 CITY_AIRPORT_CODES: Dict[str, str] = {
     "Amsterdam": "ams",
     "London": "lhr",
@@ -35,8 +33,6 @@ CITY_AIRPORT_CODES: Dict[str, str] = {
     "Seattle": "sea",
     "Milan": "mxp",
 }
-
-_CODE_TO_CITY = {code: name for name, code in CITY_AIRPORT_CODES.items()}
 
 
 @dataclass
@@ -76,25 +72,3 @@ def build_reverse_dns(legacy_dcs: Iterable[DataCenter]) -> ReverseDnsTable:
             shard = zlib.crc32(str(server.ip).encode()) % 24
             table.records[server.ip] = f"v{shard:02d}.lscache-{code}.youtube.com"
     return table
-
-
-def infer_city_from_hostname(
-    hostname: str, atlas: Optional[WorldAtlas] = None
-) -> Optional[City]:
-    """Extract the location hint from a PTR hostname, if any.
-
-    Args:
-        hostname: A PTR name such as ``"v03.lscache-ams.youtube.com"``.
-        atlas: City atlas (defaults to the shared one).
-
-    Returns:
-        The matching :class:`City`, or ``None`` when no known code appears.
-    """
-    if atlas is None:
-        atlas = default_atlas()
-    for label in hostname.lower().split("."):
-        for chunk in label.replace("_", "-").split("-"):
-            city_name = _CODE_TO_CITY.get(chunk)
-            if city_name is not None and city_name in atlas:
-                return atlas.get(city_name)
-    return None

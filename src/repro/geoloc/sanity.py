@@ -103,21 +103,3 @@ def audit_claims(
             violations.append(violation)
     violations.sort(key=lambda v: -v.impossibility_factor)
     return violations
-
-
-def violation_fraction(
-    vantage: GeoPoint,
-    claims: Mapping[str, GeoPoint],
-    rtts_ms: Mapping[str, float],
-    slack: float = 1.0,
-) -> float:
-    """Fraction of audited claims that are physically impossible.
-
-    Raises:
-        ValueError: When nothing can be audited.
-    """
-    audited = [t for t in claims if t in rtts_ms]
-    if not audited:
-        raise ValueError("no targets with both a claim and a measurement")
-    violations = audit_claims(vantage, claims, rtts_ms, slack=slack)
-    return len(violations) / len(audited)

@@ -16,7 +16,6 @@ from repro.net.ip import IPv4Network, format_ip
 #: AS numbers fixed by the paper.
 GOOGLE_ASN = 15169
 YOUTUBE_EU_ASN = 43515
-LEGACY_YOUTUBE_ASN = 36561  # "now not used anymore" (Section IV)
 CW_ASN = 1273
 GBLX_ASN = 3549
 
@@ -32,12 +31,6 @@ class AutonomousSystem:
 
     asn: int
     name: str
-
-
-@dataclass
-class _PrefixEntry:
-    network: IPv4Network
-    asn: int
 
 
 class AsRegistry:

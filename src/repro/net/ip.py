@@ -120,11 +120,6 @@ def parse_network(text: str) -> IPv4Network:
     return IPv4Network(parse_ip(addr_text), int(len_text))
 
 
-def ip_in_network(ip: int, network: IPv4Network) -> bool:
-    """Whether the address falls inside the network."""
-    return ip in network
-
-
 class Ipv4Allocator:
     """Sequential address allocator over a pool of CIDR blocks.
 

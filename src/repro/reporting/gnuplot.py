@@ -2,8 +2,8 @@
 
 The paper's figures are classic gnuplot CDFs and time series; this module
 writes the regenerated data in the same spirit: whitespace-separated
-``.dat`` files with a commented header, one per curve or one multi-column
-file per figure, plus a minimal ``.gp`` driver script so
+``.dat`` files with a commented header, one per curve, plus a minimal
+``.gp`` driver script so
 
     gnuplot fig09.gp
 
@@ -13,9 +13,9 @@ renders a figure immediately.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Union
 
-from repro.reporting.series import Cdf, Series
+from repro.reporting.series import Cdf
 
 PathLike = Union[str, Path]
 
@@ -28,31 +28,6 @@ def write_cdf_dat(cdf: Cdf, path: PathLike, label: str = "value", max_points: in
         handle.write(f"# {label}  cumulative_fraction\n")
         for value, fraction in cdf.points(max_points=max_points):
             handle.write(f"{value:.6g} {fraction:.6f}\n")
-    return path
-
-
-def write_series_dat(series: Sequence[Series], path: PathLike, x_label: str = "x") -> Path:
-    """Write aligned series as one multi-column file.
-
-    All series must share the same x values (true for the hourly series the
-    figures use).
-
-    Raises:
-        ValueError: On empty input or misaligned x values.
-    """
-    if not series:
-        raise ValueError("no series to write")
-    xs = series[0].xs
-    for s in series[1:]:
-        if s.xs != xs:
-            raise ValueError(f"series {s.label!r} has different x values")
-    path = Path(path)
-    with open(path, "w", encoding="ascii") as handle:
-        labels = "  ".join(s.label.replace(" ", "_") for s in series)
-        handle.write(f"# {x_label}  {labels}\n")
-        for i, x in enumerate(xs):
-            row = " ".join(f"{s.ys[i]:.6g}" for s in series)
-            handle.write(f"{x:.6g} {row}\n")
     return path
 
 

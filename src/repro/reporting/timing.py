@@ -52,31 +52,6 @@ def phases_summary(reset: bool = False) -> Dict[str, float]:
     return snapshot
 
 
-def reset_phases() -> None:
-    """Drop all accumulated phase timings (tests and fresh runs)."""
-    obs.current_run().tracer.drop(_is_phase)
-
-
-def render_timing_table(timings: Sequence[TaskTiming], title: str = "TASK TIMINGS") -> str:
-    """A per-task timing table, slowest first (stragglers on top).
-
-    The payload column shows each task's serialized traffic
-    (dispatch + result pickled bytes) — what the process backend pays
-    to ship work and results across the pool boundary.  In-process
-    backends serialize nothing, so the column reads 0.0 there.
-    """
-    table = TextTable(["task", "seconds", "payload KB", "status"], title=title)
-    for timing in sorted(timings, key=lambda t: t.seconds, reverse=True):
-        payload = timing.dispatch_bytes + timing.result_bytes
-        table.add_row(
-            timing.label,
-            f"{timing.seconds:.3f}",
-            f"{payload / 1e3:.1f}",
-            "ok" if timing.ok else "FAILED",
-        )
-    return table.render()
-
-
 def timing_summary(
     stats: Sequence[MapStats],
     cache: Optional[Dict[str, Any]] = None,

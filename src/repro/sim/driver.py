@@ -75,43 +75,6 @@ def run_spec(
     return result
 
 
-def run_applied(
-    base,
-    delta,
-    scale: float = DEFAULT_SCALE,
-    seed: int = 7,
-    duration_s: float = WEEK_S,
-    base_policy: str = "preferred",
-    use_cache: bool = True,
-) -> SimulationResult:
-    """Simulate a spec delta applied to a base scenario.
-
-    The declarative entry point: the delta's pars/set changes (including
-    its ``"policy"`` par) are validated against and composed with the
-    base by :func:`repro.spec.model.apply_to_scenario`, and the result
-    runs through :func:`run_spec` — so a grid point, a what-if variant
-    and a hand-rolled ``run_applied`` call with equal inputs all share
-    one ``"sim/run_week"`` artifact.
-
-    Args:
-        base: A :class:`ScenarioSpec`, or a :mod:`repro.spec.registry`
-            name.
-        delta: The :class:`~repro.spec.model.Spec` to apply.
-        base_policy: Policy the ``"policy"`` par starts from.
-
-    Raises:
-        SpecError: If the delta cannot apply to the base.
-        KeyError: For unknown registry names.
-    """
-    from repro.spec.model import apply_to_scenario
-    from repro.spec.registry import scenario_spec
-
-    if isinstance(base, str):
-        base = scenario_spec(base)
-    scenario, policy = apply_to_scenario(base, delta, base_policy=base_policy)
-    return run_spec(scenario, scale, seed, duration_s, policy, use_cache)
-
-
 @memoized_stage("sim/run_week")
 def simulate_week(
     spec: ScenarioSpec,

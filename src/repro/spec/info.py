@@ -205,10 +205,6 @@ class ScenarioInfo:
         return cls(sets=sets, pars=pars)
 
 
-#: The empty description (identity for :meth:`ScenarioInfo.merge`).
-EMPTY_INFO = ScenarioInfo()
-
-
 def describe(scenario, policy: str = "preferred") -> ScenarioInfo:
     """The declarative view of a :class:`~repro.sim.scenarios.ScenarioSpec`.
 

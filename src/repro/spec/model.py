@@ -14,14 +14,13 @@ objects —
 
 Applying a spec never mutates anything: :func:`apply_to_scenario` returns
 a fresh :class:`~repro.sim.scenarios.ScenarioSpec` (plus the selection
-policy), and :func:`apply_spec` builds the runnable
-:class:`~repro.sim.scenarios.ScenarioWorld` from it through
-:func:`~repro.sim.scenarios.build_world`.
+policy), which :func:`~repro.sim.scenarios.build_world` turns into a
+runnable :class:`~repro.sim.scenarios.ScenarioWorld`.
 
 Specs compose (:meth:`Spec.compose` — apply ``b`` after ``a`` as one
 spec; associative for disjoint deltas) and diff (:func:`diff` — the spec
-turning world ``a`` into world ``b``), and serialise canonically to JSON
-and TOML, which makes a scenario grid a reviewable, diffable artifact.
+turning world ``a`` into world ``b``), and serialise canonically to JSON,
+which makes a scenario grid a reviewable, diffable artifact.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro import obs
 from repro.spec.info import (
     SET_ARITY,
     SET_NAMES,
@@ -309,34 +307,6 @@ def compose_all(specs: Iterable[Spec]) -> Spec:
     return composed
 
 
-def load_spec(path: str) -> Spec:
-    """Load a spec from a ``.json`` or ``.toml`` file.
-
-    TOML needs Python 3.11+ (:mod:`tomllib`); on older interpreters a
-    TOML path raises :class:`SpecError` naming the JSON alternative.
-
-    Raises:
-        SpecError: For malformed documents or unavailable TOML support.
-        OSError: If the file cannot be read.
-    """
-    if path.endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError:
-            raise SpecError(
-                "TOML specs need Python 3.11+ (tomllib); convert the spec "
-                "to JSON or upgrade the interpreter"
-            ) from None
-        with open(path, "rb") as handle:
-            try:
-                document = tomllib.load(handle)
-            except tomllib.TOMLDecodeError as error:
-                raise SpecError(f"malformed spec TOML: {error}") from None
-        return Spec.from_json_dict(document)
-    with open(path, "r", encoding="utf-8") as handle:
-        return Spec.from_json(handle.read())
-
-
 # --------------------------------------------------------------------- diff
 def diff(base: Any, target: Any) -> Spec:
     """The spec that turns world ``base`` into world ``target``.
@@ -518,46 +488,3 @@ def apply_to_scenario(base, spec: Spec, base_policy: str = "preferred"):
 
     scenario = dataclasses.replace(base, **changes) if changes else base
     return scenario, policy
-
-
-def apply_spec(
-    base,
-    spec: Spec,
-    scale: float = 1.0,
-    seed: int = 7,
-    duration_s: Optional[float] = None,
-    base_policy: str = "preferred",
-):
-    """Validate and compose a base + spec into a runnable world.
-
-    Args:
-        base: A :class:`~repro.sim.scenarios.ScenarioSpec`, or the name of
-            a registry scenario (:mod:`repro.spec.registry`).
-        spec: The delta to apply.
-        scale: Traffic scale for the built world.
-        seed: Master seed.
-        duration_s: Simulation window (default one week).
-        base_policy: Policy the ``"policy"`` par starts from.
-
-    Returns:
-        The built :class:`~repro.sim.scenarios.ScenarioWorld`.
-
-    Raises:
-        SpecError: If the spec cannot apply to the base.
-        KeyError: For unknown registry names.
-    """
-    from repro.sim.scenarios import build_world
-    from repro.trace.records import WEEK_S
-
-    if isinstance(base, str):
-        from repro.spec.registry import scenario_spec
-
-        base = scenario_spec(base)
-    if duration_s is None:
-        duration_s = WEEK_S
-    with obs.span("spec/apply", base=base.name):
-        scenario, policy = apply_to_scenario(base, spec, base_policy=base_policy)
-        return build_world(
-            scenario, scale=scale, seed=seed, duration_s=duration_s,
-            policy_kind=policy,
-        )

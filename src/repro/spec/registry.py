@@ -8,19 +8,15 @@ over this module, so the materialised scenarios are value-identical to
 the historical hand-written constructors (byte-identical study digests),
 while every dataset is now diffable, composable and grid-extensible like
 any other spec.
-
-Registering a new named spec (:func:`register_spec`) immediately makes it
-addressable as a grid base or a ``dataset`` axis value
-(:mod:`repro.spec.grid`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.net.latency import AccessTechnology
 from repro.sim.scenarios import DATASET_NAMES, ScenarioSpec, SubnetSpec
-from repro.spec.info import ScenarioInfo, SpecError
+from repro.spec.info import ScenarioInfo
 from repro.spec.model import Spec, apply_to_scenario
 
 #: The skeleton every named dataset delta applies to: one vantage, one
@@ -180,11 +176,6 @@ _SPECS["US-Campus-Feb2011"] = DATASET_SPECS["US-Campus"].compose(FEB_2011_DELTA)
 _MATERIALIZED: Dict[str, ScenarioSpec] = {}
 
 
-def spec_names() -> Tuple[str, ...]:
-    """Every registered spec name (datasets first, then registrations)."""
-    return tuple(_SPECS)
-
-
 def named_spec(name: str) -> Spec:
     """The registered delta for ``name``.
 
@@ -219,34 +210,3 @@ def scenario_spec(name: str) -> ScenarioSpec:
 def paper_scenarios() -> Dict[str, ScenarioSpec]:
     """The five Table-I scenarios, materialised, in the paper's order."""
     return {name: scenario_spec(name) for name in DATASET_NAMES}
-
-
-def register_spec(name: str, spec: Spec) -> None:
-    """Register a new named spec (grid bases, policy families, tests).
-
-    Args:
-        name: A fresh name; built-ins cannot be shadowed.
-        spec: The delta to apply to :data:`BARE_BASE`.
-
-    Raises:
-        SpecError: If the name is taken or the spec is not a :class:`Spec`.
-    """
-    if not isinstance(spec, Spec):
-        raise SpecError(f"register_spec needs a Spec, got {type(spec).__name__!r}")
-    if name in _SPECS:
-        raise SpecError(f"scenario spec {name!r} is already registered")
-    _SPECS[name] = spec
-
-
-def unregister_spec(name: str) -> None:
-    """Remove a previously registered spec (tests clean up with this).
-
-    Raises:
-        SpecError: For built-in dataset names or unknown names.
-    """
-    if name in DATASET_SPECS or name == "US-Campus-Feb2011":
-        raise SpecError(f"cannot unregister built-in spec {name!r}")
-    if name not in _SPECS:
-        raise SpecError(f"scenario spec {name!r} is not registered")
-    del _SPECS[name]
-    _MATERIALIZED.pop(name, None)

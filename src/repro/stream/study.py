@@ -54,7 +54,6 @@ from repro.trace.records import WEEK_S
 
 if TYPE_CHECKING:
     # The batch study renders through this module but never streams.
-    from repro.stream.detectors import HotSpotDetector, LoadBalanceDetector
     from repro.stream.digest import StreamingDigest
 
 
@@ -75,8 +74,6 @@ class StreamedDataset:
         traffic: Per-server traffic totals and their derivations.
         hourly: Per-hour video-flow counts.
         session_stats: Flows-per-session histogram state.
-        hot_spots: Online per-video spike detector.
-        load_balance: Online byte-concentration monitor.
         digest: Running content digest over the sealed windows.
         windows: Windows sealed.
         late_records: Arrivals dropped for violating the watermark.
@@ -91,8 +88,6 @@ class StreamedDataset:
     traffic: TrafficAccumulator
     hourly: HourlyShareAccumulator
     session_stats: SessionStatsAccumulator
-    hot_spots: HotSpotDetector
-    load_balance: LoadBalanceDetector
     digest: StreamingDigest
     windows: int
     late_records: int
@@ -118,7 +113,6 @@ def stream_dataset(
     Returns:
         The :class:`StreamedDataset` with every accumulator final.
     """
-    from repro.stream.detectors import HotSpotDetector, LoadBalanceDetector
     from repro.stream.digest import StreamingDigest
     from repro.stream.source import simulated_stream
     from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
@@ -129,8 +123,6 @@ def stream_dataset(
     traffic = TrafficAccumulator()
     hourly = HourlyShareAccumulator()
     session_stats = SessionStatsAccumulator()
-    hot_spots = HotSpotDetector()
-    balance = LoadBalanceDetector()
     digest = StreamingDigest()
     peak_window = 0
 
@@ -139,8 +131,6 @@ def stream_dataset(
         digest.update_window(window)
         traffic.observe(window.table)
         hourly.observe(window.table)
-        hot_spots.observe_window(window)
-        balance.observe_window(window)
         peak_window = max(peak_window, len(window))
         obs.inc("stream.windows", dataset=name)
         obs.observe("stream.window_records", len(window), dataset=name)
@@ -163,8 +153,6 @@ def stream_dataset(
         traffic=traffic,
         hourly=hourly,
         session_stats=session_stats,
-        hot_spots=hot_spots,
-        load_balance=balance,
         digest=digest,
         windows=windower.windows_sealed,
         late_records=windower.late_records,
@@ -232,8 +220,6 @@ class StreamStudy(StudyPipeline):
                 "sessions_closed": s.session_stats.sessions,
                 "peak_open_sessions": s.peak_open_sessions,
                 "peak_window_records": s.peak_window_records,
-                "hot_spot_events": len(s.hot_spots.events),
-                "load_spread_fraction": s.load_balance.spread_fraction,
                 "rss_after_kb": s.rss_after_kb,
             }
         return out

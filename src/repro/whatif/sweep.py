@@ -18,18 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.exec.executor import ParallelExecutor
 from repro.reporting.series import Series
-from repro.sim.engine import SimulationResult
 from repro.sim.scenarios import PAPER_SCENARIOS, ScenarioSpec
 from repro.trace.records import WEEK_S
 from repro.whatif.metrics import ScenarioMetrics
-
-#: A metric extractor: simulation result → one number.
-MetricFn = Callable[[SimulationResult], float]
-
 
 @dataclass
 class SweepResult:

@@ -329,6 +329,14 @@ BAD_INPUTS = [
       "--out", "malformed.tsv/g.json"], {}, "malformed.tsv/g.json"),
     (["monitor", "--epochs", "0"], {}, "epochs must be >= 1"),
     (["trace", "summary", "missing.jsonl"], {}, "missing.jsonl"),
+    # Checked before the trace is read.
+    (["trace", "slowest", "missing.jsonl", "--top", "0"], {}, "--top must be at least 1"),
+    (["trace", "slowest", "missing.jsonl", "--top", "-1"], {}, "--top must be at least 1"),
+    (["trace", "diff", "missing.jsonl", "missing.jsonl", "--top", "0"], {},
+     "--top must be at least 1"),
+    (["trace", "summary", "missing.jsonl", "--depth", "0"], {}, "--depth must be at least 1"),
+    (["trace", "summary", "missing.jsonl", "--depth", "-1", "--json"], {},
+     "--depth must be at least 1"),
     # Checked before the world is built.
     (["coldvideo", "--nodes", "0"], {}, "--nodes"),
     (["coldvideo", "--nodes", "-3"], {}, "--nodes"),

@@ -27,7 +27,6 @@ from repro.core.sessions import (
 from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.summary import summarize
 from repro.reporting.series import Cdf
-from repro.stream.detectors import _top_server_bytes, _video_counts
 from repro.stream.events import FlowArrival, StreamWindow
 from repro.stream.windows import TumblingWindower
 from repro.trace.columnar import FlowTable, resident_columnar
@@ -40,7 +39,6 @@ from tests.oracle import loadbalance as oracle_loadbalance
 from tests.oracle import nonpreferred as oracle_nonpreferred
 from tests.oracle import preferred as oracle_preferred
 from tests.oracle import sessions as oracle_sessions
-from tests.oracle import streaming as oracle_streaming
 from tests.oracle import summary as oracle_summary
 
 
@@ -179,17 +177,6 @@ def test_hourly_accumulator_parity(seed):
         got.observe(window.table)
         oracle_accumulators.observe_hourly(want, window)
         assert hourly_state(got) == hourly_state(want)
-
-
-@pytest.mark.parametrize("seed", [70, 71, 72])
-def test_window_detector_inputs_parity(seed):
-    for window in random_windows(random.Random(seed), n=150, num_windows=4):
-        assert list(_video_counts(window).items()) == list(
-            oracle_streaming.video_counts(window).items()
-        )
-        assert _top_server_bytes(window) == oracle_streaming.top_server_bytes(window)
-    empty = StreamWindow(0, 0.0, 1.0, FlowTable([]))
-    assert _video_counts(empty) == oracle_streaming.video_counts(empty) == {}
 
 
 def test_nbytes_and_resident_columnar():
@@ -387,10 +374,3 @@ class TestStudyParity:
             oracle_accumulators.observe_hourly(hourly_spec, window)
         assert traffic_state(traffic) == traffic_state(traffic_spec)
         assert hourly_state(hourly) == hourly_state(hourly_spec)
-
-    def test_window_detector_inputs(self, windows):
-        for window in windows:
-            assert list(_video_counts(window).items()) == list(
-                oracle_streaming.video_counts(window).items()
-            )
-            assert _top_server_bytes(window) == oracle_streaming.top_server_bytes(window)

@@ -3,8 +3,8 @@
 The packages re-export nothing, so ``from repro.sim import run_all``
 fails where ``from repro.sim.driver import run_all`` works.  This reads
 the imports out of ``examples/*.py`` and the Python code blocks of the
-README and the API tour without running them, imports each module, and
-looks each name up on it.
+README, the API tour, the FAQ and the architecture notes without running
+them, imports each module, and looks each name up on it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Tuple
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = ("README.md", "docs/api_tour.md")
+DOCS = ("README.md", "docs/api_tour.md", "docs/faq.md", "docs/architecture.md")
 
 _CODE_BLOCK = re.compile(r"```python\n(.*?)```", re.S)
 

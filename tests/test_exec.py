@@ -13,7 +13,7 @@ from repro.exec.executor import (
     TaskTiming,
     default_executor,
 )
-from repro.reporting.timing import render_timing_table, timing_summary, write_timing_json
+from repro.reporting.timing import timing_summary, write_timing_json
 
 
 def _square(x):
@@ -187,18 +187,6 @@ class TestTimings:
         )
         assert stats.straggler() in stats.timings
 
-    def test_timing_report_rendering(self):
-        timings = [
-            TaskTiming(label="fast", seconds=0.01, ok=True),
-            TaskTiming(label="slow", seconds=0.50, ok=False),
-        ]
-        text = render_timing_table(timings)
-        lines = text.splitlines()
-        assert any("slow" in line and "FAILED" in line for line in lines)
-        # Slowest first.
-        assert lines.index(next(line for line in lines if "slow" in line)) < \
-            lines.index(next(line for line in lines if "fast" in line))
-
     def test_timing_summary_json(self, tmp_path):
         executor = ParallelExecutor("serial")
         executor.map(_square, [1, 2], labels=["x", "y"])
@@ -243,5 +231,3 @@ class TestPayloadBytes:
         assert summary["result_bytes"] == sum(
             r["result_bytes"] for r in summary["timings"]
         ) > 0
-        table = render_timing_table(executor.stats[-1].timings)
-        assert "payload KB" in table

@@ -13,7 +13,6 @@ from repro.geo.coords import (
     destination_point,
     haversine_km,
     haversine_km_many,
-    initial_bearing_deg,
 )
 
 lat_strategy = st.floats(min_value=-89.0, max_value=89.0)
@@ -133,20 +132,3 @@ class TestDestinationPoint:
         dest = destination_point(origin, 0.0, 111.0)
         assert dest.lat == pytest.approx(1.0, abs=0.01)
         assert dest.lon == pytest.approx(0.0, abs=1e-6)
-
-
-class TestBearing:
-    def test_due_east(self):
-        a = GeoPoint(0.0, 0.0)
-        b = GeoPoint(0.0, 10.0)
-        assert initial_bearing_deg(a, b) == pytest.approx(90.0, abs=0.1)
-
-    def test_due_north(self):
-        a = GeoPoint(0.0, 0.0)
-        b = GeoPoint(10.0, 0.0)
-        assert initial_bearing_deg(a, b) == pytest.approx(0.0, abs=0.1)
-
-    def test_range(self):
-        a = GeoPoint(45.0, 7.0)
-        b = GeoPoint(-20.0, -60.0)
-        assert 0.0 <= initial_bearing_deg(a, b) < 360.0

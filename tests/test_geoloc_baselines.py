@@ -6,11 +6,7 @@ from repro.geo.cities import default_atlas
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.geoloc.geodb import GeoDatabase, build_reference_geodb
 from repro.geoloc.probing import RttProber
-from repro.geoloc.rdns import (
-    ReverseDnsTable,
-    build_reverse_dns,
-    infer_city_from_hostname,
-)
+from repro.geoloc.rdns import CITY_AIRPORT_CODES, ReverseDnsTable, build_reverse_dns
 from repro.net.asn import AsRegistry, GOOGLE_ASN, YOUTUBE_EU_ASN
 from repro.net.ip import parse_ip, parse_network
 from repro.net.latency import AccessTechnology, LatencyModel, Site
@@ -60,14 +56,10 @@ class TestGeoDatabase:
     def test_accurate_for_isp_space_wrong_for_corporate(self, registry, tiny_world):
         """Databases get access ISPs right and corporate internals wrong —
         the asymmetry the paper describes."""
-        from repro.geoloc.geodb import add_isp_entries
-
         db = build_reference_geodb(registry)
         vantage = tiny_world.vantage
-        added = add_isp_entries(
-            db, [s.network for s in vantage.subnets], vantage.city
-        )
-        assert added == len(vantage.subnets)
+        for subnet in vantage.subnets:
+            db.add(subnet.network, vantage.city)
         client_ip = next(iter(tiny_world.population)).ip
         claimed = db.lookup(client_ip)
         assert claimed is not None
@@ -94,9 +86,7 @@ class TestReverseDns:
         sample_dc = legacy[0]
         hostname = table.lookup(sample_dc.servers[0].ip)
         assert hostname is not None
-        city = infer_city_from_hostname(hostname)
-        assert city is not None
-        assert city.name == sample_dc.city.name
+        assert f".lscache-{CITY_AIRPORT_CODES[sample_dc.city.name]}." in hostname
 
     def test_google_servers_have_no_ptr(self, tiny_world):
         legacy = [
@@ -106,13 +96,6 @@ class TestReverseDns:
         table = build_reverse_dns(legacy)
         google_dc = tiny_world.system.directory.get(tiny_world.google_dc_ids[0])
         assert table.lookup(google_dc.servers[0].ip) is None
-
-    def test_infer_unknown_code(self):
-        assert infer_city_from_hostname("v1.lscache-zzz.youtube.com") is None
-
-    def test_infer_known_codes(self):
-        assert infer_city_from_hostname("v9.lscache-ams.youtube.com").name == "Amsterdam"
-        assert infer_city_from_hostname("cache.LHR.example.net").name == "London"
 
 
 class TestProber:

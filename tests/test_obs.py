@@ -18,7 +18,7 @@ from repro.obs import export
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
 from repro.obs.metrics import HISTOGRAM_BOUNDS, Histogram, MetricsRegistry
-from repro.reporting.timing import phase_timer, phases_summary, reset_phases
+from repro.reporting.timing import phase_timer, phases_summary
 
 
 @pytest.fixture(autouse=True)
@@ -279,12 +279,6 @@ class TestPhaseShim:
         summary = phases_summary()
         assert set(summary) == {"analysis/x", "analysis/y"}
         assert summary["analysis/x"] >= 0.0
-
-    def test_phases_reset(self):
-        with phase_timer("analysis/x"):
-            pass
-        reset_phases()
-        assert phases_summary() == {}
 
     def test_phases_summary_reset_flag(self):
         with phase_timer("analysis/x"):

@@ -40,7 +40,6 @@ NOT_IN_A_STUDY = (
     "repro.active",
     "repro.spec.grid",
     "repro.spec.runner",
-    "repro.stream.detectors",
     "repro.core.hotspots",
     "repro.core.loadbalance",
 )

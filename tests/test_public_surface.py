@@ -1,0 +1,176 @@
+"""Nothing ships in ``src/repro`` that the program does not run.
+
+A module or a public top-level name that only its own tests reach is
+code the program carries, documents and keeps in step for nothing.  This
+reads every file of the program trees without importing any of them and
+fails on:
+
+* a module of ``src/repro`` that no file of those trees imports, and
+* a public top-level name of ``src/repro`` whose identifier appears in
+  no file of those trees outside its own definition,
+
+unless ``KEEP`` names it with the reason it stays.
+"""
+
+from __future__ import annotations
+
+import ast
+from functools import lru_cache
+from pathlib import Path
+from typing import Dict, Iterator, List, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+PACKAGE = SRC / "repro"
+
+#: The trees whose files count as the program: what a user or a
+#: benchmark runs.  Tests are not in it.
+PROGRAM_TREES = ("src", "scripts", "benchmarks", "perfbench", "examples")
+
+#: Modules run as entry points rather than imported.
+ENTRY_POINTS = {"repro.__main__"}
+
+#: Modules and public names the program does not reach that stay, each
+#: with the one-line reason it stays.
+KEEP: Dict[str, str] = {
+    "repro.geoloc.sanity": (
+        "the Section V speed-of-light refutation of the geo database "
+        "(docs/paper_mapping.md), run by tests/test_geoloc_sanity.py"
+    ),
+    "repro.geoloc.sanity.audit_claims": (
+        "the batch form of the Section V check_claim audit that "
+        "tests/test_geoloc_sanity.py runs over a simulated study"
+    ),
+    "repro.sim.scenarios.february_2011_us_campus": (
+        "the Section VI-B February-2011 epoch of docs/paper_mapping.md and "
+        "EXPERIMENTS.md, checked by tests/test_sim.py"
+    ),
+    "repro.artifacts.store.reset_default_store": (
+        "test seam: forgets the default store after a test changes REPRO_CACHE_DIR"
+    ),
+    "repro.faults.plan.set_current_plan": (
+        "test seam: installs a fault plan in-process, where the program reads "
+        "REPRO_FAULTS"
+    ),
+    "repro.stream.source.replay_records": (
+        "the in-memory stream source the windower tests replay records "
+        "through; replay_flow_log shares its _replay"
+    ),
+}
+
+
+def program_files() -> List[Path]:
+    return sorted(
+        path for tree in PROGRAM_TREES for path in (ROOT / tree).rglob("*.py")
+    )
+
+
+def module_name(path: Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+@lru_cache(maxsize=None)
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_modules(path: Path) -> Iterator[str]:
+    """Every dotted name an import in ``path`` may load, relative ones resolved."""
+    package = module_name(path) if path.is_relative_to(SRC) else ""
+    if package and path.name != "__init__.py":
+        package = package.rpartition(".")[0]
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.split(".")[: len(package.split(".")) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            yield base
+            # ``from package import submodule`` loads the submodule.
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+
+
+@lru_cache(maxsize=None)
+def identifiers(path: Path) -> Tuple[Tuple[int, str], ...]:
+    """``(line, identifier)`` per identifier ``path`` uses."""
+    found = []
+    for node in ast.walk(parsed(path)):
+        line = getattr(node, "lineno", 0)
+        if isinstance(node, ast.Name):
+            found.append((line, node.id))
+        elif isinstance(node, ast.Attribute):
+            found.append((line, node.attr))
+        elif isinstance(node, ast.alias):
+            found.extend((line, part) for part in node.name.split("."))
+    return tuple(found)
+
+
+def public_definitions(path: Path) -> Iterator[Tuple[str, int, int]]:
+    """``(name, first line, last line)`` per public top-level definition."""
+    for node in parsed(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+        for name in names:
+            if not name.startswith("_"):
+                yield name, start, node.end_lineno
+
+
+def unimported_modules() -> List[str]:
+    imported: Set[str] = set()
+    for path in program_files():
+        for name in imported_modules(path):
+            # Importing ``a.b.c`` imports the packages ``a`` and ``a.b`` too.
+            parts = name.split(".")
+            imported.update(".".join(parts[: i + 1]) for i in range(len(parts)))
+    return sorted(
+        name for name in map(module_name, PACKAGE.rglob("*.py"))
+        if name not in imported and name not in ENTRY_POINTS
+    )
+
+
+def unreferenced_names() -> List[str]:
+    used: Dict[Path, Set[str]] = {
+        path: {name for _, name in identifiers(path)} for path in program_files()
+    }
+    missing = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for name, start, end in public_definitions(path):
+            elsewhere = any(name in ids for other, ids in used.items() if other != path)
+            in_module = any(
+                used_name == name and not start <= line <= end
+                for line, used_name in identifiers(path)
+            )
+            if not (elsewhere or in_module):
+                missing.append(f"{module_name(path)}.{name}")
+    return missing
+
+
+def test_every_module_is_imported_by_the_program():
+    missing = [name for name in unimported_modules() if name not in KEEP]
+    assert missing == []
+
+
+def test_every_public_name_is_referenced_by_the_program():
+    missing = [name for name in unreferenced_names() if name not in KEEP]
+    assert missing == []
+
+
+def test_every_keep_entry_is_still_needed_and_says_why():
+    unreferenced = set(unreferenced_names()) | set(unimported_modules())
+    for name, reason in KEEP.items():
+        assert name in unreferenced, f"{name} is referenced now; drop it from KEEP"
+        assert reason.strip() and "\n" not in reason, name

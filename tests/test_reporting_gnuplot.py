@@ -6,9 +6,8 @@ from repro.reporting.gnuplot import (
     export_figure_cdfs,
     write_cdf_dat,
     write_gnuplot_script,
-    write_series_dat,
 )
-from repro.reporting.series import Cdf, Series
+from repro.reporting.series import Cdf
 
 
 class TestCdfDat:
@@ -29,24 +28,6 @@ class TestCdfDat:
     def test_header_present(self, tmp_path):
         path = write_cdf_dat(Cdf([1.0]), tmp_path / "c.dat", label="bytes")
         assert path.read_text().startswith("# CDF of bytes")
-
-
-class TestSeriesDat:
-    def test_multi_column(self, tmp_path):
-        a = Series(label="a", xs=[0.0, 1.0], ys=[10.0, 20.0])
-        b = Series(label="b", xs=[0.0, 1.0], ys=[1.0, 2.0])
-        path = write_series_dat([a, b], tmp_path / "s.dat", x_label="hour")
-        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0].split() == ["0", "10", "1"]
-        assert lines[1].split() == ["1", "20", "2"]
-
-    def test_misaligned_rejected(self, tmp_path):
-        a = Series(label="a", xs=[0.0], ys=[1.0])
-        b = Series(label="b", xs=[1.0], ys=[1.0])
-        with pytest.raises(ValueError):
-            write_series_dat([a, b], tmp_path / "s.dat")
-        with pytest.raises(ValueError):
-            write_series_dat([], tmp_path / "s.dat")
 
 
 class TestScript:

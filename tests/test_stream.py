@@ -29,9 +29,8 @@ from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.stream.digest import StreamingDigest
 from repro.stream.events import FlowArrival, WatermarkAdvance
-from repro.stream.source import inject_disorder, replay_flow_log, replay_records, simulated_stream
+from repro.stream.source import inject_disorder, replay_flow_log, replay_records
 from repro.stream.windows import TumblingWindower, WindowedSessionBuilder
-from repro.stream.detectors import HotSpotDetector, LoadBalanceDetector
 from repro.stream.study import StreamStudy, stream_dataset
 from repro.trace.logio import format_record, write_flow_log
 from repro.trace.records import FlowRecord
@@ -399,56 +398,6 @@ class TestAccumulators:
     def test_empty_histogram_raises(self):
         with pytest.raises(ValueError):
             SessionStatsAccumulator().histogram()
-
-
-class TestDetectors:
-    def windows_of(self, records, window_s=10.0):
-        w = TumblingWindower(window_s)
-        windows, _ = drain(w, replay_records(records, watermark_lag_s=1e9))
-        return windows
-
-    def test_hot_spot_fires_on_spike_not_on_debut(self):
-        records = []
-        t = 0.0
-        for window in range(4):
-            for _ in range(2):          # steady baseline
-                records.append(rec(t, t + 0.1, video="steady"))
-                t += 1.0
-            t = (window + 1) * 10.0
-        for i in range(20):             # the spike, in window 4
-            records.append(rec(40.0 + i * 0.1, 40.5 + i * 0.1, video="steady"))
-        detector = HotSpotDetector(min_flows=10, spike_factor=3.0)
-        events = []
-        for win in self.windows_of(records):
-            events.extend(detector.observe_window(win))
-        assert [e.video_id for e in events] == ["steady"]
-        assert events[0].window_index == 4
-        assert events[0].flows == 20
-        assert events[0].baseline == pytest.approx(2.0)
-
-    def test_first_appearance_never_spikes(self):
-        records = [rec(i * 0.1, i * 0.1 + 0.05, video="debut")
-                   for i in range(50)]
-        detector = HotSpotDetector(min_flows=10, spike_factor=3.0)
-        events = []
-        for win in self.windows_of(records, window_s=100.0):
-            events.extend(detector.observe_window(win))
-        assert events == []
-
-    def test_load_balance_classifies_spread_windows(self):
-        concentrated = [rec(1.0, 2.0, dst=100, num_bytes=9000),
-                        rec(2.0, 3.0, dst=101, num_bytes=1000)]
-        spread = [rec(11.0, 12.0, dst=100, num_bytes=3000),
-                  rec(12.0, 13.0, dst=101, num_bytes=3500),
-                  rec(13.0, 14.0, dst=102, num_bytes=3500)]
-        detector = LoadBalanceDetector(spread_threshold=0.5)
-        for win in self.windows_of(concentrated + spread):
-            detector.observe_window(win)
-        assert len(detector.samples) == 2
-        assert detector.samples[0].top_share == pytest.approx(0.9)
-        assert detector.samples[1].num_servers == 3
-        assert detector.spread_windows == 1
-        assert detector.spread_fraction == pytest.approx(0.5)
 
 
 class TestDisorderInjection:
