@@ -92,11 +92,6 @@ class TestVideoReport:
         """Figure 18: the CDF of RTT1/RTT2 over nodes."""
         return Cdf(s.first_to_second_ratio for s in self.series)
 
-    def fraction_improved(self, threshold: float = 1.2) -> float:
-        """Fraction of nodes whose second fetch was ≥ ``threshold`` closer."""
-        ratios = [s.first_to_second_ratio for s in self.series]
-        return sum(1 for r in ratios if r >= threshold) / len(ratios)
-
     def most_improved(self) -> NodeRttSeries:
         """The node with the largest RTT1/RTT2 — the Figure 17 exemplar."""
         return max(self.series, key=lambda s: s.first_to_second_ratio)

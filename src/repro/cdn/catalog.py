@@ -214,10 +214,6 @@ class VideoCatalog:
         """Video at a popularity rank (0 = hottest)."""
         return self._videos[rank]
 
-    def featured_on_day(self, day: int) -> Optional[Video]:
-        """The "video of the day" for a simulated day index, if any."""
-        return self._featured_by_day.get(day)
-
     @property
     def featured_videos(self) -> List[Video]:
         """All featured videos in day order."""

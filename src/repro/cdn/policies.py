@@ -272,14 +272,6 @@ class IspTrafficEngineeringPolicy(SelectionPolicy):
         except KeyError:
             raise KeyError(f"no ranking configured for resolver {resolver_id!r}") from None
 
-    def steering_weights(self, resolver_id: str, now_s: float) -> Dict[str, float]:
-        """The active steering table (weights sum to 1).
-
-        Raises:
-            KeyError: If the resolver has no steering table.
-        """
-        return dict(self._table(resolver_id, now_s))
-
     def preferred_now(self, resolver_id: str, now_s: float) -> str:
         """Highest-weight steering entry — shifts at the mid-week re-solve."""
         table = self._table(resolver_id, now_s)

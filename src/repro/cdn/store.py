@@ -195,12 +195,3 @@ class ContentPlacement(Transient):
     def dc_ids(self) -> List[str]:
         """Every data center the placement tracks, in its stable order."""
         return list(self._dc_ids)
-
-    @property
-    def head_ranks(self) -> int:
-        """Number of head (everywhere-replicated) ranks."""
-        return self._head_ranks
-
-    def residency_count(self, video: Video) -> int:
-        """Number of data centers currently holding the video."""
-        return len(self.holders(video))

@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument(
         "--policy", default="preferred",
         help="selection policy every simulated world runs "
-        "(default preferred; batch path only)",
+        "(default preferred; batch and --stream alike)",
     )
     p_study.add_argument(
         "--full", action="store_true",
@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="event-driven ingestion: consume each week as a "
         "watermarked stream with bounded memory instead "
         "of materialising it; output is byte-identical "
-        "to the batch path at any --window-s",
+        "to the batch path at any --window-s (summary "
+        "report only: not with --full or --validate)",
     )
     p_study.add_argument(
         "--window-s", type=float, default=3600.0,
@@ -471,24 +472,38 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
 def _render_study(args: argparse.Namespace):
     """Run the study and render its report.
 
+    The batch path simulates each week whole; ``--stream`` folds each
+    week window by window as it is simulated (see :mod:`repro.stream`).
+    Both feed the one :class:`~repro.core.pipeline.StudyPipeline`, so
+    the bytes are the same.
+
     Returns:
-        ``(text, digests)`` — the full report text and one
-        :meth:`~repro.trace.records.Dataset.content_digest` per dataset.
+        ``(text, digests)`` — the full report text and one flow-log
+        content digest per dataset.
     """
     import io
 
     from repro.core.pipeline import StudyPipeline
-    from repro.sim.driver import run_all
     from repro.stream.study import render_stream_report
 
     buffer = io.StringIO()
     landmark_count = _landmark_count(args)
     executor = executor_from_args(args)
-    results = run_all(
-        scale=args.scale, seed=args.seed, executor=executor,
-        policy_kind=getattr(args, "policy", "preferred"),
-    )
-    pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
+    if args.stream:
+        from repro.stream.study import run_streaming_study
+
+        pipeline, digests = run_streaming_study(
+            args.scale, args.seed, args.window_s, policy_kind=args.policy,
+            landmark_count=landmark_count, executor=executor,
+        )
+    else:
+        from repro.sim.driver import run_all
+
+        results = run_all(
+            scale=args.scale, seed=args.seed, executor=executor, policy_kind=args.policy,
+        )
+        pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
+        digests = {name: result.dataset.content_digest() for name, result in results.items()}
     if args.full:
         from repro.core.report import render_study_report
 
@@ -500,41 +515,7 @@ def _render_study(args: argparse.Namespace):
 
         print("", file=buffer)
         print(render_validation(validate_study(pipeline, results)), file=buffer)
-    digests = {name: result.dataset.content_digest() for name, result in results.items()}
     return buffer.getvalue(), digests
-
-
-def _render_stream_study(args: argparse.Namespace):
-    """Run the study through the streaming path (see :mod:`repro.stream`).
-
-    Returns:
-        ``(text, digests)`` with exactly the bytes :func:`_render_study`
-        produces for the same parameters.
-    """
-    from repro.stream.study import render_stream_report, run_streaming_study
-
-    study = run_streaming_study(
-        scale=args.scale,
-        seed=args.seed,
-        window_s=args.window_s,
-        landmark_count=_landmark_count(args),
-        executor=executor_from_args(args),
-    )
-    stats_path = os.environ.get("REPRO_STREAM_STATS", "").strip()
-    if stats_path:
-        import json
-
-        from repro.stream.study import peak_rss_kb
-
-        payload = {
-            "window_s": args.window_s,
-            "peak_rss_kb": peak_rss_kb(),
-            "datasets": study.stats(),
-        }
-        with open(stats_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return render_stream_report(study), study.digests()
 
 
 def cmd_study(args: argparse.Namespace, out) -> int:
@@ -543,11 +524,6 @@ def cmd_study(args: argparse.Namespace, out) -> int:
 
     if args.stream and not args.window_s > 0:
         raise UsageError(f"--window-s must be positive, got {args.window_s}")
-    if args.policy != "preferred" and args.stream:
-        # The streamed path builds its worlds internally and runs the
-        # baseline policy only; a non-default --policy there would
-        # silently evaluate the wrong mechanism.
-        raise UsageError(f"--policy {args.policy} requires the batch path; drop --stream")
     unsupported = [
         flag
         for flag, active in (("--full", args.full), ("--validate", args.validate))
@@ -587,10 +563,7 @@ def cmd_study(args: argparse.Namespace, out) -> int:
         # Only a run that succeeded stored a report under this policy, so
         # the registry (and the world model it loads) is read on a miss.
         _check_policies([args.policy])
-        if args.stream:
-            text, digests = _render_stream_study(args)
-        else:
-            text, digests = _render_study(args)
+        text, digests = _render_study(args)
         payload = {"text": text, "digests": digests}
         if store is not None:
             store.put(key, payload, stage="cli/study")
@@ -864,7 +837,9 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"--values must be comma-separated numbers: {args.values!r}") from None
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not values:
+        raise UsageError(f"--values names no values: {args.values!r}")
+    metrics = _parse_metrics(args.metrics)
     try:
         sweep = sweep_parameter(
             args.dataset, args.parameter, values, scale=args.scale, seed=args.seed,
@@ -878,6 +853,26 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         cells = "  ".join(f"{getattr(row, m):18.4f}" for m in metrics)
         print(f"{value:24.4f}  {cells}", file=out)
     return 0
+
+
+def _parse_metrics(text: str) -> List[str]:
+    """The ``--metrics`` names, each a numeric ``ScenarioMetrics`` field.
+
+    Raises:
+        UsageError: For a name that is not one.
+    """
+    from dataclasses import fields
+
+    from repro.whatif.metrics import ScenarioMetrics
+
+    known = [f.name for f in fields(ScenarioMetrics) if f.name != "label"]
+    metrics = [m.strip() for m in text.split(",") if m.strip()]
+    unknown = [m for m in metrics if m not in known]
+    if unknown:
+        raise UsageError(
+            f"unknown --metrics {', '.join(unknown)}; expected some of {', '.join(known)}"
+        )
+    return metrics
 
 
 def _parse_axis_value(text: str):
@@ -985,7 +980,7 @@ def cmd_grid(args: argparse.Namespace, out) -> int:
     if args.grid_command == "run":
         from repro.spec.runner import run_grid
 
-        metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+        metrics = _parse_metrics(args.metrics)
         try:
             result = run_grid(
                 grid, scale=args.scale, seed=args.seed,

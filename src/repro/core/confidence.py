@@ -39,10 +39,6 @@ class ConfidenceInterval:
         """Interval width."""
         return self.high - self.low
 
-    def contains(self, value: float) -> bool:
-        """Whether a value lies inside the interval."""
-        return self.low <= value <= self.high
-
     def __str__(self) -> str:
         return f"{self.point:.4f} [{self.low:.4f}, {self.high:.4f}] @{self.level:.0%}"
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.net.asn import AsRegistry
-from repro.reporting.series import Series
 from repro.reporting.tables import TextTable
 from repro.trace.records import Dataset
 
@@ -50,13 +49,6 @@ class AsTraffic:
     def peak_hour_bytes(self) -> int:
         """Busiest hour's byte count."""
         return max(self.hourly_bytes) if self.hourly_bytes else 0
-
-    def mbps_series(self) -> Series:
-        """Average ingress rate per hour, in Mbit/s."""
-        series = Series(label=f"AS{self.asn} Mbps")
-        for hour, volume in enumerate(self.hourly_bytes):
-            series.append(float(hour), volume * 8.0 / 3600.0 / 1e6)
-        return series
 
     def p95_mbps(self) -> float:
         """The 95th-percentile hourly rate in Mbit/s — the billing figure.

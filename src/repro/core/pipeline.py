@@ -19,13 +19,19 @@ traces many times.
 The pipeline's inputs are measurement-shaped only: flow datasets, a whois
 registry, the physical ability to ping an IP.  Simulator ground truth never
 enters.
+
+It is the one pipeline class for both ingestion modes.  A batch study folds
+each materialised week as one batch; ``repro study --stream`` folds each
+week window by window as it is simulated (:mod:`repro.stream.study`) and
+hands the sealed folds in through ``folds``.  Everything downstream of the
+folds is the same code either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.core import asmap, flows, geography, nonpreferred
@@ -74,12 +80,13 @@ class StudyPipeline:
 
     Tables I-II, the focus list, the preferred-DC reports, Figure 9 and
     the RTT campaigns' server lists read two per-dataset folds,
-    :attr:`traffic` and :attr:`hourly`, each over its dataset as one
-    batch; :class:`~repro.stream.study.StreamStudy` swaps in streamed ones.
+    :attr:`traffic` and :attr:`hourly`: each dataset's table folded as
+    one batch, or the folds a stream sealed window by window.
 
     Args:
-        results: Mapping dataset name → simulation result (dataset + the
-            physical world behind it, for active measurements).
+        results: Mapping dataset name → simulation result: its ``world``
+            (for active measurements) and its ``dataset``, which only the
+            record-level analyses (sessions, Figures 4-6 and 10-16) read.
         landmark_count: Landmark budget for CBG; ``None`` uses the paper's
             full 215-node set.  Tests pass a smaller number.
         probes_per_measurement: Pings per RTT measurement.
@@ -88,6 +95,8 @@ class StudyPipeline:
         executor: Fan-out strategy for the per-vantage RTT campaigns;
             ``None`` reads ``REPRO_EXECUTOR``.  Results are backend-
             independent (each campaign owns a derived-seed prober).
+        folds: Per-dataset ``(traffic, hourly)`` folds already sealed
+            over a streamed week; ``None`` folds each ``dataset`` here.
     """
 
     def __init__(
@@ -98,6 +107,9 @@ class StudyPipeline:
         seed: int = 11,
         session_gap_s: float = sessions_mod.DEFAULT_GAP_S,
         executor: Optional[ParallelExecutor] = None,
+        folds: Optional[
+            Mapping[str, Tuple[TrafficAccumulator, HourlyShareAccumulator]]
+        ] = None,
     ):
         if not results:
             raise ValueError("pipeline needs at least one dataset")
@@ -107,6 +119,7 @@ class StudyPipeline:
         self._seed = seed
         self._gap_s = session_gap_s
         self._executor = executor
+        self._folds = folds
 
     # ------------------------------------------------------------ plumbing
 
@@ -155,6 +168,8 @@ class StudyPipeline:
     @cached_property
     def traffic(self) -> Dict[str, TrafficAccumulator]:
         """Per-dataset traffic folds (Tables I-II, focus, Section VI-B)."""
+        if self._folds is not None:
+            return {name: traffic for name, (traffic, _) in self._folds.items()}
         return {
             name: TrafficAccumulator(r.dataset.columnar())
             for name, r in self._results.items()
@@ -163,6 +178,8 @@ class StudyPipeline:
     @cached_property
     def hourly(self) -> Dict[str, HourlyShareAccumulator]:
         """Per-dataset hourly video-flow folds (Figure 9 only)."""
+        if self._folds is not None:
+            return {name: hourly for name, (_, hourly) in self._folds.items()}
         return {
             name: HourlyShareAccumulator(r.dataset.columnar())
             for name, r in self._results.items()

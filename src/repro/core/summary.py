@@ -32,17 +32,6 @@ class DatasetSummary:
         """Volume in gigabytes (Table I's unit)."""
         return self.volume_bytes / 1e9
 
-    @property
-    def mean_flow_bytes(self) -> float:
-        """Mean bytes per flow (diagnostic; not in the paper's table).
-
-        Raises:
-            ValueError: With no flows.
-        """
-        if self.flows == 0:
-            raise ValueError("no flows")
-        return self.volume_bytes / self.flows
-
 
 def summarize(dataset: Dataset) -> DatasetSummary:
     """Compute the Table I row for one dataset."""

@@ -541,10 +541,6 @@ class ParallelExecutor:
         """Every task timing recorded so far, across all ``map`` calls."""
         return [t for stats in self.stats for t in stats.timings]
 
-    def clear_stats(self) -> None:
-        """Drop accumulated timing records."""
-        self.stats.clear()
-
 
 def default_executor(executor: Optional[ParallelExecutor]) -> ParallelExecutor:
     """The executor to use: the given one, else ``from_env()``.

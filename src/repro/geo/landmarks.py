@@ -68,10 +68,6 @@ class LandmarkSet:
     def __getitem__(self, index: int) -> Landmark:
         return self._landmarks[index]
 
-    def on_continent(self, continent: Continent) -> List[Landmark]:
-        """Landmarks located on the given continent."""
-        return [lm for lm in self._landmarks if lm.continent is continent]
-
     def subsample(self, count: int, seed: int = 0) -> "LandmarkSet":
         """A deterministic random subset preserving the continental balance.
 

@@ -25,7 +25,7 @@ from repro.geo.cities import City, WorldAtlas, default_atlas
 from repro.geo.coords import GeoPoint, haversine_km
 from repro.geo.regions import Continent
 from repro.geoloc.cbg import CbgResult
-from repro.net.ip import format_ip, slash24_of
+from repro.net.ip import slash24_of
 
 
 @dataclass
@@ -68,17 +68,6 @@ class ServerMap:
     clusters: List[DataCenterCluster]
     by_ip: Dict[int, DataCenterCluster]
     results_by_slash24: Dict[int, CbgResult]
-
-    def cluster_of(self, server_ip: int) -> DataCenterCluster:
-        """Cluster of a server address.
-
-        Raises:
-            KeyError: For addresses not in the map.
-        """
-        try:
-            return self.by_ip[server_ip]
-        except KeyError:
-            raise KeyError(f"server {format_ip(server_ip)} was never clustered") from None
 
     def continent_counts(self, server_ips: Iterable[int]) -> Dict[str, int]:
         """Table III row: server count per continent bucket."""

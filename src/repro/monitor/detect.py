@@ -112,11 +112,11 @@ def detect_alarms(distances: Sequence[float], threshold: float) -> List[Alarm]:
     epochs are defined.
 
     Raises:
-        ValueError: For a non-positive threshold (zero would alarm on
-            any sampling noise, defeating the point of the metric).
+        ValueError: For a threshold that is not positive (zero would
+            alarm on any sampling noise, and no distance reaches NaN).
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold!r}")
     return [
         Alarm(epoch=i + 1, distance=distance)
         for i, distance in enumerate(distances)

@@ -298,12 +298,14 @@ def run_monitor(
         The :class:`MonitorReport`.
 
     Raises:
-        ValueError: For a non-positive horizon or epoch length.
+        ValueError: For a non-positive horizon, epoch length or threshold.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if epoch_s <= 0:
-        raise ValueError("epoch_s must be positive")
+    if not epoch_s > 0:
+        raise ValueError(f"epoch_s must be positive, got {epoch_s!r}")
+    # Checked before any epoch is simulated, not only when alarms are drawn.
+    detect_alarms([], threshold)
     if plan is None:
         plan = STATIC_PLAN
     if isinstance(base, str):

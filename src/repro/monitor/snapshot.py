@@ -28,7 +28,6 @@ from repro import obs
 from repro.core.folds import EdgeCloudAccumulator
 from repro.exec.executor import ParallelExecutor
 from repro.geoloc.probing import CampaignJob, run_campaigns
-from repro.net.ip import format_ip
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY
 from repro.sim.scenarios import ScenarioWorld
 from repro.stream.source import simulated_stream
@@ -84,17 +83,6 @@ class EpochSnapshot:
         for subnet, _prefix, num_bytes, _flows in self.cells:
             shares[subnet] = shares.get(subnet, 0.0) + num_bytes / self.bytes_total
         return shares
-
-    def rtt_of(self, prefix: int) -> Optional[float]:
-        """The measured RTT for one prefix, or ``None`` when lost."""
-        for candidate, rtt in self.rtt_ms:
-            if candidate == prefix:
-                return rtt
-        return None
-
-    def prefix_str(self, prefix: int) -> str:
-        """Dotted CIDR text for one prefix (timeline rendering)."""
-        return f"{format_ip(prefix << (32 - self.prefix_len))}/{self.prefix_len}"
 
     # ------------------------------------------------------------- identity
     def to_json_dict(self) -> Dict:

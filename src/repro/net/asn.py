@@ -90,21 +90,6 @@ class AsRegistry:
         system = self.whois(ip)
         return None if system is None else system.asn
 
-    def has_as(self, asn: int) -> bool:
-        """Whether an AS number is registered."""
-        return asn in self._systems
-
-    def get_as(self, asn: int) -> AutonomousSystem:
-        """Fetch a registered AS by number.
-
-        Raises:
-            KeyError: If not registered.
-        """
-        try:
-            return self._systems[asn]
-        except KeyError:
-            raise KeyError(f"AS{asn} not registered") from None
-
     def announced_networks(self, asn: int) -> List[IPv4Network]:
         """All prefixes announced by a given AS."""
         result: List[IPv4Network] = []

@@ -118,12 +118,3 @@ class LocalResolver:
         """
         self.misses += 1
         return self.authoritative.resolve_shard(shard, self.resolver_id, now_s)
-
-    def flush(self) -> None:
-        """Drop all cached entries."""
-        self._cache.clear()
-
-    @property
-    def cache_size(self) -> int:
-        """Number of live cache entries (stale ones included until touched)."""
-        return len(self._cache)

@@ -136,21 +136,6 @@ class Ipv4Allocator:
         self._block = 0
         self._next = self._pool[0].first
 
-    def allocate_address(self) -> int:
-        """Allocate the next free single address.
-
-        Raises:
-            RuntimeError: When the pool is exhausted.
-        """
-        while self._block < len(self._pool):
-            block = self._pool[self._block]
-            if self._next <= block.last:
-                ip = self._next
-                self._next += 1
-                return ip
-            self._advance_block()
-        raise RuntimeError("address pool exhausted")
-
     def allocate_network(self, prefix_len: int) -> IPv4Network:
         """Allocate the next aligned network of the given prefix length.
 

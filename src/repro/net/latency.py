@@ -200,11 +200,6 @@ class LatencyModel:
         profile = self.path_profile(a, b)
         return self._floor_ms(a, b, profile), 1.0 / profile.jitter_ms
 
-    def sample_rtt_ms(self, a: Site, b: Site, rng: random.Random) -> float:
-        """One probe's RTT: the floor plus exponential queueing noise."""
-        profile = self.path_profile(a, b)
-        return self._floor_ms(a, b, profile) + rng.expovariate(1.0 / profile.jitter_ms)
-
     def measure_min_rtt_ms(self, a: Site, b: Site, rng: random.Random, probes: int = 10) -> float:
         """Minimum over ``probes`` samples — what ``ping`` campaigns report.
 
@@ -234,34 +229,13 @@ class LatencyModel:
         """
         return 2.0 * distance_km / C_FIBER_KM_PER_MS
 
-    @staticmethod
-    def max_distance_km(rtt_ms: float) -> float:
-        """Upper bound on distance implied by an RTT (inverse of the bound)."""
-        return max(0.0, rtt_ms) * C_FIBER_KM_PER_MS / 2.0
-
-    def floor_breakdown(self, a: Site, b: Site) -> Dict[str, float]:
-        """Diagnostic decomposition of the floor RTT, for examples/docs."""
-        profile = self.path_profile(a, b)
-        distance = haversine_km(a.point, b.point)
-        propagation = 2.0 * distance / C_FIBER_KM_PER_MS * profile.inflation
-        return {
-            "distance_km": distance,
-            "inflation": profile.inflation,
-            "propagation_ms": propagation,
-            "detour_ms": profile.detour_ms,
-            "access_ms": a.access.last_mile_ms + b.access.last_mile_ms,
-            "extra_ms": a.extra_ms + b.extra_ms,
-            "processing_ms": PROCESSING_MS,
-            "floor_ms": self.min_rtt_ms(a, b),
-        }
-
 
 def min_of_probes(floor_ms: float, rate: float, rng: random.Random, probes: int) -> float:
     """The minimum of ``probes`` probes ``floor_ms + rng.expovariate(rate)``.
 
     The draws are taken in probe order, one per probe, so the result and
-    the RNG state afterwards match ``probes`` calls of
-    :meth:`LatencyModel.sample_rtt_ms` bit for bit.
+    the RNG state afterwards match ``probes`` single-probe samples (the
+    floor plus ``rng.expovariate(rate)``) bit for bit.
     """
     draw = rng.expovariate
     return min(floor_ms + draw(rate) for _ in range(probes))

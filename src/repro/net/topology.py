@@ -127,7 +127,3 @@ class VantagePoint:
         if subnet is None:
             raise LookupError(f"{format_ip(client_ip)} is not inside {self.name}")
         return subnet.resolver
-
-    def subnet_names(self) -> List[str]:
-        """Subnet labels in declaration order."""
-        return [s.name for s in self.subnets]

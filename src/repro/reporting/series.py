@@ -116,13 +116,6 @@ class Series:
     def __len__(self) -> int:
         return len(self.xs)
 
-    def y_at(self, x: float, default: float = 0.0) -> float:
-        """Y value at an exact x, or ``default``."""
-        try:
-            return self.ys[self.xs.index(x)]
-        except ValueError:
-            return default
-
     def max_y(self) -> float:
         """Largest y value."""
         if not self.ys:

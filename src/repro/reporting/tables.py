@@ -42,11 +42,6 @@ class TextTable:
             )
         self._rows.append([str(c) for c in cells])
 
-    @property
-    def num_rows(self) -> int:
-        """Number of data rows."""
-        return len(self._rows)
-
     def render(self) -> str:
         """The formatted table."""
         widths = [len(h) for h in self._headers]

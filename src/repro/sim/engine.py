@@ -104,10 +104,6 @@ class GroundTruthLog:
         self.served_dcs.append(hops[-1].dc_id)
         self.labels.append(label)
 
-    def label_counts(self) -> Counter:
-        """Tally of the three truth labels."""
-        return Counter(self.labels)
-
 
 @dataclass
 class SimulationResult:

@@ -11,15 +11,17 @@ per-window :class:`~repro.trace.columnar.FlowTable` batches, and
 :func:`~repro.stream.windows.drive` hands each sealed window to the
 consumers and closes gap-T sessions as the sealed boundary moves.
 
-The stream is a schedule, not a second analysis.  The study's folds
+The stream is a fold schedule, not a second analysis.  The study's folds
 (:mod:`repro.core.folds`) are the ones batch analysis runs over a whole
-dataset as one batch; here they fold window by window, so every table
-is the same code in both modes.  Sessions are split by the one session
-index, with only each (client, video) group's last session carried
-between windows (:class:`~repro.stream.windows.WindowedSessionBuilder`).
-Memory stays bounded by servers x hours + open sessions + one window —
-never by the flow count — and ``repro study --stream`` renders
-byte-identical output (and ``--digests`` lines) to the batch path at any
-window size.  See docs/architecture.md ("Streaming ingestion") for the
-watermark semantics and the equivalence argument.
+dataset as one batch; here they fold window by window and are handed to
+the one :class:`~repro.core.pipeline.StudyPipeline`, so every table is
+the same code in both modes.  ``repro sessions --stream`` splits
+sessions by the one session index, with only each (client, video)
+group's last session carried between windows
+(:class:`~repro.stream.windows.WindowedSessionBuilder`).  Memory stays
+bounded by servers x hours + one window — never by the flow count — and
+``repro study --stream`` renders byte-identical output (and
+``--digests`` lines) to the batch path at any window size.  See
+docs/architecture.md ("Streaming ingestion") for the watermark
+semantics and the equivalence argument.
 """

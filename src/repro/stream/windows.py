@@ -44,7 +44,6 @@ class TumblingWindower:
         late_records: Arrivals dropped because their window was already
             sealed (a source violated its watermark promise).  The driver
             reports them as degradation.
-        windows_sealed: Windows emitted so far.
     """
 
     def __init__(self, window_s: float):
@@ -56,7 +55,6 @@ class TumblingWindower:
         self._sealed_until: Optional[int] = None  # indices below this are sealed
         self._all_sealed = False
         self.late_records = 0
-        self.windows_sealed = 0
 
     @property
     def window_s(self) -> float:
@@ -124,7 +122,6 @@ class TumblingWindower:
     def _seal(self, index: int) -> StreamWindow:
         tagged = self._pending.pop(index)
         tagged.sort(key=lambda pair: (pair[0].t_start, pair[0].t_end, pair[1]))
-        self.windows_sealed += 1
         return StreamWindow(
             index=index,
             t_lo=index * self._window_s,
@@ -144,9 +141,6 @@ class WindowedSessionBuilder:
 
     Args:
         gap_s: The session gap T.
-
-    Attributes:
-        peak_open_sessions: Most sessions open at any :meth:`advance`.
     """
 
     def __init__(self, gap_s: float):
@@ -155,12 +149,6 @@ class WindowedSessionBuilder:
         self._gap_s = gap_s
         # (client, video) -> (last session, its horizon = max member t_end)
         self._open: Dict[Tuple[int, str], Tuple[Session, float]] = {}
-        self.peak_open_sessions = 0
-
-    @property
-    def open_sessions(self) -> int:
-        """Sessions still accepting flows."""
-        return len(self._open)
 
     def observe_window(self, window: StreamWindow) -> List[Session]:
         """Feed one sealed window; return sessions its flows broke closed.
@@ -196,7 +184,6 @@ class WindowedSessionBuilder:
                 ``horizon + gap`` lies at or below the boundary is final:
                 any joining flow would start before ``horizon + gap``.
         """
-        self.peak_open_sessions = max(self.peak_open_sessions, len(self._open))
         closed: List[Session] = []
         for key, (session, horizon) in list(self._open.items()):
             if horizon + self._gap_s <= sealed_boundary_s:

@@ -42,6 +42,23 @@ def format_record(record: FlowRecord) -> str:
     )
 
 
+def update_digest(digest, records: Iterable[FlowRecord]) -> None:
+    """Feed records' flow-log lines into a running hash.
+
+    The one content-digest serialisation: a batch dataset hashes its
+    record list in one call, a stream its sealed windows in order, and
+    both give the same hex digest for the same records.
+
+    Args:
+        digest: A ``hashlib`` object, e.g. ``hashlib.sha256()``.
+        records: Records in flow-log order.
+    """
+    update = digest.update
+    for record in records:
+        update(format_record(record).encode("ascii"))
+        update(b"\n")
+
+
 def parse_record(line: str) -> FlowRecord:
     """Parse one log line.
 

@@ -87,8 +87,3 @@ class EdgeMonitor:
             records=list(self._records),
             duration_s=duration_s,
         )
-
-    @property
-    def record_count(self) -> int:
-        """Records collected (or emitted to the sink) so far."""
-        return self._recorded

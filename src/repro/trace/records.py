@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List
 
-from repro.net.ip import IPv4Network, format_ip
+from repro.net.ip import format_ip
 from repro.net.topology import VantagePoint
 
 #: One simulated trace week, in seconds.
@@ -62,11 +62,6 @@ class FlowRecord:
     def src_str(self) -> str:
         """Dotted-quad client address."""
         return format_ip(self.src_ip)
-
-    @property
-    def dst_str(self) -> str:
-        """Dotted-quad server address."""
-        return format_ip(self.dst_ip)
 
 
 @dataclass
@@ -120,10 +115,6 @@ class Dataset:
         """Distinct client addresses, sorted (Table I's ``#Clients``)."""
         return sorted({r.src_ip for r in self.records})
 
-    def subnet_plan(self) -> Sequence[Tuple[str, IPv4Network]]:
-        """The vantage point's internal subnets (name, network)."""
-        return [(s.name, s.network) for s in self.vantage.subnets]
-
     def columnar(self):
         """The dataset's cached columnar view (``repro.trace.columnar``).
 
@@ -155,63 +146,8 @@ class Dataset:
         (the serialisation round-trips floats exactly); the cross-backend
         determinism tests compare parallel and serial runs with this.
         """
-        from repro.trace.logio import format_record
+        from repro.trace.logio import update_digest
 
         digest = hashlib.sha256()
-        for record in self.records:
-            digest.update(format_record(record).encode("ascii"))
-            digest.update(b"\n")
+        update_digest(digest, self.records)
         return digest.hexdigest()
-
-    def summary_digest(self, gap_s: float = 10.0) -> str:
-        """SHA-256 over the *derived* view: header plus per-session summaries.
-
-        Complements :meth:`content_digest`: where that one certifies the raw
-        flow log byte for byte, this one certifies what the analysis layer
-        computes from it — session grouping included — so a cached artifact
-        can be checked against a fresh run at the level the paper's tables
-        are built on.  Two datasets with equal content digests always have
-        equal summary digests; the reverse can miss flow-level differences
-        that sessionisation absorbs.
-
-        Args:
-            gap_s: Session idle-gap threshold handed to
-                :func:`repro.core.sessions.build_sessions`.
-        """
-        from repro.core.sessions import build_sessions
-
-        digest = hashlib.sha256()
-        header = (
-            f"{self.name}|flows={len(self.records)}|bytes={self.total_bytes}"
-            f"|servers={len(self.server_ips)}|clients={len(self.client_ips)}"
-            f"|duration={self.duration_s!r}|gap={gap_s!r}"
-        )
-        digest.update(header.encode("ascii"))
-        digest.update(b"\n")
-        # The columnar view is passed (not the raw list) so the kernels
-        # reuse the dataset's cached session index.
-        for session in build_sessions(self.columnar(), gap_s=gap_s):
-            flows = session.flows
-            line = (
-                f"{session.client_ip}|{session.video_id}|{len(flows)}"
-                f"|{sum(r.num_bytes for r in flows)}"
-                f"|{flows[0].t_start!r}|{flows[-1].t_end!r}"
-            )
-            digest.update(line.encode("ascii"))
-            digest.update(b"\n")
-        return digest.hexdigest()
-
-    def filtered(self, keep_dst: Sequence[int]) -> "Dataset":
-        """A copy keeping only flows to the given server addresses.
-
-        Section IV: "In the rest of this paper, we only focus on accesses to
-        video servers located in the Google AS" (plus the in-ISP data center
-        for EU2).  The analysis applies that focus with this method.
-        """
-        keep = set(keep_dst)
-        return Dataset(
-            name=self.name,
-            vantage=self.vantage,
-            records=[r for r in self.records if r.dst_ip in keep],
-            duration_s=self.duration_s,
-        )

@@ -57,18 +57,6 @@ class SweepResult:
             series.append(float(value), float(getattr(row, metric)))
         return series
 
-    def monotone_direction(self, metric: str) -> int:
-        """+1 if the metric only rises along the grid, -1 if it only
-        falls, 0 otherwise (useful for asserting dose-response shape)."""
-        ys = self.series(metric).ys
-        rising = all(b >= a for a, b in zip(ys, ys[1:]))
-        falling = all(b <= a for a, b in zip(ys, ys[1:]))
-        if rising and not falling:
-            return 1
-        if falling and not rising:
-            return -1
-        return 0
-
 
 def check_parameter(parameter: str) -> None:
     """Reject a sweep parameter that names no :class:`ScenarioSpec` field.

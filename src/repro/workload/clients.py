@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -62,13 +62,6 @@ class ClientPopulation:
         # side="right" index without numpy's per-call overhead.
         index = bisect_right(memoryview(self._cumulative), u * self._total)
         return self._clients[min(index, len(self._clients) - 1)]
-
-    def by_subnet(self) -> Dict[str, List[Client]]:
-        """Clients grouped by subnet name."""
-        groups: Dict[str, List[Client]] = {}
-        for client in self._clients:
-            groups.setdefault(client.subnet_name, []).append(client)
-        return groups
 
 
 def build_population(vantage: VantagePoint, num_clients: int, seed: int = 0) -> ClientPopulation:

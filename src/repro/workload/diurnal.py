@@ -9,7 +9,7 @@ Poisson rates by it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 #: Hour-of-day shape for a campus network: builds through the working day,
 #: peaks late afternoon/evening, quiet overnight.  Values average to ~1.
@@ -62,10 +62,6 @@ class DiurnalProfile:
         hour_of_day = int(t_s // 3600.0) % 24
         day = int(t_s // 86400.0) % 7
         return self.hourly_shape[hour_of_day] * self.weekly_shape[day]
-
-    def hourly_multipliers(self, hours: int) -> Sequence[float]:
-        """Multipliers for each of the first ``hours`` trace hours."""
-        return [self.multiplier(h * 3600.0) for h in range(hours)]
 
     @classmethod
     def campus(cls) -> "DiurnalProfile":

@@ -60,8 +60,3 @@ class InteractionModel:
             return current
         options = [r for r in Resolution if r is not current]
         return options[rng.randrange(len(options))]
-
-    @classmethod
-    def disabled(cls) -> "InteractionModel":
-        """A model that never produces interactions (for focused tests)."""
-        return cls(probability=0.0)

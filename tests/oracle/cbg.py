@@ -37,7 +37,7 @@ from repro.net.latency import C_FIBER_KM_PER_MS, PROCESSING_MS, LatencyModel, Si
 
 
 def sample_rtt_ms(latency: LatencyModel, a: Site, b: Site, rng: random.Random) -> float:
-    """Spec of :meth:`LatencyModel.sample_rtt_ms`: the floor, recomputed, plus noise."""
+    """Spec of one probe's RTT: the floor, recomputed, plus exponential noise."""
     profile = latency.path_profile(a, b)
     distance = haversine_km(a.point, b.point)
     propagation = 2.0 * distance / C_FIBER_KM_PER_MS * profile.inflation

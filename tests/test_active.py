@@ -88,9 +88,6 @@ class TestExperiment:
         assert report.origin_dcs
         assert report.video_id
 
-    def test_fraction_improved_helper(self, report):
-        assert 0.0 <= report.fraction_improved() <= 1.0
-
     def test_sample_validation(self, experiment_world):
         experiment = TestVideoExperiment(experiment_world, num_nodes=5, seed=6)
         with pytest.raises(ValueError):

@@ -121,16 +121,16 @@ class TestCatalog:
 
 class TestFeatured:
     def test_one_feature_per_day(self, catalog):
-        for day in range(7):
-            assert catalog.featured_on_day(day) is not None
-        assert catalog.featured_on_day(100) is None
+        featured = catalog.featured_videos
+        assert len(featured) == 7  # the default num_featured_days
+        assert len(set(featured)) == len(featured)
 
     def test_features_from_tail(self, catalog):
         for video in catalog.featured_videos:
             assert video.rank >= len(catalog) // 3
 
     def test_feature_absorbs_share(self, catalog):
-        featured = catalog.featured_on_day(0)
+        featured = catalog.featured_videos[0]
         rng = random.Random(2)
         in_window = sum(
             1 for _ in range(4000)
@@ -139,7 +139,7 @@ class TestFeatured:
         assert 0.06 < in_window / 4000 < 0.15  # featured_share = 0.1
 
     def test_feature_silent_outside_window(self, catalog):
-        featured = catalog.featured_on_day(0)
+        featured = catalog.featured_videos[0]
         rng = random.Random(3)
         out_window = sum(
             1 for _ in range(4000)
@@ -148,7 +148,7 @@ class TestFeatured:
         assert out_window / 4000 < 0.01
 
     def test_no_time_means_no_feature_boost(self, catalog):
-        featured = catalog.featured_on_day(0)
+        featured = catalog.featured_videos[0]
         rng = random.Random(4)
         hits = sum(
             1 for _ in range(4000) if catalog.sample(rng.random()) is featured

@@ -156,8 +156,8 @@ class TestIspTrafficEngineering:
             directory, RANKINGS, rtt_ms=RTT_MS, duration_s=week, seed=5,
         )
         assert policy.shift_t_s == week / 2.0
-        early = policy.steering_weights("r1", 0.0)
-        late = policy.steering_weights("r1", week - 1.0)
+        early = dict(policy._table("r1", 0.0))
+        late = dict(policy._table("r1", week - 1.0))
         assert early != late
         assert early["dc-a"] > late["dc-a"]
 

@@ -328,6 +328,8 @@ BAD_INPUTS = [
     (["grid", "plan", "--axis", "server_capacity_multiple=3",
       "--out", "malformed.tsv/g.json"], {}, "malformed.tsv/g.json"),
     (["monitor", "--epochs", "0"], {}, "epochs must be >= 1"),
+    (["monitor", "--threshold", "nan"], {}, "threshold must be positive, got nan"),
+    (["monitor", "--epoch-s", "nan"], {}, "epoch_s must be positive, got nan"),
     (["trace", "summary", "missing.jsonl"], {}, "missing.jsonl"),
     # Checked before the trace is read.
     (["trace", "slowest", "missing.jsonl", "--top", "0"], {}, "--top must be at least 1"),
@@ -357,6 +359,13 @@ BAD_INPUTS = [
      "rebalance_probability must be in [0, 1), got 2.0"),
     (["grid", "plan", "--base", "EU2", "--axis", "rebalance_probability=2.0"], {},
      "rebalance_probability must be in [0, 1), got 2.0"),
+    # --values and --metrics are checked before any point is simulated.
+    (["sweep", "--dataset", "EU2", "--parameter", "spill_probability", "--values", ","], {},
+     "repro sweep: --values names no values"),
+    (["sweep", "--dataset", "EU2", "--parameter", "spill_probability", "--values", "0.1",
+      "--metrics", "bogus"], {}, "repro sweep: unknown --metrics bogus"),
+    (["grid", "run", "--base", "EU2", "--axis", "rebalance_probability=0.1",
+      "--metrics", "preferred_share,bogus"], {}, "repro grid: unknown --metrics bogus"),
     # --policy is checked against the registry before anything is simulated.
     (["study", "--policy", "bogus"], {}, "repro study: unknown policy 'bogus'"),
     (["simulate", "--dataset", "EU1-ADSL", "--out", "x.tsv", "--policy", "bogus"], {},
@@ -367,8 +376,8 @@ BAD_INPUTS = [
     (["grid", "diff", "missing.json", "missing.json"], {}, "repro grid: cannot diff grids"),
     (["grid", "run", "--axis", "nonsense"], {}, "repro grid: bad grid"),
     (["study", "--faults", "{"], {}, "repro study: bad --faults plan"),
-    (["study", "--stream", "--policy", "gwtw"], {},
-     "repro study: --policy gwtw requires the batch path"),
+    # --stream takes --policy, so the registry check still guards it.
+    (["study", "--stream", "--policy", "bogus"], {}, "repro study: unknown policy 'bogus'"),
     (["study", "--stream", "--full"], {}, "repro study: --stream renders the summary report only"),
 ]
 

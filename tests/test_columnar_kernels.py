@@ -17,7 +17,6 @@ from typing import List
 import pytest
 
 from repro.core import flows, hotspots, loadbalance, nonpreferred, preferred
-from repro.core import sessions as core_sessions
 from repro.core.sessions import (
     PAPER_GAP_SWEEP_S,
     build_sessions,
@@ -348,21 +347,6 @@ class TestStudyParity:
     def test_table1_summary(self, pipeline):
         dataset = pipeline.dataset(self.NAME)
         assert summarize(dataset) == oracle_summary.summarize(dataset)
-
-    def test_summary_digest(self, monkeypatch, pipeline):
-        # The dataset digest hashes every session; feeding it the spec's
-        # sessions instead of the kernel's must not move a byte.
-        dataset = pipeline.dataset(self.NAME)
-        got = dataset.summary_digest()
-        calls = []
-
-        def spec_sessions(table, gap_s):
-            calls.append(gap_s)
-            return oracle_sessions.build_sessions(table.records, gap_s)
-
-        monkeypatch.setattr(core_sessions, "build_sessions", spec_sessions)
-        assert dataset.summary_digest() == got
-        assert calls, "summary_digest did not build its sessions through the spec"
 
     def test_stream_accumulators(self, windows):
         traffic, traffic_spec = TrafficAccumulator(), TrafficAccumulator()

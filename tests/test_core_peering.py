@@ -24,12 +24,6 @@ class TestAsTraffic:
         with pytest.raises(ValueError):
             AsTraffic(asn=1, name="x", hourly_bytes=[]).p95_mbps()
 
-    def test_mbps_series_length(self):
-        row = AsTraffic(asn=1, name="x", hourly_bytes=[3600 * 1_000_000 // 8] * 4)
-        series = row.mbps_series()
-        assert len(series) == 4
-        assert series.ys[0] == pytest.approx(1.0)  # 1 Mbps
-
 
 class TestAnalyzePeering:
     def test_google_dominates_everywhere(self, study_results):

@@ -156,13 +156,19 @@ class TestEvalCli:
 
 
 class TestStudyPolicyFlag:
-    @pytest.mark.parametrize("flag", ["--stream"])
-    def test_policy_needs_the_batch_path(self, flag, capsys):
-        code, _ = run_cli("study", "--policy", "gwtw", flag)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--policy gwtw" in err
-        assert "batch" in err
+    def test_stream_path_runs_the_policy(self):
+        # A policy other than the default changes the week, and the stream
+        # path simulates the same week as the batch path.
+        args = ("study", "--policy", "isp-te", "--scale", "0.004",
+                "--landmarks", "40", "--digests")
+        code, batch = run_cli(*args)
+        assert code == 0
+        code, streamed = run_cli(*args, "--stream")
+        assert code == 0
+        assert streamed == batch
+        code, default = run_cli(*args[:1], *args[3:])
+        assert code == 0
+        assert default != batch
 
     def test_unknown_policy_rejected_before_simulating(self, capsys):
         # The parser takes any kind; the command checks it against the

@@ -173,8 +173,6 @@ class TestTimings:
         executor.map(_square, [3], labels=["c"])
         assert [t.label for t in executor.timings] == ["a", "b", "c"]
         assert all(t.ok and t.seconds >= 0 for t in executor.timings)
-        executor.clear_stats()
-        assert executor.timings == []
 
     def test_map_stats_summary(self):
         executor = ParallelExecutor("serial")

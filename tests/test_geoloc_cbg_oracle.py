@@ -114,8 +114,6 @@ def test_min_rtt_measurement_matches_per_probe_samples():
                 oracle.sample_rtt_ms(latency, a, b, spec_rng) for _ in range(PROBES)
             )
             assert got == expected
-            assert latency.sample_rtt_ms(a, b, runtime_rng) == \
-                oracle.sample_rtt_ms(latency, a, b, spec_rng)
     assert runtime_rng.getstate() == spec_rng.getstate()
 
 

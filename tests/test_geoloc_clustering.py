@@ -1,7 +1,5 @@
 """Tests for server-to-data-center clustering."""
 
-import pytest
-
 from repro.geo.cities import default_atlas
 from repro.geo.coords import GeoPoint
 from repro.geoloc.cbg import CbgResult
@@ -32,8 +30,8 @@ class TestClustering:
         result = cluster_servers(ips, geolocate)
         # One geolocation call per /24, not per IP.
         assert len(calls) == 2
-        assert result.cluster_of(ips[0]) is result.cluster_of(ips[1])
-        assert result.cluster_of(ips[0]) is not result.cluster_of(ips[2])
+        assert result.by_ip[ips[0]] is result.by_ip[ips[1]]
+        assert result.by_ip[ips[0]] is not result.by_ip[ips[2]]
 
     def test_same_city_slash24s_merge(self):
         ips = [parse_ip("173.194.5.1"), parse_ip("173.194.9.1")]
@@ -47,11 +45,6 @@ class TestClustering:
         assert cluster.city.name == "Amsterdam"
         assert sorted(cluster.server_ips) == sorted(ips)
         assert len(cluster) == 2
-
-    def test_unknown_ip_raises(self):
-        result = cluster_servers([parse_ip("1.2.3.4")], lambda ip: fake_result("Milan"))
-        with pytest.raises(KeyError):
-            result.cluster_of(parse_ip("9.9.9.9"))
 
     def test_continent_counts(self):
         ips = [parse_ip("173.194.5.1"), parse_ip("10.0.0.1"), parse_ip("11.0.0.1")]

@@ -74,7 +74,7 @@ class TestPlacementInvariants:
         for _ in range(pulls):
             placement.pull_through(dc_ids[rng.randrange(len(dc_ids))], video)
         holders = set(placement.holders(video))
-        assert set(placement.origins(video)) <= holders or video.rank < placement.head_ranks
+        assert set(placement.origins(video)) <= holders or video.rank < placement._head_ranks
 
     def test_residency_monotone_without_cap(self):
         catalog = VideoCatalog(size=600, seed=4)
@@ -86,7 +86,7 @@ class TestPlacementInvariants:
         sizes = []
         for dc_id in dc_ids:
             placement.pull_through(dc_id, video)
-            sizes.append(placement.residency_count(video))
+            sizes.append(len(placement.holders(video)))
         assert sizes == sorted(sizes)
 
 

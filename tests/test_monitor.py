@@ -227,10 +227,6 @@ class TestEpochSnapshot:
         other = build_epoch_snapshot(_tiny_world(), epoch=0, rtt_seed=124)
         assert other.digest() != tiny_snapshot.digest()
 
-    def test_prefix_str_dotted(self, tiny_snapshot):
-        text = tiny_snapshot.prefix_str(tiny_snapshot.cells[0][1])
-        assert text.endswith(f"/{tiny_snapshot.prefix_len}")
-
 
 # -------------------------------------------------------------- clustering
 
@@ -354,6 +350,11 @@ class TestDetection:
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
             detect_alarms([0.5], threshold=0.0)
+
+    def test_nan_threshold_rejected(self):
+        # NaN passes a "<= 0" test, and then no distance ever alarms.
+        with pytest.raises(ValueError):
+            detect_alarms([0.5], threshold=float("nan"))
 
     def test_score_perfect(self):
         score = score_detection([2, 4], [2, 4])

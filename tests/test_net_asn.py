@@ -48,11 +48,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.register_as(GOOGLE_ASN, "Someone Else")
 
-    def test_get_as(self, registry):
-        assert registry.get_as(GOOGLE_ASN).name == "Google Inc."
-        with pytest.raises(KeyError):
-            registry.get_as(99999)
-
     def test_announced_networks(self, registry):
         nets = registry.announced_networks(GOOGLE_ASN)
         assert [str(n) for n in nets] == ["173.194.0.0/16"]

@@ -61,17 +61,6 @@ class TestDns:
         a2 = resolver.query("h", 31.0)
         assert a1.ip != a2.ip
 
-    def test_flush(self):
-        resolver = LocalResolver(
-            resolver_id="x",
-            authoritative=AuthoritativeServer(mapper=StubMapper()),
-            cache_enabled=True,
-        )
-        resolver.query("h", 0.0)
-        assert resolver.cache_size == 1
-        resolver.flush()
-        assert resolver.cache_size == 0
-
 
 def _vantage(shares=(0.6, 0.4)):
     atlas = default_atlas()
@@ -132,6 +121,3 @@ class TestTopology:
         client = vp.client_site(parse_ip("128.210.0.5"))
         assert probe.routing_group == client.routing_group == "vp:Test-VP"
         assert probe.extra_ms == client.extra_ms == 4.0
-
-    def test_subnet_names(self):
-        assert _vantage().subnet_names() == ["Net-1", "Net-2"]

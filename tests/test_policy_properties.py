@@ -205,7 +205,7 @@ class TestIspTrafficEngineering:
         policy = IspTrafficEngineeringPolicy(
             DIRECTORY, RANKINGS, rtt_ms=RTT_MS, seed=seed,
         )
-        weights = policy.steering_weights(resolver_id, t_s)
+        weights = dict(policy._table(resolver_id, t_s))
         assert weights
         assert all(w > 0.0 for w in weights.values())
         assert sum(weights.values()) == pytest.approx(1.0)
@@ -218,8 +218,8 @@ class TestIspTrafficEngineering:
             DIRECTORY, RANKINGS, rtt_ms=RTT_MS, seed=seed,
         )
         head = RANKINGS[resolver_id][0]
-        early = dict(policy.steering_weights(resolver_id, 0.0))
-        late = dict(policy.steering_weights(resolver_id, policy.shift_t_s))
+        early = dict(policy._table(resolver_id, 0.0))
+        late = dict(policy._table(resolver_id, policy.shift_t_s))
         assert late[head] < early[head]
 
 

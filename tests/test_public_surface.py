@@ -6,8 +6,9 @@ reads every file of the program trees without importing any of them and
 fails on:
 
 * a module of ``src/repro`` that no file of those trees imports, and
-* a public top-level name of ``src/repro`` whose identifier appears in
-  no file of those trees outside its own definition,
+* a public top-level name, or a public method or property of a
+  top-level class, of ``src/repro`` whose identifier appears in no file
+  of those trees outside its own definition,
 
 unless ``KEEP`` names it with the reason it stays.
 """
@@ -51,6 +52,14 @@ KEEP: Dict[str, str] = {
     "repro.faults.plan.set_current_plan": (
         "test seam: installs a fault plan in-process, where the program reads "
         "REPRO_FAULTS"
+    ),
+    "repro.core.pipeline.StudyPipeline.hot_server": (
+        "Figure 16's session-pattern view of the hot video's server, checked "
+        "against the paper by tests/test_paper_integration.py"
+    ),
+    "repro.net.latency.LatencyModel.measure_min_rtt_ms": (
+        "one min-filtered measurement, held to the per-probe spec of "
+        "tests/oracle/cbg.py by tests/test_geoloc_cbg_oracle.py"
     ),
     "repro.stream.source.replay_records": (
         "the in-memory stream source the windower tests replay records "
@@ -112,10 +121,18 @@ def identifiers(path: Path) -> Tuple[Tuple[int, str], ...]:
     return tuple(found)
 
 
-def public_definitions(path: Path) -> Iterator[Tuple[str, int, int]]:
-    """``(name, first line, last line)`` per public top-level definition."""
+def _span(node: ast.AST) -> Tuple[int, int]:
+    start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    return start, node.end_lineno
+
+
+def public_definitions(path: Path) -> Iterator[Tuple[str, str, int, int]]:
+    """``(qualified name, identifier, first line, last line)`` per public
+    top-level definition and per public method or property of a
+    top-level class (``Class.method``)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in parsed(path).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, functions + (ast.ClassDef,)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -123,10 +140,13 @@ def public_definitions(path: Path) -> Iterator[Tuple[str, int, int]]:
             names = [node.target.id]
         else:
             continue
-        start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
         for name in names:
             if not name.startswith("_"):
-                yield name, start, node.end_lineno
+                yield (name, name) + _span(node)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield (f"{node.name}.{item.name}", item.name) + _span(item)
 
 
 def unimported_modules() -> List[str]:
@@ -148,14 +168,14 @@ def unreferenced_names() -> List[str]:
     }
     missing = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        for name, start, end in public_definitions(path):
+        for qualified, name, start, end in public_definitions(path):
             elsewhere = any(name in ids for other, ids in used.items() if other != path)
             in_module = any(
                 used_name == name and not start <= line <= end
                 for line, used_name in identifiers(path)
             )
             if not (elsewhere or in_module):
-                missing.append(f"{module_name(path)}.{name}")
+                missing.append(f"{module_name(path)}.{qualified}")
     return missing
 
 

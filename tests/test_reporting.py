@@ -72,8 +72,7 @@ class TestSeries:
         s.append(1.0, 10.0)
         s.append(2.0, 20.0)
         assert len(s) == 2
-        assert s.y_at(2.0) == 20.0
-        assert s.y_at(99.0, default=-1.0) == -1.0
+        assert s.xs == [1.0, 2.0] and s.ys == [10.0, 20.0]
         assert s.max_y() == 20.0
 
     def test_alignment_validated(self):
@@ -119,8 +118,3 @@ class TestTextTable:
         assert format_bytes(2_500_000_000) == "2.50"
         assert format_fraction(0.1234) == "12.3"
         assert format_fraction(0.1234, 2) == "12.34"
-
-    def test_num_rows(self):
-        table = TextTable(["a"])
-        table.add_row(1)
-        assert table.num_rows == 1

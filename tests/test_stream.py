@@ -12,9 +12,11 @@ import hashlib
 import io
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.pipeline import StudyPipeline
@@ -27,12 +29,16 @@ from repro.core.summary import summarize
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
-from repro.stream.digest import StreamingDigest
 from repro.stream.events import FlowArrival, WatermarkAdvance
-from repro.stream.source import inject_disorder, replay_flow_log, replay_records
-from repro.stream.windows import TumblingWindower, WindowedSessionBuilder
-from repro.stream.study import StreamStudy, stream_dataset
-from repro.trace.logio import format_record, write_flow_log
+from repro.stream.source import (
+    inject_disorder,
+    replay_flow_log,
+    replay_records,
+    simulated_stream,
+)
+from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
+from repro.stream.study import stream_dataset
+from repro.trace.logio import format_record, update_digest, write_flow_log
 from repro.trace.records import FlowRecord
 
 
@@ -49,6 +55,23 @@ def drain(windower, events):
         windows.extend(windower.push(event))
     windows.extend(windower.finish())
     return windows, [r for w in windows for r in w.records]
+
+
+def session_histogram(events, window_s=3600.0, gap_s=1.0):
+    """All-flow sessions, built as ``repro sessions --stream`` builds them."""
+    stats = SessionStatsAccumulator()
+    drive(events, TumblingWindower(window_s), lambda window: None,
+          WindowedSessionBuilder(gap_s), stats.add)
+    return stats.histogram()
+
+
+def counted_stream(world, window_s):
+    """Stream one world; return the week and the run's ``stream.*`` metrics."""
+    run = obs.new_run("stream-test")
+    try:
+        return stream_dataset(world, window_s=window_s), run.metrics
+    finally:
+        obs.set_current_run(None)
 
 
 class TestTumblingWindower:
@@ -162,7 +185,7 @@ class TestWindowedSessionBuilder:
             b.observe_window(win)
         # horizon 6 + gap 2 = 8 <= boundary 10: closes.
         assert len(b.advance(w.sealed_boundary_s)) == 1
-        assert b.open_sessions == 0
+        assert b.finish() == []
 
     def test_break_inside_a_window_then_join_from_the_next(self):
         # b breaks from a inside window [0, 10); c starts in the next
@@ -221,33 +244,46 @@ class TestReplaySources:
 class TestStreamingDigest:
     def test_matches_canonical_serialisation(self):
         records = [rec(3.0, 4.0), rec(1.0, 2.0), rec(1.0, 5.0)]
-        w = TumblingWindower(10.0)
-        digest = StreamingDigest()
+        w = TumblingWindower(1.0)
+        digest = hashlib.sha256()
         windows, ordered = drain(w, replay_records(records, watermark_lag_s=10.0))
+        assert len(windows) == 2  # hashed window by window
         for win in windows:
-            digest.update_window(win)
+            update_digest(digest, win.records)
         expected = hashlib.sha256()
         for r in sorted(records, key=lambda r: (r.t_start, r.t_end)):
             expected.update(format_record(r).encode("ascii"))
             expected.update(b"\n")
         assert digest.hexdigest() == expected.hexdigest()
-        assert digest.records == 3
+
+
+def window_counts(metrics):
+    """``(windows sealed, largest window)`` from the stream's obs metrics."""
+    largest = max(
+        histogram.max for (name, _), histogram in metrics.histograms.items()
+        if name == "stream.window_records"
+    )
+    return metrics.counter_total("stream.windows"), largest
 
 
 @pytest.fixture(scope="module")
-def streamed_eu1(study_results):
+def counted_eu1(study_results):
     """EU1-ADSL consumed as a stream, from a fresh same-seed world."""
     from tests.conftest import TEST_SCALE, TEST_SEED
 
     world = build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=TEST_SCALE,
                         seed=TEST_SEED)
-    return stream_dataset(world, window_s=3600.0)
+    return counted_stream(world, window_s=3600.0)
+
+
+@pytest.fixture(scope="module")
+def streamed_eu1(counted_eu1):
+    return counted_eu1[0]
 
 
 class TestSimulatedStreamParity:
     def test_digest_matches_batch_dataset(self, streamed_eu1, eu1_adsl):
-        assert (streamed_eu1.digest.hexdigest()
-                == eu1_adsl.dataset.content_digest())
+        assert streamed_eu1.digest == eu1_adsl.dataset.content_digest()
 
     def test_summary_matches_batch(self, streamed_eu1, eu1_adsl):
         assert (streamed_eu1.traffic.summary("EU1-ADSL")
@@ -256,26 +292,27 @@ class TestSimulatedStreamParity:
     def test_server_ips_match_batch(self, streamed_eu1, eu1_adsl):
         assert streamed_eu1.traffic.server_ips() == eu1_adsl.dataset.server_ips
 
-    def test_session_histogram_matches_batch(self, streamed_eu1, eu1_adsl):
+    def test_session_histogram_matches_batch(self, eu1_adsl):
         batch = flows_per_session_histogram(
             build_sessions(eu1_adsl.dataset.records, gap_s=1.0)
         )
-        assert streamed_eu1.session_stats.histogram() == batch
+        assert session_histogram(replay_records(eu1_adsl.dataset.records)) == batch
 
-    def test_memory_stays_windowed(self, streamed_eu1):
-        assert streamed_eu1.windows > 100
-        assert streamed_eu1.late_records == 0
-        assert (streamed_eu1.peak_window_records
-                < streamed_eu1.traffic.flows / 10)
+    def test_memory_stays_windowed(self, counted_eu1):
+        week, metrics = counted_eu1
+        windows, largest = window_counts(metrics)
+        assert windows > 100
+        assert largest < week.traffic.flows / 10
 
-    def test_window_size_does_not_change_the_digest(self, streamed_eu1):
+    def test_window_size_does_not_change_the_digest(self, counted_eu1):
         from tests.conftest import TEST_SCALE, TEST_SEED
 
         world = build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=TEST_SCALE,
                             seed=TEST_SEED)
-        coarse = stream_dataset(world, window_s=86400.0)
-        assert coarse.digest.hexdigest() == streamed_eu1.digest.hexdigest()
-        assert coarse.windows < streamed_eu1.windows
+        coarse, metrics = counted_stream(world, window_s=86400.0)
+        fine, fine_metrics = counted_eu1
+        assert coarse.digest == fine.digest
+        assert window_counts(metrics)[0] < window_counts(fine_metrics)[0]
 
 
 PARITY_NAMES = ("EU1-ADSL", "EU2")
@@ -283,23 +320,23 @@ PARITY_NAMES = ("EU1-ADSL", "EU2")
 
 @pytest.fixture(scope="module")
 def study_pair(study_results, streamed_eu1):
-    """A batch pipeline and a streamed study over the same two weeks."""
+    """Pipelines over batch folds and over streamed folds of the same weeks."""
     from tests.conftest import TEST_SCALE, TEST_SEED
 
     world = build_world(PAPER_SCENARIOS["EU2"], scale=TEST_SCALE, seed=TEST_SEED)
-    streamed = {"EU1-ADSL": streamed_eu1, "EU2": stream_dataset(world, window_s=1800.0)}
+    weeks = {"EU1-ADSL": streamed_eu1, "EU2": stream_dataset(world, window_s=1800.0)}
     batch = StudyPipeline(
         {name: study_results[name] for name in PARITY_NAMES}, landmark_count=60
     )
-    return batch, StreamStudy(streamed, landmark_count=60)
+    stream = StudyPipeline(
+        weeks, landmark_count=60,
+        folds={name: (week.traffic, week.hourly) for name, week in weeks.items()},
+    )
+    return batch, stream
 
 
 class TestStudyParity:
-    """Every view StreamStudy shares with StudyPipeline is equal.
-
-    ``session_histogram`` is not shared: the streamed one counts every
-    flow's sessions, the batch one the focus flows' (Figure 6).
-    """
+    """Every view the summary report reads is equal over either fold schedule."""
 
     @pytest.mark.parametrize(
         "accessor",
@@ -464,17 +501,19 @@ class TestDisorderInjection:
         assert report.stages["stream/source"]["disordered"] > 0
 
     def test_active_plan_changes_no_bytes_end_to_end(self):
-        world = build_world(PAPER_SCENARIOS["EU1-FTTH"], scale=0.004, seed=3,
-                            duration_s=86400.0)
-        baseline = stream_dataset(world, window_s=3600.0)
+        def world():
+            return build_world(PAPER_SCENARIOS["EU1-FTTH"], scale=0.004, seed=3,
+                               duration_s=86400.0)
+
+        baseline = stream_dataset(world(), window_s=3600.0)
+        baseline_sessions = session_histogram(simulated_stream(world()))
         set_current_plan(self.plan(rate=0.2))
-        world = build_world(PAPER_SCENARIOS["EU1-FTTH"], scale=0.004, seed=3,
-                            duration_s=86400.0)
-        disordered = stream_dataset(world, window_s=3600.0)
-        assert disordered.digest.hexdigest() == baseline.digest.hexdigest()
-        assert disordered.late_records == 0
-        assert (disordered.session_stats.histogram()
-                == baseline.session_stats.histogram())
+        disordered = stream_dataset(world(), window_s=3600.0)
+        assert disordered.digest == baseline.digest
+        assert session_histogram(simulated_stream(world())) == baseline_sessions
+        stages = degradation.collect().stages
+        assert stages["stream/source"]["disordered"] > 0
+        assert "stream/windower" not in stages  # no late records
 
 
 class TestCliStream:
@@ -493,6 +532,14 @@ class TestCliStream:
                                       "--window-s", window)
             assert code == 0
             assert streamed == batch
+
+    def test_stream_policy_matches_golden(self):
+        golden = Path(__file__).parent / "golden" / "study_gwtw_0.01.digests"
+        code, text = self.run("study", "--stream", "--policy", "gwtw",
+                              "--scale", "0.01", "--digests")
+        assert code == 0
+        digests = [line for line in text.splitlines() if line.startswith("digest ")]
+        assert digests == golden.read_text(encoding="ascii").splitlines()
 
     def test_stream_rejects_full_and_validate(self):
         for flag in ("--full", "--validate"):

@@ -34,19 +34,27 @@ class TestSweepMechanics:
             sweep.series("nonexistent_metric")
 
 
+def direction(sweep, metric):
+    """+1 if the metric only rises along the grid, -1 if it only falls, else 0."""
+    ys = sweep.series(metric).ys
+    rising = all(b >= a for a, b in zip(ys, ys[1:]))
+    falling = all(b <= a for a, b in zip(ys, ys[1:]))
+    return (rising and not falling) - (falling and not rising)
+
+
 class TestDoseResponses:
     def test_spill_lowers_preferred_share(self):
         sweep = sweep_parameter(
             "EU1-FTTH", "spill_probability", [0.0, 0.05, 0.15], scale=0.005, seed=7
         )
-        assert sweep.monotone_direction("preferred_share") == -1
+        assert direction(sweep, "preferred_share") == -1
 
     def test_regional_presence_lowers_misses(self):
         sweep = sweep_parameter(
             "EU1-FTTH", "regional_presence_prob", [0.1, 0.5, 0.9],
             scale=0.005, seed=7,
         )
-        assert sweep.monotone_direction("miss_rate") == -1
+        assert direction(sweep, "miss_rate") == -1
 
     def test_eu2_cap_raises_local_share(self):
         sweep = sweep_parameter(
@@ -54,7 +62,7 @@ class TestDoseResponses:
             scale=0.006, seed=7,
         )
         # More DNS budget for the in-ISP data center → more served locally.
-        assert sweep.monotone_direction("preferred_share") == 1
+        assert direction(sweep, "preferred_share") == 1
         low = sweep.metrics[0].preferred_share
         high = sweep.metrics[-1].preferred_share
         assert high > low + 0.2
