@@ -19,7 +19,7 @@ import time
 from typing import Callable, List, Tuple
 
 from repro.sim.engine import SimulationResult, run_requests
-from repro.sim.scenarios import DATASET_NAMES, _paper_scenarios, build_world
+from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
 
 from tests.oracle import serving as oracle
 
@@ -33,7 +33,7 @@ def _best_of(run: Callable) -> Tuple[float, List[SimulationResult]]:
     best, results = float("inf"), []
     for _ in range(REPEATS):
         worlds = [
-            build_world(_paper_scenarios()[name], scale=SCALE, seed=SEED)
+            build_world(PAPER_SCENARIOS[name], scale=SCALE, seed=SEED)
             for name in DATASET_NAMES
         ]
         start = time.perf_counter()

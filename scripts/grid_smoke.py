@@ -15,9 +15,7 @@ layer's incrementality guarantee:
    across the two runs (warm rows are transparent stand-ins).
 
 Each run is a separate subprocess, so the warm re-run demonstrates the
-*cross-process* cache.  Timings and counters land in
-``benchmarks/out/BENCH_grid.json`` — the artifact the CI grid-smoke job
-uploads.
+*cross-process* cache.  Timings and counters are printed.
 
 Usage::
 
@@ -36,7 +34,6 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-OUT_DIR = REPO / "benchmarks" / "out"
 
 BASE_AXES = ["--axis", "policy=preferred,proportional",
              "--axis", "spill_probability=0.0,0.1"]
@@ -116,6 +113,7 @@ def main() -> int:
                             f"simulated, got {warm_summary!r}")
 
         stats_after = cache_stats(cache_dir)["lifetime"]["stages"]
+        print("stages after:", json.dumps(stats_after, sort_keys=True))
 
     for label, cells in cold_rows.items():
         if warm_rows.get(label) != cells:
@@ -133,23 +131,9 @@ def main() -> int:
         failures.append(f"extended run recorded {new_hits} metric-row hits, "
                         f"expected >= 4 (the common points)")
 
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    report = {
-        "scale": args.scale,
-        "cold_seconds": round(cold_s, 3),
-        "extended_seconds": round(warm_s, 3),
-        "cold_summary": cold_summary,
-        "extended_summary": warm_summary,
-        "added_points_simulated": new_puts,
-        "common_point_hits": new_hits,
-        "rows_identical": not any("changed across runs" in f
-                                  for f in failures),
-        "stages_after": stats_after,
-    }
-    out_path = OUT_DIR / "BENCH_grid.json"
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    print(f"wrote {out_path}")
+    rows_identical = not any("changed across runs" in f for f in failures)
+    print(f"added points simulated: {new_puts}  common-point hits: {new_hits}  "
+          f"rows identical: {rows_identical}")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

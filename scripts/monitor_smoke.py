@@ -14,8 +14,7 @@ acceptance guarantees at scale 0.01:
    simulates only the appended epochs; the cached prefix is served from
    the artifact store with byte-identical digests.
 
-Timing and the verdicts land in ``benchmarks/out/BENCH_monitor.json``
-for the CI artifact upload.
+Timing and the verdicts are printed as one JSON report.
 
 Usage::
 
@@ -34,7 +33,6 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-OUT_DIR = REPO / "benchmarks" / "out"
 
 
 def run_monitor_cli(argv: list, extra_env: dict = {}) -> dict:
@@ -131,12 +129,6 @@ def main() -> int:
         if warm["verdict"] != evolving["verdict"]:
             failures.append("warm verdict differs from the uncached run")
 
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    bench_path = OUT_DIR / "BENCH_monitor.json"
-    bench_path.write_text(json.dumps({"smoke": report}, indent=2,
-                                     sort_keys=True) + "\n",
-                          encoding="utf-8")
-    print(f"wrote {bench_path}")
     print(json.dumps(report, indent=2, sort_keys=True))
 
     for failure in failures:

@@ -17,11 +17,10 @@ Worlds are never keyed directly: a stage over a simulated week is keyed
 by the build inputs ``(spec, scale, seed, duration_s, policy_kind)`` that
 :func:`~repro.sim.scenarios.build_world` is a pure function of (see
 :func:`repro.sim.driver.simulate_week`), so a world mutated after its
-build cannot reach the cache.  Declarative values (:class:`~repro.spec.info.ScenarioInfo`,
-:class:`~repro.spec.model.Spec`, grid specs/points) plug into keys via
-their ``cache_fingerprint()`` hooks, so equal descriptions — however
-assembled, whatever order their deltas were written in — produce equal
-keys.
+build cannot reach the cache.  Scenario deltas never key a stage
+either: what-if rows, grid points and monitor epochs are keyed by the
+scenario a delta produces, so equal worlds share one key however their
+deltas were written.
 """
 
 from __future__ import annotations

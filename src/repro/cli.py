@@ -13,8 +13,8 @@ Five subcommands cover the library's workflows::
 
 ``simulate`` writes a Tstat-style flow log; ``sessions`` re-analyses any
 such log (including ones you edit or generate elsewhere); the rest run the
-paper's composite experiments end to end.  ``grid`` enumerates declarative
-scenario-spec grids (axes × values over a registry base) and runs them
+paper's composite experiments end to end.  ``grid`` enumerates scenario
+grids (axes × values over a named scenario) and runs them
 with per-point cache reuse; ``monitor`` watches an evolving world across
 epochs and raises change-point alarms; ``cache`` inspects and manages the
 stage-artifact store that makes warm re-runs of the above incremental.
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_grid_shape(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--base", default="EU1-FTTH",
-            help="registry scenario the grid perturbs (default EU1-FTTH)",
+            help="named scenario the grid perturbs (default EU1-FTTH)",
         )
         p.add_argument(
             "--axis", action="append", default=[], metavar="NAME=V1,V2",
@@ -826,7 +826,7 @@ def cmd_anonymize(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
-    from repro.spec.info import SpecError
+    from repro.spec.model import SpecError
     from repro.whatif.sweep import check_parameter, sweep_parameter
 
     try:
@@ -923,7 +923,7 @@ def _grid_from_args(args: argparse.Namespace):
 
 def cmd_grid(args: argparse.Namespace, out) -> int:
     from repro.spec.grid import diff_grids, load_grid
-    from repro.spec.info import SpecError
+    from repro.spec.model import SpecError
 
     if args.grid_command == "diff":
         try:
@@ -1072,7 +1072,7 @@ def cmd_monitor(args: argparse.Namespace, out) -> int:
     from repro.monitor.evolution import STATIC_PLAN, load_evolution, standard_evolution
     from repro.monitor.report import render_timeline
     from repro.monitor.run import run_monitor
-    from repro.spec.info import SpecError
+    from repro.spec.model import SpecError
 
     _check_policies([args.policy])
     if args.static:

@@ -129,7 +129,18 @@ class StudyPipeline:
         return list(self._results)
 
     def dataset(self, name: str) -> Dataset:
-        """One dataset's trace."""
+        """One dataset's trace: what every record-level view reads.
+
+        Raises:
+            ValueError: On a pipeline built from streamed ``folds``, which
+                holds no records.
+        """
+        if self._folds is not None:
+            raise ValueError(
+                "a streamed study holds only its folds; the record-level views "
+                "(sessions, session_histogram, focus_records, flow_size_cdf, "
+                "gap_sensitivity, peering and Figures 10-16) need the batch path"
+            )
         return self._results[name].dataset
 
     @cached_property
@@ -219,9 +230,9 @@ class StudyPipeline:
     def focus_records(self) -> Dict[str, List[FlowRecord]]:
         """Per-dataset flow records restricted to the focus servers."""
         out: Dict[str, List[FlowRecord]] = {}
-        for name, result in self._results.items():
+        for name in self._results:
             keep = set(self.focus_ips[name])
-            out[name] = [r for r in result.dataset.records if r.dst_ip in keep]
+            out[name] = [r for r in self.dataset(name).records if r.dst_ip in keep]
         return out
 
     @cached_property
@@ -432,8 +443,9 @@ class StudyPipeline:
         """Peering-traffic breakdown for one dataset (capacity planning)."""
         from repro.core import peering as peering_mod
 
-        result = self._results[name]
-        return peering_mod.analyze_peering(result.dataset, result.world.registry)
+        return peering_mod.analyze_peering(
+            self.dataset(name), self._results[name].world.registry
+        )
 
     # ---------------------------------------------------- F11, F12
 

@@ -2,7 +2,7 @@
 
 The YouLighter workload over the reproduced CDN: a multi-week world
 evolves under an :class:`~repro.monitor.evolution.EvolutionPlan` of
-spec deltas at epoch boundaries; each epoch streams into a bounded
+scenario deltas (field → value mappings) at epoch boundaries; each epoch streams into a bounded
 edge-cloud :class:`~repro.monitor.snapshot.EpochSnapshot`; snapshots
 are clustered (:mod:`repro.monitor.cluster`) and consecutive epochs
 compared with a pattern-dissimilarity distance whose threshold

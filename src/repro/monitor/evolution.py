@@ -1,16 +1,22 @@
-"""Evolving worlds: a schedule of spec deltas at epoch boundaries.
+"""Evolving worlds: a schedule of scenario deltas at epoch boundaries.
 
 The longitudinal complement of the paper's one-week snapshot: an
-:class:`EvolutionPlan` names the :class:`~repro.spec.model.Spec` deltas
-that take effect at given epoch indices — a data center appears, the
-preferred mapping flips, capacity shrinks, the selection policy switches
-mid-run.  Applying the plan epoch by epoch yields a multi-week world
-that *changes underneath the monitor*, and the plan itself doubles as
-ground truth: :meth:`EvolutionPlan.change_epochs` is exactly the set of
-epochs where :mod:`repro.monitor.detect` should raise an alarm.
+:class:`EvolutionPlan` names the deltas — mappings of
+:class:`~repro.sim.scenarios.ScenarioSpec` field → value, plus the
+``"policy"`` key — that take effect at given epoch indices: a data
+center appears, the preferred mapping flips, capacity shrinks, the
+selection policy switches mid-run.  Applying the plan epoch by epoch
+yields a multi-week world that *changes underneath the monitor*, and
+the plan itself doubles as ground truth: :meth:`EvolutionPlan.change_epochs`
+is exactly the set of epochs where :mod:`repro.monitor.detect` should
+raise an alarm.
 
-Plans are immutable, JSON-serialisable, and canonically fingerprinted,
-so a plan (plus epoch index) can key ``"monitor/epoch"`` artifacts.
+A plan file is the :meth:`EvolutionPlan.to_json_dict` form::
+
+    {"steps": [{"epoch": 2,
+                "changes": {"extra_dcs": [["Turin", 64]],
+                            "preferred_override": "dc-turin"},
+                "label": "datacenter added"}]}
 """
 
 from __future__ import annotations
@@ -19,37 +25,39 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.spec.info import ScenarioInfo, SpecError
-from repro.spec.model import Spec, compose_all, par_delta
+from repro.spec.model import SpecError, coerce_par
 
 
 @dataclass(frozen=True)
 class EvolutionStep:
-    """One scheduled change: a spec delta in force from ``epoch`` onward.
+    """One scheduled change: a delta in force from ``epoch`` onward.
 
     Attributes:
         epoch: First epoch index the delta applies to.  Must be >= 1 —
             a change at epoch 0 has no "before" to detect against.
-        spec: The delta.  Must be non-empty (an identity step would be
-            unobservable ground truth).
+        changes: Field → value assignments (and the optional
+            ``"policy"``), in their JSON form.  Must be non-empty (an
+            identity step would be unobservable ground truth).
         label: Optional human label for timelines and reports.
     """
 
     epoch: int
-    spec: Spec
+    changes: Mapping[str, Any]
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.epoch < 1:
             raise SpecError("evolution steps must schedule at epoch >= 1")
-        if self.spec.is_empty:
+        if not self.changes:
             raise SpecError(
                 f"evolution step at epoch {self.epoch} is empty: an identity "
                 "delta cannot be detected and must not be scheduled"
             )
+        for name, value in self.changes.items():
+            coerce_par(name, value)
 
     def to_json_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {"epoch": self.epoch, "spec": self.spec.to_json_dict()}
+        doc: Dict[str, Any] = {"epoch": self.epoch, "changes": dict(self.changes)}
         if self.label:
             doc["label"] = self.label
         return doc
@@ -58,27 +66,26 @@ class EvolutionStep:
     def from_json_dict(cls, document: Mapping[str, Any]) -> "EvolutionStep":
         if not isinstance(document, Mapping):
             raise SpecError("an evolution step must be a mapping")
-        unknown = set(document) - {"epoch", "spec", "label"}
+        unknown = set(document) - {"epoch", "changes", "label"}
         if unknown:
             raise SpecError(f"unknown EvolutionStep keys: {sorted(unknown)}")
         epoch = document.get("epoch")
         if not isinstance(epoch, int) or isinstance(epoch, bool):
             raise SpecError(f"step epoch must be an int, got {epoch!r}")
-        return cls(
-            epoch=epoch,
-            spec=Spec.from_json_dict(document.get("spec") or {}),
-            label=str(document.get("label", "")),
-        )
+        changes = document.get("changes") or {}
+        if not isinstance(changes, Mapping):
+            raise SpecError(f"step changes must be a mapping, got {changes!r}")
+        return cls(epoch=epoch, changes=dict(changes), label=str(document.get("label", "")))
 
 
 @dataclass(frozen=True)
 class EvolutionPlan:
-    """A schedule of spec deltas applied cumulatively at epoch boundaries.
+    """A schedule of deltas applied cumulatively at epoch boundaries.
 
     Steps are kept sorted by epoch; several steps may share an epoch (they
-    compose in schedule order).  The plan is *cumulative*: the scenario in
-    force at epoch ``e`` is the base composed with every step scheduled at
-    or before ``e`` (:meth:`spec_at`).
+    merge in schedule order).  The plan is *cumulative*: the delta in
+    force at epoch ``e`` merges every step scheduled at or before ``e``
+    (:meth:`spec_at`), a later step's value for a field winning.
 
     Attributes:
         steps: The schedule, sorted by ``(epoch, schedule order)``.
@@ -91,16 +98,19 @@ class EvolutionPlan:
             sorted(self.steps, key=lambda s: s.epoch)
         )  # stable: same-epoch steps keep schedule order
         object.__setattr__(self, "steps", ordered)
-        compose_all(step.spec for step in ordered)  # reject contradictions early
 
     @property
     def is_static(self) -> bool:
         """True for the empty plan (the world never changes)."""
         return not self.steps
 
-    def spec_at(self, epoch: int) -> Spec:
-        """The composed delta in force at one epoch."""
-        return compose_all(step.spec for step in self.steps if step.epoch <= epoch)
+    def spec_at(self, epoch: int) -> Dict[str, Any]:
+        """The merged delta in force at one epoch."""
+        merged: Dict[str, Any] = {}
+        for step in self.steps:
+            if step.epoch <= epoch:
+                merged.update(step.changes)
+        return merged
 
     def change_epochs(self, epochs: Optional[int] = None) -> Tuple[int, ...]:
         """Ground-truth alarm epochs: distinct epochs where a step lands.
@@ -121,15 +131,10 @@ class EvolutionPlan:
     def labels_at(self, epoch: int) -> Tuple[str, ...]:
         """Labels of the steps scheduled exactly at one epoch."""
         return tuple(
-            step.label or step.spec.to_json()
+            step.label or json.dumps(dict(step.changes), sort_keys=True)
             for step in self.steps
             if step.epoch == epoch
         )
-
-    # ------------------------------------------------------------- identity
-    def cache_fingerprint(self) -> Dict[str, Any]:
-        """Canonical identity for artifact-cache keys."""
-        return {"steps": [step.to_json_dict() for step in self.steps]}
 
     # ---------------------------------------------------------------- codecs
     def to_json_dict(self) -> Dict[str, Any]:
@@ -192,22 +197,20 @@ def standard_evolution() -> EvolutionPlan:
         steps=(
             EvolutionStep(
                 epoch=2,
-                spec=Spec(
-                    add=ScenarioInfo(
-                        sets={"datacenter": [("Turin", 64)]},
-                        pars={"preferred_override": "dc-turin"},
-                    )
-                ),
+                changes={
+                    "extra_dcs": [["Turin", 64]],
+                    "preferred_override": "dc-turin",
+                },
                 label="datacenter added (Turin, 64 servers) and mapped preferred",
             ),
             EvolutionStep(
                 epoch=4,
-                spec=par_delta(preferred_override="dc-frankfurt"),
+                changes={"preferred_override": "dc-frankfurt"},
                 label="preferred mapping flipped to dc-frankfurt",
             ),
             EvolutionStep(
                 epoch=6,
-                spec=par_delta(policy="proportional"),
+                changes={"policy": "proportional"},
                 label="selection policy switched to proportional",
             ),
         )

@@ -1,19 +1,21 @@
 """The monitor driver: epoch fan-out, epoch-keyed caching, detection.
 
 ``run_monitor`` turns an (base scenario, :class:`EvolutionPlan`) pair
-into a :class:`MonitorReport`: each epoch composes the plan's deltas in
-force, builds that epoch's world (physical topology pinned on the master
-seed, workload re-sampled from a per-epoch traffic seed), streams
-it into an :class:`~repro.monitor.snapshot.EpochSnapshot`, clusters it,
+into a :class:`MonitorReport`: each epoch applies the plan's merged
+delta in force to the base, builds that epoch's world (physical topology
+pinned on the master seed, workload re-sampled from a per-epoch traffic
+seed), streams it into an :class:`~repro.monitor.snapshot.EpochSnapshot`, clusters it,
 and the consecutive-epoch dissimilarities are thresholded into alarms
 scored against the plan's ground truth.
 
 Epochs are independent units of work: they fan out over the
 :class:`~repro.exec.executor.ParallelExecutor` (results are identical
 on every backend) and each resolves against the artifact store first
-under an epoch-keyed ``"monitor/epoch"`` stage — a warm re-run with
-``--epochs`` extended simulates only the appended epochs, exactly like
-a daily monitoring job that only ever processes the newest epoch.
+under an epoch-keyed ``"monitor/epoch"`` stage, keyed by the applied
+scenario and policy (the world the epoch builds), not by the delta that
+produced them — a warm re-run with ``--epochs`` extended simulates only
+the appended epochs, exactly like a daily monitoring job that only ever
+processes the newest epoch.
 
 Per-epoch degradation is captured *inside* the epoch's unit of work and
 stored with the snapshot, so the timeline can show which epochs were
@@ -49,9 +51,9 @@ from repro.monitor.detect import (
 from repro.monitor.evolution import STATIC_PLAN, EvolutionPlan
 from repro.monitor.snapshot import EpochSnapshot, build_epoch_snapshot
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY
-from repro.sim.scenarios import ScenarioSpec, build_world
+from repro.sim.scenarios import ScenarioSpec, build_world, named_scenario
 from repro.sim.seeding import derive_seed
-from repro.spec.model import Spec, apply_to_scenario
+from repro.spec.model import apply_to_scenario
 
 
 @dataclass(frozen=True)
@@ -87,21 +89,19 @@ def _degradation_delta(
 
 @memoized_stage("monitor/epoch")
 def monitor_epoch(
-    base: ScenarioSpec,
-    spec: Spec,
+    scenario: ScenarioSpec,
+    policy: str,
     epoch: int,
     epoch_s: float,
     scale: float,
     seed: int,
-    base_policy: str,
     probes: int,
     prefix_len: int,
     miss_probability: float,
 ) -> EpochComputation:
     """Build, stream and snapshot one epoch (disk-memoized, epoch-keyed)."""
     before = degradation.collect().stages
-    with obs.span("monitor/epoch", dataset=base.name, epoch=epoch):
-        scenario, policy = apply_to_scenario(base, spec, base_policy=base_policy)
+    with obs.span("monitor/epoch", dataset=scenario.name, epoch=epoch):
         # The physical world (latency paths, catalog, client placement)
         # stays on the master seed: epochs must differ only by workload
         # sampling and by *scheduled* changes, never by re-rolled paths.
@@ -275,8 +275,8 @@ def run_monitor(
     """Monitor an evolving world and score change detection.
 
     Args:
-        base: Base scenario — a registry name or a
-            :class:`~repro.sim.scenarios.ScenarioSpec`.
+        base: Base scenario — a :data:`~repro.sim.scenarios.NAMED_SCENARIOS`
+            name or a :class:`~repro.sim.scenarios.ScenarioSpec`.
         plan: The evolution schedule; ``None`` monitors a static world.
         epochs: Number of consecutive epochs to monitor.
         epoch_s: Epoch length in seconds.
@@ -309,18 +309,20 @@ def run_monitor(
     if plan is None:
         plan = STATIC_PLAN
     if isinstance(base, str):
-        from repro.spec.registry import scenario_spec
-
-        base = scenario_spec(base)
+        base = named_scenario(base)
+    worlds = [
+        apply_to_scenario(base, plan.spec_at(e), base_policy=base_policy)
+        for e in range(epochs)
+    ]
 
     with obs.span(
         "monitor/run", base=base.name, epochs=epochs, epoch_s=epoch_s
     ):
         computations, cached = monitor_epoch.map(
             [
-                (base, plan.spec_at(e), e, epoch_s, scale, seed, base_policy,
+                (scenario, policy, e, epoch_s, scale, seed,
                  probes, prefix_len, miss_probability)
-                for e in range(epochs)
+                for e, (scenario, policy) in enumerate(worlds)
             ],
             executor,
             labels=[f"{base.name}/epoch{e}" for e in range(epochs)],

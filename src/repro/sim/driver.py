@@ -17,7 +17,7 @@ from repro import obs
 from repro.artifacts.memo import memoized_stage
 from repro.exec.executor import ParallelExecutor
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY, SimulationResult, run_requests
-from repro.sim.scenarios import DATASET_NAMES, ScenarioSpec, _paper_scenarios, build_world
+from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, ScenarioSpec, build_world
 from repro.trace.records import WEEK_S
 
 #: Default volume scale used by tests/benchmarks; preserves all shapes at
@@ -51,7 +51,7 @@ def run_scenario(
     Raises:
         KeyError: For unknown dataset names.
     """
-    spec = _paper_scenarios().get(name)
+    spec = PAPER_SCENARIOS.get(name)
     if spec is None:
         raise KeyError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
     return run_spec(spec, scale, seed, duration_s, policy_kind, use_cache)
@@ -124,12 +124,11 @@ def run_all(
         Mapping from dataset name to its result, in the paper's order.
     """
     selected = names if names is not None else DATASET_NAMES
-    scenarios = _paper_scenarios()
     for name in selected:
-        if name not in scenarios:
+        if name not in PAPER_SCENARIOS:
             raise KeyError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
     keys = {
-        name: (scenarios[name], scale, seed, duration_s, policy_kind)
+        name: (PAPER_SCENARIOS[name], scale, seed, duration_s, policy_kind)
         for name in selected
     }
     pending = [name for name in selected if keys[name] not in _CACHE]

@@ -5,7 +5,8 @@ paper's five datasets: vantage-point geography and access technology,
 client population and request volume (Table I), the internal subnet plan
 (Figure 12), the DNS-policy quirks (EU2's capacity-limited in-ISP data
 center, US-Campus's divergent Net-3 resolvers), and the legacy-traffic mix
-(Table II).
+(Table II).  :data:`PAPER_SCENARIOS` holds the five as literals, and
+:data:`NAMED_SCENARIOS` adds the February-2011 follow-up.
 
 :func:`build_world` turns a spec plus a ``scale`` knob into a runnable
 :class:`ScenarioWorld`.  ``scale = 1.0`` reproduces the paper's traffic
@@ -15,7 +16,7 @@ a small scale that preserves every shape at a laptop-friendly cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.catalog import DEFAULT_NUM_SHARDS, VideoCatalog, check_catalog_args
@@ -31,7 +32,7 @@ from repro.cdn.selection import (
 )
 from repro.cdn.store import ContentPlacement, check_placement_args
 from repro.defaults import DATASET_NAMES
-from repro.geo.cities import City, default_atlas
+from repro.geo.cities import default_atlas
 from repro.net.asn import (
     AsRegistry,
     CW_ASN,
@@ -198,8 +199,7 @@ class ScenarioSpec:
     #: YouTube can (and did) re-assign it away from the RTT optimum.
     preferred_override: Optional[str] = None
     #: Extra Google-fleet data centers beyond :data:`GOOGLE_DC_PLAN`, as
-    #: (city, fleet size) pairs — the topology axis for what-if grids
-    #: (``repro.spec``'s ``"datacenter"`` set deltas land here).
+    #: (city, fleet size) pairs — the topology axis for what-if deltas.
     extra_dcs: Tuple[Tuple[str, int], ...] = ()
     #: Cities removed from :data:`GOOGLE_DC_PLAN` (drained/decommissioned
     #: data-center what-ifs; the complementary half of the topology axis).
@@ -250,44 +250,149 @@ class ScenarioSpec:
         return plan
 
 
-def _paper_scenarios() -> Dict[str, ScenarioSpec]:
-    """The five Table-I scenarios, materialised from the spec registry.
+#: The five datasets of Table I, in the paper's order.  Request volumes
+#: are derived from the paper's weekly flow counts (flows ≈ 1.3 ×
+#: requests).
+PAPER_SCENARIOS: Dict[str, ScenarioSpec] = {
+    "US-Campus": ScenarioSpec(
+        name="US-Campus",
+        vantage_city="West Lafayette",
+        access=AccessTechnology.CAMPUS,
+        egress_ms=10.0,
+        vantage_asn=17,
+        subnets=(
+            SubnetSpec("Net-1", 0.30),
+            SubnetSpec("Net-2", 0.27),
+            # Net-3's local DNS servers receive a *different* preferred
+            # data center from YouTube's authoritative servers — the
+            # Section VII-B mechanism behind Figure 12.
+            SubnetSpec("Net-3", 0.04, divergent_resolver=True),
+            SubnetSpec("Net-4", 0.22),
+            SubnetSpec("Net-5", 0.17),
+        ),
+        num_clients=20443,
+        requests_per_day=94600.0,
+        residential=False,
+        spill_probability=0.02,
+        client_block="128.210.0.0/15",
+        # The five geographically closest data centers are reached over
+        # congested transit, so the lowest-RTT data center is a far one —
+        # the Figure 8 anomaly.
+        detour_pins=(
+            ("dc-ashburn", 25.0),
+            ("dc-atlanta", 25.0),
+            ("dc-chicago", 25.0),
+            ("dc-dallas", 0.0),
+            ("dc-kansas-city", 25.0),
+            ("dc-new-york", 25.0),
+        ),
+    ),
+    "EU1-Campus": ScenarioSpec(
+        name="EU1-Campus",
+        vantage_city="Turin",
+        access=AccessTechnology.CAMPUS,
+        egress_ms=4.0,
+        vantage_asn=137,
+        subnets=(SubnetSpec("Net-1", 0.55), SubnetSpec("Net-2", 0.45)),
+        num_clients=1113,
+        requests_per_day=14600.0,
+        residential=False,
+        spill_probability=0.04,
+        client_block="130.192.0.0/15",
+        detour_pins=(("dc-milan", 0.0),),
+    ),
+    "EU1-ADSL": ScenarioSpec(
+        name="EU1-ADSL",
+        vantage_city="Turin",
+        access=AccessTechnology.ADSL,
+        egress_ms=3.0,
+        vantage_asn=3269,
+        subnets=(
+            SubnetSpec("Net-1", 0.40),
+            SubnetSpec("Net-2", 0.35),
+            SubnetSpec("Net-3", 0.25),
+        ),
+        num_clients=8348,
+        requests_per_day=94900.0,
+        residential=True,
+        spill_probability=0.04,
+        client_block="151.52.0.0/15",
+        detour_pins=(("dc-milan", 0.0),),
+    ),
+    "EU1-FTTH": ScenarioSpec(
+        name="EU1-FTTH",
+        vantage_city="Turin",
+        access=AccessTechnology.FTTH,
+        egress_ms=2.0,
+        vantage_asn=3269,
+        subnets=(SubnetSpec("Net-1", 0.60), SubnetSpec("Net-2", 0.40)),
+        num_clients=997,
+        requests_per_day=9900.0,
+        residential=True,
+        spill_probability=0.04,
+        client_block="151.54.0.0/15",
+        detour_pins=(("dc-milan", 0.0),),
+    ),
+    "EU2": ScenarioSpec(
+        name="EU2",
+        vantage_city="Madrid",
+        access=AccessTechnology.ADSL,
+        egress_ms=3.0,
+        vantage_asn=_ISP_ASN_EU2,
+        subnets=(
+            SubnetSpec("Net-1", 0.40),
+            SubnetSpec("Net-2", 0.35),
+            SubnetSpec("Net-3", 0.25),
+        ),
+        num_clients=6552,
+        requests_per_day=55500.0,
+        residential=True,
+        spill_probability=0.01,
+        client_block="81.32.0.0/15",
+        internal_dc=True,
+        internal_dc_cap_of_mean=0.55,
+        legacy_probability=0.22,
+    ),
+}
 
-    The definitions live in :mod:`repro.spec.registry` as declarative
-    deltas over a bare base (imported lazily — the registry imports this
-    module for :class:`ScenarioSpec` itself); the result is
-    value-identical to the historical literal dict.
+#: Every named scenario: the Table-I datasets plus the paper's
+#: February-2011 follow-up.  "In a more recent dataset collected in
+#: February 2011, we found that the majority of US-Campus video requests
+#: are directed to a data center with an RTT of more than 100 ms and not
+#: to the closest data center, which is around 30 ms away."  The
+#: re-assignment is US-Campus with its preferred data center overridden
+#: to Mountain View over a detoured (+55 ms) path.
+NAMED_SCENARIOS: Dict[str, ScenarioSpec] = {
+    **PAPER_SCENARIOS,
+    "US-Campus-Feb2011": replace(
+        PAPER_SCENARIOS["US-Campus"],
+        name="US-Campus-Feb2011",
+        detour_pins=(
+            ("dc-ashburn", 25.0),
+            ("dc-atlanta", 25.0),
+            ("dc-chicago", 25.0),
+            ("dc-dallas", 0.0),
+            ("dc-kansas-city", 25.0),
+            ("dc-mountain-view", 55.0),
+            ("dc-new-york", 25.0),
+        ),
+        preferred_override="dc-mountain-view",
+    ),
+}
+
+
+def named_scenario(name: str) -> ScenarioSpec:
+    """The :data:`NAMED_SCENARIOS` entry for ``name`` (grid bases, monitor bases).
+
+    Raises:
+        KeyError: For unknown names.
     """
-    from repro.spec.registry import paper_scenarios
-
-    return paper_scenarios()
-
-
-def __getattr__(name: str):
-    # PEP 562: PAPER_SCENARIOS is registry-backed but keeps its historical
-    # module-constant spelling.  The first access materialises and caches
-    # it; later accesses hit the module dict directly.
-    if name == "PAPER_SCENARIOS":
-        value = _paper_scenarios()
-        globals()["PAPER_SCENARIOS"] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def february_2011_us_campus() -> ScenarioSpec:
-    """The paper's February-2011 follow-up observation, as a spec.
-
-    "In a more recent dataset collected in February 2011, we found that the
-    majority of US-Campus video requests are directed to a data center with
-    an RTT of more than 100 ms and not to the closest data center, which is
-    around 30 ms away."  The re-assignment is modelled by the registry's
-    ``US-Campus-Feb2011`` spec (the US-Campus delta composed with
-    :data:`repro.spec.registry.FEB_2011_DELTA`); this constructor is the
-    thin legacy wrapper over it.
-    """
-    from repro.spec.registry import scenario_spec
-
-    return scenario_spec("US-Campus-Feb2011")
+    try:
+        return NAMED_SCENARIOS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown scenario {name!r}; expected one of {tuple(NAMED_SCENARIOS)}"
+        ) from None
 
 
 @dataclass
@@ -443,7 +548,7 @@ def build_world(
     # measurement made "through" one world would see different paths than
     # another world's policy ranked by.
     detours: Dict[Tuple[str, str], float] = {}
-    for any_spec in _paper_scenarios().values():
+    for any_spec in PAPER_SCENARIOS.values():
         any_group = f"vp:{any_spec.name}"
         for dc_id, detour_ms in any_spec.detour_pins:
             detours[(any_group, dc_id)] = detour_ms

@@ -1,12 +1,11 @@
-"""Declarative scenario specs, composition, and grid enumeration.
+"""Scenario deltas and grid enumeration.
 
-The subsystem has four layers:
-
-- :mod:`repro.spec.info` — :class:`ScenarioInfo`, the immutable sets/pars
-  description of a scenario world, and :func:`describe`.
-- :mod:`repro.spec.model` — :class:`Spec` (require/remove/add deltas),
-  :func:`apply_to_scenario`, :func:`diff`, composition, JSON codecs.
-- :mod:`repro.spec.registry` — the paper's datasets as named specs.
+- :mod:`repro.spec.model` — a delta is a mapping of
+  :class:`~repro.sim.scenarios.ScenarioSpec` field → value (plus the
+  ``"policy"`` key); :func:`~repro.spec.model.apply_to_scenario` is
+  :func:`dataclasses.replace` over the coerced values.
 - :mod:`repro.spec.grid` / :mod:`repro.spec.runner` — :class:`GridSpec`
-  axis enumeration and cached, parallel grid execution.
+  axis enumeration over a named scenario
+  (:data:`~repro.sim.scenarios.NAMED_SCENARIOS`) and cached, parallel
+  grid execution.
 """

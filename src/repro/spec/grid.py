@@ -1,24 +1,24 @@
-"""Grid enumeration: named axes × values → a lattice of scenario specs.
+"""Grid enumeration: named axes × values → a lattice of scenario deltas.
 
-A :class:`GridSpec` names a base scenario (a :mod:`repro.spec.registry`
-entry) and a tuple of :class:`GridAxis` objects.  Enumeration takes the
-cartesian product of the axis values (minus filtered combinations) and
-yields one :class:`GridPoint` per combination — a label, the raw
-assignments, and the composed :class:`~repro.spec.model.Spec` delta
-against the base.
+A :class:`GridSpec` names a base scenario (a
+:data:`~repro.sim.scenarios.NAMED_SCENARIOS` entry) and a tuple of
+:class:`GridAxis` objects.  Enumeration takes the cartesian product of
+the axis values (minus filtered combinations) and yields one
+:class:`GridPoint` per combination — a label, the raw assignments, and
+the delta against the base: the axis assignments merged in axis order.
 
-Axis names select the delta kind:
+Axis names select what an assignment contributes:
 
-- ``"dataset"`` — values are registry names; the axis switches the *base*
-  scenario instead of contributing a delta.
+- ``"dataset"`` — values are scenario names; the axis switches the *base*
+  scenario instead of contributing to the delta.
 - ``"policy"`` — values are registered selection-policy kinds
   (:func:`repro.cdn.selection.registered_policy_kinds`; e.g.
   ``"preferred"``, ``"proportional"``, ``"geographic"``, ``"gwtw"``,
   ``"isp-te"``, ``"partition"``).
 - ``"variant"`` — values are :mod:`repro.whatif.variants` names; the
-  variant's spec delta is composed in.
-- anything else — a scalar :class:`~repro.sim.scenarios.ScenarioSpec`
-  field, assigned as a par.
+  variant's delta is merged in.
+- anything else — an assignable :class:`~repro.sim.scenarios.ScenarioSpec`
+  field.
 
 Point labels are ``"axis=value"`` clauses joined by commas, with values
 rendered exactly as given — a single-axis grid over a spec field produces
@@ -34,11 +34,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.spec.info import SpecError, canonical_text
-from repro.spec.model import EMPTY_SPEC, Spec, par_delta, policy_kinds
-
-#: Axis names with special meaning (not ScenarioSpec par assignments).
-SPECIAL_AXES: Tuple[str, ...] = ("dataset", "policy", "variant")
+from repro.spec.model import SpecError, coerce_par
 
 _SCALARS = (bool, int, float, str)
 
@@ -67,7 +63,8 @@ class GridAxis:
                     f"axis {name!r} values must be scalars, got "
                     f"{type(value).__name__!r}"
                 )
-        seen = {canonical_text(v) for v in frozen}
+        # JSON text keeps 1, 1.0 and True apart, where a set would not.
+        seen = {json.dumps(v) for v in frozen}
         if len(seen) != len(frozen):
             raise SpecError(f"axis {name!r} has duplicate values")
         object.__setattr__(self, "name", name)
@@ -81,20 +78,17 @@ class GridPoint:
     Attributes:
         label: ``"axis=value,..."`` clauses in axis order (the metric-row
             label and part of the artifact cache key).
-        base: Registry name of the base scenario for this point.
+        base: Name of the base scenario for this point.
         assignments: Raw ``(axis, value)`` pairs, in axis order.
-        delta: The composed spec delta against ``base`` (the ``dataset``
-            axis switches ``base`` and contributes nothing here).
+        delta: Field → value assignments against ``base``, merged in
+            axis order (the ``dataset`` axis switches ``base`` and
+            contributes nothing here).
     """
 
     label: str
     base: str
     assignments: Tuple[Tuple[str, Any], ...]
-    delta: Spec
-
-    def cache_fingerprint(self) -> Dict[str, Any]:
-        """Canonical identity of the point (base + composed delta)."""
-        return {"base": self.base, "delta": self.delta.cache_fingerprint()}
+    delta: Dict[str, Any]
 
 
 @dataclass(frozen=True, init=False)
@@ -102,7 +96,7 @@ class GridSpec:
     """A base scenario crossed with named axes, minus filtered points.
 
     Attributes:
-        base: Registry name of the default base scenario.
+        base: Name of the default base scenario.
         axes: The grid's dimensions, in enumeration order.
         filters: Exclusion clauses: each filter is a tuple of
             ``(axis, value)`` pairs, and a point matching *every* pair of
@@ -144,14 +138,6 @@ class GridSpec:
         object.__setattr__(self, "base", str(base))
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "filters", tuple(frozen_filters))
-
-    def cache_fingerprint(self) -> Dict[str, Any]:
-        """Canonical identity — lets a whole grid key a stage artifact."""
-        return {
-            "base": self.base,
-            "axes": {axis.name: list(axis.values) for axis in self.axes},
-            "filters": [dict(clause) for clause in self.filters],
-        }
 
     # ---------------------------------------------------------------- codecs
     def to_json_dict(self) -> Dict[str, Any]:
@@ -217,24 +203,17 @@ def load_grid(path: str) -> GridSpec:
         return GridSpec.from_json(handle.read())
 
 
-def _axis_delta(axis: str, value: Any) -> Spec:
-    """The spec delta one (axis, value) assignment contributes."""
-    if axis == "policy":
-        kinds = policy_kinds()
-        if value not in kinds:
-            raise SpecError(
-                f"unknown policy {value!r}; registered policies: "
-                f"{', '.join(kinds)}"
-            )
-        return par_delta(policy=value)
+def _axis_delta(axis: str, value: Any) -> Dict[str, Any]:
+    """The assignments one (axis, value) pair contributes to a delta."""
     if axis == "variant":
         from repro.whatif.variants import variant_by_name
 
         try:
-            return variant_by_name(str(value)).spec
+            return dict(variant_by_name(str(value)).changes)
         except KeyError as error:
             raise SpecError(f"grid variant axis: {error.args[0]}") from None
-    return par_delta(**{axis: value})
+    coerce_par(axis, value)
+    return {axis: value}
 
 
 def enumerate_points(grid: GridSpec) -> Tuple[GridPoint, ...]:
@@ -250,16 +229,16 @@ def enumerate_points(grid: GridSpec) -> Tuple[GridPoint, ...]:
             everything.  A grid with no axes enumerates one bare-base
             point.
         KeyError: For ``dataset`` axis values (or a ``base``) that name no
-            registered scenario spec.
+            named scenario.
     """
-    from repro.spec.registry import named_spec
+    from repro.sim.scenarios import named_scenario
 
-    named_spec(grid.base)  # fail fast on an unknown base
+    named_scenario(grid.base)  # fail fast on an unknown base
     for axis in grid.axes:
         if axis.name == "dataset":
             for value in axis.values:
-                named_spec(str(value))
-        elif axis.name not in SPECIAL_AXES:
+                named_scenario(str(value))
+        elif axis.name != "variant":
             # Validate eagerly so a typo'd axis fails before any runs.
             for value in axis.values:
                 _axis_delta(axis.name, value)
@@ -278,12 +257,12 @@ def enumerate_points(grid: GridSpec) -> Tuple[GridPoint, ...]:
         ):
             continue
         base = grid.base
-        delta = EMPTY_SPEC
+        delta: Dict[str, Any] = {}
         for axis, value in assignments:
             if axis == "dataset":
                 base = str(value)
-                continue
-            delta = delta.compose(_axis_delta(axis, value))
+            else:
+                delta.update(_axis_delta(axis, value))
         label = ",".join(f"{axis}={value}" for axis, value in assignments)
         points.append(
             GridPoint(label=label, base=base, assignments=assignments, delta=delta)

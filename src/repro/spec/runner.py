@@ -19,8 +19,7 @@ from repro import obs
 from repro.artifacts.store import default_store
 from repro.exec.executor import ParallelExecutor, default_executor
 from repro.spec.grid import GridPoint, GridSpec, enumerate_points
-from repro.spec.info import SpecError
-from repro.spec.model import apply_to_scenario
+from repro.spec.model import SpecError, apply_to_scenario
 from repro.trace.records import WEEK_S
 from repro.whatif.metrics import ScenarioMetrics, scenario_metrics
 
@@ -70,10 +69,10 @@ def materialize_point(
             a value out of the scenario's range.
         KeyError: For unknown base names.
     """
-    from repro.spec.registry import scenario_spec
+    from repro.sim.scenarios import named_scenario
 
     scenario, policy = apply_to_scenario(
-        scenario_spec(point.base), point.delta, base_policy=base_policy
+        named_scenario(point.base), point.delta, base_policy=base_policy
     )
     try:
         scenario.check_ranges()

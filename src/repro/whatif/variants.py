@@ -1,25 +1,25 @@
 """Scenario variants: controlled perturbations of a baseline world.
 
-A variant is a named :class:`~repro.spec.model.Spec` delta — the same
-require/remove/add shape grids and the registry use — so one variant is
-one diffable, serialisable document, and a variant equal to a grid point
-shares that point's cached artifacts.  The standard library below covers
-the design dimensions DESIGN.md calls out for ablation and the paper's
-own what-if motivations: selection policy, data-center capacity,
-popularity shape, content availability, and flash crowds.
+A variant is a named delta — a mapping of
+:class:`~repro.sim.scenarios.ScenarioSpec` field → value, the same shape
+grid points and monitor epochs use — so a variant equal to a grid point
+builds the same world and shares that point's cached artifacts.  The
+standard library below covers the design dimensions DESIGN.md calls out
+for ablation and the paper's own what-if motivations: selection policy,
+data-center capacity, popularity shape, content availability, and flash
+crowds.
 
-The selection policy rides inside the delta as the ``"policy"`` par;
-:attr:`Variant.policy_kind` reads it back, so callers (comparisons, the
-CLI) see the exact pre-spec API and produce byte-identical output.
+The selection policy rides inside the delta as the ``"policy"`` key;
+:attr:`Variant.policy_kind` reads it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Any, List, Mapping
 
 from repro.sim.scenarios import ScenarioSpec
-from repro.spec.model import EMPTY_SPEC, Spec, apply_to_scenario, par_delta
+from repro.spec.model import apply_to_scenario
 
 
 @dataclass(frozen=True)
@@ -29,19 +29,20 @@ class Variant:
     Attributes:
         name: Short identifier (``"old-policy"``).
         description: One-line human explanation.
-        spec: The delta against the baseline scenario (empty for
-            policy-only variants).
+        changes: Field → value assignments against the baseline
+            scenario, plus the optional ``"policy"`` key (empty for the
+            baseline).
     """
 
     name: str
     description: str
-    spec: Spec = field(default=EMPTY_SPEC)
+    changes: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def policy_kind(self) -> str:
         """Selection policy for the variant's world (the ``"policy"``
-        par of the delta; ``"preferred"`` when unset)."""
-        return self.spec.add.pars_dict.get("policy", "preferred")
+        key of the delta; ``"preferred"`` when unset)."""
+        return self.changes.get("policy", "preferred")
 
     def apply(self, spec: ScenarioSpec) -> ScenarioSpec:
         """The variant's scenario, derived from a baseline scenario.
@@ -52,7 +53,7 @@ class Variant:
         Raises:
             SpecError: If the delta cannot apply to this baseline.
         """
-        scenario, _policy = apply_to_scenario(spec, self.spec)
+        scenario, _policy = apply_to_scenario(spec, self.changes)
         return scenario
 
 
@@ -73,59 +74,59 @@ def standard_variants() -> List[Variant]:
         Variant(
             name="old-policy",
             description="pre-Google selection: data centers by size, no locality",
-            spec=par_delta(policy="proportional"),
+            changes={"policy": "proportional"},
         ),
         Variant(
             name="double-capacity",
             description="double per-server serve capacity (hot-spots absorbed locally)",
-            spec=par_delta(server_capacity_multiple=12.0),
+            changes={"server_capacity_multiple": 12.0},
         ),
         Variant(
             name="half-capacity",
             description="halve per-server serve capacity (more overflow redirection)",
-            spec=par_delta(server_capacity_multiple=3.0),
+            changes={"server_capacity_multiple": 3.0},
         ),
         Variant(
             name="flash-crowd",
             description="the daily featured video absorbs 25% of requests",
-            spec=par_delta(featured_share=0.25),
+            changes={"featured_share": 0.25},
         ),
         Variant(
             name="flat-popularity",
             description="flatter popularity (zipf alpha 0.6): a longer effective tail",
-            spec=par_delta(zipf_alpha=0.6),
+            changes={"zipf_alpha": 0.6},
         ),
         Variant(
             name="sparse-replication",
             description="tail content rarely pre-positioned (regional presence 0.3)",
-            spec=par_delta(regional_presence_prob=0.3),
+            changes={"regional_presence_prob": 0.3},
         ),
         Variant(
             name="no-spill",
             description="DNS never load-balances away from the preferred data center",
-            spec=par_delta(spill_probability=0.0),
+            changes={"spill_probability": 0.0},
         ),
         Variant(
             name="tiny-edge-cache",
             description="edge caches hold only 25 pulled-through tail videos (LRU)",
-            spec=par_delta(cache_capacity=25, regional_presence_prob=0.3),
+            changes={"cache_capacity": 25, "regional_presence_prob": 0.3},
         ),
         Variant(
             name="geo-policy",
             description="idealised selection by geographic distance instead of RTT",
-            spec=par_delta(policy="geographic"),
+            changes={"policy": "geographic"},
         ),
         Variant(
             name="sticky-dns",
             description="resolvers cache answers for 30 min: DNS-level control "
                         "coarsens and the app layer picks up the slack",
-            spec=par_delta(dns_cache_enabled=True, dns_ttl_s=1800.0),
+            changes={"dns_cache_enabled": True, "dns_ttl_s": 1800.0},
         ),
         Variant(
             name="preferred-outage",
             description="the preferred data center is drained at the DNS level "
                         "(maintenance): everything lands one rank down",
-            spec=par_delta(drain_preferred=True),
+            changes={"drain_preferred": True},
         ),
     ]
 

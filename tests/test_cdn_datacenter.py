@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cdn.datacenter import DataCenter, DataCenterDirectory, build_datacenter
+from repro.cdn.datacenter import DataCenterDirectory, build_datacenter
 from repro.geo.cities import default_atlas
 from repro.net.asn import GOOGLE_ASN
 from repro.net.ip import Ipv4Allocator, parse_network, slash24_of

@@ -7,7 +7,6 @@ from repro.cdn.datacenter import DataCenterDirectory, build_datacenter
 from repro.cdn.redirection import (
     CAUSE_MISS,
     CAUSE_OVERLOAD_INTER,
-    CAUSE_OVERLOAD_INTRA,
     CAUSE_REBALANCE,
     MAX_HOPS,
     RedirectionEngine,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -286,6 +287,13 @@ class TestStudyStreamGating:
 
 #: Bad inputs that must end in exit 2 with one stderr line:
 #: (argv, extra environment, text the message must contain).
+#: ``--plan`` files the ``BAD_INPUTS`` rows read, by name: one step each.
+PLAN_FILES = {
+    "old-shape.json": {"spec": {"add": {"pars": {"preferred_override": "dc-frankfurt"}}}},
+    "unknown-field.json": {"changes": {"warp_factor": 9}},
+    "fixed-field.json": {"changes": {"subnets": [["Net-1", 1.0, False]]}},
+}
+
 BAD_INPUTS = [
     (["study", "--workers", "0"], {}, "--workers"),
     (["study"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
@@ -373,6 +381,14 @@ BAD_INPUTS = [
     (["monitor", "--policy", "bogus"], {}, "repro monitor: unknown policy 'bogus'"),
     (["eval", "--policy", "bogus"], {}, "repro eval: unknown policy 'bogus'"),
     (["monitor", "--plan", "missing.json"], {}, "repro monitor: bad --plan"),
+    # Plan files (written by the test below): the old set-algebra step
+    # shape, an unknown field, and a field a delta cannot assign.
+    (["monitor", "--plan", "old-shape.json"], {},
+     "repro monitor: bad --plan: unknown EvolutionStep keys: ['spec']"),
+    (["monitor", "--plan", "unknown-field.json"], {},
+     "repro monitor: bad --plan: unknown par 'warp_factor'"),
+    (["monitor", "--plan", "fixed-field.json"], {},
+     "repro monitor: bad --plan: field 'subnets' is not assignable"),
     (["grid", "diff", "missing.json", "missing.json"], {}, "repro grid: cannot diff grids"),
     (["grid", "run", "--axis", "nonsense"], {}, "repro grid: bad grid"),
     (["study", "--faults", "{"], {}, "repro study: bad --faults plan"),
@@ -389,6 +405,8 @@ def test_bad_input_exits_2_with_one_line(argv, env, needle, tmp_path):
     # A real process, so an uncaught exception would show as a traceback.
     # It runs in an empty directory holding only a malformed flow log.
     (tmp_path / "malformed.tsv").write_text("not a flow record\n")
+    for plan_name, changes in PLAN_FILES.items():
+        (tmp_path / plan_name).write_text(json.dumps({"steps": [{"epoch": 2, **changes}]}))
     src = str(Path(repro.__file__).resolve().parents[1])
     child_env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     child_env.update(env, PYTHONPATH=src, REPRO_CACHE="off")

@@ -19,7 +19,6 @@ from repro.core.nonpreferred import (
 from repro.core.preferred import (
     DataCenterView,
     PreferredDcReport,
-    analyze_preferred,
 )
 from repro.core.sessions import build_sessions
 from repro.core.summary import DatasetSummary, render_table1, summarize

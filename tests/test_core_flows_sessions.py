@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.flows import (
-    CONTROL_FLOW_THRESHOLD_BYTES,
     classify_flows,
     detect_size_threshold,
     flow_size_cdf,

@@ -182,8 +182,7 @@ class TestStudyPolicyFlag:
 
 class TestSpecPolicyValidation:
     def test_unknown_spec_par_policy_fails_fast(self):
-        from repro.spec.info import SpecError
-        from repro.spec.model import coerce_par
+        from repro.spec.model import SpecError, coerce_par
 
         with pytest.raises(SpecError) as excinfo:
             coerce_par("policy", "round-robin")

@@ -10,7 +10,6 @@ from repro.exec.executor import (
     ENV_WORKERS,
     ExecutionError,
     ParallelExecutor,
-    TaskTiming,
     default_executor,
 )
 from repro.reporting.timing import timing_summary, write_timing_json

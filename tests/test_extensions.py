@@ -7,7 +7,6 @@ import pytest
 
 from repro.cdn.catalog import Resolution, VideoCatalog
 from repro.cdn.store import ContentPlacement
-from repro.core.nonpreferred import multi_flow_breakdown
 from repro.sim.driver import run_spec
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 

@@ -34,8 +34,7 @@ from repro.monitor.evolution import (
 from repro.monitor.report import render_timeline
 from repro.monitor.run import run_monitor
 from repro.monitor.snapshot import EpochSnapshot, build_epoch_snapshot
-from repro.spec.info import SpecError
-from repro.spec.model import Spec, par_delta
+from repro.spec.model import SpecError
 from repro.trace.columnar import FlowTable
 from repro.trace.records import FlowRecord
 
@@ -56,7 +55,7 @@ def planted_plan() -> EvolutionPlan:
     return EvolutionPlan(steps=(
         EvolutionStep(
             epoch=2,
-            spec=par_delta(preferred_override="dc-frankfurt"),
+            changes={"preferred_override": "dc-frankfurt"},
             label="preferred flip",
         ),
     ))
@@ -68,25 +67,25 @@ def planted_plan() -> EvolutionPlan:
 class TestEvolutionPlan:
     def test_step_rejects_epoch_zero(self):
         with pytest.raises(SpecError):
-            EvolutionStep(epoch=0, spec=par_delta(policy="proportional"))
+            EvolutionStep(epoch=0, changes={"policy": "proportional"})
 
     def test_step_rejects_empty_spec(self):
         with pytest.raises(SpecError):
-            EvolutionStep(epoch=3, spec=Spec())
+            EvolutionStep(epoch=3, changes={})
 
     def test_steps_sorted_by_epoch(self):
         plan = EvolutionPlan(steps=(
-            EvolutionStep(epoch=5, spec=par_delta(policy="proportional")),
-            EvolutionStep(epoch=2, spec=par_delta(preferred_override="dc-frankfurt")),
+            EvolutionStep(epoch=5, changes={"policy": "proportional"}),
+            EvolutionStep(epoch=2, changes={"preferred_override": "dc-frankfurt"}),
         ))
         assert [s.epoch for s in plan.steps] == [2, 5]
 
     def test_spec_at_is_cumulative(self):
         plan = planted_plan()
-        assert plan.spec_at(1).is_empty
-        applied = dict(plan.spec_at(2).add.pars)
+        assert plan.spec_at(1) == {}
+        applied = plan.spec_at(2)
         assert applied["preferred_override"] == "dc-frankfurt"
-        assert dict(plan.spec_at(7).add.pars) == applied
+        assert plan.spec_at(7) == applied
 
     def test_change_epochs_horizon(self):
         plan = standard_evolution()
@@ -102,36 +101,25 @@ class TestEvolutionPlan:
     def test_static_plan(self):
         assert STATIC_PLAN.is_static
         assert STATIC_PLAN.change_epochs(100) == ()
-        assert STATIC_PLAN.spec_at(5).is_empty
+        assert STATIC_PLAN.spec_at(5) == {}
 
     def test_json_round_trip(self):
         plan = standard_evolution()
         again = EvolutionPlan.from_json(plan.to_json())
         assert again == plan
-        assert again.cache_fingerprint() == plan.cache_fingerprint()
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(SpecError):
             EvolutionPlan.from_json('{"steps": [], "extra": 1}')
         with pytest.raises(SpecError):
             EvolutionPlan.from_json('{"steps": [{"epoch": 1, "what": 2}]}')
+        with pytest.raises(SpecError, match="unknown par 'warp'"):
+            EvolutionPlan.from_json('{"steps": [{"epoch": 1, "changes": {"warp": 2}}]}')
 
     def test_load_evolution(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text(planted_plan().to_json(), encoding="utf-8")
         assert load_evolution(str(path)) == planted_plan()
-
-    def test_contradictory_steps_rejected(self):
-        # Step 1 switches the policy; step 2 *requires* the old one —
-        # the schedule can never apply and must fail at construction.
-        with pytest.raises(SpecError):
-            EvolutionPlan(steps=(
-                EvolutionStep(epoch=1, spec=par_delta(policy="proportional")),
-                EvolutionStep(epoch=2, spec=Spec.from_json_dict(
-                    {"require": {"pars": {"policy": "preferred"}},
-                     "add": {"pars": {"spill_probability": 0.1}}}
-                )),
-            ))
 
 
 # ------------------------------------------------------------- accumulator
@@ -459,8 +447,8 @@ class TestRunMonitor:
         assert [r.cached for r in warm.rows] == [True, True, True, False]
         assert [r.digest for r in warm.rows[:3]] == [r.digest for r in cold.rows]
         assert warm.alarm_epochs() == [2]
-        # Cached epochs key on the composed spec: a different plan with
-        # the same base must not reuse them at its changed epochs.
+        # Cached epochs key on the world each builds: a different plan
+        # with the same base must not reuse them at its changed epochs.
         other = run_monitor("EU1-ADSL", plan=STATIC_PLAN, epochs=3,
                             epoch_s=EPOCH_S, scale=SCALE, seed=SEED)
         assert [r.cached for r in other.rows] == [True, True, False]
@@ -469,23 +457,24 @@ class TestRunMonitor:
         """The memoized epoch stage keys exactly the dict it always did."""
         from repro.artifacts.keys import stage_key
         from repro.monitor.run import monitor_epoch
-        from repro.spec.registry import scenario_spec
+        from repro.sim.scenarios import named_scenario
+        from repro.spec.model import apply_to_scenario
 
-        base = scenario_spec("EU1-ADSL")
-        spec = planted_plan().spec_at(2)
+        scenario, policy = apply_to_scenario(
+            named_scenario("EU1-ADSL"), planted_plan().spec_at(2)
+        )
         key = monitor_epoch.cache_key(
-            base, spec, 2, EPOCH_S, SCALE, SEED, "preferred", 4, 24, 0.002
+            scenario, policy, 2, EPOCH_S, SCALE, SEED, 4, 24, 0.002
         )
         assert key == stage_key(
             "monitor/epoch",
             {
-                "base": base,
-                "spec": spec,
+                "scenario": scenario,
+                "policy": policy,
                 "epoch": 2,
                 "epoch_s": EPOCH_S,
                 "scale": SCALE,
                 "seed": SEED,
-                "base_policy": "preferred",
                 "probes": 4,
                 "prefix_len": 24,
                 "miss_probability": 0.002,
@@ -558,7 +547,7 @@ class TestMonitorCLI:
 
     def test_bad_plan_fails_fast(self, tmp_path):
         path = tmp_path / "plan.json"
-        path.write_text('{"steps": [{"epoch": 0, "spec": {}}]}',
+        path.write_text('{"steps": [{"epoch": 0, "changes": {"policy": "proportional"}}]}',
                         encoding="utf-8")
         code, _ = run_cli("monitor", "--plan", str(path))
         assert code == 2

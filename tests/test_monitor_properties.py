@@ -33,7 +33,6 @@ from repro.monitor.detect import pattern_dissimilarity  # noqa: E402
 from repro.monitor.evolution import EvolutionPlan, EvolutionStep, STATIC_PLAN  # noqa: E402
 from repro.monitor.run import run_monitor  # noqa: E402
 from repro.monitor.snapshot import EpochSnapshot  # noqa: E402
-from repro.spec.model import par_delta  # noqa: E402
 
 SCALE = 0.01
 SEED = 7
@@ -84,7 +83,7 @@ def _plan_at(epoch: int) -> EvolutionPlan:
     return EvolutionPlan(steps=(
         EvolutionStep(
             epoch=epoch,
-            spec=par_delta(preferred_override="dc-frankfurt"),
+            changes={"preferred_override": "dc-frankfurt"},
             label="flip",
         ),
     ))

@@ -38,8 +38,7 @@ NOT_IN_A_STUDY = (
     "repro.whatif",
     "repro.monitor",
     "repro.active",
-    "repro.spec.grid",
-    "repro.spec.runner",
+    "repro.spec",
     "repro.core.hotspots",
     "repro.core.loadbalance",
 )

@@ -42,10 +42,6 @@ KEEP: Dict[str, str] = {
         "the batch form of the Section V check_claim audit that "
         "tests/test_geoloc_sanity.py runs over a simulated study"
     ),
-    "repro.sim.scenarios.february_2011_us_campus": (
-        "the Section VI-B February-2011 epoch of docs/paper_mapping.md and "
-        "EXPERIMENTS.md, checked by tests/test_sim.py"
-    ),
     "repro.artifacts.store.reset_default_store": (
         "test seam: forgets the default store after a test changes REPRO_CACHE_DIR"
     ),
@@ -60,6 +56,14 @@ KEEP: Dict[str, str] = {
     "repro.net.latency.LatencyModel.measure_min_rtt_ms": (
         "one min-filtered measurement, held to the per-probe spec of "
         "tests/oracle/cbg.py by tests/test_geoloc_cbg_oracle.py"
+    ),
+    "repro.geoloc.probing.CampaignJob.cache_fingerprint": (
+        "a campaign's cache-key identity, read through getattr by "
+        "repro.artifacts.keys.canonicalize when the geoloc/campaign stage is keyed"
+    ),
+    "repro.net.latency.LatencyModel.cache_fingerprint": (
+        "the delay model's cache-key identity, read through getattr by "
+        "repro.artifacts.keys.canonicalize inside every campaign key"
     ),
     "repro.stream.source.replay_records": (
         "the in-memory stream source the windower tests replay records "

@@ -19,7 +19,7 @@ from repro.cdn.catalog import Resolution
 from repro.cdn.selection import registered_policy_kinds
 from repro.sim.driver import simulate_week
 from repro.sim.engine import RequestProcessor, run_requests, stream_requests
-from repro.sim.scenarios import DATASET_NAMES, _paper_scenarios, build_world
+from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
 from repro.stream.events import FlowArrival
 from repro.trace.records import WEEK_S
 
@@ -29,7 +29,7 @@ SCALE = 0.01
 
 
 def _worlds(name="EU1-ADSL", policy_kind="preferred", seed=7, **spec_changes):
-    spec = replace(_paper_scenarios()[name], **spec_changes)
+    spec = replace(PAPER_SCENARIOS[name], **spec_changes)
     return tuple(
         build_world(spec, scale=SCALE, seed=seed, policy_kind=policy_kind) for _ in range(2)
     )
@@ -170,7 +170,7 @@ def test_handle_request_serves_foreign_sites():
 
 def test_week_is_three_layer_spans():
     """One aggregate span per layer of a simulated week, none per request."""
-    spec = _paper_scenarios()["EU1-FTTH"]
+    spec = PAPER_SCENARIOS["EU1-FTTH"]
     run = obs.new_run("week-spans")
     try:
         result = simulate_week(spec, 0.004, 7, WEEK_S, "preferred")

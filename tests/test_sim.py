@@ -109,9 +109,9 @@ class TestBuildWorld:
         """The paper's Feb-2011 follow-up: the preferred data center is an
         assignment, and the assignment moved away from the RTT optimum."""
         from repro.sim.driver import run_spec
-        from repro.sim.scenarios import february_2011_us_campus
+        from repro.sim.scenarios import named_scenario
 
-        spec = february_2011_us_campus()
+        spec = named_scenario("US-Campus-Feb2011")
         result = run_spec(spec, scale=0.004, seed=7)
         world = result.world
         ranking = world.system.policy.ranking_for("US-Campus-Feb2011/Net-1")

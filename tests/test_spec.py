@@ -1,15 +1,13 @@
-"""Unit tests for the declarative scenario-spec subsystem.
+"""Unit tests for scenario deltas and grids.
 
-Covers the ScenarioInfo normalisation contract, Spec validation and
-algebra (compose/diff/apply), serialisation codecs (JSON and gated
-TOML), the named-spec registry, grid enumeration/filters, and the
-grid runner's warm/cold planning.  Property-based counterparts live in
-``test_spec_properties.py``.
+Covers delta coercion and application (a mapping of ScenarioSpec field →
+value, applied with ``dataclasses.replace``), the named scenarios, grid
+enumeration/filters, and the grid runner's warm/cold planning.
+Property-based counterparts live in ``test_spec_properties.py``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import re
 import subprocess
@@ -18,237 +16,146 @@ import sys
 import pytest
 
 from repro.artifacts.store import reset_default_store
+from repro.monitor.evolution import STATIC_PLAN, EvolutionPlan, EvolutionStep
 from repro.sim import driver
-from repro.sim.scenarios import GOOGLE_DC_PLAN, PAPER_SCENARIOS, build_world
-from repro.spec.grid import GridAxis, GridPoint, GridSpec, diff_grids, enumerate_points, load_grid
-from repro.spec.info import ScenarioInfo, SpecError, describe
-from repro.spec.model import (
-    EMPTY_SPEC,
-    Spec,
-    apply_to_scenario,
-    diff,
-    par_delta,
+from repro.sim.scenarios import (
+    GOOGLE_DC_PLAN,
+    PAPER_SCENARIOS,
+    ScenarioSpec,
+    build_world,
+    named_scenario,
 )
-from repro.spec.registry import named_spec, scenario_spec
+from repro.spec.grid import GridAxis, GridPoint, GridSpec, diff_grids, enumerate_points, load_grid
+from repro.spec.model import SpecError, apply_to_scenario, coerce_par
 from repro.spec.runner import plan_grid, run_grid
 
 
-class TestScenarioInfo:
-    def test_normalises_order_and_duplicates(self):
-        a = ScenarioInfo(
-            sets={"detour": [("dc-b", 2.0), ("dc-a", 1.0), ("dc-b", 2.0)]},
-            pars={"beta": 2, "alpha": 1},
-        )
-        b = ScenarioInfo(
-            sets={"detour": [("dc-a", 1.0), ("dc-b", 2.0)]},
-            pars={"alpha": 1, "beta": 2},
-        )
-        assert a == b
-        assert a.cache_fingerprint() == b.cache_fingerprint()
-
-    def test_empty_sets_are_dropped(self):
-        info = ScenarioInfo(sets={"detour": []}, pars={})
-        assert info.is_empty
-        assert info == ScenarioInfo()
-
-    def test_set_accessor_absent_is_empty(self):
-        assert ScenarioInfo().set("detour") == ()
-
+class TestSpecValidation:
     def test_rejects_non_scalar_pars(self):
         with pytest.raises(SpecError):
-            ScenarioInfo(pars={"bad": [1, 2]})
-
-    def test_rejects_non_sequence_elements(self):
-        with pytest.raises(SpecError):
-            ScenarioInfo(sets={"detour": [object()]})
-
-    def test_merge_unions_sets_and_overrides_pars(self):
-        a = ScenarioInfo(sets={"detour": [("dc-a", 1.0)]}, pars={"x": 1})
-        b = ScenarioInfo(sets={"detour": [("dc-b", 2.0)]}, pars={"x": 2})
-        merged = a.merge(b)
-        assert merged.set("detour") == (("dc-a", 1.0), ("dc-b", 2.0))
-        assert merged.pars_dict == {"x": 2}
-
-    def test_without_elements_and_pars(self):
-        info = ScenarioInfo(
-            sets={"detour": [("dc-a", 1.0), ("dc-b", 2.0)]}, pars={"x": 1, "y": 2}
-        )
-        pruned = info.without_elements(
-            ScenarioInfo(sets={"detour": [("dc-a", 1.0)]})
-        )
-        assert pruned.set("detour") == (("dc-b", 2.0),)
-        assert pruned.pars_dict == {"x": 1, "y": 2}
-        assert info.without_pars(["x"]).pars_dict == {"y": 2}
-
-    def test_json_round_trip(self):
-        info = ScenarioInfo(
-            sets={"subnet": [("Net-1", 0.5, True)]}, pars={"zipf_alpha": 0.9}
-        )
-        assert ScenarioInfo.from_json_dict(info.to_json_dict()) == info
-
-    def test_from_json_rejects_unknown_keys(self):
-        with pytest.raises(SpecError):
-            ScenarioInfo.from_json_dict({"stes": {}})
-
-    def test_describe_round_trips_through_diff(self):
-        us = PAPER_SCENARIOS["US-Campus"]
-        eu2 = PAPER_SCENARIOS["EU2"]
-        delta = diff(us, eu2)
-        rebuilt, policy = apply_to_scenario(us, delta)
-        assert rebuilt == dataclasses.replace(eu2)
-        assert policy == "preferred"
-
-    def test_describe_rejects_non_scenarios(self):
-        with pytest.raises(SpecError):
-            describe({"name": "nope"})
-
-
-class TestSpecValidation:
-    def test_unknown_set_name_rejected(self):
-        with pytest.raises(SpecError):
-            Spec(add=ScenarioInfo(sets={"cluster": [("a", 1)]}))
+            coerce_par("zipf_alpha", [1, 2])
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(SpecError):
-            Spec(add=ScenarioInfo(sets={"detour": [("dc-a", 1.0, 3.0)]}))
-
-    def test_remove_pars_rejected(self):
-        with pytest.raises(SpecError):
-            Spec(remove=ScenarioInfo(pars={"zipf_alpha": 0.9}))
+            coerce_par("extra_dcs", [["Oslo", 48, 3.0]])
 
     def test_unknown_par_rejected(self):
         with pytest.raises(SpecError):
-            par_delta(warp_factor=9)
+            coerce_par("warp_factor", 9)
 
     def test_set_backed_field_not_assignable_as_par(self):
-        with pytest.raises(SpecError):
-            par_delta(subnets=("Net-1",))
+        with pytest.raises(SpecError, match="not assignable"):
+            coerce_par("subnets", ("Net-1",))
+        with pytest.raises(SpecError, match="not assignable"):
+            coerce_par("detour_pins", [["dc-milan", 0.0]])
 
     def test_policy_par_validated(self):
         with pytest.raises(SpecError):
-            par_delta(policy="nearest")
-        assert par_delta(policy="geographic").add.pars_dict["policy"] == "geographic"
+            coerce_par("policy", "nearest")
+        assert coerce_par("policy", "geographic") == "geographic"
 
     def test_par_type_coercion_rejects_mismatches(self):
         with pytest.raises(SpecError):
-            par_delta(num_clients="many")
+            coerce_par("num_clients", "many")
         with pytest.raises(SpecError):
-            par_delta(residential=1)
+            coerce_par("residential", 1)
         with pytest.raises(SpecError):
-            par_delta(zipf_alpha="steep")
+            coerce_par("zipf_alpha", "steep")
+        with pytest.raises(SpecError):
+            coerce_par("extra_dcs", [["Oslo", "big"]])
+        with pytest.raises(SpecError):
+            coerce_par("removed_dcs", "Miami")
 
     def test_empty_spec_is_identity_flagged(self):
-        assert EMPTY_SPEC.is_empty
-        assert not par_delta(zipf_alpha=0.9).is_empty
+        base = PAPER_SCENARIOS["EU1-FTTH"]
+        assert STATIC_PLAN.spec_at(5) == {}
+        assert apply_to_scenario(base, STATIC_PLAN.spec_at(5))[0] is base
+        with pytest.raises(SpecError, match="empty"):
+            EvolutionStep(epoch=2, changes={})
 
 
 class TestCompose:
-    def test_add_then_remove_cancels(self):
-        a = Spec(add=ScenarioInfo(sets={"detour": [("dc-a", 1.0)]}))
-        b = Spec(remove=ScenarioInfo(sets={"detour": [("dc-a", 1.0)]}))
-        composed = a.compose(b)
-        assert composed.add.is_empty
-        assert composed.remove.is_empty
-
     def test_later_par_wins(self):
-        composed = par_delta(zipf_alpha=0.7).compose(par_delta(zipf_alpha=0.9))
-        assert composed.add.pars_dict == {"zipf_alpha": 0.9}
-
-    def test_requires_discharged_by_first_add(self):
-        a = par_delta(zipf_alpha=0.9)
-        b = Spec(require=ScenarioInfo(pars={"zipf_alpha": 0.9}))
-        assert a.compose(b).require.is_empty
-
-    def test_conflicting_require_rejected(self):
-        a = par_delta(zipf_alpha=0.9)
-        b = Spec(require=ScenarioInfo(pars={"zipf_alpha": 0.7}))
-        with pytest.raises(SpecError):
-            a.compose(b)
+        grid = GridSpec(axes=(GridAxis("variant", ("tiny-edge-cache",)),
+                              GridAxis("regional_presence_prob", (0.9,))))
+        (point,) = enumerate_points(grid)
+        assert point.delta == {"cache_capacity": 25, "regional_presence_prob": 0.9}
 
 
 class TestCodecs:
     def test_spec_json_round_trip(self):
-        spec = Spec(
-            require=ScenarioInfo(pars={"residential": True}),
-            remove=ScenarioInfo(sets={"detour": [("dc-a", 1.0)]}),
-            add=ScenarioInfo(sets={"subnet": [("Net-9", 0.1, False)]},
-                             pars={"zipf_alpha": 0.9}),
+        plan = EvolutionPlan(steps=(EvolutionStep(epoch=3, changes={
+            "access": "FTTH",
+            "cache_capacity": None,
+            "removed_dcs": ["Miami"],
+            "extra_dcs": [["Oslo", 48]],
+            "policy": "geographic",
+        }),))
+        again = EvolutionPlan.from_json(plan.to_json())
+        assert again == plan
+        base = PAPER_SCENARIOS["EU1-ADSL"]
+        assert apply_to_scenario(base, again.spec_at(3)) == apply_to_scenario(
+            base, plan.spec_at(3)
         )
-        assert Spec.from_json(spec.to_json()) == spec
 
     def test_empty_parts_omitted(self):
-        assert par_delta(zipf_alpha=0.9).to_json_dict().keys() == {"add"}
+        step = EvolutionStep(epoch=2, changes={"zipf_alpha": 0.9})
+        assert step.to_json_dict().keys() == {"epoch", "changes"}
 
     def test_malformed_json_raises_spec_error(self):
         with pytest.raises(SpecError):
-            Spec.from_json("{not json")
+            GridSpec.from_json("{not json")
         with pytest.raises(SpecError):
-            Spec.from_json_dict({"patch": {}})
+            EvolutionPlan.from_json("{not json")
 
 
 class TestApply:
     def test_empty_spec_returns_base_identically(self):
         base = PAPER_SCENARIOS["EU1-FTTH"]
-        scenario, policy = apply_to_scenario(base, EMPTY_SPEC)
+        scenario, policy = apply_to_scenario(base, {})
         assert scenario is base
         assert policy == "preferred"
 
     def test_policy_par_routes_to_policy_kind(self):
         base = PAPER_SCENARIOS["EU1-FTTH"]
-        scenario, policy = apply_to_scenario(base, par_delta(policy="geographic"))
+        scenario, policy = apply_to_scenario(base, {"policy": "geographic"})
         assert scenario is base  # no field changed
         assert policy == "geographic"
 
-    def test_require_violation_names_the_gap(self):
-        base = PAPER_SCENARIOS["EU1-FTTH"]
-        spec = Spec(require=ScenarioInfo(pars={"residential": False}))
-        with pytest.raises(SpecError, match="residential"):
-            apply_to_scenario(base, spec)
-
     def test_remove_absent_element_rejected(self):
-        base = PAPER_SCENARIOS["EU1-FTTH"]
-        spec = Spec(remove=ScenarioInfo(sets={"detour": [("dc-oslo", 9.0)]}))
-        with pytest.raises(SpecError, match="not present"):
-            apply_to_scenario(base, spec)
+        scenario, _ = apply_to_scenario(PAPER_SCENARIOS["EU1-FTTH"], {"removed_dcs": ["Oslo"]})
+        with pytest.raises(ValueError, match="no known data center"):
+            scenario.effective_dc_plan()
 
     def test_duplicate_add_rejected(self):
-        base = PAPER_SCENARIOS["EU1-FTTH"]
-        spec = Spec(add=ScenarioInfo(sets={"detour": [("dc-milan", 0.0)]}))
-        with pytest.raises(SpecError, match="already present"):
-            apply_to_scenario(base, spec)
+        scenario, _ = apply_to_scenario(PAPER_SCENARIOS["EU1-FTTH"], {"extra_dcs": [["Milan", 8]]})
+        with pytest.raises(ValueError, match="duplicate data-center cities"):
+            scenario.effective_dc_plan()
 
     def test_datacenter_delta_folds_into_plan_fields(self):
         base = PAPER_SCENARIOS["EU1-FTTH"]
-        miami = next(pair for pair in GOOGLE_DC_PLAN if pair[0] == "Miami")
-        spec = Spec(
-            remove=ScenarioInfo(sets={"datacenter": [miami]}),
-            add=ScenarioInfo(sets={"datacenter": [("Oslo", 48)]}),
-        )
-        scenario, _ = apply_to_scenario(base, spec)
+        delta = {"removed_dcs": ["Miami"], "extra_dcs": [["Oslo", 48]]}
+        scenario, _ = apply_to_scenario(base, delta)
         assert scenario.removed_dcs == ("Miami",)
         assert scenario.extra_dcs == (("Oslo", 48),)
         plan = dict(scenario.effective_dc_plan())
         assert "Miami" not in plan and plan["Oslo"] == 48
 
-    def test_datacenter_remove_needs_exact_pair(self):
-        base = PAPER_SCENARIOS["EU1-FTTH"]
-        spec = Spec(remove=ScenarioInfo(sets={"datacenter": [("Miami", 1)]}))
-        with pytest.raises(SpecError, match="not in the base plan"):
-            apply_to_scenario(base, spec)
-
     def test_readding_removed_builtin_restores_it(self):
-        miami = next(pair for pair in GOOGLE_DC_PLAN if pair[0] == "Miami")
-        gone = Spec(remove=ScenarioInfo(sets={"datacenter": [miami]}))
-        back = Spec(add=ScenarioInfo(sets={"datacenter": [miami]}))
-        scenario, _ = apply_to_scenario(
-            PAPER_SCENARIOS["EU1-FTTH"], gone.compose(back)
-        )
-        assert scenario.removed_dcs == ()
-        assert scenario.extra_dcs == ()
+        plan = EvolutionPlan(steps=(
+            EvolutionStep(epoch=1, changes={"removed_dcs": ["Miami"]}),
+            EvolutionStep(epoch=2, changes={"removed_dcs": []}),
+        ))
+        gone, _ = apply_to_scenario(PAPER_SCENARIOS["EU1-FTTH"], plan.spec_at(1))
+        back, _ = apply_to_scenario(PAPER_SCENARIOS["EU1-FTTH"], plan.spec_at(2))
+        assert gone.removed_dcs == ("Miami",)
+        assert back.removed_dcs == ()
+        assert back.effective_dc_plan() == GOOGLE_DC_PLAN
 
     def test_extra_dc_world_actually_grows(self):
-        spec = Spec(add=ScenarioInfo(sets={"datacenter": [("Oslo", 48)]}))
-        scenario, policy = apply_to_scenario(PAPER_SCENARIOS["EU1-FTTH"], spec)
+        scenario, policy = apply_to_scenario(
+            PAPER_SCENARIOS["EU1-FTTH"], {"extra_dcs": [["Oslo", 48]]}
+        )
         world = build_world(scenario, scale=0.002, duration_s=3600.0,
                             policy_kind=policy)
         cities = {dc.city.name for dc in world.system.directory}
@@ -257,16 +164,15 @@ class TestApply:
 
 class TestRegistry:
     def test_spec_package_imports_first(self):
-        # repro.spec.registry and repro.sim.scenarios import each other (the
-        # registry needs ScenarioSpec; PAPER_SCENARIOS materialises from the
-        # registry).  Either module must be importable first in a fresh
-        # interpreter.
-        for first in ("repro.spec.registry", "repro.sim.scenarios", "repro.sim.driver"):
+        # The named scenarios are plain values: either side imports first
+        # in a fresh interpreter, and the scenarios never load repro.spec.
+        for first in ("repro.spec.grid", "repro.sim.scenarios", "repro.sim.driver"):
             code = (
                 f"import {first}\n"
-                "from repro.sim.scenarios import PAPER_SCENARIOS\n"
-                "from repro.spec.registry import paper_scenarios\n"
-                "assert PAPER_SCENARIOS == paper_scenarios()\n"
+                "import sys\n"
+                "from repro.sim.scenarios import PAPER_SCENARIOS, named_scenario\n"
+                "assert all(named_scenario(n) is s for n, s in PAPER_SCENARIOS.items())\n"
+                f"assert {first!r} == 'repro.spec.grid' or 'repro.spec' not in sys.modules\n"
             )
             proc = subprocess.run(
                 [sys.executable, "-c", code],
@@ -279,18 +185,24 @@ class TestRegistry:
 
     def test_all_datasets_registered(self):
         for name in (*PAPER_SCENARIOS, "US-Campus-Feb2011"):
-            assert isinstance(named_spec(name), Spec)
+            assert isinstance(named_scenario(name), ScenarioSpec)
+            assert named_scenario(name).name == name
 
     def test_materialised_specs_match_paper_scenarios(self):
         for name, spec in PAPER_SCENARIOS.items():
-            assert scenario_spec(name) == spec
+            assert named_scenario(name) is spec
+        feb = named_scenario("US-Campus-Feb2011")
+        assert feb.preferred_override == "dc-mountain-view"
+        assert [dc for dc, _ in feb.detour_pins] == sorted(
+            [dc for dc, _ in PAPER_SCENARIOS["US-Campus"].detour_pins] + ["dc-mountain-view"]
+        )
 
     def test_materialisation_is_memoised(self):
-        assert scenario_spec("EU2") is scenario_spec("EU2")
+        assert named_scenario("EU2") is named_scenario("EU2") is PAPER_SCENARIOS["EU2"]
 
     def test_unknown_name_raises_key_error(self):
         with pytest.raises(KeyError, match="Mars"):
-            named_spec("Mars")
+            named_scenario("Mars")
 
 
 class TestGrid:
@@ -303,6 +215,8 @@ class TestGrid:
             GridAxis("x", (1, 1))
         with pytest.raises(SpecError):
             GridAxis("x", ([1],))
+        # Duplicates are type-aware: 1, 1.0 and True are three values.
+        assert GridAxis("x", (1, 1.0, True)).values == (1, 1.0, True)
 
     def test_duplicate_axis_names_rejected(self):
         with pytest.raises(SpecError):
@@ -351,20 +265,20 @@ class TestGrid:
         points = enumerate_points(GridSpec(base="EU2"))
         assert len(points) == 1
         assert points[0].label == ""
-        assert points[0].delta.is_empty
+        assert points[0].delta == {}
 
     def test_dataset_axis_switches_base(self):
         grid = GridSpec(axes=(GridAxis("dataset", ("EU1-FTTH", "EU2")),))
         points = enumerate_points(grid)
         assert [p.base for p in points] == ["EU1-FTTH", "EU2"]
-        assert all(p.delta.is_empty for p in points)
+        assert all(p.delta == {} for p in points)
 
     def test_variant_axis_composes_variant_spec(self):
         from repro.whatif.variants import variant_by_name
 
         grid = GridSpec(axes=(GridAxis("variant", ("old-policy",)),))
         (point,) = enumerate_points(grid)
-        assert point.delta == variant_by_name("old-policy").spec
+        assert point.delta == variant_by_name("old-policy").changes
 
     def test_bad_axis_values_fail_before_any_run(self):
         with pytest.raises(SpecError):
@@ -434,7 +348,7 @@ class TestRunner:
             with pytest.raises(SpecError, match=re.escape(needle)):
                 run(grid, **RUN)
         # Composing alone stays permissive: only a point about to run is checked.
-        scenario, _ = apply_to_scenario(scenario_spec("EU2"), par_delta(**{axis: value}))
+        scenario, _ = apply_to_scenario(named_scenario("EU2"), {axis: value})
         assert getattr(scenario, axis) == value
 
     def test_plan_marks_everything_cold_without_cache(self):

@@ -385,6 +385,25 @@ class TestStudyParity:
         assert stream.fig9_cdf(name)._values == batch.fig9_cdf(name)._values
         assert stream.rtt_cdf(name)._values == batch.rtt_cdf(name)._values
 
+    def test_record_level_views_need_the_batch_path(self, study_pair):
+        _, stream = study_pair
+        name = PARITY_NAMES[0]
+        views = {
+            "sessions": lambda: stream.sessions,
+            "session_histogram": lambda: stream.session_histogram(name),
+            "focus_records": lambda: stream.focus_records,
+            "flow_size_cdf": lambda: stream.flow_size_cdf(name),
+            "gap_sensitivity": lambda: stream.gap_sensitivity(name),
+            "Figure 10": lambda: stream.one_flow_breakdown(name),
+            "Figure 12": lambda: stream.subnet_shares(name),
+            "Figure 14": lambda: stream.hot_videos(name),
+            "peering": lambda: stream.peering(name),
+        }
+        for view, read in views.items():
+            with pytest.raises(ValueError, match="need the batch path") as caught:
+                read()
+            assert "sessions, session_histogram, focus_records" in str(caught.value), view
+
 
 class TestAccumulators:
     def windows_of(self, records, window_s=10.0):

@@ -9,7 +9,6 @@ from repro.sim.scenarios import PAPER_SCENARIOS
 from repro.whatif.compare import ComparisonReport, compare_variants, render_comparison
 from repro.whatif.metrics import extract_metrics
 from repro.whatif.variants import (
-    Variant,
     baseline_variant,
     standard_variants,
     variant_by_name,
