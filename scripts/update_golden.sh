@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refresh the golden digest fixtures after an intentional behaviour change.
+# Refresh the golden fixtures after an intentional behaviour change.
 #
 # Re-runs the paper study at the pinned scale/seed and rewrites
 # tests/golden/study_scale_0.01.digests (the baseline preferred-policy
@@ -7,7 +7,9 @@
 # registered selection policy.  Review the diff before committing: every
 # changed line is a claim that the simulator's output was *meant* to
 # change.  The preferred per-policy file must stay byte-identical to the
-# baseline file — the script fails if they diverge.
+# baseline file — the script fails if they diverge.  It also rewrites
+# the monitor timeline digests and the three scenario front-end tables
+# (tests/golden/{whatif,sweep,grid}_*.txt).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,3 +52,15 @@ PYTHONPATH=src REPRO_CACHE=off python -m repro monitor --scale 0.01 --seed 7 \
 mv "$MOUT.tmp" "$MOUT"
 echo "updated $MOUT:"
 cat "$MOUT"
+
+# The scenario front ends' tables (tests/test_frontend_golden.py): the
+# full what-if comparison, a one-field sweep and a two-axis grid run.
+PYTHONPATH=src REPRO_CACHE=off python -m repro whatif --dataset EU1-ADSL \
+    --scale 0.01 --seed 7 > tests/golden/whatif_EU1-ADSL_0.01.txt
+PYTHONPATH=src REPRO_CACHE=off python -m repro sweep --dataset EU2 \
+    --parameter internal_dc_cap_of_mean --values 0.2,0.55,1.2 \
+    --scale 0.006 --seed 7 > tests/golden/sweep_EU2_0.006.txt
+PYTHONPATH=src REPRO_CACHE=off python -m repro grid run --base EU1-FTTH \
+    --axis policy=preferred,geographic --axis variant=baseline,flash-crowd \
+    --scale 0.004 --seed 7 > tests/golden/grid_EU1-FTTH_0.004.txt
+echo "updated tests/golden/{whatif_EU1-ADSL_0.01,sweep_EU2_0.006,grid_EU1-FTTH_0.004}.txt"
