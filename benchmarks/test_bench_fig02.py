@@ -1,6 +1,6 @@
 """Figure 2 — CDF of RTT to YouTube content servers from each vantage point."""
 
-from repro.core.geography import rtt_cdf, vantage_rtt_campaign
+from repro.core.geography import vantage_rtt_campaign
 from repro.geoloc.probing import RttProber
 
 

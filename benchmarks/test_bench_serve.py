@@ -18,8 +18,9 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Tuple
 
+from repro.defaults import DATASET_NAMES
 from repro.sim.engine import SimulationResult, run_requests
-from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
+from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 
 from tests.oracle import serving as oracle
 

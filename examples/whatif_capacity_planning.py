@@ -14,20 +14,23 @@ Run:
     python examples/whatif_capacity_planning.py
 """
 
-from repro.whatif.compare import compare_variants, render_comparison
+from repro.spec.grid import GridAxis, GridSpec
+from repro.spec.runner import render_comparison, run_grid
 from repro.whatif.variants import standard_variants
 
 
 def main() -> None:
-    print("Simulating EU1-ADSL under 8 infrastructure/workload variants...")
-    report = compare_variants("EU1-ADSL", standard_variants(), scale=0.01, seed=7)
+    names = [variant.name for variant in standard_variants()]
+    print(f"Simulating EU1-ADSL under {len(names)} infrastructure/workload variants...")
+    grid = GridSpec(base="EU1-ADSL", axes=(GridAxis("variant", names),))
+    report = run_grid(grid, scale=0.01, seed=7)
     print()
     print(render_comparison(report))
 
-    base = report.baseline
-    old = report.row("old-policy")
-    flash = report.row("flash-crowd")
-    sparse = report.row("sparse-replication")
+    base = report.row("variant=baseline")
+    old = report.row("variant=old-policy")
+    flash = report.row("variant=flash-crowd")
+    sparse = report.row("variant=sparse-replication")
 
     print("\nReading the table:")
     print(f"* Rolling back to the pre-Google policy would multiply the "

@@ -14,10 +14,12 @@ Five subcommands cover the library's workflows::
 ``simulate`` writes a Tstat-style flow log; ``sessions`` re-analyses any
 such log (including ones you edit or generate elsewhere); the rest run the
 paper's composite experiments end to end.  ``grid`` enumerates scenario
-grids (axes × values over a named scenario) and runs them
-with per-point cache reuse; ``monitor`` watches an evolving world across
-epochs and raises change-point alarms; ``cache`` inspects and manages the
-stage-artifact store that makes warm re-runs of the above incremental.
+grids (axes × values over a named scenario) and runs them with per-point
+cache reuse, and ``whatif`` and ``sweep`` run one-axis grids (over
+variant names, over one field); ``monitor`` watches an evolving world
+across epochs and raises change-point alarms; ``cache`` inspects and
+manages the stage-artifact store that makes warm re-runs of the above
+incremental.
 
 Each command imports what it runs inside its ``cmd_*`` function, and the
 parser reads its choices and defaults from :mod:`repro.defaults`, so
@@ -747,21 +749,25 @@ def cmd_coldvideo(args: argparse.Namespace, out) -> int:
 
 
 def cmd_whatif(args: argparse.Namespace, out) -> int:
-    from repro.whatif.compare import compare_variants, render_comparison
-    from repro.whatif.variants import standard_variants, variant_by_name
+    from repro.spec.grid import GridAxis, GridSpec
+    from repro.spec.model import SpecError
+    from repro.spec.runner import render_comparison, run_grid
+    from repro.whatif.variants import standard_variants
 
     if args.variants.strip():
-        try:
-            variants = [variant_by_name(name.strip()) for name in args.variants.split(",")]
-        except KeyError as error:
-            raise UsageError(error.args[0]) from None
+        names = [name.strip() for name in args.variants.split(",")]
     else:
-        variants = standard_variants()
-    report = compare_variants(
-        args.dataset, variants, scale=args.scale, seed=args.seed,
-        executor=executor_from_args(args),
-    )
-    print(render_comparison(report), file=out)
+        names = [variant.name for variant in standard_variants()]
+    if "baseline" not in names:
+        names.insert(0, "baseline")
+    try:
+        result = run_grid(
+            GridSpec(base=args.dataset, axes=(GridAxis("variant", names),)),
+            scale=args.scale, seed=args.seed, executor=executor_from_args(args),
+        )
+    except SpecError as error:
+        raise UsageError(str(error)) from None
+    print(render_comparison(result), file=out)
     return 0
 
 
@@ -826,13 +832,10 @@ def cmd_anonymize(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
+    from repro.spec.grid import GridAxis, GridSpec
     from repro.spec.model import SpecError
-    from repro.whatif.sweep import check_parameter, sweep_parameter
+    from repro.spec.runner import run_grid
 
-    try:
-        check_parameter(args.parameter)
-    except ValueError as error:
-        raise UsageError(str(error)) from None
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -841,18 +844,26 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         raise UsageError(f"--values names no values: {args.values!r}")
     metrics = _parse_metrics(args.metrics)
     try:
-        sweep = sweep_parameter(
-            args.dataset, args.parameter, values, scale=args.scale, seed=args.seed,
-            executor=executor_from_args(args),
+        result = run_grid(
+            GridSpec(base=args.dataset, axes=(GridAxis(args.parameter, values),)),
+            scale=args.scale, seed=args.seed, executor=executor_from_args(args),
         )
-    except SpecError as error:
-        raise UsageError(str(error)) from None
-    header = f"{args.parameter:>24s}  " + "  ".join(f"{m:>18s}" for m in metrics)
-    print(header, file=out)
-    for value, row in zip(sweep.values, sweep.metrics):
-        cells = "  ".join(f"{getattr(row, m):18.4f}" for m in metrics)
-        print(f"{value:24.4f}  {cells}", file=out)
+    except (SpecError, KeyError) as error:
+        raise UsageError(error.args[0]) from None
+    _print_metric_rows(
+        out, args.parameter, [f"{value:24.4f}" for value in values], result.rows, metrics
+    )
     return 0
+
+
+def _print_metric_rows(out, head: str, names: List[str], rows, metrics: List[str]) -> None:
+    """The ``sweep`` and ``grid run`` table: a right-aligned first column
+    of ``names`` under ``head``, then one ``18.4f`` cell per metric."""
+    width = max(24, *map(len, names))
+    print(f"{head:>{width}s}  " + "  ".join(f"{m:>18s}" for m in metrics), file=out)
+    for name, row in zip(names, rows):
+        cells = "  ".join(f"{getattr(row, m):18.4f}" for m in metrics)
+        print(f"{name:>{width}s}  {cells}", file=out)
 
 
 def _parse_metrics(text: str) -> List[str]:
@@ -865,7 +876,7 @@ def _parse_metrics(text: str) -> List[str]:
 
     from repro.whatif.metrics import ScenarioMetrics
 
-    known = [f.name for f in fields(ScenarioMetrics) if f.name != "label"]
+    known = [f.name for f in fields(ScenarioMetrics)]
     metrics = [m.strip() for m in text.split(",") if m.strip()]
     unknown = [m for m in metrics if m not in known]
     if unknown:
@@ -988,12 +999,9 @@ def cmd_grid(args: argparse.Namespace, out) -> int:
             )
         except (SpecError, KeyError) as error:
             raise UsageError(f"cannot run grid: {error}") from None
-        width = max(24, max(len(p.label) for p in result.points))
-        header = f"{'point':>{width}s}  " + "  ".join(f"{m:>18s}" for m in metrics)
-        print(header, file=out)
-        for point, row in zip(result.points, result.rows):
-            cells = "  ".join(f"{getattr(row, m):18.4f}" for m in metrics)
-            print(f"{point.label:>{width}s}  {cells}", file=out)
+        _print_metric_rows(
+            out, "point", [point.label for point in result.points], result.rows, metrics
+        )
         print(
             f"grid: {len(result.points)} points "
             f"({result.warm} warm, {result.cold} simulated)",

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.defaults import DEFAULT_THRESHOLD
 from repro.monitor.cluster import ClusteredSnapshot
 
 #: Per-prefix RTT shift (ms) that counts as a full migration of the

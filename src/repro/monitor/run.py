@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.artifacts.memo import memoized_stage
-from repro.defaults import DEFAULT_EPOCH_S, DEFAULT_EPOCHS
+from repro.defaults import DEFAULT_EPOCH_S, DEFAULT_EPOCHS, DEFAULT_THRESHOLD
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.monitor.cluster import (
@@ -41,7 +41,6 @@ from repro.monitor.cluster import (
 )
 from repro.monitor.detect import (
     DEFAULT_RTT_SCALE_MS,
-    DEFAULT_THRESHOLD,
     Alarm,
     DetectionScore,
     consecutive_distances,

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Sequence
 
 from repro import obs
-from repro.exec.executor import MapStats, TaskTiming
+from repro.exec.executor import MapStats
 from repro.reporting.tables import TextTable
 
 

@@ -15,9 +15,10 @@ from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.artifacts.memo import memoized_stage
+from repro.defaults import DATASET_NAMES
 from repro.exec.executor import ParallelExecutor
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY, SimulationResult, run_requests
-from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, ScenarioSpec, build_world
+from repro.sim.scenarios import PAPER_SCENARIOS, ScenarioSpec, build_world
 from repro.trace.records import WEEK_S
 
 #: Default volume scale used by tests/benchmarks; preserves all shapes at

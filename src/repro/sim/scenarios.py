@@ -31,7 +31,6 @@ from repro.cdn.selection import (
     registered_policy_kinds,
 )
 from repro.cdn.store import ContentPlacement, check_placement_args
-from repro.defaults import DATASET_NAMES
 from repro.geo.cities import default_atlas
 from repro.net.asn import (
     AsRegistry,

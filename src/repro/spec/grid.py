@@ -21,10 +21,10 @@ Axis names select what an assignment contributes:
   field.
 
 Point labels are ``"axis=value"`` clauses joined by commas, with values
-rendered exactly as given — a single-axis grid over a spec field produces
-the same labels (hence the same ``"whatif/metrics"`` artifact keys) as
-:func:`repro.whatif.sweep.sweep_parameter`, so grids, sweeps and variant
-comparisons all share one warm cache.
+rendered exactly as given.  A label names a row; it is not part of the
+row's ``"whatif/metrics"`` artifact key, which holds only the point's
+world.  So a what-if variant, a sweep point and a grid point that build
+the same world share one warm row.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class GridPoint:
     """One enumerated grid combination.
 
     Attributes:
-        label: ``"axis=value,..."`` clauses in axis order (the metric-row
-            label and part of the artifact cache key).
+        label: ``"axis=value,..."`` clauses in axis order (the name of
+            the point's metric row).
         base: Name of the base scenario for this point.
         assignments: Raw ``(axis, value)`` pairs, in axis order.
         delta: Field → value assignments against ``base``, merged in

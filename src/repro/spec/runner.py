@@ -1,13 +1,19 @@
 """Grid execution: enumerated points → warm rows + fanned-out cold runs.
 
+This is the one scenario front end: ``repro grid run``, a what-if
+comparison (``repro whatif``, a one-axis grid over variant names) and a
+dose-response sweep (``repro sweep``, a one-axis grid over one spec
+field) all run :func:`run_grid`.
+
 Each grid point materialises to a ``(scenario, scale, seed, duration_s,
-policy, label)`` task — the exact task shape what-if comparisons and
-sweeps use — and resolves through the cached fan-out of
+policy)`` task — the world's inputs and nothing else — and resolves
+through the cached fan-out of
 :func:`repro.whatif.metrics.scenario_metrics`: rows already in the
 artifact store are read back without simulating, and only the cold
 points fan out over the :class:`~repro.exec.executor.ParallelExecutor`.
-Re-running an extended grid therefore simulates exactly the added
-points, which ``scripts/grid_smoke.py`` asserts in CI.
+Points that build the same world share one row whatever their labels,
+and re-running an extended grid simulates exactly the added points,
+which ``scripts/grid_smoke.py`` asserts in CI.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.artifacts.store import default_store
 from repro.exec.executor import ParallelExecutor, default_executor
+from repro.reporting.tables import TextTable, format_fraction
 from repro.spec.grid import GridPoint, GridSpec, enumerate_points
 from repro.spec.model import SpecError, apply_to_scenario
 from repro.trace.records import WEEK_S
@@ -43,14 +50,14 @@ class GridRunResult:
     cold: int = 0
 
     def row(self, label: str) -> ScenarioMetrics:
-        """Row by point label.
+        """Row of the point with this label.
 
         Raises:
             KeyError: For unknown labels.
         """
-        for candidate in self.rows:
-            if candidate.label == label:
-                return candidate
+        for point, row in zip(self.points, self.rows):
+            if point.label == label:
+                return row
         raise KeyError(f"no grid row labelled {label!r}")
 
 
@@ -91,7 +98,7 @@ def _point_tasks(
     tasks = []
     for point in points:
         scenario, policy = materialize_point(point, base_policy=base_policy)
-        tasks.append((scenario, scale, seed, duration_s, policy, point.label))
+        tasks.append((scenario, scale, seed, duration_s, policy))
     return tasks
 
 
@@ -168,7 +175,7 @@ def run_grid(
     with obs.span("grid/run", base=grid.base, points=len(points)) as active:
         rows, hits = scenario_metrics.map(
             tasks, executor,
-            labels=[f"{task[0].name}/{task[-1]}" for task in tasks],
+            labels=[f"{point.base}/{point.label}" for point in points],
         )
         warm = sum(hits)
         if active is not None:
@@ -185,3 +192,33 @@ def run_grid(
         warm=warm,
         cold=len(points) - warm,
     )
+
+
+def render_comparison(result: GridRunResult) -> str:
+    """A text table of a what-if comparison: a one-axis variant grid.
+
+    Each row is named by its point's ``variant`` value.
+    """
+    table = TextTable(
+        [
+            "variant", "requests", "pref%", "topDC%", "#DCs",
+            "redir/req", "miss/req", "ovl/req",
+            "startup p50 [s]", "startup p90 [s]", "RTT p50 [ms]",
+        ],
+        title=f"WHAT-IF COMPARISON — {result.grid.base}",
+    )
+    for point, row in zip(result.points, result.rows):
+        table.add_row(
+            dict(point.assignments)["variant"],
+            row.requests,
+            format_fraction(row.preferred_share),
+            format_fraction(row.top_dc_share),
+            row.distinct_dcs,
+            f"{row.redirect_rate:.3f}",
+            f"{row.miss_rate:.3f}",
+            f"{row.overload_rate:.3f}",
+            f"{row.median_startup_s:.2f}",
+            f"{row.p90_startup_s:.2f}",
+            f"{row.median_serving_rtt_ms:.1f}",
+        )
+    return table.render()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Union
 
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan

@@ -42,10 +42,11 @@ from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.geography import render_table3
 from repro.core.pipeline import StudyPipeline
 from repro.core.summary import render_table1
+from repro.defaults import DATASET_NAMES
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.sim.engine import DEFAULT_MISS_PROBABILITY
-from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, ScenarioWorld, build_world
+from repro.sim.scenarios import PAPER_SCENARIOS, ScenarioWorld, build_world
 from repro.trace.logio import update_digest
 
 

@@ -11,7 +11,6 @@ where the bytes come from, how much crosses the peering edge) and users
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.artifacts.memo import memoized_stage
 from repro.cdn.redirection import CAUSE_MISS, CAUSE_OVERLOAD_INTER, CAUSE_OVERLOAD_INTRA
@@ -23,8 +22,11 @@ from repro.sim.engine import SimulationResult
 class ScenarioMetrics:
     """Headline metrics of one simulated scenario.
 
+    A row carries no name: it is a function of its world alone, so every
+    grid point that builds the same world reads the same row, and the
+    point supplies the name.
+
     Attributes:
-        label: Row label (variant name).
         requests: User video requests served.
         flows: Flows observed at the edge.
         volume_gb: Downloaded volume.
@@ -40,7 +42,6 @@ class ScenarioMetrics:
         median_serving_rtt_ms: Median RTT to the serving server.
     """
 
-    label: str
     requests: int
     flows: int
     volume_gb: float
@@ -55,12 +56,11 @@ class ScenarioMetrics:
     median_serving_rtt_ms: float
 
 
-def extract_metrics(result: SimulationResult, label: Optional[str] = None) -> ScenarioMetrics:
+def extract_metrics(result: SimulationResult) -> ScenarioMetrics:
     """Compute the metric row for one simulation result.
 
     Args:
         result: A finished run.
-        label: Row label; defaults to the scenario name.
 
     Returns:
         The :class:`ScenarioMetrics`.
@@ -89,7 +89,6 @@ def extract_metrics(result: SimulationResult, label: Optional[str] = None) -> Sc
     startup = Cdf(result.startup_delay_samples)
     rtts = Cdf(result.serving_rtt_samples)
     return ScenarioMetrics(
-        label=label if label is not None else world.spec.name,
         requests=result.requests,
         flows=len(result.dataset),
         volume_gb=result.dataset.total_bytes / 1e9,
@@ -112,19 +111,19 @@ def scenario_metrics(
     seed: int,
     duration_s: float,
     policy_kind: str,
-    label: str,
 ) -> ScenarioMetrics:
     """One scenario's week reduced to its metric row (disk-memoized).
 
-    The row is a few hundred bytes, so a warm sweep or comparison loads
-    only rows — the multi-megabyte week artifacts underneath
-    (``"sim/run_week"``, written by the driver's memo layer on the cold
-    pass) never leave the disk.  Grids, sweeps and variant comparisons
-    fan rows out through ``scenario_metrics.map``, so a grid point and a
-    variant with identical inputs share one artifact, and only the
-    compact row crosses the process boundary.
+    The row is a few hundred bytes, so a warm grid loads only rows — the
+    multi-megabyte week artifacts underneath (``"sim/run_week"``,
+    written by the driver's memo layer on the cold pass) never leave the
+    disk.  The key holds the world's inputs and nothing else, so a
+    variant, a sweep point and a grid point that build the same world
+    share one artifact; :func:`repro.spec.runner.run_grid` fans rows out
+    through ``scenario_metrics.map``, and only the compact row crosses
+    the process boundary.
     """
     from repro.sim.driver import run_spec
 
     run = run_spec(spec, scale=scale, seed=seed, duration_s=duration_s, policy_kind=policy_kind)
-    return extract_metrics(run, label=label)
+    return extract_metrics(run)

@@ -9,17 +9,16 @@ for ablation and the paper's own what-if motivations: selection policy,
 data-center capacity, popularity shape, content availability, and flash
 crowds.
 
-The selection policy rides inside the delta as the ``"policy"`` key;
-:attr:`Variant.policy_kind` reads it back.
+The selection policy rides inside the delta as the ``"policy"`` key,
+which :func:`repro.spec.model.apply_to_scenario` routes to the world's
+policy.  A comparison of variants is a one-axis ``"variant"`` grid
+(:func:`repro.spec.runner.run_grid`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, List, Mapping
-
-from repro.sim.scenarios import ScenarioSpec
-from repro.spec.model import apply_to_scenario
 
 
 @dataclass(frozen=True)
@@ -38,29 +37,6 @@ class Variant:
     description: str
     changes: Mapping[str, Any] = field(default_factory=dict)
 
-    @property
-    def policy_kind(self) -> str:
-        """Selection policy for the variant's world (the ``"policy"``
-        key of the delta; ``"preferred"`` when unset)."""
-        return self.changes.get("policy", "preferred")
-
-    def apply(self, spec: ScenarioSpec) -> ScenarioSpec:
-        """The variant's scenario, derived from a baseline scenario.
-
-        An empty delta returns the baseline object untouched, so the
-        baseline variant is an exact identity.
-
-        Raises:
-            SpecError: If the delta cannot apply to this baseline.
-        """
-        scenario, _policy = apply_to_scenario(spec, self.changes)
-        return scenario
-
-
-def baseline_variant() -> Variant:
-    """The unmodified scenario, for reference rows."""
-    return Variant(name="baseline", description="unmodified scenario")
-
 
 def standard_variants() -> List[Variant]:
     """The standard what-if library.
@@ -70,7 +46,7 @@ def standard_variants() -> List[Variant]:
         capacity, popularity shape, availability, and demand spikes.
     """
     return [
-        baseline_variant(),
+        Variant(name="baseline", description="unmodified scenario"),
         Variant(
             name="old-policy",
             description="pre-Google selection: data centers by size, no locality",

@@ -332,6 +332,10 @@ BAD_INPUTS = [
     # Checked before anything is simulated.
     (["whatif", "--dataset", "EU1-ADSL", "--variants", "bogus"], {},
      "unknown variant 'bogus'"),
+    # A what-if comparison is a one-axis grid, so a repeated name is a
+    # duplicate axis value.
+    (["whatif", "--dataset", "EU1-ADSL", "--variants", "old-policy,old-policy"], {},
+     "repro whatif: axis 'variant' has duplicate values"),
     (["figures", "--out-dir", "malformed.tsv/figs"], {}, "--out-dir"),
     (["grid", "plan", "--axis", "server_capacity_multiple=3",
       "--out", "malformed.tsv/g.json"], {}, "malformed.tsv/g.json"),

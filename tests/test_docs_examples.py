@@ -60,14 +60,17 @@ class TestTourSections3Through8:
         assert len(sub) == 40
 
     def test_whatif_surface(self):
-        from repro.whatif.compare import compare_variants, render_comparison
-        from repro.whatif.variants import variant_by_name
+        from repro.spec.grid import GridAxis, GridSpec
+        from repro.spec.runner import render_comparison, run_grid
 
-        cmp = compare_variants(
-            "EU1-FTTH", [variant_by_name("no-spill")], scale=0.004, seed=7
+        grid = GridSpec(
+            base="EU1-FTTH", axes=(GridAxis("variant", ("baseline", "no-spill")),)
         )
+        cmp = run_grid(grid, scale=0.004, seed=7)
         assert "no-spill" in render_comparison(cmp)
-        assert cmp.delta("no-spill", "preferred_share") is not None
+        delta = (cmp.row("variant=no-spill").preferred_share
+                 - cmp.row("variant=baseline").preferred_share)
+        assert delta > 0.0
 
     def test_reporting_surface(self, pipeline, tmp_path):
         from repro.reporting.gnuplot import export_figure_cdfs

@@ -120,20 +120,23 @@ class TestLruCache:
 
 class TestDnsVariants:
     def test_preferred_outage_drains_dns(self):
-        from repro.whatif.compare import compare_variants
-        from repro.whatif.variants import variant_by_name
+        from repro.spec.grid import GridAxis, GridSpec
+        from repro.spec.runner import run_grid
 
-        report = compare_variants(
-            "EU1-ADSL", [variant_by_name("preferred-outage")], scale=0.005, seed=7
+        grid = GridSpec(
+            base="EU1-ADSL",
+            axes=(GridAxis("variant", ("baseline", "preferred-outage")),),
         )
-        outage = report.row("preferred-outage")
+        report = run_grid(grid, scale=0.005, seed=7)
+        baseline = report.row("variant=baseline")
+        outage = report.row("variant=preferred-outage")
         # DNS stops handing out the preferred data center...
         assert outage.preferred_share < 0.05
         # ...but traffic concentrates one rank down, not everywhere.
         assert outage.top_dc_share > 0.8
         # Users pay a modest RTT penalty (next-ranked DC is still close).
-        assert outage.median_serving_rtt_ms > report.baseline.median_serving_rtt_ms
-        assert outage.median_serving_rtt_ms < 3 * report.baseline.median_serving_rtt_ms
+        assert outage.median_serving_rtt_ms > baseline.median_serving_rtt_ms
+        assert outage.median_serving_rtt_ms < 3 * baseline.median_serving_rtt_ms
 
     def test_sticky_dns_blunts_load_shaping(self):
         """Resolver caching reuses answers the assignment budget never saw,
@@ -175,12 +178,13 @@ class TestGeographicPolicy:
         assert rtt_world.system.policy.ranking_for("US-Campus/Net-1")[0] != "dc-chicago"
 
     def test_geo_policy_hurts_us_campus_rtt(self):
-        from repro.whatif.compare import compare_variants
-        from repro.whatif.variants import variant_by_name
+        from repro.spec.grid import GridAxis, GridSpec
+        from repro.spec.runner import run_grid
 
-        report = compare_variants(
-            "US-Campus", [variant_by_name("geo-policy")], scale=0.005, seed=7
+        grid = GridSpec(
+            base="US-Campus", axes=(GridAxis("variant", ("baseline", "geo-policy")),)
         )
-        geo = report.row("geo-policy")
+        report = run_grid(grid, scale=0.005, seed=7)
+        geo = report.row("variant=geo-policy")
         # Serving from the detoured-but-close Chicago raises the median RTT.
-        assert geo.median_serving_rtt_ms > report.baseline.median_serving_rtt_ms
+        assert geo.median_serving_rtt_ms > report.row("variant=baseline").median_serving_rtt_ms

@@ -16,9 +16,9 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.folds import EdgeCloudAccumulator
+from repro.defaults import DEFAULT_THRESHOLD
 from repro.monitor.cluster import cluster_snapshot
 from repro.monitor.detect import (
-    DEFAULT_THRESHOLD,
     Alarm,
     detect_alarms,
     pattern_dissimilarity,

@@ -10,12 +10,16 @@ fails on:
   top-level class, of ``src/repro`` whose identifier appears in no file
   of those trees outside its own definition,
 
-unless ``KEEP`` names it with the reason it stays.
+unless ``KEEP`` names it with the reason it stays.  It also fails on an
+import that nothing in its file uses, in every tree CI's ``ruff check``
+reads (pyflakes' F401), so that class cannot regrow where ruff is not
+installed.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
@@ -27,6 +31,12 @@ PACKAGE = SRC / "repro"
 #: The trees whose files count as the program: what a user or a
 #: benchmark runs.  Tests are not in it.
 PROGRAM_TREES = ("src", "scripts", "benchmarks", "perfbench", "examples")
+
+#: The trees CI lints with ``ruff check``.
+LINTED_TREES = ("src", "tests", "benchmarks")
+
+#: A ``# noqa`` comment that silences F401: bare, or naming F401.
+NOQA_F401 = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[^#]*\bF401\b", re.IGNORECASE)
 
 #: Modules run as entry points rather than imported.
 ENTRY_POINTS = {"repro.__main__"}
@@ -183,6 +193,57 @@ def unreferenced_names() -> List[str]:
     return missing
 
 
+def annotation_names(node: ast.AST) -> Iterator[str]:
+    """Names a quoted annotation (``x: "ScenarioSpec"``) uses."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Constant) and isinstance(child.value, str):
+            try:
+                quoted = ast.parse(child.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from (n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+
+
+def unused_imports(path: Path) -> Iterator[str]:
+    """``path:line name`` per imported name nothing in ``path`` uses.
+
+    An ``import x as x`` re-export, a ``__future__`` import and a line
+    marked ``# noqa: F401`` are skipped, as pyflakes skips them.
+    """
+    tree = parsed(path)
+    lines = path.read_text().splitlines()
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used.update(annotation_names(node.annotation))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used.update(annotation_names(node.returns))
+        elif isinstance(node, ast.AnnAssign):
+            used.update(annotation_names(node.annotation))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(annotation_names(node.value))
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            if alias.asname is not None and alias.asname == alias.name.split(".")[-1]:
+                if isinstance(node, ast.ImportFrom) or "." not in alias.name:
+                    continue  # explicit re-export
+            bound = alias.asname or alias.name.split(".")[0]
+            line = getattr(alias, "lineno", node.lineno)
+            if bound in used or NOQA_F401.search(lines[line - 1]):
+                continue
+            if NOQA_F401.search(lines[node.lineno - 1]):
+                continue
+            yield f"{path.relative_to(ROOT)}:{line} {bound}"
+
+
 def test_every_module_is_imported_by_the_program():
     missing = [name for name in unimported_modules() if name not in KEEP]
     assert missing == []
@@ -198,3 +259,13 @@ def test_every_keep_entry_is_still_needed_and_says_why():
     for name, reason in KEEP.items():
         assert name in unreferenced, f"{name} is referenced now; drop it from KEEP"
         assert reason.strip() and "\n" not in reason, name
+
+
+def test_every_import_is_used():
+    unused = [
+        finding
+        for tree in LINTED_TREES
+        for path in sorted((ROOT / tree).rglob("*.py"))
+        for finding in unused_imports(path)
+    ]
+    assert unused == []

@@ -17,9 +17,10 @@ import pytest
 from repro import obs
 from repro.cdn.catalog import Resolution
 from repro.cdn.selection import registered_policy_kinds
+from repro.defaults import DATASET_NAMES
 from repro.sim.driver import simulate_week
 from repro.sim.engine import RequestProcessor, run_requests, stream_requests
-from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
+from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.stream.events import FlowArrival
 from repro.trace.records import WEEK_S
 

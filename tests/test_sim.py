@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.defaults import DATASET_NAMES
 from repro.net.asn import GOOGLE_ASN, YOUTUBE_EU_ASN
 from repro.sim.driver import run_scenario, run_spec
-from repro.sim.scenarios import DATASET_NAMES, PAPER_SCENARIOS, build_world
+from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.sim.seeding import derive_seed
 
 

@@ -372,16 +372,23 @@ class TestRunner:
             warm.row("policy=nearest")
 
     def test_grid_row_labels_match_sweep_labels(self, cache_env):
-        """A one-axis grid over a spec field shares the sweep's artifacts."""
-        from repro.whatif.sweep import sweep_parameter
+        """``repro sweep`` runs the one-axis grid over its field, so its
+        point is the ``grid run`` point and re-reads that point's row."""
+        import io
 
-        grid = GridSpec(
-            base="EU1-FTTH", axes=(GridAxis("zipf_alpha", (0.8,)),)
-        )
-        run_grid(grid, **RUN)
-        result = sweep_parameter("EU1-FTTH", "zipf_alpha", [0.8], **RUN)
-        assert result.metrics[0].label == "zipf_alpha=0.8"
         from repro.artifacts.store import default_store
+        from repro.cli import main
 
+        common = ["--scale", "0.002", "--seed", "7"]
+        grid_out, sweep_out = io.StringIO(), io.StringIO()
+        assert main(["grid", "run", "--base", "EU1-FTTH", "--axis", "zipf_alpha=0.8",
+                     "--metrics", "requests", *common], out=grid_out) == 0
+        assert main(["sweep", "--dataset", "EU1-FTTH", "--parameter", "zipf_alpha",
+                     "--values", "0.8", "--metrics", "requests", *common],
+                    out=sweep_out) == 0
+        grid_row = grid_out.getvalue().splitlines()[1].split()
+        sweep_row = sweep_out.getvalue().splitlines()[1].split()
+        assert grid_row[0] == "zipf_alpha=0.8" and sweep_row[0] == "0.8000"
+        assert grid_row[1:] == sweep_row[1:]
         counters = default_store().lifetime_counters()["stages"]["whatif/metrics"]
-        assert counters["hits"] >= 1  # the sweep re-read the grid's row
+        assert (counters["misses"], counters["hits"]) == (1, 1)
