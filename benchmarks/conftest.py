@@ -21,11 +21,8 @@ import pytest
 # warm-cache behaviour instead.
 os.environ.setdefault("REPRO_CACHE", "off")
 
-from repro import obs
-from repro.artifacts.store import default_store
 from repro.core.pipeline import StudyPipeline
 from repro.exec.executor import ParallelExecutor
-from repro.reporting.timing import phases_summary, write_timing_json
 from repro.sim.driver import run_all
 
 BENCH_SCALE = 0.02
@@ -38,23 +35,11 @@ OUT_DIR = Path(__file__).parent / "out"
 def executor():
     """The session's execution backend (``REPRO_EXECUTOR``, default serial).
 
-    Results are backend-independent; only the timings differ.  At session
-    end the accumulated per-task timings land in
-    ``benchmarks/out/timing_<backend>.json`` — the artifact the CI
-    benchmark-smoke job uploads for both serial and process runs.
+    Results are backend-independent; only the timings differ.  Task time
+    is in the run's ``task:<label>`` spans (``repro trace``), not in a
+    file of the benchmarks' own.
     """
-    executor = ParallelExecutor.from_env()
-    yield executor
-    if executor.stats:
-        OUT_DIR.mkdir(exist_ok=True)
-        store = default_store()
-        write_timing_json(
-            executor.stats,
-            OUT_DIR / f"timing_{executor.backend}.json",
-            cache=store.stats_summary() if store is not None else None,
-            phases=phases_summary(),
-            metrics=obs.current_run().metrics.snapshot(),
-        )
+    return ParallelExecutor.from_env()
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,8 @@ from repro.sim import driver
 
 from benchmarks.conftest import OUT_DIR
 
-#: Small but real workload: every span site (exec/map, task captures,
-#: stage memo wrappers, phase timers) fires on this path.
+#: Small but real workload: the simulation's span sites (exec/map, task
+#: captures, stage memo wrappers, the sim layer spans) fire on this path.
 OVERHEAD_SCALE = 0.005
 #: Distinct seed so these runs never alias the shared ``results`` fixture.
 OVERHEAD_SEED = 43

@@ -16,9 +16,7 @@ subprocesses, and asserts the testbed's end-to-end guarantees:
    blind verdicts agree with ground truth on >= 99 % of sessions and
    the inferred preferred data center is the policy's intended one.
 
-The per-policy accuracy table lands in
-``benchmarks/out/BENCH_policy.json`` — the artifact the CI policy-smoke
-job uploads.
+Each policy's wall time and mean accuracy are printed as it finishes.
 
 Usage::
 
@@ -37,7 +35,6 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-OUT_DIR = REPO / "benchmarks" / "out"
 GOLDEN_DIR = REPO / "tests" / "golden"
 
 SEED = 7
@@ -103,8 +100,6 @@ def main() -> int:
                 for name, entry in document["datasets"].items()
             }
             table[kind] = {
-                "seconds": round(elapsed, 3),
-                "mean_accuracy": document["mean_accuracy"],
                 "accuracy": accuracies,
                 "preferred_match": {
                     name: entry["preferred_match"]
@@ -149,20 +144,6 @@ def main() -> int:
             failures.append(
                 f"baseline preferred-DC inference missed on {name}"
             )
-
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    report = {
-        "scale": args.scale,
-        "seed": SEED,
-        "landmarks": args.landmarks,
-        "backend": "process",
-        "policies": table,
-        "ok": not failures,
-    }
-    out_path = OUT_DIR / "BENCH_policy.json"
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    print(f"wrote {out_path}")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

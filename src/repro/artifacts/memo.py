@@ -14,9 +14,9 @@ Arguments that merely steer *how* the work is done, not *what* it produces
 
 The wrapper exposes ``cache_key(*args, **kwargs)`` (the key a call would
 hit, no work done) and ``map(arg_tuples, executor=None, labels=None)``,
-the one cached fan-out: every task is looked up once in the calling
-process, only the misses fan out over the executor, and each miss is
-stored by the task that computed it::
+the one cached fan-out: every distinct key is looked up once in the
+calling process, only the misses fan out over the executor, and each
+miss is computed and stored once, by the task that computed it::
 
     @memoized_stage("example/stage", ignore=("executor",))
     def run_stage(scale=0.02, seed=7, executor=None): ...
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.artifacts.keys import CanonicalizationError, stage_key
@@ -120,12 +120,14 @@ def memoized_stage(
         ) -> Tuple[List[Any], List[bool]]:
             """Run the stage over many calls: hits read, misses fanned out.
 
-            Each task's key is looked up once, here, under a
+            Each distinct key is looked up once, here, under a
             ``stage/<name>`` span carrying ``cached``; only the misses
             fan out over ``default_executor(executor)``, and each is
-            computed and stored once by its task.  A call whose
-            arguments cannot be canonicalised is computed and never
-            stored; with the cache disabled every call is computed.
+            computed and stored once by its task.  Calls that share a key
+            share its value (and its hit flag), so equal calls in one
+            batch compute once.  A call whose arguments cannot be
+            canonicalised is computed and never stored; with the cache
+            disabled every call is computed.
 
             Args:
                 arg_tuples: Positional arguments, one tuple per call.
@@ -142,6 +144,8 @@ def memoized_stage(
             values: List[Any] = [None] * len(tasks)
             hits = [False] * len(tasks)
             keys: List[Optional[str]] = [None] * len(tasks)
+            # Slot of the first call with each key; later calls copy it.
+            first: Dict[str, int] = {}
             for i, args in enumerate(tasks):
                 if store is None:
                     break
@@ -149,6 +153,9 @@ def memoized_stage(
                     keys[i] = cache_key(*args)
                 except CanonicalizationError:
                     continue
+                if keys[i] in first:
+                    continue
+                first[keys[i]] = i
                 with obs.span(f"stage/{stage}") as active:
                     value = store.get(keys[i], _MISS, stage=stage)
                     hits[i] = value is not _MISS
@@ -156,7 +163,8 @@ def memoized_stage(
                         active.attrs["cached"] = hits[i]
                 if hits[i]:
                     values[i] = value
-            pending = [i for i, hit in enumerate(hits) if not hit]
+            owner = [i if key is None else first[key] for i, key in enumerate(keys)]
+            pending = [i for i, hit in enumerate(hits) if not hit and owner[i] == i]
             if pending:
                 fresh = default_executor(executor).map(
                     _fill,
@@ -165,6 +173,8 @@ def memoized_stage(
                 )
                 for i, value in zip(pending, fresh):
                     values[i] = value
+            for i, j in enumerate(owner):
+                values[i], hits[i] = values[j], hits[j]
             return values, hits
 
         wrapper.cache_key = cache_key

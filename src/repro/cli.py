@@ -47,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=7, help="master seed")
     parser.add_argument(
-        "--parallel", choices=BACKENDS, default=None,
+        "--parallel", default=None, metavar="{" + ",".join(BACKENDS) + "}",
         help="execution backend for independent runs "
         "(default: $REPRO_EXECUTOR, else serial; "
         "results are identical on every backend)",
@@ -577,7 +577,7 @@ def cmd_study(args: argparse.Namespace, out) -> int:
 
     if active_plan() is not None:
         from repro.faults import report as degradation
-        from repro.reporting.timing import render_degradation_table
+        from repro.reporting.tables import render_degradation_table
 
         print("", file=out)
         print(render_degradation_table(degradation.collect()), file=out)
@@ -1054,7 +1054,7 @@ def cmd_cache(args: argparse.Namespace, out) -> int:
 
             print(json.dumps(summary, indent=2, sort_keys=True), file=out)
         else:
-            from repro.reporting.timing import render_cache_table
+            from repro.reporting.tables import render_cache_table
 
             print(render_cache_table(summary), file=out)
         return 0
@@ -1217,6 +1217,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         scale = getattr(args, "scale", None)
         if scale is not None and not scale > 0:
             raise UsageError(f"--scale must be positive, got {scale}")
+        parallel = getattr(args, "parallel", None)
+        if parallel is not None and parallel not in BACKENDS:
+            raise UsageError(f"--parallel must be one of {BACKENDS}, got {parallel!r}")
         # Every command may fan out through the environment's executor,
         # so a bad setting fails here, not only where a command reads it.
         _env_executor()

@@ -47,7 +47,6 @@ from repro.geoloc.clustering import ServerMap, cluster_servers
 from repro.geoloc.probing import CampaignJob, RttProber, run_campaigns
 from repro.net.latency import Site
 from repro.reporting.series import Cdf
-from repro.reporting.timing import phase_timer
 from repro.sim.engine import SimulationResult
 from repro.sim.seeding import derive_seed
 from repro.trace.columnar import FlowTable
@@ -345,13 +344,13 @@ class StudyPipeline:
 
     def gap_sensitivity(self, name: str) -> Dict[float, Dict[str, float]]:
         """Figure 5: flows-per-session vs. the gap T."""
-        with phase_timer("analysis/gap_sweep"):
+        with obs.span("analysis/gap_sweep", layer="analysis"):
             return sessions_mod.gap_sensitivity(self.focus_tables[name])
 
     @cached_property
     def sessions(self) -> Dict[str, List[sessions_mod.Session]]:
         """Per-dataset video sessions at the configured gap."""
-        with phase_timer("analysis/sessions"):
+        with obs.span("analysis/sessions", layer="analysis"):
             built = {
                 name: sessions_mod.build_sessions(self.focus_tables[name], self._gap_s)
                 for name in self._results
@@ -368,7 +367,7 @@ class StudyPipeline:
     @cached_property
     def preferred_reports(self) -> Dict[str, preferred_mod.PreferredDcReport]:
         """Per-dataset preferred-data-center reports."""
-        with phase_timer("analysis/preferred"):
+        with obs.span("analysis/preferred", layer="analysis"):
             reports: Dict[str, preferred_mod.PreferredDcReport] = {}
             for name, result in self._results.items():
                 reports[name] = self.traffic[name].preferred_report(
@@ -477,7 +476,7 @@ class StudyPipeline:
         """One Figure 13 curve."""
         from repro.core import hotspots
 
-        with phase_timer("analysis/hotspots"):
+        with obs.span("analysis/hotspots", layer="analysis"):
             return hotspots.nonpreferred_video_cdf(
                 self.focus_tables[name], self.preferred_reports[name], self.server_map
             )
@@ -486,7 +485,7 @@ class StudyPipeline:
         """Figure 14's hot-video time lines."""
         from repro.core import hotspots
 
-        with phase_timer("analysis/hotspots"):
+        with obs.span("analysis/hotspots", layer="analysis"):
             return hotspots.top_nonpreferred_videos(
                 self.focus_tables[name],
                 self.preferred_reports[name],
@@ -499,7 +498,7 @@ class StudyPipeline:
         """Figure 15's load panels."""
         from repro.core import hotspots
 
-        with phase_timer("analysis/hotspots"):
+        with obs.span("analysis/hotspots", layer="analysis"):
             return hotspots.preferred_server_load(
                 self.focus_tables[name],
                 self.preferred_reports[name],

@@ -6,11 +6,16 @@ that the seed-derivation discipline (:func:`repro.sim.seeding.derive_seed`)
 already makes order-independent: every unit owns its RNG, so running units
 concurrently cannot perturb their draws.  This module supplies the missing
 mechanical piece: a :class:`ParallelExecutor` that fans such units out over
-a backend (in-process serial, threads, or processes) while keeping results
-in input order, containing worker faults, and timing every task.
+a backend (in-process serial, or a process pool) while keeping results in
+input order and containing worker faults.  There is no thread pool: the
+study is CPU-bound Python, where threads only add GIL contention.
+
+Task time is recorded once, by the tracer: every ``map`` is an
+``exec/map`` span, and every task a ``task:<label>`` span under it, also
+when it ran in a worker process (:mod:`repro.obs.tracer`).
 
 Determinism contract: for a task function that depends only on its item
-(no ambient global state), all three backends return identical values in
+(no ambient global state), both backends return identical values in
 identical order.  ``tests/test_exec_determinism.py`` holds the simulator to
 that contract byte-for-byte.
 
@@ -27,19 +32,17 @@ restriction.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro import obs
 
 #: Recognised backend names, in documentation order.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
-#: Environment variable naming the backend (``serial``/``thread``/``process``).
+#: Environment variable naming the backend (``serial``/``process``).
 ENV_BACKEND = "REPRO_EXECUTOR"
 
 #: Environment variable bounding the worker count (positive integer).
@@ -115,68 +118,6 @@ class ExecutionError(RuntimeError):
         return cls(label, type(exc).__name__, str(exc), tb_text)
 
 
-@dataclass(frozen=True)
-class TaskTiming:
-    """Wall-clock timing of one executed task.
-
-    Attributes:
-        label: Task label (for straggler reports).
-        seconds: Wall time spent inside the task function.
-        ok: Whether the task returned (``False`` = raised).
-        dispatch_bytes: Pickled size of the task sent to the worker
-            (process backend only; 0 when nothing was serialized).
-        result_bytes: Pickled size of the outcome that came back
-            (process backend only; 0 when nothing was serialized).
-    """
-
-    label: str
-    seconds: float
-    ok: bool
-    dispatch_bytes: int = 0
-    result_bytes: int = 0
-
-
-@dataclass(frozen=True)
-class MapStats:
-    """Timing summary of one :meth:`ParallelExecutor.map` call.
-
-    Attributes:
-        backend: Backend that ran the batch.
-        wall_s: Wall time of the whole batch, submit to last result.
-        timings: Per-task timings, in input order (final attempt each).
-        retries: Total extra attempts scheduled by the retry policy.
-    """
-
-    backend: str
-    wall_s: float
-    timings: List[TaskTiming] = field(default_factory=list)
-    retries: int = 0
-
-    @property
-    def task_seconds(self) -> float:
-        """Total compute time across tasks (serial-equivalent cost)."""
-        return sum(t.seconds for t in self.timings)
-
-    @property
-    def dispatch_bytes(self) -> int:
-        """Total pickled bytes sent to workers (the dispatch half)."""
-        return sum(t.dispatch_bytes for t in self.timings)
-
-    @property
-    def result_bytes(self) -> int:
-        """Total pickled bytes returned by workers (the result half)."""
-        return sum(t.result_bytes for t in self.timings)
-
-    @property
-    def speedup(self) -> float:
-        """Serial-equivalent time over wall time (1.0 for serial runs)."""
-        return self.task_seconds / self.wall_s if self.wall_s > 0 else 1.0
-
-    def straggler(self) -> Optional[TaskTiming]:
-        """The slowest task, or ``None`` for an empty batch."""
-        return max(self.timings, key=lambda t: t.seconds, default=None)
-
-
 def _inject_task_fault(label: str, attempt: int) -> None:
     """Raise an injected fault for this task attempt, if the plan says so.
 
@@ -204,7 +145,6 @@ class TaskOutcome:
     """One task attempt's result as it travels back from a worker.
 
     Attributes:
-        seconds: Wall time spent inside the task function.
         payload: The task's value, or a contained :class:`ExecutionError`.
         capture: The task's span/metrics capture
             (:class:`~repro.obs.TaskCapture`), when tracing is on and a
@@ -214,27 +154,21 @@ class TaskOutcome:
             for rebasing the capture's relative span times onto the
             dispatcher's clock.  Filled in by the dispatcher, never the
             worker (their monotonic clocks are unrelated).
-        dispatch_bytes: Pickled task size (filled by the dispatcher on
-            the process backend; 0 for in-process backends).
-        result_bytes: Pickled outcome size (likewise).
     """
 
-    seconds: float
     payload: Any
     capture: Optional[obs.TaskCapture] = None
     collected_abs: float = 0.0
-    dispatch_bytes: int = 0
-    result_bytes: int = 0
 
 
-def _timed_call(
+def _run_task(
     fn: Callable[[Any], Any],
     item: Any,
     label: str,
     attempt: int = 1,
     span_ctx: Optional[obs.SpanContext] = None,
-):
-    """Run one task attempt, capturing wall time and any failure.
+) -> TaskOutcome:
+    """Run one task attempt, containing any failure.
 
     Module-level so the process backend can pickle it.  Returns a
     :class:`TaskOutcome` whose payload is either the task's value or an
@@ -244,49 +178,24 @@ def _timed_call(
     counters) travels back for merging under the dispatching map span.
     """
     capture = obs.task_capture(span_ctx, label, attempt)
-    start = time.perf_counter()
     try:
         with capture:
             _inject_task_fault(label, attempt)
             value = fn(item)
     except Exception as exc:  # contain, never kill the pool
         return TaskOutcome(
-            time.perf_counter() - start,
-            ExecutionError.wrap(label, exc, traceback.format_exc()),
-            capture.result,
+            ExecutionError.wrap(label, exc, traceback.format_exc()), capture.result
         )
-    return TaskOutcome(time.perf_counter() - start, value, capture.result)
-
-
-def _timed_call_packed(blob: bytes) -> bytes:
-    """Process-backend transport shim: bytes in, bytes out.
-
-    The dispatcher pickles ``(fn, item, label, attempt, span_ctx)`` once
-    and measures it; this shim runs the attempt and pickles the outcome
-    back, so both halves of the pickle tax are observable as exact byte
-    counts (:class:`TaskTiming`).  An unpicklable *result* is contained
-    here — replaced by an :class:`ExecutionError` outcome — instead of
-    poisoning the pool's result pipe.
-    """
-    fn, item, label, attempt, span_ctx = pickle.loads(blob)
-    outcome = _timed_call(fn, item, label, attempt, span_ctx)
-    try:
-        return pickle.dumps(outcome)
-    except Exception as exc:
-        contained = TaskOutcome(
-            outcome.seconds,
-            ExecutionError(label, type(exc).__name__, str(exc), traceback.format_exc()),
-        )
-        return pickle.dumps(contained)
+    return TaskOutcome(value, capture.result)
 
 
 class ParallelExecutor:
     """Ordered, fault-contained fan-out over a pluggable backend.
 
     Args:
-        backend: ``"serial"`` (default: run in the calling thread),
-            ``"thread"`` or ``"process"``.
-        max_workers: Worker bound for the pool backends; defaults to
+        backend: ``"serial"`` (default: run in the calling process) or
+            ``"process"``.
+        max_workers: Worker bound for the process pool; defaults to
             ``os.cpu_count()`` capped at the batch size.
 
     Raises:
@@ -300,7 +209,6 @@ class ParallelExecutor:
             raise ValueError("max_workers must be positive")
         self.backend = backend
         self.max_workers = max_workers
-        self.stats: List[MapStats] = []
 
     @classmethod
     def from_env(cls, default: str = "serial") -> "ParallelExecutor":
@@ -335,7 +243,7 @@ class ParallelExecutor:
         Args:
             fn: Task function (module-level for the process backend).
             items: Units of work.
-            labels: Per-task labels for timings and errors; defaults to
+            labels: Per-task labels for task spans and errors; defaults to
                 ``task[i]``.
             on_error: ``"raise"`` re-raises the first failure as an
                 :class:`ExecutionError` after the whole batch finishes;
@@ -420,31 +328,12 @@ class ParallelExecutor:
                 attempt += 1
             if map_span is not None and retries:
                 map_span.attrs["retries"] = retries
-        wall_s = time.perf_counter() - start
 
-        timings: List[TaskTiming] = []
-        results: List[Any] = []
-        first_error: Optional[ExecutionError] = None
-        for label, outcome in zip(labels, outcomes):
-            payload = outcome.payload
-            failed = isinstance(payload, ExecutionError)
-            timings.append(
-                TaskTiming(
-                    label=label,
-                    seconds=outcome.seconds,
-                    ok=not failed,
-                    dispatch_bytes=outcome.dispatch_bytes,
-                    result_bytes=outcome.result_bytes,
-                )
-            )
-            results.append(payload)
-            if failed and first_error is None:
-                first_error = payload
-        self.stats.append(
-            MapStats(backend=self.backend, wall_s=wall_s, timings=timings, retries=retries)
-        )
-        if first_error is not None and on_error == "raise":
-            raise first_error
+        results = [outcome.payload for outcome in outcomes]
+        if on_error == "raise":
+            for payload in results:
+                if isinstance(payload, ExecutionError):
+                    raise payload
         return results
 
     def _dispatch(
@@ -459,7 +348,7 @@ class ParallelExecutor:
         if self.backend == "serial" or len(items) <= 1:
             outcomes = []
             for item, label, ctx in zip(items, labels, contexts):
-                outcome = _timed_call(fn, item, label, attempt, ctx)
+                outcome = _run_task(fn, item, label, attempt, ctx)
                 outcome.collected_abs = time.perf_counter()
                 outcomes.append(outcome)
             return outcomes
@@ -469,77 +358,35 @@ class ParallelExecutor:
         self, fn: Callable[[Any], Any], items: List[Any], labels: List[str],
         attempt: int, contexts: List[Optional[obs.SpanContext]],
     ) -> List[TaskOutcome]:
-        """Fan a batch out over a worker pool, preserving input order."""
+        """Fan a batch out over a process pool, preserving input order.
+
+        The pool fails only the future of a task whose item or result
+        does not pickle, and keeps the pool alive; that failure, like a
+        crashed worker, is contained as the task's :class:`ExecutionError`.
+        """
         workers = self.max_workers or os.cpu_count() or 1
         workers = max(1, min(workers, len(items)))
-        # The pools load the threading and multiprocessing machinery, which
-        # a serial run never needs.
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        # The pool loads the multiprocessing machinery, which a serial run
+        # never needs.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        pool_cls = ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
-        packed = self.backend == "process"
         outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
-        dispatch_bytes: Dict[int, int] = {}
-        with pool_cls(max_workers=workers) as pool:
-            futures: Dict[Future, int] = {}
-            for i, (item, label, ctx) in enumerate(zip(items, labels, contexts)):
-                if packed:
-                    # Pickle the task here, not inside the pool's feeder
-                    # thread, so the dispatch size is an exact number and
-                    # an unpicklable item is contained per-task.
-                    try:
-                        blob = pickle.dumps((fn, item, label, attempt, ctx))
-                    except Exception as exc:
-                        outcomes[i] = TaskOutcome(
-                            0.0,
-                            ExecutionError(
-                                label, type(exc).__name__, str(exc),
-                                traceback.format_exc(),
-                            ),
-                            collected_abs=time.perf_counter(),
-                        )
-                        continue
-                    dispatch_bytes[i] = len(blob)
-                    futures[pool.submit(_timed_call_packed, blob)] = i
-                else:
-                    futures[pool.submit(_timed_call, fn, item, label, attempt, ctx)] = i
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    i = futures[future]
-                    try:
-                        raw = future.result()
-                        if packed:
-                            outcome = pickle.loads(raw)
-                            outcome.dispatch_bytes = dispatch_bytes.get(i, 0)
-                            outcome.result_bytes = len(raw)
-                            outcomes[i] = outcome
-                        else:
-                            outcomes[i] = raw
-                    except Exception as exc:
-                        # Transport-level failure (e.g. a crashed worker
-                        # breaking the pool): contain it like an in-task
-                        # error.
-                        outcomes[i] = TaskOutcome(
-                            0.0,
-                            ExecutionError(
-                                labels[i],
-                                type(exc).__name__,
-                                str(exc),
-                                traceback.format_exc(),
-                            ),
-                            dispatch_bytes=dispatch_bytes.get(i, 0),
-                        )
-                    outcomes[i].collected_abs = time.perf_counter()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(_run_task, fn, item, label, attempt, ctx): i
+                for i, (item, label, ctx) in enumerate(zip(items, labels, contexts))
+            }
+            for future in as_completed(futures):
+                i = futures[future]
+                try:
+                    outcome = future.result()
+                except Exception as exc:
+                    outcome = TaskOutcome(ExecutionError(
+                        labels[i], type(exc).__name__, str(exc), traceback.format_exc(),
+                    ))
+                outcome.collected_abs = time.perf_counter()
+                outcomes[i] = outcome
         return outcomes
-
-    # ------------------------------------------------------------- timings
-
-    @property
-    def timings(self) -> List[TaskTiming]:
-        """Every task timing recorded so far, across all ``map`` calls."""
-        return [t for stats in self.stats for t in stats.timings]
 
 
 def default_executor(executor: Optional[ParallelExecutor]) -> ParallelExecutor:

@@ -8,7 +8,7 @@ take" across the pipeline.  The pieces:
   propagation machinery (:class:`SpanContext` out, :class:`TaskCapture`
   back, mirroring how ``REPRO_FAULTS`` travels).
 * :mod:`repro.obs.metrics` — the labelled counter/gauge/histogram
-  registry that snapshots into ``timing_*.json``.
+  registry that snapshots into the trace's metrics footer.
 * :mod:`repro.obs.runctx` — the per-run context scoping the tracer,
   metrics, and degradation counters, fixing the old cross-run
   accumulation leaks.

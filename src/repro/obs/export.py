@@ -8,8 +8,8 @@ One in-memory trace yields three artifact views:
 2. Chrome ``trace_event`` JSON — open in ``chrome://tracing`` or
    https://ui.perfetto.dev to flame-graph straggler tasks; each worker
    task gets its own track.
-3. The metrics snapshot — merged into ``timing_*.json`` by the
-   benchmark conftest, and embedded in the JSONL footer.
+3. The metrics snapshot — the JSONL footer, and the counters of
+   ``repro trace summary``.
 
 All views are derived, deterministic renderings of the same spans; none
 of them feeds back into any computation or cache key.
@@ -320,21 +320,3 @@ def write_chrome(doc: TraceDoc, path: Union[str, Path]) -> Path:
         encoding="utf-8",
     )
     return path
-
-
-# -------------------------------------------------------------- phase view
-
-
-def phase_times(records: List[SpanRecord]) -> Dict[str, float]:
-    """Accumulated inclusive seconds per phase-kind span name.
-
-    The backing view of :func:`repro.reporting.timing.phases_summary`:
-    spans entered through ``phase_timer`` carry ``kind="phase"`` and
-    accumulate by name, exactly like the old module-global dict — but
-    scoped to the run that recorded them.
-    """
-    totals: Dict[str, float] = {}
-    for record in records:
-        if record.attrs.get("kind") == "phase":
-            totals[record.name] = totals.get(record.name, 0.0) + record.inclusive_s
-    return {name: round(totals[name], 6) for name in sorted(totals)}

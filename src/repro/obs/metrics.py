@@ -11,7 +11,7 @@ counters are complete even across process pools.
 
 Everything here is plain data: registries pickle (they cross process
 boundaries inside task captures) and snapshots are JSON-ready (they ride
-along in ``timing_*.json`` and in the ``trace_<run>.jsonl`` footer).
+along in the ``trace_<run>.jsonl`` footer).
 """
 
 from __future__ import annotations

@@ -1,20 +1,15 @@
 """The run context: one object scoping every per-run accumulator.
 
-Before this module existed, the codebase had grown three independent
-module-level accumulators — ``reporting.timing._PHASES``,
-``faults.report._EVENTS``, and the executor's ``stats`` lists — each with
-its own reset discipline and each leaking across sequential studies in
-one process.  The :class:`RunContext` replaces the first two outright:
-the tracer (whose spans subsume phase timings) and the degradation
-counters live on the context, and starting a new run
-(:func:`new_run`) gives every accumulator a fresh start atomically.
+The tracer (whose spans are the one record of task and stage time), the
+metrics registry and the degradation counters live on the
+:class:`RunContext`, and starting a new run (:func:`new_run`) gives every
+accumulator a fresh start at once, so sequential studies in one process
+never leak into each other's reports.
 
-The context is process-global, not thread-local: worker *threads* of one
-run share its degradation tally (exactly like the old module globals),
-while span attribution inside tasks goes through the per-thread capture
-stack in :mod:`repro.obs.tracer`.  Worker *processes* get their own
-fresh context; their spans and metrics travel back inside task captures,
-and their degradation events surface through returned values, as before.
+The context is process-global.  The executor's workers are processes,
+not threads: each gets its own fresh context, its spans and metrics
+travel back inside task captures, and its degradation events surface
+through returned values.
 
 Run ids are ``run-<pid>-<n>`` from a process-local counter — unique
 enough to name trace files, free of ``uuid``/wall-clock entropy, and
@@ -70,7 +65,7 @@ def current_run() -> RunContext:
 def new_run(run_id: Optional[str] = None) -> RunContext:
     """Start a fresh run context and make it current.
 
-    The CLI calls this once per invocation, which is what keeps phases,
+    The CLI calls this once per invocation, which is what keeps spans,
     metrics, and degradation rows from one study out of the next one's
     reports when several studies run in a single process.
     """

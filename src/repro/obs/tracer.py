@@ -9,8 +9,7 @@ the run's wall time.  Design constraints, in order:
   never ``uuid`` or wall-clock entropy — and nothing here ever enters an
   artifact-cache key, so tracing cannot perturb cached results.
 * **A true kill-switch.**  ``REPRO_TRACE=off`` makes every entry point a
-  no-op: no spans, no metrics, no phase accounting, byte-identical study
-  output.
+  no-op: no spans, no metrics, byte-identical study output.
 * **Overhead-bounded.**  Spans are coarse (stages, batches, tasks — not
   per-flow), recording is an append to an in-memory list, and the
   enabled check is one environment read.
@@ -22,13 +21,15 @@ the span linkage rides pickle — the executor hands each task a
 into a capture-local :class:`Tracer`, and the finished
 :class:`TaskCapture` (spans + metrics) returns with the task's result to
 be merged into the dispatching process's trace, rebased onto its clock.
+
+Spans are recorded on the main thread only (the executor's workers are
+processes), so the span stack and the capture stack are plain state.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -48,7 +49,7 @@ _OFF_VALUES = ("0", "off", "false", "no")
 
 
 def trace_enabled() -> bool:
-    """Whether tracing (spans, metrics, phases) is on (``REPRO_TRACE``)."""
+    """Whether tracing (spans, metrics) is on (``REPRO_TRACE``)."""
     return os.environ.get(ENV_TRACE, "").strip().lower() not in _OFF_VALUES
 
 
@@ -102,8 +103,7 @@ class Tracer:
     """A run- (or capture-) scoped span recorder.
 
     Span ids are ``<prefix>s<n>`` with ``n`` from a run-local counter;
-    the per-thread span stack gives automatic parenting, so concurrent
-    threads can record without interleaving their trees.
+    the stack of open spans gives automatic parenting.
 
     Args:
         id_prefix: Namespace prepended to every span id (worker captures
@@ -117,29 +117,22 @@ class Tracer:
         self.records: List[SpanRecord] = []
         self.metrics = MetricsRegistry()
         self._ids = itertools.count(1)
-        self._local = threading.local()
-
-    def _stack(self) -> List[ActiveSpan]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+        self._stack: List[ActiveSpan] = []
 
     def now(self) -> float:
         """Seconds since the tracer's monotonic origin."""
         return time.perf_counter() - self.t0
 
     def current_span(self) -> Optional[ActiveSpan]:
-        """The innermost open span on this thread, or ``None``."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        """The innermost open span, or ``None``."""
+        return self._stack[-1] if self._stack else None
 
     @contextmanager
     def span(
         self, name: str, _parent: Optional[str] = None, **attrs: Any
     ) -> Iterator[ActiveSpan]:
         """Open a child span of the current one (or of ``_parent``)."""
-        stack = self._stack()
+        stack = self._stack
         if _parent is None and stack:
             _parent = stack[-1].span_id
         active = ActiveSpan(
@@ -166,32 +159,20 @@ class Tracer:
                 )
             )
 
-    def drop(self, predicate) -> None:
-        """Discard finished spans matching ``predicate`` (tests/resets)."""
-        self.records = [r for r in self.records if not predicate(r)]
-
 
 # --------------------------------------------------------------- ambient state
 #
-# The per-thread capture stack: worker tasks (and only they) push a
-# capture tracer here, so spans recorded inside a task attach to the
-# task's capture instead of the process-wide run tracer.
+# The capture stack: executor tasks (and only they) push a capture tracer
+# here, so spans recorded inside a task attach to the task's capture
+# instead of the process-wide run tracer.
 
-_CAPTURES = threading.local()
-
-
-def _capture_stack() -> List[Tracer]:
-    stack = getattr(_CAPTURES, "stack", None)
-    if stack is None:
-        stack = _CAPTURES.stack = []
-    return stack
+_CAPTURES: List[Tracer] = []
 
 
 def current_tracer() -> Tracer:
     """The tracer spans attach to right now: capture first, else the run's."""
-    stack = _capture_stack()
-    if stack:
-        return stack[-1]
+    if _CAPTURES:
+        return _CAPTURES[-1]
     from repro.obs.runctx import current_run
 
     return current_run().tracer
@@ -277,7 +258,7 @@ class task_capture:
 
     Opens a root span ``task:<label>`` parented (across the process
     boundary) to ``ctx.parent_id``, and installs a capture tracer as the
-    thread's ambient tracer so everything the task records lands in the
+    ambient tracer so everything the task records lands in the
     capture.  After exit, :attr:`result` holds the :class:`TaskCapture`
     (or ``None`` when ``ctx`` is ``None`` or tracing is off).
     """
@@ -293,7 +274,7 @@ class task_capture:
         if self._ctx is None or not trace_enabled():
             return None
         self._tracer = Tracer(id_prefix=f"{self._ctx.prefix}.a{self._attempt}.")
-        _capture_stack().append(self._tracer)
+        _CAPTURES.append(self._tracer)
         self._span_cm = self._tracer.span(
             f"task:{self._label}",
             _parent=self._ctx.parent_id,
@@ -309,7 +290,7 @@ class task_capture:
         if root is not None:
             root.attrs["ok"] = exc_type is None
         self._span_cm.__exit__(None, None, None)
-        _capture_stack().pop()
+        _CAPTURES.pop()
         self.result = TaskCapture(
             records=self._tracer.records,
             duration=self._tracer.now(),

@@ -1,8 +1,8 @@
-"""Plain-text table rendering for the regenerated paper tables."""
+"""Plain-text table rendering: the paper tables, degradation and cache views."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 
 def format_bytes(num_bytes: float) -> str:
@@ -62,3 +62,66 @@ class TextTable:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def render_degradation_table(report: Any) -> str:
+    """A text view of a :class:`~repro.faults.report.DegradationReport`.
+
+    One row per stage plus the ``TOTAL`` pseudo-stage; the four core
+    counters come first, any ad-hoc counters a stage recorded (lost
+    probes, timeouts, quarantined objects) follow alphabetically.
+    """
+    from repro.faults.report import CORE_COUNTERS
+
+    doc = report.as_dict()
+    extras = sorted(
+        {name for tally in doc.values() for name in tally} - set(CORE_COUNTERS)
+    )
+    columns = ["stage", *CORE_COUNTERS, *extras]
+    table = TextTable(columns, title="DEGRADATION REPORT")
+    for stage, tally in doc.items():
+        table.add_row(stage, *(tally.get(name, 0) for name in columns[1:]))
+    return table.render()
+
+
+def render_cache_table(summary: Dict[str, Any]) -> str:
+    """A text view of an artifact-cache ``stats_summary()`` document.
+
+    One row per stage plus a totals row, drawn from the store's lifetime
+    ledger; the session counters and disk footprint follow underneath.
+    """
+    columns = ["stage", "hits", "misses", "puts", "MB read", "MB written"]
+    table = TextTable(columns, title="ARTIFACT CACHE")
+    lifetime = summary.get("lifetime", {})
+    stages = lifetime.get("stages", {})
+    for stage in sorted(stages):
+        row = stages[stage]
+        table.add_row(
+            stage,
+            row.get("hits", 0),
+            row.get("misses", 0),
+            row.get("puts", 0),
+            f"{row.get('bytes_read', 0) / 1e6:.1f}",
+            f"{row.get('bytes_written', 0) / 1e6:.1f}",
+        )
+    totals = lifetime.get("total", {})
+    table.add_row(
+        "TOTAL",
+        totals.get("hits", 0),
+        totals.get("misses", 0),
+        totals.get("puts", 0),
+        f"{totals.get('bytes_read', 0) / 1e6:.1f}",
+        f"{totals.get('bytes_written', 0) / 1e6:.1f}",
+    )
+    disk = summary.get("disk", {})
+    objects_line = (
+        f"objects: {disk.get('objects', 0)} ({disk.get('total_bytes', 0) / 1e6:.1f} MB on disk)"
+    )
+    lines = [table.render(), "", f"root:    {summary.get('root', '?')}", objects_line]
+    columnar = summary.get("columnar")
+    if columnar is not None:
+        lines.append(
+            f"columnar: {columnar.get('tables', 0)} live tables "
+            f"({columnar.get('resident_bytes', 0) / 1e6:.1f} MB resident)"
+        )
+    return "\n".join(lines)

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.artifacts.store import default_store
-from repro.exec.executor import ParallelExecutor, default_executor
+from repro.exec.executor import ParallelExecutor
 from repro.reporting.tables import TextTable, format_fraction
 from repro.spec.grid import GridPoint, GridSpec, enumerate_points
 from repro.spec.model import SpecError, apply_to_scenario
@@ -170,8 +170,6 @@ def run_grid(
     """
     points = enumerate_points(grid)
     tasks = _point_tasks(points, scale, seed, duration_s, base_policy)
-    executor = default_executor(executor)
-    batches_before = len(executor.stats)
     with obs.span("grid/run", base=grid.base, points=len(points)) as active:
         rows, hits = scenario_metrics.map(
             tasks, executor,
@@ -180,11 +178,6 @@ def run_grid(
         warm = sum(hits)
         if active is not None:
             active.attrs.update(warm=warm, cold=len(points) - warm)
-            # Serialized payload traffic of this grid's map batches: what
-            # the process backend pickles across the pool boundary.
-            batches = executor.stats[batches_before:]
-            active.attrs["dispatch_bytes"] = sum(s.dispatch_bytes for s in batches)
-            active.attrs["result_bytes"] = sum(s.result_bytes for s in batches)
     return GridRunResult(
         grid=grid,
         points=points,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.artifacts.keys import CanonicalizationError
 from repro.artifacts.memo import memoized_stage
 from repro.artifacts.store import ArtifactStore, reset_default_store
@@ -138,18 +139,19 @@ def test_map(cache_env, monkeypatch, backend, warmth, opaque):
     executor = ParallelExecutor(backend, max_workers=2)
     labels = [f"t{i}" for i in range(len(tasks))]
 
+    run = obs.new_run("memo-map")
     before = _events(cache_env)
     values, hits = mapped.map(tasks, executor, labels=labels)
     after = _events(cache_env)
+    obs.set_current_run(None)
     assert values == expected
     assert hits == [i in warm for i in range(len(tasks))]
     gets = after["hits"] + after["misses"] - before["hits"] - before["misses"]
     assert gets == len(cacheable)  # one lookup per cacheable task
     assert after["hits"] - before["hits"] == len(warm)
     assert after["puts"] - before["puts"] == len(cacheable) - len(warm)
-    assert [t.label for t in executor.timings] == [
-        labels[i] for i in range(len(tasks)) if i not in warm
-    ]
+    ran = [r.attrs["label"] for r in run.tracer.records if r.name.startswith("task:")]
+    assert ran == [labels[i] for i in range(len(tasks)) if i not in warm]
 
     monkeypatch.setenv("REPRO_CACHE", "off")
     reset_default_store()
@@ -157,3 +159,19 @@ def test_map(cache_env, monkeypatch, backend, warmth, opaque):
     assert values == expected
     assert hits == [False] * len(tasks)
     assert _events(cache_env) == after
+
+
+def test_map_computes_each_key_once_per_batch(cache_env):
+    calls = []
+    compute = make_stage(calls, stage="test/dedupe")
+    values, hits = compute.map([(1,), (1,), (2,)], ParallelExecutor("serial"))
+    assert values == [{"sum": 11}, {"sum": 11}, {"sum": 12}]
+    assert hits == [False, False, False]
+    assert calls == [(1, 10), (2, 10)]
+    tally = ArtifactStore(cache_env).lifetime_counters()["stages"]["test/dedupe"]
+    assert (tally["misses"], tally["puts"]) == (2, 2)
+
+    values, hits = compute.map([(2,), (1,), (2,)], ParallelExecutor("serial"))
+    assert values == [{"sum": 12}, {"sum": 11}, {"sum": 12}]
+    assert hits == [True, True, True]
+    assert calls == [(1, 10), (2, 10)]

@@ -109,7 +109,7 @@ class TestStoreInvalidation:
             assert store.get(key, "MISS", stage="sim/run_week") == "MISS"
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_warm_hits_and_identical_bytes_across_backends(cache_env, backend):
     """One cold serial run warms every backend, byte for byte.
 

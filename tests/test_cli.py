@@ -297,6 +297,9 @@ PLAN_FILES = {
 BAD_INPUTS = [
     (["study", "--workers", "0"], {}, "--workers"),
     (["study"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
+    # There is no thread backend: the study is CPU-bound Python.
+    (["study", "--parallel", "thread"], {}, "repro study: --parallel must be one of"),
+    (["study"], {"REPRO_EXECUTOR": "thread"}, "unknown backend 'thread'"),
     (["study"], {"REPRO_EXECUTOR_WORKERS": "many"}, "REPRO_EXECUTOR_WORKERS"),
     (["cache", "stats"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
     (["coldvideo"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),

@@ -1,9 +1,11 @@
 """Unit tests for the parallel execution layer (:mod:`repro.exec`)."""
 
 import pickle
+import threading
 
 import pytest
 
+from repro import obs
 from repro.exec.executor import (
     BACKENDS,
     ENV_BACKEND,
@@ -12,7 +14,6 @@ from repro.exec.executor import (
     ParallelExecutor,
     default_executor,
 )
-from repro.reporting.timing import timing_summary, write_timing_json
 
 
 def _square(x):
@@ -29,6 +30,18 @@ def _return_unpicklable(_x):
     return lambda: None  # noqa: E731 - deliberately unpicklable
 
 
+def _task_spans(run):
+    return [r for r in run.tracer.records if r.name.startswith("task:")]
+
+
+@pytest.fixture
+def fresh_run():
+    """A run context of the test's own, whose spans it can read."""
+    run = obs.new_run("exec-test")
+    yield run
+    obs.set_current_run(None)
+
+
 def _nested_failing_map(_x):
     # A task that fans out its own executor and hits a failure there.
     return ParallelExecutor("serial").map(_explode_on_three, [3])
@@ -41,7 +54,7 @@ class TestConstruction:
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
-            ParallelExecutor("thread", max_workers=0)
+            ParallelExecutor("process", max_workers=0)
 
     def test_from_env_defaults_to_serial(self, monkeypatch):
         monkeypatch.delenv(ENV_BACKEND, raising=False)
@@ -51,10 +64,10 @@ class TestConstruction:
         assert executor.max_workers is None
 
     def test_from_env_reads_backend_and_workers(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "Thread")
+        monkeypatch.setenv(ENV_BACKEND, "Process")
         monkeypatch.setenv(ENV_WORKERS, "3")
         executor = ParallelExecutor.from_env()
-        assert executor.backend == "thread"
+        assert executor.backend == "process"
         assert executor.max_workers == 3
 
     def test_from_env_rejects_garbage_backend(self, monkeypatch):
@@ -63,10 +76,18 @@ class TestConstruction:
             ParallelExecutor.from_env()
 
     def test_default_executor_prefers_explicit(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "thread")
+        monkeypatch.setenv(ENV_BACKEND, "process")
         explicit = ParallelExecutor("serial")
         assert default_executor(explicit) is explicit
-        assert default_executor(None).backend == "thread"
+        assert default_executor(None).backend == "process"
+
+    def test_thread_backend_is_gone(self, monkeypatch):
+        assert BACKENDS == ("serial", "process")
+        with pytest.raises(ValueError, match="unknown backend"):
+            ParallelExecutor("thread")
+        monkeypatch.setenv(ENV_BACKEND, "thread")
+        with pytest.raises(ValueError, match="unknown backend"):
+            ParallelExecutor.from_env()
 
 
 class TestMapping:
@@ -75,10 +96,12 @@ class TestMapping:
         executor = ParallelExecutor(backend, max_workers=2)
         assert executor.map(_square, [3, 1, 4, 1, 5]) == [9, 1, 16, 1, 25]
 
-    def test_empty_batch(self):
-        executor = ParallelExecutor("thread")
+    def test_empty_batch(self, fresh_run):
+        executor = ParallelExecutor("process")
         assert executor.map(_square, []) == []
-        assert executor.stats[0].timings == []
+        (map_span,) = [r for r in fresh_run.tracer.records if r.name == "exec/map"]
+        assert map_span.attrs["tasks"] == 0
+        assert _task_spans(fresh_run) == []
 
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="labels"):
@@ -105,13 +128,14 @@ class TestFaultContainment:
         assert "ValueError: poisoned item 3" in error.worker_traceback
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_raise_mode_surfaces_first_failure_after_batch(self, backend):
+    def test_raise_mode_surfaces_first_failure_after_batch(self, backend, fresh_run):
         executor = ParallelExecutor(backend, max_workers=2)
         with pytest.raises(ExecutionError, match="poisoned item 3"):
             executor.map(_explode_on_three, [1, 3, 2, 4])
         # The batch still ran to completion before raising.
-        assert len(executor.timings) == 4
-        assert sum(1 for t in executor.timings if not t.ok) == 1
+        tasks = _task_spans(fresh_run)
+        assert len(tasks) == 4
+        assert sum(1 for t in tasks if not t.attrs["ok"]) == 1
 
     def test_execution_error_survives_pickling(self):
         error = ExecutionError("task[0]", "ValueError", "boom", "trace text")
@@ -164,67 +188,26 @@ class TestFaultContainment:
         )
         assert all(isinstance(r, ExecutionError) for r in results)
 
+    def test_unpicklable_item_contained_not_fatal(self):
+        executor = ParallelExecutor("process", max_workers=2)
+        results = executor.map(
+            _square, [2, threading.Lock(), 3], on_error="return"
+        )
+        assert results[0] == 4 and results[2] == 9
+        error = results[1]
+        assert isinstance(error, ExecutionError)
+        assert error.label == "task[1]"
+        assert "pickle" in error.cause_message
 
-class TestTimings:
-    def test_timings_accumulate_across_batches(self):
+
+class TestTaskSpans:
+    def test_task_spans_accumulate_across_batches(self, fresh_run):
         executor = ParallelExecutor("serial")
         executor.map(_square, [1, 2], labels=["a", "b"])
         executor.map(_square, [3], labels=["c"])
-        assert [t.label for t in executor.timings] == ["a", "b", "c"]
-        assert all(t.ok and t.seconds >= 0 for t in executor.timings)
-
-    def test_map_stats_summary(self):
-        executor = ParallelExecutor("serial")
-        executor.map(_square, [1, 2, 3])
-        stats = executor.stats[0]
-        assert stats.backend == "serial"
-        assert stats.wall_s > 0
-        assert stats.task_seconds == pytest.approx(
-            sum(t.seconds for t in stats.timings)
-        )
-        assert stats.straggler() in stats.timings
-
-    def test_timing_summary_json(self, tmp_path):
-        executor = ParallelExecutor("serial")
-        executor.map(_square, [1, 2], labels=["x", "y"])
-        summary = write_timing_json(executor.stats, tmp_path / "timing.json")
-        assert summary["backend"] == "serial"
-        assert summary["tasks"] == 2
-        assert summary["straggler"]["label"] in ("x", "y")
-        assert (tmp_path / "timing.json").exists()
-        assert timing_summary([])["tasks"] == 0
-
-
-def _double(x):
-    return x * 2
-
-
-class TestPayloadBytes:
-    def test_in_process_backends_serialize_nothing(self):
-        for backend in ("serial", "thread"):
-            executor = ParallelExecutor(backend, max_workers=2)
-            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-            stats = executor.stats[-1]
-            assert stats.dispatch_bytes == 0
-            assert stats.result_bytes == 0
-
-    def test_process_backend_measures_both_directions(self):
-        executor = ParallelExecutor("process", max_workers=2)
-        assert executor.map(_double, ["x", "y", "z"]) == ["xx", "yy", "zz"]
-        stats = executor.stats[-1]
-        assert stats.dispatch_bytes > 0
-        assert stats.result_bytes > 0
-        for timing in stats.timings:
-            assert timing.dispatch_bytes > 0
-            assert timing.result_bytes > 0
-
-    def test_timing_summary_carries_payload_totals(self):
-        executor = ParallelExecutor("process", max_workers=2)
-        executor.map(_double, [1, 2, 3])
-        summary = timing_summary(executor.stats)
-        assert summary["dispatch_bytes"] == sum(
-            r["dispatch_bytes"] for r in summary["timings"]
-        ) > 0
-        assert summary["result_bytes"] == sum(
-            r["result_bytes"] for r in summary["timings"]
-        ) > 0
+        tasks = _task_spans(fresh_run)
+        assert [t.attrs["label"] for t in tasks] == ["a", "b", "c"]
+        assert all(t.attrs["ok"] and t.inclusive_s >= 0 for t in tasks)
+        maps = [r for r in fresh_run.tracer.records if r.name == "exec/map"]
+        assert [m.attrs["tasks"] for m in maps] == [2, 1]
+        assert {t.parent_id for t in tasks} == {m.span_id for m in maps}

@@ -2,7 +2,7 @@
 
 The executor's contract is that fan-out is a pure mechanical speedup —
 every unit of work owns RNGs derived from its own ``(scenario, vantage)``
-path, so serial, thread and process backends must produce *identical*
+path, so the serial and process backends must produce *identical*
 simulation results, down to the flow-log bytes.  These tests hold the two
 wired hot paths (scenario fan-out, RTT campaigns) to that contract, and check that one poisoned vantage point cannot take
 down its siblings' results.
@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro import obs
 from repro.exec.executor import BACKENDS, ExecutionError, ParallelExecutor
 from repro.sim import driver
 from repro.sim.scenarios import PAPER_SCENARIOS
@@ -49,7 +50,7 @@ def serial_snapshot():
         driver.clear_cache()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_run_all_backends_byte_identical(backend, serial_snapshot):
     driver.clear_cache()
     results = driver.run_all(
@@ -61,13 +62,18 @@ def test_run_all_backends_byte_identical(backend, serial_snapshot):
 
 def test_run_all_hits_cache_after_parallel_run(serial_snapshot):
     driver.clear_cache()
-    executor = ParallelExecutor("thread", max_workers=2)
-    first = driver.run_all(scale=SCALE, seed=SEED, executor=executor)
-    again = driver.run_all(scale=SCALE, seed=SEED, executor=executor)
-    assert all(again[name] is first[name] for name in first)
-    # Only the first call did any work.
-    assert len(executor.timings) == len(first)
-    driver.clear_cache()
+    run = obs.new_run("cache-after-parallel")
+    try:
+        executor = ParallelExecutor("process", max_workers=2)
+        first = driver.run_all(scale=SCALE, seed=SEED, executor=executor)
+        again = driver.run_all(scale=SCALE, seed=SEED, executor=executor)
+        assert all(again[name] is first[name] for name in first)
+        # Only the first call did any work.
+        tasks = [r for r in run.tracer.records if r.name.startswith("task:")]
+        assert len(tasks) == len(first)
+    finally:
+        obs.set_current_run(None)
+        driver.clear_cache()
 
 
 def test_rtt_campaigns_backends_identical():
@@ -84,7 +90,6 @@ def test_rtt_campaigns_backends_identical():
             executor=ParallelExecutor(backend, max_workers=2),
         )
         campaigns[backend] = pipeline.rtt_campaigns
-    assert campaigns["serial"] == campaigns["thread"]
     assert campaigns["serial"] == campaigns["process"]
     assert all(campaigns["serial"].values())
     driver.clear_cache()

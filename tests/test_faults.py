@@ -10,6 +10,7 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.artifacts.keys import stage_key
 from repro.artifacts.store import ArtifactStore
 from repro.exec.executor import ExecutionError, ParallelExecutor
@@ -40,7 +41,7 @@ from repro.geoloc.probing import (
     run_campaign_job_faulted,
 )
 from repro.net.latency import AccessTechnology, LatencyModel, Site
-from repro.reporting.timing import render_degradation_table, timing_summary
+from repro.reporting.tables import render_degradation_table
 from repro.trace.logio import dumps, loads
 from repro.trace.records import FlowRecord
 
@@ -346,21 +347,20 @@ def _reject_even(x):
 
 
 class TestExecutorInjection:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_injected_transients_are_retried_to_success(
         self, backend, install_plan
     ):
         install_plan(seed=3, task_transient=1.0, max_failures_per_task=1)
         executor = ParallelExecutor(backend, max_workers=2)
         assert executor.map(_identity, [1, 2, 3]) == [1, 2, 3]
-        assert executor.stats[0].retries >= 1
         assert collect().total("retried") >= 1
 
     def test_injected_crashes_are_retried_to_success(self, install_plan):
         install_plan(seed=3, task_crash=1.0, max_failures_per_task=2)
         executor = ParallelExecutor("serial")
         assert executor.map(_identity, ["a", "b"]) == ["a", "b"]
-        assert executor.stats[0].retries >= 1
+        assert collect().total("retried") >= 1
 
     def test_process_backend_inherits_plan_via_env(self, monkeypatch):
         plan = FaultPlan(seed=3, task_transient=1.0, max_failures_per_task=1)
@@ -370,7 +370,7 @@ class TestExecutorInjection:
         try:
             executor = ParallelExecutor("process", max_workers=2)
             assert executor.map(_identity, [10, 20]) == [10, 20]
-            assert executor.stats[0].retries >= 1
+            assert collect().total("retried") >= 1
         finally:
             clear_current_plan()
             degradation.reset()
@@ -392,14 +392,20 @@ class TestExecutorInjection:
         assert results[0] == 1 and results[2] == 3
         assert isinstance(results[1], ExecutionError)
         assert results[1].attempts == 1
-        assert executor.stats[0].retries == 0
+        assert collect().total("retried") == 0
 
     def test_no_plan_means_no_default_retries(self):
         clear_current_plan()
-        executor = ParallelExecutor("serial")
-        results = executor.map(_reject_even, [2], on_error="return")
-        assert isinstance(results[0], ExecutionError)
-        assert executor.stats[0].retries == 0
+        run = obs.new_run("no-plan")
+        try:
+            executor = ParallelExecutor("serial")
+            results = executor.map(_reject_even, [2], on_error="return")
+            assert isinstance(results[0], ExecutionError)
+            assert results[0].attempts == 1
+            (map_span,) = [r for r in run.tracer.records if r.name == "exec/map"]
+            assert "retries" not in map_span.attrs
+        finally:
+            obs.set_current_run(None)
 
     def test_injection_sites_are_label_keyed_not_order_keyed(self, install_plan):
         install_plan(seed=9, task_transient=0.5, max_failures_per_task=99)
@@ -423,12 +429,17 @@ class TestExecutorInjection:
         assert forward == backward
         assert 0 < len(forward) < 12
 
-    def test_retries_reported_in_timing_summary(self, install_plan):
+    def test_retries_reported_on_map_span(self, install_plan):
         install_plan(seed=3, task_transient=1.0, max_failures_per_task=1)
-        executor = ParallelExecutor("serial")
-        executor.map(_identity, [1, 2])
-        summary = timing_summary(executor.stats)
-        assert summary["retries"] >= 1
+        run = obs.new_run("retries")
+        try:
+            executor = ParallelExecutor("serial")
+            executor.map(_identity, [1, 2])
+            (map_span,) = [r for r in run.tracer.records if r.name == "exec/map"]
+            assert map_span.attrs["retries"] == collect().total("retried") >= 1
+            assert run.metrics.counter_total("retries") == map_span.attrs["retries"]
+        finally:
+            obs.set_current_run(None)
 
 
 class TestExecutionErrorRegressions:
@@ -856,14 +867,3 @@ class TestDegradationReport:
         assert "probes_lost" in text
         assert "geoloc/campaign" in text
         assert "TOTAL" in text
-
-    def test_timing_summary_includes_degradation(self, install_plan):
-        install_plan(seed=1, task_transient=1.0, max_failures_per_task=1)
-        executor = ParallelExecutor("serial")
-        executor.map(_identity, [1])
-        summary = timing_summary(executor.stats, degradation=collect())
-        assert summary["degradation"]["TOTAL"]["retried"] >= 1
-
-    def test_timing_summary_omits_empty_degradation(self):
-        summary = timing_summary([], degradation=DegradationReport())
-        assert "degradation" not in summary

@@ -2,8 +2,8 @@
 
 Covers the metrics registry, the span tracer and its ambient helpers,
 capture/merge across a simulated process boundary, the trace export
-views, the ``phase_timer`` shim, and the run-scoping of the degradation
-collector.
+views, the analysis layer's spans, and the run-scoping of the
+degradation collector.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.obs import export
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
 from repro.obs.metrics import HISTOGRAM_BOUNDS, Histogram, MetricsRegistry
-from repro.reporting.timing import phase_timer, phases_summary
 
 
 @pytest.fixture(autouse=True)
@@ -134,6 +133,12 @@ class TestTracer:
             pass
         (record,) = fresh_run.tracer.records
         assert record.attrs == {"cached": True, "n": 5}
+
+    def test_spans_scoped_to_run(self, fresh_run):
+        with obs.span("analysis/x"):
+            pass
+        assert len(fresh_run.tracer.records) == 1
+        assert obs.new_run().tracer.records == []
 
 
 class TestCapture:
@@ -264,46 +269,23 @@ class TestExport:
         assert "+2.000" in text
 
 
-# ------------------------------------------------------------- phase shim
+# ---------------------------------------------------------- analysis spans
 
 
-class TestPhaseShim:
+class TestAnalysisSpans:
 
-    def test_phase_timer_accumulates_by_name(self):
-        with phase_timer("analysis/x"):
-            pass
-        with phase_timer("analysis/x"):
-            pass
-        with phase_timer("analysis/y"):
-            pass
-        summary = phases_summary()
-        assert set(summary) == {"analysis/x", "analysis/y"}
-        assert summary["analysis/x"] >= 0.0
+    def test_analysis_spans_carry_layer_analysis(self, pipeline, fresh_run):
+        pipeline.gap_sensitivity("EU1-ADSL")
+        pipeline.fig13_cdf("EU1-ADSL")
+        spans = [r for r in fresh_run.tracer.records if r.name.startswith("analysis/")]
+        assert {"analysis/gap_sweep", "analysis/hotspots"} <= {r.name for r in spans}
+        assert all(r.attrs["layer"] == "analysis" for r in spans)
+        assert all("kind" not in r.attrs for r in fresh_run.tracer.records)
 
-    def test_phases_summary_reset_flag(self):
-        with phase_timer("analysis/x"):
-            pass
-        assert phases_summary(reset=True) != {}
-        assert phases_summary() == {}
-
-    def test_phases_scoped_to_run(self):
-        with phase_timer("analysis/x"):
-            pass
-        obs.new_run()
-        assert phases_summary() == {}
-
-    def test_phases_are_spans_too(self, fresh_run):
-        with phase_timer("analysis/x"):
-            pass
-        (record,) = fresh_run.tracer.records
-        assert record.name == "analysis/x"
-        assert record.attrs["kind"] == "phase"
-
-    def test_phase_timer_disabled_with_tracing(self, monkeypatch):
+    def test_analysis_spans_off_with_tracing(self, pipeline, fresh_run, monkeypatch):
         monkeypatch.setenv(obs.ENV_TRACE, "off")
-        with phase_timer("analysis/x"):
-            pass
-        assert phases_summary() == {}
+        pipeline.gap_sensitivity("EU1-ADSL")
+        assert fresh_run.tracer.records == []
 
 
 # ------------------------------------------------- degradation run-scoping

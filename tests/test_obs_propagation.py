@@ -2,8 +2,8 @@
 
 Two guarantees are pinned here:
 
-1. Per-task spans recorded inside executor workers — serial, thread or
-   process backend — come back and nest under the dispatching
+1. Per-task spans recorded inside executor workers — serial or process
+   backend — come back and nest under the dispatching
    ``exec/map`` span, with globally unique ids and merged metrics.
 2. ``REPRO_TRACE=off`` is a true no-op: the study's dataset digests are
    byte-identical to the golden fixture (and to a traced run), because
@@ -19,7 +19,7 @@ from repro.exec.executor import ParallelExecutor
 
 pytestmark = []
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def traced_square(x: int) -> int:

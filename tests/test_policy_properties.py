@@ -118,7 +118,7 @@ class TestSeedDeterminism:
 
     @pytest.mark.parametrize("kind", registered_policy_kinds())
     def test_backends_agree_on_a_simulated_week(self, kind):
-        """serial / thread / process runs digest identically per policy."""
+        """serial and process runs digest identically per policy."""
         # The driver memoises runs in-process by (spec, scale, seed,
         # policy) — exactly what would make this test vacuous.  Empty the
         # memo before each backend so every backend really simulates, and
@@ -126,7 +126,7 @@ class TestSeedDeterminism:
         saved = dict(driver._CACHE)
         try:
             digests = set()
-            for backend in ("serial", "thread", "process"):
+            for backend in ("serial", "process"):
                 driver.clear_cache()
                 results = driver.run_all(
                     scale=0.004, seed=11, policy_kind=kind,
