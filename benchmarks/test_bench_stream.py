@@ -9,21 +9,27 @@ for each.  The streamed digest must equal the batch dataset digest
 allocation must stay *below* the batch peak: bounded memory is the
 whole point of the streaming path.
 
-Each scale's numbers go to a ``perf_stream_<scale>`` text artifact.  The
-stream-smoke harness measures whole-process RSS; this benchmark measures
-Python allocations in-process, which is the sharper signal for the
-flow-record working set.
+Each scale's numbers go to a ``perf_stream_<scale>`` text artifact.
+Python allocations in-process are the sharper signal for the flow-record
+working set; the whole study's peak RSS is gated too, each path in its
+own process: ``repro study --stream`` at scale 0.1 must print the batch
+bytes, peak below the batch run, and stay under a fixed ceiling.
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from typing import Tuple
 
 import pytest
 
+import repro
 from repro.sim.driver import run_scenario
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.stream.study import stream_dataset
@@ -32,6 +38,22 @@ BENCH_DATASET = "EU1-ADSL"
 BENCH_SCALES = (0.05, 0.1)
 BENCH_SEED = 7
 WINDOW_S = 3600.0
+
+#: Ceiling on the streamed scale-0.1 study's peak RSS.  On a 2-vCPU
+#: container with CPython 3.11.7 the streamed run peaked at ~233 MB
+#: (interpreter, numpy, worlds and bounded folds) and the batch run, which
+#: materialises every flow, at ~283 MB.
+STREAM_RSS_CEILING_KB = 240_000
+
+#: Runs ``repro`` with the given arguments and prints its peak RSS (KB)
+#: as the last stderr line.
+_RSS_CHILD = """
+import resource, sys
+from repro.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def _traced(fn) -> Tuple[float, int, object]:
@@ -88,3 +110,27 @@ def test_bench_stream_vs_batch(scale, save_artifact):
         # Throughput should stay within an order of magnitude of batch.
         assert stream_s < 10.0 * batch_s
 
+
+def _study_rss(*flags: str) -> Tuple[int, str]:
+    """(peak RSS in KB, stdout) of one scale-0.1 study in a fresh process."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]), REPRO_CACHE="off")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD, "study", "--scale", "0.1",
+         "--landmarks", "60", "--digests", *flags],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return int(proc.stderr.splitlines()[-1]), proc.stdout
+
+
+def test_streamed_study_peak_rss_is_bounded(save_artifact):
+    batch_rss, batch_out = _study_rss()
+    stream_rss, stream_out = _study_rss("--stream")
+    assert stream_out == batch_out
+    save_artifact(
+        "perf_stream_rss",
+        f"study @ scale 0.1: batch peak RSS {batch_rss:,d} KB, "
+        f"stream peak RSS {stream_rss:,d} KB (ceiling {STREAM_RSS_CEILING_KB:,d} KB)",
+    )
+    assert stream_rss < batch_rss
+    assert stream_rss < STREAM_RSS_CEILING_KB

@@ -8,8 +8,11 @@
 # changed line is a claim that the simulator's output was *meant* to
 # change.  The preferred per-policy file must stay byte-identical to the
 # baseline file — the script fails if they diverge.  It also rewrites
-# the monitor timeline digests and the three scenario front-end tables
-# (tests/golden/{whatif,sweep,grid}_*.txt).
+# the monitor timeline digests, the three scenario front-end tables
+# (tests/golden/{whatif,sweep,grid}_*.txt), the study stdout every
+# equivalence-contract cell must print (study_0.01.txt), the full report
+# (report_0.01.txt) and the sha256 of each figure file
+# (figures_0.01.sha256).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -64,3 +67,15 @@ PYTHONPATH=src REPRO_CACHE=off python -m repro grid run --base EU1-FTTH \
     --axis policy=preferred,geographic --axis variant=baseline,flash-crowd \
     --scale 0.004 --seed 7 > tests/golden/grid_EU1-FTTH_0.004.txt
 echo "updated tests/golden/{whatif_EU1-ADSL_0.01,sweep_EU2_0.006,grid_EU1-FTTH_0.004}.txt"
+
+# The study's answer (tests/test_contract.py, tests/test_report_golden.py).
+PYTHONPATH=src REPRO_CACHE=off python -m repro study --scale 0.01 --seed 7 \
+    --digests > tests/golden/study_0.01.txt
+PYTHONPATH=src REPRO_CACHE=off python -m repro study --scale 0.01 --seed 7 \
+    --full --validate --digests > tests/golden/report_0.01.txt
+FIGS=$(mktemp -d)
+trap 'rm -rf "$FIGS"' EXIT
+PYTHONPATH=src REPRO_CACHE=off python -m repro figures --scale 0.01 --seed 7 \
+    --out-dir "$FIGS" > /dev/null
+(cd "$FIGS" && export LC_ALL=C && sha256sum -- *) > tests/golden/figures_0.01.sha256
+echo "updated tests/golden/{study_0.01,report_0.01}.txt and figures_0.01.sha256"

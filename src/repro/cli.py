@@ -31,12 +31,19 @@ grid code.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
 
 from repro import obs
-from repro.defaults import DATASET_NAMES, DEFAULT_EPOCH_S, DEFAULT_EPOCHS, DEFAULT_THRESHOLD
+from repro.defaults import (
+    DATASET_NAMES,
+    DEFAULT_EPOCH_S,
+    DEFAULT_EPOCHS,
+    DEFAULT_THRESHOLD,
+    MIN_SCALE,
+)
 from repro.exec.executor import BACKENDS, ENV_BACKEND, ENV_WORKERS, ParallelExecutor
 
 
@@ -74,6 +81,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 class UsageError(ValueError):
     """A bad command-line or environment value: one stderr line, exit 2."""
+
+
+def _check_scale(scale: Optional[float]) -> None:
+    """Fail on a ``--scale`` that no week can be simulated and analysed at.
+
+    Raises:
+        UsageError: Unless it is finite and at least ``MIN_SCALE``, where
+            every dataset expects a request a day.
+    """
+    if scale is not None and not MIN_SCALE <= scale < math.inf:
+        raise UsageError(
+            f"--scale must be a finite number >= {MIN_SCALE:.3g}, so every "
+            f"dataset expects a request a day; got {scale:g}"
+        )
 
 
 def _landmark_count(args: argparse.Namespace) -> Optional[int]:
@@ -427,13 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_slowest.add_argument("trace_file", help="trace_<run>.jsonl path")
     p_tr_slowest.add_argument("--top", type=int, default=10)
     p_tr_export = trace_sub.add_parser(
-        "export", help="convert a trace to another format"
+        "export", help="convert a trace to Chrome trace_event JSON (chrome://tracing, Perfetto)"
     )
     p_tr_export.add_argument("trace_file", help="trace_<run>.jsonl path")
-    p_tr_export.add_argument(
-        "--format", choices=("chrome",), default="chrome",
-        help="chrome: trace_event JSON for chrome://tracing / ui.perfetto.dev",
-    )
     p_tr_export.add_argument("--out", required=True, help="output path")
     p_tr_diff = trace_sub.add_parser(
         "diff", help="per-span-name time deltas between two traces"
@@ -449,8 +466,10 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
     from repro.trace.logio import write_flow_log
 
     _check_policies([args.policy])
-    if not args.duration_days > 0:
-        raise UsageError(f"--duration-days must be positive, got {args.duration_days:g}")
+    if not 0 < args.duration_days < math.inf:
+        raise UsageError(
+            f"--duration-days must be positive and finite, got {args.duration_days:g}"
+        )
     try:
         # Fail before the week is simulated; append mode keeps an existing log.
         open(args.out, "a", encoding="ascii").close()
@@ -1019,7 +1038,7 @@ def parse_size(text: str) -> int:
     """Parse a human size string (``750K``, ``500M``, ``2G``, ``1048576``).
 
     Raises:
-        ValueError: For malformed or negative sizes.
+        ValueError: For malformed, negative or infinite sizes.
     """
     text = text.strip().upper()
     if not text:
@@ -1029,8 +1048,8 @@ def parse_size(text: str) -> int:
         multiplier = _SIZE_SUFFIXES[text[-1]]
         text = text[:-1]
     size = float(text) * multiplier
-    if size < 0:
-        raise ValueError("size must be >= 0")
+    if not 0 <= size < math.inf:
+        raise ValueError("size must be a finite number >= 0")
     return int(size)
 
 
@@ -1209,14 +1228,29 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     Returns:
         Process exit code.
     """
-    if out is None:
-        out = sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = sys.stdout if out is None else out
+    if not getattr(args, "faults", None):
+        return _run(args, out)
+    # --faults reaches process workers through the environment; put the
+    # variable back on exit, or a later invocation in this process would
+    # run under this one's plan.
+    from repro.faults.plan import ENV_FAULTS
+
+    prior_plan = os.environ.get(ENV_FAULTS)
     try:
-        scale = getattr(args, "scale", None)
-        if scale is not None and not scale > 0:
-            raise UsageError(f"--scale must be positive, got {scale}")
+        return _run(args, out)
+    finally:
+        if prior_plan is None:
+            os.environ.pop(ENV_FAULTS, None)
+        else:
+            os.environ[ENV_FAULTS] = prior_plan
+
+
+def _run(args: argparse.Namespace, out) -> int:
+    """Check one parsed command's inputs, then run it."""
+    try:
+        _check_scale(getattr(args, "scale", None))
         parallel = getattr(args, "parallel", None)
         if parallel is not None and parallel not in BACKENDS:
             raise UsageError(f"--parallel must be one of {BACKENDS}, got {parallel!r}")

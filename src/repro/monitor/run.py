@@ -26,6 +26,7 @@ at the end of the run" blind spot for multi-epoch runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -297,12 +298,15 @@ def run_monitor(
         The :class:`MonitorReport`.
 
     Raises:
-        ValueError: For a non-positive horizon, epoch length or threshold.
+        ValueError: For a non-positive horizon or threshold, or an epoch
+            length that is not positive and finite.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if not epoch_s > 0:
         raise ValueError(f"epoch_s must be positive, got {epoch_s!r}")
+    if epoch_s == math.inf:
+        raise ValueError("epoch_s must be finite, got inf")
     # Checked before any epoch is simulated, not only when alarms are drawn.
     detect_alarms([], threshold)
     if plan is None:

@@ -12,8 +12,7 @@ through the cached fan-out of
 artifact store are read back without simulating, and only the cold
 points fan out over the :class:`~repro.exec.executor.ParallelExecutor`.
 Points that build the same world share one row whatever their labels,
-and re-running an extended grid simulates exactly the added points,
-which ``scripts/grid_smoke.py`` asserts in CI.
+and re-running an extended grid simulates exactly the added points.
 """
 
 from __future__ import annotations

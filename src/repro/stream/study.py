@@ -136,8 +136,8 @@ def render_stream_report(study: StudyPipeline) -> str:
     """Render the study summary: Tables I-III and the preferred-DC lines.
 
     This is ``repro study``'s default (non ``--full``) output in both
-    ingestion modes; the parity tests and the ``stream-smoke`` CI job
-    diff the two byte for byte.
+    ingestion modes; the equivalence contract (``tests/test_contract.py``)
+    holds both to one golden, byte for byte.
     """
     buffer = io.StringIO()
     print(render_table1(study.summaries.values()), file=buffer)

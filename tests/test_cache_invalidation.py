@@ -1,10 +1,11 @@
-"""Cache-invalidation properties and cross-backend cache sharing.
+"""Cache-invalidation properties.
 
 The soundness contract: a stage key changes exactly when the stage's output
 could change.  Any perturbation of the scenario parameters, the master
 seed, or the code-version tag must therefore produce a *different* key
-(miss), while the identical invocation — from any execution backend — must
-produce the *same* key (hit), with byte-identical results served back.
+(miss), while the identical invocation must produce the *same* key (hit).
+That a warm study reads every week back, on either backend, with the same
+bytes, is a cell of the equivalence contract (``tests/test_contract.py``).
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import dataclasses
 import pytest
 
 from repro.artifacts.store import ArtifactStore, reset_default_store
-from repro.exec.executor import ParallelExecutor
 from repro.sim import driver
-from repro.sim.driver import run_all, simulate_week
+from repro.sim.driver import simulate_week
 from repro.sim.scenarios import PAPER_SCENARIOS
 
 SPEC = PAPER_SCENARIOS["EU1-FTTH"]
@@ -109,26 +109,3 @@ class TestStoreInvalidation:
             assert store.get(key, "MISS", stage="sim/run_week") == "MISS"
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
-def test_warm_hits_and_identical_bytes_across_backends(cache_env, backend):
-    """One cold serial run warms every backend, byte for byte.
-
-    Process workers inherit ``REPRO_CACHE_DIR`` through the environment,
-    so all backends resolve against the same temp store.
-    """
-    names = ("EU1-FTTH", "US-Campus")
-    cold = run_all(names=names, executor=ParallelExecutor("serial"), **BASE)
-    digests = {name: cold[name].dataset.content_digest() for name in names}
-
-    driver.clear_cache()  # force the L1 memo out of the way: disk must serve
-    store = ArtifactStore(cache_env)
-    before = store.lifetime_counters()["stages"]["sim/run_week"]
-
-    warm = run_all(names=names, executor=ParallelExecutor(backend, max_workers=2),
-                   **BASE)
-    for name in names:
-        assert warm[name].dataset.content_digest() == digests[name]
-
-    after = store.lifetime_counters()["stages"]["sim/run_week"]
-    assert after["hits"] - before["hits"] == len(names)
-    assert after["puts"] == before["puts"]  # nothing was recomputed

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -131,6 +132,26 @@ class TestComposite:
         )
         assert code == 0
         assert "METHODOLOGY VALIDATION" in text
+
+    def test_min_scale_gives_every_dataset_a_request_a_day(self):
+        from repro.defaults import MIN_SCALE
+        from repro.sim.scenarios import PAPER_SCENARIOS
+
+        least = min(spec.requests_per_day for spec in PAPER_SCENARIOS.values())
+        assert MIN_SCALE == 1 / least
+
+    def test_faults_end_with_their_run(self):
+        # --faults hands its plan to workers through REPRO_FAULTS; a later
+        # run in the same process must not inherit it.
+        argv = ("study", "--scale", "0.004", "--landmarks", "40")
+        with mock.patch.dict(os.environ):
+            os.environ.pop("REPRO_FAULTS", None)
+            _, faulted = run_cli(*argv, "--faults", '{"seed": 1, "probe_loss": 0.1}')
+            _, clean = run_cli(*argv)
+            leaked = os.environ.get("REPRO_FAULTS")
+        assert "DEGRADATION REPORT" in faulted
+        assert "DEGRADATION REPORT" not in clean
+        assert leaked is None
 
     def test_coldvideo(self):
         code, text = run_cli("coldvideo", "--nodes", "12", "--samples", "4",
@@ -315,6 +336,19 @@ BAD_INPUTS = [
         "--values",
     ),
     (["study", "--scale", "-1"], {}, "--scale"),
+    (["study", "--scale", "inf"], {}, "repro study: --scale must be a finite number >= 0.000101"),
+    # A scale that leaves a week empty fails before anything simulates,
+    # not in whichever analysis first meets the empty week.
+    (["study", "--scale", "1e-9"], {}, "repro study: --scale must be a finite number >= 0.000101"),
+    (["eval", "--scale", "1e-9"], {}, "repro eval: --scale must be a finite number"),
+    (["figures", "--out-dir", "figs", "--scale", "1e-9"], {},
+     "repro figures: --scale must be a finite number"),
+    (["whatif", "--dataset", "EU2", "--scale", "1e-9"], {},
+     "repro whatif: --scale must be a finite number"),
+    (["simulate", "--dataset", "EU1-ADSL", "--out", "x.tsv", "--duration-days", "inf"], {},
+     "repro simulate: --duration-days must be positive and finite"),
+    (["monitor", "--epoch-s", "inf"], {}, "epoch_s must be finite, got inf"),
+    (["cache", "gc", "--max-size", "inf"], {}, "repro cache: bad --max-size 'inf'"),
     (["simulate", "--dataset", "EU1-ADSL", "--out", "x.tsv", "--scale", "0"], {}, "--scale"),
     (["study", "--landmarks", "3"], {}, "--landmarks"),
     (["eval", "--landmarks", "3"], {}, "--landmarks"),

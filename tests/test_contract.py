@@ -1,0 +1,192 @@
+"""The equivalence contract: one answer however the study is run.
+
+``repro study --scale 0.01 --seed 7 --digests`` prints Tables I–III, each
+vantage point's preferred data center and non-preferred share, and one
+content digest per dataset.  Those bytes, pinned in
+``tests/golden/study_0.01.txt``, must not depend on how the run is
+executed.  A *cell* picks one value on each axis:
+
+- mode: batch, or ``--stream`` at a one-hour or a 15-minute window;
+- backend: serial, or ``--parallel process --workers 2``;
+- cache: cold, or warm (weeks and RTT campaigns already stored);
+- plan: no fault plan, an inert one, or a recoverable one;
+- trace: ``--trace DIR``, or the same with ``REPRO_TRACE=off``.
+
+Every cell prints the golden up to any ``DEGRADATION REPORT``.  A
+recoverable plan must print that report, a trace-on cell writes one
+trace whose cache counters equal the store's ledger, and a trace-off
+cell writes none.  Tier-1 runs :data:`DIAGONAL`, which takes every axis
+value at least once; ``benchmarks/test_contract_matrix.py`` runs the
+full product.  ``scripts/update_golden.sh`` rewrites the golden.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import shutil
+import tempfile
+from functools import lru_cache
+from pathlib import Path
+from typing import Dict, List, Optional
+from unittest import mock
+
+import pytest
+
+from repro.cli import main
+from repro.obs.export import read_trace
+from repro.sim import driver
+
+GOLDEN = Path(__file__).parent / "golden" / "study_0.01.txt"
+STUDY = ["study", "--scale", "0.01", "--seed", "7", "--digests"]
+
+MODES = {
+    "batch": [],
+    "stream-3600": ["--stream", "--window-s", "3600"],
+    "stream-900": ["--stream", "--window-s", "900"],
+}
+BACKENDS = {
+    "serial": [],
+    "process": ["--parallel", "process", "--workers", "2"],
+}
+CACHES = ("cold", "warm")
+#: Fault plans.  ``recoverable`` injects only faults the run absorbs
+#: without changing a byte: retried task attempts, corrupt cache reads
+#: (quarantined and recomputed) and stream records delayed within the
+#: watermark.
+PLANS = {
+    "none": None,
+    "inert": {"seed": 99},
+    "recoverable": {
+        "seed": 4,
+        "task_transient": 0.3,
+        "artifact_corrupt": 0.5,
+        "record_disorder": 0.05,
+    },
+}
+TRACES = ("on", "off")
+
+#: (mode, backend, cache, plan, trace): every axis value at least once.
+#: The two warm batch cells read every week from the store, once per
+#: backend; the cold trace-off cell recomputes every week.
+DIAGONAL = [
+    ("batch", "serial", "cold", "none", "off"),
+    ("batch", "process", "warm", "inert", "on"),
+    ("stream-3600", "process", "cold", "recoverable", "on"),
+    ("stream-900", "serial", "warm", "recoverable", "off"),
+    ("batch", "serial", "warm", "none", "on"),
+]
+
+DEGRADATION = "\nDEGRADATION REPORT\n"
+
+
+def run_study(argv: List[str], env: Dict[str, str]) -> str:
+    """One in-process ``repro`` run under exactly ``env``'s ``REPRO_*``.
+
+    Clears the in-process week memo first, so only the artifact store
+    can carry work from one run to the next.  Returns the stdout.
+    """
+    driver.clear_cache()
+    clean = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {**clean, **env}, clear=True):
+        assert main(argv, out=out) == 0
+    return out.getvalue()
+
+
+def plan_args(plan: Optional[dict]) -> List[str]:
+    return [] if plan is None else ["--faults", json.dumps(plan)]
+
+
+def ledger(cache_dir: Path, skip: int = 0) -> List[dict]:
+    """The store's ``events.jsonl`` entries, after the first ``skip``."""
+    path = cache_dir / "events.jsonl"
+    if not path.is_file():
+        return []
+    return [json.loads(line) for line in path.read_text().splitlines()[skip:]]
+
+
+def counter_total(metrics: dict, name: str) -> int:
+    """One counter summed over every label set of a metrics snapshot."""
+    return int(sum(
+        value for flat, value in metrics.get("counters", {}).items()
+        if flat == name or flat.startswith(name + "{")
+    ))
+
+
+def degradation_totals(stdout: str) -> Dict[str, int]:
+    """The ``TOTAL`` row of the degradation table, by counter."""
+    _, _, table = stdout.partition(DEGRADATION)
+    rows = [line.split() for line in table.splitlines()]
+    header = next(row for row in rows if row and row[0] == "stage")
+    total = next(row for row in rows if row and row[0] == "TOTAL")
+    return dict(zip(header[1:], map(int, total[1:])))
+
+
+_PRIMED = tempfile.TemporaryDirectory(prefix="repro-contract-")
+
+
+@lru_cache(maxsize=None)
+def primed_cache(plan: str) -> Path:
+    """A store filled by a ten-landmark study under ``plan``; warm cells copy it.
+
+    It holds the weeks and RTT campaigns, but not the 120-landmark
+    report, so a warm cell misses ``cli/study`` and reads the rest.
+    """
+    cache_dir = Path(_PRIMED.name) / plan
+    run_study(STUDY + ["--landmarks", "10"] + plan_args(PLANS[plan]),
+              {"REPRO_CACHE_DIR": str(cache_dir)})
+    return cache_dir
+
+
+def run_cell(mode: str, backend: str, cache: str, plan: str, trace: str,
+             tmp_path: Path) -> None:
+    """Run one contract cell and check what every cell holds."""
+    cache_dir = tmp_path / "cache"
+    trace_dir = tmp_path / "traces"
+    env = {"REPRO_CACHE_DIR": str(cache_dir)}
+    if trace == "off":
+        env["REPRO_TRACE"] = "off"
+    faults = plan_args(PLANS[plan])
+    if cache == "warm":
+        # An inert plan keys what no plan keys, so both read one store.
+        shutil.copytree(primed_cache("recoverable" if plan == "recoverable" else "none"),
+                        cache_dir)
+    mark = len(ledger(cache_dir))
+    stdout = run_study(
+        STUDY + MODES[mode] + BACKENDS[backend] + faults
+        + ["--trace", str(trace_dir)],
+        env,
+    )
+    events = ledger(cache_dir, skip=mark)
+
+    head, degraded, _ = stdout.partition(DEGRADATION)
+    assert head == GOLDEN.read_text(encoding="utf-8")
+    assert bool(degraded) == (plan == "recoverable")
+    if degraded:
+        # The plan did inject: tasks were retried, and a warm run's
+        # corrupt reads were quarantined.
+        totals = degradation_totals(stdout)
+        assert totals["retried"] >= 1
+        assert cache == "cold" or totals["quarantined"] >= 1
+
+    traces = sorted(trace_dir.glob("trace_*.jsonl"))
+    if trace == "off":
+        assert traces == []
+    else:
+        assert len(traces) == 1
+        doc = read_trace(traces[0])
+        assert [root.name for root in doc.roots()] == ["cli/study"]
+        for event in ("hit", "miss", "put"):
+            in_ledger = sum(1 for entry in events if entry["event"] == event)
+            assert counter_total(doc.metrics, f"cache.{event}") == in_ledger, event
+
+    if cache == "warm" and mode == "batch" and plan != "recoverable":
+        weeks = [entry["event"] for entry in events if entry["stage"] == "sim/run_week"]
+        assert weeks == ["hit"] * 5
+
+
+@pytest.mark.parametrize("cell", DIAGONAL, ids=["-".join(cell) for cell in DIAGONAL])
+def test_contract_cell(cell, tmp_path):
+    run_cell(*cell, tmp_path)

@@ -55,20 +55,3 @@ class TestExport:
         assert script.exists()
         dats = sorted(p.name for p in tmp_path.glob("fig99_*.dat"))
         assert dats == ["fig99_eu2.dat", "fig99_us-campus.dat"]
-
-    def test_cli_figures_command(self, tmp_path):
-        import io
-
-        from repro.cli import main
-
-        out = io.StringIO()
-        code = main(
-            ["figures", "--out-dir", str(tmp_path / "figs"),
-             "--scale", "0.004", "--landmarks", "40"],
-            out=out,
-        )
-        assert code == 0
-        scripts = list((tmp_path / "figs").glob("*.gp"))
-        assert len(scripts) == 5
-        dats = list((tmp_path / "figs").glob("*.dat"))
-        assert len(dats) >= 10

@@ -541,17 +541,6 @@ class TestCliStream:
         code = main(list(argv), out=out)
         return code, out.getvalue()
 
-    def test_stream_study_is_byte_identical_at_two_window_sizes(self):
-        base_args = ("study", "--scale", "0.004", "--landmarks", "40",
-                     "--digests")
-        code, batch = self.run(*base_args)
-        assert code == 0
-        for window in ("3600", "900"):
-            code, streamed = self.run(*base_args, "--stream",
-                                      "--window-s", window)
-            assert code == 0
-            assert streamed == batch
-
     def test_stream_policy_matches_golden(self):
         golden = Path(__file__).parent / "golden" / "study_gwtw_0.01.digests"
         code, text = self.run("study", "--stream", "--policy", "gwtw",
