@@ -30,7 +30,7 @@ LANDMARKS = 120
 TARGETS = 40
 PROBES = 6
 REPEATS = 2
-REQUIRED_SPEEDUP = 3.0
+REQUIRED_SPEEDUP = 5.0
 
 
 def _targets() -> List[Site]:

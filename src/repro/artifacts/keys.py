@@ -34,7 +34,7 @@ from typing import Any, Optional
 
 #: Bump whenever a change to simulator or analysis code alters any stage's
 #: output for unchanged inputs; every existing artifact then misses.
-CODE_VERSION = "2"
+CODE_VERSION = "3"
 
 #: Environment override for the code-version tag (tests use it to force
 #: invalidation without editing source).

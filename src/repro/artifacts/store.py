@@ -10,8 +10,12 @@ without locks: a reader sees either the complete artifact or nothing.
 
 Layout, under ``REPRO_CACHE_DIR`` (default ``~/.cache/repro``)::
 
-    objects/<k[:2]>/<k[2:]>.pkl   one pickled artifact per key
+    objects/<k[:2]>/<k[2:]>.pkl   one artifact per key: sha256 + pickle
     events.jsonl                  append-only hit/miss/put ledger
+
+Each object is the 32-byte sha256 of its pickle followed by the pickle, so
+a read verifies the bytes it returns: a flipped bit, a truncation or a
+blob of another format fails the check and is quarantined as a miss.
 
 The ledger makes counters durable across processes: every store instance
 appends one JSON line per cache event (POSIX ``O_APPEND`` keeps concurrent
@@ -21,6 +25,7 @@ the on-disk object census.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -45,6 +50,9 @@ DEFAULT_CACHE_DIR = "~/.cache/repro"
 
 _OFF_VALUES = ("0", "off", "false", "no")
 
+#: Bytes of the sha256 that heads every stored object.
+_CHECKSUM_BYTES = 32
+
 
 @dataclass
 class CacheStats:
@@ -55,8 +63,8 @@ class CacheStats:
         misses: Lookups that found nothing (or a corrupt object).
         puts: Artifacts written.
         quarantined: Corrupt objects moved aside for recomputation.
-        bytes_read: Total pickled bytes served from disk.
-        bytes_written: Total pickled bytes written.
+        bytes_read: Total stored bytes served from disk.
+        bytes_written: Total stored bytes written.
     """
 
     hits: int = 0
@@ -174,14 +182,15 @@ class ArtifactStore:
     def get(self, key: str, default: Any = None, stage: str = "") -> Any:
         """Load the artifact for ``key``, or ``default`` on a miss.
 
-        A corrupt or truncated object (e.g. a machine died mid-write of a
-        pre-atomic-rename temp file that was then moved manually) counts
-        as a miss: the object is *quarantined* — moved under
-        ``quarantine/`` for post-mortems — so the caller recomputes and
-        the next put heals the slot.  An active fault plan can inject
-        exactly this failure mode (``artifact_corrupt``): the read
-        surfaces a truncated blob, keyed deterministically on the cache
-        key, and flows through the same quarantine path.
+        An object whose bytes do not match their checksum (a flipped bit
+        on disk, a truncation, a blob without the header) or that does
+        not unpickle counts as a miss: the object is *quarantined* —
+        moved under ``quarantine/`` for post-mortems — so the caller
+        recomputes and the next put heals the slot.  An active fault
+        plan can inject exactly this failure mode (``artifact_corrupt``):
+        the read surfaces a blob with one byte flipped, keyed
+        deterministically on the cache key, and flows through the same
+        quarantine path.
 
         Args:
             key: The stage key.
@@ -197,11 +206,16 @@ class ArtifactStore:
             )
 
     def _get(self, key: str, default: Any, stage: str) -> Any:
+        from hashlib import sha256
+
         path = self.object_path(key)
         try:
             blob = path.read_bytes()
             blob = self._maybe_corrupt(key, blob)
-            value = pickle.loads(blob)
+            body = memoryview(blob)[_CHECKSUM_BYTES:]
+            if sha256(body).digest() != blob[:_CHECKSUM_BYTES]:
+                raise ValueError("checksum mismatch")
+            value = _unpickle(body)
         except FileNotFoundError:
             self._record("miss", stage, 0)
             return default
@@ -221,10 +235,10 @@ class ArtifactStore:
 
     @staticmethod
     def _maybe_corrupt(key: str, blob: bytes) -> bytes:
-        """Truncate the blob when the ambient fault plan says so.
+        """Flip one byte of the blob when the ambient fault plan says so.
 
-        Truncation removes the pickle STOP opcode, so the injected blob
-        always fails to load and exercises the genuine quarantine path.
+        The flipped byte is the middle one, so the injected blob always
+        fails its checksum and exercises the genuine quarantine path.
         """
         from repro.faults.plan import active_plan
 
@@ -232,7 +246,8 @@ class ArtifactStore:
         if plan is not None and plan.decide(
             plan.artifact_corrupt, "artifacts/corrupt", key
         ):
-            return blob[: len(blob) // 2]
+            middle = len(blob) // 2
+            return blob[:middle] + bytes([blob[middle] ^ 0xFF]) + blob[middle + 1:]
         return blob
 
     def _quarantine(self, path: Path, stage: str) -> None:
@@ -255,19 +270,23 @@ class ArtifactStore:
         """Atomically write the artifact for ``key``.
 
         Returns:
-            The pickled size in bytes.
+            The stored size in bytes (checksum header included).
 
         Raises:
             pickle.PicklingError: For unpicklable values (nothing is
                 written).
         """
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        from hashlib import sha256
+
+        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        checksum = sha256(body).digest()
         path = self.object_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
+                handle.write(checksum)
+                handle.write(body)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -275,9 +294,10 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
-        self.stats.bytes_written += len(blob)
-        self._record("put", stage, len(blob))
-        return len(blob)
+        size = len(checksum) + len(body)
+        self.stats.bytes_written += size
+        self._record("put", stage, size)
+        return size
 
     # -------------------------------------------------------------- counters
 
@@ -354,7 +374,7 @@ class ArtifactStore:
                 yield path, stat.st_size, stat.st_mtime
 
     def disk_stats(self) -> Dict[str, int]:
-        """Object count and total pickled bytes on disk."""
+        """Object count and total stored bytes on disk."""
         objects = 0
         total_bytes = 0
         for _, size, _ in self.iter_objects():
@@ -420,6 +440,21 @@ class ArtifactStore:
             removed += 1
             freed += size
         return (removed, freed)
+
+
+def _unpickle(body) -> Any:
+    """Unpickle with cyclic GC paused.
+
+    A week unpickles into ~10^5 objects and no reference cycles, so the
+    collections its allocations would trigger find nothing to free.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(body)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _default: Optional[ArtifactStore] = None

@@ -499,8 +499,10 @@ def _render_study(args: argparse.Namespace):
     the bytes are the same.
 
     Returns:
-        ``(text, digests)`` — the full report text and one flow-log
-        content digest per dataset.
+        ``(text, digests)`` — the full report text, and for a streamed
+        study the content digest of each dataset, hashed window by window
+        as the windows sealed (``None`` for a batch study, whose weeks
+        are hashed only if the digests are asked for).
     """
     import io
 
@@ -510,6 +512,7 @@ def _render_study(args: argparse.Namespace):
     buffer = io.StringIO()
     landmark_count = _landmark_count(args)
     executor = executor_from_args(args)
+    digests = None
     if args.stream:
         from repro.stream.study import run_streaming_study
 
@@ -524,7 +527,6 @@ def _render_study(args: argparse.Namespace):
             scale=args.scale, seed=args.seed, executor=executor, policy_kind=args.policy,
         )
         pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
-        digests = {name: result.dataset.content_digest() for name, result in results.items()}
     if args.full:
         from repro.core.report import render_study_report
 
@@ -537,6 +539,37 @@ def _render_study(args: argparse.Namespace):
         print("", file=buffer)
         print(render_validation(validate_study(pipeline, results)), file=buffer)
     return buffer.getvalue(), digests
+
+
+def _study_digests(args: argparse.Namespace, store, streamed):
+    """The study's week digests, through the ``cli/digests`` artifact.
+
+    A digest depends on the simulated week only, so the key holds the
+    weeks' inputs (scale, seed, policy) and no report option: every
+    landmark budget and report flag of one world shares the entry.  On a
+    miss a streamed study's own digests are kept; otherwise the weeks are
+    hashed, taken from the driver's in-process memo after a batch study,
+    or read back from the store (or simulated) after a cached report.
+    """
+    from repro.artifacts.keys import stage_key
+
+    key = stage_key("cli/digests", {
+        "scale": args.scale, "seed": args.seed, "policy": args.policy,
+    })
+    digests = None if store is None else store.get(key, None, stage="cli/digests")
+    if digests is None:
+        digests = streamed
+        if digests is None:
+            from repro.sim.driver import run_all
+
+            results = run_all(
+                scale=args.scale, seed=args.seed, executor=executor_from_args(args),
+                policy_kind=args.policy,
+            )
+            digests = {name: r.dataset.content_digest() for name, r in results.items()}
+        if store is not None:
+            store.put(key, digests, stage="cli/digests")
+    return digests
 
 
 def cmd_study(args: argparse.Namespace, out) -> int:
@@ -566,9 +599,9 @@ def cmd_study(args: argparse.Namespace, out) -> int:
     # only how the work is scheduled, never the bytes, so they stay out —
     # and so do --stream/--window-s, an execution strategy under the same
     # byte-parity contract (a streamed or batch run fills and hits the
-    # same artifact).
+    # same artifact).  The digests are an artifact of their own.
     store = default_store()
-    payload = None
+    text = None
     key = None
     if store is not None:
         key = stage_key("cli/study", {
@@ -579,19 +612,20 @@ def cmd_study(args: argparse.Namespace, out) -> int:
             "full": bool(args.full),
             "validate": bool(args.validate),
         })
-        payload = store.get(key, None, stage="cli/study")
-    if payload is None:
+        text = store.get(key, None, stage="cli/study")
+    streamed = None
+    if text is None:
         # Only a run that succeeded stored a report under this policy, so
         # the registry (and the world model it loads) is read on a miss.
         _check_policies([args.policy])
-        text, digests = _render_study(args)
-        payload = {"text": text, "digests": digests}
+        text, streamed = _render_study(args)
         if store is not None:
-            store.put(key, payload, stage="cli/study")
-    out.write(payload["text"])
+            store.put(key, text, stage="cli/study")
+    out.write(text)
     if args.digests:
-        for name in sorted(payload["digests"]):
-            print(f"digest {name} {payload['digests'][name]}", file=out)
+        digests = _study_digests(args, store, streamed)
+        for name in sorted(digests):
+            print(f"digest {name} {digests[name]}", file=out)
     from repro.faults.plan import active_plan
 
     if active_plan() is not None:
@@ -791,6 +825,7 @@ def cmd_whatif(args: argparse.Namespace, out) -> int:
 
 
 def cmd_figures(args: argparse.Namespace, out) -> int:
+    from repro.core.folds import SparseHoursError
     from repro.core.pipeline import StudyPipeline
     from repro.reporting.gnuplot import export_figure_cdfs
     from repro.sim.driver import run_all
@@ -803,32 +838,31 @@ def cmd_figures(args: argparse.Namespace, out) -> int:
     executor = executor_from_args(args)
     results = run_all(scale=args.scale, seed=args.seed, executor=executor)
     pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
+    names = pipeline.dataset_names
 
-    written = []
-    written.append(export_figure_cdfs(
-        {name: pipeline.rtt_cdf(name) for name in pipeline.dataset_names},
-        args.out_dir, "fig02_rtt", x_label="RTT [ms]",
-    ))
-    written.append(export_figure_cdfs(
-        pipeline.fig3_cdfs, args.out_dir, "fig03_confidence",
-        x_label="Radius [km]", logscale_x=True,
-    ))
-    written.append(export_figure_cdfs(
-        {name: pipeline.flow_size_cdf(name) for name in pipeline.dataset_names},
-        args.out_dir, "fig04_flow_sizes", x_label="Bytes", logscale_x=True,
-    ))
-    written.append(export_figure_cdfs(
-        {name: pipeline.fig9_cdf(name) for name in pipeline.dataset_names},
-        args.out_dir, "fig09_nonpreferred",
-        x_label="Fraction of Video Flows to Non-preferred DC",
-    ))
-    written.append(export_figure_cdfs(
-        {name: pipeline.fig13_cdf(name) for name in pipeline.dataset_names},
-        args.out_dir, "fig13_per_video", x_label="Number of Requests",
-        logscale_x=True,
-    ))
-    for path in written:
-        print(f"wrote {path}", file=out)
+    figures = [
+        ({name: pipeline.rtt_cdf(name) for name in names},
+         "fig02_rtt", {"x_label": "RTT [ms]"}),
+        (pipeline.fig3_cdfs,
+         "fig03_confidence", {"x_label": "Radius [km]", "logscale_x": True}),
+        ({name: pipeline.flow_size_cdf(name) for name in names},
+         "fig04_flow_sizes", {"x_label": "Bytes", "logscale_x": True}),
+    ]
+    try:
+        fig9 = {name: pipeline.fig9_cdf(name) for name in names}
+    except SparseHoursError as error:
+        raise UsageError(
+            f"--scale {args.scale:g} is too small for Figure 9: {error} in some dataset"
+        ) from None
+    figures += [
+        (fig9, "fig09_nonpreferred",
+         {"x_label": "Fraction of Video Flows to Non-preferred DC"}),
+        ({name: pipeline.fig13_cdf(name) for name in names},
+         "fig13_per_video", {"x_label": "Number of Requests", "logscale_x": True}),
+    ]
+    # Every curve is computed before the first file is written.
+    for cdfs, slug, options in figures:
+        print(f"wrote {export_figure_cdfs(cdfs, args.out_dir, slug, **options)}", file=out)
     return 0
 
 

@@ -240,6 +240,13 @@ class TrafficAccumulator:
         return nonpreferred / total
 
 
+class SparseHoursError(ValueError):
+    """No hour of a week has enough flows for a per-hour share.
+
+    A traffic scale too small for Figure 9 raises it, not a fault.
+    """
+
+
 class HourlyShareAccumulator:
     """Per-hour, per-server video-flow counts (Figure 9's raw material).
 
@@ -281,7 +288,7 @@ class HourlyShareAccumulator:
         ``min_flows_per_hour`` clustered video flows are skipped.
 
         Raises:
-            ValueError: If no hour has enough flows.
+            SparseHoursError: If no hour has enough flows.
         """
         numerator = [0] * num_hours
         denominator = [0] * num_hours
@@ -299,7 +306,9 @@ class HourlyShareAccumulator:
             if denominator[h] >= min_flows_per_hour
         ]
         if not fractions:
-            raise ValueError("no hour has enough video flows")
+            raise SparseHoursError(
+                f"no hour has {min_flows_per_hour} or more video flows"
+            )
         return Cdf(fractions)
 
 

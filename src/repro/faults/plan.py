@@ -78,8 +78,9 @@ class FaultPlan:
             :class:`~repro.faults.retry.TransientFault`.
         task_crash: Chance one executor task attempt dies as a
             :class:`~repro.faults.retry.WorkerCrash`.
-        artifact_corrupt: Chance an artifact-store read surfaces a
-            truncated object (which the store quarantines and recomputes).
+        artifact_corrupt: Chance an artifact-store read surfaces an
+            object with one byte flipped (which fails its checksum, so
+            the store quarantines it and the stage recomputes).
         line_garble: Chance a flow-log line is garbled mid-ingestion.
         record_disorder: Chance a streamed flow record is held back and
             re-emitted a few arrivals later.  The injector lags the

@@ -211,10 +211,11 @@ class CbgGeolocator:
         The distance, floor and noise rate of a landmark pair are fixed,
         so they are computed once per unordered pair (great-circle
         distance and the floor RTT are symmetric to the bit, and the
-        path profile is keyed on the unordered pair); only the probe
-        draws are per measurement.  Each landmark's row is then measured
-        in landmark order, drawing exactly what a ``measure_ms`` per
-        ordered pair would.
+        path profile is keyed on the unordered pair), and the floor
+        reuses the pair's distance; only the probe draws are per
+        measurement.  Each landmark's row is then measured in landmark
+        order, drawing exactly what a ``measure_ms`` per ordered pair
+        would.
         """
         sites = self._sites
         count = len(sites)
@@ -223,8 +224,9 @@ class CbgGeolocator:
         paths = [[(0.0, 0.0)] * count for _ in range(count)]
         for i in range(count):
             for j in range(i + 1, count):
-                distances[i][j] = distances[j][i] = haversine_km(sites[i].point, sites[j].point)
-                paths[i][j] = paths[j][i] = floor_and_rate(sites[i], sites[j])
+                distance = haversine_km(sites[i].point, sites[j].point)
+                distances[i][j] = distances[j][i] = distance
+                paths[i][j] = paths[j][i] = floor_and_rate(sites[i], sites[j], distance)
         measure = self._prober.measure_floor_ms
         for i, lm in enumerate(self._landmarks):
             others = [j for j in range(count) if j != i]
@@ -351,12 +353,19 @@ class CbgGeolocator:
         anchor_radius = float(radii[tightest])
         lats, lons = _sunflower(anchor, anchor_radius, _REGION_SAMPLES)
 
+        # Every sample lies within anchor_radius of the anchor, so by the
+        # triangle inequality a disc reaching past the anchor's disc holds
+        # them all and cannot clear a mask bit.  The slack absorbs any
+        # rounding in the distances, so the test is one vector pass.
+        reach = haversine_km_many(
+            anchor,
+            np.fromiter((c.lat for c in centers), float, len(centers)),
+            np.fromiter((c.lon for c in centers), float, len(centers)),
+        )
+        holds_all = reach + anchor_radius + _CONTAINMENT_SLACK_KM < radii
         mask = np.ones(lats.shape[0], dtype=bool)
-        for center, radius in zip(centers, radii):
-            # Every sample lies within anchor_radius of the anchor, so by
-            # the triangle inequality a disc reaching past the anchor's
-            # disc holds them all and cannot clear a mask bit.
-            if haversine_km(center, anchor) + anchor_radius + _CONTAINMENT_SLACK_KM < radius:
+        for center, radius, skip in zip(centers, radii, holds_all.tolist()):
+            if skip:
                 continue
             mask &= haversine_km_many(center, lats, lons) <= radius
             if not mask.any():

@@ -37,7 +37,9 @@ import enum
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from itertools import repeat, starmap
+from math import log
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.geo.coords import GeoPoint, haversine_km
 
@@ -113,8 +115,7 @@ class Site:
         return self.group if self.group is not None else self.key
 
 
-@dataclass(frozen=True)
-class PathProfile:
+class PathProfile(NamedTuple):
     """Deterministic characteristics of the path between two site groups.
 
     Attributes:
@@ -185,20 +186,28 @@ class LatencyModel:
                 )
             else:
                 detour = 0.0
-        return PathProfile(inflation=inflation, jitter_ms=jitter, detour_ms=detour)
+        return PathProfile(inflation, jitter, detour)
 
     def min_rtt_ms(self, a: Site, b: Site) -> float:
         """The floor RTT between two sites (no queueing), in ms."""
-        return self._floor_ms(a, b, self.path_profile(a, b))
+        return self.floor_and_rate(a, b)[0]
 
-    def floor_and_rate(self, a: Site, b: Site) -> Tuple[float, float]:
+    def floor_and_rate(
+        self, a: Site, b: Site, distance_km: Optional[float] = None
+    ) -> Tuple[float, float]:
         """``(floor RTT in ms, queueing-noise rate)`` of the path.
 
         Everything a probe of the path needs that does not vary per
-        probe: each probe is ``floor + rng.expovariate(rate)``.
+        probe: each probe is ``floor + rng.expovariate(rate)``.  A caller
+        that already holds ``haversine_km(a.point, b.point)`` passes it
+        as ``distance_km``; the floor is the same to the bit.
         """
-        profile = self.path_profile(a, b)
-        return self._floor_ms(a, b, profile), 1.0 / profile.jitter_ms
+        inflation, jitter, detour = self.path_profile(a, b)
+        if distance_km is None:
+            distance_km = haversine_km(a.point, b.point)
+        propagation = 2.0 * distance_km / C_FIBER_KM_PER_MS * inflation
+        access = a.access.last_mile_ms + b.access.last_mile_ms + a.extra_ms + b.extra_ms
+        return propagation + detour + access + PROCESSING_MS, 1.0 / jitter
 
     def measure_min_rtt_ms(self, a: Site, b: Site, rng: random.Random, probes: int = 10) -> float:
         """Minimum over ``probes`` samples — what ``ping`` campaigns report.
@@ -210,13 +219,6 @@ class LatencyModel:
             raise ValueError("probes must be >= 1")
         floor, rate = self.floor_and_rate(a, b)
         return min_of_probes(floor, rate, rng, probes)
-
-    @staticmethod
-    def _floor_ms(a: Site, b: Site, profile: PathProfile) -> float:
-        distance = haversine_km(a.point, b.point)
-        propagation = 2.0 * distance / C_FIBER_KM_PER_MS * profile.inflation
-        access = a.access.last_mile_ms + b.access.last_mile_ms + a.extra_ms + b.extra_ms
-        return propagation + profile.detour_ms + access + PROCESSING_MS
 
     @staticmethod
     def ideal_rtt_ms(distance_km: float) -> float:
@@ -233,12 +235,15 @@ class LatencyModel:
 def min_of_probes(floor_ms: float, rate: float, rng: random.Random, probes: int) -> float:
     """The minimum of ``probes`` probes ``floor_ms + rng.expovariate(rate)``.
 
-    The draws are taken in probe order, one per probe, so the result and
-    the RNG state afterwards match ``probes`` single-probe samples (the
-    floor plus ``rng.expovariate(rate)``) bit for bit.
+    ``expovariate(rate)`` is ``-log(1.0 - random()) / rate``, and every
+    step from the uniform draw to the sample (``1.0 - u``, ``log``, the
+    division, adding the floor) is monotone under IEEE rounding.  So the
+    minimum sample is the sample of the minimum draw: this takes the same
+    ``probes`` draws in probe order and one logarithm, and the result and
+    the RNG state afterwards match ``probes`` single-probe samples bit
+    for bit (``tests/test_latency_min_of_probes.py``).
     """
-    draw = rng.expovariate
-    return min(floor_ms + draw(rate) for _ in range(probes))
+    return floor_ms + -log(1.0 - min(starmap(rng.random, repeat((), probes)))) / rate
 
 
 def _pair_key(a: str, b: str) -> Tuple[str, str]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import gc
+import hashlib
 import json
 import pickle
 
@@ -231,8 +233,86 @@ class TestArtifactStore:
 
     def test_values_use_highest_pickle_protocol(self, store):
         store.put(KEY, {"a": 1}, stage="s")
+        body = store.object_path(KEY).read_bytes()[32:]  # past the checksum
+        assert body[:2] == pickle.PROTO + bytes([pickle.HIGHEST_PROTOCOL])
+        assert pickle.loads(body) == {"a": 1}
+
+
+class TestIntegrity:
+    """Every object carries the sha256 of its pickle, checked on read."""
+
+    def test_object_is_checksum_then_pickle(self, store):
+        size = store.put(KEY, [1, 2, 3], stage="s")
         blob = store.object_path(KEY).read_bytes()
-        assert pickle.loads(blob) == {"a": 1}
+        assert len(blob) == size
+        assert blob[:32] == hashlib.sha256(blob[32:]).digest()
+
+    @pytest.mark.parametrize("offset", [0, 31, 32, -1])
+    def test_flipped_byte_is_quarantined_as_a_miss(self, store, offset):
+        # The checksum itself, its last byte, the first pickle byte and
+        # the pickle's STOP opcode.
+        store.put(KEY, {"rows": list(range(50))}, stage="s")
+        path = store.object_path(KEY)
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= 0x01
+        path.write_bytes(bytes(blob))
+        assert store.get(KEY, "MISS", stage="s") == "MISS"
+        assert store.stats.quarantined == 1
+        assert store.stats.misses == 1 and store.stats.hits == 0
+        assert not path.exists()
+        assert len(list(store.quarantine_dir.iterdir())) == 1
+
+    def test_blob_without_the_header_is_quarantined(self, store):
+        # A raw pickle, as stores wrote before the checksum: it loads as
+        # a pickle but fails the check.
+        path = store.object_path(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(pickle.dumps({"a": 1}, protocol=pickle.HIGHEST_PROTOCOL))
+        assert store.get(KEY, "MISS", stage="s") == "MISS"
+        assert store.stats.quarantined == 1
+        assert not path.exists()
+
+    def test_valid_checksum_over_a_bad_pickle_is_quarantined(self, store):
+        body = b"not a pickle"
+        path = store.object_path(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(hashlib.sha256(body).digest() + body)
+        assert store.get(KEY, "MISS", stage="s") == "MISS"
+        assert store.stats.quarantined == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_is_restored(self, store, enabled):
+        store.put(KEY, {"a": 1}, stage="s")
+        other = "cd" + "0" * 62
+        path = store.object_path(other)
+        path.parent.mkdir(parents=True)
+        body = b"not a pickle"
+        path.write_bytes(hashlib.sha256(body).digest() + body)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert store.get(KEY, stage="s") == {"a": 1}
+            assert gc.isenabled() is enabled
+            assert store.get(other, "MISS", stage="s") == "MISS"  # load fails
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_store_module_does_not_import_hashlib(self):
+        # `repro cache stats` is the cold start-up probe: the checksum's
+        # hashlib loads only when an object is read or written.
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro.artifacts.store as s\n"
+            "s.ArtifactStore('unused').stats_summary()\n"
+            "print('hashlib' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestDefaultStore:

@@ -374,6 +374,10 @@ BAD_INPUTS = [
     (["whatif", "--dataset", "EU1-ADSL", "--variants", "old-policy,old-policy"], {},
      "repro whatif: axis 'variant' has duplicate values"),
     (["figures", "--out-dir", "malformed.tsv/figs"], {}, "--out-dir"),
+    # Above the --scale floor, but Figure 9 needs an hour with five video
+    # flows at every vantage point; no figure file is written.
+    (["figures", "--out-dir", "figs", "--scale", "1.02e-4", "--landmarks", "10", "--seed", "1"],
+     {}, "repro figures: --scale 0.000102 is too small for Figure 9"),
     (["grid", "plan", "--axis", "server_capacity_multiple=3",
       "--out", "malformed.tsv/g.json"], {}, "malformed.tsv/g.json"),
     (["monitor", "--epochs", "0"], {}, "epochs must be >= 1"),

@@ -18,6 +18,8 @@ trace whose cache counters equal the store's ledger, and a trace-off
 cell writes none.  Tier-1 runs :data:`DIAGONAL`, which takes every axis
 value at least once; ``benchmarks/test_contract_matrix.py`` runs the
 full product.  ``scripts/update_golden.sh`` rewrites the golden.
+:class:`TestStoredWeeks` holds the golden through a damaged store and
+through the digests' own artifact.
 """
 
 from __future__ import annotations
@@ -34,9 +36,13 @@ from unittest import mock
 
 import pytest
 
+from repro.artifacts.keys import stage_key
+from repro.artifacts.store import ArtifactStore
 from repro.cli import main
 from repro.obs.export import read_trace
 from repro.sim import driver
+from repro.sim.scenarios import PAPER_SCENARIOS
+from repro.trace.records import WEEK_S, Dataset
 
 GOLDEN = Path(__file__).parent / "golden" / "study_0.01.txt"
 STUDY = ["study", "--scale", "0.01", "--seed", "7", "--digests"]
@@ -182,6 +188,10 @@ def run_cell(mode: str, backend: str, cache: str, plan: str, trace: str,
             in_ledger = sum(1 for entry in events if entry["event"] == event)
             assert counter_total(doc.metrics, f"cache.{event}") == in_ledger, event
 
+    if cache == "warm" and plan != "recoverable":
+        # The ten-landmark study stored the digests: no week is hashed.
+        digests = [entry["event"] for entry in events if entry["stage"] == "cli/digests"]
+        assert digests == ["hit"]
     if cache == "warm" and mode == "batch" and plan != "recoverable":
         weeks = [entry["event"] for entry in events if entry["stage"] == "sim/run_week"]
         assert weeks == ["hit"] * 5
@@ -190,3 +200,61 @@ def run_cell(mode: str, backend: str, cache: str, plan: str, trace: str,
 @pytest.mark.parametrize("cell", DIAGONAL, ids=["-".join(cell) for cell in DIAGONAL])
 def test_contract_cell(cell, tmp_path):
     run_cell(*cell, tmp_path)
+
+
+#: The ``cli/digests`` key of :data:`STUDY`: the weeks' inputs only.
+DIGESTS_KEY = stage_key("cli/digests", {"scale": 0.01, "seed": 7, "policy": "preferred"})
+
+
+def flip_middle_byte(path: Path) -> None:
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+class TestStoredWeeks:
+    """Warm studies over a damaged store and the ``cli/digests`` artifact."""
+
+    def test_flipped_byte_in_a_week_is_quarantined_and_recomputed(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(primed_cache("none"), cache_dir)
+        store = ArtifactStore(cache_dir)
+        week_key = driver.simulate_week.cache_key(
+            PAPER_SCENARIOS["US-Campus"], 0.01, 7, WEEK_S, "preferred"
+        )
+        # Damage the digests too, so they are recomputed from the weeks.
+        for key in (week_key, DIGESTS_KEY):
+            flip_middle_byte(store.object_path(key))
+        mark = len(ledger(cache_dir))
+        stdout = run_study(STUDY, {"REPRO_CACHE_DIR": str(cache_dir)})
+        assert stdout == GOLDEN.read_text(encoding="utf-8")
+        events = [(e["stage"], e["event"]) for e in ledger(cache_dir, skip=mark)]
+        weeks = [event for stage, event in events if stage == "sim/run_week"]
+        assert sorted(weeks) == ["hit"] * 4 + ["miss", "put", "quarantine"]
+        digests = [event for stage, event in events if stage == "cli/digests"]
+        assert digests == ["quarantine", "miss", "put"]
+        assert len(list(store.quarantine_dir.iterdir())) == 2
+
+    def test_cached_report_without_digests_reads_the_weeks(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(primed_cache("none"), cache_dir)
+        ArtifactStore(cache_dir).object_path(DIGESTS_KEY).unlink()
+        mark = len(ledger(cache_dir))
+        stdout = run_study(STUDY + ["--landmarks", "10"], {"REPRO_CACHE_DIR": str(cache_dir)})
+        digest_lines = [line for line in stdout.splitlines() if line.startswith("digest ")]
+        golden = GOLDEN.read_text(encoding="utf-8").splitlines()
+        assert digest_lines == [line for line in golden if line.startswith("digest ")]
+        events = [(e["stage"], e["event"]) for e in ledger(cache_dir, skip=mark)]
+        assert ("cli/study", "hit") in events
+        assert [event for stage, event in events if stage == "sim/run_week"] == ["hit"] * 5
+        assert [event for stage, event in events if stage == "cli/digests"] == ["miss", "put"]
+
+    def test_study_without_digests_hashes_no_week(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(primed_cache("none"), cache_dir)
+        mark = len(ledger(cache_dir))
+        with mock.patch.object(Dataset, "content_digest", side_effect=AssertionError):
+            stdout = run_study(STUDY[:-1], {"REPRO_CACHE_DIR": str(cache_dir)})
+        assert stdout == GOLDEN.read_text(encoding="utf-8").split("digest ", 1)[0]
+        stages = {entry["stage"] for entry in ledger(cache_dir, skip=mark)}
+        assert "cli/digests" not in stages

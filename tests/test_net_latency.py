@@ -9,6 +9,7 @@ from repro.net.latency import (
     AccessTechnology,
     LatencyModel,
     Site,
+    min_of_probes,
 )
 
 
@@ -113,3 +114,59 @@ class TestSampling:
         model = LatencyModel(seed=11)
         with pytest.raises(ValueError):
             model.measure_min_rtt_ms(TURIN, MILAN, random.Random(0), probes=0)
+
+
+def per_probe_min(floor, rate, rng, probes):
+    """The spec: one ``expovariate`` per probe, then the minimum."""
+    return min(floor + rng.expovariate(rate) for _ in range(probes))
+
+
+class ScriptedRandom(random.Random):
+    """A ``Random`` whose uniform draws are given (``expovariate`` reads them)."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+class TestMinOfProbes:
+    """The one-log minimum equals the per-probe minimum, bit for bit."""
+
+    def test_matches_per_probe_samples_and_rng_state(self):
+        cases = random.Random(2011)
+        for case in range(12_000):
+            floor = cases.choice([0.0, cases.uniform(0.0, 1.0), cases.uniform(0.0, 400.0),
+                                  cases.uniform(0.0, 1e6)])
+            rate = 10.0 ** cases.uniform(-4.0, 4.0)
+            probes = cases.randint(1, 25)
+            spec_rng, rng = random.Random(case), random.Random(case)
+            expected = per_probe_min(floor, rate, spec_rng, probes)
+            got = min_of_probes(floor, rate, rng, probes)
+            assert got.hex() == expected.hex(), (floor, rate, probes, case)
+            assert rng.getstate() == spec_rng.getstate()
+
+    @pytest.mark.parametrize("draws", [
+        [0.0],
+        [0.5, 0.0, 0.5],
+        [0.25, 0.25, 0.25],
+        [1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53],
+        [2.0 ** -53, 2.0 ** -52, 0.75],
+        [0.999, 0.3, 0.3000000000000001, 0.2999999999999999],
+    ])
+    def test_extreme_and_tied_draws(self, draws):
+        for floor, rate in ((0.0, 1.0), (12.5, 0.37), (1e-9, 1e9), (5000.0, 1e-6)):
+            expected = per_probe_min(floor, rate, ScriptedRandom(draws), len(draws))
+            got = min_of_probes(floor, rate, ScriptedRandom(draws), len(draws))
+            assert got.hex() == expected.hex()
+
+    def test_floor_reuses_a_given_distance(self):
+        model = LatencyModel(seed=5)
+        points = random.Random(3)
+        for index in range(500):
+            a = make_site(f"a{index}", points.uniform(-90, 90), points.uniform(-180, 180))
+            b = make_site(f"b{index}", points.uniform(-90, 90), points.uniform(-180, 180))
+            distance = haversine_km(a.point, b.point)
+            assert model.floor_and_rate(a, b, distance) == model.floor_and_rate(a, b)

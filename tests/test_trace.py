@@ -1,5 +1,7 @@
 """Tests for the trace package: records, monitor, log I/O."""
 
+import hashlib
+import random
 from dataclasses import astuple
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.cdn.cluster import FlowEvent
 from repro.net.ip import parse_ip
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
+from repro.trace import logio
 from repro.trace.logio import dumps, format_record, loads, parse_record, read_flow_log, write_flow_log
 from repro.trace.monitor import EdgeMonitor
 from repro.trace.records import Dataset, FlowRecord
@@ -163,3 +166,42 @@ class TestLogIo:
         assert parsed.video_id == r.video_id
         assert parsed.t_start == pytest.approx(r.t_start, abs=1e-6)
         assert parsed.t_end == pytest.approx(r.t_end, abs=1e-6)
+
+
+class TestDigest:
+    """``update_digest`` hashes exactly the flow-log lines, in chunks."""
+
+    @staticmethod
+    def line_by_line(records):
+        digest = hashlib.sha256()
+        for r in records:
+            digest.update(format_record(r).encode("ascii") + b"\n")
+        return digest.hexdigest()
+
+    @staticmethod
+    def records(count, seed=4):
+        rng = random.Random(seed)
+        addresses = [rng.randrange(1 << 32) for _ in range(7)]
+        out = []
+        for _ in range(count):
+            t0 = rng.uniform(0.0, 604800.0)
+            out.append(FlowRecord(
+                src_ip=rng.choice(addresses), dst_ip=rng.choice(addresses),
+                num_bytes=rng.randrange(10 ** 9), t_start=t0, t_end=t0 + rng.expovariate(0.01),
+                video_id=f"v{rng.randrange(10 ** 9):010d}", resolution="360p",
+            ))
+        return out
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7, 9])
+    def test_chunks_hash_the_same_bytes(self, count, monkeypatch):
+        monkeypatch.setattr(logio, "_DIGEST_CHUNK_LINES", 3)
+        records = self.records(count)
+        digest = hashlib.sha256()
+        logio.update_digest(digest, iter(records))
+        assert digest.hexdigest() == self.line_by_line(records)
+
+    def test_default_chunk_over_a_boundary(self):
+        records = self.records(2 * logio._DIGEST_CHUNK_LINES + 5)
+        digest = hashlib.sha256()
+        logio.update_digest(digest, records)
+        assert digest.hexdigest() == self.line_by_line(records)
