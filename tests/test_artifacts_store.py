@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import gc
 import hashlib
 import json
 import pickle
@@ -279,40 +278,6 @@ class TestIntegrity:
         path.write_bytes(hashlib.sha256(body).digest() + body)
         assert store.get(KEY, "MISS", stage="s") == "MISS"
         assert store.stats.quarantined == 1
-
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_gc_state_is_restored(self, store, enabled):
-        store.put(KEY, {"a": 1}, stage="s")
-        other = "cd" + "0" * 62
-        path = store.object_path(other)
-        path.parent.mkdir(parents=True)
-        body = b"not a pickle"
-        path.write_bytes(hashlib.sha256(body).digest() + body)
-        was = gc.isenabled()
-        try:
-            (gc.enable if enabled else gc.disable)()
-            assert store.get(KEY, stage="s") == {"a": 1}
-            assert gc.isenabled() is enabled
-            assert store.get(other, "MISS", stage="s") == "MISS"  # load fails
-            assert gc.isenabled() is enabled
-        finally:
-            (gc.enable if was else gc.disable)()
-
-    def test_store_module_does_not_import_hashlib(self):
-        # `repro cache stats` is the cold start-up probe: the checksum's
-        # hashlib loads only when an object is read or written.
-        import subprocess
-        import sys
-
-        code = (
-            "import sys, repro.artifacts.store as s\n"
-            "s.ArtifactStore('unused').stats_summary()\n"
-            "print('hashlib' in sys.modules)"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        )
-        assert result.stdout.strip() == "False"
 
 
 class TestDefaultStore:

@@ -75,6 +75,8 @@ def offending(modules: Set[str], packages) -> List[str]:
 def test_start_up_commands_skip_the_world_model(argv, tmp_path):
     modules = loaded_modules(argv, tmp_path)
     assert offending(modules, WORLD_MODEL) == []
+    # The artifact store loads hashlib only to check or write an object.
+    assert "hashlib" not in modules
 
 
 def test_batch_study_loads_only_what_it_runs(tmp_path):
