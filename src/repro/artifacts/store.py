@@ -25,6 +25,7 @@ the on-disk object census.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -214,7 +215,7 @@ class ArtifactStore:
             body = memoryview(blob)[_CHECKSUM_BYTES:]
             if sha256(body).digest() != blob[:_CHECKSUM_BYTES]:
                 raise ValueError("checksum mismatch")
-            value = pickle.loads(body)
+            value = _unpickle(body)
         except FileNotFoundError:
             self._record("miss", stage, 0)
             return default
@@ -439,6 +440,22 @@ class ArtifactStore:
             removed += 1
             freed += size
         return (removed, freed)
+
+
+def _unpickle(body) -> Any:
+    """Unpickle with cyclic GC paused.
+
+    A week unpickles into ~10^5 objects and no reference cycles, so the
+    collections its allocations would trigger free nothing; the objects
+    are traversed once, by the first collection after the load.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(body)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _default: Optional[ArtifactStore] = None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import gc
 import hashlib
 import json
 import pickle
@@ -278,6 +279,25 @@ class TestIntegrity:
         path.write_bytes(hashlib.sha256(body).digest() + body)
         assert store.get(KEY, "MISS", stage="s") == "MISS"
         assert store.stats.quarantined == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_is_restored(self, store, enabled):
+        # Cyclic GC pauses while a blob unpickles, also when it fails to.
+        store.put(KEY, {"a": 1}, stage="s")
+        other = "cd" + "0" * 62
+        path = store.object_path(other)
+        path.parent.mkdir(parents=True)
+        body = b"not a pickle"
+        path.write_bytes(hashlib.sha256(body).digest() + body)
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert store.get(KEY, stage="s") == {"a": 1}
+            assert gc.isenabled() is enabled
+            assert store.get(other, "MISS", stage="s") == "MISS"
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestDefaultStore:
