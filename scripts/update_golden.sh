@@ -10,8 +10,9 @@
 # baseline file — the script fails if they diverge.  It also rewrites
 # the monitor timeline digests, the three scenario front-end tables
 # (tests/golden/{whatif,sweep,grid}_*.txt), the study stdout every
-# equivalence-contract cell must print (study_0.01.txt), the full report
-# (report_0.01.txt) and the sha256 of each figure file
+# equivalence-contract cell must print (study_0.01.txt), the degradation
+# report of a study whose faults are all retried (degradation_0.01.txt),
+# the full report (report_0.01.txt) and the sha256 of each figure file
 # (figures_0.01.sha256).
 set -euo pipefail
 
@@ -73,9 +74,13 @@ PYTHONPATH=src REPRO_CACHE=off python -m repro study --scale 0.01 --seed 7 \
     --digests > tests/golden/study_0.01.txt
 PYTHONPATH=src REPRO_CACHE=off python -m repro study --scale 0.01 --seed 7 \
     --full --validate --digests > tests/golden/report_0.01.txt
+# The plan must match RETRIED_PLAN in tests/test_contract.py.
+PYTHONPATH=src REPRO_CACHE=off python -m repro study --scale 0.01 --seed 7 \
+    --digests --faults '{"seed": 4, "task_transient": 0.3, "probe_timeout": 0.2}' \
+    | sed -n '/^DEGRADATION REPORT$/,$p' > tests/golden/degradation_0.01.txt
 FIGS=$(mktemp -d)
 trap 'rm -rf "$FIGS"' EXIT
 PYTHONPATH=src REPRO_CACHE=off python -m repro figures --scale 0.01 --seed 7 \
     --out-dir "$FIGS" > /dev/null
 (cd "$FIGS" && export LC_ALL=C && sha256sum -- *) > tests/golden/figures_0.01.sha256
-echo "updated tests/golden/{study_0.01,report_0.01}.txt and figures_0.01.sha256"
+echo "updated tests/golden/{study_0.01,degradation_0.01,report_0.01}.txt and figures_0.01.sha256"

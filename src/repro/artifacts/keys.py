@@ -29,25 +29,15 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
-from typing import Any, Optional
+from typing import Any
 
 #: Bump whenever a change to simulator or analysis code alters any stage's
 #: output for unchanged inputs; every existing artifact then misses.
 CODE_VERSION = "3"
 
-#: Environment override for the code-version tag (tests use it to force
-#: invalidation without editing source).
-ENV_CODE_VERSION = "REPRO_CODE_VERSION"
-
 
 class CanonicalizationError(TypeError):
     """A value cannot be canonicalised into a cache key."""
-
-
-def code_version() -> str:
-    """The active code-version tag (``REPRO_CODE_VERSION`` wins)."""
-    return os.environ.get(ENV_CODE_VERSION, "").strip() or CODE_VERSION
 
 
 def canonicalize(value: Any) -> Any:
@@ -107,7 +97,7 @@ def _dumps(canonical: Any) -> str:
     return json.dumps(canonical, sort_keys=True, separators=(",", ":"))
 
 
-def stage_key(stage: str, config: Any, version: Optional[str] = None) -> str:
+def stage_key(stage: str, config: Any) -> str:
     """The sha256 cache key of one stage invocation.
 
     Args:
@@ -115,7 +105,6 @@ def stage_key(stage: str, config: Any, version: Optional[str] = None) -> str:
         config: Everything the stage's output depends on.  Canonicalised
             here — pass raw values (dataclasses, dicts, seeds), never
             pre-canonicalised forms, or keys will not line up.
-        version: Code-version tag; default :func:`code_version`.
 
     Returns:
         A 64-character hex digest.
@@ -125,7 +114,7 @@ def stage_key(stage: str, config: Any, version: Optional[str] = None) -> str:
     """
     document = {
         "stage": stage,
-        "code_version": version if version is not None else code_version(),
+        "code_version": CODE_VERSION,
         "config": canonicalize(config),
     }
     # An *active* fault plan changes what stages produce, so it must

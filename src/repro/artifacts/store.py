@@ -32,7 +32,7 @@ import pickle
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -56,7 +56,7 @@ _CHECKSUM_BYTES = 32
 
 @dataclass
 class CacheStats:
-    """In-process cache counters for one store instance.
+    """Cache event counters: one store's session, or a ledger's tally.
 
     Attributes:
         hits: Artifacts served from disk.
@@ -73,29 +73,6 @@ class CacheStats:
     quarantined: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a JSON-ready dict."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "quarantined": self.quarantined,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
-
-
-@dataclass
-class StageCounters:
-    """Lifetime per-stage event tally (aggregated from the ledger)."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    quarantined: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
     _BY_EVENT = {
         "hit": "hits",
         "miss": "misses",
@@ -104,7 +81,7 @@ class StageCounters:
     }
 
     def record(self, event: str, num_bytes: int) -> None:
-        """Fold one ledger event into the tally."""
+        """Fold one ledger event into the counters."""
         attr = self._BY_EVENT.get(event)
         if attr is None:
             return
@@ -116,14 +93,7 @@ class StageCounters:
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a JSON-ready dict."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "quarantined": self.quarantined,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
+        return asdict(self)
 
 
 def cache_enabled() -> bool:
@@ -225,7 +195,6 @@ class ArtifactStore:
             self._quarantine(path, stage)
             self._record("miss", stage, 0)
             return default
-        self.stats.bytes_read += len(blob)
         self._record("hit", stage, len(blob))
         try:
             os.utime(path)  # LRU signal for gc()
@@ -260,7 +229,6 @@ class ArtifactStore:
             # A concurrent reader may have quarantined (or a writer
             # healed) it first; either way the slot is no longer ours.
             return
-        self.stats.quarantined += 1
         self._record("quarantine", stage, 0)
         from repro.faults import report as degradation
 
@@ -295,7 +263,6 @@ class ArtifactStore:
                 pass
             raise
         size = len(checksum) + len(body)
-        self.stats.bytes_written += size
         self._record("put", stage, size)
         return size
 
@@ -311,12 +278,7 @@ class ArtifactStore:
 
     def _record(self, event: str, stage: str, num_bytes: int) -> None:
         """Append one event to the ledger (best-effort) and count it."""
-        if event == "hit":
-            self.stats.hits += 1
-        elif event == "miss":
-            self.stats.misses += 1
-        elif event == "put":
-            self.stats.puts += 1
+        self.stats.record(event, num_bytes)
         counter = self._OBS_COUNTERS.get(event)
         if counter is not None:
             obs.inc(counter, stage=stage or "(unlabelled)")
@@ -333,8 +295,8 @@ class ArtifactStore:
 
     def lifetime_counters(self) -> Dict[str, Any]:
         """Aggregate the event ledger: totals plus a per-stage breakdown."""
-        total = StageCounters()
-        stages: Dict[str, StageCounters] = {}
+        total = CacheStats()
+        stages: Dict[str, CacheStats] = {}
         try:
             with open(self.ledger_path, "r", encoding="utf-8") as handle:
                 for line in handle:
@@ -349,7 +311,7 @@ class ArtifactStore:
                     stage = entry.get("stage", "") or "(unlabelled)"
                     num_bytes = int(entry.get("bytes", 0))
                     total.record(event, num_bytes)
-                    stages.setdefault(stage, StageCounters()).record(event, num_bytes)
+                    stages.setdefault(stage, CacheStats()).record(event, num_bytes)
         except OSError:
             pass
         return {

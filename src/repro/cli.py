@@ -507,7 +507,7 @@ def _render_study(args: argparse.Namespace):
     import io
 
     from repro.core.pipeline import StudyPipeline
-    from repro.stream.study import render_stream_report
+    from repro.core.report import render_study_summary
 
     buffer = io.StringIO()
     landmark_count = _landmark_count(args)
@@ -532,7 +532,7 @@ def _render_study(args: argparse.Namespace):
 
         print(render_study_report(pipeline), file=buffer)
     else:
-        buffer.write(render_stream_report(pipeline))
+        buffer.write(render_study_summary(pipeline))
     if args.validate:
         from repro.core.validation import render_validation, validate_study
 

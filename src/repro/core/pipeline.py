@@ -61,6 +61,10 @@ if TYPE_CHECKING:
     from repro.core.subnets import SubnetShare
 
 
+#: Pings per RTT measurement; the minimum is kept.
+_PROBES_PER_MEASUREMENT = 6
+
+
 @dataclass
 class StudyResults:
     """A bundle of everything the pipeline regenerates (for examples)."""
@@ -88,9 +92,7 @@ class StudyPipeline:
             record-level analyses (sessions, Figures 4-6 and 10-16) read.
         landmark_count: Landmark budget for CBG; ``None`` uses the paper's
             full 215-node set.  Tests pass a smaller number.
-        probes_per_measurement: Pings per RTT measurement.
         seed: Measurement-noise seed (independent of the worlds' seeds).
-        session_gap_s: The session gap T (the paper settles on 1 s).
         executor: Fan-out strategy for the per-vantage RTT campaigns;
             ``None`` reads ``REPRO_EXECUTOR``.  Results are backend-
             independent (each campaign owns a derived-seed prober).
@@ -102,9 +104,7 @@ class StudyPipeline:
         self,
         results: Mapping[str, SimulationResult],
         landmark_count: Optional[int] = None,
-        probes_per_measurement: int = 6,
         seed: int = 11,
-        session_gap_s: float = sessions_mod.DEFAULT_GAP_S,
         executor: Optional[ParallelExecutor] = None,
         folds: Optional[
             Mapping[str, Tuple[TrafficAccumulator, HourlyShareAccumulator]]
@@ -114,9 +114,7 @@ class StudyPipeline:
             raise ValueError("pipeline needs at least one dataset")
         self._results = dict(results)
         self._landmark_count = landmark_count
-        self._probes = probes_per_measurement
         self._seed = seed
-        self._gap_s = session_gap_s
         self._executor = executor
         self._folds = folds
 
@@ -169,7 +167,7 @@ class StudyPipeline:
     def _prober(self, label: str) -> RttProber:
         return RttProber(
             self._latency,
-            probes=self._probes,
+            probes=_PROBES_PER_MEASUREMENT,
             seed=derive_seed(self._seed, "prober", label),
         )
 
@@ -271,7 +269,7 @@ class StudyPipeline:
                     latency=self._latency,
                     origin=result.world.vantage.probe_site,
                     targets=targets,
-                    probes=self._probes,
+                    probes=_PROBES_PER_MEASUREMENT,
                     seed=derive_seed(self._seed, "prober", f"campaign/{name}"),
                 )
             )
@@ -349,10 +347,10 @@ class StudyPipeline:
 
     @cached_property
     def sessions(self) -> Dict[str, List[sessions_mod.Session]]:
-        """Per-dataset video sessions at the configured gap."""
+        """Per-dataset video sessions at the paper's gap T (1 s)."""
         with obs.span("analysis/sessions", layer="analysis"):
             built = {
-                name: sessions_mod.build_sessions(self.focus_tables[name], self._gap_s)
+                name: sessions_mod.build_sessions(self.focus_tables[name])
                 for name in self._results
             }
         degradation.stage_completed("pipeline/sessions")

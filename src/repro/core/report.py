@@ -1,19 +1,22 @@
-"""Full study report: every regenerated artifact in one document.
+"""Study reports: the summary, and every regenerated artifact in one document.
 
-Renders the complete output of a :class:`~repro.core.pipeline.StudyPipeline`
-— Tables I-III and the data behind Figures 2-16 — into a single plain-text
-report, section by paper section.  The CLI's ``study`` command and the
-examples use it; it is also handy as a regression artifact (diff two
-reports to see what a change moved).
+:func:`render_study_summary` is ``repro study``'s default output:
+Tables I-III and each vantage point's preferred data center.
+:func:`render_study_report` renders the complete output of a
+:class:`~repro.core.pipeline.StudyPipeline` — Tables I-III and the data
+behind Figures 2-16 — into a single plain-text report, section by paper
+section.  The CLI's ``study`` command and the examples use them; the full
+report is also handy as a regression artifact (diff two reports to see
+what a change moved).
 """
 
 from __future__ import annotations
 
+import io
 from typing import List
 
 from repro.core.asmap import render_table2
 from repro.core.geography import render_table3
-from repro.core.hotspots import exactly_once_fraction, nonpreferred_requests_per_video
 from repro.core.nonpreferred import SessionPattern
 from repro.core.pipeline import StudyPipeline
 from repro.core.summary import render_table1
@@ -23,6 +26,31 @@ from repro.reporting.tables import TextTable, format_fraction
 def _section(title: str) -> List[str]:
     bar = "=" * len(title)
     return ["", title, bar]
+
+
+def render_study_summary(study: StudyPipeline) -> str:
+    """Render the study summary: Tables I-III and the preferred-DC lines.
+
+    This is ``repro study``'s default (non ``--full``) output in both
+    ingestion modes; the equivalence contract (``tests/test_contract.py``)
+    holds both to one golden, byte for byte.
+    """
+    buffer = io.StringIO()
+    print(render_table1(study.summaries.values()), file=buffer)
+    print("", file=buffer)
+    print(render_table2(study.as_breakdowns.values()), file=buffer)
+    print("", file=buffer)
+    print(render_table3(study.table3_rows), file=buffer)
+    print("", file=buffer)
+    for name in study.dataset_names:
+        report = study.preferred_reports[name]
+        print(
+            f"{name:12s} preferred={report.preferred_id:24s} "
+            f"share={report.byte_share(report.preferred_id):6.1%} "
+            f"non-preferred flows={study.nonpreferred_fraction(name):6.1%}",
+            file=buffer,
+        )
+    return buffer.getvalue()
 
 
 def render_study_report(pipeline: StudyPipeline, hot_dataset: str = "EU1-ADSL") -> str:
@@ -39,6 +67,9 @@ def render_study_report(pipeline: StudyPipeline, hot_dataset: str = "EU1-ADSL") 
     Raises:
         KeyError: If ``hot_dataset`` is not one of the pipeline's datasets.
     """
+    # Only the full report runs the hot-spot analyses.
+    from repro.core.hotspots import exactly_once_fraction, nonpreferred_requests_per_video
+
     if hot_dataset not in pipeline.dataset_names:
         raise KeyError(f"unknown dataset {hot_dataset!r}")
     lines: List[str] = ["YOUTUBE CDN SERVER-SELECTION STUDY — FULL REPORT"]

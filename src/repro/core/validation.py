@@ -61,10 +61,14 @@ def _true_preferred_dc(result: SimulationResult) -> str:
         return max(result.served_dc_counts, key=result.served_dc_counts.get)
 
 
-def _cluster_majority_dc(
+def cluster_majority_dc(
     pipeline: StudyPipeline, result: SimulationResult, cluster_id: str
 ) -> Optional[str]:
-    """The ground-truth data center owning most of a cluster's servers."""
+    """The ground-truth data center owning most of a cluster's servers.
+
+    A tie goes to the smallest data-center id, so the answer never
+    depends on the order the servers were counted in.
+    """
     counts: Dict[str, int] = {}
     for cluster in pipeline.server_map.clusters:
         if cluster.cluster_id != cluster_id:
@@ -75,7 +79,7 @@ def _cluster_majority_dc(
                 counts[dc.dc_id] = counts.get(dc.dc_id, 0) + 1
     if not counts:
         return None
-    return max(counts, key=counts.get)
+    return min(counts, key=lambda dc_id: (-counts[dc_id], dc_id))
 
 
 def validate_dataset(
@@ -93,7 +97,7 @@ def validate_dataset(
     """
     report = pipeline.preferred_reports[name]
     true_preferred = _true_preferred_dc(result)
-    majority = _cluster_majority_dc(pipeline, result, report.preferred_id)
+    majority = cluster_majority_dc(pipeline, result, report.preferred_id)
 
     # Ground-truth non-preferred fraction: requests served by any data
     # center other than the policy's top choice.

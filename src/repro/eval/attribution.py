@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.pipeline import StudyPipeline
 from repro.core.sessions import Session
+from repro.core.validation import cluster_majority_dc
 from repro.sim.engine import (
     GroundTruthLog,
     SimulationResult,
@@ -198,23 +199,6 @@ def _modal_anchor_dc(truth: GroundTruthLog) -> str:
     return min(counts, key=lambda dc_id: (-counts[dc_id], dc_id))
 
 
-def _cluster_majority_dc(
-    pipeline: StudyPipeline, result: SimulationResult, cluster_id: str
-) -> Optional[str]:
-    """Ground-truth data center owning most of a cluster's servers."""
-    counts: Dict[str, int] = {}
-    for cluster in pipeline.server_map.clusters:
-        if cluster.cluster_id != cluster_id:
-            continue
-        for ip in cluster.server_ips:
-            dc = result.world.system.directory.dc_of_server(ip)
-            if dc is not None:
-                counts[dc.dc_id] = counts.get(dc.dc_id, 0) + 1
-    if not counts:
-        return None
-    return min(counts, key=lambda dc_id: (-counts[dc_id], dc_id))
-
-
 def score_dataset(
     pipeline: StudyPipeline,
     result: SimulationResult,
@@ -248,7 +232,7 @@ def score_dataset(
         unmatched_sessions=unmatched,
         unclassified_sessions=unclassified,
         orphan_requests=orphans,
-        inferred_preferred_dc=_cluster_majority_dc(
+        inferred_preferred_dc=cluster_majority_dc(
             pipeline, result, report.preferred_id
         ),
         true_preferred_dc=_modal_anchor_dc(result.truth),

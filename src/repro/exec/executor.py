@@ -230,15 +230,15 @@ class ParallelExecutor:
         items: Sequence[Any],
         labels: Optional[Sequence[str]] = None,
         on_error: str = "raise",
-        retry: Optional["object"] = None,
     ) -> List[Any]:
         """Apply ``fn`` to every item, returning results in input order.
 
         All tasks run to completion regardless of individual failures
         (fault containment): a failed task never cancels its siblings.
-        Failures a retry policy classes as transient are re-attempted in
-        follow-up rounds (deterministic backoff between rounds) before
-        they count as failures at all.
+        Under an active fault plan, failures whose type is in
+        :data:`~repro.faults.retry.RETRY_ON` are re-attempted in
+        follow-up rounds, up to :data:`~repro.faults.retry.MAX_ATTEMPTS`
+        attempts per task, before they count as failures at all.
 
         Args:
             fn: Task function (module-level for the process backend).
@@ -249,9 +249,6 @@ class ParallelExecutor:
                 :class:`ExecutionError` after the whole batch finishes;
                 ``"return"`` leaves each failure's :class:`ExecutionError`
                 in its result slot instead.
-            retry: A :class:`~repro.faults.retry.RetryPolicy` for
-                transient failures; ``None`` applies the default policy
-                when a fault plan is active, else no retries.
 
         Returns:
             Task results (or contained errors), in input order.
@@ -269,13 +266,10 @@ class ParallelExecutor:
             labels = [str(label) for label in labels]
             if len(labels) != len(items):
                 raise ValueError(f"{len(labels)} labels for {len(items)} items")
-        if retry is None:
-            from repro.faults.plan import active_plan
-            from repro.faults.retry import default_retry_policy
+        from repro.faults.plan import active_plan
+        from repro.faults.retry import MAX_ATTEMPTS, RETRY_ON
 
-            retry = default_retry_policy() if active_plan() is not None else None
-
-        start = time.perf_counter()
+        max_attempts = MAX_ATTEMPTS if active_plan() is not None else 1
         outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
         with obs.span("exec/map", backend=self.backend, tasks=len(items)) as map_span:
             contexts: List[Optional[obs.SpanContext]] = [None] * len(items)
@@ -302,17 +296,12 @@ class ParallelExecutor:
                         payload.attempts = max(payload.attempts, attempt)
                     outcomes[i] = outcome
                     obs.merge_capture(outcome.capture, outcome.collected_abs)
-                if retry is None or attempt >= retry.max_attempts:
-                    break
-                if (
-                    retry.max_deadline_s is not None
-                    and time.perf_counter() - start >= retry.max_deadline_s
-                ):
+                if attempt >= max_attempts:
                     break
                 retryable = [
                     i for i in pending_idx
                     if isinstance(outcomes[i].payload, ExecutionError)
-                    and retry.retryable(outcomes[i].payload.cause_type)
+                    and outcomes[i].payload.cause_type in RETRY_ON
                 ]
                 if not retryable:
                     break
@@ -321,9 +310,6 @@ class ParallelExecutor:
 
                 degradation.record("exec/map", retried=len(retryable))
                 obs.inc("retries", len(retryable), stage="exec/map")
-                delay = retry.delay_s(attempt, labels[retryable[0]])
-                if delay > 0:
-                    time.sleep(delay)
                 pending_idx = retryable
                 attempt += 1
             if map_span is not None and retries:

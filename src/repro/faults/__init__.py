@@ -7,9 +7,10 @@ reproduction must too.  This package makes that testable:
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, a seeded chaos
   configuration whose every injection decision is a pure function of
   ``(seed, site labels)``; carried by ``--faults`` / ``REPRO_FAULTS``.
-* :mod:`repro.faults.retry` — :class:`RetryPolicy`, shared
-  exponential-backoff-with-deterministic-jitter semantics, plus the
-  transient-fault exception taxonomy.
+* :mod:`repro.faults.retry` — the transient-fault exception taxonomy
+  and :data:`~repro.faults.retry.MAX_ATTEMPTS`: a failed attempt is made
+  again at once, never after a wait, because the plan (not the clock)
+  decides every fault.
 * :mod:`repro.faults.report` — the per-stage degradation collector and
   :class:`DegradationReport` (stages completed / retried / degraded /
   skipped).

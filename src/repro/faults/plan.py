@@ -139,8 +139,9 @@ class FaultPlan:
     def attempt_fails(self, rate: float, attempt: int, *labels: str) -> bool:
         """Per-attempt decision, bounded by ``max_failures_per_task``.
 
-        Attempts beyond the ceiling never fail, so a retry policy with
-        ``max_attempts > max_failures_per_task`` is guaranteed to converge.
+        Attempts beyond the ceiling never fail, so a site whose ceiling is
+        below :data:`~repro.faults.retry.MAX_ATTEMPTS` (the default is)
+        always succeeds within its attempts.
         """
         if attempt > self.max_failures_per_task:
             return False

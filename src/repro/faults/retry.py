@@ -1,25 +1,19 @@
-"""Shared retry/backoff policy for transient faults.
+"""Transient faults, and how many attempts one unit of work gets.
 
-One :class:`RetryPolicy` serves every layer that can see a transient
-failure — executor task attempts, campaign RTT measurements — with the
-same semantics everywhere: bounded attempts, exponential backoff with
-*deterministic* jitter (a pure function of the policy seed, the site
-label and the attempt number — chaos runs must replay exactly), an
-optional total deadline, and a fixed classification of which failures are
-worth retrying.
+Every injected failure is decided by a seeded
+:class:`~repro.faults.plan.FaultPlan`, per attempt, never by the clock.
+A retry therefore needs no schedule: a failed attempt is simply made
+again, at once, up to :data:`MAX_ATTEMPTS` times.  Retries happen only
+under an active plan — executor task attempts and campaign RTT
+measurements — so a run without one never re-attempts anything.
 
-The exception taxonomy injected by :class:`~repro.faults.plan.FaultPlan`
-lives here too, so worker processes can unpickle it without importing the
-plan machinery.
+The exception taxonomy injected by the plan lives here too, so worker
+processes can unpickle it without importing the plan machinery.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-_TWO_63 = float(1 << 63)
+from typing import Tuple
 
 
 class TransientFault(RuntimeError):
@@ -30,154 +24,19 @@ class WorkerCrash(TransientFault):
     """An executor worker died mid-task (injected or real)."""
 
 
-class ProbeTimeout(TransientFault):
-    """One RTT measurement attempt timed out."""
+#: Attempts per unit of work under an active plan: one more than
+#: ``FaultPlan.max_failures_per_task`` at its default, so a task or a
+#: measurement the default plan faults always succeeds in the end.
+MAX_ATTEMPTS = 4
 
-
-#: Exception type *names* retried by default.  Names, not classes, because
-#: the executor ships failures across process boundaries as
+#: Exception type *names* worth another attempt.  Names, not classes,
+#: because the executor ships failures across process boundaries as
 #: :class:`~repro.exec.executor.ExecutionError` records carrying only the
 #: original type's name.
-DEFAULT_RETRY_ON: Tuple[str, ...] = (
+RETRY_ON: Tuple[str, ...] = (
     "TransientFault",
     "WorkerCrash",
-    "ProbeTimeout",
     "TimeoutError",
     "ConnectionError",
     "OSError",
 )
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with deterministic jitter and a deadline.
-
-    Attributes:
-        max_attempts: Total attempts per unit of work (1 = no retries).
-        base_delay_s: Backoff before the first retry.
-        multiplier: Backoff growth factor per further retry.
-        max_delay_s: Per-retry backoff ceiling.
-        jitter: Fractional jitter half-width; the delay is scaled by a
-            deterministic factor in ``[1 - jitter, 1 + jitter)``.
-        max_deadline_s: Total budget across attempts; once spent, no
-            further retries are scheduled (the last failure surfaces).
-        seed: Jitter seed.
-        retry_on: Exception type names considered transient.
-    """
-
-    max_attempts: int = 3
-    base_delay_s: float = 0.05
-    multiplier: float = 2.0
-    max_delay_s: float = 2.0
-    jitter: float = 0.1
-    max_deadline_s: Optional[float] = None
-    seed: int = 0
-    retry_on: Tuple[str, ...] = DEFAULT_RETRY_ON
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.max_deadline_s is not None and self.max_deadline_s <= 0:
-            raise ValueError("max_deadline_s must be positive")
-
-    # --------------------------------------------------------------- schedule
-
-    def retryable(self, failure) -> bool:
-        """Whether a failure (exception or type name) is worth retrying."""
-        name = failure if isinstance(failure, str) else type(failure).__name__
-        if name in self.retry_on:
-            return True
-        if isinstance(failure, BaseException):
-            # Subclasses of a listed type count (e.g. a bespoke
-            # TransientFault subclass raised by an injection site).
-            return any(
-                base.__name__ in self.retry_on for base in type(failure).__mro__
-            )
-        return False
-
-    def delay_s(self, attempt: int, label: str = "") -> float:
-        """Backoff before retrying after failed ``attempt`` (1-based).
-
-        Deterministic: the jitter factor is derived from
-        ``(seed, label, attempt)``, so replaying a chaos run schedules
-        byte-identical waits.
-        """
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        raw = self.base_delay_s * (self.multiplier ** (attempt - 1))
-        raw = min(raw, self.max_delay_s)
-        if self.jitter:
-            # Lazy for the same reason as FaultPlan.unit: repro.sim sits
-            # above the faults package in the import graph.
-            from repro.sim.seeding import derive_seed
-
-            u = derive_seed(self.seed, "retry", label, str(attempt)) / _TWO_63
-            raw *= 1.0 + self.jitter * (2.0 * u - 1.0)
-        return raw
-
-    # -------------------------------------------------------------------- run
-
-    def run(
-        self,
-        fn: Callable[[int], object],
-        label: str = "",
-        sleep: Callable[[float], None] = time.sleep,
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    ):
-        """Call ``fn(attempt)`` until it returns, retrying transient faults.
-
-        Args:
-            fn: The attempt function; receives the 1-based attempt number
-                (injection sites key per-attempt decisions on it).
-            label: Site label for deterministic jitter and diagnostics.
-            sleep: Backoff sleeper (tests inject a recorder).
-            on_retry: Called as ``on_retry(attempt, error)`` before each
-                backoff — degradation accounting hooks in here.
-
-        Returns:
-            The first successful attempt's value.
-
-        Raises:
-            BaseException: The final attempt's failure (or the first
-                non-retryable one) — re-raised unchanged.
-        """
-        started = time.monotonic()
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return fn(attempt)
-            except Exception as error:
-                out_of_time = (
-                    self.max_deadline_s is not None
-                    and time.monotonic() - started >= self.max_deadline_s
-                )
-                if (
-                    attempt >= self.max_attempts
-                    or out_of_time
-                    or not self.retryable(error)
-                ):
-                    raise
-                if on_retry is not None:
-                    on_retry(attempt, error)
-                from repro import obs
-
-                obs.inc("retries", 1, stage="faults/retry")
-                delay = self.delay_s(attempt, label)
-                if delay > 0:
-                    sleep(delay)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-
-def default_retry_policy() -> RetryPolicy:
-    """The policy applied when a fault plan is active and none is given.
-
-    Tuned for chaos runs: enough attempts to outlast
-    ``max_failures_per_task`` at its default, with short deterministic
-    backoffs so a faulted study stays fast.
-    """
-    return RetryPolicy(max_attempts=4, base_delay_s=0.01, max_delay_s=0.1)

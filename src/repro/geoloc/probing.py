@@ -17,7 +17,7 @@ from repro.artifacts.memo import memoized_stage
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan
-from repro.faults.retry import ProbeTimeout, RetryPolicy, default_retry_policy
+from repro.faults.retry import MAX_ATTEMPTS
 from repro.net.latency import LatencyModel, Site, min_of_probes
 
 
@@ -146,36 +146,33 @@ def run_campaign_job_faulted(job: CampaignJob) -> CampaignOutcome:
     """Run one campaign under the ambient fault plan.
 
     Probe loss drops a target before any measurement; timeouts fail
-    individual measurement *attempts* and are retried under the default
-    :class:`~repro.faults.retry.RetryPolicy` (an exhausted target counts
-    as lost).  Every decision is keyed on ``(plan.seed, campaign label,
-    target label, attempt)``, so the same (seed, plan) loses the same
-    probes on every backend.  Falls back to the clean path when no plan
-    is active (e.g. a worker whose environment lost ``REPRO_FAULTS``
-    would diverge silently otherwise — better to measure cleanly and let
-    the parent's accounting show zero degradation).
+    individual measurement *attempts*, and a timed-out target is measured
+    again, up to :data:`~repro.faults.retry.MAX_ATTEMPTS` attempts (an
+    exhausted target counts as lost).  Every decision is keyed on
+    ``(plan.seed, campaign label, target label, attempt)``, so the same
+    (seed, plan) loses the same probes on every backend.  Falls back to
+    the clean path when no plan is active (e.g. a worker whose
+    environment lost ``REPRO_FAULTS`` would diverge silently otherwise —
+    better to measure cleanly and let the parent's accounting show zero
+    degradation).
     """
     plan = active_plan()
     if plan is None:
         return CampaignOutcome(measurements=run_campaign_job(job))
     prober = RttProber(job.latency, probes=job.probes, seed=job.seed)
-    retry = default_retry_policy()
     measurements: Dict[object, float] = {}
     lost = timeouts = retried = 0
     for t_label, site in job.targets.items():
         if plan.decide(plan.probe_loss, "probe/loss", job.label, str(t_label)):
             lost += 1
             continue
-        counters = {"timeouts": 0, "retried": 0}
-        try:
-            measurements[t_label] = _measure_with_timeouts(
-                prober, job, plan, retry, t_label, site, counters
-            )
-        except ProbeTimeout:
+        value, failed = _measure_with_timeouts(prober, job, plan, t_label, site)
+        timeouts += failed
+        retried += min(failed, MAX_ATTEMPTS - 1)
+        if value is None:
             lost += 1
-            counters["timeouts"] += 1
-        timeouts += counters["timeouts"]
-        retried += counters["retried"]
+        else:
+            measurements[t_label] = value
     return CampaignOutcome(
         measurements=measurements, lost=lost, timeouts=timeouts, retried=retried
     )
@@ -185,30 +182,23 @@ def _measure_with_timeouts(
     prober: RttProber,
     job: CampaignJob,
     plan: FaultPlan,
-    retry: RetryPolicy,
     t_label: object,
     site: Site,
-    counters: Dict[str, int],
-) -> float:
-    """One target's measurement with per-attempt timeout injection."""
+) -> Tuple[Optional[float], int]:
+    """One target's measurement, attempted again while a timeout fails it.
 
-    def attempt_once(attempt: int) -> float:
+    Returns:
+        ``(value, failed)``: the first attempt's measurement that did not
+        time out (``None`` if every attempt did), and how many attempts
+        timed out.
+    """
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         value = prober.measure_ms(job.origin, site)
-        if plan.attempt_fails(
+        if not plan.attempt_fails(
             plan.probe_timeout, attempt, "probe/timeout", job.label, str(t_label)
         ):
-            counters["timeouts"] += 1
-            raise ProbeTimeout(
-                f"injected RTT timeout: {job.label} -> {t_label} (attempt {attempt})"
-            )
-        return value
-
-    def on_retry(_attempt: int, _error: BaseException) -> None:
-        counters["retried"] += 1
-
-    return retry.run(
-        attempt_once, label=f"{job.label}/{t_label}", on_retry=on_retry
-    )
+            return value, attempt - 1
+    return None, MAX_ATTEMPTS
 
 
 @memoized_stage("geoloc/campaign")

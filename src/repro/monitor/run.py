@@ -50,7 +50,6 @@ from repro.monitor.detect import (
 )
 from repro.monitor.evolution import STATIC_PLAN, EvolutionPlan
 from repro.monitor.snapshot import EpochSnapshot, build_epoch_snapshot
-from repro.sim.engine import DEFAULT_MISS_PROBABILITY
 from repro.sim.scenarios import ScenarioSpec, build_world, named_scenario
 from repro.sim.seeding import derive_seed
 from repro.spec.model import apply_to_scenario
@@ -97,7 +96,6 @@ def monitor_epoch(
     seed: int,
     probes: int,
     prefix_len: int,
-    miss_probability: float,
 ) -> EpochComputation:
     """Build, stream and snapshot one epoch (disk-memoized, epoch-keyed)."""
     before = degradation.collect().stages
@@ -119,7 +117,6 @@ def monitor_epoch(
             rtt_seed=derive_seed(seed, "monitor", "rtt", str(epoch)),
             probes=probes,
             prefix_len=prefix_len,
-            miss_probability=miss_probability,
         )
     after = degradation.collect().stages
     return EpochComputation(
@@ -269,7 +266,6 @@ def run_monitor(
     probes: int = 4,
     prefix_len: int = 24,
     base_policy: str = "preferred",
-    miss_probability: float = DEFAULT_MISS_PROBABILITY,
     executor: Optional[ParallelExecutor] = None,
 ) -> MonitorReport:
     """Monitor an evolving world and score change detection.
@@ -291,7 +287,6 @@ def run_monitor(
         probes: Pings per prefix RTT measurement.
         prefix_len: Server-side aggregation prefix length.
         base_policy: Selection policy the base scenario runs.
-        miss_probability: Monitor classification-miss probability.
         executor: Epoch fan-out strategy; defaults to the environment's.
 
     Returns:
@@ -324,7 +319,7 @@ def run_monitor(
         computations, cached = monitor_epoch.map(
             [
                 (scenario, policy, e, epoch_s, scale, seed,
-                 probes, prefix_len, miss_probability)
+                 probes, prefix_len)
                 for e, (scenario, policy) in enumerate(worlds)
             ],
             executor,

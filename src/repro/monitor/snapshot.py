@@ -28,7 +28,6 @@ from repro import obs
 from repro.core.folds import EdgeCloudAccumulator
 from repro.exec.executor import ParallelExecutor
 from repro.geoloc.probing import CampaignJob, run_campaigns
-from repro.sim.engine import DEFAULT_MISS_PROBABILITY
 from repro.sim.scenarios import ScenarioWorld
 from repro.stream.source import simulated_stream
 from repro.stream.windows import TumblingWindower, drive
@@ -114,7 +113,6 @@ def build_epoch_snapshot(
     probes: int = 4,
     prefix_len: int = 24,
     window_s: float = 3600.0,
-    miss_probability: float = DEFAULT_MISS_PROBABILITY,
 ) -> EpochSnapshot:
     """Stream one epoch's world and condense it into a snapshot.
 
@@ -127,7 +125,6 @@ def build_epoch_snapshot(
         prefix_len: Server-side aggregation prefix length.
         window_s: Tumbling-window width for the ingest pass (never
             visible in the snapshot — windows only bound memory).
-        miss_probability: Monitor classification-miss probability.
 
     Returns:
         The finished :class:`EpochSnapshot`.
@@ -143,7 +140,7 @@ def build_epoch_snapshot(
     windower = TumblingWindower(min(window_s, world.duration_s))
     with obs.span("monitor/ingest", dataset=name, epoch=epoch):
         drive(
-            simulated_stream(world, miss_probability=miss_probability),
+            simulated_stream(world),
             windower, lambda window: accumulator.observe(window.table),
         )
         obs.inc("monitor.flows", accumulator.flows_total, dataset=name)

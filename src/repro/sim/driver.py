@@ -17,7 +17,7 @@ from repro import obs
 from repro.artifacts.memo import memoized_stage
 from repro.defaults import DATASET_NAMES
 from repro.exec.executor import ParallelExecutor
-from repro.sim.engine import DEFAULT_MISS_PROBABILITY, SimulationResult, run_requests
+from repro.sim.engine import SimulationResult, run_requests
 from repro.sim.scenarios import PAPER_SCENARIOS, ScenarioSpec, build_world
 from repro.trace.records import WEEK_S
 
@@ -83,7 +83,6 @@ def simulate_week(
     seed: int,
     duration_s: float,
     policy_kind: str,
-    miss_probability: float = DEFAULT_MISS_PROBABILITY,
 ) -> SimulationResult:
     """Build a scenario's world and run its week (disk-memoized).
 
@@ -98,7 +97,7 @@ def simulate_week(
     with obs.span("sim/build", layer="sim.build", dataset=spec.name):
         world = build_world(spec, scale=scale, seed=seed, duration_s=duration_s,
                             policy_kind=policy_kind)
-    return run_requests(world, miss_probability=miss_probability)
+    return run_requests(world)
 
 
 def run_all(

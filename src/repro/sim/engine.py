@@ -272,7 +272,6 @@ def run_requests(
 def stream_requests(
     world: ScenarioWorld,
     requests: Optional[Sequence[Request]] = None,
-    miss_probability: float = DEFAULT_MISS_PROBABILITY,
 ) -> Iterator[object]:
     """Live-emit mode: the week as a time-ordered event stream.
 
@@ -295,9 +294,7 @@ def stream_requests(
     if requests is None:
         requests = world.generator.generate(world.duration_s)
     fresh: List = []
-    processor = RequestProcessor(
-        world, miss_probability=miss_probability, record_sink=fresh.append
-    )
+    processor = RequestProcessor(world, record_sink=fresh.append)
     seq = 0
     for request in requests:
         yield WatermarkAdvance(t_s=request.t_s)

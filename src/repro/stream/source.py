@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, List, Union
 
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan
-from repro.sim.engine import DEFAULT_MISS_PROBABILITY, stream_requests
+from repro.sim.engine import stream_requests
 from repro.sim.scenarios import ScenarioWorld
 from repro.stream.events import FlowArrival, WatermarkAdvance
 from repro.trace.logio import iter_flow_log
@@ -32,16 +32,13 @@ from repro.trace.records import FlowRecord
 _MAX_DISORDER_DELAY = 7
 
 
-def simulated_stream(
-    world: ScenarioWorld,
-    miss_probability: float = DEFAULT_MISS_PROBABILITY,
-) -> Iterator[object]:
+def simulated_stream(world: ScenarioWorld) -> Iterator[object]:
     """The simulator's live-emit stream, with fault injection applied.
 
     Wraps :func:`repro.sim.engine.stream_requests`; an active plan with a
     ``record_disorder`` rate shuffles delivery within the watermark.
     """
-    events = stream_requests(world, miss_probability=miss_probability)
+    events = stream_requests(world)
     return _maybe_disordered(events, f"sim/{world.spec.name}")
 
 
@@ -64,9 +61,7 @@ def replay_records(
 
 
 def replay_flow_log(
-    path: Union[str, Path],
-    on_error: str = "raise",
-    watermark_lag_s: float = 0.0,
+    path: Union[str, Path], watermark_lag_s: float = 0.0
 ) -> Iterator[object]:
     """Stream a flow-log file (see :func:`replay_records`).
 
@@ -74,7 +69,7 @@ def replay_flow_log(
     parsing, ``line_garble`` injection and degradation accounting are
     identical to the batch reader — one record in memory at a time.
     """
-    events = _replay(iter_flow_log(path, on_error=on_error), watermark_lag_s)
+    events = _replay(iter_flow_log(path), watermark_lag_s)
     return _maybe_disordered(events, Path(path).name)
 
 

@@ -33,19 +33,16 @@ docs/architecture.md).  The record-level analyses of ``--full`` and
 from __future__ import annotations
 
 import hashlib
-import io
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro import obs
-from repro.core.asmap import render_table2
 from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
-from repro.core.geography import render_table3
 from repro.core.pipeline import StudyPipeline
-from repro.core.summary import render_table1
+# The summary renderer's old home: perfbench imports it from here.
+from repro.core.report import render_study_summary as render_stream_report  # noqa: F401
 from repro.defaults import DATASET_NAMES
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
-from repro.sim.engine import DEFAULT_MISS_PROBABILITY
 from repro.sim.scenarios import PAPER_SCENARIOS, ScenarioWorld, build_world
 from repro.trace.logio import update_digest
 
@@ -62,14 +59,12 @@ class StreamedWeek(NamedTuple):
 def stream_dataset(
     world: ScenarioWorld,
     window_s: float = 3600.0,
-    miss_probability: float = DEFAULT_MISS_PROBABILITY,
 ) -> StreamedWeek:
     """Run one world's week as a stream and fold it window by window.
 
     Args:
         world: A built scenario world.
         window_s: Tumbling-window width in seconds.
-        miss_probability: Monitor classification-miss probability.
 
     Returns:
         The world, its final traffic and hourly folds, and the content
@@ -93,7 +88,7 @@ def stream_dataset(
         obs.observe("stream.window_records", len(window), dataset=name)
 
     with obs.span("stream/ingest", dataset=name, window_s=window_s):
-        drive(simulated_stream(world, miss_probability=miss_probability), windower, on_window)
+        drive(simulated_stream(world), windower, on_window)
     if windower.late_records:
         degradation.record("stream/windower", degraded=1, late=windower.late_records)
     return StreamedWeek(world, traffic, hourly, digest.hexdigest())
@@ -130,28 +125,3 @@ def run_streaming_study(
         folds={name: (week.traffic, week.hourly) for name, week in weeks.items()},
     )
     return study, {name: week.digest for name, week in weeks.items()}
-
-
-def render_stream_report(study: StudyPipeline) -> str:
-    """Render the study summary: Tables I-III and the preferred-DC lines.
-
-    This is ``repro study``'s default (non ``--full``) output in both
-    ingestion modes; the equivalence contract (``tests/test_contract.py``)
-    holds both to one golden, byte for byte.
-    """
-    buffer = io.StringIO()
-    print(render_table1(study.summaries.values()), file=buffer)
-    print("", file=buffer)
-    print(render_table2(study.as_breakdowns.values()), file=buffer)
-    print("", file=buffer)
-    print(render_table3(study.table3_rows), file=buffer)
-    print("", file=buffer)
-    for name in study.dataset_names:
-        report = study.preferred_reports[name]
-        print(
-            f"{name:12s} preferred={report.preferred_id:24s} "
-            f"share={report.byte_share(report.preferred_id):6.1%} "
-            f"non-preferred flows={study.nonpreferred_fraction(name):6.1%}",
-            file=buffer,
-        )
-    return buffer.getvalue()

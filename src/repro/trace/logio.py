@@ -4,15 +4,12 @@ Tab-separated, one flow per line, with a commented header — close to the
 Tstat log format the paper's datasets came in.  Round-trips exactly through
 :func:`write_flow_log` / :func:`read_flow_log`.
 
-Ingestion degrades gracefully: real Tstat logs arrive with the occasional
-garbled or truncated line (partial writes, log rotation races), so the
-readers accept ``on_error="skip"`` — malformed lines are dropped and
-counted instead of aborting the study.  An active
-:class:`~repro.faults.plan.FaultPlan` injects exactly that failure mode
-(``line_garble``): deterministically chosen lines are truncated
-mid-parse, then skipped and recorded as degradation regardless of
-``on_error`` (the injection layer owns the faults it creates; genuinely
-malformed input still raises under the default strict mode).
+An active :class:`~repro.faults.plan.FaultPlan` injects the failure mode
+real Tstat logs show — a garbled or truncated line from a partial write or
+a log-rotation race (``line_garble``): deterministically chosen lines are
+truncated mid-parse, then skipped and recorded as degradation instead of
+aborting the study.  Genuinely malformed input still raises: the injection
+layer forgives only the faults it creates.
 """
 
 from __future__ import annotations
@@ -116,29 +113,23 @@ def write_flow_log(records: Iterable[FlowRecord], path: Union[str, Path]) -> int
     return count
 
 
-def _ingest_iter(
-    lines: Iterable[str], source: str, on_error: str
-) -> Iterator[FlowRecord]:
-    """Parse data lines one at a time, applying injection and error policy.
+def _parse_lines(lines: Iterable[str], source: str) -> Iterator[FlowRecord]:
+    """Parse data lines one at a time, skipping the plan's garbled ones.
 
-    The generator behind both the materialising readers and the streaming
-    :func:`iter_flow_log`: records are yielded as parsed, so a consumer
-    holding one at a time runs in constant memory.  Skipped-line
-    degradation is recorded when the generator is exhausted (or closed).
+    The generator behind every reader: records are yielded as parsed, so
+    a consumer holding one at a time runs in constant memory.
+    Skipped-line degradation is recorded when the generator is exhausted
+    (or closed).
 
     Args:
         lines: Raw log lines (comments/blanks included).
         source: Stable source label for injection decisions (file name or
             ``"<string>"``), so the same plan garbles the same lines of
             the same log on every run.
-        on_error: ``"raise"`` (default strict mode) or ``"skip"``.
 
     Raises:
-        ValueError: On malformed lines under ``on_error="raise"``, or for
-            an unknown ``on_error``.
+        ValueError: On a malformed line the plan did not garble.
     """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
     plan: Optional[FaultPlan] = active_plan()
     skipped = 0
     try:
@@ -153,7 +144,7 @@ def _ingest_iter(
             try:
                 record = parse_record(line)
             except ValueError:
-                if injected or on_error == "skip":
+                if injected:
                     skipped += 1
                     continue
                 raise
@@ -163,44 +154,26 @@ def _ingest_iter(
             degradation.record("trace/logio", degraded=1, skipped=skipped)
 
 
-def _ingest(
-    lines: Iterable[str], source: str, on_error: str
-) -> List[FlowRecord]:
-    """Materialised form of :func:`_ingest_iter` (see there)."""
-    return list(_ingest_iter(lines, source, on_error))
-
-
-def read_flow_log(
-    path: Union[str, Path], on_error: str = "raise"
-) -> List[FlowRecord]:
+def read_flow_log(path: Union[str, Path]) -> List[FlowRecord]:
     """Read a flow-log file back into records (comments skipped).
 
-    Args:
-        path: The log file.
-        on_error: ``"raise"`` aborts on the first malformed line;
-            ``"skip"`` drops malformed lines and records them as
-            degradation.
+    Raises:
+        ValueError: On a malformed line (see :func:`_parse_lines`).
     """
     with open(path, "r", encoding="ascii") as handle:
-        return _ingest(handle, Path(path).name, on_error)
+        return list(_parse_lines(handle, Path(path).name))
 
 
-def iter_flow_log(
-    path: Union[str, Path], on_error: str = "raise"
-) -> Iterator[FlowRecord]:
+def iter_flow_log(path: Union[str, Path]) -> Iterator[FlowRecord]:
     """Stream a flow-log file record by record (constant memory).
 
     The streaming ingestion path's file source: parses the same lines,
     applies the same ``line_garble`` injection under the same labels, and
     records the same degradation as :func:`read_flow_log` — it just never
     holds more than one record.
-
-    Args:
-        path: The log file.
-        on_error: ``"raise"`` or ``"skip"`` (see :func:`read_flow_log`).
     """
     with open(path, "r", encoding="ascii") as handle:
-        yield from _ingest_iter(handle, Path(path).name, on_error)
+        yield from _parse_lines(handle, Path(path).name)
 
 
 def dumps(records: Iterable[FlowRecord]) -> str:
@@ -212,6 +185,6 @@ def dumps(records: Iterable[FlowRecord]) -> str:
     return buffer.getvalue()
 
 
-def loads(text: str, on_error: str = "raise") -> List[FlowRecord]:
+def loads(text: str) -> List[FlowRecord]:
     """Parse records from a string (see :func:`read_flow_log`)."""
-    return _ingest(text.splitlines(), "<string>", on_error)
+    return list(_parse_lines(text.splitlines(), "<string>"))

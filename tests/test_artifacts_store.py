@@ -11,11 +11,10 @@ import pickle
 
 import pytest
 
+from repro.artifacts import keys
 from repro.artifacts.keys import (
-    CODE_VERSION,
     CanonicalizationError,
     canonicalize,
-    code_version,
     stage_key,
 )
 from repro.artifacts.store import (
@@ -109,16 +108,12 @@ class TestStageKey:
         config = {"seed": 7}
         assert stage_key("a", config) != stage_key("b", config)
 
-    def test_version_differentiates(self):
+    def test_version_differentiates(self, monkeypatch):
         config = {"seed": 7}
-        assert (stage_key("s", config, version="1")
-                != stage_key("s", config, version="2"))
-
-    def test_env_version_override(self, monkeypatch):
-        baseline = stage_key("s", {})
-        monkeypatch.setenv("REPRO_CODE_VERSION", CODE_VERSION + "-next")
-        assert code_version() == CODE_VERSION + "-next"
-        assert stage_key("s", {}) != baseline
+        monkeypatch.setattr(keys, "CODE_VERSION", "1")
+        first = stage_key("s", config)
+        monkeypatch.setattr(keys, "CODE_VERSION", "2")
+        assert stage_key("s", config) != first
 
 
 # --------------------------------------------------------------------- store

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro.artifacts import keys
 from repro.artifacts.store import ArtifactStore, reset_default_store
 from repro.sim import driver
 from repro.sim.driver import simulate_week
@@ -55,10 +56,6 @@ class TestKeyInvalidation:
         changed = dict(BASE, **{param: value})
         assert simulate_week.cache_key(SPEC, **changed) != base_key()
 
-    def test_miss_probability_invalidates(self):
-        assert (simulate_week.cache_key(SPEC, **BASE, miss_probability=0.5)
-                != base_key())
-
     @pytest.mark.parametrize("field", [
         f.name for f in dataclasses.fields(type(SPEC))
         if f.name not in ("name", "vantage_city", "access", "subnets",
@@ -88,7 +85,7 @@ class TestKeyInvalidation:
 
     def test_code_version_invalidates(self, monkeypatch):
         before = base_key()
-        monkeypatch.setenv("REPRO_CODE_VERSION", "999-test")
+        monkeypatch.setattr(keys, "CODE_VERSION", "999-test")
         assert base_key() != before
 
     def test_different_scenarios_never_collide(self):

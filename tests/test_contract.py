@@ -19,7 +19,8 @@ cell writes none.  Tier-1 runs :data:`DIAGONAL`, which takes every axis
 value at least once; ``benchmarks/test_contract_matrix.py`` runs the
 full product.  ``scripts/update_golden.sh`` rewrites the golden.
 :class:`TestStoredWeeks` holds the golden through a damaged store and
-through the digests' own artifact.
+through the digests' own artifact, and :func:`test_retried_study_never_waits`
+pins the degradation report of a plan whose faults are all retried.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.sim.scenarios import PAPER_SCENARIOS
 from repro.trace.records import WEEK_S, Dataset
 
 GOLDEN = Path(__file__).parent / "golden" / "study_0.01.txt"
+DEGRADATION_GOLDEN = Path(__file__).parent / "golden" / "degradation_0.01.txt"
 STUDY = ["study", "--scale", "0.01", "--seed", "7", "--digests"]
 
 MODES = {
@@ -258,3 +260,19 @@ class TestStoredWeeks:
         assert stdout == GOLDEN.read_text(encoding="utf-8").split("digest ", 1)[0]
         stages = {entry["stage"] for entry in ledger(cache_dir, skip=mark)}
         assert "cli/digests" not in stages
+
+
+#: Retried task attempts and retried RTT timeouts, none of them exhausted.
+RETRIED_PLAN = {"seed": 4, "task_transient": 0.3, "probe_timeout": 0.2}
+
+
+def test_retried_study_never_waits(tmp_path):
+    """A retry is made at once: the plan, not the clock, decides each fault."""
+    with mock.patch("time.sleep", side_effect=AssertionError("a retry waited")):
+        stdout = run_study(
+            STUDY + plan_args(RETRIED_PLAN), {"REPRO_CACHE_DIR": str(tmp_path / "cache")}
+        )
+    head, degraded, report = stdout.partition(DEGRADATION)
+    assert head == GOLDEN.read_text(encoding="utf-8")
+    assert degraded
+    assert degraded.lstrip("\n") + report == DEGRADATION_GOLDEN.read_text(encoding="utf-8")

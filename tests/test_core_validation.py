@@ -5,9 +5,11 @@ measurement techniques, run blind on the traces, recover the simulator's
 ground truth.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.validation import render_validation, validate_study
+from repro.core.validation import cluster_majority_dc, render_validation, validate_study
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +54,15 @@ class TestValidation:
         assert "METHODOLOGY VALIDATION" in text
         assert "MATCH" in text
         assert "MISMATCH" not in text
+
+
+def test_majority_tie_goes_to_the_smallest_dc_id():
+    owner = {1: "dc-b", 2: "dc-a", 3: "dc-c", 4: None}
+    cluster = SimpleNamespace(cluster_id="c0", server_ips=[1, 2, 3, 4])
+    pipeline = SimpleNamespace(server_map=SimpleNamespace(clusters=[cluster]))
+    directory = SimpleNamespace(
+        dc_of_server=lambda ip: owner[ip] and SimpleNamespace(dc_id=owner[ip])
+    )
+    result = SimpleNamespace(world=SimpleNamespace(system=SimpleNamespace(directory=directory)))
+    assert cluster_majority_dc(pipeline, result, "c0") == "dc-a"
+    assert cluster_majority_dc(pipeline, result, "elsewhere") is None

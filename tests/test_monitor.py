@@ -454,7 +454,7 @@ class TestRunMonitor:
         assert [r.cached for r in other.rows] == [True, True, False]
 
     def test_epoch_key_is_the_hand_built_stage_key(self):
-        """The memoized epoch stage keys exactly the dict it always did."""
+        """The memoized epoch stage keys exactly the hand-built dict."""
         from repro.artifacts.keys import stage_key
         from repro.monitor.run import monitor_epoch
         from repro.sim.scenarios import named_scenario
@@ -464,7 +464,7 @@ class TestRunMonitor:
             named_scenario("EU1-ADSL"), planted_plan().spec_at(2)
         )
         key = monitor_epoch.cache_key(
-            scenario, policy, 2, EPOCH_S, SCALE, SEED, 4, 24, 0.002
+            scenario, policy, 2, EPOCH_S, SCALE, SEED, 4, 24
         )
         assert key == stage_key(
             "monitor/epoch",
@@ -477,7 +477,6 @@ class TestRunMonitor:
                 "seed": SEED,
                 "probes": 4,
                 "prefix_len": 24,
-                "miss_probability": 0.002,
             },
         )
 

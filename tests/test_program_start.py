@@ -39,6 +39,7 @@ NOT_IN_A_STUDY = (
     "repro.monitor",
     "repro.active",
     "repro.spec",
+    "repro.stream",
     "repro.core.hotspots",
     "repro.core.loadbalance",
 )
