@@ -12,7 +12,7 @@ Methodology: each stage is timed with ``time.perf_counter``, best of
 ``REPEATS`` passes over a *fresh* :class:`FlowTable` per pass — no
 session-index or histogram cache survives between passes or stages.  The
 one-time columnar materialisation is pre-built outside the timed region
-(mirroring the real pipeline, where ``Dataset.columnar()`` and
+(mirroring the real pipeline, where ``Dataset.table`` and
 ``StudyPipeline.focus_tables`` build each table once and every analysis
 shares it) and is measured separately by
 :func:`test_bench_columnar_materialisation`.

@@ -40,18 +40,23 @@ BENCH_SEED = 7
 WINDOW_S = 3600.0
 
 #: Ceiling on the streamed scale-0.1 study's peak RSS.  On a 2-vCPU
-#: container with CPython 3.11.7 the streamed run peaked at ~233 MB
+#: container with CPython 3.11.7 the streamed run peaked at ~170 MB
 #: (interpreter, numpy, worlds and bounded folds) and the batch run, which
-#: materialises every flow, at ~283 MB.
+#: materialises every flow, at ~230 MB.
 STREAM_RSS_CEILING_KB = 240_000
 
 #: Runs ``repro`` with the given arguments and prints its peak RSS (KB)
-#: as the last stderr line.
+#: as the last stderr line.  That is ``VmHWM``, the peak of the process's
+#: own memory: its ``ru_maxrss`` would also count the resident set of the
+#: process that spawned it (here pytest's, after the in-process scale-0.1
+#: runs above), which an exec'd child inherits on Linux.
 _RSS_CHILD = """
-import resource, sys
+import sys
 from repro.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(peak, file=sys.stderr)
 sys.exit(code)
 """
 

@@ -66,7 +66,7 @@ def breakdown_by_as(dataset: Dataset, registry: AsRegistry) -> AsBreakdown:
     # Deferred: the fold module builds on this module's types.
     from repro.core.folds import TrafficAccumulator
 
-    return TrafficAccumulator(dataset.columnar()).as_breakdown(
+    return TrafficAccumulator(dataset.table).as_breakdown(
         dataset.name, dataset.vantage.asn, registry
     )
 

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core import asmap, flows, geography, nonpreferred
 from repro.core import preferred as preferred_mod
@@ -179,7 +181,7 @@ class StudyPipeline:
         if self._folds is not None:
             return {name: traffic for name, (traffic, _) in self._folds.items()}
         return {
-            name: TrafficAccumulator(r.dataset.columnar())
+            name: TrafficAccumulator(r.dataset.table)
             for name, r in self._results.items()
         }
 
@@ -189,7 +191,7 @@ class StudyPipeline:
         if self._folds is not None:
             return {name: hourly for name, (_, hourly) in self._folds.items()}
         return {
-            name: HourlyShareAccumulator(r.dataset.columnar())
+            name: HourlyShareAccumulator(r.dataset.table)
             for name, r in self._results.items()
         }
 
@@ -224,25 +226,25 @@ class StudyPipeline:
         }
 
     @cached_property
-    def focus_records(self) -> Dict[str, List[FlowRecord]]:
-        """Per-dataset flow records restricted to the focus servers."""
-        out: Dict[str, List[FlowRecord]] = {}
+    def focus_tables(self) -> Dict[str, FlowTable]:
+        """Per-dataset flow tables restricted to the focus servers.
+
+        Each selects its dataset's rows with a ``dst_ip`` mask, so no
+        record is built.  Every analysis method below hands these to the
+        core modules, so the columnar work is done once per dataset, not
+        once per figure.
+        """
+        out: Dict[str, FlowTable] = {}
         for name in self._results:
-            keep = set(self.focus_ips[name])
-            out[name] = [r for r in self.dataset(name).records if r.dst_ip in keep]
+            table = self.dataset(name).table
+            keep = np.isin(table.columns().dst_ip, self.focus_ips[name])
+            out[name] = table.select(keep)
         return out
 
-    @cached_property
-    def focus_tables(self) -> Dict[str, FlowTable]:
-        """Columnar views over :attr:`focus_records` (one per dataset).
-
-        The tables wrap the same record lists and materialise their numpy
-        columns lazily, the first time an analysis touches them.  Every
-        analysis method below hands these (not the raw lists) to the core
-        modules, so the columnar work is done once per dataset, not once
-        per figure.
-        """
-        return {name: FlowTable(records) for name, records in self.focus_records.items()}
+    @property
+    def focus_records(self) -> Dict[str, List[FlowRecord]]:
+        """Per-dataset flow records restricted to the focus servers."""
+        return {name: table.records for name, table in self.focus_tables.items()}
 
     # ------------------------------------------------------------------- F2
 
@@ -338,7 +340,7 @@ class StudyPipeline:
 
     def flow_size_cdf(self, name: str) -> Cdf:
         """One Figure 4 curve."""
-        return flows.flow_size_cdf(self.dataset(name).columnar())
+        return flows.flow_size_cdf(self.dataset(name).table)
 
     def gap_sensitivity(self, name: str) -> Dict[float, Dict[str, float]]:
         """Figure 5: flows-per-session vs. the gap T."""

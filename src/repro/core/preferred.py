@@ -143,7 +143,7 @@ def analyze_preferred(
 
     if vantage_point is None:
         vantage_point = dataset.vantage.city.point
-    return TrafficAccumulator(dataset.columnar()).preferred_report(
+    return TrafficAccumulator(dataset.table).preferred_report(
         dataset.name, server_map, rtts_ms, vantage_point, focus_ips
     )
 

@@ -96,7 +96,7 @@ def render_study_report(pipeline: StudyPipeline, hot_dataset: str = "EU1-ADSL") 
         size_cdf = pipeline.flow_size_cdf(name)
         table.add_row(
             name,
-            len(pipeline.dataset(name).records),
+            len(pipeline.dataset(name)),
             format_fraction(size_cdf.fraction_below(1000)),
             format_fraction(histogram["1"]),
             format_fraction(1.0 - histogram["1"]),

@@ -38,7 +38,7 @@ def summarize(dataset: Dataset) -> DatasetSummary:
     # Deferred: the fold module builds on this module's types.
     from repro.core.folds import TrafficAccumulator
 
-    return TrafficAccumulator(dataset.columnar()).summary(dataset.name)
+    return TrafficAccumulator(dataset.table).summary(dataset.name)
 
 
 def render_table1(summaries: Iterable[DatasetSummary]) -> str:

@@ -21,7 +21,8 @@ contains them — are counted as orphans, not errors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.pipeline import StudyPipeline
@@ -34,6 +35,7 @@ from repro.sim.engine import (
     TRUTH_LABELS,
     TRUTH_REDIRECTION,
 )
+from repro.trace.records import Dataset
 
 #: Seconds of slack when matching a request time to a session's flow span
 #: (covers first flows the monitor missed, which shift the observed start
@@ -259,13 +261,19 @@ class PolicyEvaluation:
     Attributes:
         policy_kind: The evaluated selection policy.
         scores: Per-dataset attribution scorecards.
-        digests: Per-dataset trace content digests (byte-identity checks
-            — the golden-fixture scripts read these).
+        datasets: The evaluated traces, hashed only when :attr:`digests`
+            is read.
     """
 
     policy_kind: str
     scores: Dict[str, AttributionScore]
-    digests: Dict[str, str]
+    datasets: Dict[str, Dataset] = field(repr=False)
+
+    @cached_property
+    def digests(self) -> Dict[str, str]:
+        """Per-dataset trace content digests (byte-identity checks — the
+        golden-fixture scripts read these)."""
+        return {name: dataset.content_digest() for name, dataset in self.datasets.items()}
 
     @property
     def mean_accuracy(self) -> float:
@@ -329,10 +337,7 @@ def evaluate_policy(
     return PolicyEvaluation(
         policy_kind=policy_kind,
         scores=score_attribution(pipeline, results, policy_kind),
-        digests={
-            name: result.dataset.content_digest()
-            for name, result in results.items()
-        },
+        datasets={name: result.dataset for name, result in results.items()},
     )
 
 

@@ -36,6 +36,10 @@ from repro.stream.windows import TumblingWindower, drive
 #: snapshot bytes (and digests) are stable across platforms.
 RTT_DECIMALS = 3
 
+#: Tumbling-window width of the ingest pass, in seconds (never visible in
+#: a snapshot: windows only bound memory).
+_INGEST_WINDOW_S = 3600.0
+
 
 @dataclass(frozen=True)
 class EpochSnapshot:
@@ -112,7 +116,6 @@ def build_epoch_snapshot(
     rtt_seed: int,
     probes: int = 4,
     prefix_len: int = 24,
-    window_s: float = 3600.0,
 ) -> EpochSnapshot:
     """Stream one epoch's world and condense it into a snapshot.
 
@@ -123,8 +126,6 @@ def build_epoch_snapshot(
         rtt_seed: Seed for the prefix ping campaign's private RNG.
         probes: Pings per prefix measurement (minimum is kept).
         prefix_len: Server-side aggregation prefix length.
-        window_s: Tumbling-window width for the ingest pass (never
-            visible in the snapshot — windows only bound memory).
 
     Returns:
         The finished :class:`EpochSnapshot`.
@@ -137,7 +138,7 @@ def build_epoch_snapshot(
         return None if subnet is None else subnet.name
 
     accumulator = EdgeCloudAccumulator(subnet_of, prefix_len=prefix_len)
-    windower = TumblingWindower(min(window_s, world.duration_s))
+    windower = TumblingWindower(min(_INGEST_WINDOW_S, world.duration_s))
     with obs.span("monitor/ingest", dataset=name, epoch=epoch):
         drive(
             simulated_stream(world),

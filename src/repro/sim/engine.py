@@ -269,11 +269,8 @@ def run_requests(
     return result
 
 
-def stream_requests(
-    world: ScenarioWorld,
-    requests: Optional[Sequence[Request]] = None,
-) -> Iterator[object]:
-    """Live-emit mode: the week as a time-ordered event stream.
+def stream_requests(world: ScenarioWorld) -> Iterator[object]:
+    """Live-emit mode: the world's generated week as a time-ordered event stream.
 
     Yields :class:`~repro.stream.events.WatermarkAdvance` and
     :class:`~repro.stream.events.FlowArrival` events instead of collecting
@@ -291,8 +288,7 @@ def stream_requests(
     """
     from repro.stream.events import FlowArrival, WatermarkAdvance
 
-    if requests is None:
-        requests = world.generator.generate(world.duration_s)
+    requests = world.generator.generate(world.duration_s)
     fresh: List = []
     processor = RequestProcessor(world, record_sink=fresh.append)
     seq = 0

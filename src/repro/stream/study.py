@@ -81,7 +81,7 @@ def stream_dataset(
     digest = hashlib.sha256()
 
     def on_window(window) -> None:
-        update_digest(digest, window.records)
+        update_digest(digest, window.table)
         traffic.observe(window.table)
         hourly.observe(window.table)
         obs.inc("stream.windows", dataset=name)

@@ -6,10 +6,11 @@ The analysis modules (:mod:`repro.core.sessions`, :mod:`repro.core.flows`,
 Section VI methodology as vectorised kernels over the column arrays kept
 here:
 
-* :class:`FlowTable` — a lazy, cached materialization of a record sequence
-  into numpy column arrays (``src_ip``, ``dst_ip``, ``num_bytes``,
-  ``t_start``, ``t_end``, integer-coded ``video_id`` / ``resolution``, and
-  the derived ``hour``);
+* :class:`FlowTable` — a week's flows as numpy column arrays (``src_ip``,
+  ``dst_ip``, ``num_bytes``, ``t_start``, ``t_end``, integer-coded
+  ``video_id`` / ``resolution``, and the derived ``hour``), collected as
+  columns by the edge monitor or built from an ad-hoc record list, with
+  the record view built only when a record-level consumer asks;
 * :class:`SessionIndex` — the gap-*independent* part of session building
   (one lexsort over (client, video, start, end) plus the group-wise
   running-max horizon), shared by every gap value of the Figure 5 sweep;
@@ -36,7 +37,8 @@ Exactness notes, because parity is a hard requirement:
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,7 +46,12 @@ from repro.trace.records import FlowRecord
 
 
 class _Columns:
-    """The materialised column arrays of a :class:`FlowTable`."""
+    """The column arrays of a :class:`FlowTable`.
+
+    ``video_ids``/``resolutions`` are the sorted distinct strings and
+    ``video_code``/``resolution_code`` index them per flow; ``hour`` is
+    derived from ``t_start``.
+    """
 
     __slots__ = (
         "src_ip",
@@ -59,32 +66,70 @@ class _Columns:
         "resolution_code",
     )
 
-    def __init__(self, records: Sequence[FlowRecord]):
-        n = len(records)
-        self.src_ip = np.fromiter((r.src_ip for r in records), np.int64, count=n)
-        self.dst_ip = np.fromiter((r.dst_ip for r in records), np.int64, count=n)
-        self.num_bytes = np.fromiter((r.num_bytes for r in records), np.int64, count=n)
-        self.t_start = np.fromiter((r.t_start for r in records), np.float64, count=n)
-        self.t_end = np.fromiter((r.t_end for r in records), np.float64, count=n)
+    #: The stored columns: everything but the derived ``hour``.
+    _STORED = __slots__[:5] + __slots__[6:]
+
+    def __init__(self, src_ip, dst_ip, num_bytes, t_start, t_end,
+                 video_ids, video_code, resolutions, resolution_code):
+        self.src_ip = src_ip
+        self.dst_ip = dst_ip
+        self.num_bytes = num_bytes
+        self.t_start = t_start
+        self.t_end = t_end
         # int(t // 3600.0): the float is already floored, so astype's
         # truncation equals FlowRecord.hour exactly.
-        self.hour = (self.t_start // 3600.0).astype(np.int64)
-        if n:
-            # np.unique sorts lexicographically, matching Python's string
-            # order, so code order == sorted(video_id) order.
-            self.video_ids, self.video_code = np.unique(
-                np.asarray([r.video_id for r in records]), return_inverse=True
-            )
-            self.resolutions, self.resolution_code = np.unique(
-                np.asarray([r.resolution for r in records]), return_inverse=True
-            )
-        else:
-            self.video_ids = np.empty(0, dtype="U1")
-            self.video_code = np.empty(0, dtype=np.int64)
-            self.resolutions = np.empty(0, dtype="U1")
-            self.resolution_code = np.empty(0, dtype=np.int64)
-        self.video_code = self.video_code.astype(np.int64, copy=False)
-        self.resolution_code = self.resolution_code.astype(np.int64, copy=False)
+        self.hour = (t_start // 3600.0).astype(np.int64)
+        self.video_ids = video_ids
+        self.video_code = video_code
+        self.resolutions = resolutions
+        self.resolution_code = resolution_code
+
+
+#: Getters of a :class:`FlowRecord`'s fields, in order.
+_RECORD_FIELDS = tuple(
+    attrgetter(name)
+    for name in ("src_ip", "dst_ip", "num_bytes", "t_start", "t_end", "video_id", "resolution")
+)
+
+#: Column types of the five numeric fields.
+_DTYPES = (np.int64, np.int64, np.int64, np.float64, np.float64)
+
+
+def _columns(rows: Sequence, fields: Sequence[Callable]) -> _Columns:
+    """The columns of ``rows``, in row order.
+
+    ``fields`` gets each of a :class:`FlowRecord`'s fields, in order, out
+    of a row; no per-row object is built on the way.
+    """
+    n = len(rows)
+    numeric = [
+        np.fromiter(map(field, rows), dtype, count=n) for field, dtype in zip(fields, _DTYPES)
+    ]
+    return _Columns(
+        *numeric,
+        *_code_strings(list(map(fields[5], rows))),
+        *_code_strings(list(map(fields[6], rows))),
+    )
+
+
+def _code_strings(values: List[str]):
+    """``(sorted distinct strings, int64 code per value)``.
+
+    Code order is Python's string order, which is also the order of
+    ``np.unique`` over the same strings.
+    """
+    if not values:
+        return np.empty(0, dtype="U1"), np.empty(0, dtype=np.int64)
+    distinct = sorted(set(values))
+    code_of = {value: code for code, value in enumerate(distinct)}
+    codes = np.fromiter(map(code_of.__getitem__, values), np.int64, count=len(values))
+    return np.asarray(distinct), codes
+
+
+def _recode(strings, codes):
+    """:func:`_code_strings` of ``strings[codes]``, without the strings."""
+    used, code = np.unique(codes, return_inverse=True)
+    return strings[used], code.astype(np.int64, copy=False)
 
 
 class SessionIndex:
@@ -160,17 +205,21 @@ class SessionIndex:
 
 
 class FlowTable:
-    """A columnar view over a flow-record sequence.
+    """A columnar flow table: numpy columns, with a record view on demand.
 
-    The table keeps the original record list (a ``FlowTable`` is a
-    ``Sequence[FlowRecord]``, so kernels can hand back the records they
-    select) and materialises the numpy columns lazily, the first time a
-    kernel asks.  Build one per dataset / filtered record list and pass it
-    to the analysis functions, so every analysis shares its cached columns.
+    A table is built either from a record list (``FlowTable(records)``,
+    for ad-hoc lists; its columns materialise the first time a kernel
+    asks) or straight into columns (:meth:`from_rows`, which the edge
+    monitor runs on the flow tuples it keeps, and :meth:`select`; its
+    records are built on first use of :attr:`records`).  Either way it
+    is a ``Sequence[FlowRecord]``, so record-level consumers can iterate
+    it.  Build one per dataset / filtered flow set and pass it to the
+    analysis functions, so every analysis shares its cached columns.  A
+    table pickles as its columns only.
     """
 
     __slots__ = (
-        "records",
+        "_records",
         "_cols",
         "_session_index",
         "_dst_unique",
@@ -179,7 +228,7 @@ class FlowTable:
     )
 
     def __init__(self, records: Union[Sequence[FlowRecord], Iterable[FlowRecord]]):
-        self.records: List[FlowRecord] = (
+        self._records: Optional[List[FlowRecord]] = (
             records if isinstance(records, list) else list(records)
         )
         self._cols: Optional[_Columns] = None
@@ -188,10 +237,82 @@ class FlowTable:
         self._dst_code = None
         _TABLES.add(self)
 
+    @classmethod
+    def _of_columns(cls, cols: _Columns) -> "FlowTable":
+        table = cls.__new__(cls)
+        table._records = None
+        table._cols = cols
+        table._session_index = None
+        table._dst_unique = None
+        table._dst_code = None
+        _TABLES.add(table)
+        return table
+
+    @classmethod
+    def from_rows(cls, rows: Sequence, fields: Sequence[Callable]) -> "FlowTable":
+        """A table of arbitrary flow rows, in row order.
+
+        Args:
+            rows: One object per flow (a tuple, say).
+            fields: Getters of a :class:`FlowRecord`'s seven fields, in
+                order, out of a row.
+
+        Raises:
+            ValueError: :class:`FlowRecord`'s value checks, applied to
+                every row at once: a flow ends before it starts, or has a
+                negative byte count.
+        """
+        cols = _columns(rows, fields)
+        if (cols.t_end < cols.t_start).any():
+            raise ValueError("flow ends before it starts")
+        if (cols.num_bytes < 0).any():
+            raise ValueError("negative byte count")
+        return cls._of_columns(cols)
+
+    def select(self, rows) -> "FlowTable":
+        """The table of the selected rows (a boolean mask or index array).
+
+        The string codes are re-derived over the rows kept, so the result
+        equals, column for column, ``FlowTable`` over the selected
+        records, and is built without them.
+        """
+        cols = self.columns()
+        return FlowTable._of_columns(_Columns(
+            cols.src_ip[rows], cols.dst_ip[rows], cols.num_bytes[rows],
+            cols.t_start[rows], cols.t_end[rows],
+            *_recode(cols.video_ids, cols.video_code[rows]),
+            *_recode(cols.resolutions, cols.resolution_code[rows]),
+        ))
+
+    def __reduce__(self):
+        cols = self.columns()
+        return _table_of_stored, tuple(getattr(cols, name) for name in _Columns._STORED)
+
     # ------------------------------------------------ sequence protocol
 
+    @property
+    def records(self) -> List[FlowRecord]:
+        """One :class:`FlowRecord` per row (built on first use, then cached)."""
+        if self._records is None:
+            cols = self._cols
+            video_ids = cols.video_ids.tolist()
+            resolutions = cols.resolutions.tolist()
+            self._records = list(map(
+                FlowRecord,
+                cols.src_ip.tolist(),
+                cols.dst_ip.tolist(),
+                cols.num_bytes.tolist(),
+                cols.t_start.tolist(),
+                cols.t_end.tolist(),
+                [video_ids[code] for code in cols.video_code.tolist()],
+                [resolutions[code] for code in cols.resolution_code.tolist()],
+            ))
+        return self._records
+
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is not None:
+            return len(self._records)
+        return len(self._cols.t_start)
 
     def __iter__(self) -> Iterator[FlowRecord]:
         return iter(self.records)
@@ -202,9 +323,9 @@ class FlowTable:
     # ------------------------------------------------------- columns
 
     def columns(self) -> _Columns:
-        """The materialised column arrays (built on first use)."""
+        """The column arrays (built from the records on first use)."""
         if self._cols is None:
-            self._cols = _Columns(self.records)
+            self._cols = _columns(self._records, _RECORD_FIELDS)
         return self._cols
 
     def session_index(self) -> SessionIndex:
@@ -252,6 +373,11 @@ class FlowTable:
 
 #: Every live FlowTable in this process, for resident-memory accounting.
 _TABLES: "weakref.WeakSet[FlowTable]" = weakref.WeakSet()
+
+
+def _table_of_stored(*stored) -> FlowTable:
+    """Unpickle a :class:`FlowTable` from its stored columns."""
+    return FlowTable._of_columns(_Columns(*stored))
 
 
 def resident_columnar() -> Dict[str, int]:

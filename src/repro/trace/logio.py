@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Union
+
+import numpy as np
 
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan
 from repro.net.ip import format_ip, parse_ip
+from repro.trace.columnar import FlowTable
 from repro.trace.records import FlowRecord
 
 _HEADER = "#src_ip\tdst_ip\tbytes\tt_start\tt_end\tvideo_id\tresolution"
@@ -39,43 +42,53 @@ def format_record(record: FlowRecord) -> str:
     )
 
 
-#: Lines per :func:`update_digest` hash call: few enough that a chunk's
-#: text stays small next to the records it renders.
+#: Rows per :func:`update_digest` hash call: few enough that a chunk's
+#: text stays small next to the columns it renders.
 _DIGEST_CHUNK_LINES = 4096
 
 
-def update_digest(digest, records: Iterable[FlowRecord]) -> None:
-    """Feed records' flow-log lines into a running hash.
+def update_digest(digest, table: FlowTable) -> None:
+    """Feed a flow table's flow-log lines into a running hash.
 
     The one content-digest serialisation: a batch dataset hashes its
-    record list in one call, a stream its sealed windows in order, and
-    both give the same hex digest for the same records.  The lines are
-    :func:`format_record`'s, each ending in a newline; a week has a few
-    hundred distinct addresses, so each is formatted once, and the lines
-    are hashed :data:`_DIGEST_CHUNK_LINES` at a time (the same bytes in
-    the same order, so the same digest).
+    table in one call, a stream its sealed windows' tables in order, and
+    both give the same hex digest for the same flows.  The lines are
+    :func:`format_record`'s, each ending in a newline, rendered straight
+    from the columns: a week has a few hundred distinct addresses and a
+    few thousand videos, so each is formatted once, and the lines are
+    hashed :data:`_DIGEST_CHUNK_LINES` at a time (the same bytes in the
+    same order, so the same digest).
 
     Args:
         digest: A ``hashlib`` object, e.g. ``hashlib.sha256()``.
-        records: Records in flow-log order.
+        table: The flows, in flow-log order.
     """
-    ips: Dict[int, str] = {}
-    lines: List[str] = []
-    for record in records:
-        src = ips.get(record.src_ip)
-        if src is None:
-            src = ips[record.src_ip] = format_ip(record.src_ip)
-        dst = ips.get(record.dst_ip)
-        if dst is None:
-            dst = ips[record.dst_ip] = format_ip(record.dst_ip)
-        lines.append(
-            f"{src}\t{dst}\t{record.num_bytes}\t{record.t_start!r}\t"
-            f"{record.t_end!r}\t{record.video_id}\t{record.resolution}\n"
-        )
-        if len(lines) == _DIGEST_CHUNK_LINES:
-            digest.update("".join(lines).encode("ascii"))
-            lines.clear()
-    digest.update("".join(lines).encode("ascii"))
+    cols = table.columns()
+    video_ids = cols.video_ids.tolist()
+    resolutions = cols.resolutions.tolist()
+    for lo in range(0, len(table), _DIGEST_CHUNK_LINES):
+        rows = slice(lo, lo + _DIGEST_CHUNK_LINES)
+        lines = [
+            f"{src}\t{dst}\t{num_bytes}\t{t_start!r}\t{t_end!r}\t"
+            f"{video_ids[video]}\t{resolutions[resolution]}\n"
+            for src, dst, num_bytes, t_start, t_end, video, resolution in zip(
+                _formatted_ips(cols.src_ip[rows]),
+                _formatted_ips(cols.dst_ip[rows]),
+                cols.num_bytes[rows].tolist(),
+                cols.t_start[rows].tolist(),
+                cols.t_end[rows].tolist(),
+                cols.video_code[rows].tolist(),
+                cols.resolution_code[rows].tolist(),
+            )
+        ]
+        digest.update("".join(lines).encode("ascii"))
+
+
+def _formatted_ips(ips) -> List[str]:
+    """Dotted quads of an address column, each distinct address formatted once."""
+    uniq, code = np.unique(ips, return_inverse=True)
+    names = [format_ip(ip) for ip in uniq.tolist()]
+    return [names[i] for i in code.tolist()]
 
 
 def parse_record(line: str) -> FlowRecord:

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import TYPE_CHECKING, Iterator, List
 
 from repro.net.ip import format_ip
 from repro.net.topology import VantagePoint
+
+if TYPE_CHECKING:
+    from repro.trace.columnar import FlowTable
 
 #: One simulated trace week, in seconds.
 WEEK_S = 7 * 86400.0
@@ -76,13 +79,14 @@ class Dataset:
     Attributes:
         name: Dataset name (``"US-Campus"``...).
         vantage: The monitored vantage point.
-        records: Flow records sorted by start time.
+        table: The flows, as a :class:`~repro.trace.columnar.FlowTable`
+            sorted by start time.
         duration_s: Collection window length.
     """
 
     name: str
     vantage: VantagePoint
-    records: List[FlowRecord]
+    table: "FlowTable"
     duration_s: float = WEEK_S
 
     def __post_init__(self) -> None:
@@ -90,10 +94,15 @@ class Dataset:
             raise ValueError("duration must be positive")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.table)
 
     def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(self.records)
+        return iter(self.table)
+
+    @property
+    def records(self) -> List[FlowRecord]:
+        """The flows as records, for record-level consumers (built once)."""
+        return self.table.records
 
     @property
     def num_hours(self) -> int:
@@ -103,44 +112,20 @@ class Dataset:
     @property
     def total_bytes(self) -> int:
         """Total downloaded volume (Table I's ``Volume`` column)."""
-        return sum(r.num_bytes for r in self.records)
+        return int(self.table.columns().num_bytes.sum())
 
     @property
     def server_ips(self) -> List[int]:
         """Distinct server addresses, sorted (Table I's ``#Servers``)."""
-        return sorted({r.dst_ip for r in self.records})
+        return self.table.dst_codes()[0].tolist()
 
     @property
     def client_ips(self) -> List[int]:
         """Distinct client addresses, sorted (Table I's ``#Clients``)."""
-        return sorted({r.src_ip for r in self.records})
-
-    def columnar(self):
-        """The dataset's cached columnar view (``repro.trace.columnar``).
-
-        Materialised lazily and cached on the instance; the cache is
-        invalidated when ``records`` is rebound or its length changes.
-        (In-place element mutation is not tracked — the records are frozen
-        dataclasses, so only wholesale list surgery could go stale, and
-        the analysis layer never does that.)
-
-        Returns:
-            The :class:`~repro.trace.columnar.FlowTable` over ``records``.
-        """
-        from repro.trace.columnar import FlowTable
-
-        source, cached = self.__dict__.get("_columnar", (None, None))
-        if (
-            cached is None
-            or source is not self.records
-            or len(cached) != len(self.records)
-        ):
-            cached = FlowTable(self.records)
-            self.__dict__["_columnar"] = (self.records, cached)
-        return cached
+        return sorted(set(self.table.columns().src_ip.tolist()))
 
     def content_digest(self) -> str:
-        """SHA-256 over the canonical flow-log serialisation of the records.
+        """SHA-256 over the canonical flow-log serialisation of the flows.
 
         Two datasets digest equal iff their flow logs are byte-identical
         (the serialisation round-trips floats exactly); the cross-backend
@@ -149,5 +134,5 @@ class Dataset:
         from repro.trace.logio import update_digest
 
         digest = hashlib.sha256()
-        update_digest(digest, self.records)
+        update_digest(digest, self.table)
         return digest.hexdigest()

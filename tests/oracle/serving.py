@@ -6,8 +6,8 @@ its requests share — the client's floor RTT to every data center, its
 resolver's ranking, the resolution labels — in tables built once per
 world, asks the policy for the shard's server directly when no resolver
 cache can answer, samples with ``bisect`` and hands flows to the
-monitor as plain tuples.  This module restates the
-path the way the paper's Section II sequence reads: format the sharded
+monitor as plain tuples, which it keeps as columns.  This module restates
+the path the way the paper's Section II sequence reads: format the sharded
 hostname, query the local resolver, let the authoritative policy parse
 the shard back out, route the redirect chain, build one
 :class:`~repro.cdn.cluster.FlowEvent` per flow (recomputing the path floor
@@ -68,8 +68,9 @@ from repro.sim.engine import (
 )
 from repro.sim.scenarios import ScenarioWorld
 from repro.sim.seeding import derive_seed
+from repro.trace.columnar import FlowTable
 from repro.trace.monitor import EdgeMonitor
-from repro.trace.records import FlowRecord
+from repro.trace.records import Dataset, FlowRecord
 from repro.workload.requests import Request, RequestGenerator, _poisson, sample_resolution
 
 # ------------------------------------------------------------------ DNS chain
@@ -483,8 +484,12 @@ def handle_request(
 # -------------------------------------------------------------- monitor, truth
 
 
-def observe(monitor: EdgeMonitor, event: FlowEvent) -> None:
-    """Spec of the monitor: one miss draw, then one record per flow."""
+def observe(monitor: EdgeMonitor, event: FlowEvent, records: List[FlowRecord]) -> None:
+    """Spec of the monitor: one miss draw, then one record per flow.
+
+    A kept record goes to the monitor's sink, or else onto ``records``,
+    the spec's own flow log.
+    """
     monitor.observed += 1
     if monitor._miss_probability and monitor._rng.random() < monitor._miss_probability:
         monitor.missed += 1
@@ -502,7 +507,7 @@ def observe(monitor: EdgeMonitor, event: FlowEvent) -> None:
     if monitor._sink is not None:
         monitor._sink(record)
     else:
-        monitor._records.append(record)
+        records.append(record)
 
 
 def append_truth(truth: GroundTruthLog, client_ip, video_id, t_s, anchor_dc, dns_dc,
@@ -539,6 +544,7 @@ class SpecProcessor:
             seed=derive_seed(world.seed, world.spec.name, "monitor"),
             sink=record_sink,
         )
+        self.records: List[FlowRecord] = []
         self.serve_rng = random.Random(derive_seed(world.seed, world.spec.name, "serve"))
         self.result = SimulationResult(world=world, dataset=None, requests=0)
         self.anchor_resolver: Optional[str] = None
@@ -561,7 +567,7 @@ class SpecProcessor:
             request.t_s, self.serve_rng,
         )
         for event in outcome.events:
-            observe(self.monitor, event)
+            observe(self.monitor, event, self.records)
         result.requests += 1
         result.dns_dc_counts[outcome.dns_dc_id] += 1
         result.served_dc_counts[outcome.served_dc_id] += 1
@@ -592,7 +598,14 @@ class SpecProcessor:
         return outcome
 
     def finish(self) -> SimulationResult:
-        self.result.dataset = self.monitor.finish(self.world.spec.name, self.world.duration_s)
+        """Spec of the monitor's dataset: the records in stable start/end order."""
+        self.records.sort(key=lambda r: (r.t_start, r.t_end))
+        self.result.dataset = Dataset(
+            name=self.world.spec.name,
+            vantage=self.world.vantage,
+            table=FlowTable(self.records),
+            duration_s=self.world.duration_s,
+        )
         return self.result
 
 

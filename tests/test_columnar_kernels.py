@@ -283,7 +283,7 @@ class TestStudyParity:
 
     def test_build_sessions(self, pipeline):
         dataset = pipeline.dataset(self.NAME)
-        assert session_shape(build_sessions(dataset.columnar())) == session_shape(
+        assert session_shape(build_sessions(dataset.table)) == session_shape(
             oracle_sessions.build_sessions(dataset.records)
         )
 

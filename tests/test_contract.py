@@ -43,7 +43,7 @@ from repro.cli import main
 from repro.obs.export import read_trace
 from repro.sim import driver
 from repro.sim.scenarios import PAPER_SCENARIOS
-from repro.trace.records import WEEK_S, Dataset
+from repro.trace.records import WEEK_S, Dataset, FlowRecord
 
 GOLDEN = Path(__file__).parent / "golden" / "study_0.01.txt"
 DEGRADATION_GOLDEN = Path(__file__).parent / "golden" / "degradation_0.01.txt"
@@ -260,6 +260,25 @@ class TestStoredWeeks:
         assert stdout == GOLDEN.read_text(encoding="utf-8").split("digest ", 1)[0]
         stages = {entry["stage"] for entry in ledger(cache_dir, skip=mark)}
         assert "cli/digests" not in stages
+
+
+def test_summary_study_builds_no_flow_record(tmp_path):
+    """A summary study reads columns only, cold and warm.
+
+    The warm run asks for another landmark budget and finds no stored
+    digests, so it re-analyses and re-hashes the weeks it reads back.
+    """
+    env = {"REPRO_CACHE_DIR": str(tmp_path / "cache")}
+    golden = GOLDEN.read_text(encoding="utf-8")
+    with mock.patch.object(
+        FlowRecord, "__post_init__", side_effect=AssertionError("a FlowRecord was built")
+    ):
+        assert run_study(STUDY, env) == golden
+        ArtifactStore(tmp_path / "cache").object_path(DIGESTS_KEY).unlink()
+        warm = run_study(STUDY + ["--landmarks", "10"], env)
+    assert warm.splitlines()[-5:] == golden.splitlines()[-5:]
+    events = [(e["stage"], e["event"]) for e in ledger(tmp_path / "cache")]
+    assert events.count(("sim/run_week", "hit")) == 5
 
 
 #: Retried task attempts and retried RTT timeouts, none of them exhausted.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+from unittest import mock
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.eval.attribution import (
     score_attribution,
 )
 from repro.sim.engine import TRUTH_LABELS
+from repro.trace.records import Dataset
 
 
 def run_cli(*argv):
@@ -128,6 +130,16 @@ class TestEvalCli:
         )
         assert code == 0
         assert "ATTRIBUTION SCORECARD" in text
+        assert "mean accuracy" in text
+
+    def test_plain_eval_hashes_no_week(self):
+        """Only ``--digests`` and ``--json`` print digests, so only they hash."""
+        with mock.patch.object(Dataset, "content_digest", side_effect=AssertionError):
+            code, text = run_cli(
+                "eval", "--policy", "preferred", "--scale", "0.004",
+                "--seed", "5", "--landmarks", "40",
+            )
+        assert code == 0
         assert "mean accuracy" in text
 
     def test_eval_json_and_digests(self):

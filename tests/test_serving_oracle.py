@@ -71,7 +71,10 @@ def _assert_same_run(runtime_world, spec_world, runtime, spec):
     assert got.startup_delay_samples == want.startup_delay_samples
     assert got.serving_rtt_samples == want.serving_rtt_samples
     assert runtime._serve_rng.getstate() == spec.serve_rng.getstate()
-    assert _comparable(runtime.monitor, "_vantage") == _comparable(spec.monitor, "_vantage")
+    # The monitor's kept flows are compared as the records above.
+    assert _comparable(runtime.monitor, "_vantage", "_flows") == _comparable(
+        spec.monitor, "_vantage", "_flows"
+    )
     assert _world_state(runtime_world) == _world_state(spec_world)
 
 

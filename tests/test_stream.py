@@ -249,7 +249,7 @@ class TestStreamingDigest:
         windows, ordered = drain(w, replay_records(records, watermark_lag_s=10.0))
         assert len(windows) == 2  # hashed window by window
         for win in windows:
-            update_digest(digest, win.records)
+            update_digest(digest, win.table)
         expected = hashlib.sha256()
         for r in sorted(records, key=lambda r: (r.t_start, r.t_end)):
             expected.update(format_record(r).encode("ascii"))

@@ -13,6 +13,7 @@ from repro.net.ip import parse_ip
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.trace import logio
 from repro.trace.logio import dumps, format_record, loads, parse_record, read_flow_log, write_flow_log
+from repro.trace.columnar import FlowTable
 from repro.trace.monitor import EdgeMonitor
 from repro.trace.records import Dataset, FlowRecord
 
@@ -50,7 +51,7 @@ class TestDataset:
 
     def test_aggregates(self, vantage):
         records = [record(nbytes=100), record(dst="173.194.0.11", nbytes=200)]
-        ds = Dataset(name="X", vantage=vantage, records=records)
+        ds = Dataset(name="X", vantage=vantage, table=FlowTable(records))
         assert len(ds) == 2
         assert ds.total_bytes == 300
         assert len(ds.server_ips) == 2
@@ -58,7 +59,7 @@ class TestDataset:
 
     def test_duration_validated(self, vantage):
         with pytest.raises(ValueError):
-            Dataset(name="X", vantage=vantage, records=[], duration_s=0.0)
+            Dataset(name="X", vantage=vantage, table=FlowTable([]), duration_s=0.0)
 
 
 class TestMonitor:
@@ -197,11 +198,11 @@ class TestDigest:
         monkeypatch.setattr(logio, "_DIGEST_CHUNK_LINES", 3)
         records = self.records(count)
         digest = hashlib.sha256()
-        logio.update_digest(digest, iter(records))
+        logio.update_digest(digest, FlowTable(records))
         assert digest.hexdigest() == self.line_by_line(records)
 
     def test_default_chunk_over_a_boundary(self):
         records = self.records(2 * logio._DIGEST_CHUNK_LINES + 5)
         digest = hashlib.sha256()
-        logio.update_digest(digest, records)
+        logio.update_digest(digest, FlowTable(records))
         assert digest.hexdigest() == self.line_by_line(records)
