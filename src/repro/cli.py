@@ -500,9 +500,10 @@ def _render_study(args: argparse.Namespace):
 
     Returns:
         ``(text, digests)`` — the full report text, and for a streamed
-        study the content digest of each dataset, hashed window by window
-        as the windows sealed (``None`` for a batch study, whose weeks
-        are hashed only if the digests are asked for).
+        study under ``--digests`` the content digest of each dataset,
+        hashed window by window as the windows sealed (``None``
+        otherwise: a batch study's weeks are hashed only if the digests
+        are asked for).
     """
     import io
 
@@ -518,7 +519,7 @@ def _render_study(args: argparse.Namespace):
 
         pipeline, digests = run_streaming_study(
             args.scale, args.seed, args.window_s, policy_kind=args.policy,
-            landmark_count=landmark_count, executor=executor,
+            landmark_count=landmark_count, executor=executor, hashed=args.digests,
         )
     else:
         from repro.sim.driver import run_all
@@ -1217,14 +1218,13 @@ def _install_fault_plan(spec: str) -> None:
     """Make ``--faults`` this run's fault plan.
 
     Normalises the plan into ``REPRO_FAULTS`` so process-pool workers
-    inherit it, and starts the degradation collector fresh: this run's
-    report must cover exactly this run.
+    inherit it.  The run context the caller starts next holds this
+    run's degradation counters, so its report covers exactly this run.
 
     Raises:
         UsageError: For a plan that does not parse or cannot be read.
     """
     from repro.faults import plan as faults_plan
-    from repro.faults import report as degradation
 
     try:
         plan = faults_plan.FaultPlan.from_spec(spec)
@@ -1232,7 +1232,6 @@ def _install_fault_plan(spec: str) -> None:
         raise UsageError(f"bad --faults plan: {error}") from None
     os.environ[faults_plan.ENV_FAULTS] = plan.to_json()
     faults_plan.clear_current_plan()
-    degradation.reset()
 
 
 _COMMANDS = {
@@ -1296,8 +1295,8 @@ def _run(args: argparse.Namespace, out) -> int:
     except UsageError as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
-    # One fresh run context per invocation: the tracer, metrics and
-    # degradation counters all start empty, so sequential invocations in
+    # One fresh run context per invocation: the tracer and metrics (with
+    # the degradation counters) start empty, so sequential invocations in
     # one process (tests, notebooks) never bleed into each other.
     run = obs.new_run()
     with obs.span(f"cli/{args.command}"):

@@ -283,7 +283,6 @@ class ParallelExecutor:
                 ]
             pending_idx = list(range(len(items)))
             attempt = 1
-            retries = 0
             while pending_idx:
                 round_outcomes = self._dispatch(
                     fn, [items[i] for i in pending_idx],
@@ -305,15 +304,11 @@ class ParallelExecutor:
                 ]
                 if not retryable:
                     break
-                retries += len(retryable)
                 from repro.faults import report as degradation
 
                 degradation.record("exec/map", retried=len(retryable))
-                obs.inc("retries", len(retryable), stage="exec/map")
                 pending_idx = retryable
                 attempt += 1
-            if map_span is not None and retries:
-                map_span.attrs["retries"] = retries
 
         results = [outcome.payload for outcome in outcomes]
         if on_error == "raise":

@@ -11,9 +11,9 @@ reproduction must too.  This package makes that testable:
   and :data:`~repro.faults.retry.MAX_ATTEMPTS`: a failed attempt is made
   again at once, never after a wait, because the plan (not the clock)
   decides every fault.
-* :mod:`repro.faults.report` — the per-stage degradation collector and
-  :class:`DegradationReport` (stages completed / retried / degraded /
-  skipped).
+* :mod:`repro.faults.report` — per-stage degradation counters on the
+  run's metrics, read back as a :class:`DegradationReport` (stages
+  completed / retried / degraded / skipped).
 
 Injection is wired into the executor (task transients and worker
 crashes), RTT campaigns and CBG probing (probe loss and timeouts), the

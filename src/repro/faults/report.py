@@ -7,15 +7,18 @@ quarantined objects, log ingestion counts skipped lines — and the run
 ends with one :class:`DegradationReport`: per stage, how much completed,
 how much was retried, how much degraded, how much was skipped.
 
-The collector's storage lives on the current
-:class:`~repro.obs.runctx.RunContext` (not a module global), so
-sequential studies in one process each get a fresh tally and
-``obs.new_run()`` resets everything per-run at once.  It records only
-while a plan is installed, so clean runs pay nothing.  Process-pool
-caveat: counters live in the recording process; in-worker events surface
-either through values returned to the parent (campaign outcomes),
-through retried failures the parent observes, or through the artifact
-store's cross-process ledger.
+Each event is one counter of the current run's
+:class:`~repro.obs.metrics.MetricsRegistry`,
+``degradation.<counter>{stage=<stage>}``, and the report is read back
+from those counters, so a traced run's metrics footer carries the same
+rows.  :func:`record` writes to the run's registry itself, not through
+:func:`repro.obs.inc`: it records with ``REPRO_TRACE=off`` too, and only
+while a plan is installed, so clean runs pay nothing.  ``obs.new_run()``
+starts every run's counters at zero.  Process-pool caveat: a worker
+process records into its own run, which never travels back; in-worker
+events reach the parent's report only through values returned to it
+(campaign outcomes), through retried failures the parent observes, or
+through the artifact store's cross-process ledger.
 """
 
 from __future__ import annotations
@@ -30,14 +33,12 @@ from repro.obs.runctx import current_run
 #: record additional ad-hoc counters; they sort after these.
 CORE_COUNTERS = ("completed", "retried", "degraded", "skipped")
 
-
-def _events() -> Dict[str, Dict[str, int]]:
-    """The current run's degradation tally (run-scoped, not module-global)."""
-    return current_run().degradation
+#: Metric-name prefix of every degradation counter.
+_PREFIX = "degradation."
 
 
 def record(stage: str, **counts: int) -> None:
-    """Fold counters into one stage's tally (no-op without a plan).
+    """Count one stage's degradation on the run's metrics (no-op without a plan).
 
     Args:
         stage: Stage name, namespaced like ``"geoloc/campaign"``.
@@ -45,20 +46,15 @@ def record(stage: str, **counts: int) -> None:
     """
     if current_plan() is None:
         return
-    tally = _events().setdefault(stage, {})
+    metrics = current_run().metrics
     for name, delta in counts.items():
         if delta:
-            tally[name] = tally.get(name, 0) + int(delta)
+            metrics.inc(_PREFIX + name, int(delta), stage=stage)
 
 
 def stage_completed(stage: str, degraded: bool = False) -> None:
     """Record one completed unit of a stage (optionally degraded)."""
     record(stage, completed=1, degraded=1 if degraded else 0)
-
-
-def reset() -> None:
-    """Drop every recorded counter (fresh runs and tests)."""
-    _events().clear()
 
 
 @dataclass
@@ -102,15 +98,10 @@ class DegradationReport:
         return doc
 
 
-def collect(reset_after: bool = False) -> DegradationReport:
-    """The report over everything recorded so far.
-
-    Args:
-        reset_after: Also clear the collector (end-of-run emission).
-    """
-    report = DegradationReport(
-        stages={stage: dict(tally) for stage, tally in _events().items()}
-    )
-    if reset_after:
-        reset()
-    return report
+def collect() -> DegradationReport:
+    """The report over every degradation counter of the current run."""
+    stages: Dict[str, Dict[str, int]] = {}
+    for (name, labels), count in current_run().metrics.counters.items():
+        if name.startswith(_PREFIX):
+            stages.setdefault(dict(labels)["stage"], {})[name[len(_PREFIX):]] = count
+    return DegradationReport(stages=stages)

@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.artifacts.memo import memoized_stage
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
@@ -256,10 +255,4 @@ def _unpack_outcome(job: CampaignJob, value) -> Dict[object, float]:
         timeouts=value.timeouts,
         retried=value.retried,
     )
-    if value.lost:
-        obs.inc("probe.lost", value.lost, stage="geoloc/campaign")
-    if value.timeouts:
-        obs.inc("probe.timeout", value.timeouts, stage="geoloc/campaign")
-    if value.retried:
-        obs.inc("retries", value.retried, stage="geoloc/campaign")
     return value.measurements

@@ -72,7 +72,7 @@ class EpochComputation:
 def _degradation_delta(
     before: Dict[str, Dict[str, int]], after: Dict[str, Dict[str, int]]
 ) -> Dict[str, Dict[str, int]]:
-    """Per-stage counter increments between two collector snapshots."""
+    """Per-stage counter increments between two degradation reports."""
     delta: Dict[str, Dict[str, int]] = {}
     for stage, tally in after.items():
         base = before.get(stage, {})

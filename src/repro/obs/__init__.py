@@ -9,8 +9,8 @@ take" across the pipeline.  The pieces:
   back, mirroring how ``REPRO_FAULTS`` travels).
 * :mod:`repro.obs.metrics` — the labelled counter/gauge/histogram
   registry that snapshots into the trace's metrics footer.
-* :mod:`repro.obs.runctx` — the per-run context scoping the tracer,
-  metrics, and degradation counters, fixing the old cross-run
+* :mod:`repro.obs.runctx` — the per-run context scoping the tracer and
+  metrics (degradation counters included), fixing the old cross-run
   accumulation leaks.
 * :mod:`repro.obs.export` — trace JSONL, Chrome ``trace_event`` export,
   and the summary/slowest/diff renderers behind ``repro trace``.

@@ -2,12 +2,15 @@
 
 The registry is the quantitative half of the observability layer
 (:mod:`repro.obs.tracer` is the temporal half): injection sites and
-caches record *how much* happened — cache hits per stage, retried tasks,
-lost probes, per-get latencies — while spans record *when*.  One registry
-lives on each :class:`~repro.obs.runctx.RunContext`; worker tasks record
-into a capture-local registry that travels back to the dispatching
-process and is merged (:func:`MetricsRegistry.merge`), so per-run
-counters are complete even across process pools.
+caches record *how much* happened — cache hits per stage, per-get
+latencies, and the ``degradation.*`` counters of a faulted run (retried
+tasks, lost probes; :mod:`repro.faults.report`) — while spans record
+*when*.  One registry lives on each :class:`~repro.obs.runctx.RunContext`;
+worker tasks record into a capture-local registry that travels back to
+the dispatching process and is merged (:func:`MetricsRegistry.merge`).
+Everything but the degradation counters is recorded only while tracing
+is on; those are written to the run's registry whenever a fault plan is
+installed, and only in the recording process.
 
 Everything here is plain data: registries pickle (they cross process
 boundaries inside task captures) and snapshots are JSON-ready (they ride

@@ -1,10 +1,11 @@
 """The run context: one object scoping every per-run accumulator.
 
-The tracer (whose spans are the one record of task and stage time), the
-metrics registry and the degradation counters live on the
-:class:`RunContext`, and starting a new run (:func:`new_run`) gives every
-accumulator a fresh start at once, so sequential studies in one process
-never leak into each other's reports.
+The tracer (whose spans are the one record of task and stage time) and
+the metrics registry (which also holds the run's degradation counters,
+see :mod:`repro.faults.report`) live on the :class:`RunContext`, and
+starting a new run (:func:`new_run`) gives every accumulator a fresh
+start at once, so sequential studies in one process never leak into
+each other's reports.
 
 The context is process-global.  The executor's workers are processes,
 not threads: each gets its own fresh context, its spans and metrics
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
@@ -29,20 +30,17 @@ _seq = itertools.count(1)
 
 
 class RunContext:
-    """Everything scoped to one run: tracer, metrics, degradation tally.
+    """Everything scoped to one run: tracer and metrics.
 
     Attributes:
         run_id: Stable name for this run's artifacts (trace files).
         tracer: The run's span recorder; its monotonic origin is the
             run's t=0.
-        degradation: Per-stage degradation counters
-            (:mod:`repro.faults.report` records here).
     """
 
     def __init__(self, run_id: Optional[str] = None):
         self.run_id = run_id or f"run-{os.getpid()}-{next(_seq)}"
         self.tracer = Tracer()
-        self.degradation: Dict[str, Dict[str, int]] = {}
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -65,9 +63,9 @@ def current_run() -> RunContext:
 def new_run(run_id: Optional[str] = None) -> RunContext:
     """Start a fresh run context and make it current.
 
-    The CLI calls this once per invocation, which is what keeps spans,
-    metrics, and degradation rows from one study out of the next one's
-    reports when several studies run in a single process.
+    The CLI calls this once per invocation, which is what keeps spans and
+    metrics (degradation rows included) from one study out of the next
+    one's reports when several studies run in a single process.
     """
     global _current
     _current = RunContext(run_id)

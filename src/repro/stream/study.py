@@ -2,11 +2,12 @@
 
 :func:`stream_dataset` drives one world's live-emit event stream through
 the tumbling windower and folds each sealed window into the study's two
-folds and a running content digest.  :func:`run_streaming_study` hands
-those folds to the one :class:`~repro.core.pipeline.StudyPipeline`, so
-every view — the tables, the preferred-DC reports, Figure 9, the RTT
-campaigns and CBG clustering — is the same code in both modes: the
-stream only changes how a week is folded.
+folds and, when the digests are printed, a running content digest.
+:func:`run_streaming_study` hands those folds to the one
+:class:`~repro.core.pipeline.StudyPipeline`, so every view — the tables,
+the preferred-DC reports, Figure 9, the RTT campaigns and CBG
+clustering — is the same code in both modes: the stream only changes
+how a week is folded.
 
 Byte parity is the design contract: ``repro study --stream`` produces
 the identical report text and identical ``--digests`` lines as the batch
@@ -53,23 +54,27 @@ class StreamedWeek(NamedTuple):
     world: ScenarioWorld
     traffic: TrafficAccumulator
     hourly: HourlyShareAccumulator
-    digest: str
+    digest: Optional[str]
 
 
 def stream_dataset(
     world: ScenarioWorld,
     window_s: float = 3600.0,
+    hashed: bool = True,
 ) -> StreamedWeek:
     """Run one world's week as a stream and fold it window by window.
 
     Args:
         world: A built scenario world.
         window_s: Tumbling-window width in seconds.
+        hashed: Whether to hash the sealed records (``repro study
+            --stream`` does only under ``--digests``).
 
     Returns:
         The world, its final traffic and hourly folds, and the content
         digest of every sealed record (equal to the batch dataset's
-        :meth:`~repro.trace.records.Dataset.content_digest`).
+        :meth:`~repro.trace.records.Dataset.content_digest`; ``None``
+        unless ``hashed``).
     """
     from repro.stream.source import simulated_stream
     from repro.stream.windows import TumblingWindower, drive
@@ -78,10 +83,11 @@ def stream_dataset(
     windower = TumblingWindower(window_s)
     traffic = TrafficAccumulator()
     hourly = HourlyShareAccumulator()
-    digest = hashlib.sha256()
+    digest = hashlib.sha256() if hashed else None
 
     def on_window(window) -> None:
-        update_digest(digest, window.table)
+        if digest is not None:
+            update_digest(digest, window.table)
         traffic.observe(window.table)
         hourly.observe(window.table)
         obs.inc("stream.windows", dataset=name)
@@ -91,7 +97,9 @@ def stream_dataset(
         drive(simulated_stream(world), windower, on_window)
     if windower.late_records:
         degradation.record("stream/windower", degraded=1, late=windower.late_records)
-    return StreamedWeek(world, traffic, hourly, digest.hexdigest())
+    return StreamedWeek(
+        world, traffic, hourly, None if digest is None else digest.hexdigest()
+    )
 
 
 def run_streaming_study(
@@ -101,7 +109,8 @@ def run_streaming_study(
     policy_kind: str = "preferred",
     landmark_count: Optional[int] = None,
     executor: Optional[ParallelExecutor] = None,
-) -> Tuple[StudyPipeline, Dict[str, str]]:
+    hashed: bool = False,
+) -> Tuple[StudyPipeline, Optional[Dict[str, str]]]:
     """Stream every dataset of the study and wire up the analysis.
 
     The worlds are built with the same parameters the batch
@@ -110,13 +119,14 @@ def run_streaming_study(
 
     Returns:
         ``(pipeline, digests)``: the study over the streamed folds, and
-        one content digest per dataset.
+        one content digest per dataset (``None`` unless ``hashed``).
     """
     weeks = {
         name: stream_dataset(
             build_world(PAPER_SCENARIOS[name], scale=scale, seed=seed,
                         policy_kind=policy_kind),
             window_s=window_s,
+            hashed=hashed,
         )
         for name in DATASET_NAMES
     }
@@ -124,4 +134,4 @@ def run_streaming_study(
         weeks, landmark_count=landmark_count, executor=executor,
         folds={name: (week.traffic, week.hourly) for name, week in weeks.items()},
     )
-    return study, {name: week.digest for name, week in weeks.items()}
+    return study, {name: week.digest for name, week in weeks.items()} if hashed else None

@@ -14,7 +14,8 @@ executed.  A *cell* picks one value on each axis:
 
 Every cell prints the golden up to any ``DEGRADATION REPORT``.  A
 recoverable plan must print that report, a trace-on cell writes one
-trace whose cache counters equal the store's ledger, and a trace-off
+trace whose cache counters equal the store's ledger (and whose
+degradation counters equal the report's ``TOTAL`` row), and a trace-off
 cell writes none.  Tier-1 runs :data:`DIAGONAL`, which takes every axis
 value at least once; ``benchmarks/test_contract_matrix.py`` runs the
 full product.  ``scripts/update_golden.sh`` rewrites the golden.
@@ -189,6 +190,11 @@ def run_cell(mode: str, backend: str, cache: str, plan: str, trace: str,
         for event in ("hit", "miss", "put"):
             in_ledger = sum(1 for entry in events if entry["event"] == event)
             assert counter_total(doc.metrics, f"cache.{event}") == in_ledger, event
+        if degraded:
+            totals = degradation_totals(stdout)
+            assert {
+                name: counter_total(doc.metrics, f"degradation.{name}") for name in totals
+            } == totals
 
     if cache == "warm" and plan != "recoverable":
         # The ten-landmark study stored the digests: no week is hashed.
@@ -260,6 +266,14 @@ class TestStoredWeeks:
         assert stdout == GOLDEN.read_text(encoding="utf-8").split("digest ", 1)[0]
         stages = {entry["stage"] for entry in ledger(cache_dir, skip=mark)}
         assert "cli/digests" not in stages
+
+    def test_streamed_study_without_digests_hashes_no_window(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(primed_cache("none"), cache_dir)
+        with mock.patch("repro.stream.study.update_digest", side_effect=AssertionError):
+            stdout = run_study(STUDY[:-1] + MODES["stream-3600"],
+                               {"REPRO_CACHE_DIR": str(cache_dir)})
+        assert stdout == GOLDEN.read_text(encoding="utf-8").split("digest ", 1)[0]
 
 
 def test_summary_study_builds_no_flow_record(tmp_path):

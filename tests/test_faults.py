@@ -49,10 +49,10 @@ def install_plan():
         set_current_plan(plan)
         return plan
 
-    degradation.reset()
+    obs.new_run("faults-test")
     yield _install
     clear_current_plan()
-    degradation.reset()
+    obs.set_current_run(None)
 
 
 # --------------------------------------------------------------- plan grammar
@@ -256,14 +256,14 @@ class TestExecutorInjection:
         plan = FaultPlan(seed=3, task_transient=1.0, max_failures_per_task=1)
         monkeypatch.setenv(ENV_FAULTS, plan.to_json())
         clear_current_plan()
-        degradation.reset()
+        obs.new_run("process-plan")
         try:
             executor = ParallelExecutor("process", max_workers=2)
             assert executor.map(_identity, [10, 20]) == [10, 20]
             assert collect().total("retried") >= 1
         finally:
             clear_current_plan()
-            degradation.reset()
+            obs.set_current_run(None)
 
     def test_exhausted_retries_surface_with_attempt_count(self, install_plan):
         install_plan(seed=3, task_transient=1.0, max_failures_per_task=99)
@@ -291,8 +291,8 @@ class TestExecutorInjection:
             results = executor.map(_reject_even, [2], on_error="return")
             assert isinstance(results[0], ExecutionError)
             assert results[0].attempts == 1
-            (map_span,) = [r for r in run.tracer.records if r.name == "exec/map"]
-            assert "retries" not in map_span.attrs
+            assert collect().stages == {}
+            assert run.metrics.counter_total("degradation.retried") == 0
         finally:
             obs.set_current_run(None)
 
@@ -317,15 +317,18 @@ class TestExecutorInjection:
         assert forward == backward
         assert 0 < len(forward) < 12
 
-    def test_retries_reported_on_map_span(self, install_plan):
+    def test_retries_counted_once_in_run_metrics(self, install_plan):
         install_plan(seed=3, task_transient=1.0, max_failures_per_task=1)
         run = obs.new_run("retries")
         try:
             executor = ParallelExecutor("serial")
             executor.map(_identity, [1, 2])
+            counters = run.metrics.snapshot()["counters"]
+            assert counters["degradation.retried{stage=exec/map}"] == 2
+            assert collect().total("retried") == 2
+            assert run.metrics.counter_total("retries") == 0
             (map_span,) = [r for r in run.tracer.records if r.name == "exec/map"]
-            assert map_span.attrs["retries"] == collect().total("retried") >= 1
-            assert run.metrics.counter_total("retries") == map_span.attrs["retries"]
+            assert "retries" not in map_span.attrs
         finally:
             obs.set_current_run(None)
 
@@ -697,9 +700,22 @@ class TestCacheKeyNamespace:
 class TestDegradationReport:
     def test_record_is_a_noop_without_a_plan(self):
         clear_current_plan()
-        degradation.reset()
-        degradation.record("stage", completed=1)
-        assert collect().stages == {}
+        run = obs.new_run("no-plan")
+        try:
+            degradation.record("stage", completed=1)
+            assert collect().stages == {}
+            assert run.metrics.counters == {}
+        finally:
+            obs.set_current_run(None)
+
+    def test_record_counts_on_run_metrics_with_tracing_off(self, install_plan, monkeypatch):
+        monkeypatch.setenv(obs.ENV_TRACE, "off")
+        install_plan(seed=1, probe_loss=0.1)
+        degradation.record("geoloc/cbg", degraded=1, probes_lost=4)
+        assert obs.current_run().metrics.snapshot()["counters"] == {
+            "degradation.degraded{stage=geoloc/cbg}": 1,
+            "degradation.probes_lost{stage=geoloc/cbg}": 4,
+        }
 
     def test_record_accumulates_and_drops_zero_deltas(self, install_plan):
         install_plan(seed=1, probe_loss=0.1)
@@ -736,12 +752,6 @@ class TestDegradationReport:
         doc = report.as_dict()
         assert list(doc) == ["x", "TOTAL"]
         assert doc["TOTAL"] == {"completed": 1}
-
-    def test_collect_reset_after(self, install_plan):
-        install_plan(seed=1, probe_loss=0.1)
-        degradation.record("s", completed=1)
-        assert collect(reset_after=True).stages != {}
-        assert collect().stages == {}
 
     def test_render_degradation_table(self):
         report = DegradationReport(stages={

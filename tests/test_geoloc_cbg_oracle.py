@@ -75,7 +75,7 @@ def test_calibration_matches_spec(calibrated):
 @pytest.mark.parametrize("probe_loss", [None, 0.3], ids=["no-plan", "probe-loss"])
 def test_geolocation_matches_spec(calibrated, probe_loss):
     runtime, spec = calibrated
-    degradation.reset()
+    obs.new_run("cbg-oracle")
     if probe_loss is not None:
         set_current_plan(FaultPlan(seed=5, probe_loss=probe_loss))
     try:
@@ -87,7 +87,7 @@ def test_geolocation_matches_spec(calibrated, probe_loss):
             assert degradation.collect().stages["geoloc/cbg"]["probes_lost"] > 0
     finally:
         clear_current_plan()
-        degradation.reset()
+        obs.set_current_run(None)
     _assert_same_prober_state(runtime, spec)
 
 

@@ -484,14 +484,14 @@ class TestRunMonitor:
 class TestRunMonitorFaulted:
     @pytest.fixture()
     def probe_faults(self):
-        from repro.faults import report as degradation
+        from repro import obs
         from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
 
-        degradation.reset()
+        obs.new_run("monitor-faults")
         set_current_plan(FaultPlan(probe_loss=0.3))
         yield
         clear_current_plan()
-        degradation.reset()
+        obs.set_current_run(None)
 
     def test_degradation_is_not_change(self, probe_faults, static_report):
         faulted = run_monitor("EU1-ADSL", plan=STATIC_PLAN, epochs=4,

@@ -3,7 +3,7 @@
 Covers the metrics registry, the span tracer and its ambient helpers,
 capture/merge across a simulated process boundary, the trace export
 views, the analysis layer's spans, and the run-scoping of the
-degradation collector.
+degradation counters.
 """
 
 from __future__ import annotations
@@ -301,16 +301,12 @@ class TestDegradationScoping:
 
     def test_record_lands_on_current_run(self, fresh_run):
         degradation.record("geoloc/campaign", completed=1, probes_lost=3)
-        assert fresh_run.degradation["geoloc/campaign"]["probes_lost"] == 3
+        counters = fresh_run.metrics.snapshot()["counters"]
+        assert counters["degradation.probes_lost{stage=geoloc/campaign}"] == 3
         report = degradation.collect()
         assert report.total("probes_lost") == 3
 
     def test_new_run_starts_with_empty_collector(self):
         degradation.record("geoloc/campaign", completed=1)
         obs.new_run()
-        assert degradation.collect().stages == {}
-
-    def test_reset_clears_only_current_run(self):
-        degradation.record("geoloc/campaign", completed=1)
-        degradation.reset()
         assert degradation.collect().stages == {}

@@ -459,10 +459,10 @@ class TestAccumulators:
 class TestDisorderInjection:
     @pytest.fixture(autouse=True)
     def clean_degradation(self):
-        degradation.reset()
+        obs.new_run("disorder")
         yield
         clear_current_plan()
-        degradation.reset()
+        obs.set_current_run(None)
 
     def plan(self, rate=0.4):
         return FaultPlan(seed=3, record_disorder=rate)
