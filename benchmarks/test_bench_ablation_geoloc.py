@@ -11,6 +11,7 @@ import pytest
 from repro.geo.coords import haversine_km
 from repro.geoloc.geodb import build_reference_geodb
 from repro.geoloc.rdns import build_reverse_dns
+from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +52,10 @@ def test_bench_ablation_geoloc(benchmark, results, pipe, truth, save_artifact):
         if actual is not None:
             cbg_errors.append(haversine_km(cluster.estimate, actual.point))
 
-    legacy_dcs = [
-        dc for dc in next(iter(results.values())).world.system.directory
-        if dc.dc_id.startswith("legacy-")
-    ]
+    # The legacy fleet is the same in every world; the measured weeks do
+    # not carry the simulator's directory, so build one world for it.
+    world = build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.01, seed=7)
+    legacy_dcs = [dc for dc in world.system.directory if dc.dc_id.startswith("legacy-")]
     rdns = build_reverse_dns(legacy_dcs)
     rdns_answers = sum(1 for ip in sample_ips if rdns.lookup(ip) is not None)
 

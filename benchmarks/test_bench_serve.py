@@ -48,7 +48,7 @@ def test_bench_serve_speedup_over_spec():
     runtime_s, runtime_results = _best_of(run_requests)
     for got, want in zip(runtime_results, spec_results):
         assert got.dataset.records == want.dataset.records
-        assert vars(got.truth) == vars(want.truth)
+        assert got.truth == want.truth
         assert got.cause_counts == want.cause_counts
         assert got.startup_delay_samples == want.startup_delay_samples
         assert got.serving_rtt_samples == want.serving_rtt_samples

@@ -20,6 +20,7 @@ from repro.geo.coords import haversine_km
 from repro.geoloc.geodb import build_reference_geodb
 from repro.geoloc.rdns import build_reverse_dns
 from repro.sim.driver import run_all
+from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 
 
 def main() -> None:
@@ -27,9 +28,11 @@ def main() -> None:
     results = run_all(scale=0.02, seed=7)
     pipeline = StudyPipeline(results, landmark_count=None, seed=11)  # full 215
 
-    world = next(iter(results.values())).world
-    registry = world.registry
+    registry = next(iter(results.values())).world.registry
     geodb = build_reference_geodb(registry)
+    # The legacy fleet's PTR records come from the simulator's directory
+    # (the same in every world), which the measured weeks do not carry.
+    world = build_world(PAPER_SCENARIOS["EU1-ADSL"], scale=0.02, seed=7)
     legacy = [dc for dc in world.system.directory if dc.dc_id.startswith("legacy-")]
     rdns = build_reverse_dns(legacy)
 

@@ -33,7 +33,7 @@ from typing import Any
 
 #: Bump whenever a change to simulator or analysis code alters any stage's
 #: output for unchanged inputs; every existing artifact then misses.
-CODE_VERSION = "4"
+CODE_VERSION = "5"
 
 
 class CanonicalizationError(TypeError):

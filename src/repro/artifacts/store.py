@@ -168,12 +168,13 @@ class ArtifactStore:
             stage: Stage name for the event ledger.
         """
         start = time.perf_counter()
-        try:
-            return self._get(key, default, stage)
-        finally:
-            obs.observe(
-                "cache.get_seconds", time.perf_counter() - start, stage=stage
-            )
+        with obs.span("cache/get", layer="cache", stage=stage):
+            try:
+                return self._get(key, default, stage)
+            finally:
+                obs.observe(
+                    "cache.get_seconds", time.perf_counter() - start, stage=stage
+                )
 
     def _get(self, key: str, default: Any, stage: str) -> Any:
         from hashlib import sha256
@@ -244,6 +245,10 @@ class ArtifactStore:
             pickle.PicklingError: For unpicklable values (nothing is
                 written).
         """
+        with obs.span("cache/put", layer="cache", stage=stage):
+            return self._put(key, value, stage)
+
+    def _put(self, key: str, value: Any, stage: str) -> int:
         from hashlib import sha256
 
         body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)

@@ -522,11 +522,19 @@ def _render_study(args: argparse.Namespace):
             landmark_count=landmark_count, executor=executor, hashed=args.digests,
         )
     else:
+        from repro.exec.executor import ExecutionError
         from repro.sim.driver import run_all
 
-        results = run_all(
-            scale=args.scale, seed=args.seed, executor=executor, policy_kind=args.policy,
-        )
+        try:
+            results = run_all(
+                scale=args.scale, seed=args.seed, executor=executor, policy_kind=args.policy,
+            )
+        except ExecutionError as error:
+            # The policy is checked where a week is simulated: a study
+            # whose weeks are cached never loads the policy registry.
+            if error.cause_type != "UnknownPolicyError":
+                raise
+            raise UsageError(error.cause_message) from None
         pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
     if args.full:
         from repro.core.report import render_study_report
@@ -548,9 +556,11 @@ def _study_digests(args: argparse.Namespace, store, streamed):
     A digest depends on the simulated week only, so the key holds the
     weeks' inputs (scale, seed, policy) and no report option: every
     landmark budget and report flag of one world shares the entry.  On a
-    miss a streamed study's own digests are kept; otherwise the weeks are
-    hashed, taken from the driver's in-process memo after a batch study,
-    or read back from the store (or simulated) after a cached report.
+    miss a streamed study's own digests are kept, or after a cached report
+    the weeks are streamed again and hashed as their windows seal, so the
+    low-memory mode never materialises a week.  A batch study hashes its
+    weeks, taken from the driver's in-process memo, or read back from the
+    store (or simulated) after a cached report.
     """
     from repro.artifacts.keys import stage_key
 
@@ -560,6 +570,12 @@ def _study_digests(args: argparse.Namespace, store, streamed):
     digests = None if store is None else store.get(key, None, stage="cli/digests")
     if digests is None:
         digests = streamed
+        if digests is None and args.stream:
+            from repro.stream.study import run_streaming_study
+
+            _, digests = run_streaming_study(
+                args.scale, args.seed, args.window_s, policy_kind=args.policy, hashed=True,
+            )
         if digests is None:
             from repro.sim.driver import run_all
 
@@ -616,9 +632,10 @@ def cmd_study(args: argparse.Namespace, out) -> int:
         text = store.get(key, None, stage="cli/study")
     streamed = None
     if text is None:
-        # Only a run that succeeded stored a report under this policy, so
-        # the registry (and the world model it loads) is read on a miss.
-        _check_policies([args.policy])
+        if args.stream:
+            # A streamed study always simulates; a batch one checks the
+            # policy only when a week is simulated (see _render_study).
+            _check_policies([args.policy])
         text, streamed = _render_study(args)
         if store is not None:
             store.put(key, text, stage="cli/study")
@@ -1097,12 +1114,6 @@ def cmd_cache(args: argparse.Namespace, out) -> int:
     store = ArtifactStore()
     if args.cache_command == "stats":
         summary = store.stats_summary()
-        # Live tables exist only in a process that has loaded the columnar
-        # module; a fresh one reports zero without loading it (or numpy).
-        columnar = sys.modules.get("repro.trace.columnar")
-        summary["columnar"] = (
-            columnar.resident_columnar() if columnar else {"tables": 0, "resident_bytes": 0}
-        )
         if args.as_json:
             import json
 

@@ -49,7 +49,7 @@ from repro.geoloc.clustering import ServerMap, cluster_servers
 from repro.geoloc.probing import CampaignJob, RttProber, run_campaigns
 from repro.net.latency import Site
 from repro.reporting.series import Cdf
-from repro.sim.engine import SimulationResult
+from repro.sim.week import SimulationResult
 from repro.sim.seeding import derive_seed
 from repro.trace.columnar import FlowTable
 from repro.trace.records import Dataset, FlowRecord

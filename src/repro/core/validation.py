@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.pipeline import StudyPipeline
-from repro.sim.engine import SimulationResult
+from repro.sim.week import SimulationResult
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,6 @@ class ValidationRow:
         )
 
 
-def _true_preferred_dc(result: SimulationResult) -> str:
-    world = result.world
-    resolver_id = f"{world.spec.name}/{world.spec.subnets[0].name}"
-    try:
-        return world.system.policy.ranking_for(resolver_id)[0]
-    except KeyError:
-        return max(result.served_dc_counts, key=result.served_dc_counts.get)
-
-
 def cluster_majority_dc(
     pipeline: StudyPipeline, result: SimulationResult, cluster_id: str
 ) -> Optional[str]:
@@ -74,9 +65,9 @@ def cluster_majority_dc(
         if cluster.cluster_id != cluster_id:
             continue
         for ip in cluster.server_ips:
-            dc = result.world.system.directory.dc_of_server(ip)
-            if dc is not None:
-                counts[dc.dc_id] = counts.get(dc.dc_id, 0) + 1
+            dc_id = result.truth.dc_of_server(ip)
+            if dc_id is not None:
+                counts[dc_id] = counts.get(dc_id, 0) + 1
     if not counts:
         return None
     return min(counts, key=lambda dc_id: (-counts[dc_id], dc_id))
@@ -96,7 +87,7 @@ def validate_dataset(
         The :class:`ValidationRow`.
     """
     report = pipeline.preferred_reports[name]
-    true_preferred = _true_preferred_dc(result)
+    true_preferred = result.truth.preferred_dc
     majority = cluster_majority_dc(pipeline, result, report.preferred_id)
 
     # Ground-truth non-preferred fraction: requests served by any data

@@ -3,7 +3,7 @@
 The paper's Figure-10 methodology labels every video session *blind* —
 "preferred", "dns" or "redirection" — from cluster membership alone
 (:func:`repro.core.nonpreferred.session_verdicts`).  The simulator knows
-what actually happened: every request's :class:`~repro.sim.engine.
+what actually happened: every request's :class:`~repro.sim.week.
 GroundTruthLog` entry records the policy's intended (anchor) data center,
 the DNS answer, and the redirect chain.  This module joins the two sides
 and emits, per dataset and per selection policy, a 3×3 confusion matrix
@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.pipeline import StudyPipeline
 from repro.core.sessions import Session
 from repro.core.validation import cluster_majority_dc
-from repro.sim.engine import (
+from repro.sim.week import (
     GroundTruthLog,
     SimulationResult,
     TRUTH_DNS,
@@ -51,7 +51,7 @@ class AttributionScore:
         dataset_name: Dataset scored.
         policy_kind: Selection policy the world ran.
         matrix: Confusion counts, ``(truth label, inferred label)`` →
-            sessions; both axes range over :data:`~repro.sim.engine.
+            sessions; both axes range over :data:`~repro.sim.week.
             TRUTH_LABELS`.
         matched_sessions: Sessions joined to ≥1 truth record and blindly
             classified (the matrix total).

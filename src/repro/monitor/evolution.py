@@ -2,7 +2,7 @@
 
 The longitudinal complement of the paper's one-week snapshot: an
 :class:`EvolutionPlan` names the deltas — mappings of
-:class:`~repro.sim.scenarios.ScenarioSpec` field → value, plus the
+:class:`~repro.sim.specs.ScenarioSpec` field → value, plus the
 ``"policy"`` key — that take effect at given epoch indices: a data
 center appears, the preferred mapping flips, capacity shrinks, the
 selection policy switches mid-run.  Applying the plan epoch by epoch

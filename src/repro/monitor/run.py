@@ -50,7 +50,8 @@ from repro.monitor.detect import (
 )
 from repro.monitor.evolution import STATIC_PLAN, EvolutionPlan
 from repro.monitor.snapshot import EpochSnapshot, build_epoch_snapshot
-from repro.sim.scenarios import ScenarioSpec, build_world, named_scenario
+from repro.sim.scenarios import build_world
+from repro.sim.specs import ScenarioSpec, named_scenario
 from repro.sim.seeding import derive_seed
 from repro.spec.model import apply_to_scenario
 
@@ -271,8 +272,8 @@ def run_monitor(
     """Monitor an evolving world and score change detection.
 
     Args:
-        base: Base scenario — a :data:`~repro.sim.scenarios.NAMED_SCENARIOS`
-            name or a :class:`~repro.sim.scenarios.ScenarioSpec`.
+        base: Base scenario — a :data:`~repro.sim.specs.NAMED_SCENARIOS`
+            name or a :class:`~repro.sim.specs.ScenarioSpec`.
         plan: The evolution schedule; ``None`` monitors a static world.
         epochs: Number of consecutive epochs to monitor.
         epoch_s: Epoch length in seconds.

@@ -147,9 +147,10 @@ def build_epoch_snapshot(
         obs.inc("monitor.flows", accumulator.flows_total, dataset=name)
 
     prefixes = accumulator.prefixes()
+    site_of_server_ip = world.measured().site_of_server_ip
     targets = {}
     for prefix in prefixes:
-        site = world.site_of_server_ip(accumulator.representative_ip(prefix))
+        site = site_of_server_ip(accumulator.representative_ip(prefix))
         if site is not None:
             targets[prefix] = site
     measured: Dict[int, float] = {}

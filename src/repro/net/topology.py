@@ -9,7 +9,7 @@ point's edge and sees every flow crossing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from repro.geo.cities import City
@@ -25,13 +25,14 @@ class Subnet:
     Attributes:
         name: Subnet label, e.g. ``"Net-3"`` (Figure 12 vocabulary).
         network: Client address block.
-        resolver: The local DNS resolver this subnet's clients use.
+        resolver: The local DNS resolver this subnet's clients use
+            (``None`` in a measured world, which holds no DNS system).
         client_share: Fraction of the vantage point's clients homed here.
     """
 
     name: str
     network: IPv4Network
-    resolver: LocalResolver
+    resolver: Optional[LocalResolver]
     client_share: float
 
     def __post_init__(self) -> None:
@@ -99,6 +100,11 @@ class VantagePoint:
             extra_ms=self.egress_ms,
             group=self.routing_group,
         )
+
+    def without_resolvers(self) -> "VantagePoint":
+        """This vantage point as its trace owners know it: the subnet plan
+        without the resolvers, which lead into the CDN's DNS system."""
+        return replace(self, subnets=[replace(s, resolver=None) for s in self.subnets])
 
     def client_site(self, client_ip: int) -> Site:
         """Network position of one hosted client."""

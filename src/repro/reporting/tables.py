@@ -117,11 +117,4 @@ def render_cache_table(summary: Dict[str, Any]) -> str:
     objects_line = (
         f"objects: {disk.get('objects', 0)} ({disk.get('total_bytes', 0) / 1e6:.1f} MB on disk)"
     )
-    lines = [table.render(), "", f"root:    {summary.get('root', '?')}", objects_line]
-    columnar = summary.get("columnar")
-    if columnar is not None:
-        lines.append(
-            f"columnar: {columnar.get('tables', 0)} live tables "
-            f"({columnar.get('resident_bytes', 0) / 1e6:.1f} MB resident)"
-        )
-    return "\n".join(lines)
+    return "\n".join([table.render(), "", f"root:    {summary.get('root', '?')}", objects_line])

@@ -11,14 +11,15 @@ workers share the cache through the filesystem.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.artifacts.memo import memoized_stage
 from repro.defaults import DATASET_NAMES
 from repro.exec.executor import ParallelExecutor
-from repro.sim.engine import SimulationResult, run_requests
-from repro.sim.scenarios import PAPER_SCENARIOS, ScenarioSpec, build_world
+from repro.sim.specs import PAPER_SCENARIOS, ScenarioSpec
+from repro.sim.week import SimulationResult
 from repro.trace.records import WEEK_S
 
 #: Default volume scale used by tests/benchmarks; preserves all shapes at
@@ -26,6 +27,23 @@ from repro.trace.records import WEEK_S
 DEFAULT_SCALE = 0.02
 
 _CACHE: Dict[Tuple, SimulationResult] = {}
+
+
+def __getattr__(name: str):
+    """``build_world`` and ``run_requests``, imported on first use.
+
+    They load the whole simulator, which a study whose weeks are all
+    cached never runs.  Once looked up (or patched) they are plain
+    module attributes.
+    """
+    if name == "build_world":
+        from repro.sim.scenarios import build_world as value
+    elif name == "run_requests":
+        from repro.sim.engine import run_requests as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def run_scenario(
@@ -39,7 +57,7 @@ def run_scenario(
     """Simulate one dataset's week.
 
     Args:
-        name: Dataset name from :data:`~repro.sim.scenarios.PAPER_SCENARIOS`.
+        name: Dataset name from :data:`~repro.sim.specs.PAPER_SCENARIOS`.
         scale: Traffic volume scale (1.0 = paper scale).
         seed: Master seed.
         duration_s: Collection window.
@@ -47,7 +65,7 @@ def run_scenario(
         use_cache: Reuse a previous identical run in this process.
 
     Returns:
-        The :class:`~repro.sim.engine.SimulationResult`.
+        The :class:`~repro.sim.week.SimulationResult`.
 
     Raises:
         KeyError: For unknown dataset names.
@@ -94,10 +112,11 @@ def simulate_week(
     looked up in this module on every call, so a caller can patch them
     here to time the two halves.
     """
+    module = sys.modules[__name__]
     with obs.span("sim/build", layer="sim.build", dataset=spec.name):
-        world = build_world(spec, scale=scale, seed=seed, duration_s=duration_s,
-                            policy_kind=policy_kind)
-    return run_requests(world)
+        world = module.build_world(spec, scale=scale, seed=seed, duration_s=duration_s,
+                                   policy_kind=policy_kind)
+    return module.run_requests(world)
 
 
 def run_all(

@@ -10,16 +10,20 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro import obs
 from repro.cdn.cluster import Flow, ServingClient
-from repro.cdn.datacenter import ContentServer
 from repro.sim.scenarios import ScenarioWorld
 from repro.sim.seeding import derive_seed
+from repro.sim.week import (
+    TRUTH_DNS,
+    TRUTH_PREFERRED,
+    TRUTH_REDIRECTION,
+    GroundTruthLog,
+    SimulationResult,
+)
 from repro.trace.monitor import EdgeMonitor
-from repro.trace.records import Dataset
 from repro.workload.requests import Request
 
 
@@ -29,115 +33,6 @@ _MAX_PERF_SAMPLES = 50_000
 #: Default monitor classification-miss probability (shared by every
 #: engine entry point and by the cache keys over them).
 DEFAULT_MISS_PROBABILITY = 0.002
-
-#: Ground-truth attribution labels, mirroring the blind pipeline's
-#: three-way verdict (:func:`repro.core.nonpreferred.session_verdicts`).
-TRUTH_PREFERRED = "preferred"
-TRUTH_DNS = "dns"
-TRUTH_REDIRECTION = "redirection"
-
-#: All truth labels, in confusion-matrix display order.
-TRUTH_LABELS: Tuple[str, ...] = (TRUTH_PREFERRED, TRUTH_DNS, TRUTH_REDIRECTION)
-
-
-@dataclass
-class GroundTruthLog:
-    """Per-request ground truth the attribution scorer grades against.
-
-    Parallel lists, one entry per processed request (compact to pickle —
-    the log rides inside every cached :class:`SimulationResult`).  The
-    ``anchor`` of a request is the policy's intended data center for the
-    vantage point's reference resolver at that moment
-    (:meth:`~repro.cdn.selection.SelectionPolicy.preferred_now`), i.e.
-    the simulator-side counterpart of the blind pipeline's one inferred
-    preferred data center per dataset.
-
-    Attributes:
-        client_ips: Requesting client address per request.
-        video_ids: Requested video per request.
-        t_s: Request time per request.
-        anchor_dcs: The anchor (intended/preferred) data center.
-        dns_dcs: Data center the DNS answer actually pointed at.
-        served_dcs: Data center that finally served the video.
-        labels: Attribution label: :data:`TRUTH_DNS` when the DNS answer
-            itself left the anchor, :data:`TRUTH_REDIRECTION` when DNS
-            agreed with the anchor but the redirect chain left it,
-            :data:`TRUTH_PREFERRED` otherwise.
-    """
-
-    client_ips: List[int] = field(default_factory=list)
-    video_ids: List[str] = field(default_factory=list)
-    t_s: List[float] = field(default_factory=list)
-    anchor_dcs: List[str] = field(default_factory=list)
-    dns_dcs: List[str] = field(default_factory=list)
-    served_dcs: List[str] = field(default_factory=list)
-    labels: List[str] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def append(
-        self,
-        client_ip: int,
-        video_id: str,
-        t_s: float,
-        anchor_dc: str,
-        hops: Sequence[ContentServer],
-    ) -> None:
-        """Record one request's truth (label derived, no randomness).
-
-        ``hops`` is the served request's server chain: the DNS answer
-        first, the server that delivered the video last.
-        """
-        dns_dc = hops[0].dc_id
-        if dns_dc != anchor_dc:
-            label = TRUTH_DNS
-        elif len(hops) > 1 and any(hop.dc_id != anchor_dc for hop in hops):
-            label = TRUTH_REDIRECTION
-        else:
-            label = TRUTH_PREFERRED
-        self.client_ips.append(client_ip)
-        self.video_ids.append(video_id)
-        self.t_s.append(t_s)
-        self.anchor_dcs.append(anchor_dc)
-        self.dns_dcs.append(dns_dc)
-        self.served_dcs.append(hops[-1].dc_id)
-        self.labels.append(label)
-
-
-@dataclass
-class SimulationResult:
-    """A finished scenario run.
-
-    Attributes:
-        world: The world that was run (kept for active measurements — the
-            probing and PlanetLab experiments need the physical world).
-        dataset: The collected flow-level trace.
-        requests: Number of requests processed.
-        cause_counts: Ground-truth redirect-cause tally (tests only — the
-            analysis pipeline never reads it).
-        dns_dc_counts: Ground-truth DNS-assignment tally per data center.
-        served_dc_counts: Ground-truth serve tally per data center.
-        startup_delay_samples: Per-request video startup delays in seconds
-            (time from the request until the video flow's first byte) — the
-            user-performance metric what-if comparisons report.
-        serving_rtt_samples: Floor RTT (ms) between each client and the
-            server that delivered its video.
-        truth: Per-request attribution ground truth
-            (:class:`GroundTruthLog`) — read only by
-            :mod:`repro.eval.attribution`; the blind analysis pipeline
-            never sees it.
-    """
-
-    world: ScenarioWorld
-    dataset: Dataset
-    requests: int
-    cause_counts: Counter = field(default_factory=Counter)
-    dns_dc_counts: Counter = field(default_factory=Counter)
-    served_dc_counts: Counter = field(default_factory=Counter)
-    startup_delay_samples: List[float] = field(default_factory=list)
-    serving_rtt_samples: List[float] = field(default_factory=list)
-    truth: GroundTruthLog = field(default_factory=GroundTruthLog)
 
 
 class RequestProcessor:
@@ -150,8 +45,9 @@ class RequestProcessor:
         record_sink: Optional[Callable] = None,
     ):
         self.world = world
+        measured = world.measured()
         self.monitor = EdgeMonitor(
-            world.vantage,
+            measured.vantage,
             miss_probability=miss_probability,
             seed=derive_seed(world.seed, world.spec.name, "monitor"),
             sink=record_sink,
@@ -161,7 +57,9 @@ class RequestProcessor:
         )
         self._clients: Dict[int, ServingClient] = {}
         self._flows: List[Flow] = []
-        self.result = SimulationResult(world=world, dataset=None, requests=0)
+        self.result = SimulationResult(world=measured, dataset=None, requests=0)
+        # The truth's per-request columns, frozen at finish.
+        self._truth = ([], [], [], [], [], [], [])
         # Anchor resolver for ground-truth labels: the first non-divergent
         # subnet's resolver — the vantage point's canonical view, matching
         # the single preferred data center the blind pipeline infers per
@@ -216,7 +114,20 @@ class RequestProcessor:
             # Hand-built worlds without a configured anchor resolver:
             # degrade to labelling relative to the DNS answer itself.
             anchor_dc = dns_dc
-        result.truth.append(client_ip, request.video.video_id, t_s, anchor_dc, hops)
+        if dns_dc != anchor_dc:
+            label = TRUTH_DNS
+        elif len(hops) > 1 and any(hop.dc_id != anchor_dc for hop in hops):
+            label = TRUTH_REDIRECTION
+        else:
+            label = TRUTH_PREFERRED
+        clients, videos, times, anchors, answers, servers, labels = self._truth
+        clients.append(client_ip)
+        videos.append(request.video.video_id)
+        times.append(t_s)
+        anchors.append(anchor_dc)
+        answers.append(dns_dc)
+        servers.append(served_dc)
+        labels.append(label)
         if decision.causes:
             for cause in decision.causes:
                 result.cause_counts[cause] += 1
@@ -230,11 +141,27 @@ class RequestProcessor:
             result.serving_rtt_samples.append(rtt_ms)
 
     def finish(self) -> SimulationResult:
-        """Close collection and return the populated result."""
-        self.result.dataset = self.monitor.finish(
-            self.world.spec.name, self.world.duration_s
+        """Close collection, freeze the ground truth and return the result."""
+        result = self.result
+        world = self.world
+        result.dataset = self.monitor.finish(world.spec.name, world.duration_s)
+        result.truth = GroundTruthLog.freeze(
+            *self._truth,
+            preferred_dc=_preferred_dc(world, result.served_dc_counts),
+            servers=result.world.servers,
         )
-        return self.result
+        return result
+
+
+def _preferred_dc(world: ScenarioWorld, served: Counter) -> Optional[str]:
+    """The first subnet's resolver's top-ranked data center, else the
+    most-served one (what ``--validate`` and the what-if metrics call the
+    true preferred data center)."""
+    spec = world.spec
+    try:
+        return world.system.policy.ranking_for(f"{spec.name}/{spec.subnets[0].name}")[0]
+    except KeyError:
+        return max(served, key=served.get) if served else None
 
 
 def run_requests(

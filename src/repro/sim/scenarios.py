@@ -1,36 +1,28 @@
-"""Scenario specifications and world building.
+"""World building: a scenario spec made runnable.
 
-A :class:`ScenarioSpec` captures everything that distinguishes one of the
-paper's five datasets: vantage-point geography and access technology,
-client population and request volume (Table I), the internal subnet plan
-(Figure 12), the DNS-policy quirks (EU2's capacity-limited in-ISP data
-center, US-Campus's divergent Net-3 resolvers), and the legacy-traffic mix
-(Table II).  :data:`PAPER_SCENARIOS` holds the five as literals, and
-:data:`NAMED_SCENARIOS` adds the February-2011 follow-up.
-
-:func:`build_world` turns a spec plus a ``scale`` knob into a runnable
-:class:`ScenarioWorld`.  ``scale = 1.0`` reproduces the paper's traffic
+:func:`build_world` turns a :class:`~repro.sim.specs.ScenarioSpec` plus a
+``scale`` knob into a runnable :class:`ScenarioWorld`.  ``scale = 1.0`` reproduces the paper's traffic
 volumes (hundreds of thousands of flows per dataset); benchmarks default to
 a small scale that preserves every shape at a laptop-friendly cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cdn.catalog import DEFAULT_NUM_SHARDS, VideoCatalog, check_catalog_args
-from repro.cdn.cluster import CdnSystem, check_cdn_args
+from repro.cdn.catalog import DEFAULT_NUM_SHARDS, VideoCatalog
+from repro.cdn.cluster import CdnSystem
 from repro.cdn.datacenter import DataCenter, DataCenterDirectory, build_datacenter
-from repro.cdn.redirection import RedirectionEngine, check_redirection_args
+from repro.cdn.redirection import RedirectionEngine
 from repro.cdn.selection import (
     PolicyContext,
     SelectionPolicy,
-    check_spill_probability,
+    UnknownPolicyError,
     make_policy,
     registered_policy_kinds,
 )
-from repro.cdn.store import ContentPlacement, check_placement_args
+from repro.cdn.store import ContentPlacement
 from repro.geo.cities import default_atlas
 from repro.net.asn import (
     AsRegistry,
@@ -41,55 +33,16 @@ from repro.net.asn import (
 )
 from repro.net.dns import AuthoritativeServer, LocalResolver
 from repro.net.ip import Ipv4Allocator, parse_network
-from repro.net.latency import AccessTechnology, LatencyModel, Site
+from repro.net.latency import LatencyModel, Site
 from repro.net.topology import Subnet, VantagePoint
 from repro.sim.seeding import derive_seed
+from repro.sim.specs import PAPER_SCENARIOS, ScenarioSpec
+from repro.sim.week import MeasuredWorld, ServerTable
 from repro.trace.records import WEEK_S
 from repro.workload.clients import ClientPopulation, build_population
 from repro.workload.diurnal import DiurnalProfile
 from repro.workload.interactions import InteractionModel
 from repro.workload.requests import RequestGenerator
-
-#: Google data centers: (city, fleet size).  13 in the US, 14 in Europe and
-#: 6 elsewhere — the 33 data centers the paper finds (Section V).
-GOOGLE_DC_PLAN: Tuple[Tuple[str, int], ...] = (
-    # United States
-    ("Mountain View", 96),
-    ("Los Angeles", 48),
-    ("Seattle", 48),
-    ("Denver", 24),
-    ("Dallas", 64),
-    ("Houston", 32),
-    ("Chicago", 96),
-    ("Atlanta", 64),
-    ("Miami", 32),
-    ("Ashburn", 96),
-    ("New York", 64),
-    ("Boston", 32),
-    ("Kansas City", 24),
-    # Europe
-    ("Amsterdam", 96),
-    ("Frankfurt", 96),
-    ("London", 64),
-    ("Paris", 64),
-    ("Lisbon", 24),
-    ("Milan", 48),
-    ("Stockholm", 32),
-    ("Dublin", 48),
-    ("Brussels", 32),
-    ("Zurich", 32),
-    ("Vienna", 24),
-    ("Munich", 32),
-    ("Hamburg", 24),
-    ("Warsaw", 24),
-    # Rest of world
-    ("Tokyo", 64),
-    ("Singapore", 48),
-    ("Hong Kong", 32),
-    ("Sydney", 32),
-    ("Sao Paulo", 32),
-    ("Mumbai", 24),
-)
 
 #: Legacy YouTube-EU (AS 43515) asset pools: small leftover infrastructure.
 LEGACY_DC_PLAN: Tuple[Tuple[str, int], ...] = (
@@ -104,294 +57,9 @@ THIRD_PARTY_DC_PLAN: Tuple[Tuple[str, str, int], ...] = (
     ("New York", "gblx", 40),
 )
 
-_ISP_ASN_EU2 = 3352  # the EU2 host ISP's AS (hosts the in-ISP data center)
-
 
 def _slug(city_name: str) -> str:
     return city_name.lower().replace(" ", "-").replace(".", "")
-
-
-@dataclass(frozen=True)
-class SubnetSpec:
-    """Plan for one internal subnet.
-
-    Attributes:
-        name: Subnet label (``"Net-3"``).
-        client_share: Fraction of the vantage point's clients homed here.
-        divergent_resolver: Whether this subnet's local DNS servers receive
-            a *different preferred data center* from YouTube's authoritative
-            servers — the Section VII-B mechanism behind Figure 12.
-    """
-
-    name: str
-    client_share: float
-    divergent_resolver: bool = False
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Everything that distinguishes one dataset's world.
-
-    Volume fields are at paper scale (``scale = 1.0``); see Table I.
-    """
-
-    name: str
-    vantage_city: str
-    access: AccessTechnology
-    egress_ms: float
-    vantage_asn: int
-    subnets: Tuple[SubnetSpec, ...]
-    num_clients: int
-    requests_per_day: float
-    residential: bool
-    #: Probability DNS hands out a non-preferred answer as background LB.
-    spill_probability: float
-    #: Client address space (a /15 split into /18 subnets).  Distinct per
-    #: scenario, so no two vantage points' client addresses collide.
-    client_block: str = "128.210.0.0/15"
-    #: Host an in-ISP data center (the EU2 situation)?
-    internal_dc: bool = False
-    #: DNS-assignment capacity of the internal data center, as a fraction of
-    #: the *mean* hourly request rate (Section VII-A load balancing).
-    internal_dc_cap_of_mean: float = 0.55
-    #: Per-server serve capacity as a multiple of the preferred data
-    #: center's mean per-server load (Section VII-C hot-spots).
-    server_capacity_multiple: float = 6.0
-    #: Chance a request also fetches a legacy (AS 43515) asset.
-    legacy_probability: float = 0.06
-    #: Chance of a third-party (CW/GBLX) asset flow.
-    third_party_probability: float = 0.008
-    #: Baseline intra-data-center rebalance probability.
-    rebalance_probability: float = 0.14
-    #: Chance a content miss is fetched from the canonical origin copy.
-    origin_fetch_probability: float = 0.35
-    #: Pin these vantage→data-center detours (ms); used to engineer RTT
-    #: rankings, e.g. US-Campus's far-but-fast preferred data center.
-    detour_pins: Tuple[Tuple[str, float], ...] = ()
-    #: Catalog size as a fraction of the week's request count.
-    catalog_per_request: float = 0.6
-    #: Zipf exponent of the catalog's popularity distribution.
-    zipf_alpha: float = 1.0
-    #: Share of requests captured by the day's featured video.
-    featured_share: float = 0.10
-    #: Fraction of request mass whose videos are replicated everywhere.
-    replicated_mass: float = 0.75
-    #: Chance a tail video is already present at a data center at t=0.
-    regional_presence_prob: float = 0.8
-    #: Per-data-center cap on pulled-through tail videos (LRU eviction
-    #: beyond it); ``None`` = effectively infinite over one trace week.
-    cache_capacity: Optional[int] = None
-    #: Enable local-resolver answer caching (off by default: YouTube's
-    #: short TTLs keep per-request control at the authoritative side).
-    dns_cache_enabled: bool = False
-    #: TTL of authoritative answers, seconds (only matters when resolver
-    #: caching is enabled).
-    dns_ttl_s: float = 20.0
-    #: Drain the preferred data center at the DNS level (zero assignment
-    #: budget) — an outage / maintenance what-if.
-    drain_preferred: bool = False
-    #: Force this data center to the top of every resolver's ranking,
-    #: regardless of RTT.  Models the paper's February-2011 observation
-    #: that "the majority of US-Campus video requests are directed to a
-    #: data center with an RTT of more than 100 ms and not to the closest
-    #: data center": the preferred data center is an assignment, and
-    #: YouTube can (and did) re-assign it away from the RTT optimum.
-    preferred_override: Optional[str] = None
-    #: Extra Google-fleet data centers beyond :data:`GOOGLE_DC_PLAN`, as
-    #: (city, fleet size) pairs — the topology axis for what-if deltas.
-    extra_dcs: Tuple[Tuple[str, int], ...] = ()
-    #: Cities removed from :data:`GOOGLE_DC_PLAN` (drained/decommissioned
-    #: data-center what-ifs; the complementary half of the topology axis).
-    removed_dcs: Tuple[str, ...] = ()
-
-    def check_ranges(self) -> None:
-        """Run the world builder's range checks, before anything simulates.
-
-        Each check is the one the component's constructor runs.
-
-        Raises:
-            ValueError: Naming the first out-of-range field and its value.
-        """
-        check_spill_probability(self.spill_probability)
-        check_catalog_args(self.featured_share)
-        check_placement_args(
-            self.replicated_mass, self.regional_presence_prob, self.cache_capacity
-        )
-        check_redirection_args(
-            self.rebalance_probability, origin_fetch_probability=self.origin_fetch_probability
-        )
-        check_cdn_args(self.legacy_probability, self.third_party_probability)
-
-    def diurnal_profile(self) -> DiurnalProfile:
-        """The arrival profile matching the vantage point's nature."""
-        return DiurnalProfile.residential() if self.residential else DiurnalProfile.campus()
-
-    def effective_dc_plan(self) -> Tuple[Tuple[str, int], ...]:
-        """The Google data-center plan this scenario actually builds:
-        the shared :data:`GOOGLE_DC_PLAN` minus :attr:`removed_dcs` plus
-        :attr:`extra_dcs`.
-
-        Raises:
-            ValueError: If :attr:`removed_dcs` names an absent city or
-                the effective plan holds duplicate cities.
-        """
-        removed = set(self.removed_dcs)
-        known = {city for city, _size in GOOGLE_DC_PLAN}
-        unknown = sorted(removed - known)
-        if unknown:
-            raise ValueError(f"removed_dcs name no known data center: {unknown}")
-        plan = tuple(
-            pair for pair in GOOGLE_DC_PLAN if pair[0] not in removed
-        ) + tuple(self.extra_dcs)
-        cities = [city for city, _size in plan]
-        if len(set(cities)) != len(cities):
-            raise ValueError(f"duplicate data-center cities in plan: {cities}")
-        return plan
-
-
-#: The five datasets of Table I, in the paper's order.  Request volumes
-#: are derived from the paper's weekly flow counts (flows ≈ 1.3 ×
-#: requests).
-PAPER_SCENARIOS: Dict[str, ScenarioSpec] = {
-    "US-Campus": ScenarioSpec(
-        name="US-Campus",
-        vantage_city="West Lafayette",
-        access=AccessTechnology.CAMPUS,
-        egress_ms=10.0,
-        vantage_asn=17,
-        subnets=(
-            SubnetSpec("Net-1", 0.30),
-            SubnetSpec("Net-2", 0.27),
-            # Net-3's local DNS servers receive a *different* preferred
-            # data center from YouTube's authoritative servers — the
-            # Section VII-B mechanism behind Figure 12.
-            SubnetSpec("Net-3", 0.04, divergent_resolver=True),
-            SubnetSpec("Net-4", 0.22),
-            SubnetSpec("Net-5", 0.17),
-        ),
-        num_clients=20443,
-        requests_per_day=94600.0,
-        residential=False,
-        spill_probability=0.02,
-        client_block="128.210.0.0/15",
-        # The five geographically closest data centers are reached over
-        # congested transit, so the lowest-RTT data center is a far one —
-        # the Figure 8 anomaly.
-        detour_pins=(
-            ("dc-ashburn", 25.0),
-            ("dc-atlanta", 25.0),
-            ("dc-chicago", 25.0),
-            ("dc-dallas", 0.0),
-            ("dc-kansas-city", 25.0),
-            ("dc-new-york", 25.0),
-        ),
-    ),
-    "EU1-Campus": ScenarioSpec(
-        name="EU1-Campus",
-        vantage_city="Turin",
-        access=AccessTechnology.CAMPUS,
-        egress_ms=4.0,
-        vantage_asn=137,
-        subnets=(SubnetSpec("Net-1", 0.55), SubnetSpec("Net-2", 0.45)),
-        num_clients=1113,
-        requests_per_day=14600.0,
-        residential=False,
-        spill_probability=0.04,
-        client_block="130.192.0.0/15",
-        detour_pins=(("dc-milan", 0.0),),
-    ),
-    "EU1-ADSL": ScenarioSpec(
-        name="EU1-ADSL",
-        vantage_city="Turin",
-        access=AccessTechnology.ADSL,
-        egress_ms=3.0,
-        vantage_asn=3269,
-        subnets=(
-            SubnetSpec("Net-1", 0.40),
-            SubnetSpec("Net-2", 0.35),
-            SubnetSpec("Net-3", 0.25),
-        ),
-        num_clients=8348,
-        requests_per_day=94900.0,
-        residential=True,
-        spill_probability=0.04,
-        client_block="151.52.0.0/15",
-        detour_pins=(("dc-milan", 0.0),),
-    ),
-    "EU1-FTTH": ScenarioSpec(
-        name="EU1-FTTH",
-        vantage_city="Turin",
-        access=AccessTechnology.FTTH,
-        egress_ms=2.0,
-        vantage_asn=3269,
-        subnets=(SubnetSpec("Net-1", 0.60), SubnetSpec("Net-2", 0.40)),
-        num_clients=997,
-        requests_per_day=9900.0,
-        residential=True,
-        spill_probability=0.04,
-        client_block="151.54.0.0/15",
-        detour_pins=(("dc-milan", 0.0),),
-    ),
-    "EU2": ScenarioSpec(
-        name="EU2",
-        vantage_city="Madrid",
-        access=AccessTechnology.ADSL,
-        egress_ms=3.0,
-        vantage_asn=_ISP_ASN_EU2,
-        subnets=(
-            SubnetSpec("Net-1", 0.40),
-            SubnetSpec("Net-2", 0.35),
-            SubnetSpec("Net-3", 0.25),
-        ),
-        num_clients=6552,
-        requests_per_day=55500.0,
-        residential=True,
-        spill_probability=0.01,
-        client_block="81.32.0.0/15",
-        internal_dc=True,
-        internal_dc_cap_of_mean=0.55,
-        legacy_probability=0.22,
-    ),
-}
-
-#: Every named scenario: the Table-I datasets plus the paper's
-#: February-2011 follow-up.  "In a more recent dataset collected in
-#: February 2011, we found that the majority of US-Campus video requests
-#: are directed to a data center with an RTT of more than 100 ms and not
-#: to the closest data center, which is around 30 ms away."  The
-#: re-assignment is US-Campus with its preferred data center overridden
-#: to Mountain View over a detoured (+55 ms) path.
-NAMED_SCENARIOS: Dict[str, ScenarioSpec] = {
-    **PAPER_SCENARIOS,
-    "US-Campus-Feb2011": replace(
-        PAPER_SCENARIOS["US-Campus"],
-        name="US-Campus-Feb2011",
-        detour_pins=(
-            ("dc-ashburn", 25.0),
-            ("dc-atlanta", 25.0),
-            ("dc-chicago", 25.0),
-            ("dc-dallas", 0.0),
-            ("dc-kansas-city", 25.0),
-            ("dc-mountain-view", 55.0),
-            ("dc-new-york", 25.0),
-        ),
-        preferred_override="dc-mountain-view",
-    ),
-}
-
-
-def named_scenario(name: str) -> ScenarioSpec:
-    """The :data:`NAMED_SCENARIOS` entry for ``name`` (grid bases, monitor bases).
-
-    Raises:
-        KeyError: For unknown names.
-    """
-    try:
-        return NAMED_SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; expected one of {tuple(NAMED_SCENARIOS)}"
-        ) from None
 
 
 @dataclass
@@ -433,16 +101,24 @@ class ScenarioWorld:
         """The monitoring PC's network position."""
         return self.vantage.probe_site
 
-    def site_of_server_ip(self, server_ip: int) -> Optional[Site]:
-        """Network position of a server address seen in the trace.
+    def measured(self) -> MeasuredWorld:
+        """What a measurement can observe of this world.
 
-        This is what active measurement tools "see": they can ping an IP,
-        which physically means reaching the machine wherever it is.
+        The vantage point without its resolvers, the AS registry, the
+        latency model, the window, and where each server address sits:
+        the data center's position and routing group, not the CDN.
         """
-        server = self.system.directory.server_at(server_ip)
-        if server is None:
-            return None
-        return self.system.server_site(server)
+        directory = self.system.directory
+        return MeasuredWorld(
+            vantage=self.vantage.without_resolvers(),
+            registry=self.registry,
+            latency=self.latency,
+            duration_s=self.duration_s,
+            servers=ServerTable.build(
+                (dc.dc_id, [server.ip for server in dc.servers]) for dc in directory
+            ),
+            dc_points=tuple(dc.city.point for dc in directory),
+        )
 
 
 def build_world(
@@ -491,10 +167,7 @@ def build_world(
     if scale <= 0:
         raise ValueError("scale must be positive")
     if policy_kind not in registered_policy_kinds():
-        raise ValueError(
-            f"unknown policy {policy_kind!r}; registered policies: "
-            f"{', '.join(registered_policy_kinds())}"
-        )
+        raise UnknownPolicyError(policy_kind)
     request_seed = seed if traffic_seed is None else traffic_seed
     atlas = default_atlas()
     vantage_city = atlas.get(spec.vantage_city)
@@ -743,7 +416,7 @@ def build_world(
     generator = RequestGenerator(
         population=population,
         catalog=catalog,
-        profile=spec.diurnal_profile(),
+        profile=DiurnalProfile.residential() if spec.residential else DiurnalProfile.campus(),
         requests_per_day=scaled_rpd,
         interactions=InteractionModel(),
         seed=derive_seed(request_seed, spec.name, "workload"),

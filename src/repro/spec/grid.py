@@ -1,7 +1,7 @@
 """Grid enumeration: named axes × values → a lattice of scenario deltas.
 
 A :class:`GridSpec` names a base scenario (a
-:data:`~repro.sim.scenarios.NAMED_SCENARIOS` entry) and a tuple of
+:data:`~repro.sim.specs.NAMED_SCENARIOS` entry) and a tuple of
 :class:`GridAxis` objects.  Enumeration takes the cartesian product of
 the axis values (minus filtered combinations) and yields one
 :class:`GridPoint` per combination — a label, the raw assignments, and
@@ -17,7 +17,7 @@ Axis names select what an assignment contributes:
   ``"isp-te"``, ``"partition"``).
 - ``"variant"`` — values are :mod:`repro.whatif.variants` names; the
   variant's delta is merged in.
-- anything else — an assignable :class:`~repro.sim.scenarios.ScenarioSpec`
+- anything else — an assignable :class:`~repro.sim.specs.ScenarioSpec`
   field.
 
 Point labels are ``"axis=value"`` clauses joined by commas, with values
@@ -231,7 +231,7 @@ def enumerate_points(grid: GridSpec) -> Tuple[GridPoint, ...]:
         KeyError: For ``dataset`` axis values (or a ``base``) that name no
             named scenario.
     """
-    from repro.sim.scenarios import named_scenario
+    from repro.sim.specs import named_scenario
 
     named_scenario(grid.base)  # fail fast on an unknown base
     for axis in grid.axes:

@@ -5,7 +5,7 @@ synthetic ``"policy"`` key that selects the world's
 :func:`~repro.sim.scenarios.build_world` ``policy_kind``.  Applying it
 is :func:`dataclasses.replace` over the coerced values, so a what-if
 variant, a grid point and a monitor epoch all describe their world the
-same way, and the applied :class:`~repro.sim.scenarios.ScenarioSpec` —
+same way, and the applied :class:`~repro.sim.specs.ScenarioSpec` —
 not the delta — is what keys every cached stage.
 
 Every scalar field is assignable, and so are the topology fields
@@ -104,7 +104,7 @@ def _coerce_removed_dcs(value):
 
 def _field_coercions():
     """Mapping of assignable field name -> (coercion callable, optional)."""
-    from repro.sim.scenarios import ScenarioSpec
+    from repro.sim.specs import ScenarioSpec
 
     table = {
         "extra_dcs": (_coerce_extra_dcs, False),
@@ -168,7 +168,7 @@ def apply_to_scenario(base, delta: Mapping[str, Any], base_policy: str = "prefer
     """Apply a delta to a scenario, yielding a new scenario + policy.
 
     Args:
-        base: The base :class:`~repro.sim.scenarios.ScenarioSpec`.
+        base: The base :class:`~repro.sim.specs.ScenarioSpec`.
         delta: Field → value assignments, plus the optional ``"policy"``.
         base_policy: Policy kind the base is built with when the delta
             sets no ``"policy"``.

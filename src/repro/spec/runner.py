@@ -75,7 +75,7 @@ def materialize_point(
             a value out of the scenario's range.
         KeyError: For unknown base names.
     """
-    from repro.sim.scenarios import named_scenario
+    from repro.sim.specs import named_scenario
 
     scenario, policy = apply_to_scenario(
         named_scenario(point.base), point.delta, base_policy=base_policy

@@ -44,14 +44,16 @@ from repro.core.report import render_study_summary as render_stream_report  # no
 from repro.defaults import DATASET_NAMES
 from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
-from repro.sim.scenarios import PAPER_SCENARIOS, ScenarioWorld, build_world
+from repro.sim.scenarios import ScenarioWorld, build_world
+from repro.sim.specs import PAPER_SCENARIOS
+from repro.sim.week import MeasuredWorld
 from repro.trace.logio import update_digest
 
 
 class StreamedWeek(NamedTuple):
     """One world's week, folded as a stream: what the study reads of it."""
 
-    world: ScenarioWorld
+    world: MeasuredWorld
     traffic: TrafficAccumulator
     hourly: HourlyShareAccumulator
     digest: Optional[str]
@@ -71,7 +73,7 @@ def stream_dataset(
             --stream`` does only under ``--digests``).
 
     Returns:
-        The world, its final traffic and hourly folds, and the content
+        The measured world, its final traffic and hourly folds, and the content
         digest of every sealed record (equal to the batch dataset's
         :meth:`~repro.trace.records.Dataset.content_digest`; ``None``
         unless ``hashed``).
@@ -98,7 +100,7 @@ def stream_dataset(
     if windower.late_records:
         degradation.record("stream/windower", degraded=1, late=windower.late_records)
     return StreamedWeek(
-        world, traffic, hourly, None if digest is None else digest.hexdigest()
+        world.measured(), traffic, hourly, None if digest is None else digest.hexdigest()
     )
 
 

@@ -36,9 +36,8 @@ Exactness notes, because parity is a hard requirement:
 
 from __future__ import annotations
 
-import weakref
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -224,7 +223,6 @@ class FlowTable:
         "_session_index",
         "_dst_unique",
         "_dst_code",
-        "__weakref__",
     )
 
     def __init__(self, records: Union[Sequence[FlowRecord], Iterable[FlowRecord]]):
@@ -235,7 +233,6 @@ class FlowTable:
         self._session_index: Optional[SessionIndex] = None
         self._dst_unique = None
         self._dst_code = None
-        _TABLES.add(self)
 
     @classmethod
     def _of_columns(cls, cols: _Columns) -> "FlowTable":
@@ -245,7 +242,6 @@ class FlowTable:
         table._session_index = None
         table._dst_unique = None
         table._dst_code = None
-        _TABLES.add(table)
         return table
 
     @classmethod
@@ -343,55 +339,10 @@ class FlowTable:
             self._dst_code = code.astype(np.int64, copy=False)
         return self._dst_unique, self._dst_code
 
-    # ---------------------------------------------------- memory accounting
-
-    def nbytes(self) -> int:
-        """Bytes of columnar memory this table has materialised so far.
-
-        Counts only what actually exists — an un-materialised table
-        reports 0 — so ``repro cache stats`` shows resident columnar
-        memory, not a hypothetical.  The record objects themselves are
-        not counted (they are interpreter objects, not column storage).
-        """
-        total = 0
-        cols = self._cols
-        if cols is not None:
-            for name in _Columns.__slots__:
-                arr = getattr(cols, name, None)
-                if arr is not None:
-                    total += int(arr.nbytes)
-        if self._dst_unique is not None:
-            total += int(self._dst_unique.nbytes) + int(self._dst_code.nbytes)
-        idx = self._session_index
-        if idx is not None:
-            for name in SessionIndex.__slots__:
-                arr = getattr(idx, name, None)
-                if arr is not None:
-                    total += int(arr.nbytes)
-        return total
-
-
-#: Every live FlowTable in this process, for resident-memory accounting.
-_TABLES: "weakref.WeakSet[FlowTable]" = weakref.WeakSet()
-
 
 def _table_of_stored(*stored) -> FlowTable:
     """Unpickle a :class:`FlowTable` from its stored columns."""
     return FlowTable._of_columns(_Columns(*stored))
-
-
-def resident_columnar() -> Dict[str, int]:
-    """Resident columnar memory across all live tables in this process.
-
-    Returns:
-        ``{"tables": live table count, "resident_bytes": sum of nbytes()}``.
-        Backs the ``columnar:`` line of ``repro cache stats``.
-    """
-    tables = list(_TABLES)
-    return {
-        "tables": len(tables),
-        "resident_bytes": sum(t.nbytes() for t in tables),
-    }
 
 
 def as_table(records: Union[Sequence[FlowRecord], FlowTable]) -> FlowTable:

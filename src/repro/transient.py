@@ -2,10 +2,10 @@
 
 Some world objects keep lookup tables derived from their own fields:
 bisect lists, hash suffixes, distance orders, request-serving tables.
-The simulator builds them lazily, and cached weeks (pickled
-:class:`~repro.sim.engine.SimulationResult` objects) never carry them.
-A cached world therefore keeps the shape it had before the tables
-existed, and it rebuilds them on demand after loading.
+The simulator builds them lazily, and a pickled world never carries
+them: it keeps the shape it had before the tables existed, and rebuilds
+them on demand after loading.  (Cached weeks hold no world at all, only
+:class:`~repro.sim.week.MeasuredWorld`.)
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.artifacts.memo import memoized_stage
 from repro.cdn.redirection import CAUSE_MISS, CAUSE_OVERLOAD_INTER, CAUSE_OVERLOAD_INTRA
 from repro.reporting.series import Cdf
-from repro.sim.engine import SimulationResult
+from repro.sim.week import SimulationResult
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,7 @@ def extract_metrics(result: SimulationResult) -> ScenarioMetrics:
     """
     if result.requests == 0:
         raise ValueError("cannot extract metrics from an empty run")
-    world = result.world
-    resolver_id = f"{world.spec.name}/{world.spec.subnets[0].name}"
-    try:
-        preferred_dc = world.system.policy.ranking_for(resolver_id)[0]
-    except KeyError:
-        preferred_dc = max(result.served_dc_counts, key=result.served_dc_counts.get)
-
+    preferred_dc = result.truth.preferred_dc
     served = result.served_dc_counts
     top_dc = max(served, key=served.get)
     redirects = sum(

@@ -1,7 +1,7 @@
 """Scenario variants: controlled perturbations of a baseline world.
 
 A variant is a named delta — a mapping of
-:class:`~repro.sim.scenarios.ScenarioSpec` field → value, the same shape
+:class:`~repro.sim.specs.ScenarioSpec` field → value, the same shape
 grid points and monitor epochs use — so a variant equal to a grid point
 builds the same world and shares that point's cached artifacts.  The
 standard library below covers the design dimensions DESIGN.md calls out

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Callable, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -57,17 +57,16 @@ from repro.cdn.store import ContentPlacement
 from repro.geo.coords import haversine_km
 from repro.net.dns import Answer, LocalResolver
 from repro.net.latency import Site
-from repro.sim.engine import (
-    _MAX_PERF_SAMPLES,
-    DEFAULT_MISS_PROBABILITY,
+from repro.sim.engine import _MAX_PERF_SAMPLES, DEFAULT_MISS_PROBABILITY
+from repro.sim.scenarios import ScenarioWorld
+from repro.sim.seeding import derive_seed
+from repro.sim.week import (
     TRUTH_DNS,
     TRUTH_PREFERRED,
     TRUTH_REDIRECTION,
     GroundTruthLog,
     SimulationResult,
 )
-from repro.sim.scenarios import ScenarioWorld
-from repro.sim.seeding import derive_seed
 from repro.trace.columnar import FlowTable
 from repro.trace.monitor import EdgeMonitor
 from repro.trace.records import Dataset, FlowRecord
@@ -510,7 +509,13 @@ def observe(monitor: EdgeMonitor, event: FlowEvent, records: List[FlowRecord]) -
         records.append(record)
 
 
-def append_truth(truth: GroundTruthLog, client_ip, video_id, t_s, anchor_dc, dns_dc,
+#: The ground truth's per-request columns, in :meth:`GroundTruthLog.freeze` order.
+TRUTH_COLUMNS = (
+    "client_ips", "video_ids", "t_s", "anchor_dcs", "dns_dcs", "served_dcs", "labels",
+)
+
+
+def append_truth(truth: Dict[str, list], client_ip, video_id, t_s, anchor_dc, dns_dc,
                  chain_dcs) -> None:
     """Spec of one ground-truth row (label derived, no randomness)."""
     if dns_dc != anchor_dc:
@@ -519,13 +524,23 @@ def append_truth(truth: GroundTruthLog, client_ip, video_id, t_s, anchor_dc, dns
         label = TRUTH_REDIRECTION
     else:
         label = TRUTH_PREFERRED
-    truth.client_ips.append(client_ip)
-    truth.video_ids.append(video_id)
-    truth.t_s.append(t_s)
-    truth.anchor_dcs.append(anchor_dc)
-    truth.dns_dcs.append(dns_dc)
-    truth.served_dcs.append(chain_dcs[-1] if chain_dcs else dns_dc)
-    truth.labels.append(label)
+    truth["client_ips"].append(client_ip)
+    truth["video_ids"].append(video_id)
+    truth["t_s"].append(t_s)
+    truth["anchor_dcs"].append(anchor_dc)
+    truth["dns_dcs"].append(dns_dc)
+    truth["served_dcs"].append(chain_dcs[-1] if chain_dcs else dns_dc)
+    truth["labels"].append(label)
+
+
+def preferred_dc(world: ScenarioWorld, served: Dict[str, int]) -> Optional[str]:
+    """Spec of the truth's preferred data center: the first subnet's
+    resolver's top-ranked one, else the most-served one."""
+    resolver_id = f"{world.spec.name}/{world.spec.subnets[0].name}"
+    try:
+        return world.system.policy.ranking_for(resolver_id)[0]
+    except KeyError:
+        return max(served, key=served.get) if served else None
 
 
 class SpecProcessor:
@@ -546,7 +561,8 @@ class SpecProcessor:
         )
         self.records: List[FlowRecord] = []
         self.serve_rng = random.Random(derive_seed(world.seed, world.spec.name, "serve"))
-        self.result = SimulationResult(world=world, dataset=None, requests=0)
+        self.result = SimulationResult(world=world.measured(), dataset=None, requests=0)
+        self.truth: Dict[str, list] = {name: [] for name in TRUTH_COLUMNS}
         self.anchor_resolver: Optional[str] = None
         subnets = getattr(world.spec, "subnets", ())
         for subnet_spec in subnets:
@@ -580,7 +596,7 @@ class SpecProcessor:
         if anchor_dc is None:
             anchor_dc = outcome.dns_dc_id
         append_truth(
-            result.truth, client_ip, request.video.video_id, request.t_s, anchor_dc,
+            self.truth, client_ip, request.video.video_id, request.t_s, anchor_dc,
             outcome.dns_dc_id, [hop.dc_id for hop in outcome.decision.hops],
         )
         if outcome.decision.causes:
@@ -598,15 +614,22 @@ class SpecProcessor:
         return outcome
 
     def finish(self) -> SimulationResult:
-        """Spec of the monitor's dataset: the records in stable start/end order."""
+        """Spec of the monitor's dataset: the records in stable start/end
+        order; and of the frozen ground truth."""
         self.records.sort(key=lambda r: (r.t_start, r.t_end))
-        self.result.dataset = Dataset(
+        result = self.result
+        result.dataset = Dataset(
             name=self.world.spec.name,
-            vantage=self.world.vantage,
+            vantage=result.world.vantage,
             table=FlowTable(self.records),
             duration_s=self.world.duration_s,
         )
-        return self.result
+        result.truth = GroundTruthLog.freeze(
+            **self.truth,
+            preferred_dc=preferred_dc(self.world, result.served_dc_counts),
+            servers=result.world.servers,
+        )
+        return result
 
 
 # ------------------------------------------------------------------ workload

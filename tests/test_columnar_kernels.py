@@ -28,7 +28,7 @@ from repro.core.summary import summarize
 from repro.reporting.series import Cdf
 from repro.stream.events import FlowArrival, StreamWindow
 from repro.stream.windows import TumblingWindower
-from repro.trace.columnar import FlowTable, resident_columnar
+from repro.trace.columnar import FlowTable
 from repro.trace.records import FlowRecord
 
 from tests.oracle import accumulators as oracle_accumulators
@@ -176,19 +176,6 @@ def test_hourly_accumulator_parity(seed):
         got.observe(window.table)
         oracle_accumulators.observe_hourly(want, window)
         assert hourly_state(got) == hourly_state(want)
-
-
-def test_nbytes_and_resident_columnar():
-    table = FlowTable(random_flows(random.Random(80), n=20))
-    assert table.nbytes() == 0  # nothing materialised yet
-    table.columns()
-    resident = table.nbytes()
-    assert resident > 0
-    table.session_index()
-    assert table.nbytes() > resident  # index arrays count too
-    summary = resident_columnar()
-    assert summary["tables"] >= 1
-    assert summary["resident_bytes"] >= table.nbytes()
 
 
 def test_empty_dataset():

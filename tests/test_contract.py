@@ -257,6 +257,27 @@ class TestStoredWeeks:
         assert [event for stage, event in events if stage == "sim/run_week"] == ["hit"] * 5
         assert [event for stage, event in events if stage == "cli/digests"] == ["miss", "put"]
 
+    def test_streamed_digests_after_a_cached_report_stream_again(self, tmp_path):
+        # The low-memory mode never materialises a batch week, not even
+        # to print digests its cached report did not store.
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(primed_cache("none"), cache_dir)
+        ArtifactStore(cache_dir).object_path(DIGESTS_KEY).unlink()
+        mark = len(ledger(cache_dir))
+        batch_weeks = mock.patch.object(
+            driver, "run_all", side_effect=AssertionError("a batch week was materialised")
+        )
+        with batch_weeks:
+            stdout = run_study(STUDY + ["--landmarks", "10"] + MODES["stream-3600"],
+                               {"REPRO_CACHE_DIR": str(cache_dir)})
+        digest_lines = [line for line in stdout.splitlines() if line.startswith("digest ")]
+        golden = GOLDEN.read_text(encoding="utf-8").splitlines()
+        assert digest_lines == [line for line in golden if line.startswith("digest ")]
+        events = [(e["stage"], e["event"]) for e in ledger(cache_dir, skip=mark)]
+        assert ("cli/study", "hit") in events
+        assert [event for stage, event in events if stage == "sim/run_week"] == []
+        assert [event for stage, event in events if stage == "cli/digests"] == ["miss", "put"]
+
     def test_study_without_digests_hashes_no_week(self, tmp_path):
         cache_dir = tmp_path / "cache"
         shutil.copytree(primed_cache("none"), cache_dir)

@@ -25,7 +25,7 @@ class TestCampaign:
 
         def site_of_ip(ip):
             # Pretend half the servers are unreachable.
-            return tiny_world.site_of_server_ip(ip) if ip % 2 == 0 else None
+            return result.world.site_of_server_ip(ip) if ip % 2 == 0 else None
 
         rtts = vantage_rtt_campaign(result.dataset, prober, site_of_ip)
         assert rtts

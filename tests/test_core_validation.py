@@ -60,9 +60,6 @@ def test_majority_tie_goes_to_the_smallest_dc_id():
     owner = {1: "dc-b", 2: "dc-a", 3: "dc-c", 4: None}
     cluster = SimpleNamespace(cluster_id="c0", server_ips=[1, 2, 3, 4])
     pipeline = SimpleNamespace(server_map=SimpleNamespace(clusters=[cluster]))
-    directory = SimpleNamespace(
-        dc_of_server=lambda ip: owner[ip] and SimpleNamespace(dc_id=owner[ip])
-    )
-    result = SimpleNamespace(world=SimpleNamespace(system=SimpleNamespace(directory=directory)))
+    result = SimpleNamespace(truth=SimpleNamespace(dc_of_server=owner.get))
     assert cluster_majority_dc(pipeline, result, "c0") == "dc-a"
     assert cluster_majority_dc(pipeline, result, "elsewhere") is None

@@ -22,7 +22,7 @@ from repro.eval.attribution import (
     render_attribution,
     score_attribution,
 )
-from repro.sim.engine import TRUTH_LABELS
+from repro.sim.week import TRUTH_LABELS
 from repro.trace.records import Dataset
 
 

@@ -8,6 +8,7 @@ import pytest
 from repro.cdn.catalog import Resolution, VideoCatalog
 from repro.cdn.store import ContentPlacement
 from repro.sim.driver import run_spec
+from repro.sim.engine import run_requests
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 
 
@@ -110,12 +111,13 @@ class TestLruCache:
 
         spec = PAPER_SCENARIOS["EU1-FTTH"]
         base = run_spec(spec, scale=0.006, seed=7)
-        capped = run_spec(
+        capped_world = build_world(
             dataclasses.replace(spec, cache_capacity=10, regional_presence_prob=0.2),
             scale=0.006, seed=7,
         )
+        capped = run_requests(capped_world)
         assert capped.cause_counts.get("miss", 0) > base.cause_counts.get("miss", 0)
-        assert capped.world.system.placement.evictions > 0
+        assert capped_world.system.placement.evictions > 0
 
 
 class TestDnsVariants:
@@ -146,17 +148,19 @@ class TestDnsVariants:
         from repro.sim.driver import run_spec
 
         spec = PAPER_SCENARIOS["EU2"]
+        base_world = build_world(spec, scale=0.008, seed=7)
         base = run_spec(spec, scale=0.008, seed=7)
-        sticky = run_spec(
+        sticky_world = build_world(
             dataclasses.replace(spec, dns_cache_enabled=True, dns_ttl_s=1800.0),
             scale=0.008, seed=7,
         )
-        internal = base.world.internal_dc_id
+        sticky = run_requests(sticky_world)
+        internal = base_world.internal_dc_id
         base_local = base.served_dc_counts.get(internal, 0) / base.requests
         sticky_local = sticky.served_dc_counts.get(internal, 0) / sticky.requests
         assert sticky_local > base_local + 0.03
         # And the resolvers actually cached.
-        resolver = sticky.world.vantage.subnets[0].resolver
+        resolver = sticky_world.vantage.subnets[0].resolver
         assert resolver.hits > 0
 
     def test_default_resolvers_do_not_cache(self, tiny_world):

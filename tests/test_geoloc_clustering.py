@@ -78,13 +78,13 @@ class TestClustering:
         center's servers should land in one cluster (completeness).
         """
         server_map = pipeline.server_map
-        worlds = [r.world for r in study_results.values()]
+        truths = [r.truth for r in study_results.values()]
 
         def true_dc(ip):
-            for world in worlds:
-                dc = world.system.directory.dc_of_server(ip)
-                if dc is not None:
-                    return dc.dc_id
+            for truth in truths:
+                dc_id = truth.dc_of_server(ip)
+                if dc_id is not None:
+                    return dc_id
             return None
 
         # Purity: each cluster dominated by one true data center.

@@ -457,7 +457,7 @@ class TestRunMonitor:
         """The memoized epoch stage keys exactly the hand-built dict."""
         from repro.artifacts.keys import stage_key
         from repro.monitor.run import monitor_epoch
-        from repro.sim.scenarios import named_scenario
+        from repro.sim.specs import named_scenario
         from repro.spec.model import apply_to_scenario
 
         scenario, policy = apply_to_scenario(

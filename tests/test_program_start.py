@@ -44,13 +44,26 @@ NOT_IN_A_STUDY = (
     "repro.core.loadbalance",
 )
 
+#: The simulator: what a study whose weeks are all cached never loads.
+SIMULATOR = (
+    "repro.cdn.policies",
+    "repro.cdn.redirection",
+    "repro.cdn.selection",
+    "repro.workload",
+    "repro.sim.engine",
+    "repro.sim.scenarios",
+)
+
 _IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s+(\S+)\s*$")
 
 
-def loaded_modules(argv: List[str], tmp_path: Path) -> Set[str]:
-    """Every module ``python -m repro <argv>`` imports, in a fresh process."""
+def loaded_modules(argv: List[str], tmp_path: Path, cache: str = "off") -> Set[str]:
+    """Every module ``python -m repro <argv>`` imports, in a fresh process.
+
+    The process runs with ``REPRO_CACHE=<cache>`` over ``tmp_path/cache``.
+    """
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(PYTHONPATH=SRC, REPRO_CACHE="off", REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    env.update(PYTHONPATH=SRC, REPRO_CACHE=cache, REPRO_CACHE_DIR=str(tmp_path / "cache"))
     result = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "repro", *argv],
         env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path,
@@ -86,3 +99,14 @@ def test_batch_study_loads_only_what_it_runs(tmp_path):
     )
     assert {"numpy", "repro.core.pipeline", "repro.sim.driver"} <= modules
     assert offending(modules, NOT_IN_A_STUDY) == []
+
+
+def test_warm_study_loads_no_simulator(tmp_path):
+    study = ["study", "--scale", "0.004", "--seed", "7", "--digests"]
+    filled = loaded_modules([*study, "--landmarks", "10"], tmp_path, cache="on")
+    assert "repro.sim.engine" in filled  # the fill simulated its weeks
+    # A new landmark budget misses the report: the weeks are read back
+    # from the cache, and CBG and the analysis run again.
+    modules = loaded_modules([*study, "--landmarks", "40"], tmp_path, cache="on")
+    assert offending(modules, SIMULATOR) == []
+    assert {"repro.core.pipeline", "repro.geoloc.cbg", "repro.sim.week"} <= modules

@@ -65,7 +65,7 @@ def _assert_same_run(runtime_world, spec_world, runtime, spec):
     got, want = runtime.result, spec.result
     assert got.requests == want.requests
     assert got.dataset.records == want.dataset.records
-    assert vars(got.truth) == vars(want.truth)
+    assert got.truth == want.truth
     for tally in ("cause_counts", "dns_dc_counts", "served_dc_counts"):
         assert list(getattr(got, tally).items()) == list(getattr(want, tally).items())
     assert got.startup_delay_samples == want.startup_delay_samples

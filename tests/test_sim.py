@@ -110,11 +110,12 @@ class TestBuildWorld:
         """The paper's Feb-2011 follow-up: the preferred data center is an
         assignment, and the assignment moved away from the RTT optimum."""
         from repro.sim.driver import run_spec
-        from repro.sim.scenarios import named_scenario
+        from repro.sim.specs import named_scenario
 
         spec = named_scenario("US-Campus-Feb2011")
         result = run_spec(spec, scale=0.004, seed=7)
-        world = result.world
+        world = build_world(spec, scale=0.004, seed=7)
+        assert result.truth.preferred_dc == "dc-mountain-view"
         ranking = world.system.policy.ranking_for("US-Campus-Feb2011/Net-1")
         assert ranking[0] == "dc-mountain-view"
         # The assigned preferred is over 100 ms away...

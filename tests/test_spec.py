@@ -18,13 +18,8 @@ import pytest
 from repro.artifacts.store import reset_default_store
 from repro.monitor.evolution import STATIC_PLAN, EvolutionPlan, EvolutionStep
 from repro.sim import driver
-from repro.sim.scenarios import (
-    GOOGLE_DC_PLAN,
-    PAPER_SCENARIOS,
-    ScenarioSpec,
-    build_world,
-    named_scenario,
-)
+from repro.sim.scenarios import build_world
+from repro.sim.specs import GOOGLE_DC_PLAN, PAPER_SCENARIOS, ScenarioSpec, named_scenario
 from repro.spec.grid import GridAxis, GridPoint, GridSpec, diff_grids, enumerate_points, load_grid
 from repro.spec.model import SpecError, apply_to_scenario, coerce_par
 from repro.spec.runner import plan_grid, run_grid
@@ -166,11 +161,11 @@ class TestRegistry:
     def test_spec_package_imports_first(self):
         # The named scenarios are plain values: either side imports first
         # in a fresh interpreter, and the scenarios never load repro.spec.
-        for first in ("repro.spec.grid", "repro.sim.scenarios", "repro.sim.driver"):
+        for first in ("repro.spec.grid", "repro.sim.specs", "repro.sim.driver"):
             code = (
                 f"import {first}\n"
                 "import sys\n"
-                "from repro.sim.scenarios import PAPER_SCENARIOS, named_scenario\n"
+                "from repro.sim.specs import PAPER_SCENARIOS, named_scenario\n"
                 "assert all(named_scenario(n) is s for n, s in PAPER_SCENARIOS.items())\n"
                 f"assert {first!r} == 'repro.spec.grid' or 'repro.spec' not in sys.modules\n"
             )
