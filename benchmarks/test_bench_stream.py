@@ -2,18 +2,19 @@
 
 Runs EU1-ADSL at 5 % and 10 % of paper traffic through both ingestion
 paths — the batch simulator (materialise the whole week, then analyse)
-and `stream_dataset` (event-driven windows, online folds) — and
-measures wall time plus in-process peak allocation (``tracemalloc``)
-for each.  The streamed digest must equal the batch dataset digest
-(the byte-parity contract), and at the larger scale the streamed peak
-allocation must stay *below* the batch peak: bounded memory is the
-whole point of the streaming path.
+and `stream_dataset` (the same monitor sealing hourly windows, folded
+online) — and measures wall time plus in-process peak allocation
+(``tracemalloc``) for each.  The streamed digest must equal the batch
+dataset digest (the byte-parity contract), and at the larger scale the
+streamed peak allocation must stay *below* the batch peak: bounded
+memory is the whole point of the streaming path.
 
 Each scale's numbers go to a ``perf_stream_<scale>`` text artifact.
-Python allocations in-process are the sharper signal for the flow-record
+Python allocations in-process are the sharper signal for the flow
 working set; the whole study's peak RSS is gated too, each path in its
-own process: ``repro study --stream`` at scale 0.1 must print the batch
-bytes, peak below the batch run, and stay under a fixed ceiling.
+own process, read from that process's own ``VmHWM``: ``repro study
+--stream`` at scale 0.1 must print the batch bytes, peak below the batch
+run, and stay under a fixed ceiling.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from repro.cdn.selection import SelectionPolicy
 from repro.cdn.store import ContentPlacement
 from repro.net.dns import LocalResolver
 from repro.net.latency import AccessTechnology, LatencyModel, Site
-from repro.transient import Transient
 
 #: Flow kinds (ground truth; the trace schema does not carry them — the
 #: analysis re-derives control vs. video from flow size, as the paper does).
@@ -134,7 +133,7 @@ class ServingClient(NamedTuple):
     ranking: List[str]
 
 
-class CdnSystem(Transient):
+class CdnSystem:
     """The simulated YouTube CDN.
 
     Args:
@@ -159,9 +158,8 @@ class CdnSystem(Transient):
     """
 
     #: Serving's stateless half (:class:`_ServingTables`), built on first
-    #: use and never pickled.
+    #: use.
     _tables: Optional["_ServingTables"] = None
-    _transient = ("_tables",)
 
     def __init__(
         self,
@@ -401,10 +399,9 @@ class _ServingTables:
     Per latency class (clients that share a routing group, location,
     access technology and egress latency — Gürsun's routing-equivalent
     partition), the floor RTT to each data center; per resolution, its
-    label.  Nothing here consumes randomness, and none of it is pickled.
-    Nothing is kept per video: a video's shard is one crc32, and a table
-    over every requested video would grow with the week (tens of MB at
-    10 % scale).
+    label.  Nothing here consumes randomness.  Nothing is kept per video:
+    a video's shard is one crc32, and a table over every requested video
+    would grow with the week (tens of MB at 10 % scale).
     """
 
     def __init__(self, system: CdnSystem):

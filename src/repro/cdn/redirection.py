@@ -31,7 +31,6 @@ from repro.cdn.catalog import Video
 from repro.cdn.datacenter import ContentServer, DataCenter, DataCenterDirectory
 from repro.cdn.store import ContentPlacement
 from repro.geo.coords import haversine_km
-from repro.transient import Transient
 
 #: Safety bound on redirection chains.
 MAX_HOPS = 4
@@ -87,7 +86,7 @@ class ServeDecision:
         return len(self.hops) > 1
 
 
-class RedirectionEngine(Transient):
+class RedirectionEngine:
     """Routes requests through content servers, tracking per-server load.
 
     Args:
@@ -108,9 +107,8 @@ class RedirectionEngine(Transient):
     """
 
     #: Per landing data center, the placement's other data centers,
-    #: nearest first.  Built on first use, never pickled.
+    #: nearest first.  Built on first use.
     _nearest: Optional[Dict[str, List[DataCenter]]] = None
-    _transient = ("_nearest",)
 
     def __init__(
         self,

@@ -18,7 +18,6 @@ import zlib
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.cdn.catalog import Video, VideoCatalog, check_mass_fraction
-from repro.transient import Transient
 
 
 def check_placement_args(
@@ -36,7 +35,7 @@ def check_placement_args(
         raise ValueError(f"cache_capacity must be >= 1 (or None), got {cache_capacity!r}")
 
 
-class ContentPlacement(Transient):
+class ContentPlacement:
     """Tracks which data centers hold which videos.
 
     Args:
@@ -59,9 +58,8 @@ class ContentPlacement(Transient):
     """
 
     #: ``"|<dc_id>"`` per data center, encoded: the tail-residency hash
-    #: input after the video ID.  Built on first use, never pickled.
+    #: input after the video ID.  Built on first use.
     _suffixes: Optional[List[bytes]] = None
-    _transient = ("_suffixes",)
 
     def __init__(
         self,

@@ -203,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_study.add_argument(
         "--stream", action="store_true",
-        help="event-driven ingestion: consume each week as a "
-        "watermarked stream with bounded memory instead "
-        "of materialising it; output is byte-identical "
+        help="windowed ingestion: fold each week window by "
+        "window as the edge monitor seals it, with bounded "
+        "memory instead of materialising it; output is byte-identical "
         "to the batch path at any --window-s (summary "
         "report only: not with --full or --validate)",
     )

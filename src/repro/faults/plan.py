@@ -24,7 +24,7 @@ is how process-pool workers inherit the plan).  The grammar::
       "task_crash": 0.02,          // P(one executor task attempt "dies")
       "artifact_corrupt": 0.5,     // P(a stored object reads back corrupt)
       "line_garble": 0.01,         // P(a flow-log line arrives garbled)
-      "record_disorder": 0.05,     // P(a streamed flow record is delayed
+      "record_disorder": 0.05,     // P(a replayed flow-log record is delayed
                                    // out of order, within the watermark)
       "max_failures_per_task": 2   // injections stop after this many
                                    // attempts at one site (bounds retries)
@@ -82,11 +82,13 @@ class FaultPlan:
             object with one byte flipped (which fails its checksum, so
             the store quarantines it and the stage recomputes).
         line_garble: Chance a flow-log line is garbled mid-ingestion.
-        record_disorder: Chance a streamed flow record is held back and
-            re-emitted a few arrivals later.  The injector lags the
-            stream's watermark below every held record, so the disorder
-            stays *within* the watermark — the windowing layer absorbs it
-            and streamed outputs remain byte-identical.
+        record_disorder: Chance a record replayed from a flow log
+            (``repro sessions --stream``) is held back and re-emitted a
+            few arrivals later.  The injector lags the replay's watermark
+            below every held record, so the disorder stays *within* the
+            watermark — the windowing layer absorbs it and streamed
+            outputs remain byte-identical.  A simulated week never
+            becomes events, so the rate changes nothing a study computes.
         max_failures_per_task: Attempt ceiling per injection site; beyond
             it the site succeeds, so bounded retries always converge.
     """

@@ -1,9 +1,10 @@
-"""Per-epoch edge-cloud snapshots built from the streaming path.
+"""Per-epoch edge-cloud snapshots, folded window by window.
 
 One :class:`EpochSnapshot` is everything the monitor keeps of an epoch:
 per-(client subnet x server /24) byte/flow totals folded online by an
-:class:`~repro.core.folds.EdgeCloudAccumulator` while the
-epoch's flows stream through a tumbling windower, plus one min-filtered
+:class:`~repro.core.folds.EdgeCloudAccumulator` from the windows the
+edge monitor seals as the epoch is served
+(:func:`repro.sim.engine.sealed_windows`), plus one min-filtered
 RTT measurement per observed server prefix (a fault-aware ping campaign
 — under an active :class:`~repro.faults.plan.FaultPlan`, lost probes
 leave the prefix's RTT *absent* and are tallied as degradation, never
@@ -28,9 +29,8 @@ from repro import obs
 from repro.core.folds import EdgeCloudAccumulator
 from repro.exec.executor import ParallelExecutor
 from repro.geoloc.probing import CampaignJob, run_campaigns
+from repro.sim.engine import sealed_windows
 from repro.sim.scenarios import ScenarioWorld
-from repro.stream.source import simulated_stream
-from repro.stream.windows import TumblingWindower, drive
 
 #: Decimal places RTT centroids are rounded to before storage; fixed so
 #: snapshot bytes (and digests) are stable across platforms.
@@ -117,7 +117,7 @@ def build_epoch_snapshot(
     probes: int = 4,
     prefix_len: int = 24,
 ) -> EpochSnapshot:
-    """Stream one epoch's world and condense it into a snapshot.
+    """Serve one epoch's world window by window and condense it into a snapshot.
 
     Args:
         world: The epoch's built world (its ``duration_s`` is the epoch
@@ -138,12 +138,9 @@ def build_epoch_snapshot(
         return None if subnet is None else subnet.name
 
     accumulator = EdgeCloudAccumulator(subnet_of, prefix_len=prefix_len)
-    windower = TumblingWindower(min(_INGEST_WINDOW_S, world.duration_s))
     with obs.span("monitor/ingest", dataset=name, epoch=epoch):
-        drive(
-            simulated_stream(world),
-            windower, lambda window: accumulator.observe(window.table),
-        )
+        for table in sealed_windows(world, min(_INGEST_WINDOW_S, world.duration_s)):
+            accumulator.observe(table)
         obs.inc("monitor.flows", accumulator.flows_total, dataset=name)
 
     prefixes = accumulator.prefixes()

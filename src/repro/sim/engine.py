@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.cdn.cluster import Flow, ServingClient
@@ -23,6 +25,7 @@ from repro.sim.week import (
     GroundTruthLog,
     SimulationResult,
 )
+from repro.trace.columnar import FlowTable
 from repro.trace.monitor import EdgeMonitor
 from repro.workload.requests import Request
 
@@ -42,7 +45,6 @@ class RequestProcessor:
         self,
         world: ScenarioWorld,
         miss_probability: float = DEFAULT_MISS_PROBABILITY,
-        record_sink: Optional[Callable] = None,
     ):
         self.world = world
         measured = world.measured()
@@ -50,7 +52,6 @@ class RequestProcessor:
             measured.vantage,
             miss_probability=miss_probability,
             seed=derive_seed(world.seed, world.spec.name, "monitor"),
-            sink=record_sink,
         )
         self._serve_rng = random.Random(
             derive_seed(world.seed, world.spec.name, "serve")
@@ -196,34 +197,43 @@ def run_requests(
     return result
 
 
-def stream_requests(world: ScenarioWorld) -> Iterator[object]:
-    """Live-emit mode: the world's generated week as a time-ordered event stream.
+def sealed_windows(world: ScenarioWorld, window_s: float) -> Iterator[FlowTable]:
+    """The world's generated week, collected window by window as it is served.
 
-    Yields :class:`~repro.stream.events.WatermarkAdvance` and
-    :class:`~repro.stream.events.FlowArrival` events instead of collecting
-    a :class:`~repro.trace.records.Dataset`.  Request processing is
-    identical to :func:`run_requests` — same
-    :class:`RequestProcessor`, same miss/serve RNG consumption — so the
-    emitted records are exactly the batch dataset's records, in monitor
-    observation order.  Only the retention differs: flows are handed off
-    as they are observed, keeping memory independent of the flow count.
+    Requests are served exactly as :func:`run_requests` serves them — same
+    :class:`RequestProcessor`, same miss and serve RNG draws — and the
+    monitor seals its kept flows into the half-open tumbling windows
+    ``[k·W, (k+1)·W)`` of their ``t_start``.  Every flow of a request
+    starts at or after the request's ``t_s``, so once a request's time
+    passes a window's end no flow can still join that window, and it is
+    sealed before the request is served.  The rest are sealed when the
+    requests run out.  Windows come out in index order and empty ones are
+    skipped, so the tables concatenate to the batch dataset's rows, and
+    memory holds one window's flows rather than the week's.
 
-    Watermark semantics: requests are processed in increasing ``t_s`` and
-    every flow a request produces starts at or after its ``t_s``, so the
-    current request time is a valid low watermark — no later arrival can
-    start before it.  A final infinite watermark closes the stream.
+    Raises:
+        ValueError: If ``window_s`` is not positive.
     """
-    from repro.stream.events import FlowArrival, WatermarkAdvance
-
+    if not window_s > 0:
+        raise ValueError("window_s must be positive")
     requests = world.generator.generate(world.duration_s)
-    fresh: List = []
-    processor = RequestProcessor(world, record_sink=fresh.append)
-    seq = 0
+    processor = RequestProcessor(world)
+    seal = processor.monitor.seal
+    end = window_s  # the end of the window the last request fell in
     for request in requests:
-        yield WatermarkAdvance(t_s=request.t_s)
+        if request.t_s >= end:
+            start = request.t_s // window_s * window_s
+            yield from _windows(seal(start), window_s)
+            end = start + window_s
         processor.process(request)
-        for record in fresh:
-            yield FlowArrival(record=record, seq=seq)
-            seq += 1
-        fresh.clear()
-    yield WatermarkAdvance(t_s=math.inf)
+    yield from _windows(seal(math.inf), window_s)
+
+
+def _windows(table: FlowTable, window_s: float) -> Iterator[FlowTable]:
+    """A sealed table's nonempty windows, in index order."""
+    if not len(table):
+        return
+    index = table.columns().t_start // window_s
+    bounds = [0, *(np.flatnonzero(np.diff(index)) + 1).tolist(), len(table)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield table.select(slice(lo, hi))

@@ -1,6 +1,9 @@
-"""Stream sources: live simulation, flow-log replay, and fault injection.
+"""Stream sources: flow-log replay, and fault injection.
 
-Every source yields :class:`~repro.stream.events.FlowArrival` and
+A replayed flow log is the one event source: a simulated week is
+sealed into windows by the edge monitor itself
+(:func:`repro.sim.engine.sealed_windows`) and never becomes events.  A
+source yields :class:`~repro.stream.events.FlowArrival` and
 :class:`~repro.stream.events.WatermarkAdvance` events, assigns emission
 sequence numbers, honours the watermark contract (no later arrival
 starts before the last watermark), and ends with an infinite watermark.
@@ -22,24 +25,12 @@ from typing import Iterable, Iterator, List, Union
 
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan
-from repro.sim.engine import stream_requests
-from repro.sim.scenarios import ScenarioWorld
 from repro.stream.events import FlowArrival, WatermarkAdvance
 from repro.trace.logio import iter_flow_log
 from repro.trace.records import FlowRecord
 
 #: Ceiling on how many arrivals an injected-disorder record is delayed by.
 _MAX_DISORDER_DELAY = 7
-
-
-def simulated_stream(world: ScenarioWorld) -> Iterator[object]:
-    """The simulator's live-emit stream, with fault injection applied.
-
-    Wraps :func:`repro.sim.engine.stream_requests`; an active plan with a
-    ``record_disorder`` rate shuffles delivery within the watermark.
-    """
-    events = stream_requests(world)
-    return _maybe_disordered(events, f"sim/{world.spec.name}")
 
 
 def replay_records(

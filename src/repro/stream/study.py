@@ -1,9 +1,9 @@
 """The streamed study: the paper's headline analysis with bounded memory.
 
-:func:`stream_dataset` drives one world's live-emit event stream through
-the tumbling windower and folds each sealed window into the study's two
-folds and, when the digests are printed, a running content digest.
-:func:`run_streaming_study` hands those folds to the one
+:func:`stream_dataset` serves one world's week and folds each window the
+edge monitor seals (:func:`repro.sim.engine.sealed_windows`) into the
+study's two folds and, when the digests are printed, a running content
+digest.  :func:`run_streaming_study` hands those folds to the one
 :class:`~repro.core.pipeline.StudyPipeline`, so every view — the tables,
 the preferred-DC reports, Figure 9, the RTT campaigns and CBG
 clustering — is the same code in both modes: the stream only changes
@@ -13,18 +13,18 @@ Byte parity is the design contract: ``repro study --stream`` produces
 the identical report text and identical ``--digests`` lines as the batch
 path, at any window size and under any ``--policy``, because
 
-* the simulator's event stream carries exactly the batch dataset's
-  records (same RNG consumption, see
-  :func:`repro.sim.engine.stream_requests`),
-* sealed windows concatenate to the batch record order (see
-  :mod:`repro.stream.windows`), and
+* the windows are collected by the batch path's own request loop and
+  monitor (same RNG consumption, same kept flows),
+* the monitor seals windows at increasing instants, each in the stable
+  ``(t_start, t_end)`` order its batch ``finish`` uses, so the windows
+  concatenate to the batch dataset's rows, and
 * the folds of :mod:`repro.core.folds` give the same state whether they
-  see the records in one batch or window by window.
+  see the rows in one batch or window by window.
 
 Memory stays bounded by distinct entities — servers, clients, one
-window's records — never by the flow count.  (The request *schedule* is
-still materialised per world by the workload generator; flow records,
-the dominant term, are not.)  This makes ``--stream`` the study's one
+window's flows — never by the flow count.  (The request *schedule* is
+still materialised per world by the workload generator; flows, the
+dominant term, are not.)  This makes ``--stream`` the study's one
 low-memory mode; for wall time, the batch path fans the vantage points
 out with ``--parallel process`` instead (see "Scale-out" in
 docs/architecture.md).  The record-level analyses of ``--full`` and
@@ -43,7 +43,6 @@ from repro.core.pipeline import StudyPipeline
 from repro.core.report import render_study_summary as render_stream_report  # noqa: F401
 from repro.defaults import DATASET_NAMES
 from repro.exec.executor import ParallelExecutor
-from repro.faults import report as degradation
 from repro.sim.scenarios import ScenarioWorld, build_world
 from repro.sim.specs import PAPER_SCENARIOS
 from repro.sim.week import MeasuredWorld
@@ -64,41 +63,34 @@ def stream_dataset(
     window_s: float = 3600.0,
     hashed: bool = True,
 ) -> StreamedWeek:
-    """Run one world's week as a stream and fold it window by window.
+    """Serve one world's week and fold it window by window as it is sealed.
 
     Args:
         world: A built scenario world.
         window_s: Tumbling-window width in seconds.
-        hashed: Whether to hash the sealed records (``repro study
+        hashed: Whether to hash the sealed flows (``repro study
             --stream`` does only under ``--digests``).
 
     Returns:
         The measured world, its final traffic and hourly folds, and the content
-        digest of every sealed record (equal to the batch dataset's
+        digest of every sealed flow (equal to the batch dataset's
         :meth:`~repro.trace.records.Dataset.content_digest`; ``None``
         unless ``hashed``).
     """
-    from repro.stream.source import simulated_stream
-    from repro.stream.windows import TumblingWindower, drive
+    from repro.sim.engine import sealed_windows
 
     name = world.spec.name
-    windower = TumblingWindower(window_s)
     traffic = TrafficAccumulator()
     hourly = HourlyShareAccumulator()
     digest = hashlib.sha256() if hashed else None
-
-    def on_window(window) -> None:
-        if digest is not None:
-            update_digest(digest, window.table)
-        traffic.observe(window.table)
-        hourly.observe(window.table)
-        obs.inc("stream.windows", dataset=name)
-        obs.observe("stream.window_records", len(window), dataset=name)
-
     with obs.span("stream/ingest", dataset=name, window_s=window_s):
-        drive(simulated_stream(world), windower, on_window)
-    if windower.late_records:
-        degradation.record("stream/windower", degraded=1, late=windower.late_records)
+        for table in sealed_windows(world, window_s):
+            if digest is not None:
+                update_digest(digest, table)
+            traffic.observe(table)
+            hourly.observe(table)
+            obs.inc("stream.windows", dataset=name)
+            obs.observe("stream.window_records", len(table), dataset=name)
     return StreamedWeek(
         world.measured(), traffic, hourly, None if digest is None else digest.hexdigest()
     )

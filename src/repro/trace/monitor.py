@@ -10,16 +10,17 @@ literally every flow of a session.
 
 from __future__ import annotations
 
+import math
 import random
 from operator import itemgetter
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
 from repro.cdn.cluster import Flow
 from repro.net.topology import VantagePoint
 from repro.trace.columnar import FlowTable
-from repro.trace.records import Dataset, FlowRecord
+from repro.trace.records import Dataset
 
 
 #: Getters of a :class:`~repro.trace.records.FlowRecord`'s fields out of
@@ -30,21 +31,15 @@ _FLOW_FIELDS = tuple(itemgetter(index) for index in (2, 3, 4, 0, 1, 5, 6))
 class EdgeMonitor:
     """Collects a :class:`~repro.trace.records.Dataset` at one vantage point.
 
-    In batch mode the monitor keeps the flow tuples it classifies, and
-    :meth:`finish` turns them into the dataset's columns: no per-flow
-    record object is built.
+    The monitor keeps the flow tuples it classifies.  :meth:`seal` turns
+    the kept flows that start before an instant into columns, so a week
+    can be read window by window as it is served, and :meth:`finish`
+    turns the rest into the dataset: no per-flow record object is built.
 
     Args:
         vantage: The monitored network.
         miss_probability: Chance an individual flow escapes classification.
         seed: RNG seed for the miss process.
-        sink: Live-emit mode — each classified flow is handed to this
-            callable as a :class:`~repro.trace.records.FlowRecord` instead
-            of being retained, so a streaming consumer sees them with
-            bounded memory.  The miss RNG is consumed identically either
-            way, which is what keeps a streamed run byte-identical to a
-            batch run of the same world.  A sinked monitor cannot
-            :meth:`finish`.
     """
 
     def __init__(
@@ -52,7 +47,6 @@ class EdgeMonitor:
         vantage: VantagePoint,
         miss_probability: float = 0.002,
         seed: int = 0,
-        sink: Optional[Callable[[FlowRecord], None]] = None,
     ):
         if not 0.0 <= miss_probability < 1.0:
             raise ValueError("miss_probability must be in [0, 1)")
@@ -60,7 +54,6 @@ class EdgeMonitor:
         self._miss_probability = miss_probability
         self._rng = random.Random(seed)
         self._flows: List[Flow] = []
-        self._sink = sink
         self._recorded = 0
         self.observed = 0
         self.missed = 0
@@ -76,38 +69,42 @@ class EdgeMonitor:
         miss_probability = self._miss_probability
         draw = self._rng.random
         keep = self._flows.append
-        sink = self._sink
         for flow in flows:
             self.observed += 1
             if miss_probability and draw() < miss_probability:
                 self.missed += 1
                 continue
             self._recorded += 1
-            if sink is None:
-                keep(flow)
-            else:
-                t_start, t_end, client_ip, server_ip, num_bytes, video_id, label, _ = flow
-                sink(FlowRecord(client_ip, server_ip, num_bytes, t_start, t_end, video_id, label))
+            keep(flow)
 
-    def finish(self, name: str, duration_s: float) -> Dataset:
-        """Close collection and return the dataset.
+    def seal(self, before_s: float) -> FlowTable:
+        """The kept flows that start before ``before_s``, as columns.
 
-        Its rows are in stable ``(t_start, t_end)`` order: flows that tie
-        keep the order they were observed in.  The kept flow tuples are
-        released once their columns are built.
+        Their rows are in stable ``(t_start, t_end)`` order: flows that
+        tie keep the order they were observed in.  They are released once
+        their columns are built; later flows stay kept.  Sealing at
+        increasing instants therefore cuts the one stable order into
+        consecutive pieces.
 
         Raises:
-            RuntimeError: For a sinked (live-emit) monitor, which retains
-                no flows to assemble a dataset from.
             ValueError: If a flow ends before it starts, or has a
                 negative byte count.
         """
-        if self._sink is not None:
-            raise RuntimeError("a sinked monitor retains no records; consume its stream instead")
         flows, self._flows = self._flows, []
+        if before_s != math.inf:  # finish takes them all without a pass
+            self._flows = [flow for flow in flows if flow[0] >= before_s]
+            flows = [flow for flow in flows if flow[0] < before_s]
         table = FlowTable.from_rows(flows, _FLOW_FIELDS)
-        del flows  # the columns hold the week now
+        del flows  # the columns hold them now
         cols = table.columns()
         # lexsort is stable: flows that tie keep their observation order.
-        table = table.select(np.lexsort((cols.t_end, cols.t_start)))
+        return table.select(np.lexsort((cols.t_end, cols.t_start)))
+
+    def finish(self, name: str, duration_s: float) -> Dataset:
+        """Close collection and return the dataset of every kept flow.
+
+        Raises:
+            ValueError: As :meth:`seal` does.
+        """
+        table = self.seal(math.inf)
         return Dataset(name=name, vantage=self._vantage, table=table, duration_s=duration_s)

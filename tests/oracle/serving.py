@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -484,11 +484,8 @@ def handle_request(
 
 
 def observe(monitor: EdgeMonitor, event: FlowEvent, records: List[FlowRecord]) -> None:
-    """Spec of the monitor: one miss draw, then one record per flow.
-
-    A kept record goes to the monitor's sink, or else onto ``records``,
-    the spec's own flow log.
-    """
+    """Spec of the monitor: one miss draw, then one record per kept flow
+    onto ``records``, the spec's own flow log."""
     monitor.observed += 1
     if monitor._miss_probability and monitor._rng.random() < monitor._miss_probability:
         monitor.missed += 1
@@ -503,10 +500,7 @@ def observe(monitor: EdgeMonitor, event: FlowEvent, records: List[FlowRecord]) -
         resolution=event.resolution,
     )
     monitor._recorded += 1
-    if monitor._sink is not None:
-        monitor._sink(record)
-    else:
-        records.append(record)
+    records.append(record)
 
 
 #: The ground truth's per-request columns, in :meth:`GroundTruthLog.freeze` order.
@@ -550,14 +544,12 @@ class SpecProcessor:
         self,
         world: ScenarioWorld,
         miss_probability: float = DEFAULT_MISS_PROBABILITY,
-        record_sink: Optional[Callable] = None,
     ):
         self.world = world
         self.monitor = EdgeMonitor(
             world.vantage,
             miss_probability=miss_probability,
             seed=derive_seed(world.seed, world.spec.name, "monitor"),
-            sink=record_sink,
         )
         self.records: List[FlowRecord] = []
         self.serve_rng = random.Random(derive_seed(world.seed, world.spec.name, "serve"))
@@ -701,16 +693,4 @@ def run_requests(
     for request in requests:
         processor.process(request)
     return processor.finish()
-
-
-def stream_records(
-    world: ScenarioWorld, miss_probability: float = DEFAULT_MISS_PROBABILITY
-) -> List[FlowRecord]:
-    """Spec of the records :func:`repro.sim.engine.stream_requests` emits, in order."""
-    emitted: List[FlowRecord] = []
-    processor = SpecProcessor(world, miss_probability=miss_probability,
-                              record_sink=emitted.append)
-    for request in generate(world.generator, world.duration_s):
-        processor.process(request)
-    return emitted
 

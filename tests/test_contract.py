@@ -61,9 +61,9 @@ BACKENDS = {
 }
 CACHES = ("cold", "warm")
 #: Fault plans.  ``recoverable`` injects only faults the run absorbs
-#: without changing a byte: retried task attempts, corrupt cache reads
-#: (quarantined and recomputed) and stream records delayed within the
-#: watermark.
+#: without changing a byte: retried task attempts and corrupt cache reads
+#: (quarantined and recomputed).  Its ``record_disorder`` delays records
+#: replayed from a flow log, so it is inert in a study, which replays none.
 PLANS = {
     "none": None,
     "inert": {"seed": 99},
@@ -297,23 +297,26 @@ class TestStoredWeeks:
         assert stdout == GOLDEN.read_text(encoding="utf-8").split("digest ", 1)[0]
 
 
-def test_summary_study_builds_no_flow_record(tmp_path):
-    """A summary study reads columns only, cold and warm.
+@pytest.mark.parametrize("mode", ["batch", "stream-3600"])
+def test_summary_study_builds_no_flow_record(mode, tmp_path):
+    """A summary study reads columns only, cold and warm, batch or streamed.
 
     The warm run asks for another landmark budget and finds no stored
-    digests, so it re-analyses and re-hashes the weeks it reads back.
+    digests, so it re-analyses and re-hashes the weeks: a batch study
+    reads them back, a streamed one serves them again.
     """
     env = {"REPRO_CACHE_DIR": str(tmp_path / "cache")}
     golden = GOLDEN.read_text(encoding="utf-8")
+    study = STUDY + MODES[mode]
     with mock.patch.object(
         FlowRecord, "__post_init__", side_effect=AssertionError("a FlowRecord was built")
     ):
-        assert run_study(STUDY, env) == golden
+        assert run_study(study, env) == golden
         ArtifactStore(tmp_path / "cache").object_path(DIGESTS_KEY).unlink()
-        warm = run_study(STUDY + ["--landmarks", "10"], env)
+        warm = run_study(study + ["--landmarks", "10"], env)
     assert warm.splitlines()[-5:] == golden.splitlines()[-5:]
     events = [(e["stage"], e["event"]) for e in ledger(tmp_path / "cache")]
-    assert events.count(("sim/run_week", "hit")) == 5
+    assert events.count(("sim/run_week", "hit")) == (5 if mode == "batch" else 0)
 
 
 #: Retried task attempts and retried RTT timeouts, none of them exhausted.

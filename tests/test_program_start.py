@@ -110,3 +110,14 @@ def test_warm_study_loads_no_simulator(tmp_path):
     modules = loaded_modules([*study, "--landmarks", "40"], tmp_path, cache="on")
     assert offending(modules, SIMULATOR) == []
     assert {"repro.core.pipeline", "repro.geoloc.cbg", "repro.sim.week"} <= modules
+
+
+def test_streamed_study_makes_no_events(tmp_path):
+    """A streamed study folds the windows its monitor seals: no event source,
+    event type or event windower is loaded."""
+    modules = loaded_modules(
+        ["study", "--stream", "--scale", "0.004", "--landmarks", "40"], tmp_path
+    )
+    assert "repro.stream.study" in modules
+    events = ("repro.stream.events", "repro.stream.source", "repro.stream.windows")
+    assert offending(modules, events) == []

@@ -8,7 +8,6 @@ all four RNGs (policy, redirection, serve, monitor) and every counter
 and table the policy, resolvers, redirection engine and placement keep.
 """
 
-import pickle
 import random
 from dataclasses import replace
 
@@ -19,9 +18,8 @@ from repro.cdn.catalog import Resolution
 from repro.cdn.selection import registered_policy_kinds
 from repro.defaults import DATASET_NAMES
 from repro.sim.driver import simulate_week
-from repro.sim.engine import RequestProcessor, run_requests, stream_requests
+from repro.sim.engine import RequestProcessor, run_requests, sealed_windows
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
-from repro.stream.events import FlowArrival
 from repro.trace.records import WEEK_S
 
 from tests.oracle import serving as oracle
@@ -37,9 +35,8 @@ def _worlds(name="EU1-ADSL", policy_kind="preferred", seed=7, **spec_changes):
 
 
 def _comparable(obj, *skip):
-    """An object's fields, minus its never-pickled lookup tables, with RNGs
-    replaced by their ``getstate()``."""
-    skip += getattr(obj, "_transient", ())
+    """An object's fields but ``skip``, with RNGs replaced by their
+    ``getstate()``."""
     state = {}
     for key, value in vars(obj).items():
         if key in skip:
@@ -53,8 +50,10 @@ def _world_state(world):
     resolvers = [subnet.resolver for subnet in world.vantage.subnets]
     return {
         "policy": _comparable(system.policy, "_directory"),
-        "redirection": _comparable(system.redirection, "_directory", "_placement"),
-        "placement": _comparable(system.placement, "_catalog"),
+        # The lookup tables built on first use are skipped: the spec
+        # builds none of them.
+        "redirection": _comparable(system.redirection, "_directory", "_placement", "_nearest"),
+        "placement": _comparable(system.placement, "_catalog", "_suffixes"),
         "resolvers": [(r.hits, r.misses, dict(r._cache)) for r in resolvers],
         "queries": resolvers[0].authoritative.queries,
     }
@@ -116,13 +115,17 @@ def test_finite_cache_capacity_matches_spec():
     assert runtime_world.system.placement.evictions > 0
 
 
-def test_stream_requests_matches_spec():
+def test_sealed_windows_match_spec():
+    """The windows, concatenated, are the spec's batch dataset."""
     runtime_world, spec_world = _worlds("EU1-FTTH", seed=5)
-    streamed = [
-        event.record for event in stream_requests(runtime_world)
-        if isinstance(event, FlowArrival)
-    ]
-    assert streamed == oracle.stream_records(spec_world)
+    windows = list(sealed_windows(runtime_world, 3600.0))
+    # Each table is one nonempty window [k·W, (k+1)·W), in increasing k.
+    hours = [set((table.columns().t_start // 3600.0).tolist()) for table in windows]
+    assert all(len(hour) == 1 for hour in hours)
+    order = [min(hour) for hour in hours]
+    assert order == sorted(set(order)) and len(order) > 100
+    sealed = [record for table in windows for record in table.records]
+    assert sealed == oracle.run_requests(spec_world).dataset.records
     assert _world_state(runtime_world) == _world_state(spec_world)
 
 
@@ -189,16 +192,18 @@ def test_week_is_three_layer_spans():
     assert layers["sim.serve"].attrs["flows"] >= len(result.dataset)
 
 
-def test_precompute_is_built_lazily_and_never_pickled():
+def test_precompute_is_built_lazily():
     world, fresh = _worlds("EU1-ADSL")
     run_requests(world)
 
-    def holders(w):
-        return w.system, w.system.placement, w.system.redirection
+    def tables(w):
+        system = w.system
+        return (
+            (system, "_tables"),
+            (system.placement, "_suffixes"),
+            (system.redirection, "_nearest"),
+        )
 
-    for built, unbuilt in zip(holders(world), holders(fresh)):
-        assert all(getattr(unbuilt, name) is None for name in unbuilt._transient)
-        assert all(getattr(built, name) is not None for name in built._transient)
-        assert set(built.__getstate__()) == set(vars(unbuilt))
-        clone = pickle.loads(pickle.dumps(built))
-        assert all(name not in vars(clone) for name in built._transient)
+    for (built, name), (unbuilt, _) in zip(tables(world), tables(fresh)):
+        assert name not in vars(unbuilt) and getattr(unbuilt, name) is None
+        assert getattr(built, name) is not None

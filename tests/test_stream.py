@@ -28,13 +28,13 @@ from repro.core.sessions import (
 from repro.core.summary import summarize
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
+from repro.sim.engine import run_requests
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.stream.events import FlowArrival, WatermarkAdvance
 from repro.stream.source import (
     inject_disorder,
     replay_flow_log,
     replay_records,
-    simulated_stream,
 )
 from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
 from repro.stream.study import stream_dataset
@@ -519,20 +519,31 @@ class TestDisorderInjection:
         report = degradation.collect()
         assert report.stages["stream/source"]["disordered"] > 0
 
-    def test_active_plan_changes_no_bytes_end_to_end(self):
+    def test_active_plan_changes_no_bytes_end_to_end(self, tmp_path):
+        """A replayed flow log is the fault's one site: ``repro sessions
+        --stream`` prints the same bytes under it, and a streamed study's
+        week, which never becomes events, is not disordered at all."""
+
         def world():
             return build_world(PAPER_SCENARIOS["EU1-FTTH"], scale=0.004, seed=3,
                                duration_s=86400.0)
 
-        baseline = stream_dataset(world(), window_s=3600.0)
-        baseline_sessions = session_histogram(simulated_stream(world()))
+        batch = run_requests(world()).dataset
+        path = tmp_path / "flows.tsv"
+        write_flow_log(batch.records, path)
+        args = ["sessions", "--flows", str(path), "--gaps", "1,10,60",
+                "--stream", "--window-s", "1800"]
+        baseline = io.StringIO()
+        assert main(args, out=baseline) == 0
         set_current_plan(self.plan(rate=0.2))
-        disordered = stream_dataset(world(), window_s=3600.0)
-        assert disordered.digest == baseline.digest
-        assert session_histogram(simulated_stream(world())) == baseline_sessions
-        stages = degradation.collect().stages
-        assert stages["stream/source"]["disordered"] > 0
-        assert "stream/windower" not in stages  # no late records
+        disordered = io.StringIO()
+        assert main(args, out=disordered) == 0
+        assert disordered.getvalue() == baseline.getvalue()
+        assert degradation.collect().stages["stream/source"]["disordered"] > 0
+
+        obs.new_run("disorder")
+        assert stream_dataset(world(), window_s=3600.0).digest == batch.content_digest()
+        assert degradation.collect().stages == {}
 
 
 class TestCliStream:
