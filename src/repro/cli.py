@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sessions.add_argument(
         "--stream", action="store_true",
-        help="replay the log as a watermarked stream and "
+        help="read the log as sealed tumbling windows and "
         "build sessions incrementally (byte-identical "
         "output, bounded memory)",
     )
@@ -258,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sessions.add_argument(
         "--lag-s", type=float, default=0.0,
-        help="watermark lag for --stream: tolerate records "
-        "up to this many seconds out of order "
-        "(default 0; sorted logs need none)",
+        help="lag for --stream: tolerate records up to this "
+        "many seconds out of order; a record further out "
+        "of order is an error (default 0; sorted logs need none)",
     )
 
     p_cold = sub.add_parser("coldvideo", help="run the PlanetLab cold-video experiment")
@@ -708,86 +708,70 @@ def _parse_gaps(text: str) -> List[float]:
     return gaps
 
 
-def _read_log(path: str):
-    """A whole flow log's records; an unreadable or malformed one is a usage error."""
-    from repro.trace.logio import read_flow_log
+def _read_log(path: str, window_s: Optional[float] = None, lag_s: float = 0.0):
+    """A flow log's records, or with ``window_s`` its sealed windows.
 
+    An unreadable or malformed log is a usage error, and so is a record
+    more than ``lag_s`` out of order in a windowed read.
+    """
+    from repro.trace.logio import iter_flow_log, sealed_log_windows
+
+    rows = iter_flow_log(path)
+    if window_s is not None:
+        rows = sealed_log_windows(rows, window_s, lag_s)
     try:
-        return read_flow_log(path)
+        yield from rows
     except (OSError, ValueError) as error:
         raise UsageError(f"cannot read flow log {path}: {error}") from None
 
 
-def _replay_log(path: str, lag_s: float):
-    """:func:`_read_log`'s streamed form: the log's replay events."""
-    from repro.stream.source import replay_flow_log
-
-    try:
-        yield from replay_flow_log(path, watermark_lag_s=lag_s)
-    except (OSError, ValueError) as error:
-        raise UsageError(f"cannot read flow log {path}: {error}") from None
-
-
-def _session_line(gap: float, sessions: int, histogram) -> str:
-    cells = " ".join(f"{k}:{histogram[k]:.3f}" for k in ("1", "2", "3", ">9"))
-    return f"T={gap:>6.1f}s sessions={sessions:7d}  {cells}"
-
-
-def cmd_sessions(args: argparse.Namespace, out) -> int:
-    from repro.core.sessions import build_sessions, flows_per_session_histogram
-
-    gaps = _parse_gaps(args.gaps)
-    if args.stream:
-        return _cmd_sessions_stream(args, gaps, out)
-    records = _read_log(args.flows)
-    if not records:
+def _print_sessions(out, flows: int, stats_by_gap) -> int:
+    """The ``sessions`` report: the flow count, then one line per gap."""
+    if flows == 0:
         print("flow log is empty", file=out)
         return 1
-    print(f"{len(records)} flows", file=out)
-    for gap in gaps:
-        sessions = build_sessions(records, gap_s=gap)
-        print(_session_line(gap, len(sessions), flows_per_session_histogram(sessions)), file=out)
+    print(f"{flows} flows", file=out)
+    for gap, stats in stats_by_gap:
+        histogram = stats.histogram()
+        cells = " ".join(f"{k}:{histogram[k]:.3f}" for k in ("1", "2", "3", ">9"))
+        print(f"T={gap:>6.1f}s sessions={stats.sessions:7d}  {cells}", file=out)
     return 0
 
 
-def _cmd_sessions_stream(args: argparse.Namespace, gaps: List[float], out) -> int:
-    """Streamed ``sessions``: one replay pass per gap, bounded memory.
+def cmd_sessions(args: argparse.Namespace, out) -> int:
+    """Figure 5's session counts of a flow log, for each ``--gaps`` value.
 
-    Prints exactly the batch command's bytes for any time-sorted log (or
-    any log whose disorder stays within ``--lag-s``).
+    The batch form indexes the whole log once and reads every gap's
+    session sizes off that index; ``--stream`` reads the log once as
+    sealed windows and feeds each to one builder per gap, in bounded
+    memory.  Both print the same bytes for any log whose disorder stays
+    within ``--lag-s``.
     """
-    from repro.core.sessions import SessionStatsAccumulator
-    from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
+    from repro.core.sessions import SessionStatsAccumulator, WindowedSessionBuilder
+    from repro.trace.columnar import RECORD_FIELDS, FlowTable
 
+    gaps = _parse_gaps(args.gaps)
+    if not args.stream:
+        table = FlowTable.from_rows(list(_read_log(args.flows)), RECORD_FIELDS)
+        index = table.session_index()
+        return _print_sessions(out, len(table), [
+            (gap, SessionStatsAccumulator(index.session_sizes(gap))) for gap in gaps
+        ])
     if not args.window_s > 0:
         raise UsageError(f"--window-s must be positive, got {args.window_s}")
     if not args.lag_s >= 0:
         raise UsageError(f"--lag-s must be non-negative, got {args.lag_s}")
-    lines = []
+    builders = [WindowedSessionBuilder(gap) for gap in gaps]
     flows = 0
-
-    def count(window) -> None:
-        nonlocal flows
+    for window in _read_log(args.flows, args.window_s, args.lag_s):
         flows += len(window)
-
-    # With no gaps, one pass still counts the flows.
-    for gap in gaps or [None]:
-        builder = None if gap is None else WindowedSessionBuilder(gap)
-        stats = SessionStatsAccumulator()
-        flows = 0
-        drive(
-            _replay_log(args.flows, args.lag_s), TumblingWindower(args.window_s),
-            count, builder, stats.add,
-        )
-        if flows == 0:
-            print("flow log is empty", file=out)
-            return 1
-        if builder is not None:
-            lines.append(_session_line(gap, stats.sessions, stats.histogram()))
-    print(f"{flows} flows", file=out)
-    for line in lines:
-        print(line, file=out)
-    return 0
+        for builder in builders:
+            builder.observe(window)
+    for builder in builders:
+        builder.finish()
+    return _print_sessions(out, flows, [
+        (gap, builder.stats) for gap, builder in zip(gaps, builders)
+    ])
 
 
 def cmd_coldvideo(args: argparse.Namespace, out) -> int:
@@ -888,7 +872,7 @@ def cmd_anonymize(args: argparse.Namespace, out) -> int:
     from repro.trace.anonymize import PrefixPreservingAnonymizer
     from repro.trace.logio import write_flow_log
 
-    records = _read_log(args.flows)
+    records = list(_read_log(args.flows))
     anonymizer = PrefixPreservingAnonymizer(args.key.encode())
     try:
         count = write_flow_log(anonymizer.anonymize_records(records), args.out)

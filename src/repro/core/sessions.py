@@ -13,7 +13,9 @@ the flows-per-session distribution at T = 1 s for every dataset.
 session index of :mod:`repro.trace.columnar`: one stable lexsort on
 (client, video, t_start, t_end) plus a group-wise running-max horizon.
 The Figure 5 sweep shares that single sorted pass — only the gap
-comparison is re-evaluated per T.  The record-at-a-time spec of the rule
+comparison is re-evaluated per T.  :class:`WindowedSessionBuilder` runs
+the same index over sealed windows, one at a time, and counts the
+sessions as they close.  The record-at-a-time spec of the rule
 lives in ``tests/oracle/sessions.py``, and the parity tests hold these
 kernels to its exact session lists.
 """
@@ -25,7 +27,7 @@ from typing import Dict, Iterable, List, Sequence, Union
 
 import numpy as np
 
-from repro.trace.columnar import FlowTable, as_table
+from repro.trace.columnar import FlowTable, as_table, concat_tables
 from repro.trace.records import FlowRecord
 
 #: The paper's chosen session gap.
@@ -147,10 +149,6 @@ class SessionStatsAccumulator:
         self._counts += np.bincount(sizes, minlength=len(self._counts))
         self.sessions += len(sizes)
 
-    def add(self, sessions: Iterable[Session]) -> None:
-        """Count a batch of sessions."""
-        self.add_sizes([session.num_flows for session in sessions])
-
     def histogram(self) -> Dict[str, float]:
         """Bucket label (``"1"``..``"9"``, ``">9"``) → fraction of sessions.
 
@@ -163,6 +161,58 @@ class SessionStatsAccumulator:
             label: count / self.sessions
             for label, count in zip(HISTOGRAM_BUCKETS, self._counts[1:].tolist())
         }
+
+
+class WindowedSessionBuilder:
+    """Gap-T sessions over sealed windows, their sizes folded into :attr:`stats`.
+
+    Fed the windows of one producer in order (each sorted by ``t_start``,
+    each starting after the last), it counts exactly the sessions of
+    :func:`build_sessions` over their concatenation.  Each window is
+    split by the one :class:`~repro.trace.columnar.SessionIndex`
+    together with the flows of the sessions still open, which started in
+    earlier windows.  Only the last session of a (client, video) group
+    can stay open, and after a break the new flow's ``t_end`` exceeds
+    every earlier ``t_end`` of the group, so its own flows carry the
+    group's horizon.  A window's last ``t_start`` is a lower bound on
+    every later flow's start, so a session whose horizon is a gap or more
+    below it can gain no flow and is counted.  Memory follows the open
+    sessions, not the flow count.
+
+    Args:
+        gap_s: The session gap T.
+
+    Attributes:
+        stats: The sessions closed so far.
+    """
+
+    def __init__(self, gap_s: float):
+        if gap_s <= 0:
+            raise ValueError("gap_s must be positive")
+        self._gap_s = gap_s
+        self._open = FlowTable([])
+        self.stats = SessionStatsAccumulator()
+
+    def observe(self, window: FlowTable) -> None:
+        """Split one nonempty window; count the sessions no later flow can join."""
+        table = concat_tables(self._open, window)
+        index = table.session_index()
+        session = np.cumsum(index.session_starts(self._gap_s)) - 1
+        # Each group's last row, and the group's horizon there.
+        last = np.append(index.new_group[1:], True)
+        horizon = np.maximum(index.horizon_prev[last], index.t_end[last])
+        # The kernel's own comparison: a later start minus the horizon
+        # is no smaller than this one, so it breaks too.
+        joinable = window.columns().t_start.max() - horizon < self._gap_s
+        still_open = np.zeros(session[-1] + 1, dtype=bool)
+        still_open[session[last][joinable]] = True
+        self.stats.add_sizes(np.bincount(session)[~still_open])
+        self._open = table.select(index.order[still_open[session]])
+
+    def finish(self) -> None:
+        """Count the sessions still open: no window follows."""
+        self.stats.add_sizes(self._open.session_index().session_sizes(self._gap_s))
+        self._open = FlowTable([])
 
 
 def flows_per_session_histogram(sessions: Sequence[Session]) -> Dict[str, float]:

@@ -24,8 +24,6 @@ is how process-pool workers inherit the plan).  The grammar::
       "task_crash": 0.02,          // P(one executor task attempt "dies")
       "artifact_corrupt": 0.5,     // P(a stored object reads back corrupt)
       "line_garble": 0.01,         // P(a flow-log line arrives garbled)
-      "record_disorder": 0.05,     // P(a replayed flow-log record is delayed
-                                   // out of order, within the watermark)
       "max_failures_per_task": 2   // injections stop after this many
                                    // attempts at one site (bounds retries)
     }
@@ -59,7 +57,6 @@ RATE_FIELDS = (
     "task_crash",
     "artifact_corrupt",
     "line_garble",
-    "record_disorder",
 )
 
 _TWO_63 = float(1 << 63)
@@ -81,14 +78,10 @@ class FaultPlan:
         artifact_corrupt: Chance an artifact-store read surfaces an
             object with one byte flipped (which fails its checksum, so
             the store quarantines it and the stage recomputes).
-        line_garble: Chance a flow-log line is garbled mid-ingestion.
-        record_disorder: Chance a record replayed from a flow log
-            (``repro sessions --stream``) is held back and re-emitted a
-            few arrivals later.  The injector lags the replay's watermark
-            below every held record, so the disorder stays *within* the
-            watermark — the windowing layer absorbs it and streamed
-            outputs remain byte-identical.  A simulated week never
-            becomes events, so the rate changes nothing a study computes.
+        line_garble: Chance a flow-log line is garbled mid-ingestion,
+            in a batch read and a windowed replay alike.  (A log's own
+            disorder is input, not a fault: a replay windows what stays
+            within ``--lag-s`` and rejects the rest.)
         max_failures_per_task: Attempt ceiling per injection site; beyond
             it the site succeeds, so bounded retries always converge.
     """
@@ -100,7 +93,6 @@ class FaultPlan:
     task_crash: float = 0.0
     artifact_corrupt: float = 0.0
     line_garble: float = 0.0
-    record_disorder: float = 0.0
     max_failures_per_task: int = 2
 
     def __post_init__(self):

@@ -12,8 +12,6 @@ import random
 from collections import Counter
 from typing import Dict, Iterator, List, Optional, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.cdn.cluster import Flow, ServingClient
 from repro.sim.scenarios import ScenarioWorld
@@ -25,7 +23,7 @@ from repro.sim.week import (
     GroundTruthLog,
     SimulationResult,
 )
-from repro.trace.columnar import FlowTable
+from repro.trace.columnar import FlowTable, split_windows
 from repro.trace.monitor import EdgeMonitor
 from repro.workload.requests import Request
 
@@ -223,17 +221,7 @@ def sealed_windows(world: ScenarioWorld, window_s: float) -> Iterator[FlowTable]
     for request in requests:
         if request.t_s >= end:
             start = request.t_s // window_s * window_s
-            yield from _windows(seal(start), window_s)
+            yield from split_windows(seal(start), window_s)
             end = start + window_s
         processor.process(request)
-    yield from _windows(seal(math.inf), window_s)
-
-
-def _windows(table: FlowTable, window_s: float) -> Iterator[FlowTable]:
-    """A sealed table's nonempty windows, in index order."""
-    if not len(table):
-        return
-    index = table.columns().t_start // window_s
-    bounds = [0, *(np.flatnonzero(np.diff(index)) + 1).tolist(), len(table)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield table.select(slice(lo, hi))
+    yield from split_windows(seal(math.inf), window_s)

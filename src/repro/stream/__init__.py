@@ -2,24 +2,26 @@
 
 A week is read as a sequence of sealed tumbling windows
 ``[k*W, (k+1)*W)`` of flow ``t_start`` instead of one materialised
-table.  There are two producers of windows:
+table.  One windowing rule serves both producers of windows: rows that
+start before an instant are sealed into a stable ``(t_start, t_end)``
+table (:func:`repro.trace.columnar.seal_rows`) and cut into windows
+(:func:`repro.trace.columnar.split_windows`).  The producers differ only
+in their clock:
 
-* a simulated week is collected by the one edge monitor that batch runs
+* a simulated week is sealed by the one edge monitor that batch runs
   too: :func:`repro.sim.engine.sealed_windows` serves the requests in
   time order and has the monitor seal each window
   (:meth:`repro.trace.monitor.EdgeMonitor.seal`) once the request clock
   passes its end.  :mod:`repro.stream.study` folds those tables for
   ``repro study --stream``; the monitor's epoch snapshots fold them too.
-* a flow log is replayed as events
-  (:func:`repro.stream.source.replay_flow_log` yields
-  :class:`~repro.stream.events.FlowArrival` and
-  :class:`~repro.stream.events.WatermarkAdvance`), because a real file
-  may be out of order.  A :class:`~repro.stream.windows.TumblingWindower`
-  seals the events into windows, and :func:`~repro.stream.windows.drive`
-  hands each to the consumers and closes gap-T sessions as the sealed
-  boundary moves (``repro sessions --stream``, with only each (client,
-  video) group's last session carried between windows:
-  :class:`~repro.stream.windows.WindowedSessionBuilder`).
+* a flow log is sealed as it is read
+  (:func:`repro.trace.logio.sealed_log_windows`), with the newest
+  ``t_start`` less ``--lag-s`` as the clock, because a real file may be
+  slightly out of order; a record further out of order is an error.
+  ``repro sessions --stream`` feeds each window to one
+  :class:`~repro.core.sessions.WindowedSessionBuilder` per gap, which
+  carries only each (client, video) group's open session between
+  windows.
 
 Windows are a fold schedule, not a second analysis.  The study's folds
 (:mod:`repro.core.folds`) are the ones batch analysis runs over a whole

@@ -14,6 +14,10 @@ here:
 * :class:`SessionIndex` — the gap-*independent* part of session building
   (one lexsort over (client, video, start, end) plus the group-wise
   running-max horizon), shared by every gap value of the Figure 5 sweep;
+* :func:`seal_rows` and :func:`split_windows` — the one windowing rule:
+  rows that start before an instant are sealed into a stable
+  ``(t_start, t_end)``-sorted table and cut into tumbling windows, for
+  the edge monitor's flow tuples and a replayed flow log's records alike;
 * :func:`group_sum_int64`, the exact grouped sum used by the per-hour /
   per-DC / per-video kernels.
 
@@ -36,6 +40,7 @@ Exactness notes, because parity is a hard requirement:
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -85,7 +90,7 @@ class _Columns:
 
 
 #: Getters of a :class:`FlowRecord`'s fields, in order.
-_RECORD_FIELDS = tuple(
+RECORD_FIELDS = tuple(
     attrgetter(name)
     for name in ("src_ip", "dst_ip", "num_bytes", "t_start", "t_end", "video_id", "resolution")
 )
@@ -129,6 +134,13 @@ def _recode(strings, codes):
     """:func:`_code_strings` of ``strings[codes]``, without the strings."""
     used, code = np.unique(codes, return_inverse=True)
     return strings[used], code.astype(np.int64, copy=False)
+
+
+def _merge_codes(strings, codes, more_strings, more_codes):
+    """:func:`_code_strings` of two coded string columns, one after the other."""
+    merged, code = np.unique(np.concatenate((strings, more_strings)), return_inverse=True)
+    code = code.astype(np.int64, copy=False)
+    return merged, np.concatenate((code[: len(strings)][codes], code[len(strings):][more_codes]))
 
 
 class SessionIndex:
@@ -321,7 +333,7 @@ class FlowTable:
     def columns(self) -> _Columns:
         """The column arrays (built from the records on first use)."""
         if self._cols is None:
-            self._cols = _columns(self._records, _RECORD_FIELDS)
+            self._cols = _columns(self._records, RECORD_FIELDS)
         return self._cols
 
     def session_index(self) -> SessionIndex:
@@ -345,6 +357,16 @@ def _table_of_stored(*stored) -> FlowTable:
     return FlowTable._of_columns(_Columns(*stored))
 
 
+def concat_tables(first: FlowTable, second: FlowTable) -> FlowTable:
+    """The rows of ``first`` followed by those of ``second``, as one table."""
+    a, b = first.columns(), second.columns()
+    return FlowTable._of_columns(_Columns(
+        *(np.concatenate((getattr(a, name), getattr(b, name))) for name in _Columns._STORED[:5]),
+        *_merge_codes(a.video_ids, a.video_code, b.video_ids, b.video_code),
+        *_merge_codes(a.resolutions, a.resolution_code, b.resolutions, b.resolution_code),
+    ))
+
+
 def as_table(records: Union[Sequence[FlowRecord], FlowTable]) -> FlowTable:
     """The :class:`FlowTable` to run the kernels over.
 
@@ -354,6 +376,59 @@ def as_table(records: Union[Sequence[FlowRecord], FlowTable]) -> FlowTable:
     if isinstance(records, FlowTable):
         return records
     return FlowTable(records)
+
+
+# ------------------------------------------------------------- windowing
+
+
+def seal_rows(rows: List, before_s: float, fields: Sequence[Callable]) -> FlowTable:
+    """Take the rows that start before ``before_s`` out of ``rows``, as a table.
+
+    The one seal of both producers of windows: the edge monitor seals the
+    flow tuples it keeps (:meth:`repro.trace.monitor.EdgeMonitor.seal`),
+    a flow-log replay the records it has read
+    (:func:`repro.trace.logio.sealed_log_windows`).  The sealed rows are
+    in stable ``(t_start, t_end)`` order: rows that tie keep their order
+    in ``rows``.  The rest stay in ``rows``, in order, so sealing at
+    increasing instants cuts the one stable order into consecutive pieces.
+
+    Args:
+        rows: The unsealed rows, in arrival order; the sealed ones are
+            taken out of it and released once their columns are built.
+        before_s: Seal the rows that start before this instant
+            (``math.inf`` takes them all without a pass over them).
+        fields: Getters of a :class:`FlowRecord`'s seven fields out of a
+            row (see :meth:`FlowTable.from_rows`).
+
+    Raises:
+        ValueError: As :meth:`FlowTable.from_rows` does.
+    """
+    if before_s == math.inf:
+        sealed = rows.copy()
+        rows.clear()
+    else:
+        t_start = fields[3]
+        sealed = [row for row in rows if t_start(row) < before_s]
+        rows[:] = [row for row in rows if t_start(row) >= before_s]
+    table = FlowTable.from_rows(sealed, fields)
+    del sealed  # the columns hold them now
+    cols = table.columns()
+    # lexsort is stable: rows that tie keep their order in ``rows``.
+    return table.select(np.lexsort((cols.t_end, cols.t_start)))
+
+
+def split_windows(table: FlowTable, window_s: float) -> Iterator[FlowTable]:
+    """A sealed table's nonempty tumbling windows ``[k·W, (k+1)·W)``.
+
+    ``table`` is sorted by ``t_start`` (as :func:`seal_rows` leaves it),
+    so the windows come out in index order and concatenate to it.
+    """
+    if not len(table):
+        return
+    index = table.columns().t_start // window_s
+    bounds = [0, *(np.flatnonzero(np.diff(index)) + 1).tolist(), len(table)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield table.select(slice(lo, hi))
 
 
 # ---------------------------------------------------------------- helpers

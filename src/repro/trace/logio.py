@@ -2,7 +2,8 @@
 
 Tab-separated, one flow per line, with a commented header — close to the
 Tstat log format the paper's datasets came in.  Round-trips exactly through
-:func:`write_flow_log` / :func:`read_flow_log`.
+:func:`write_flow_log` / :func:`read_flow_log`.  :func:`sealed_log_windows`
+replays a log as the tumbling windows a simulated week is sealed into.
 
 An active :class:`~repro.faults.plan.FaultPlan` injects the failure mode
 real Tstat logs show — a garbled or truncated line from a partial write or
@@ -15,6 +16,7 @@ layer forgives only the faults it creates.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Union
 
@@ -23,7 +25,7 @@ import numpy as np
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan
 from repro.net.ip import format_ip, parse_ip
-from repro.trace.columnar import FlowTable
+from repro.trace.columnar import RECORD_FIELDS, FlowTable, seal_rows, split_windows
 from repro.trace.records import FlowRecord
 
 _HEADER = "#src_ip\tdst_ip\tbytes\tt_start\tt_end\tvideo_id\tresolution"
@@ -187,6 +189,57 @@ def iter_flow_log(path: Union[str, Path]) -> Iterator[FlowRecord]:
     """
     with open(path, "r", encoding="ascii") as handle:
         yield from _parse_lines(handle, Path(path).name)
+
+
+def sealed_log_windows(
+    records: Iterable[FlowRecord], window_s: float, lag_s: float = 0.0
+) -> Iterator[FlowTable]:
+    """A flow log's tumbling windows ``[k·W, (k+1)·W)``, sealed as it is read.
+
+    The rule :func:`repro.sim.engine.sealed_windows` applies to a
+    simulated week, with the newest ``t_start`` read so far less
+    ``lag_s`` as the clock: once the clock passes the end of its window,
+    every record that starts before the clock's window is sealed
+    (:func:`~repro.trace.columnar.seal_rows`) and cut into windows
+    (:func:`~repro.trace.columnar.split_windows`).  The rest are sealed
+    when the records run out.  File order breaks ``(t_start, t_end)``
+    ties, so the windows concatenate to the stable-sorted table of the
+    same records, and memory holds one window's records plus the lag's.
+
+    Args:
+        records: Flow records in file order, e.g. :func:`iter_flow_log`'s.
+        window_s: Window width in seconds.
+        lag_s: How far a record may start behind the newest ``t_start``
+            read before it and still be windowed.
+
+    Raises:
+        ValueError: For a non-positive ``window_s`` or a negative
+            ``lag_s``, and for a record that starts before the records
+            already sealed: one more than the lag out of order.
+    """
+    if not window_s > 0:
+        raise ValueError("window_s must be positive")
+    if not lag_s >= 0:
+        raise ValueError("lag_s must be >= 0")
+    rows: List[FlowRecord] = []
+    newest = sealed = end = -math.inf  # end: the end of the clock's window
+    for record in records:
+        t_start = record.t_start
+        if t_start < sealed:
+            behind = newest - t_start
+            raise ValueError(
+                f"flow with t_start {t_start!r} is {behind:g} s behind the newest flow, "
+                f"more than --lag-s {lag_s:g}; --lag-s {math.ceil(behind)} would window it"
+            )
+        if t_start > newest:
+            newest = t_start
+        clock = t_start - lag_s
+        if clock >= end:
+            sealed = clock // window_s * window_s
+            yield from split_windows(seal_rows(rows, sealed, RECORD_FIELDS), window_s)
+            end = sealed + window_s
+        rows.append(record)
+    yield from split_windows(seal_rows(rows, math.inf, RECORD_FIELDS), window_s)
 
 
 def dumps(records: Iterable[FlowRecord]) -> str:

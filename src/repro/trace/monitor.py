@@ -15,11 +15,9 @@ import random
 from operator import itemgetter
 from typing import Iterable, List
 
-import numpy as np
-
 from repro.cdn.cluster import Flow
 from repro.net.topology import VantagePoint
-from repro.trace.columnar import FlowTable
+from repro.trace.columnar import FlowTable, seal_rows
 from repro.trace.records import Dataset
 
 
@@ -80,25 +78,15 @@ class EdgeMonitor:
     def seal(self, before_s: float) -> FlowTable:
         """The kept flows that start before ``before_s``, as columns.
 
-        Their rows are in stable ``(t_start, t_end)`` order: flows that
-        tie keep the order they were observed in.  They are released once
-        their columns are built; later flows stay kept.  Sealing at
-        increasing instants therefore cuts the one stable order into
-        consecutive pieces.
+        :func:`~repro.trace.columnar.seal_rows` over the kept flows: their
+        rows are in stable ``(t_start, t_end)`` order, flows that tie keep
+        the order they were observed in, and later flows stay kept.
 
         Raises:
             ValueError: If a flow ends before it starts, or has a
                 negative byte count.
         """
-        flows, self._flows = self._flows, []
-        if before_s != math.inf:  # finish takes them all without a pass
-            self._flows = [flow for flow in flows if flow[0] >= before_s]
-            flows = [flow for flow in flows if flow[0] < before_s]
-        table = FlowTable.from_rows(flows, _FLOW_FIELDS)
-        del flows  # the columns hold them now
-        cols = table.columns()
-        # lexsort is stable: flows that tie keep their observation order.
-        return table.select(np.lexsort((cols.t_end, cols.t_start)))
+        return seal_rows(self._flows, before_s, _FLOW_FIELDS)
 
     def finish(self, name: str, duration_s: float) -> Dataset:
         """Close collection and return the dataset of every kept flow.

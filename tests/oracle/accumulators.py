@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from repro.core.flows import CONTROL_FLOW_THRESHOLD_BYTES
 from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
-from repro.stream.events import StreamWindow
+from repro.trace.columnar import FlowTable
 
 
-def observe_traffic(acc: TrafficAccumulator, window: StreamWindow) -> None:
+def observe_traffic(acc: TrafficAccumulator, window: FlowTable) -> None:
     """Spec of :meth:`TrafficAccumulator.observe`."""
     for record in window.records:
         acc.flows += 1
@@ -20,7 +20,7 @@ def observe_traffic(acc: TrafficAccumulator, window: StreamWindow) -> None:
             stats.video_flows += 1
 
 
-def observe_hourly(acc: HourlyShareAccumulator, window: StreamWindow) -> None:
+def observe_hourly(acc: HourlyShareAccumulator, window: FlowTable) -> None:
     """Spec of :meth:`HourlyShareAccumulator.observe`."""
     for record in window.records:
         if record.num_bytes < CONTROL_FLOW_THRESHOLD_BYTES:

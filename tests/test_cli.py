@@ -359,6 +359,10 @@ BAD_INPUTS = [
     (["sessions", "--flows", "missing.tsv", "--stream"], {}, "missing.tsv"),
     (["sessions", "--flows", "malformed.tsv"], {}, "expected 7 fields"),
     (["sessions", "--flows", "malformed.tsv", "--stream"], {}, "expected 7 fields"),
+    # A flow further out of order than --lag-s fails; it is not dropped.
+    (["sessions", "--flows", "disordered.tsv", "--stream"], {},
+     "cannot read flow log disordered.tsv: flow with t_start 10.0 is 4990 s behind "
+     "the newest flow, more than --lag-s 0; --lag-s 4990 would window it"),
     # --gaps is checked before the (malformed) log is read.
     (["sessions", "--flows", "malformed.tsv", "--gaps", "0"], {}, "--gaps"),
     (["sessions", "--flows", "malformed.tsv", "--gaps", "abc"], {}, "--gaps"),
@@ -448,8 +452,13 @@ BAD_INPUTS = [
 )
 def test_bad_input_exits_2_with_one_line(argv, env, needle, tmp_path):
     # A real process, so an uncaught exception would show as a traceback.
-    # It runs in an empty directory holding only a malformed flow log.
+    # It runs in an empty directory holding only a malformed flow log,
+    # a disordered one and the plan files.
     (tmp_path / "malformed.tsv").write_text("not a flow record\n")
+    (tmp_path / "disordered.tsv").write_text(
+        "1.0.0.1\t2.0.0.1\t5000\t5000.0\t5001.0\tvidA\t360p\n"
+        "1.0.0.1\t2.0.0.1\t5000\t10.0\t11.0\tvidA\t360p\n"
+    )
     for plan_name, changes in PLAN_FILES.items():
         (tmp_path / plan_name).write_text(json.dumps({"steps": [{"epoch": 2, **changes}]}))
     src = str(Path(repro.__file__).resolve().parents[1])

@@ -10,7 +10,6 @@ shared simulated study and assert equality.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List
 
@@ -26,9 +25,7 @@ from repro.core.sessions import (
 from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.summary import summarize
 from repro.reporting.series import Cdf
-from repro.stream.events import FlowArrival, StreamWindow
-from repro.stream.windows import TumblingWindower
-from repro.trace.columnar import FlowTable
+from repro.trace.columnar import FlowTable, split_windows
 from repro.trace.records import FlowRecord
 
 from tests.oracle import accumulators as oracle_accumulators
@@ -65,8 +62,8 @@ def random_flows(rng: random.Random, n: int) -> List[FlowRecord]:
     return out
 
 
-def random_windows(rng: random.Random, n: int, num_windows: int) -> List[StreamWindow]:
-    """Time-sorted flows over several hours, cut into consecutive windows.
+def random_windows(rng: random.Random, n: int, window_s: float) -> List[FlowTable]:
+    """Time-sorted flows over several hours, cut into tumbling windows.
 
     Half the flows are control-sized, so the video-flow thresholds of the
     accumulators see both sides; starts span six hours, so hourly keys
@@ -92,13 +89,7 @@ def random_windows(rng: random.Random, n: int, num_windows: int) -> List[StreamW
         ),
         key=lambda r: (r.t_start, r.t_end),
     )
-    bounds = sorted(rng.sample(range(1, n), num_windows - 1))
-    cuts = [0] + bounds + [n]
-    return [
-        StreamWindow(k, records[lo].t_start, records[hi - 1].t_start + 1.0,
-                     FlowTable(records[lo:hi]))
-        for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
-    ]
+    return list(split_windows(FlowTable(records), window_s))
 
 
 def session_shape(sessions) -> list:
@@ -160,20 +151,20 @@ def test_classify_flows_parity():
 
 @pytest.mark.parametrize("seed", [50, 51, 52, 53])
 def test_traffic_accumulator_parity(seed):
-    windows = random_windows(random.Random(seed), n=200, num_windows=5)
+    windows = random_windows(random.Random(seed), n=200, window_s=4500.0)
     got, want = TrafficAccumulator(), TrafficAccumulator()
     for window in windows:
-        got.observe(window.table)
+        got.observe(window)
         oracle_accumulators.observe_traffic(want, window)
         assert traffic_state(got) == traffic_state(want)
 
 
 @pytest.mark.parametrize("seed", [60, 61, 62, 63])
 def test_hourly_accumulator_parity(seed):
-    windows = random_windows(random.Random(seed), n=200, num_windows=5)
+    windows = random_windows(random.Random(seed), n=200, window_s=4500.0)
     got, want = HourlyShareAccumulator(), HourlyShareAccumulator()
     for window in windows:
-        got.observe(window.table)
+        got.observe(window)
         oracle_accumulators.observe_hourly(want, window)
         assert hourly_state(got) == hourly_state(want)
 
@@ -263,10 +254,7 @@ class TestStudyParity:
     @pytest.fixture(scope="class")
     def windows(self, pipeline):
         """The dataset cut into six-hour windows, as the stream seals them."""
-        windower = TumblingWindower(6 * 3600.0)
-        for seq, record in enumerate(pipeline.dataset(self.NAME).records):
-            windower.push(FlowArrival(record, seq))
-        return windower.advance(math.inf)
+        return list(split_windows(pipeline.dataset(self.NAME).table, 6 * 3600.0))
 
     def test_build_sessions(self, pipeline):
         dataset = pipeline.dataset(self.NAME)
@@ -339,9 +327,9 @@ class TestStudyParity:
         traffic, traffic_spec = TrafficAccumulator(), TrafficAccumulator()
         hourly, hourly_spec = HourlyShareAccumulator(), HourlyShareAccumulator()
         for window in windows:
-            traffic.observe(window.table)
+            traffic.observe(window)
             oracle_accumulators.observe_traffic(traffic_spec, window)
-            hourly.observe(window.table)
+            hourly.observe(window)
             oracle_accumulators.observe_hourly(hourly_spec, window)
         assert traffic_state(traffic) == traffic_state(traffic_spec)
         assert hourly_state(hourly) == hourly_state(hourly_spec)

@@ -54,6 +54,10 @@ SIMULATOR = (
     "repro.sim.scenarios",
 )
 
+#: The flow-log event layer that once windowed ``repro sessions --stream``:
+#: both producers of windows now share one seal, so nothing may load it.
+EVENT_LAYER = ("repro.stream.events", "repro.stream.source", "repro.stream.windows")
+
 _IMPORT_LINE = re.compile(r"^import time:\s+\d+ \|\s+\d+ \|\s+(\S+)\s*$")
 
 
@@ -119,5 +123,21 @@ def test_streamed_study_makes_no_events(tmp_path):
         ["study", "--stream", "--scale", "0.004", "--landmarks", "40"], tmp_path
     )
     assert "repro.stream.study" in modules
-    events = ("repro.stream.events", "repro.stream.source", "repro.stream.windows")
-    assert offending(modules, events) == []
+    assert offending(modules, EVENT_LAYER) == []
+
+
+def test_sessions_stream_loads_no_simulator(tmp_path):
+    """``repro sessions --stream`` windows a log with the seal a simulated
+    week uses, and loads neither the simulator nor an event layer."""
+    from repro.trace.logio import write_flow_log
+    from repro.trace.records import FlowRecord
+
+    write_flow_log(
+        [FlowRecord(1, 100, 5000, float(t), t + 0.5, "vidA", "360p") for t in range(5)],
+        tmp_path / "flows.tsv",
+    )
+    modules = loaded_modules(
+        ["sessions", "--flows", "flows.tsv", "--stream", "--window-s", "2"], tmp_path
+    )
+    assert "repro.trace.logio" in modules
+    assert offending(modules, ("repro.cdn", "repro.sim") + EVENT_LAYER) == []

@@ -9,6 +9,8 @@ Randomised checks of the invariants the analysis stack leans on:
   and insensitive to mapping/set iteration order.
 - The columnar kernels agree flow-for-flow with the record-at-a-time spec
   in ``tests/oracle/`` on generated tables.
+- A flow log replayed as sealed windows, shuffled within its lag, gives
+  the batch table and the batch session sizes.
 
 The whole module skips cleanly when hypothesis is not installed.
 """
@@ -16,6 +18,7 @@ The whole module skips cleanly when hypothesis is not installed.
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -28,12 +31,16 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.artifacts.keys import canonicalize, stage_key  # noqa: E402
 from repro.core.sessions import (  # noqa: E402
     PAPER_GAP_SWEEP_S,
+    WindowedSessionBuilder,
     build_sessions,
     gap_sensitivity,
 )
+from repro.trace.columnar import FlowTable  # noqa: E402
+from repro.trace.logio import sealed_log_windows  # noqa: E402
 from repro.trace.records import FlowRecord  # noqa: E402
 
 from tests.oracle import sessions as oracle_sessions  # noqa: E402
+from tests.test_stream import SizeLog  # noqa: E402
 
 
 def flow_records(min_size=0, max_size=60):
@@ -181,74 +188,55 @@ class TestKernelParity:
 
 
 class TestWindowedSessions:
-    """Streamed session building equals the batch spec, for any window.
+    """Windowed session building equals the batch index, for any window.
 
-    Feeds the same random flow lists through the tumbling windower and
-    the incremental builder — including out-of-order delivery *within*
-    the watermark — and demands the exact batch result: same window
-    record order, same session multiset.
+    Replays random flow lists as a log whose lines are shuffled within the
+    lag (:func:`repro.trace.logio.sealed_log_windows`), feeds the sealed
+    windows to one :class:`~repro.core.sessions.WindowedSessionBuilder`
+    per gap, and demands the exact batch result: the windows concatenate
+    to the stable-sorted batch table, and every gap's session sizes are
+    :meth:`~repro.trace.columnar.SessionIndex.session_sizes` of it.
     """
 
     window_sizes = st.sampled_from([0.5, 1.0, 3.25, 10.0, 1000.0])
-    chunk_sizes = st.integers(min_value=1, max_value=7)
+    lags = st.sampled_from([0.0, 0.5, 2.0, 7.5])
+    gap_values = list(PAPER_GAP_SWEEP_S) + [0.25, 2.5]
 
     @staticmethod
-    def _stream(records, window_s, gap_s, chunk):
-        """Replay ``records`` with within-watermark disorder.
+    def _shuffled(records, lag_s, seed):
+        """``records`` in a file order no record trails by ``lag_s`` or more.
 
-        ``seq`` is each record's original list position (the batch
-        stable-sort tie-break); emission goes in ``chunk``-sized batches
-        of the time-sorted order, each batch watermarked at its earliest
-        start and delivered in reverse.
+        Each record moves later by a random fraction of the lag, so every
+        record read before it starts less than ``lag_s`` after it.
         """
-        from repro.stream.events import FlowArrival, WatermarkAdvance
-        from repro.stream.windows import (
-            TumblingWindower,
-            WindowedSessionBuilder,
-            drive,
-        )
+        rng = random.Random(seed)
+        keyed = [(record.t_start + lag_s * rng.random(), record) for record in records]
+        return [record for _, record in sorted(keyed, key=lambda pair: pair[0])]
 
-        order = sorted(range(len(records)), key=lambda i: records[i].t_start)
-        events = []
-        for pos in range(0, len(order), chunk):
-            batch = order[pos:pos + chunk]
-            events.append(WatermarkAdvance(t_s=records[batch[0]].t_start))
-            events.extend(
-                FlowArrival(record=records[index], seq=index)
-                for index in reversed(batch)
-            )
-        events.append(WatermarkAdvance(t_s=float("inf")))
-        windower = TumblingWindower(window_s)
-        sessions, windowed = [], []
-        drive(
-            events, windower,
-            lambda window: windowed.extend(window.records),
-            WindowedSessionBuilder(gap_s), sessions.extend,
-        )
-        assert windower.late_records == 0
-        return sessions, windowed
-
-    @staticmethod
-    def _canon(sessions):
-        return Counter(
-            (s.client_ip, s.video_id, tuple(s.flows)) for s in sessions
-        )
-
-    @given(records=flow_records(), gap_s=gaps,
-           window_s=window_sizes, chunk=chunk_sizes)
+    @given(records=flow_records(), window_s=window_sizes, lag_s=lags,
+           seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=80, deadline=None)
-    def test_streamed_sessions_equal_batch(self, records, gap_s,
-                                           window_s, chunk):
-        streamed, _ = self._stream(records, window_s, gap_s, chunk)
-        assert self._canon(streamed) == self._canon(
-            build_sessions(records, gap_s=gap_s)
-        )
+    def test_streamed_sessions_equal_batch(self, records, window_s, lag_s, seed):
+        logged = self._shuffled(records, lag_s, seed)
+        builders = [WindowedSessionBuilder(gap) for gap in self.gap_values]
+        for builder in builders:
+            builder.stats = SizeLog()
+        for window in sealed_log_windows(logged, window_s, lag_s):
+            for builder in builders:
+                builder.observe(window)
+        index = FlowTable(logged).session_index()
+        for gap, builder in zip(self.gap_values, builders):
+            builder.finish()
+            assert sorted(builder.stats.sizes) == sorted(index.session_sizes(gap).tolist())
 
-    @given(records=flow_records(), window_s=window_sizes, chunk=chunk_sizes)
+    @given(records=flow_records(), window_s=window_sizes, lag_s=lags,
+           seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=80, deadline=None)
-    def test_sealed_windows_reconstruct_batch_order(self, records,
-                                                    window_s, chunk):
-        _, windowed = self._stream(records, window_s, 1.0, chunk)
-        assert windowed == sorted(
-            records, key=lambda r: (r.t_start, r.t_end)
+    def test_sealed_windows_reconstruct_batch_order(self, records, window_s,
+                                                    lag_s, seed):
+        logged = self._shuffled(records, lag_s, seed)
+        windows = list(sealed_log_windows(logged, window_s, lag_s))
+        assert all(len(window) for window in windows)
+        assert [record for window in windows for record in window] == sorted(
+            logged, key=lambda r: (r.t_start, r.t_end)
         )

@@ -79,10 +79,6 @@ KEEP: Dict[str, str] = {
         "test seam: one counter summed over its label sets, read in-process "
         "by the obs, faults and stream tests; the program reads the trace's snapshot"
     ),
-    "repro.stream.source.replay_records": (
-        "the in-memory stream source the windower tests replay records "
-        "through; replay_flow_log shares its _replay"
-    ),
 }
 
 

@@ -2,16 +2,15 @@
 
 The load-bearing property throughout is *byte parity*: the streamed path
 must reproduce the batch path's records, sessions, aggregates, report
-text and content digests exactly, at any window size, including under
-within-watermark disorder.
+text and content digests exactly, at any window size, including a
+replayed log's disorder within ``--lag-s``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import math
-from collections import Counter
+import random
 from pathlib import Path
 
 import pytest
@@ -22,23 +21,21 @@ from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.pipeline import StudyPipeline
 from repro.core.sessions import (
     SessionStatsAccumulator,
+    WindowedSessionBuilder,
     build_sessions,
     flows_per_session_histogram,
 )
 from repro.core.summary import summarize
-from repro.faults import report as degradation
-from repro.faults.plan import FaultPlan, clear_current_plan, set_current_plan
-from repro.sim.engine import run_requests
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
-from repro.stream.events import FlowArrival, WatermarkAdvance
-from repro.stream.source import (
-    inject_disorder,
-    replay_flow_log,
-    replay_records,
-)
-from repro.stream.windows import TumblingWindower, WindowedSessionBuilder, drive
 from repro.stream.study import stream_dataset
-from repro.trace.logio import format_record, update_digest, write_flow_log
+from repro.trace.columnar import FlowTable
+from repro.trace.logio import (
+    format_record,
+    iter_flow_log,
+    sealed_log_windows,
+    update_digest,
+    write_flow_log,
+)
 from repro.trace.records import FlowRecord
 
 
@@ -48,21 +45,22 @@ def rec(t_start, t_end, src=1, dst=100, num_bytes=5000, video="vidA"):
                       resolution="360p")
 
 
-def drain(windower, events):
-    """Push events; return (sealed windows, concatenated records)."""
-    windows = []
-    for event in events:
-        windows.extend(windower.push(event))
-    windows.extend(windower.finish())
-    return windows, [r for w in windows for r in w.records]
+def replay(records, window_s=3600.0, lag_s=0.0):
+    """A record list's sealed windows, as ``repro sessions --stream`` reads a log."""
+    return list(sealed_log_windows(records, window_s, lag_s))
 
 
-def session_histogram(events, window_s=3600.0, gap_s=1.0):
+def concatenated(windows):
+    return [r for w in windows for r in w.records]
+
+
+def session_histogram(records, window_s=3600.0, gap_s=1.0):
     """All-flow sessions, built as ``repro sessions --stream`` builds them."""
-    stats = SessionStatsAccumulator()
-    drive(events, TumblingWindower(window_s), lambda window: None,
-          WindowedSessionBuilder(gap_s), stats.add)
-    return stats.histogram()
+    builder = WindowedSessionBuilder(gap_s)
+    for window in sealed_log_windows(records, window_s):
+        builder.observe(window)
+    builder.finish()
+    return builder.stats.histogram()
 
 
 def counted_stream(world, window_s):
@@ -74,132 +72,124 @@ def counted_stream(world, window_s):
         obs.set_current_run(None)
 
 
-class TestTumblingWindower:
+class TestLogWindows:
     def test_window_boundaries_are_half_open(self):
-        w = TumblingWindower(10.0)
-        events = [
-            FlowArrival(rec(9.999, 11.0), seq=0),
-            FlowArrival(rec(10.0, 12.0), seq=1),   # exactly at the edge
-            WatermarkAdvance(t_s=10.0),            # seals [0, 10) only
-        ]
-        sealed = []
-        for event in events:
-            sealed.extend(w.push(event))
-        assert [win.index for win in sealed] == [0]
-        assert len(sealed[0]) == 1
-        late = w.finish()
-        assert [win.index for win in late] == [1]
+        windows = replay([rec(9.999, 11.0), rec(10.0, 12.0)], window_s=10.0)
+        assert [[r.t_start for r in w] for w in windows] == [[9.999], [10.0]]
 
-    def test_records_sorted_by_t_start_t_end_seq(self):
-        w = TumblingWindower(100.0)
+    def test_windows_seal_as_the_clock_passes(self):
+        read = []
+
+        def records():
+            for record in (rec(1.0, 2.0), rec(9.0, 9.5), rec(12.0, 13.0), rec(14.0, 15.0)):
+                read.append(record.t_start)
+                yield record
+
+        windows = sealed_log_windows(records(), 10.0, lag_s=1.0)
+        # The clock reaches 11 at the third record, past the first
+        # window's end, so that window is sealed before the fourth is read.
+        assert [r.t_start for r in next(windows)] == [1.0, 9.0]
+        assert read == [1.0, 9.0, 12.0]
+        assert [r.t_start for r in next(windows)] == [12.0, 14.0]
+
+    def test_rows_sorted_by_t_start_t_end_then_file_order(self):
         arrivals = [rec(5.0, 9.0), rec(1.0, 3.0), rec(5.0, 9.0), rec(5.0, 5.5)]
-        events = [FlowArrival(r, seq=i) for i, r in enumerate(arrivals)]
-        windows, ordered = drain(w, events)
+        windows = replay(arrivals, window_s=100.0, lag_s=10.0)
         assert len(windows) == 1
-        assert ordered == sorted(
-            arrivals, key=lambda r: (r.t_start, r.t_end)
+        ordered = concatenated(windows)
+        assert ordered == sorted(arrivals, key=lambda r: (r.t_start, r.t_end))
+        # The file order breaks exact (t_start, t_end) ties: the sealed
+        # table was built from the records in the order they were read.
+        tied = [rec(2.0, 3.0, src=2), rec(1.0, 4.0), rec(2.0, 3.0, src=1)]
+        windows = replay(tied, window_s=100.0, lag_s=10.0)
+        assert [r.src_ip for r in concatenated(windows)] == [1, 2, 1]
+
+    def test_late_flow_raises(self):
+        records = [rec(5.0, 6.0), rec(25.0, 26.0), rec(3.0, 4.0)]
+        with pytest.raises(ValueError, match=r"t_start 3\.0 is 22 s behind.*--lag-s 22"):
+            replay(records, window_s=10.0)
+        assert concatenated(replay(records, window_s=10.0, lag_s=22.0)) == sorted(
+            records, key=lambda r: r.t_start
         )
-        # Equal (t_start, t_end) records stay in seq order.
-        assert ordered[2] is arrivals[0] and ordered[3] is arrivals[2]
-
-    def test_late_arrivals_are_dropped_and_counted(self):
-        w = TumblingWindower(10.0)
-        w.push(FlowArrival(rec(5.0, 6.0), seq=0))
-        w.advance(20.0)
-        assert w.push(FlowArrival(rec(3.0, 4.0), seq=1)) == []
-        assert w.late_records == 1
-        # In-watermark arrivals still land.
-        w.push(FlowArrival(rec(25.0, 26.0), seq=2))
-        assert sum(len(win) for win in w.finish()) == 1
-
-    def test_watermark_regression_raises(self):
-        w = TumblingWindower(10.0)
-        w.advance(50.0)
-        with pytest.raises(ValueError):
-            w.advance(49.0)
 
     def test_negative_times_are_windowed_not_dropped(self):
-        w = TumblingWindower(10.0)
-        assert w.sealed_boundary_s == -math.inf
-        w.push(FlowArrival(rec(-25.0, -24.0), seq=0))
-        windows, ordered = drain(w, [])
-        assert [win.index for win in windows] == [-3]
-        assert len(ordered) == 1
-
-    def test_sealed_boundary_tracks_watermark_floor(self):
-        w = TumblingWindower(10.0)
-        w.advance(34.0)
-        assert w.sealed_boundary_s == 30.0
-        w.advance(math.inf)
-        assert w.sealed_boundary_s == math.inf
+        windows = replay([rec(-25.0, -24.0)], window_s=10.0)
+        assert [w.columns().t_start[0] // 10.0 for w in windows] == [-3]
+        assert len(concatenated(windows)) == 1
 
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
-            TumblingWindower(0.0)
+            replay([rec(1.0, 2.0)], window_s=0.0)
+
+
+class SizeLog:
+    """Stands in for a builder's stats: keeps every session size it is handed."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def add_sizes(self, sizes):
+        self.sizes.extend(int(size) for size in sizes)
 
 
 class TestWindowedSessionBuilder:
-    def stream_sessions(self, records, window_s, gap_s):
-        w = TumblingWindower(window_s)
-        b = WindowedSessionBuilder(gap_s)
-        out = []
-        for i, r in enumerate(sorted(records, key=lambda r: r.t_start)):
-            for win in w.push(WatermarkAdvance(t_s=r.t_start)):
-                out.extend(b.observe_window(win))
-            out.extend(b.advance(w.sealed_boundary_s))
-            w.push(FlowArrival(r, seq=i))
-        for win in w.finish():
-            out.extend(b.observe_window(win))
-        out.extend(b.finish())
-        return out
+    def builder(self, gap_s):
+        builder = WindowedSessionBuilder(gap_s)
+        builder.stats = SizeLog()
+        return builder
 
-    def canon(self, sessions):
-        return Counter(
-            (s.client_ip, s.video_id, tuple(s.flows)) for s in sessions
-        )
+    def stream_sizes(self, records, window_s, gap_s):
+        builder = self.builder(gap_s)
+        for window in replay(records, window_s):
+            builder.observe(window)
+        builder.finish()
+        return sorted(builder.stats.sizes)
+
+    def batch_sizes(self, records, gap_s):
+        return sorted(s.num_flows for s in build_sessions(records, gap_s=gap_s))
 
     def test_matches_batch_on_gap_breaks(self):
         records = [rec(0.0, 1.0), rec(1.5, 2.0), rec(10.0, 11.0),
                    rec(11.2, 12.0), rec(30.0, 31.0)]
         for window_s in (1.0, 5.0, 100.0):
-            streamed = self.stream_sessions(records, window_s, gap_s=2.0)
-            assert self.canon(streamed) == self.canon(
-                build_sessions(records, gap_s=2.0)
-            )
+            assert self.stream_sizes(records, window_s, 2.0) == self.batch_sizes(records, 2.0)
 
     def test_long_flow_holds_session_open_across_windows(self):
         # A flow spanning many windows: the horizon (t_end) keeps the
         # session open even after its start window sealed long ago.
         records = [rec(0.0, 50.0), rec(51.0, 52.0)]
-        streamed = self.stream_sessions(records, window_s=5.0, gap_s=2.0)
-        assert self.canon(streamed) == self.canon(
-            build_sessions(records, gap_s=2.0)
-        )
-        assert len(streamed) == 1 and streamed[0].num_flows == 2
+        assert self.stream_sizes(records, window_s=5.0, gap_s=2.0) == [2]
 
     def test_sessions_close_only_past_sealed_boundary(self):
-        b = WindowedSessionBuilder(gap_s=2.0)
-        w = TumblingWindower(10.0)
-        w.push(FlowArrival(rec(5.0, 6.0), seq=0))
-        for win in w.advance(10.0):
-            b.observe_window(win)
-        # horizon 6 + gap 2 = 8 <= boundary 10: closes.
-        assert len(b.advance(w.sealed_boundary_s)) == 1
-        assert b.finish() == []
+        # The boundary is the last t_start sealed: a session is counted
+        # once it lies a gap behind the boundary, and not before.
+        builder = self.builder(gap_s=2.0)
+        builder.observe(FlowTable([rec(5.0, 6.0)]))
+        builder.observe(FlowTable([rec(7.5, 8.0, src=2)]))
+        assert builder.stats.sizes == []  # 7.5 - 6 < 2: a flow may still join
+        builder.observe(FlowTable([rec(8.0, 8.5, src=3)]))
+        assert builder.stats.sizes == [1]  # 8 - 6 >= 2: closed
+        builder.finish()
+        assert sorted(builder.stats.sizes) == [1, 1, 1]
 
     def test_break_inside_a_window_then_join_from_the_next(self):
         # b breaks from a inside window [0, 10); c starts in the next
         # window within the gap of b's horizon, so it joins b's session.
         a, b, c = rec(0.0, 1.0), rec(5.0, 9.5), rec(10.5, 11.0)
-        builder = WindowedSessionBuilder(gap_s=2.0)
-        w = TumblingWindower(10.0)
-        for seq, r in enumerate((a, b, c)):
-            w.push(FlowArrival(r, seq=seq))
-        first, second = w.advance(20.0)
-        assert [s.flows for s in builder.observe_window(first)] == [[a]]
-        assert builder.advance(10.0) == []  # horizon 9.5 + gap 2 > 10
-        assert builder.observe_window(second) == []
-        assert [s.flows for s in builder.finish()] == [[b, c]]
+        builder = self.builder(gap_s=2.0)
+        first, second = replay([a, b, c], window_s=10.0)
+        builder.observe(first)
+        assert builder.stats.sizes == [1]
+        builder.observe(second)
+        assert builder.stats.sizes == [1]
+        builder.finish()
+        assert builder.stats.sizes == [1, 2]
+
+    def test_counts_into_the_session_histogram(self):
+        records = [rec(float(i), float(i) + 0.1, src=i % 3) for i in range(30)]
+        assert session_histogram(records, window_s=4.0, gap_s=2.0) == (
+            flows_per_session_histogram(build_sessions(records, gap_s=2.0))
+        )
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValueError):
@@ -208,48 +198,41 @@ class TestWindowedSessionBuilder:
 
 class TestReplaySources:
     def test_replay_ends_with_infinite_watermark(self):
-        events = list(replay_records([rec(1.0, 2.0)]))
-        assert isinstance(events[-1], WatermarkAdvance)
-        assert math.isinf(events[-1].t_s)
-        assert sum(isinstance(e, FlowArrival) for e in events) == 1
+        # The clock never passes the end of 10**9 s, yet the records are
+        # windowed: at the end of input everything left is sealed.
+        windows = replay([rec(1.0, 2.0), rec(2e9, 2e9 + 1.0)], window_s=1e10)
+        assert concatenated(windows) == [rec(1.0, 2.0), rec(2e9, 2e9 + 1.0)]
 
     def test_watermark_lag_tolerates_local_disorder(self):
         records = [rec(0.0, 1.0), rec(3.0, 4.0), rec(2.0, 3.0), rec(9.0, 9.5)]
-        w = TumblingWindower(5.0)
-        _, ordered = drain(w, replay_records(records, watermark_lag_s=2.0))
-        assert w.late_records == 0
-        assert [r.t_start for r in ordered] == [0.0, 2.0, 3.0, 9.0]
+        windows = replay(records, window_s=5.0, lag_s=2.0)
+        assert [r.t_start for r in concatenated(windows)] == [0.0, 2.0, 3.0, 9.0]
 
-    def test_no_lag_drops_out_of_order_records(self):
-        records = [rec(5.0, 6.0), rec(1.0, 2.0)]
-        w = TumblingWindower(1.0)
-        _, ordered = drain(w, replay_records(records))
-        assert w.late_records == 1
-        assert [r.t_start for r in ordered] == [5.0]
+    def test_no_lag_rejects_out_of_order_records(self):
+        with pytest.raises(ValueError, match="behind the newest"):
+            replay([rec(5.0, 6.0), rec(1.0, 2.0)], window_s=1.0)
 
     def test_negative_lag_rejected(self):
         with pytest.raises(ValueError):
-            list(replay_records([], watermark_lag_s=-1.0))
+            replay([], lag_s=-1.0)
 
     def test_flow_log_replay_equals_in_memory_replay(self, tmp_path):
         records = [rec(float(i), float(i) + 0.5, dst=100 + i % 3)
                    for i in range(20)]
         path = tmp_path / "flows.tsv"
         write_flow_log(records, path)
-        from_file = [e.record for e in replay_flow_log(path)
-                     if isinstance(e, FlowArrival)]
-        assert from_file == records
+        from_file = concatenated(replay(iter_flow_log(path), window_s=3.0))
+        assert from_file == concatenated(replay(records, window_s=3.0)) == records
 
 
 class TestStreamingDigest:
     def test_matches_canonical_serialisation(self):
         records = [rec(3.0, 4.0), rec(1.0, 2.0), rec(1.0, 5.0)]
-        w = TumblingWindower(1.0)
         digest = hashlib.sha256()
-        windows, ordered = drain(w, replay_records(records, watermark_lag_s=10.0))
+        windows = replay(records, window_s=1.0, lag_s=10.0)
         assert len(windows) == 2  # hashed window by window
         for win in windows:
-            update_digest(digest, win.table)
+            update_digest(digest, win)
         expected = hashlib.sha256()
         for r in sorted(records, key=lambda r: (r.t_start, r.t_end)):
             expected.update(format_record(r).encode("ascii"))
@@ -296,7 +279,7 @@ class TestSimulatedStreamParity:
         batch = flows_per_session_histogram(
             build_sessions(eu1_adsl.dataset.records, gap_s=1.0)
         )
-        assert session_histogram(replay_records(eu1_adsl.dataset.records)) == batch
+        assert session_histogram(eu1_adsl.dataset.records) == batch
 
     def test_memory_stays_windowed(self, counted_eu1):
         week, metrics = counted_eu1
@@ -407,11 +390,7 @@ class TestStudyParity:
 
 class TestAccumulators:
     def windows_of(self, records, window_s=10.0):
-        w = TumblingWindower(window_s)
-        windows, _ = drain(
-            w, replay_records(records, watermark_lag_s=1e9)
-        )
-        return windows
+        return replay(records, window_s, lag_s=1e9)
 
     def test_traffic_accumulator_totals(self):
         records = [rec(0.0, 1.0, src=1, dst=100, num_bytes=500),
@@ -419,7 +398,7 @@ class TestAccumulators:
                    rec(25.0, 26.0, src=1, dst=101, num_bytes=7000)]
         acc = TrafficAccumulator()
         for win in self.windows_of(records):
-            acc.observe(win.table)
+            acc.observe(win)
         summary = acc.summary("X")
         assert summary.flows == 3
         assert summary.volume_bytes == 11500
@@ -432,7 +411,7 @@ class TestAccumulators:
         records = [rec(0.0, 1.0, num_bytes=999), rec(1.0, 2.0, num_bytes=1000)]
         acc = TrafficAccumulator()
         for win in self.windows_of(records):
-            acc.observe(win.table)
+            acc.observe(win)
         stats = acc._servers[100]
         assert stats.num_flows == 2 and stats.video_flows == 1
 
@@ -441,109 +420,19 @@ class TestAccumulators:
                    rec(3630.0, 3631.0, num_bytes=10)]  # control flow
         acc = HourlyShareAccumulator()
         for win in self.windows_of(records, window_s=1800.0):
-            acc.observe(win.table)
+            acc.observe(win)
         assert acc._counts == {100: {0: 1, 1: 1}}
 
     def test_session_stats_histogram_parity(self):
         records = [rec(float(i), float(i) + 0.1) for i in range(5)]
         sessions = build_sessions(records, gap_s=0.5)
         acc = SessionStatsAccumulator()
-        acc.add(sessions)
+        acc.add_sizes([s.num_flows for s in sessions])
         assert acc.histogram() == flows_per_session_histogram(sessions)
 
     def test_empty_histogram_raises(self):
         with pytest.raises(ValueError):
             SessionStatsAccumulator().histogram()
-
-
-class TestDisorderInjection:
-    @pytest.fixture(autouse=True)
-    def clean_degradation(self):
-        obs.new_run("disorder")
-        yield
-        clear_current_plan()
-        obs.set_current_run(None)
-
-    def plan(self, rate=0.4):
-        return FaultPlan(seed=3, record_disorder=rate)
-
-    def events(self, n=40):
-        records = [rec(float(i), float(i) + 0.5, dst=100 + i % 4)
-                   for i in range(n)]
-        return records, list(replay_records(records))
-
-    def test_preserves_every_record(self):
-        records, events = self.events()
-        out = list(inject_disorder(iter(events), self.plan(), "t"))
-        arrivals = [e.record for e in out if isinstance(e, FlowArrival)]
-        assert Counter(arrivals) == Counter(records)
-
-    def test_actually_reorders(self):
-        _, events = self.events()
-        out = list(inject_disorder(iter(events), self.plan(), "t"))
-        seqs = [e.seq for e in out if isinstance(e, FlowArrival)]
-        assert seqs != sorted(seqs)
-
-    def test_is_deterministic(self):
-        _, events = self.events()
-        first = list(inject_disorder(iter(events), self.plan(), "t"))
-        _, events = self.events()
-        second = list(inject_disorder(iter(events), self.plan(), "t"))
-        assert first == second
-
-    def test_watermarks_stay_monotone_and_safe(self):
-        _, events = self.events()
-        out = list(inject_disorder(iter(events), self.plan(), "t"))
-        watermark = -math.inf
-        pending = []
-        for event in out:
-            if isinstance(event, WatermarkAdvance):
-                assert event.t_s >= watermark
-                watermark = event.t_s
-            else:
-                assert event.record.t_start >= watermark or math.isinf(watermark)
-        assert math.isinf(watermark)
-
-    def test_windower_absorbs_injected_disorder(self):
-        records, events = self.events()
-        w = TumblingWindower(7.0)
-        _, ordered = drain(w, inject_disorder(iter(events), self.plan(), "t"))
-        assert w.late_records == 0
-        assert ordered == sorted(records, key=lambda r: (r.t_start, r.t_end))
-
-    def test_degradation_is_recorded(self):
-        # record() only tallies while a plan is installed.
-        set_current_plan(self.plan())
-        _, events = self.events()
-        list(inject_disorder(iter(events), self.plan(), "t"))
-        report = degradation.collect()
-        assert report.stages["stream/source"]["disordered"] > 0
-
-    def test_active_plan_changes_no_bytes_end_to_end(self, tmp_path):
-        """A replayed flow log is the fault's one site: ``repro sessions
-        --stream`` prints the same bytes under it, and a streamed study's
-        week, which never becomes events, is not disordered at all."""
-
-        def world():
-            return build_world(PAPER_SCENARIOS["EU1-FTTH"], scale=0.004, seed=3,
-                               duration_s=86400.0)
-
-        batch = run_requests(world()).dataset
-        path = tmp_path / "flows.tsv"
-        write_flow_log(batch.records, path)
-        args = ["sessions", "--flows", str(path), "--gaps", "1,10,60",
-                "--stream", "--window-s", "1800"]
-        baseline = io.StringIO()
-        assert main(args, out=baseline) == 0
-        set_current_plan(self.plan(rate=0.2))
-        disordered = io.StringIO()
-        assert main(args, out=disordered) == 0
-        assert disordered.getvalue() == baseline.getvalue()
-        assert degradation.collect().stages["stream/source"]["disordered"] > 0
-
-        obs.new_run("disorder")
-        assert stream_dataset(world(), window_s=3600.0).digest == batch.content_digest()
-        assert degradation.collect().stages == {}
 
 
 class TestCliStream:
@@ -574,6 +463,22 @@ class TestCliStream:
         code, batch = self.run(*args)
         assert code == 0
         code, streamed = self.run(*args, "--stream", "--window-s", "1800")
+        assert code == 0
+        assert streamed == batch
+
+    def test_sessions_stream_absorbs_disorder_within_the_lag(self, tmp_path, eu1_adsl):
+        """A real log whose lines are shuffled within 5 s: ``--lag-s 5``
+        prints the batch bytes."""
+        rng = random.Random(5)
+        keyed = [(r.t_start + 5.0 * rng.random(), r) for r in eu1_adsl.dataset.records]
+        shuffled = [r for _, r in sorted(keyed, key=lambda pair: pair[0])]
+        assert shuffled != eu1_adsl.dataset.records
+        path = tmp_path / "flows.tsv"
+        write_flow_log(shuffled, path)
+        args = ("sessions", "--flows", str(path), "--gaps", "1,10,60")
+        code, batch = self.run(*args)
+        assert code == 0
+        code, streamed = self.run(*args, "--stream", "--window-s", "1800", "--lag-s", "5")
         assert code == 0
         assert streamed == batch
 
