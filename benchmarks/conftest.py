@@ -22,7 +22,6 @@ import pytest
 os.environ.setdefault("REPRO_CACHE", "off")
 
 from repro.core.pipeline import StudyPipeline
-from repro.exec.executor import ParallelExecutor
 from repro.sim.driver import run_all
 
 BENCH_SCALE = 0.02
@@ -32,26 +31,15 @@ OUT_DIR = Path(__file__).parent / "out"
 
 
 @pytest.fixture(scope="session")
-def executor():
-    """The session's execution backend (``REPRO_EXECUTOR``, default serial).
-
-    Results are backend-independent; only the timings differ.  Task time
-    is in the run's ``task:<label>`` spans (``repro trace``), not in a
-    file of the benchmarks' own.
-    """
-    return ParallelExecutor.from_env()
-
-
-@pytest.fixture(scope="session")
-def results(executor):
+def results():
     """The five simulated datasets."""
-    return run_all(scale=BENCH_SCALE, seed=BENCH_SEED, executor=executor)
+    return run_all(scale=BENCH_SCALE, seed=BENCH_SEED)
 
 
 @pytest.fixture(scope="session")
-def pipe(results, executor):
+def pipe(results):
     """The analysis pipeline (full 215-landmark CBG)."""
-    return StudyPipeline(results, landmark_count=None, seed=11, executor=executor)
+    return StudyPipeline(results, landmark_count=None, seed=11)
 
 
 @pytest.fixture(scope="session")

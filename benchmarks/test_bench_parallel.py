@@ -1,19 +1,20 @@
-"""Parallel execution benchmarks: multi-scenario fan-out speedup.
+"""Execution benchmark: the five-week fan-out, pooled against in-process.
 
-Times the five-dataset scenario suite under the session's backend
-(``REPRO_EXECUTOR``) and once under serial as a baseline, asserts the two
-runs are byte-identical, and records the measured speedup — the number the
-CI benchmark-smoke job reports for the serial and process matrix legs.
-The straggler is the slowest ``task:<label>`` span of the fanned-out run.
+Times the five-dataset scenario suite with every batch forced onto a
+process pool, and once with every batch forced in-process as the
+baseline (both through the executor's decision, so both run on any
+host), asserts the two runs are byte-identical, and records the measured
+speedup.  The straggler is the slowest ``task:<label>`` span of the
+pooled run.
 """
 
 import time
 
 from repro import obs
-from repro.exec.executor import ParallelExecutor
 from repro.sim import driver
 
 from benchmarks.conftest import BENCH_SCALE
+from tests.execpaths import forced
 
 #: Distinct seed so these runs never alias the shared ``results`` fixture.
 FANOUT_SEED = 31
@@ -30,39 +31,35 @@ def _straggler(run) -> str:
     return slowest.attrs["label"] if slowest else "n/a"
 
 
-def test_bench_multi_scenario_fanout(benchmark, executor, save_artifact):
-    backend = executor.backend
-
-    def fan_out():
+def test_bench_multi_scenario_fanout(benchmark, save_artifact):
+    def pooled():
         driver.clear_cache()
         run = obs.new_run()
-        results = driver.run_all(
-            scale=BENCH_SCALE, seed=FANOUT_SEED,
-            executor=ParallelExecutor(backend, max_workers=executor.max_workers),
-        )
+        with forced("pooled"):
+            results = driver.run_all(scale=BENCH_SCALE, seed=FANOUT_SEED)
         return run, results
 
-    run, results = benchmark.pedantic(fan_out, rounds=2, iterations=1)
-    parallel_wall = benchmark.stats.stats.min
+    run, results = benchmark.pedantic(pooled, rounds=2, iterations=1)
+    pooled_wall = benchmark.stats.stats.min
 
     driver.clear_cache()
     t0 = time.perf_counter()
-    serial_results = driver.run_all(scale=BENCH_SCALE, seed=FANOUT_SEED,
-                                    executor=ParallelExecutor("serial"))
-    serial_wall = time.perf_counter() - t0
+    with forced("in-process"):
+        in_process = driver.run_all(scale=BENCH_SCALE, seed=FANOUT_SEED)
+    in_process_wall = time.perf_counter() - t0
     driver.clear_cache()
 
     # The mechanical speedup must never change the science.
-    assert _digest_all(results) == _digest_all(serial_results)
+    assert _digest_all(results) == _digest_all(in_process)
 
-    speedup = serial_wall / parallel_wall
+    speedup = in_process_wall / pooled_wall
     line = (
-        f"multi-scenario fan-out ({backend}): serial {serial_wall:.2f}s -> "
-        f"{parallel_wall:.2f}s wall, speedup {speedup:.2f}x, "
+        f"multi-scenario fan-out: in-process {in_process_wall:.2f}s -> "
+        f"pooled {pooled_wall:.2f}s wall, speedup {speedup:.2f}x, "
         f"straggler {_straggler(run)}"
     )
     print(line)
-    save_artifact(f"perf_parallel_{backend}", line)
-    # Fan-out must never be pathologically slower than the serial loop
-    # (pool startup is the only overhead); real speedup needs >1 core.
+    save_artifact("perf_parallel", line)
+    # A pool must never be pathologically slower than the in-process loop
+    # (its start-up is the only overhead); real speedup needs >1 core.
     assert speedup > 0.5

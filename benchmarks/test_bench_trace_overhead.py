@@ -18,7 +18,6 @@ import time
 
 from repro import obs
 from repro.defaults import DATASET_NAMES
-from repro.exec.executor import ParallelExecutor
 from repro.sim import driver
 
 from benchmarks.conftest import OUT_DIR
@@ -36,7 +35,8 @@ MAX_RELATIVE_OVERHEAD = 0.05
 
 
 def _week_once(name: str) -> float:
-    """One cold serial simulation of one week under a fresh run context.
+    """One cold simulation of one week (a one-task batch, so in-process)
+    under a fresh run context.
 
     The collector starts each run empty: otherwise the garbage of the run
     before is collected inside this one, and the first run of every pair
@@ -46,8 +46,7 @@ def _week_once(name: str) -> float:
     driver.clear_cache()
     gc.collect()
     start = time.perf_counter()
-    driver.run_all(scale=OVERHEAD_SCALE, seed=OVERHEAD_SEED, names=(name,),
-                   executor=ParallelExecutor("serial"))
+    driver.run_all(scale=OVERHEAD_SCALE, seed=OVERHEAD_SEED, names=(name,))
     elapsed = time.perf_counter() - start
     driver.clear_cache()
     return elapsed

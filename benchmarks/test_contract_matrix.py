@@ -1,8 +1,8 @@
 """The full equivalence contract, and the study under a lossy fault plan.
 
 Tier-1 runs a diagonal of ``tests/test_contract.py``'s cells; this runs
-every cell of the product (3 modes x 2 backends x 2 caches x 3 plans x
-2 trace settings), each of which must print ``tests/golden/study_0.01.txt``.
+every cell of the product (3 modes x 2 execution paths x 2 caches x
+3 plans x 2 trace settings), each of which must print ``tests/golden/study_0.01.txt``.
 
 The lossy cell runs a plan that loses probes, crashes and retries tasks,
 corrupts every cache read and garbles log lines.  Lost probes move the
@@ -21,8 +21,8 @@ from typing import List
 
 import pytest
 
+from tests.execpaths import PATHS
 from tests.test_contract import (
-    BACKENDS,
     CACHES,
     GOLDEN,
     MODES,
@@ -35,7 +35,7 @@ from tests.test_contract import (
     run_study,
 )
 
-CELLS = list(itertools.product(MODES, BACKENDS, CACHES, PLANS, TRACES))
+CELLS = list(itertools.product(MODES, PATHS, CACHES, PLANS, TRACES))
 
 LOSSY_PLAN = {
     "seed": 42,

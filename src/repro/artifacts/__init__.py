@@ -1,7 +1,7 @@
 """Content-addressed artifact store and stage-level memoization.
 
 The study's stages are deterministic functions of (config, master seed,
-code version) — PR 1's cross-backend byte-identity made that a tested
+code version) — byte-identity in a pool and in-process is a tested
 contract — so their outputs are cacheable by content address.  This
 package supplies the three layers:
 

@@ -10,16 +10,16 @@ of recomputing.
 The contract mirrors the executor's determinism contract: the wrapped
 function's output must depend only on its (canonicalisable) arguments.
 Arguments that merely steer *how* the work is done, not *what* it produces
-— an ``executor``, a progress callback — are excluded with ``ignore=``.
+— a progress callback, say — are excluded with ``ignore=``.
 
 The wrapper exposes ``cache_key(*args, **kwargs)`` (the key a call would
-hit, no work done) and ``map(arg_tuples, executor=None, labels=None)``,
-the one cached fan-out: every distinct key is looked up once in the
-calling process, only the misses fan out over the executor, and each
+hit, no work done) and ``map(arg_tuples, labels=None)``, the one cached
+fan-out: every distinct key is looked up once in the calling process,
+only the misses fan out (:func:`repro.exec.executor.fan_out`), and each
 miss is computed and stored once, by the task that computed it::
 
-    @memoized_stage("example/stage", ignore=("executor",))
-    def run_stage(scale=0.02, seed=7, executor=None): ...
+    @memoized_stage("example/stage", ignore=("progress",))
+    def run_stage(scale=0.02, seed=7, progress=None): ...
 
     key = run_stage.cache_key(scale=0.05)   # no work done
     values, hits = run_stage.map([(0.01,), (0.05,)])
@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.artifacts.keys import CanonicalizationError, stage_key
 from repro.artifacts.store import default_store
-from repro.exec.executor import default_executor
+from repro.exec.executor import fan_out
 
 _MISS = object()
 
@@ -43,8 +43,8 @@ def _fill(task: Tuple) -> Any:
     """Process-safe unit of work: compute one missed stage call, store it.
 
     The stage travels by reference (a module-level decorated function),
-    so a process worker runs the same function and writes to the same
-    store directory the parent looked in.
+    so a pool worker runs the same function and writes to the same store
+    directory the parent looked in.
     """
     stage_fn, key, args = task
     with obs.span(f"stage/{stage_fn.stage}", cached=False):
@@ -115,14 +115,13 @@ def memoized_stage(
 
         def map_tasks(
             arg_tuples: Sequence[Sequence],
-            executor=None,
             labels: Optional[Sequence[str]] = None,
         ) -> Tuple[List[Any], List[bool]]:
             """Run the stage over many calls: hits read, misses fanned out.
 
             Each distinct key is looked up once, here, under a
             ``stage/<name>`` span carrying ``cached``; only the misses
-            fan out over ``default_executor(executor)``, and each is
+            fan out (:func:`~repro.exec.executor.fan_out`), and each is
             computed and stored once by its task.  Calls that share a key
             share its value (and its hit flag), so equal calls in one
             batch compute once.  A call whose arguments cannot be
@@ -131,8 +130,6 @@ def memoized_stage(
 
             Args:
                 arg_tuples: Positional arguments, one tuple per call.
-                executor: Fan-out strategy for the misses; ``None``
-                    reads ``REPRO_EXECUTOR``.
                 labels: Executor labels, parallel to ``arg_tuples``.
 
             Returns:
@@ -166,7 +163,7 @@ def memoized_stage(
             owner = [i if key is None else first[key] for i, key in enumerate(keys)]
             pending = [i for i, hit in enumerate(hits) if not hit and owner[i] == i]
             if pending:
-                fresh = default_executor(executor).map(
+                fresh = fan_out(
                     _fill,
                     [(wrapper, keys[i], tasks[i]) for i in pending],
                     labels=None if labels is None else [labels[i] for i in pending],

@@ -4,8 +4,8 @@ Values are pickled stage outputs (simulation results, RTT matrices, metric
 rows, rendered reports) addressed by the sha256 keys of
 :func:`repro.artifacts.keys.stage_key`.  Writes go through a temp file in
 the destination directory followed by an atomic :func:`os.replace`, so any
-number of concurrent processes — e.g. the workers of a ``process``-backend
-:class:`~repro.exec.executor.ParallelExecutor` — can share one cache directory
+number of concurrent processes — e.g. the pool workers of
+:func:`~repro.exec.executor.fan_out` — can share one cache directory
 without locks: a reader sees either the complete artifact or nothing.
 
 Layout, under ``REPRO_CACHE_DIR`` (default ``~/.cache/repro``)::

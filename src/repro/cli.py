@@ -44,7 +44,6 @@ from repro.defaults import (
     DEFAULT_THRESHOLD,
     MIN_SCALE,
 )
-from repro.exec.executor import BACKENDS, ENV_BACKEND, ENV_WORKERS, ParallelExecutor
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -53,16 +52,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="traffic scale relative to the paper (default 0.02)",
     )
     parser.add_argument("--seed", type=int, default=7, help="master seed")
-    parser.add_argument(
-        "--parallel", default=None, metavar="{" + ",".join(BACKENDS) + "}",
-        help="execution backend for independent runs "
-        "(default: $REPRO_EXECUTOR, else serial; "
-        "results are identical on every backend)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker bound for --parallel (default: CPU count)",
-    )
     parser.add_argument(
         "--faults", default=None, metavar="PLAN",
         help="deterministic fault-injection plan: a JSON object "
@@ -120,41 +109,6 @@ def _check_policies(kinds: Sequence[str]) -> None:
     for kind in kinds:
         if kind not in registered:
             raise UsageError(str(UnknownPolicyError(kind)))
-
-
-def _env_executor() -> ParallelExecutor:
-    """The executor ``REPRO_EXECUTOR`` / ``REPRO_EXECUTOR_WORKERS`` select.
-
-    Raises:
-        UsageError: For an invalid setting of either variable.
-    """
-    try:
-        return ParallelExecutor.from_env()
-    except ValueError as error:
-        raise UsageError(f"bad {ENV_BACKEND}/{ENV_WORKERS} setting: {error}") from None
-
-
-def executor_from_args(args: argparse.Namespace) -> Optional[ParallelExecutor]:
-    """The executor selected on the command line, or ``None`` for env/default.
-
-    ``--parallel`` wins over ``REPRO_EXECUTOR``; ``--workers`` alone keeps
-    the environment's backend but bounds its pool.
-
-    Raises:
-        UsageError: For a non-positive ``--workers``, or an invalid
-            ``REPRO_EXECUTOR`` / ``REPRO_EXECUTOR_WORKERS`` that the run
-            would fall back to.
-    """
-    backend = getattr(args, "parallel", None)
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        raise UsageError(f"--workers must be positive, got {workers}")
-    if backend is None:
-        env_executor = _env_executor()
-        if workers is None:
-            return None
-        backend = env_executor.backend
-    return ParallelExecutor(backend, max_workers=workers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,30 +466,27 @@ def _render_study(args: argparse.Namespace):
 
     buffer = io.StringIO()
     landmark_count = _landmark_count(args)
-    executor = executor_from_args(args)
     digests = None
     if args.stream:
         from repro.stream.study import run_streaming_study
 
         pipeline, digests = run_streaming_study(
             args.scale, args.seed, args.window_s, policy_kind=args.policy,
-            landmark_count=landmark_count, executor=executor, hashed=args.digests,
+            landmark_count=landmark_count, hashed=args.digests,
         )
     else:
         from repro.exec.executor import ExecutionError
         from repro.sim.driver import run_all
 
         try:
-            results = run_all(
-                scale=args.scale, seed=args.seed, executor=executor, policy_kind=args.policy,
-            )
+            results = run_all(scale=args.scale, seed=args.seed, policy_kind=args.policy)
         except ExecutionError as error:
             # The policy is checked where a week is simulated: a study
             # whose weeks are cached never loads the policy registry.
             if error.cause_type != "UnknownPolicyError":
                 raise
             raise UsageError(error.cause_message) from None
-        pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
+        pipeline = StudyPipeline(results, landmark_count=landmark_count)
     if args.full:
         from repro.core.report import render_study_report
 
@@ -579,10 +530,7 @@ def _study_digests(args: argparse.Namespace, store, streamed):
         if digests is None:
             from repro.sim.driver import run_all
 
-            results = run_all(
-                scale=args.scale, seed=args.seed, executor=executor_from_args(args),
-                policy_kind=args.policy,
-            )
+            results = run_all(scale=args.scale, seed=args.seed, policy_kind=args.policy)
             digests = {name: r.dataset.content_digest() for name, r in results.items()}
         if store is not None:
             store.put(key, digests, stage="cli/digests")
@@ -612,11 +560,10 @@ def cmd_study(args: argparse.Namespace, out) -> int:
         )
     # The rendered report is itself a stage artifact: on a warm cache the
     # whole study is one read, which is what makes re-runs startup-bound.
-    # Keyed by everything the text depends on; --parallel/--workers change
-    # only how the work is scheduled, never the bytes, so they stay out —
-    # and so do --stream/--window-s, an execution strategy under the same
-    # byte-parity contract (a streamed or batch run fills and hits the
-    # same artifact).  The digests are an artifact of their own.
+    # Keyed by everything the text depends on; --stream/--window-s, an
+    # execution strategy under the byte-parity contract, stay out (a
+    # streamed or batch run fills and hits the same artifact).  The
+    # digests are an artifact of their own.
     store = default_store()
     text = None
     key = None
@@ -663,12 +610,8 @@ def cmd_eval(args: argparse.Namespace, out) -> int:
         raise UsageError("--policy names no policies")
     _check_policies(kinds)
     landmark_count = _landmark_count(args)
-    executor = executor_from_args(args)
     evaluations = [
-        evaluate_policy(
-            kind, scale=args.scale, seed=args.seed,
-            landmark_count=landmark_count, executor=executor,
-        )
+        evaluate_policy(kind, scale=args.scale, seed=args.seed, landmark_count=landmark_count)
         for kind in kinds
     ]
     if args.as_json:
@@ -818,7 +761,7 @@ def cmd_whatif(args: argparse.Namespace, out) -> int:
     try:
         result = run_grid(
             GridSpec(base=args.dataset, axes=(GridAxis("variant", names),)),
-            scale=args.scale, seed=args.seed, executor=executor_from_args(args),
+            scale=args.scale, seed=args.seed,
         )
     except SpecError as error:
         raise UsageError(str(error)) from None
@@ -837,9 +780,8 @@ def cmd_figures(args: argparse.Namespace, out) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as error:
         raise UsageError(f"cannot create --out-dir {args.out_dir}: {error}") from None
-    executor = executor_from_args(args)
-    results = run_all(scale=args.scale, seed=args.seed, executor=executor)
-    pipeline = StudyPipeline(results, landmark_count=landmark_count, executor=executor)
+    results = run_all(scale=args.scale, seed=args.seed)
+    pipeline = StudyPipeline(results, landmark_count=landmark_count)
     names = pipeline.dataset_names
 
     figures = [
@@ -901,7 +843,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
     try:
         result = run_grid(
             GridSpec(base=args.dataset, axes=(GridAxis(args.parameter, values),)),
-            scale=args.scale, seed=args.seed, executor=executor_from_args(args),
+            scale=args.scale, seed=args.seed,
         )
     except (SpecError, KeyError) as error:
         raise UsageError(error.args[0]) from None
@@ -1048,10 +990,7 @@ def cmd_grid(args: argparse.Namespace, out) -> int:
 
         metrics = _parse_metrics(args.metrics)
         try:
-            result = run_grid(
-                grid, scale=args.scale, seed=args.seed,
-                executor=executor_from_args(args),
-            )
+            result = run_grid(grid, scale=args.scale, seed=args.seed)
         except (SpecError, KeyError) as error:
             raise UsageError(f"cannot run grid: {error}") from None
         _print_metric_rows(
@@ -1151,7 +1090,6 @@ def cmd_monitor(args: argparse.Namespace, out) -> int:
             seed=args.seed,
             threshold=args.threshold,
             base_policy=args.policy,
-            executor=executor_from_args(args),
         )
     except (SpecError, ValueError) as error:
         raise UsageError(f"cannot monitor: {error}") from None
@@ -1212,9 +1150,9 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
 def _install_fault_plan(spec: str) -> None:
     """Make ``--faults`` this run's fault plan.
 
-    Normalises the plan into ``REPRO_FAULTS`` so process-pool workers
-    inherit it.  The run context the caller starts next holds this
-    run's degradation counters, so its report covers exactly this run.
+    Installs the plan in this process, where forked pool workers inherit
+    it.  The run context the caller starts next holds this run's
+    degradation counters, so its report covers exactly this run.
 
     Raises:
         UsageError: For a plan that does not parse or cannot be read.
@@ -1225,8 +1163,7 @@ def _install_fault_plan(spec: str) -> None:
         plan = faults_plan.FaultPlan.from_spec(spec)
     except (ValueError, OSError) as error:
         raise UsageError(f"bad --faults plan: {error}") from None
-    os.environ[faults_plan.ENV_FAULTS] = plan.to_json()
-    faults_plan.clear_current_plan()
+    faults_plan.set_current_plan(plan)
 
 
 _COMMANDS = {
@@ -1260,31 +1197,21 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = sys.stdout if out is None else out
     if not getattr(args, "faults", None):
         return _run(args, out)
-    # --faults reaches process workers through the environment; put the
-    # variable back on exit, or a later invocation in this process would
-    # run under this one's plan.
-    from repro.faults.plan import ENV_FAULTS
+    # --faults installs this run's plan (forked pool workers inherit it);
+    # drop it on exit, or a later invocation in this process would run
+    # under this one's plan.
+    from repro.faults.plan import clear_current_plan
 
-    prior_plan = os.environ.get(ENV_FAULTS)
     try:
         return _run(args, out)
     finally:
-        if prior_plan is None:
-            os.environ.pop(ENV_FAULTS, None)
-        else:
-            os.environ[ENV_FAULTS] = prior_plan
+        clear_current_plan()
 
 
 def _run(args: argparse.Namespace, out) -> int:
     """Check one parsed command's inputs, then run it."""
     try:
         _check_scale(getattr(args, "scale", None))
-        parallel = getattr(args, "parallel", None)
-        if parallel is not None and parallel not in BACKENDS:
-            raise UsageError(f"--parallel must be one of {BACKENDS}, got {parallel!r}")
-        # Every command may fan out through the environment's executor,
-        # so a bad setting fails here, not only where a command reads it.
-        _env_executor()
         if getattr(args, "faults", None):
             _install_fault_plan(args.faults)
     except UsageError as error:

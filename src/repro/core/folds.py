@@ -324,7 +324,7 @@ class EdgeCloudAccumulator:
 
     All totals are exact integers accumulated in pure python (cells are
     too few for the columnar kernels to matter), so snapshots are
-    byte-identical on every backend.
+    byte-identical in a pool or in-process.
 
     Args:
         subnet_of: Client address -> subnet name (``None`` to skip the

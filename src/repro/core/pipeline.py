@@ -41,7 +41,6 @@ from repro.core import preferred as preferred_mod
 from repro.core import sessions as sessions_mod
 from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.summary import DatasetSummary
-from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.geo.landmarks import LandmarkSet, generate_landmarks
 from repro.geoloc.cbg import CbgGeolocator
@@ -95,9 +94,6 @@ class StudyPipeline:
         landmark_count: Landmark budget for CBG; ``None`` uses the paper's
             full 215-node set.  Tests pass a smaller number.
         seed: Measurement-noise seed (independent of the worlds' seeds).
-        executor: Fan-out strategy for the per-vantage RTT campaigns;
-            ``None`` reads ``REPRO_EXECUTOR``.  Results are backend-
-            independent (each campaign owns a derived-seed prober).
         folds: Per-dataset ``(traffic, hourly)`` folds already sealed
             over a streamed week; ``None`` folds each ``dataset`` here.
     """
@@ -107,7 +103,6 @@ class StudyPipeline:
         results: Mapping[str, SimulationResult],
         landmark_count: Optional[int] = None,
         seed: int = 11,
-        executor: Optional[ParallelExecutor] = None,
         folds: Optional[
             Mapping[str, Tuple[TrafficAccumulator, HourlyShareAccumulator]]
         ] = None,
@@ -117,7 +112,6 @@ class StudyPipeline:
         self._results = dict(results)
         self._landmark_count = landmark_count
         self._seed = seed
-        self._executor = executor
         self._folds = folds
 
     # ------------------------------------------------------------ plumbing
@@ -252,9 +246,10 @@ class StudyPipeline:
     def rtt_campaigns(self) -> Dict[str, Dict[int, float]]:
         """Figure 2: per-dataset server RTT campaigns.
 
-        One campaign per vantage point, fanned out over the executor.
+        One campaign per vantage point, fanned out
+        (:func:`~repro.geoloc.probing.run_campaigns`).
         Each job carries its own derived-seed prober and a pre-resolved
-        target map, so it measures exactly what the serial path would:
+        target map, so it measures exactly what an in-process run would:
         every reachable server of its dataset, in sorted-address order.
         """
         site_of_ip = self._site_of_ip
@@ -276,7 +271,7 @@ class StudyPipeline:
                 )
             )
         with obs.span("pipeline/rtt_campaigns", campaigns=len(jobs)):
-            measured = run_campaigns(jobs, executor=self._executor)
+            measured = run_campaigns(jobs)
         degradation.stage_completed("pipeline/rtt_campaigns")
         return dict(zip(self._results, measured))
 

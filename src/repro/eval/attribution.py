@@ -300,7 +300,6 @@ def evaluate_policy(
     seed: int = 7,
     landmark_count: Optional[int] = 60,
     names: Optional[Tuple[str, ...]] = None,
-    executor=None,
 ) -> PolicyEvaluation:
     """Simulate a policy's study, run the blind pipeline, and score it.
 
@@ -310,7 +309,6 @@ def evaluate_policy(
         seed: Master seed.
         landmark_count: CBG landmark budget (``None`` = all landmarks).
         names: Datasets to evaluate (default: all five).
-        executor: Fan-out strategy for the simulations.
 
     Returns:
         The :class:`PolicyEvaluation`.
@@ -329,11 +327,8 @@ def evaluate_policy(
 
     results = run_all(
         scale=scale, seed=seed, policy_kind=policy_kind, names=names,
-        executor=executor,
     )
-    pipeline = StudyPipeline(
-        results, landmark_count=landmark_count, executor=executor
-    )
+    pipeline = StudyPipeline(results, landmark_count=landmark_count)
     return PolicyEvaluation(
         policy_kind=policy_kind,
         scores=score_attribution(pipeline, results, policy_kind),

@@ -1,32 +1,40 @@
-"""Deterministic parallel execution over independent units of work.
+"""Deterministic fan-out over independent units of work.
 
 The study is full of embarrassingly-parallel loops — five vantage points'
 weeks, what-if variants, sweep grid points, per-vantage RTT campaigns —
 that the seed-derivation discipline (:func:`repro.sim.seeding.derive_seed`)
 already makes order-independent: every unit owns its RNG, so running units
-concurrently cannot perturb their draws.  This module supplies the missing
-mechanical piece: a :class:`ParallelExecutor` that fans such units out over
-a backend (in-process serial, or a process pool) while keeping results in
-input order and containing worker faults.  There is no thread pool: the
-study is CPU-bound Python, where threads only add GIL contention.
+concurrently cannot perturb their draws.  :func:`fan_out` runs such units,
+keeping results in input order and containing task faults.
 
-Task time is recorded once, by the tracer: every ``map`` is an
+There is one executor and no setting.  Each attempt round looks at what
+it can observe and picks its own path (:func:`_pool_size`): a forked
+process pool when the round has at least two tasks, the process may use
+at least two CPUs, ``fork`` is the start method, and the caller is not
+itself a pool worker (so pools never nest); otherwise the tasks run
+in-process, one after the other.  There is no thread pool: the study is
+CPU-bound Python, where threads only add GIL contention.
+
+A pool is only ever forked, so its workers inherit the dispatcher's
+memory: the installed fault plan, patched module attributes and the
+tracing switch need no hand-off.  What comes back travels with each
+task's outcome: its value or contained error, its spans (when tracing is
+on), and the run metrics it added, such as degradation counters (also
+with tracing off).
+
+Task time is recorded once, by the tracer: every batch is an
 ``exec/map`` span, and every task a ``task:<label>`` span under it, also
-when it ran in a worker process (:mod:`repro.obs.tracer`).
+when it ran in a pool worker (:mod:`repro.obs.tracer`).
 
 Determinism contract: for a task function that depends only on its item
-(no ambient global state), both backends return identical values in
-identical order.  ``tests/test_exec_determinism.py`` holds the simulator to
-that contract byte-for-byte.
+(no ambient global state), both paths return identical values in
+identical order.  ``tests/test_exec_determinism.py`` holds the simulator
+to that contract byte-for-byte.
 
-Backend selection::
-
-    executor = ParallelExecutor("process", max_workers=4)   # explicit
-    executor = ParallelExecutor.from_env()                  # REPRO_EXECUTOR
-
-Process-backend caveat: the task function must be a module-level callable
-and its items/results picklable — the standard :mod:`concurrent.futures`
-restriction.
+The task function must be a module-level callable and its items and
+results picklable, the standard :mod:`concurrent.futures` restriction; a
+task whose item or result does not pickle fails alone, as a contained
+:class:`ExecutionError`.
 """
 
 from __future__ import annotations
@@ -39,14 +47,8 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from repro import obs
 
-#: Recognised backend names, in documentation order.
-BACKENDS = ("serial", "process")
-
-#: Environment variable naming the backend (``serial``/``process``).
-ENV_BACKEND = "REPRO_EXECUTOR"
-
-#: Environment variable bounding the worker count (positive integer).
-ENV_WORKERS = "REPRO_EXECUTOR_WORKERS"
+#: Whether this process is a pool worker (set by the pool's initializer).
+_IN_WORKER = False
 
 
 class ExecutionError(RuntimeError):
@@ -54,13 +56,12 @@ class ExecutionError(RuntimeError):
 
     The pool is never killed by one bad task: the failure is captured where
     it happened and re-surfaced here with the *original* traceback text, so
-    a crash inside a process worker reads exactly like a local one.
+    a crash inside a pool worker reads exactly like a local one.
 
-    With nested pools (a process task that fans out its own executor) the
-    inner failure is already an ``ExecutionError``; re-wrapping keeps the
-    *root* ``cause_type`` and worker traceback and prefixes the label path,
-    so the diagnosis survives any number of pool hops and pickle
-    round-trips.
+    With nested batches (a task that fans out its own batch) the inner
+    failure is already an ``ExecutionError``; re-wrapping keeps the *root*
+    ``cause_type`` and worker traceback and prefixes the label path, so the
+    diagnosis survives any number of hops and pickle round-trips.
 
     Attributes:
         label: The failed task's label (``outer -> inner`` when nested).
@@ -91,8 +92,7 @@ class ExecutionError(RuntimeError):
     def __reduce__(self):
         # All five fields must travel: reconstructing from the base
         # RuntimeError args (or from the first four fields only) silently
-        # drops the attempt count on re-pickle round-trips across nested
-        # pools.
+        # drops the attempt count when a contained error is re-pickled.
         return (
             ExecutionError,
             (
@@ -121,10 +121,9 @@ class ExecutionError(RuntimeError):
 def _inject_task_fault(label: str, attempt: int) -> None:
     """Raise an injected fault for this task attempt, if the plan says so.
 
-    Resolved from the ambient fault plan (``REPRO_FAULTS`` travels to
-    process workers through the environment), with decisions keyed on
-    ``(label, attempt)`` — deterministic regardless of backend or
-    scheduling.
+    Resolved from the ambient fault plan (a forked worker inherits the
+    dispatcher's), with decisions keyed on ``(label, attempt)`` —
+    deterministic regardless of path or scheduling.
     """
     from repro.faults.plan import active_plan
     from repro.faults.retry import TransientFault, WorkerCrash
@@ -149,6 +148,9 @@ class TaskOutcome:
         capture: The task's span/metrics capture
             (:class:`~repro.obs.TaskCapture`), when tracing is on and a
             span context was propagated; ``None`` otherwise.
+        run_metrics: The run metrics a pool worker's task added (its
+            degradation counters, recorded with tracing off too);
+            ``None`` in-process, where they land in the run directly.
         collected_abs: ``time.perf_counter()`` in the *dispatching*
             process at the moment the outcome was collected — the anchor
             for rebasing the capture's relative span times onto the
@@ -158,6 +160,7 @@ class TaskOutcome:
 
     payload: Any
     capture: Optional[obs.TaskCapture] = None
+    run_metrics: Optional[obs.MetricsRegistry] = None
     collected_abs: float = 0.0
 
 
@@ -170,210 +173,209 @@ def _run_task(
 ) -> TaskOutcome:
     """Run one task attempt, containing any failure.
 
-    Module-level so the process backend can pickle it.  Returns a
-    :class:`TaskOutcome` whose payload is either the task's value or an
-    :class:`ExecutionError` built from the in-worker traceback.  When a
-    span context rides along, the attempt runs inside a ``task:<label>``
-    capture span, so everything the task records (nested spans, cache
-    counters) travels back for merging under the dispatching map span.
+    Returns a :class:`TaskOutcome` whose payload is either the task's
+    value or an :class:`ExecutionError` built from the in-worker
+    traceback.  When a span context rides along, the attempt runs inside
+    a ``task:<label>`` capture span, so everything the task records
+    (nested spans, cache counters) travels back for merging under the
+    dispatching map span.
     """
     capture = obs.task_capture(span_ctx, label, attempt)
     try:
         with capture:
             _inject_task_fault(label, attempt)
-            value = fn(item)
+            payload = fn(item)
     except Exception as exc:  # contain, never kill the pool
-        return TaskOutcome(
-            ExecutionError.wrap(label, exc, traceback.format_exc()), capture.result
-        )
-    return TaskOutcome(value, capture.result)
+        payload = ExecutionError.wrap(label, exc, traceback.format_exc())
+    return TaskOutcome(payload, capture.result)
 
 
-class ParallelExecutor:
-    """Ordered, fault-contained fan-out over a pluggable backend.
+def _run_pooled_task(*args: Any) -> TaskOutcome:
+    """:func:`_run_task` in a pool worker, in a run of its own.
+
+    A forked worker inherits the dispatcher's run metrics, so the task
+    starts a fresh run, and only what it adds travels back.
+    """
+    run = obs.new_run()
+    outcome = _run_task(*args)
+    outcome.run_metrics = run.metrics
+    return outcome
+
+
+def _pool_size(tasks: int) -> int:
+    """Worker processes for one round of ``tasks`` tasks; 0 runs it in-process.
+
+    A round pools when it has at least two tasks, the process may use at
+    least two CPUs (its affinity mask, where the platform has one), the
+    start method is ``fork`` and this process is not itself a pool
+    worker.  Tests patch this function to force a path.
+    """
+    if tasks < 2 or _IN_WORKER:
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return 0
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        return 0
+    return min(tasks, cpus)
+
+
+def fan_out(
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
+    labels: Optional[Sequence[str]] = None,
+    on_error: str = "raise",
+) -> List[Any]:
+    """Apply ``fn`` to every item, returning results in input order.
+
+    All tasks run to completion regardless of individual failures
+    (fault containment): a failed task never cancels its siblings.
+    Under an active fault plan, failures whose type is in
+    :data:`~repro.faults.retry.RETRY_ON` are re-attempted in follow-up
+    rounds, up to :data:`~repro.faults.retry.MAX_ATTEMPTS` attempts per
+    task, before they count as failures at all.  Each round picks its
+    own path (:func:`_pool_size`).
 
     Args:
-        backend: ``"serial"`` (default: run in the calling process) or
-            ``"process"``.
-        max_workers: Worker bound for the process pool; defaults to
-            ``os.cpu_count()`` capped at the batch size.
+        fn: Task function (module-level, so a pool can pickle it).
+        items: Units of work.
+        labels: Per-task labels for task spans and errors; defaults to
+            ``task[i]``.
+        on_error: ``"raise"`` re-raises the first failure as an
+            :class:`ExecutionError` after the whole batch finishes;
+            ``"return"`` leaves each failure's :class:`ExecutionError`
+            in its result slot instead.
+
+    Returns:
+        Task results (or contained errors), in input order.
 
     Raises:
-        ValueError: For unknown backends or a non-positive worker count.
+        ExecutionError: A task failed and ``on_error="raise"``.
+        ValueError: For a bad ``on_error`` or mismatched label count.
     """
+    if on_error not in ("raise", "return"):
+        raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
+    items = list(items)
+    if labels is None:
+        labels = [f"task[{i}]" for i in range(len(items))]
+    else:
+        labels = [str(label) for label in labels]
+        if len(labels) != len(items):
+            raise ValueError(f"{len(labels)} labels for {len(items)} items")
+    from repro.faults.plan import active_plan
+    from repro.faults.retry import MAX_ATTEMPTS, RETRY_ON
 
-    def __init__(self, backend: str = "serial", max_workers: Optional[int] = None):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be positive")
-        self.backend = backend
-        self.max_workers = max_workers
-
-    @classmethod
-    def from_env(cls, default: str = "serial") -> "ParallelExecutor":
-        """Build from ``REPRO_EXECUTOR`` / ``REPRO_EXECUTOR_WORKERS``.
-
-        Unset variables fall back to ``default`` workers/backend; invalid
-        values raise exactly like the constructor.
-        """
-        backend = os.environ.get(ENV_BACKEND, default).strip().lower() or default
-        workers_text = os.environ.get(ENV_WORKERS, "").strip()
-        max_workers = int(workers_text) if workers_text else None
-        return cls(backend, max_workers=max_workers)
-
-    # ------------------------------------------------------------- mapping
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        labels: Optional[Sequence[str]] = None,
-        on_error: str = "raise",
-    ) -> List[Any]:
-        """Apply ``fn`` to every item, returning results in input order.
-
-        All tasks run to completion regardless of individual failures
-        (fault containment): a failed task never cancels its siblings.
-        Under an active fault plan, failures whose type is in
-        :data:`~repro.faults.retry.RETRY_ON` are re-attempted in
-        follow-up rounds, up to :data:`~repro.faults.retry.MAX_ATTEMPTS`
-        attempts per task, before they count as failures at all.
-
-        Args:
-            fn: Task function (module-level for the process backend).
-            items: Units of work.
-            labels: Per-task labels for task spans and errors; defaults to
-                ``task[i]``.
-            on_error: ``"raise"`` re-raises the first failure as an
-                :class:`ExecutionError` after the whole batch finishes;
-                ``"return"`` leaves each failure's :class:`ExecutionError`
-                in its result slot instead.
-
-        Returns:
-            Task results (or contained errors), in input order.
-
-        Raises:
-            ExecutionError: A task failed and ``on_error="raise"``.
-            ValueError: For a bad ``on_error`` or mismatched label count.
-        """
-        if on_error not in ("raise", "return"):
-            raise ValueError(f"on_error must be 'raise' or 'return', got {on_error!r}")
-        items = list(items)
-        if labels is None:
-            labels = [f"task[{i}]" for i in range(len(items))]
-        else:
-            labels = [str(label) for label in labels]
-            if len(labels) != len(items):
-                raise ValueError(f"{len(labels)} labels for {len(items)} items")
-        from repro.faults.plan import active_plan
-        from repro.faults.retry import MAX_ATTEMPTS, RETRY_ON
-
-        max_attempts = MAX_ATTEMPTS if active_plan() is not None else 1
-        outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
-        with obs.span("exec/map", backend=self.backend, tasks=len(items)) as map_span:
-            contexts: List[Optional[obs.SpanContext]] = [None] * len(items)
-            if map_span is not None:
-                contexts = [
-                    obs.SpanContext(
-                        parent_id=map_span.span_id,
-                        prefix=f"{map_span.span_id}.t{i}",
-                    )
-                    for i in range(len(items))
-                ]
-            pending_idx = list(range(len(items)))
-            attempt = 1
-            while pending_idx:
-                round_outcomes = self._dispatch(
-                    fn, [items[i] for i in pending_idx],
-                    [labels[i] for i in pending_idx], attempt,
-                    [contexts[i] for i in pending_idx],
+    max_attempts = MAX_ATTEMPTS if active_plan() is not None else 1
+    outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
+    with obs.span("exec/map", tasks=len(items), workers=0) as map_span:
+        contexts: List[Optional[obs.SpanContext]] = [None] * len(items)
+        if map_span is not None:
+            contexts = [
+                obs.SpanContext(
+                    parent_id=map_span.span_id,
+                    prefix=f"{map_span.span_id}.t{i}",
                 )
-                for i, outcome in zip(pending_idx, round_outcomes):
-                    payload = outcome.payload
-                    if isinstance(payload, ExecutionError):
-                        payload.attempts = max(payload.attempts, attempt)
-                    outcomes[i] = outcome
-                    obs.merge_capture(outcome.capture, outcome.collected_abs)
-                if attempt >= max_attempts:
-                    break
-                retryable = [
-                    i for i in pending_idx
-                    if isinstance(outcomes[i].payload, ExecutionError)
-                    and outcomes[i].payload.cause_type in RETRY_ON
-                ]
-                if not retryable:
-                    break
-                from repro.faults import report as degradation
-
-                degradation.record("exec/map", retried=len(retryable))
-                pending_idx = retryable
-                attempt += 1
-
-        results = [outcome.payload for outcome in outcomes]
-        if on_error == "raise":
-            for payload in results:
+                for i in range(len(items))
+            ]
+        pending_idx = list(range(len(items)))
+        attempt = 1
+        while pending_idx:
+            workers = _pool_size(len(pending_idx))
+            if map_span is not None:
+                map_span.attrs["workers"] = max(map_span.attrs["workers"], workers)
+            round_outcomes = _dispatch(
+                fn, [items[i] for i in pending_idx],
+                [labels[i] for i in pending_idx], attempt,
+                [contexts[i] for i in pending_idx], workers,
+            )
+            for i, outcome in zip(pending_idx, round_outcomes):
+                payload = outcome.payload
                 if isinstance(payload, ExecutionError):
-                    raise payload
-        return results
-
-    def _dispatch(
-        self,
-        fn: Callable[[Any], Any],
-        items: List[Any],
-        labels: List[str],
-        attempt: int,
-        contexts: List[Optional[obs.SpanContext]],
-    ) -> List[TaskOutcome]:
-        """Run one attempt round over the backend, results in input order."""
-        if self.backend == "serial" or len(items) <= 1:
-            outcomes = []
-            for item, label, ctx in zip(items, labels, contexts):
-                outcome = _run_task(fn, item, label, attempt, ctx)
-                outcome.collected_abs = time.perf_counter()
-                outcomes.append(outcome)
-            return outcomes
-        return self._pooled(fn, items, labels, attempt, contexts)
-
-    def _pooled(
-        self, fn: Callable[[Any], Any], items: List[Any], labels: List[str],
-        attempt: int, contexts: List[Optional[obs.SpanContext]],
-    ) -> List[TaskOutcome]:
-        """Fan a batch out over a process pool, preserving input order.
-
-        The pool fails only the future of a task whose item or result
-        does not pickle, and keeps the pool alive; that failure, like a
-        crashed worker, is contained as the task's :class:`ExecutionError`.
-        """
-        workers = self.max_workers or os.cpu_count() or 1
-        workers = max(1, min(workers, len(items)))
-        # The pool loads the multiprocessing machinery, which a serial run
-        # never needs.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_run_task, fn, item, label, attempt, ctx): i
-                for i, (item, label, ctx) in enumerate(zip(items, labels, contexts))
-            }
-            for future in as_completed(futures):
-                i = futures[future]
-                try:
-                    outcome = future.result()
-                except Exception as exc:
-                    outcome = TaskOutcome(ExecutionError(
-                        labels[i], type(exc).__name__, str(exc), traceback.format_exc(),
-                    ))
-                outcome.collected_abs = time.perf_counter()
+                    payload.attempts = max(payload.attempts, attempt)
                 outcomes[i] = outcome
-        return outcomes
+                obs.merge_capture(outcome.capture, outcome.collected_abs)
+                if outcome.run_metrics is not None:
+                    obs.current_run().metrics.merge(outcome.run_metrics)
+            if attempt >= max_attempts:
+                break
+            retryable = [
+                i for i in pending_idx
+                if isinstance(outcomes[i].payload, ExecutionError)
+                and outcomes[i].payload.cause_type in RETRY_ON
+            ]
+            if not retryable:
+                break
+            from repro.faults import report as degradation
+
+            degradation.record("exec/map", retried=len(retryable))
+            pending_idx = retryable
+            attempt += 1
+
+    results = [outcome.payload for outcome in outcomes]
+    if on_error == "raise":
+        for payload in results:
+            if isinstance(payload, ExecutionError):
+                raise payload
+    return results
 
 
-def default_executor(executor: Optional[ParallelExecutor]) -> ParallelExecutor:
-    """The executor to use: the given one, else ``from_env()``.
+def _dispatch(
+    fn: Callable[[Any], Any],
+    items: List[Any],
+    labels: List[str],
+    attempt: int,
+    contexts: List[Optional[obs.SpanContext]],
+    workers: int,
+) -> List[TaskOutcome]:
+    """Run one attempt round, results in input order.
 
-    Library entry points take ``executor=None`` and resolve it here, so a
-    plain call obeys ``REPRO_EXECUTOR`` while tests can inject explicitly.
+    With ``workers`` of 0 the tasks run here, one after the other;
+    otherwise they fan out over a forked pool of that many processes.
+    The pool fails only the future of a task whose item or result does
+    not pickle, and keeps the pool alive; that failure, like a crashed
+    worker, is contained as the task's :class:`ExecutionError`.
     """
-    return executor if executor is not None else ParallelExecutor.from_env()
+    if not workers:
+        outcomes = []
+        for item, label, ctx in zip(items, labels, contexts):
+            outcome = _run_task(fn, item, label, attempt, ctx)
+            outcome.collected_abs = time.perf_counter()
+            outcomes.append(outcome)
+        return outcomes
+    # The pool loads the multiprocessing machinery, which an in-process
+    # round never needs.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    outcomes: List[Optional[TaskOutcome]] = [None] * len(items)
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_enter_worker,
+    ) as pool:
+        futures = {
+            pool.submit(_run_pooled_task, fn, item, label, attempt, ctx): i
+            for i, (item, label, ctx) in enumerate(zip(items, labels, contexts))
+        }
+        for future in as_completed(futures):
+            i = futures[future]
+            try:
+                outcome = future.result()
+            except Exception as exc:
+                outcome = TaskOutcome(ExecutionError(
+                    labels[i], type(exc).__name__, str(exc), traceback.format_exc(),
+                ))
+            outcome.collected_abs = time.perf_counter()
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _enter_worker() -> None:
+    """Pool initializer: mark this process as a worker, so it never pools."""
+    global _IN_WORKER
+    _IN_WORKER = True

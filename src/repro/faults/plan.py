@@ -12,9 +12,10 @@ pure function of ``(plan.seed, site labels)`` via
 scheduling.  Two runs of the same (seed, plan) inject the same faults at
 the same sites, so chaos runs are debuggable and byte-comparable.
 
-Plans travel as JSON — a file path or an inline object — through the
-``--faults`` CLI flag or the ``REPRO_FAULTS`` environment variable (which
-is how process-pool workers inherit the plan).  The grammar::
+Plans are JSON — a file path or an inline object — given by the
+``--faults`` CLI flag or the ``REPRO_FAULTS`` environment variable.  The
+plan in force lives in this process, and a pool's workers are forked from
+it, so they inherit it with no hand-off.  The grammar::
 
     {
       "seed": 42,                  // fault-decision seed
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-#: Environment variable carrying the active plan (a JSON object or a path
-#: to one); how the CLI hands the plan to process-pool workers.
+#: Environment variable carrying a plan (a JSON object or a path to one),
+#: in force when none is installed with :func:`set_current_plan`.
 ENV_FAULTS = "REPRO_FAULTS"
 
 #: The injection-rate fields of :class:`FaultPlan`, in grammar order.
@@ -187,10 +188,10 @@ class FaultPlan:
         return cls.from_json(Path(spec).read_text(encoding="utf-8"))
 
 
-# The process-wide plan.  An explicit set_current_plan() wins; otherwise
-# the environment is re-parsed whenever REPRO_FAULTS changes, so process-
-# pool workers (which inherit the env) and monkeypatching tests both see
-# the right plan without further plumbing.
+# The process-wide plan.  An explicit set_current_plan() (what --faults
+# does) wins; otherwise the environment is re-parsed whenever REPRO_FAULTS
+# changes, so monkeypatching tests see the right plan without further
+# plumbing.  Forked pool workers inherit either.
 _UNSET = object()
 _override = _UNSET
 _env_cache: tuple = ("", None)

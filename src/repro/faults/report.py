@@ -14,11 +14,11 @@ from those counters, so a traced run's metrics footer carries the same
 rows.  :func:`record` writes to the run's registry itself, not through
 :func:`repro.obs.inc`: it records with ``REPRO_TRACE=off`` too, and only
 while a plan is installed, so clean runs pay nothing.  ``obs.new_run()``
-starts every run's counters at zero.  Process-pool caveat: a worker
-process records into its own run, which never travels back; in-worker
-events reach the parent's report only through values returned to it
-(campaign outcomes), through retried failures the parent observes, or
-through the artifact store's cross-process ledger.
+starts every run's counters at zero.  A task that ran in a pool worker
+records into a run of its own, whose counters travel back with the
+task's outcome and merge once into the dispatcher's run
+(:mod:`repro.exec.executor`), so a pooled run reports what an
+in-process one does.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.artifacts.memo import memoized_stage
-from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.faults.plan import FaultPlan, active_plan
 from repro.faults.retry import MAX_ATTEMPTS
@@ -82,7 +81,7 @@ class CampaignJob:
 
     Self-contained means picklable and order-deterministic: the job names
     its own RNG seed, and targets are measured in the mapping's insertion
-    order, so the same job measures the same values on every backend.
+    order, so the same job measures the same values in any process.
 
     Attributes:
         label: Campaign label (timing reports and error messages).
@@ -149,11 +148,8 @@ def run_campaign_job_faulted(job: CampaignJob) -> CampaignOutcome:
     again, up to :data:`~repro.faults.retry.MAX_ATTEMPTS` attempts (an
     exhausted target counts as lost).  Every decision is keyed on
     ``(plan.seed, campaign label, target label, attempt)``, so the same
-    (seed, plan) loses the same probes on every backend.  Falls back to
-    the clean path when no plan is active (e.g. a worker whose
-    environment lost ``REPRO_FAULTS`` would diverge silently otherwise —
-    better to measure cleanly and let the parent's accounting show zero
-    degradation).
+    (seed, plan) loses the same probes in a pool or in-process.  Falls
+    back to the clean path when no plan is active.
     """
     plan = active_plan()
     if plan is None:
@@ -216,14 +212,11 @@ def measure_campaign(job: CampaignJob):
     return run_campaign_job(job)
 
 
-def run_campaigns(
-    jobs: Sequence[CampaignJob],
-    executor: Optional[ParallelExecutor] = None,
-) -> List[Dict[object, float]]:
-    """Fan independent campaigns out over the executor.
+def run_campaigns(jobs: Sequence[CampaignJob]) -> List[Dict[object, float]]:
+    """Fan independent campaigns out (:func:`~repro.exec.executor.fan_out`).
 
-    Every job owns its RNG, so campaigns never share random state and the
-    backends are interchangeable.  Measured matrices are small and
+    Every job owns its RNG, so campaigns never share random state and a
+    pooled round measures what an in-process one would.  Measured matrices are small and
     campaigns are re-run for every analysis pass, so they go through
     :func:`measure_campaign`'s cached fan-out: only unmeasured campaigns
     run.  Exotic target labels that resist canonicalisation just make a
@@ -238,7 +231,7 @@ def run_campaigns(
     """
     jobs = list(jobs)
     values, _ = measure_campaign.map(
-        [(job,) for job in jobs], executor, labels=[job.label for job in jobs]
+        [(job,) for job in jobs], labels=[job.label for job in jobs]
     )
     return [_unpack_outcome(job, value) for job, value in zip(jobs, values)]
 

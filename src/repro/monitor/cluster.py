@@ -14,8 +14,8 @@ clustering but never invents distance — the dissimilarity metric
 both epochs, so a lost probe cannot masquerade as a migration.
 
 Clustering is exact and deterministic: sorted inputs, no RNG, no
-iteration-order dependence — clustered snapshots are byte-identical on
-every backend.
+iteration-order dependence — clustered snapshots are byte-identical
+whether an epoch ran in a pool or in-process.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ seed), streams it into an :class:`~repro.monitor.snapshot.EpochSnapshot`, cluste
 and the consecutive-epoch dissimilarities are thresholded into alarms
 scored against the plan's ground truth.
 
-Epochs are independent units of work: they fan out over the
-:class:`~repro.exec.executor.ParallelExecutor` (results are identical
-on every backend) and each resolves against the artifact store first
+Epochs are independent units of work: they fan out
+(:func:`~repro.exec.executor.fan_out`; results are identical in a pool
+or in-process) and each resolves against the artifact store first
 under an epoch-keyed ``"monitor/epoch"`` stage, keyed by the applied
 scenario and policy (the world the epoch builds), not by the delta that
 produced them — a warm re-run with ``--epochs`` extended simulates only
@@ -19,8 +19,8 @@ processes the newest epoch.
 
 Per-epoch degradation is captured *inside* the epoch's unit of work and
 stored with the snapshot, so the timeline can show which epochs were
-degraded (and by how much) even when they were computed in a worker
-process or served from the cache — fixing the "degradation report only
+degraded (and by how much) even when they were computed in a pool
+worker or served from the cache — fixing the "degradation report only
 at the end of the run" blind spot for multi-epoch runs.
 """
 
@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro import obs
 from repro.artifacts.memo import memoized_stage
 from repro.defaults import DEFAULT_EPOCH_S, DEFAULT_EPOCHS, DEFAULT_THRESHOLD
-from repro.exec.executor import ParallelExecutor
 from repro.faults import report as degradation
 from repro.monitor.cluster import (
     DEFAULT_RTT_GAP_MS,
@@ -200,11 +199,11 @@ class MonitorReport:
         return [alarm.epoch for alarm in self.alarms]
 
     def verdict_dict(self) -> Dict:
-        """The backend- and epoch-length-invariant detection verdict.
+        """The execution- and epoch-length-invariant detection verdict.
 
-        Exactly this sub-document must be byte-identical across executor
-        backends and across reasonable ``--epoch-s`` choices (the
-        property tests pin both).
+        Exactly this sub-document must be byte-identical whether epochs
+        ran in a pool or in-process, and across reasonable ``--epoch-s``
+        choices (the property tests pin both).
         """
         return {
             "alarms": self.alarm_epochs(),
@@ -267,7 +266,6 @@ def run_monitor(
     probes: int = 4,
     prefix_len: int = 24,
     base_policy: str = "preferred",
-    executor: Optional[ParallelExecutor] = None,
 ) -> MonitorReport:
     """Monitor an evolving world and score change detection.
 
@@ -288,7 +286,6 @@ def run_monitor(
         probes: Pings per prefix RTT measurement.
         prefix_len: Server-side aggregation prefix length.
         base_policy: Selection policy the base scenario runs.
-        executor: Epoch fan-out strategy; defaults to the environment's.
 
     Returns:
         The :class:`MonitorReport`.
@@ -323,7 +320,6 @@ def run_monitor(
                  probes, prefix_len)
                 for e, (scenario, policy) in enumerate(worlds)
             ],
-            executor,
             labels=[f"{base.name}/epoch{e}" for e in range(epochs)],
         )
         warm = sum(cached)

@@ -27,7 +27,6 @@ from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.folds import EdgeCloudAccumulator
-from repro.exec.executor import ParallelExecutor
 from repro.geoloc.probing import CampaignJob, run_campaigns
 from repro.sim.engine import sealed_windows
 from repro.sim.scenarios import ScenarioWorld
@@ -161,10 +160,7 @@ def build_epoch_snapshot(
                 probes=probes,
                 seed=rtt_seed,
             )
-            # One small campaign: fan-out overhead would dominate, so it
-            # runs serially regardless of the ambient backend (results
-            # are identical either way).
-            (measurements,) = run_campaigns([job], executor=ParallelExecutor("serial"))
+            (measurements,) = run_campaigns([job])
             measured = {
                 prefix: round(rtt, RTT_DECIMALS)
                 for prefix, rtt in measurements.items()

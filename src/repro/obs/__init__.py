@@ -6,7 +6,7 @@ take" across the pipeline.  The pieces:
 * :mod:`repro.obs.tracer` — span recording (``span(...)`` context
   manager), ambient counter/histogram helpers, and the cross-process
   propagation machinery (:class:`SpanContext` out, :class:`TaskCapture`
-  back, mirroring how ``REPRO_FAULTS`` travels).
+  back).
 * :mod:`repro.obs.metrics` — the labelled counter/gauge/histogram
   registry that snapshots into the trace's metrics footer.
 * :mod:`repro.obs.runctx` — the per-run context scoping the tracer and

@@ -8,9 +8,10 @@ start at once, so sequential studies in one process never leak into
 each other's reports.
 
 The context is process-global.  The executor's workers are processes,
-not threads: each gets its own fresh context, its spans and metrics
-travel back inside task captures, and its degradation events surface
-through returned values.
+not threads: each pooled task runs in a fresh context of its own, its
+spans and traced metrics travel back inside its task capture, and the
+run metrics it added (degradation counters, also with tracing off)
+travel back with its outcome and merge into the dispatcher's run.
 
 Run ids are ``run-<pid>-<n>`` from a process-local counter — unique
 enough to name trace files, free of ``uuid``/wall-clock entropy, and

@@ -14,13 +14,14 @@ the run's wall time.  Design constraints, in order:
   per-flow), recording is an append to an in-memory list, and the
   enabled check is one environment read.
 
-Cross-process propagation mirrors how ``REPRO_FAULTS`` travels: the
-*enabled* flag rides the inherited environment (``REPRO_TRACE``), while
-the span linkage rides pickle — the executor hands each task a
-:class:`SpanContext` naming the dispatching span, the worker records
-into a capture-local :class:`Tracer`, and the finished
-:class:`TaskCapture` (spans + metrics) returns with the task's result to
-be merged into the dispatching process's trace, rebased onto its clock.
+Cross-process propagation: pool workers are forked, so the *enabled*
+flag (``REPRO_TRACE``) is simply inherited, while the span linkage
+rides pickle — the executor hands each task a :class:`SpanContext`
+naming the dispatching span, the task records into a capture-local
+:class:`Tracer`, and the finished :class:`TaskCapture` (spans + metrics)
+returns with the task's result to be merged into the dispatching
+process's trace, rebased onto its clock.  In-process tasks take the same
+path, so a trace has one shape whichever path a batch took.
 
 Spans are recorded on the main thread only (the executor's workers are
 processes), so the span stack and the capture stack are plain state.

@@ -5,8 +5,8 @@ tests and the per-figure benchmarks all analyse the same simulated week,
 exactly like the paper's authors analysing one set of collected traces
 many times.  On disk, through the artifact store
 (:mod:`repro.artifacts`): a warm re-run — another process, another day —
-loads the pickled week instead of resimulating it, and process-backend
-workers share the cache through the filesystem.
+loads the pickled week instead of resimulating it, and pool workers
+share the cache through the filesystem.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Dict, Optional, Tuple
 from repro import obs
 from repro.artifacts.memo import memoized_stage
 from repro.defaults import DATASET_NAMES
-from repro.exec.executor import ParallelExecutor
 from repro.sim.specs import PAPER_SCENARIOS, ScenarioSpec
 from repro.sim.week import SimulationResult
 from repro.trace.records import WEEK_S
@@ -125,7 +124,6 @@ def run_all(
     duration_s: float = WEEK_S,
     policy_kind: str = "preferred",
     names: Optional[Tuple[str, ...]] = None,
-    executor: Optional[ParallelExecutor] = None,
 ) -> Dict[str, SimulationResult]:
     """Simulate every dataset of the study.
 
@@ -133,11 +131,8 @@ def run_all(
     of its randomness from its own scenario name), so the weeks missing
     from the in-process memo go through :func:`simulate_week`'s cached
     fan-out: disk hits are read here, and the rest run one task per
-    dataset, byte-identical across backends.  Results land in the
+    dataset, byte-identical in a pool or in-process.  Results land in the
     in-process memo cache either way.
-
-    Args:
-        executor: Fan-out strategy; ``None`` reads ``REPRO_EXECUTOR``.
 
     Returns:
         Mapping from dataset name to its result, in the paper's order.
@@ -154,7 +149,7 @@ def run_all(
     if pending:
         with obs.span("sim/run_all", datasets=len(pending), scale=scale):
             fresh, _ = simulate_week.map(
-                [keys[name] for name in pending], executor, labels=pending
+                [keys[name] for name in pending], labels=pending
             )
         for name, result in zip(pending, fresh):
             _CACHE[keys[name]] = result

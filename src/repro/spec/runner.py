@@ -10,7 +10,7 @@ policy)`` task — the world's inputs and nothing else — and resolves
 through the cached fan-out of
 :func:`repro.whatif.metrics.scenario_metrics`: rows already in the
 artifact store are read back without simulating, and only the cold
-points fan out over the :class:`~repro.exec.executor.ParallelExecutor`.
+points fan out (:func:`~repro.exec.executor.fan_out`).
 Points that build the same world share one row whatever their labels,
 and re-running an extended grid simulates exactly the added points.
 """
@@ -18,11 +18,10 @@ and re-running an extended grid simulates exactly the added points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro import obs
 from repro.artifacts.store import default_store
-from repro.exec.executor import ParallelExecutor
 from repro.reporting.tables import TextTable, format_fraction
 from repro.spec.grid import GridPoint, GridSpec, enumerate_points
 from repro.spec.model import SpecError, apply_to_scenario
@@ -143,13 +142,12 @@ def run_grid(
     seed: int = 7,
     duration_s: float = WEEK_S,
     base_policy: str = "preferred",
-    executor: Optional[ParallelExecutor] = None,
 ) -> GridRunResult:
     """Simulate every grid point and collect its metric row.
 
     Points are independent worlds sharing one master seed, so the cold
-    ones fan out over the executor with byte-identical rows on every
-    backend; warm rows load from the artifact store without simulating.
+    ones fan out with byte-identical rows in a pool or in-process; warm
+    rows load from the artifact store without simulating.
 
     Args:
         grid: The grid to run.
@@ -158,7 +156,6 @@ def run_grid(
         duration_s: Simulation window per point.
         base_policy: Policy for points whose delta does not set the
             ``"policy"`` par.
-        executor: Fan-out strategy; ``None`` reads ``REPRO_EXECUTOR``.
 
     Returns:
         The :class:`GridRunResult`, rows in enumeration order.
@@ -171,7 +168,7 @@ def run_grid(
     tasks = _point_tasks(points, scale, seed, duration_s, base_policy)
     with obs.span("grid/run", base=grid.base, points=len(points)) as active:
         rows, hits = scenario_metrics.map(
-            tasks, executor,
+            tasks,
             labels=[f"{point.base}/{point.label}" for point in points],
         )
         warm = sum(hits)

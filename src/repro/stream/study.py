@@ -25,8 +25,8 @@ Memory stays bounded by distinct entities — servers, clients, one
 window's flows — never by the flow count.  (The request *schedule* is
 still materialised per world by the workload generator; flows, the
 dominant term, are not.)  This makes ``--stream`` the study's one
-low-memory mode; for wall time, the batch path fans the vantage points
-out with ``--parallel process`` instead (see "Scale-out" in
+low-memory mode; for wall time, the batch path fans the vantage points'
+weeks out over the cores instead (see "Scale-out" in
 docs/architecture.md).  The record-level analyses of ``--full`` and
 ``--validate`` need a materialised week, so they stay batch-only.
 """
@@ -42,7 +42,6 @@ from repro.core.pipeline import StudyPipeline
 # The summary renderer's old home: perfbench imports it from here.
 from repro.core.report import render_study_summary as render_stream_report  # noqa: F401
 from repro.defaults import DATASET_NAMES
-from repro.exec.executor import ParallelExecutor
 from repro.sim.scenarios import ScenarioWorld, build_world
 from repro.sim.specs import PAPER_SCENARIOS
 from repro.sim.week import MeasuredWorld
@@ -102,7 +101,6 @@ def run_streaming_study(
     window_s: float,
     policy_kind: str = "preferred",
     landmark_count: Optional[int] = None,
-    executor: Optional[ParallelExecutor] = None,
     hashed: bool = False,
 ) -> Tuple[StudyPipeline, Optional[Dict[str, str]]]:
     """Stream every dataset of the study and wire up the analysis.
@@ -125,7 +123,7 @@ def run_streaming_study(
         for name in DATASET_NAMES
     }
     study = StudyPipeline(
-        weeks, landmark_count=landmark_count, executor=executor,
+        weeks, landmark_count=landmark_count,
         folds={name: (week.traffic, week.hourly) for name, week in weeks.items()},
     )
     return study, {name: week.digest for name, week in weeks.items()} if hashed else None

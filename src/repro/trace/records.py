@@ -128,8 +128,8 @@ class Dataset:
         """SHA-256 over the canonical flow-log serialisation of the flows.
 
         Two datasets digest equal iff their flow logs are byte-identical
-        (the serialisation round-trips floats exactly); the cross-backend
-        determinism tests compare parallel and serial runs with this.
+        (the serialisation round-trips floats exactly); the determinism
+        tests compare pooled and in-process runs with this.
         """
         from repro.trace.logio import update_digest
 

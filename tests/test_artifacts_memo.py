@@ -8,7 +8,7 @@ from repro import obs
 from repro.artifacts.keys import CanonicalizationError
 from repro.artifacts.memo import memoized_stage
 from repro.artifacts.store import ArtifactStore, reset_default_store
-from repro.exec.executor import BACKENDS, ParallelExecutor
+from tests.execpaths import PATH_IDS, PATHS, forced
 
 
 @pytest.fixture
@@ -23,7 +23,7 @@ def cache_env(monkeypatch, tmp_path):
 
 def make_stage(calls, stage="test/stage", ignore=()):
     @memoized_stage(stage, ignore=ignore)
-    def compute(a, b=10, executor=None):
+    def compute(a, b=10, progress=None):
         calls.append((a, b))
         return {"sum": a + b}
 
@@ -59,16 +59,16 @@ class TestMemoizedStage:
 
     def test_ignored_params_do_not_split_the_key(self, cache_env):
         calls = []
-        compute = make_stage(calls, ignore=("executor",))
-        compute(1, executor="serial")
-        compute(1, executor="process")
+        compute = make_stage(calls, ignore=("progress",))
+        compute(1, progress="bar")
+        compute(1, progress="dots")
         assert calls == [(1, 10)]
 
     def test_unignored_uncanonicalisable_param_raises(self, cache_env):
         calls = []
         compute = make_stage(calls)
         with pytest.raises(CanonicalizationError):
-            compute(1, executor=object())
+            compute(1, progress=object())
 
     def test_unknown_ignore_name_rejected_at_decoration(self):
         with pytest.raises(ValueError):
@@ -127,8 +127,8 @@ def _events(root):
 @pytest.mark.parametrize("opaque", [False, True],
                          ids=["cacheable", "uncanonicalisable"])
 @pytest.mark.parametrize("warmth", ["cold", "warm", "mixed"])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_map(cache_env, monkeypatch, backend, warmth, opaque):
+@pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
+def test_map(cache_env, monkeypatch, path, warmth, opaque):
     tasks = [(i, Opaque(i + 1) if opaque and i == 2 else i + 1)
              for i in range(4)]
     cacheable = [i for i, (_, b) in enumerate(tasks) if not isinstance(b, Opaque)]
@@ -136,12 +136,12 @@ def test_map(cache_env, monkeypatch, backend, warmth, opaque):
     for i in warm:
         mapped(*tasks[i])
     expected = [mapped.__wrapped__(*task) for task in tasks]
-    executor = ParallelExecutor(backend, max_workers=2)
     labels = [f"t{i}" for i in range(len(tasks))]
 
     run = obs.new_run("memo-map")
     before = _events(cache_env)
-    values, hits = mapped.map(tasks, executor, labels=labels)
+    with forced(path):
+        values, hits = mapped.map(tasks, labels=labels)
     after = _events(cache_env)
     obs.set_current_run(None)
     assert values == expected
@@ -155,7 +155,8 @@ def test_map(cache_env, monkeypatch, backend, warmth, opaque):
 
     monkeypatch.setenv("REPRO_CACHE", "off")
     reset_default_store()
-    values, hits = mapped.map(tasks, executor, labels=labels)
+    with forced(path):
+        values, hits = mapped.map(tasks, labels=labels)
     assert values == expected
     assert hits == [False] * len(tasks)
     assert _events(cache_env) == after
@@ -164,14 +165,16 @@ def test_map(cache_env, monkeypatch, backend, warmth, opaque):
 def test_map_computes_each_key_once_per_batch(cache_env):
     calls = []
     compute = make_stage(calls, stage="test/dedupe")
-    values, hits = compute.map([(1,), (1,), (2,)], ParallelExecutor("serial"))
+    # In-process, so the calls are counted here.
+    with forced("in-process"):
+        values, hits = compute.map([(1,), (1,), (2,)])
     assert values == [{"sum": 11}, {"sum": 11}, {"sum": 12}]
     assert hits == [False, False, False]
     assert calls == [(1, 10), (2, 10)]
     tally = ArtifactStore(cache_env).lifetime_counters()["stages"]["test/dedupe"]
     assert (tally["misses"], tally["puts"]) == (2, 2)
 
-    values, hits = compute.map([(2,), (1,), (2,)], ParallelExecutor("serial"))
+    values, hits = compute.map([(2,), (1,), (2,)])
     assert values == [{"sum": 12}, {"sum": 11}, {"sum": 12}]
     assert hits == [True, True, True]
     assert calls == [(1, 10), (2, 10)]

@@ -141,17 +141,21 @@ class TestComposite:
         assert MIN_SCALE == 1 / least
 
     def test_faults_end_with_their_run(self):
-        # --faults hands its plan to workers through REPRO_FAULTS; a later
-        # run in the same process must not inherit it.
+        # --faults installs its plan in this process, where forked pool
+        # workers inherit it; a later run in the same process must not,
+        # and the plan never travels through the environment.
+        from repro.faults.plan import current_plan
+
         argv = ("study", "--scale", "0.004", "--landmarks", "40")
         with mock.patch.dict(os.environ):
             os.environ.pop("REPRO_FAULTS", None)
             _, faulted = run_cli(*argv, "--faults", '{"seed": 1, "probe_loss": 0.1}')
-            _, clean = run_cli(*argv)
             leaked = os.environ.get("REPRO_FAULTS")
+            _, clean = run_cli(*argv)
         assert "DEGRADATION REPORT" in faulted
         assert "DEGRADATION REPORT" not in clean
         assert leaked is None
+        assert current_plan() is None
 
     def test_coldvideo(self):
         code, text = run_cli("coldvideo", "--nodes", "12", "--samples", "4",
@@ -316,14 +320,6 @@ PLAN_FILES = {
 }
 
 BAD_INPUTS = [
-    (["study", "--workers", "0"], {}, "--workers"),
-    (["study"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
-    # There is no thread backend: the study is CPU-bound Python.
-    (["study", "--parallel", "thread"], {}, "repro study: --parallel must be one of"),
-    (["study"], {"REPRO_EXECUTOR": "thread"}, "unknown backend 'thread'"),
-    (["study"], {"REPRO_EXECUTOR_WORKERS": "many"}, "REPRO_EXECUTOR_WORKERS"),
-    (["cache", "stats"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
-    (["coldvideo"], {"REPRO_EXECUTOR": "bogus"}, "REPRO_EXECUTOR"),
     (
         ["sweep", "--dataset", "EU1-ADSL", "--parameter", "bogus", "--values", "1,2"],
         {},

@@ -7,7 +7,8 @@ content digest per dataset.  Those bytes, pinned in
 executed.  A *cell* picks one value on each axis:
 
 - mode: batch, or ``--stream`` at a one-hour or a 15-minute window;
-- backend: serial, or ``--parallel process --workers 2``;
+- path: every batch in-process, or every batch in a process pool
+  (forced through the executor's decision, so both run on any host);
 - cache: cold, or warm (weeks and RTT campaigns already stored);
 - plan: no fault plan, an inert one, or a recoverable one;
 - trace: ``--trace DIR``, or the same with ``REPRO_TRACE=off``.
@@ -45,6 +46,7 @@ from repro.obs.export import read_trace
 from repro.sim import driver
 from repro.sim.scenarios import PAPER_SCENARIOS
 from repro.trace.records import WEEK_S, Dataset, FlowRecord
+from tests.execpaths import forced
 
 GOLDEN = Path(__file__).parent / "golden" / "study_0.01.txt"
 DEGRADATION_GOLDEN = Path(__file__).parent / "golden" / "degradation_0.01.txt"
@@ -55,37 +57,34 @@ MODES = {
     "stream-3600": ["--stream", "--window-s", "3600"],
     "stream-900": ["--stream", "--window-s", "900"],
 }
-BACKENDS = {
-    "serial": [],
-    "process": ["--parallel", "process", "--workers", "2"],
-}
 CACHES = ("cold", "warm")
 #: Fault plans.  ``recoverable`` injects only faults the run absorbs
 #: without changing a byte: retried task attempts and corrupt cache reads
-#: (quarantined and recomputed).  Cache keys fold in the whole active
-#: plan, so which reads it corrupts follows every field; its seed is one
-#: whose corrupt reads, and the retries of their recomputed campaigns,
-#: land in the warm cells of every mode.
+#: (quarantined and recomputed).  Every task attempt fails until the
+#: plan's ``max_failures_per_task`` (2) is spent, which is below
+#: ``MAX_ATTEMPTS`` (4), so every task succeeds on its third attempt; and
+#: every cache read comes back corrupt.  So every cell retries, and every
+#: warm one quarantines, at any plan seed.
 PLANS = {
     "none": None,
     "inert": {"seed": 99},
     "recoverable": {
         "seed": 7,
-        "task_transient": 0.3,
-        "artifact_corrupt": 0.5,
+        "task_transient": 1.0,
+        "artifact_corrupt": 1.0,
     },
 }
 TRACES = ("on", "off")
 
-#: (mode, backend, cache, plan, trace): every axis value at least once.
+#: (mode, path, cache, plan, trace): every axis value at least once.
 #: The two warm batch cells read every week from the store, once per
-#: backend; the cold trace-off cell recomputes every week.
+#: path; the cold trace-off cell recomputes every week.
 DIAGONAL = [
-    ("batch", "serial", "cold", "none", "off"),
-    ("batch", "process", "warm", "inert", "on"),
-    ("stream-3600", "process", "cold", "recoverable", "on"),
-    ("stream-900", "serial", "warm", "recoverable", "off"),
-    ("batch", "serial", "warm", "none", "on"),
+    ("batch", "in-process", "cold", "none", "off"),
+    ("batch", "pooled", "warm", "inert", "on"),
+    ("stream-3600", "pooled", "cold", "recoverable", "on"),
+    ("stream-900", "in-process", "warm", "recoverable", "off"),
+    ("batch", "in-process", "warm", "none", "on"),
 ]
 
 DEGRADATION = "\nDEGRADATION REPORT\n"
@@ -150,7 +149,7 @@ def primed_cache(plan: str) -> Path:
     return cache_dir
 
 
-def run_cell(mode: str, backend: str, cache: str, plan: str, trace: str,
+def run_cell(mode: str, path: str, cache: str, plan: str, trace: str,
              tmp_path: Path) -> None:
     """Run one contract cell and check what every cell holds."""
     cache_dir = tmp_path / "cache"
@@ -164,11 +163,8 @@ def run_cell(mode: str, backend: str, cache: str, plan: str, trace: str,
         shutil.copytree(primed_cache("recoverable" if plan == "recoverable" else "none"),
                         cache_dir)
     mark = len(ledger(cache_dir))
-    stdout = run_study(
-        STUDY + MODES[mode] + BACKENDS[backend] + faults
-        + ["--trace", str(trace_dir)],
-        env,
-    )
+    with forced(path):
+        stdout = run_study(STUDY + MODES[mode] + faults + ["--trace", str(trace_dir)], env)
     events = ledger(cache_dir, skip=mark)
 
     head, degraded, _ = stdout.partition(DEGRADATION)

@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.artifacts.keys import stage_key
 from repro.artifacts.store import ArtifactStore
-from repro.exec.executor import ExecutionError, ParallelExecutor
+from repro.exec.executor import ExecutionError, fan_out
 from repro.faults import report as degradation
 from repro.faults.plan import (
     ENV_FAULTS,
@@ -38,6 +38,7 @@ from repro.net.latency import AccessTechnology, LatencyModel, Site
 from repro.reporting.tables import render_degradation_table
 from repro.trace.logio import dumps, loads
 from repro.trace.records import FlowRecord
+from tests.execpaths import PATH_IDS, PATHS, forced
 
 
 @pytest.fixture
@@ -214,8 +215,7 @@ def _raise_named(name):
 class TestRetryPolicy:
     def test_default_taxonomy_members_are_retryable(self, install_plan):
         install_plan(seed=3, probe_loss=0.5)  # active plan, no exec faults
-        executor = ParallelExecutor("serial")
-        results = executor.map(_raise_named, list(RETRY_ON), on_error="return")
+        results = fan_out(_raise_named, list(RETRY_ON), on_error="return")
         assert [r.cause_type for r in results] == list(RETRY_ON)
         assert {r.attempts for r in results} == {MAX_ATTEMPTS}
 
@@ -230,6 +230,10 @@ def _identity(x):
     return x
 
 
+def _plan_crash_rate(_x):
+    return active_plan().task_crash
+
+
 def _reject_even(x):
     if x % 2 == 0:
         raise ValueError(f"even item {x}")
@@ -237,38 +241,31 @@ def _reject_even(x):
 
 
 class TestExecutorInjection:
-    @pytest.mark.parametrize("backend", ["serial"])
+    @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
     def test_injected_transients_are_retried_to_success(
-        self, backend, install_plan
+        self, path, install_plan
     ):
         install_plan(seed=3, task_transient=1.0, max_failures_per_task=1)
-        executor = ParallelExecutor(backend, max_workers=2)
-        assert executor.map(_identity, [1, 2, 3]) == [1, 2, 3]
-        assert collect().total("retried") >= 1
+        with forced(path):
+            assert fan_out(_identity, [1, 2, 3]) == [1, 2, 3]
+        assert collect().total("retried") == 3
 
     def test_injected_crashes_are_retried_to_success(self, install_plan):
         install_plan(seed=3, task_crash=1.0, max_failures_per_task=2)
-        executor = ParallelExecutor("serial")
-        assert executor.map(_identity, ["a", "b"]) == ["a", "b"]
+        assert fan_out(_identity, ["a", "b"]) == ["a", "b"]
         assert collect().total("retried") >= 1
 
-    def test_process_backend_inherits_plan_via_env(self, monkeypatch):
-        plan = FaultPlan(seed=3, task_transient=1.0, max_failures_per_task=1)
-        monkeypatch.setenv(ENV_FAULTS, plan.to_json())
-        clear_current_plan()
-        obs.new_run("process-plan")
-        try:
-            executor = ParallelExecutor("process", max_workers=2)
-            assert executor.map(_identity, [10, 20]) == [10, 20]
-            assert collect().total("retried") >= 1
-        finally:
-            clear_current_plan()
-            obs.set_current_run(None)
+    def test_pooled_workers_inherit_the_installed_plan(self, install_plan, monkeypatch):
+        # No REPRO_FAULTS: a forked worker sees the plan installed here.
+        monkeypatch.delenv(ENV_FAULTS, raising=False)
+        install_plan(seed=3, task_crash=1.0, max_failures_per_task=1)
+        with forced("pooled"):
+            assert fan_out(_plan_crash_rate, [10, 20]) == [1.0, 1.0]
+        assert collect().total("retried") == 2
 
     def test_exhausted_retries_surface_with_attempt_count(self, install_plan):
         install_plan(seed=3, task_transient=1.0, max_failures_per_task=99)
-        executor = ParallelExecutor("serial")
-        results = executor.map(_identity, [5], on_error="return")
+        results = fan_out(_identity, [5], on_error="return")
         error = results[0]
         assert isinstance(error, ExecutionError)
         assert error.cause_type == "TransientFault"
@@ -276,8 +273,7 @@ class TestExecutorInjection:
 
     def test_nonretryable_failures_are_not_retried(self, install_plan):
         install_plan(seed=3, probe_loss=0.5)  # active plan, no exec faults
-        executor = ParallelExecutor("serial")
-        results = executor.map(_reject_even, [1, 2, 3], on_error="return")
+        results = fan_out(_reject_even, [1, 2, 3], on_error="return")
         assert results[0] == 1 and results[2] == 3
         assert isinstance(results[1], ExecutionError)
         assert results[1].attempts == 1
@@ -287,8 +283,7 @@ class TestExecutorInjection:
         clear_current_plan()
         run = obs.new_run("no-plan")
         try:
-            executor = ParallelExecutor("serial")
-            results = executor.map(_reject_even, [2], on_error="return")
+            results = fan_out(_reject_even, [2], on_error="return")
             assert isinstance(results[0], ExecutionError)
             assert results[0].attempts == 1
             assert collect().stages == {}
@@ -301,8 +296,7 @@ class TestExecutorInjection:
         labels = [f"unit/{i}" for i in range(12)]
 
         def failed_set(order):
-            executor = ParallelExecutor("serial")
-            results = executor.map(
+            results = fan_out(
                 _identity, [labels[i] for i in order],
                 labels=[labels[i] for i in order],
                 on_error="return",
@@ -321,8 +315,7 @@ class TestExecutorInjection:
         install_plan(seed=3, task_transient=1.0, max_failures_per_task=1)
         run = obs.new_run("retries")
         try:
-            executor = ParallelExecutor("serial")
-            executor.map(_identity, [1, 2])
+            fan_out(_identity, [1, 2])
             counters = run.metrics.snapshot()["counters"]
             assert counters["degradation.retried{stage=exec/map}"] == 2
             assert collect().total("retried") == 2

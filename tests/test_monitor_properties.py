@@ -4,9 +4,9 @@ Randomised checks of the contracts :mod:`repro.monitor` advertises:
 
 - **No change, no alarm**: a zero-evolution (static) world never alarms,
   at any horizon or epoch length.
-- **Backend invariance**: the detection verdict — alarms, ground truth,
-  and the score — is byte-identical across the serial and process
-  executors and across epoch lengths.
+- **Path invariance**: the detection verdict — alarms, ground truth,
+  and the score — is byte-identical whether the epochs ran in-process or
+  in a process pool, and across epoch lengths.
 - **Planted change**: a single scheduled change is detected at exactly
   its epoch, wherever it lands in the horizon.
 - **Metric axioms**: the pattern dissimilarity is symmetric, bounded in
@@ -27,12 +27,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.exec.executor import ParallelExecutor  # noqa: E402
 from repro.monitor.cluster import cluster_snapshot  # noqa: E402
 from repro.monitor.detect import pattern_dissimilarity  # noqa: E402
 from repro.monitor.evolution import EvolutionPlan, EvolutionStep, STATIC_PLAN  # noqa: E402
 from repro.monitor.run import run_monitor  # noqa: E402
 from repro.monitor.snapshot import EpochSnapshot  # noqa: E402
+from tests.execpaths import forced  # noqa: E402
 
 SCALE = 0.01
 SEED = 7
@@ -65,17 +65,17 @@ def test_static_world_never_alarms(epochs, epoch_s):
     assert report.score.recall == 1.0
 
 
-# --------------------------------------------------- backend invariance
+# ------------------------------------------------------ path invariance
 
 _BASELINE: dict = {}
 
 
 def _serial_verdict(epochs: int) -> str:
     if epochs not in _BASELINE:
-        _BASELINE[epochs] = _verdict(run_monitor(
-            "EU1-ADSL", plan=_plan_at(2), epochs=epochs, scale=SCALE,
-            seed=SEED, executor=ParallelExecutor("serial"),
-        ))
+        with forced("in-process"):
+            _BASELINE[epochs] = _verdict(run_monitor(
+                "EU1-ADSL", plan=_plan_at(2), epochs=epochs, scale=SCALE, seed=SEED,
+            ))
     return _BASELINE[epochs]
 
 
@@ -90,10 +90,8 @@ def _plan_at(epoch: int) -> EvolutionPlan:
 
 
 def test_verdict_identical_across_backends():
-    report = run_monitor(
-        "EU1-ADSL", plan=_plan_at(2), epochs=3, scale=SCALE, seed=SEED,
-        executor=ParallelExecutor("process", max_workers=3),
-    )
+    with forced("pooled"):
+        report = run_monitor("EU1-ADSL", plan=_plan_at(2), epochs=3, scale=SCALE, seed=SEED)
     assert _verdict(report) == _serial_verdict(3)
 
 

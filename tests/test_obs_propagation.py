@@ -1,7 +1,7 @@
 """Cross-process span propagation and ``REPRO_TRACE=off``.
 
-Per-task spans recorded inside executor workers — serial or process
-backend — come back and nest under the dispatching ``exec/map`` span,
+Per-task spans recorded by a batch's tasks — in-process or in a pool's
+workers — come back and nest under the dispatching ``exec/map`` span,
 with globally unique ids and merged metrics; ``REPRO_TRACE=off`` records
 nothing.  That a study prints the same bytes traced or not is a cell of
 the equivalence contract (``tests/test_contract.py``).
@@ -12,11 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.exec.executor import ParallelExecutor
-
-pytestmark = []
-
-BACKENDS = ("serial", "process")
+from repro.exec.executor import fan_out
+from tests.execpaths import PATH_IDS, PATHS, forced
 
 
 def traced_square(x: int) -> int:
@@ -33,19 +30,22 @@ def fresh_run():
     obs.set_current_run(None)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_results_unchanged_by_tracing(backend):
-    executor = ParallelExecutor(backend, max_workers=2)
-    assert executor.map(traced_square, [1, 2, 3]) == [1, 4, 9]
+@pytest.fixture(params=PATHS, ids=PATH_IDS)
+def path(request):
+    """Every round of every batch in the test takes this path."""
+    with forced(request.param):
+        yield request.param
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_worker_spans_nest_under_map_span(backend, fresh_run):
-    executor = ParallelExecutor(backend, max_workers=2)
-    executor.map(traced_square, [1, 2, 3])
+def test_results_unchanged_by_tracing(path):
+    assert fan_out(traced_square, [1, 2, 3]) == [1, 4, 9]
+
+
+def test_worker_spans_nest_under_map_span(path, fresh_run):
+    fan_out(traced_square, [1, 2, 3])
     records = fresh_run.tracer.records
     map_span = next(r for r in records if r.name == "exec/map")
-    assert map_span.attrs["backend"] == backend
+    assert map_span.attrs["workers"] == (2 if path == "pooled" else 0)
     assert map_span.attrs["tasks"] == 3
 
     task_spans = [r for r in records if r.name.startswith("task:")]
@@ -64,38 +64,31 @@ def test_worker_spans_nest_under_map_span(backend, fresh_run):
         assert work.parent_id in task_ids
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_span_ids_are_globally_unique(backend, fresh_run):
-    executor = ParallelExecutor(backend, max_workers=2)
-    executor.map(traced_square, [1, 2, 3, 4])
+def test_span_ids_are_globally_unique(path, fresh_run):
+    fan_out(traced_square, [1, 2, 3, 4])
     ids = [r.span_id for r in fresh_run.tracer.records]
     assert len(ids) == len(set(ids))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_worker_metrics_merge_back(backend, fresh_run):
-    executor = ParallelExecutor(backend, max_workers=2)
-    executor.map(traced_square, [1, 2, 3])
+def test_worker_metrics_merge_back(path, fresh_run):
+    fan_out(traced_square, [1, 2, 3])
     assert fresh_run.metrics.counter_total("units") == 3
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_off_records_nothing(backend, fresh_run, monkeypatch):
+def test_off_records_nothing(path, fresh_run, monkeypatch):
     monkeypatch.setenv(obs.ENV_TRACE, "off")
-    executor = ParallelExecutor(backend, max_workers=2)
-    assert executor.map(traced_square, [1, 2, 3]) == [1, 4, 9]
+    assert fan_out(traced_square, [1, 2, 3]) == [1, 4, 9]
     assert fresh_run.tracer.records == []
     assert fresh_run.metrics.snapshot()["counters"] == {}
 
 
 def test_nested_maps_nest_spans(fresh_run):
-    inner = ParallelExecutor("serial")
-
     def nested(x):
-        return inner.map(traced_square, [x, x + 1])
+        return fan_out(traced_square, [x, x + 1])
 
-    outer = ParallelExecutor("serial")
-    outer.map(nested, [1, 3])
+    # In-process: the closure does not pickle.
+    with forced("in-process"):
+        fan_out(nested, [1, 3])
     names = [r.name for r in fresh_run.tracer.records]
     assert names.count("exec/map") == 3  # one outer + two inner
     assert names.count("work") == 4

@@ -4,7 +4,7 @@ Randomised checks of the contracts the selection-policy testbed leans on:
 
 - Every registered policy is seed-deterministic: the same ``(kind, seed)``
   replays the same decision sequence, and a full simulated week digests
-  identically on the serial, thread and process backends.
+  identically run in-process or in a process pool.
 - Go-With-The-Winner commits only to servers that actually answered the
   race (the fallback path is flagged, never silently committed).
 - ISP traffic engineering conserves request volume: every query is
@@ -36,11 +36,11 @@ from repro.cdn.selection import (  # noqa: E402
     make_policy,
     registered_policy_kinds,
 )
-from repro.exec.executor import ParallelExecutor  # noqa: E402
 from repro.geo.cities import default_atlas  # noqa: E402
 from repro.net.asn import GOOGLE_ASN  # noqa: E402
 from repro.net.ip import Ipv4Allocator, parse_network  # noqa: E402
 from repro.sim import driver  # noqa: E402
+from tests.execpaths import PATHS, forced  # noqa: E402
 
 
 def _directory():
@@ -118,21 +118,21 @@ class TestSeedDeterminism:
 
     @pytest.mark.parametrize("kind", registered_policy_kinds())
     def test_backends_agree_on_a_simulated_week(self, kind):
-        """serial and process runs digest identically per policy."""
+        """In-process and pooled runs digest identically per policy."""
         # The driver memoises runs in-process by (spec, scale, seed,
         # policy) — exactly what would make this test vacuous.  Empty the
-        # memo before each backend so every backend really simulates, and
+        # memo before each path so every path really simulates, and
         # restore other modules' warm entries afterwards.
         saved = dict(driver._CACHE)
         try:
             digests = set()
-            for backend in ("serial", "process"):
+            for path in PATHS:
                 driver.clear_cache()
-                results = driver.run_all(
-                    scale=0.004, seed=11, policy_kind=kind,
-                    names=("EU1-FTTH", "EU1-Campus"),
-                    executor=ParallelExecutor(backend, max_workers=2),
-                )
+                with forced(path):
+                    results = driver.run_all(
+                        scale=0.004, seed=11, policy_kind=kind,
+                        names=("EU1-FTTH", "EU1-Campus"),
+                    )
                 digests.add(tuple(
                     (name, results[name].dataset.content_digest())
                     for name in sorted(results)

@@ -55,10 +55,6 @@ KEEP: Dict[str, str] = {
     "repro.artifacts.store.reset_default_store": (
         "test seam: forgets the default store after a test changes REPRO_CACHE_DIR"
     ),
-    "repro.faults.plan.set_current_plan": (
-        "test seam: installs a fault plan in-process, where the program reads "
-        "REPRO_FAULTS"
-    ),
     "repro.core.pipeline.StudyPipeline.hot_server": (
         "Figure 16's session-pattern view of the hot video's server, checked "
         "against the paper by tests/test_paper_integration.py"

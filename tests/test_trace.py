@@ -146,6 +146,32 @@ class TestLogIo:
         with pytest.raises(ValueError):
             parse_record("only\tthree\tfields")
 
+    def test_each_distinct_address_is_parsed_once(self, tmp_path, monkeypatch):
+        clients = ["128.210.0.5", "128.210.0.6", "128.210.7.1"]
+        servers = ["173.194.0.10", "173.194.0.11"]
+        records = [record(src=clients[i % 3], dst=servers[i % 2], t0=float(i), t1=i + 0.5)
+                   for i in range(60)]
+        path = tmp_path / "flows.tsv"
+        write_flow_log(records, path)
+        calls = []
+
+        def counting_parse_ip(text):
+            calls.append(text)
+            return parse_ip(text)
+
+        monkeypatch.setattr(logio, "parse_ip", counting_parse_ip)
+        assert read_flow_log(path) == records
+        assert sorted(calls) == sorted(clients + servers)
+        calls.clear()
+        assert list(logio.iter_flow_log(path)) == records
+        assert len(calls) == 5
+
+    def test_a_malformed_address_still_raises(self):
+        good = format_record(record())
+        bad = good.replace("128.210.0.5", "128.210.0.300")
+        with pytest.raises(ValueError, match="malformed IPv4 address: '128.210.0.300'"):
+            loads(good + "\n" + bad + "\n")
+
     @given(
         st.integers(min_value=0, max_value=(1 << 32) - 1),
         st.integers(min_value=0, max_value=(1 << 32) - 1),
