@@ -4,10 +4,10 @@ from repro.core.flows import detect_size_threshold, flow_size_cdf
 
 
 def test_bench_fig04(benchmark, results, pipe, save_artifact):
-    records = results["US-Campus"].dataset.records
+    table = results["US-Campus"].dataset.table
 
     def compute():
-        return flow_size_cdf(records)
+        return flow_size_cdf(table)
 
     benchmark(compute)
 
@@ -24,5 +24,5 @@ def test_bench_fig04(benchmark, results, pipe, save_artifact):
         assert 0.05 < below < 0.45, name
         assert valley < 0.02, name
     # The kink is recoverable from the data alone.
-    detected = detect_size_threshold(records)
+    detected = detect_size_threshold(table)
     assert 900 <= detected <= 25_000

@@ -14,10 +14,10 @@ def _render(histograms):
 
 
 def test_bench_fig05(benchmark, results, pipe, save_artifact):
-    records = pipe.focus_records["US-Campus"]
+    table = pipe.focus_tables["US-Campus"]
 
     def compute():
-        return gap_sensitivity(records)
+        return gap_sensitivity(table)
 
     histograms = benchmark(compute)
     save_artifact("fig05_gap_sensitivity", _render(histograms))
@@ -30,7 +30,7 @@ def test_bench_fig05(benchmark, results, pipe, save_artifact):
 def test_bench_fig05_all_datasets_ablation(benchmark, results, pipe, save_artifact):
     """A3: the T-sweep behaves the same at every vantage point."""
     sweep = benchmark.pedantic(
-        lambda: {name: gap_sensitivity(pipe.focus_records[name]) for name in results},
+        lambda: {name: gap_sensitivity(pipe.focus_tables[name]) for name in results},
         rounds=1,
         iterations=1,
     )

@@ -4,10 +4,10 @@ from repro.core.sessions import build_sessions, flows_per_session_histogram
 
 
 def test_bench_fig06(benchmark, results, pipe, save_artifact):
-    records = pipe.focus_records["EU1-ADSL"]
+    table = pipe.focus_tables["EU1-ADSL"]
 
     def compute():
-        return flows_per_session_histogram(build_sessions(records, 1.0))
+        return flows_per_session_histogram(build_sessions(table, 1.0))
 
     benchmark(compute)
 

@@ -5,12 +5,12 @@ from repro.core.nonpreferred import hourly_nonpreferred_cdf
 
 def test_bench_fig09(benchmark, results, pipe, save_artifact):
     name = "EU2"
-    records = pipe.focus_records[name]
+    table = pipe.focus_tables[name]
     report = pipe.preferred_reports[name]
     num_hours = results[name].dataset.num_hours
 
     def compute():
-        return hourly_nonpreferred_cdf(records, report, pipe.server_map, num_hours)
+        return hourly_nonpreferred_cdf(table, report, pipe.server_map, num_hours)
 
     benchmark(compute)
 

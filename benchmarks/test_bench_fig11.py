@@ -5,12 +5,12 @@ from repro.core.loadbalance import analyze_load_balance
 
 def test_bench_fig11(benchmark, results, pipe, save_artifact):
     name = "EU2"
-    records = pipe.focus_records[name]
+    table = pipe.focus_tables[name]
     report = pipe.preferred_reports[name]
     num_hours = results[name].dataset.num_hours
 
     def compute():
-        return analyze_load_balance(records, report, pipe.server_map, num_hours)
+        return analyze_load_balance(table, report, pipe.server_map, num_hours)
 
     lb = benchmark(compute)
 

@@ -7,10 +7,10 @@ def test_bench_fig12(benchmark, results, pipe, save_artifact):
     name = "US-Campus"
     dataset = results[name].dataset
     report = pipe.preferred_reports[name]
-    records = pipe.focus_records[name]
+    table = pipe.focus_tables[name]
 
     def compute():
-        return subnet_shares(dataset, report, pipe.server_map, records=records)
+        return subnet_shares(dataset, report, pipe.server_map, table=table)
 
     shares = benchmark(compute)
 

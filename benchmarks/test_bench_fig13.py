@@ -9,18 +9,18 @@ from repro.core.hotspots import (
 
 def test_bench_fig13(benchmark, results, pipe, save_artifact):
     name = "EU1-ADSL"
-    records = pipe.focus_records[name]
+    table = pipe.focus_tables[name]
     report = pipe.preferred_reports[name]
 
     def compute():
-        return nonpreferred_video_cdf(records, report, pipe.server_map)
+        return nonpreferred_video_cdf(table, report, pipe.server_map)
 
     benchmark(compute)
 
     lines = []
     for ds_name in results:
         counts = nonpreferred_requests_per_video(
-            pipe.focus_records[ds_name], pipe.preferred_reports[ds_name], pipe.server_map
+            pipe.focus_tables[ds_name], pipe.preferred_reports[ds_name], pipe.server_map
         )
         once = exactly_once_fraction(counts)
         lines.append(

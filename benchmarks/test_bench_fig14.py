@@ -5,12 +5,12 @@ from repro.core.hotspots import top_nonpreferred_videos
 
 def test_bench_fig14(benchmark, results, pipe, save_artifact):
     name = "EU1-ADSL"
-    records = pipe.focus_records[name]
+    table = pipe.focus_tables[name]
     report = pipe.preferred_reports[name]
     num_hours = results[name].dataset.num_hours
 
     def compute():
-        return top_nonpreferred_videos(records, report, pipe.server_map, num_hours)
+        return top_nonpreferred_videos(table, report, pipe.server_map, num_hours)
 
     videos = benchmark(compute)
 

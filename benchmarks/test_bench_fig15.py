@@ -5,12 +5,12 @@ from repro.core.hotspots import preferred_server_load
 
 def test_bench_fig15(benchmark, results, pipe, save_artifact):
     name = "EU1-ADSL"
-    records = pipe.focus_records[name]
+    table = pipe.focus_tables[name]
     report = pipe.preferred_reports[name]
     num_hours = results[name].dataset.num_hours
 
     def compute():
-        return preferred_server_load(records, report, pipe.server_map, num_hours)
+        return preferred_server_load(table, report, pipe.server_map, num_hours)
 
     load = benchmark(compute)
 

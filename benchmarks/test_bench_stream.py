@@ -84,7 +84,7 @@ def test_bench_stream_vs_batch(scale, save_artifact):
         lambda: run_scenario(BENCH_DATASET, scale=scale, seed=BENCH_SEED,
                              use_cache=False)
     )
-    flows = len(batch.dataset.records)
+    flows = len(batch.dataset)
     batch_digest = batch.dataset.content_digest()
     del batch
     gc.collect()

@@ -26,14 +26,14 @@ def main() -> None:
           f"({summary.volume_gb:.1f} GB) from {summary.num_clients} clients "
           f"to {summary.num_servers} servers")
 
-    classes = classify_flows(dataset.records)
+    classes = classify_flows(dataset.table)
     print(f"\nflow classification at the 1000-byte threshold:")
     print(f"  control flows: {len(classes.control):6d} ({classes.control_fraction:.1%})")
     print(f"  video flows:   {len(classes.video):6d}")
     print(f"  data-derived threshold estimate: "
-          f"{detect_size_threshold(dataset.records)} bytes")
+          f"{detect_size_threshold(dataset.table)} bytes")
 
-    sessions = build_sessions(dataset.records, gap_s=1.0)
+    sessions = build_sessions(dataset.table, gap_s=1.0)
     histogram = flows_per_session_histogram(sessions)
     print(f"\n{len(sessions)} video sessions at T = 1 s:")
     for bucket in ("1", "2", "3", "4", ">9"):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from repro.core.flows import classify_flows
 from repro.core.sessions import build_sessions, flows_per_session_histogram
+from repro.net.ip import format_ip
 from repro.sim.driver import run_scenario
 from repro.trace.anonymize import PrefixPreservingAnonymizer
 from repro.trace.logio import read_flow_log, write_flow_log
@@ -26,20 +27,20 @@ from repro.trace.anonymize import verify_prefix_preservation
 def main() -> None:
     print("Simulating a small EU1-FTTH week...")
     result = run_scenario("EU1-FTTH", scale=0.01, seed=7)
-    records = result.dataset.records
+    table = result.dataset.table
 
     workdir = Path(tempfile.mkdtemp(prefix="repro-share-"))
     raw_path = workdir / "raw_flows.tsv"
     shared_path = workdir / "shared_flows.tsv"
-    write_flow_log(records, raw_path)
-    print(f"raw trace: {raw_path} ({len(records)} flows)")
+    write_flow_log(table, raw_path)
+    print(f"raw trace: {raw_path} ({len(table)} flows)")
 
     anonymizer = PrefixPreservingAnonymizer(b"keep-this-key-safe")
-    anonymised = anonymizer.anonymize_records(records)
-    write_flow_log(anonymised, shared_path)
+    write_flow_log(anonymizer.anonymize_table(table), shared_path)
     print(f"shareable trace: {shared_path}")
 
-    sample = [r.src_ip for r in records[:10]] + [r.dst_ip for r in records[:10]]
+    cols = table.columns()
+    sample = cols.src_ip[:10].tolist() + cols.dst_ip[:10].tolist()
     print(f"prefix preservation audited on a sample: "
           f"{verify_prefix_preservation(anonymizer, sample)}")
 
@@ -56,8 +57,8 @@ def main() -> None:
     print("  -> identical, as prefix preservation guarantees")
 
     print("\nWhat the recipient cannot do: recover client identities.")
-    print(f"  first client, raw:        {original[0].src_str}")
-    print(f"  first client, shared:     {shared[0].src_str}")
+    print(f"  first client, raw:        {format_ip(int(original.columns().src_ip[0]))}")
+    print(f"  first client, shared:     {format_ip(int(shared.columns().src_ip[0]))}")
 
 
 if __name__ == "__main__":

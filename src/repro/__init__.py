@@ -22,8 +22,8 @@ Quick start::
     from repro.core.sessions import build_sessions
 
     result = run_scenario("EU1-ADSL", scale=0.01)
-    flows = classify_flows(result.dataset.records)
-    sessions = build_sessions(result.dataset.records, gap_s=1.0)
+    flows = classify_flows(result.dataset.table)
+    sessions = build_sessions(result.dataset.table, gap_s=1.0)
 """
 
 __version__ = "1.0.0"

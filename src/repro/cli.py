@@ -90,11 +90,14 @@ def _landmark_count(args: argparse.Namespace) -> Optional[int]:
     """The CBG landmark budget ``--landmarks`` asks for (``None`` = all 215).
 
     Raises:
-        UsageError: Below the four landmarks CBG needs.
+        UsageError: Below the four landmarks CBG needs, or above the 215
+            there are.
     """
     if args.landmarks < 4:
         raise UsageError(f"--landmarks must be at least 4, got {args.landmarks}")
-    return None if args.landmarks >= 215 else args.landmarks
+    if args.landmarks > 215:
+        raise UsageError(f"--landmarks must be at most 215, got {args.landmarks}")
+    return None if args.landmarks == 215 else args.landmarks
 
 
 def _check_policies(kinds: Sequence[str]) -> None:
@@ -436,7 +439,7 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
         duration_s=args.duration_days * 86400.0,
         policy_kind=args.policy,
     )
-    count = write_flow_log(result.dataset.records, args.out)
+    count = write_flow_log(result.dataset.table, args.out)
     print(
         f"wrote {count} flows ({result.dataset.total_bytes / 1e9:.2f} GB) to {args.out}",
         file=out,
@@ -558,6 +561,7 @@ def cmd_study(args: argparse.Namespace, out) -> int:
             f"{', '.join(unsupported)} {verb} the batch path. "
             f"Drop --stream and run the batch equivalent: {batch}"
         )
+    _landmark_count(args)  # before a stored report can answer for a bad budget
     # The rendered report is itself a stage artifact: on a warm cache the
     # whole study is one read, which is what makes re-runs startup-bound.
     # Keyed by everything the text depends on; --stream/--window-s, an
@@ -812,12 +816,13 @@ def cmd_figures(args: argparse.Namespace, out) -> int:
 
 def cmd_anonymize(args: argparse.Namespace, out) -> int:
     from repro.trace.anonymize import PrefixPreservingAnonymizer
+    from repro.trace.columnar import RECORD_FIELDS, FlowTable
     from repro.trace.logio import write_flow_log
 
-    records = list(_read_log(args.flows))
+    table = FlowTable.from_rows(list(_read_log(args.flows)), RECORD_FIELDS)
     anonymizer = PrefixPreservingAnonymizer(args.key.encode())
     try:
-        count = write_flow_log(anonymizer.anonymize_records(records), args.out)
+        count = write_flow_log(anonymizer.anonymize_table(table), args.out)
     except OSError as error:
         raise UsageError(f"cannot write flow log {args.out}: {error}") from None
     print(

@@ -11,22 +11,15 @@ as a sanity check on the hard-coded 1000.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Union
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.reporting.series import Cdf
-from repro.trace.columnar import FlowTable, as_table
-from repro.trace.records import FlowRecord
+from repro.trace.columnar import FlowTable, group_sum_int64
 
 #: The paper's control/video size threshold, bytes.
 CONTROL_FLOW_THRESHOLD_BYTES = 1000
-
-
-def is_video_flow(record: FlowRecord, threshold: int = CONTROL_FLOW_THRESHOLD_BYTES) -> bool:
-    """Whether a flow carries video (by the size heuristic)."""
-    return record.num_bytes >= threshold
 
 
 @dataclass
@@ -38,8 +31,8 @@ class FlowClasses:
         video: Flows at or above the threshold (content).
     """
 
-    control: List[FlowRecord] = field(default_factory=list)
-    video: List[FlowRecord] = field(default_factory=list)
+    control: FlowTable
+    video: FlowTable
 
     @property
     def total(self) -> int:
@@ -59,30 +52,25 @@ class FlowClasses:
 
 
 def classify_flows(
-    records: Union[Iterable[FlowRecord], FlowTable],
+    table: FlowTable,
     threshold: int = CONTROL_FLOW_THRESHOLD_BYTES,
 ) -> FlowClasses:
-    """Split flows into control and video populations."""
-    table = as_table(records)
-    mask = table.columns().num_bytes >= threshold
-    recs = table.records
-    return FlowClasses(
-        control=[recs[i] for i in np.flatnonzero(~mask).tolist()],
-        video=[recs[i] for i in np.flatnonzero(mask).tolist()],
-    )
+    """Split flows into control and video populations, each in table order."""
+    video = table.columns().num_bytes >= threshold
+    return FlowClasses(control=table.select(~video), video=table.select(video))
 
 
-def flow_size_cdf(records: Union[Sequence[FlowRecord], FlowTable]) -> Cdf:
+def flow_size_cdf(table: FlowTable) -> Cdf:
     """The CDF of flow sizes (Figure 4).
 
     Raises:
         ValueError: On an empty dataset.
     """
-    return Cdf(as_table(records).columns().num_bytes)
+    return Cdf(table.columns().num_bytes)
 
 
 def detect_size_threshold(
-    records: Sequence[FlowRecord],
+    table: FlowTable,
     low: float = 100.0,
     high: float = 1e6,
     bins_per_decade: int = 8,
@@ -97,16 +85,21 @@ def detect_size_threshold(
     Raises:
         ValueError: With fewer than 10 flows.
     """
-    sizes = sorted(r.num_bytes for r in records if r.num_bytes > 0)
-    if len(sizes) < 10:
+    nbytes = table.columns().num_bytes
+    sizes, counts_per_size = np.unique(nbytes[nbytes > 0], return_counts=True)
+    if counts_per_size.sum() < 10:
         raise ValueError("need at least 10 flows to detect a threshold")
     log_low, log_high = math.log10(low), math.log10(high)
     num_bins = int((log_high - log_low) * bins_per_decade)
-    counts = [0] * num_bins
-    for size in sizes:
-        position = (math.log10(size) - log_low) / (log_high - log_low)
-        if 0.0 <= position < 1.0:
-            counts[int(position * num_bins)] += 1
+    # math.log10 once per distinct size: numpy's log10 may round the last
+    # bit differently, which could move a size across a bin edge.
+    position = (np.array([math.log10(size) for size in sizes.tolist()]) - log_low) / (
+        log_high - log_low
+    )
+    inside = (position >= 0.0) & (position < 1.0)
+    counts = group_sum_int64(
+        (position[inside] * num_bins).astype(np.int64), counts_per_size[inside], num_bins
+    ).tolist()
     # The valley: the emptiest bin between the two modes.
     first_nonzero = next((i for i, c in enumerate(counts) if c > 0), 0)
     last_nonzero = next(

@@ -93,7 +93,7 @@ class TrafficAccumulator:
             self.observe(table)
 
     def observe(self, table: FlowTable) -> None:
-        """Fold the next batch of records in."""
+        """Fold the next batch of flows in."""
         if len(table) == 0:
             return
         cols = table.columns()
@@ -260,7 +260,7 @@ class HourlyShareAccumulator:
             self.observe(table)
 
     def observe(self, table: FlowTable) -> None:
-        """Fold the next batch of records in."""
+        """Fold the next batch of flows in."""
         if len(table) == 0:
             return
         cols = table.columns()
@@ -322,9 +322,9 @@ class EdgeCloudAccumulator:
     never by the flow count, so month-long worlds stream through without
     materialising.
 
-    All totals are exact integers accumulated in pure python (cells are
-    too few for the columnar kernels to matter), so snapshots are
-    byte-identical in a pool or in-process.
+    All totals are exact integers (grouped int64 sums per batch, folded
+    into python ints), so snapshots are byte-identical in a pool or
+    in-process.
 
     Args:
         subnet_of: Client address -> subnet name (``None`` to skip the
@@ -345,20 +345,47 @@ class EdgeCloudAccumulator:
         self.flows_total = 0
 
     def observe(self, table: FlowTable) -> None:
-        """Fold the next batch of records in."""
-        for record in table.records:
-            subnet = self._subnet_of(record.src_ip)
-            if subnet is None:
-                continue
-            prefix = record.dst_ip >> self._shift
-            cell = self._cells.setdefault((subnet, prefix), [0, 0])
-            cell[0] += record.num_bytes
-            cell[1] += 1
-            self.bytes_total += record.num_bytes
-            self.flows_total += 1
-            rep = self._rep_ip.get(prefix)
-            if rep is None or record.dst_ip < rep:
-                self._rep_ip[prefix] = record.dst_ip
+        """Fold the next batch of flows in.
+
+        Each distinct client address is placed in a subnet once; cells
+        and prefixes enter the dicts in the order the batch's flows first
+        reach them.
+        """
+        if len(table) == 0:
+            return
+        cols = table.columns()
+        clients, client_code = np.unique(cols.src_ip, return_inverse=True)
+        subnets = [self._subnet_of(ip) for ip in clients.tolist()]
+        names = sorted({name for name in subnets if name is not None})
+        slot = {name: i for i, name in enumerate(names)}
+        flow_slot = np.array(
+            [-1 if name is None else slot[name] for name in subnets], dtype=np.int64
+        )[client_code]
+        kept = flow_slot >= 0
+        dst_ip = cols.dst_ip[kept]
+        num_bytes = cols.num_bytes[kept]
+        prefix = dst_ip >> self._shift
+        cells, first, cell_code = np.unique(
+            (flow_slot[kept] << 32) | prefix, return_index=True, return_inverse=True
+        )
+        cell_bytes = group_sum_int64(cell_code, num_bytes, len(cells))
+        cell_flows = np.bincount(cell_code, minlength=len(cells))
+        for j in np.argsort(first, kind="stable").tolist():
+            cell = int(cells[j])
+            key = (names[cell >> 32], cell & 0xFFFFFFFF)
+            totals = self._cells.setdefault(key, [0, 0])
+            totals[0] += int(cell_bytes[j])
+            totals[1] += int(cell_flows[j])
+        self.bytes_total += int(num_bytes.sum())
+        self.flows_total += len(num_bytes)
+        prefixes, first, prefix_code = np.unique(prefix, return_index=True, return_inverse=True)
+        lowest = np.full(len(prefixes), np.iinfo(np.int64).max)
+        np.minimum.at(lowest, prefix_code, dst_ip)
+        for j in np.argsort(first, kind="stable").tolist():
+            key, ip = int(prefixes[j]), int(lowest[j])
+            rep = self._rep_ip.get(key)
+            if rep is None or ip < rep:
+                self._rep_ip[key] = ip
 
     def cells(self) -> List[tuple]:
         """Sorted ``(subnet, prefix, num_bytes, num_flows)`` rows."""

@@ -13,21 +13,20 @@ Two ends of the popularity spectrum drive application-layer redirection:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List
 
 import numpy as np
 
 from repro.core.nonpreferred import preference_masks
 from repro.core.preferred import PreferredDcReport
-from repro.core.sessions import Session
+from repro.core.sessions import Sessions
 from repro.geoloc.clustering import ServerMap
 from repro.reporting.series import Cdf, Series, hourly_counts
-from repro.trace.columnar import FlowTable, as_table
-from repro.trace.records import FlowRecord
+from repro.trace.columnar import FlowTable
 
 
 def nonpreferred_requests_per_video(
-    records: Union[Sequence[FlowRecord], FlowTable],
+    table: FlowTable,
     report: PreferredDcReport,
     server_map: ServerMap,
 ) -> Dict[str, int]:
@@ -36,7 +35,6 @@ def nonpreferred_requests_per_video(
     Only videos downloaded at least once from a non-preferred data center
     appear (the Figure 13 population), keyed in first-download order.
     """
-    table = as_table(records)
     is_video, verdict = preference_masks(table, report, server_map)
     cols = table.columns()
     nonpref_idx = np.flatnonzero(is_video & (verdict == 0))
@@ -53,7 +51,7 @@ def nonpreferred_requests_per_video(
 
 
 def nonpreferred_video_cdf(
-    records: Union[Sequence[FlowRecord], FlowTable],
+    table: FlowTable,
     report: PreferredDcReport,
     server_map: ServerMap,
 ) -> Cdf:
@@ -62,7 +60,7 @@ def nonpreferred_video_cdf(
     Raises:
         ValueError: If no video was ever served from non-preferred.
     """
-    counts = nonpreferred_requests_per_video(records, report, server_map)
+    counts = nonpreferred_requests_per_video(table, report, server_map)
     if not counts:
         raise ValueError("no non-preferred video downloads")
     return Cdf(counts.values())
@@ -116,7 +114,7 @@ class HotVideoSeries:
 
 
 def top_nonpreferred_videos(
-    records: Union[Sequence[FlowRecord], FlowTable],
+    table: FlowTable,
     report: PreferredDcReport,
     server_map: ServerMap,
     num_hours: int,
@@ -130,7 +128,6 @@ def top_nonpreferred_videos(
     Raises:
         ValueError: If no video was ever served from non-preferred.
     """
-    table = as_table(records)
     counts = nonpreferred_requests_per_video(table, report, server_map)
     if not counts:
         raise ValueError("no non-preferred video downloads")
@@ -202,7 +199,7 @@ class ServerLoadReport:
 
 
 def preferred_server_load(
-    records: Union[Sequence[FlowRecord], FlowTable],
+    table: FlowTable,
     report: PreferredDcReport,
     server_map: ServerMap,
     num_hours: int,
@@ -216,7 +213,6 @@ def preferred_server_load(
     avg_series = Series(label=f"{report.dataset_name} avg")
     max_series = Series(label=f"{report.dataset_name} max")
 
-    table = as_table(records)
     # verdict == 1 is exactly "dst_ip clustered into the preferred
     # data center" — the preferred_ips set of the record spec.
     _, verdict = preference_masks(table, report, server_map)
@@ -271,7 +267,7 @@ class HotServerReport:
 
 
 def hot_server_sessions(
-    sessions: Sequence[Session],
+    sessions: Sessions,
     video_id: str,
     report: PreferredDcReport,
     server_map: ServerMap,
@@ -285,40 +281,32 @@ def hot_server_sessions(
     Raises:
         ValueError: If the video never hits the preferred data center.
     """
-    first_contact_counts: Dict[int, int] = {}
-    for session in sessions:
-        if session.video_id != video_id:
-            continue
-        ip = session.first_flow.dst_ip
-        cluster = server_map.by_ip.get(ip)
-        if cluster is not None and cluster.cluster_id == report.preferred_id:
-            first_contact_counts[ip] = first_contact_counts.get(ip, 0) + 1
-    if not first_contact_counts:
+    _, verdict = preference_masks(sessions.table, report, server_map)
+    cols = sessions.table.columns()
+    dst_ip = cols.dst_ip
+    landed = (cols.video_ids[sessions.video_code] == video_id) & (verdict[sessions.first] == 1)
+    if not landed.any():
         raise ValueError(f"video {video_id} never lands on the preferred data center")
-    server_ip = max(first_contact_counts, key=lambda ip: first_contact_counts[ip])
+    # The most first contacts; ties go to the server contacted first in
+    # session order.
+    servers, first_seen, contacts = np.unique(
+        dst_ip[sessions.first[landed]], return_index=True, return_counts=True
+    )
+    busiest = contacts == contacts.max()
+    server_ip = int(servers[busiest][np.argmin(first_seen[busiest])])
 
-    def is_preferred(ip: int) -> Optional[bool]:
-        cluster = server_map.by_ip.get(ip)
-        if cluster is None:
-            return None
-        return cluster.cluster_id == report.preferred_id
+    flow_verdict = verdict[sessions.rows]
+    touches = sessions.per_session_any(dst_ip[sessions.rows] == server_ip)
+    all_pref = ~sessions.per_session_any(flow_verdict != 1)
+    first_pref = (
+        ~sessions.per_session_any(flow_verdict == -1)
+        & ~all_pref
+        & (flow_verdict[sessions.offsets[:-1]] == 1)
+    )
+    hours = (sessions.t_start // 3600.0).astype(np.int64)
 
-    buckets: Dict[str, List[int]] = {"all_pref": [], "first_pref": [], "others": []}
-    for session in sessions:
-        if not any(f.dst_ip == server_ip for f in session.flows):
-            continue
-        verdicts = [is_preferred(f.dst_ip) for f in session.flows]
-        if any(v is None for v in verdicts):
-            buckets["others"].append(session.hour)
-        elif all(verdicts):
-            buckets["all_pref"].append(session.hour)
-        elif verdicts[0] and not all(verdicts[1:]):
-            buckets["first_pref"].append(session.hour)
-        else:
-            buckets["others"].append(session.hour)
-
-    def to_series(label: str, hours: List[int]) -> Series:
-        counts = hourly_counts(hours, num_hours)
+    def to_series(label: str, sel) -> Series:
+        counts = hourly_counts(hours[touches & sel], num_hours)
         series = Series(label=label)
         for hour in range(num_hours):
             series.append(float(hour), float(counts[hour]))
@@ -326,9 +314,7 @@ def hot_server_sessions(
 
     return HotServerReport(
         server_ip=server_ip,
-        all_preferred=to_series("all preferred flows", buckets["all_pref"]),
-        first_preferred_rest_not=to_series(
-            "only the first flow is preferred", buckets["first_pref"]
-        ),
-        others=to_series("others", buckets["others"]),
+        all_preferred=to_series("all preferred flows", all_pref),
+        first_preferred_rest_not=to_series("only the first flow is preferred", first_pref),
+        others=to_series("others", ~all_pref & ~first_pref),
     )

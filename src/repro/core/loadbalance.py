@@ -9,7 +9,7 @@ mechanisms are in place".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List
 
 import math
 
@@ -17,8 +17,7 @@ from repro.core.nonpreferred import preference_masks
 from repro.core.preferred import PreferredDcReport
 from repro.geoloc.clustering import ServerMap
 from repro.reporting.series import Series, hourly_counts
-from repro.trace.columnar import FlowTable, as_table
-from repro.trace.records import FlowRecord
+from repro.trace.columnar import FlowTable
 
 
 @dataclass
@@ -86,13 +85,12 @@ class LoadBalanceReport:
 
 
 def analyze_load_balance(
-    records: Union[Sequence[FlowRecord], FlowTable],
+    table: FlowTable,
     report: PreferredDcReport,
     server_map: ServerMap,
     num_hours: int,
 ) -> LoadBalanceReport:
     """Build Figure 11's series for one dataset."""
-    table = as_table(records)
     is_video, verdict = preference_masks(table, report, server_map)
     hour = table.columns().hour
     local_hours = hourly_counts(hour[is_video & (verdict == 1)], num_hours)

@@ -14,18 +14,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.flows import CONTROL_FLOW_THRESHOLD_BYTES, is_video_flow
+from repro.core.flows import CONTROL_FLOW_THRESHOLD_BYTES
 from repro.core.folds import HourlyShareAccumulator, TrafficAccumulator
 from repro.core.preferred import PreferredDcReport
-from repro.core.sessions import Session
+from repro.core.sessions import Sessions
 from repro.geoloc.clustering import ServerMap
 from repro.reporting.series import Cdf
-from repro.trace.columnar import FlowTable, as_table
-from repro.trace.records import FlowRecord
+from repro.trace.columnar import FlowTable
 
 
 class SessionPattern(enum.Enum):
@@ -35,20 +34,6 @@ class SessionPattern(enum.Enum):
     PREFERRED_NONPREFERRED = "preferred, non-preferred"
     NONPREFERRED_PREFERRED = "non-preferred, preferred"
     NONPREFERRED_NONPREFERRED = "non-preferred, non-preferred"
-
-
-def _preferred_test(
-    report: PreferredDcReport, server_map: ServerMap
-) -> Callable[[int], Optional[bool]]:
-    preferred_id = report.preferred_id
-
-    def test(server_ip: int) -> Optional[bool]:
-        cluster = server_map.by_ip.get(server_ip)
-        if cluster is None:
-            return None
-        return cluster.cluster_id == preferred_id
-
-    return test
 
 
 def preference_masks(
@@ -77,28 +62,8 @@ def preference_masks(
     return is_video, per_ip[dst_code]
 
 
-def video_flow_preference(
-    records: Union[Iterable[FlowRecord], FlowTable],
-    report: PreferredDcReport,
-    server_map: ServerMap,
-) -> Dict[bool, List[FlowRecord]]:
-    """Split video flows by whether they hit the preferred data center.
-
-    Returns:
-        ``{True: flows to preferred, False: flows to non-preferred}``;
-        flows to unclustered servers are dropped.
-    """
-    table = as_table(records)
-    is_video, verdict = preference_masks(table, report, server_map)
-    recs = table.records
-    return {
-        True: [recs[i] for i in np.flatnonzero(is_video & (verdict == 1)).tolist()],
-        False: [recs[i] for i in np.flatnonzero(is_video & (verdict == 0)).tolist()],
-    }
-
-
 def hourly_nonpreferred_cdf(
-    records: Union[Sequence[FlowRecord], FlowTable],
+    table: FlowTable,
     report: PreferredDcReport,
     server_map: ServerMap,
     num_hours: int,
@@ -107,7 +72,7 @@ def hourly_nonpreferred_cdf(
     """Figure 9: CDF of the hourly fraction of video flows to non-preferred.
 
     Args:
-        records: The dataset's (focus-filtered) flow records.
+        table: The dataset's (focus-filtered) flows.
         report: Preferred-data-center report.
         server_map: CBG clustering.
         num_hours: Hours in the collection window.
@@ -116,13 +81,13 @@ def hourly_nonpreferred_cdf(
     Raises:
         ValueError: If no hour has enough flows.
     """
-    return HourlyShareAccumulator(as_table(records)).cdf(
+    return HourlyShareAccumulator(table).cdf(
         report, server_map, num_hours, min_flows_per_hour=min_flows_per_hour
     )
 
 
 def nonpreferred_fraction(
-    records: Union[Sequence[FlowRecord], FlowTable],
+    table: FlowTable,
     report: PreferredDcReport,
     server_map: ServerMap,
 ) -> float:
@@ -131,7 +96,7 @@ def nonpreferred_fraction(
     Raises:
         ValueError: With no classifiable video flows.
     """
-    return TrafficAccumulator(as_table(records)).nonpreferred_fraction(
+    return TrafficAccumulator(table).nonpreferred_fraction(
         report, server_map
     )
 
@@ -168,35 +133,31 @@ class OneFlowBreakdown:
         return (self.preferred + self.nonpreferred) / max(1, self.total_sessions)
 
 
+def _session_verdicts(
+    sessions: Sessions, report: PreferredDcReport, server_map: ServerMap
+) -> "np.ndarray":
+    """Per-flow :func:`preference_masks` verdicts, in session order."""
+    return preference_masks(sessions.table, report, server_map)[1][sessions.rows]
+
+
 def one_flow_breakdown(
-    sessions: Sequence[Session],
+    sessions: Sessions,
     report: PreferredDcReport,
     server_map: ServerMap,
 ) -> OneFlowBreakdown:
     """Compute Figure 10(a)'s bar for one dataset."""
-    test = _preferred_test(report, server_map)
-    preferred = 0
-    nonpreferred = 0
-    for session in sessions:
-        if session.num_flows != 1:
-            continue
-        verdict = test(session.first_flow.dst_ip)
-        if verdict is None:
-            continue
-        if verdict:
-            preferred += 1
-        else:
-            nonpreferred += 1
+    first = _session_verdicts(sessions, report, server_map)[sessions.offsets[:-1]]
+    single = sessions.sizes == 1
     return OneFlowBreakdown(
         dataset_name=report.dataset_name,
         total_sessions=len(sessions),
-        preferred=preferred,
-        nonpreferred=nonpreferred,
+        preferred=int(np.count_nonzero(single & (first == 1))),
+        nonpreferred=int(np.count_nonzero(single & (first == 0))),
     )
 
 
 def two_flow_breakdown(
-    sessions: Sequence[Session],
+    sessions: Sessions,
     report: PreferredDcReport,
     server_map: ServerMap,
 ) -> Dict[SessionPattern, float]:
@@ -209,29 +170,18 @@ def two_flow_breakdown(
     Raises:
         ValueError: With no classifiable two-flow sessions.
     """
-    test = _preferred_test(report, server_map)
-    counts: Dict[SessionPattern, int] = {p: 0 for p in SessionPattern}
-    total = 0
-    for session in sessions:
-        if session.num_flows != 2:
-            continue
-        first = test(session.flows[0].dst_ip)
-        second = test(session.flows[1].dst_ip)
-        if first is None or second is None:
-            continue
-        if first and second:
-            pattern = SessionPattern.PREFERRED_PREFERRED
-        elif first and not second:
-            pattern = SessionPattern.PREFERRED_NONPREFERRED
-        elif not first and second:
-            pattern = SessionPattern.NONPREFERRED_PREFERRED
-        else:
-            pattern = SessionPattern.NONPREFERRED_NONPREFERRED
-        counts[pattern] += 1
-        total += 1
+    verdict = _session_verdicts(sessions, report, server_map)
+    heads = sessions.offsets[:-1][sessions.sizes == 2]
+    first, second = verdict[heads], verdict[heads + 1]
+    classified = (first != -1) & (second != -1)
+    first, second = first[classified], second[classified]
+    total = len(first)
     if total == 0:
         raise ValueError("no classifiable two-flow sessions")
-    return {pattern: counts[pattern] / total for pattern in SessionPattern}
+    # SessionPattern's order: (preferred, preferred) is 0, ..., both
+    # non-preferred is 3.
+    counts = np.bincount(2 * (first == 0) + (second == 0), minlength=4).tolist()
+    return {pattern: count / total for pattern, count in zip(SessionPattern, counts)}
 
 
 @dataclass(frozen=True)
@@ -270,7 +220,7 @@ class MultiFlowBreakdown:
 
 
 def multi_flow_breakdown(
-    sessions: Sequence[Session],
+    sessions: Sessions,
     report: PreferredDcReport,
     server_map: ServerMap,
     min_flows: int = 3,
@@ -282,28 +232,18 @@ def multi_flow_breakdown(
     """
     if min_flows < 2:
         raise ValueError("min_flows must be >= 2")
-    test = _preferred_test(report, server_map)
-    counted = all_pref = first_pref_mixed = first_nonpref = 0
-    for session in sessions:
-        if session.num_flows < min_flows:
-            continue
-        verdicts = [test(f.dst_ip) for f in session.flows]
-        if any(v is None for v in verdicts):
-            continue
-        counted += 1
-        if verdicts[0] is False:
-            first_nonpref += 1
-        elif all(verdicts):
-            all_pref += 1
-        else:
-            first_pref_mixed += 1
+    verdict = _session_verdicts(sessions, report, server_map)
+    first = verdict[sessions.offsets[:-1]]
+    counted = (sessions.sizes >= min_flows) & ~sessions.per_session_any(verdict == -1)
+    all_pref = counted & ~sessions.per_session_any(verdict != 1)
+    first_nonpref = counted & (first == 0)
     return MultiFlowBreakdown(
         dataset_name=report.dataset_name,
         total_sessions=len(sessions),
-        sessions=counted,
-        all_preferred=all_pref,
-        first_preferred_rest_mixed=first_pref_mixed,
-        first_nonpreferred=first_nonpref,
+        sessions=int(np.count_nonzero(counted)),
+        all_preferred=int(np.count_nonzero(all_pref)),
+        first_preferred_rest_mixed=int(np.count_nonzero(counted & ~all_pref & ~first_nonpref)),
+        first_nonpreferred=int(np.count_nonzero(first_nonpref)),
     )
 
 
@@ -316,7 +256,7 @@ VERDICT_REDIRECTION = "redirection"
 
 
 def session_verdicts(
-    sessions: Sequence[Session],
+    sessions: Sessions,
     report: PreferredDcReport,
     server_map: ServerMap,
 ) -> List[Optional[str]]:
@@ -335,30 +275,28 @@ def session_verdicts(
       are unclustered.
 
     Returns:
-        One verdict per session, parallel to ``sessions``.
+        One verdict per session, in session order.
     """
-    test = _preferred_test(report, server_map)
-    verdicts: List[Optional[str]] = []
-    for session in sessions:
-        first = test(session.first_flow.dst_ip)
-        if first is None:
-            verdicts.append(None)
-            continue
-        if first is False:
-            verdicts.append(VERDICT_DNS)
-            continue
-        later = [test(flow.dst_ip) for flow in session.flows[1:]]
-        if any(v is False for v in later):
-            verdicts.append(VERDICT_REDIRECTION)
-        elif any(v is None for v in later):
-            verdicts.append(None)
-        else:
-            verdicts.append(VERDICT_PREFERRED)
-    return verdicts
+    verdict = _session_verdicts(sessions, report, server_map)
+    first = verdict[sessions.offsets[:-1]]
+    # With a preferred first flow, "any flow" of the session is "any
+    # later flow": a non-preferred one wins over an unclustered one.
+    code = np.select(
+        [
+            first == -1,
+            first == 0,
+            sessions.per_session_any(verdict == 0),
+            sessions.per_session_any(verdict == -1),
+        ],
+        [0, 1, 2, 0],
+        default=3,
+    )
+    labels = np.array([None, VERDICT_DNS, VERDICT_REDIRECTION, VERDICT_PREFERRED], dtype=object)
+    return labels[code].tolist()
 
 
 def dns_vs_redirection_shares(
-    sessions: Sequence[Session],
+    sessions: Sessions,
     report: PreferredDcReport,
     server_map: ServerMap,
 ) -> Dict[str, float]:
@@ -370,23 +308,12 @@ def dns_vs_redirection_shares(
     one.  Returns the share of each cause (sums to 1 when any
     non-preferred video flow exists).
     """
-    test = _preferred_test(report, server_map)
-    dns = 0
-    redirection = 0
-    for session in sessions:
-        first = test(session.first_flow.dst_ip)
-        if first is None:
-            continue
-        for flow in session.flows:
-            if not is_video_flow(flow):
-                continue
-            verdict = test(flow.dst_ip)
-            if verdict is not False:
-                continue
-            if first is False:
-                dns += 1
-            else:
-                redirection += 1
+    verdict = _session_verdicts(sessions, report, server_map)
+    is_video = sessions.table.columns().num_bytes[sessions.rows] >= CONTROL_FLOW_THRESHOLD_BYTES
+    first = np.repeat(verdict[sessions.offsets[:-1]], sessions.sizes)
+    nonpref_video = is_video & (verdict == 0)
+    dns = int(np.count_nonzero(nonpref_video & (first == 0)))
+    redirection = int(np.count_nonzero(nonpref_video & (first == 1)))
     total = dns + redirection
     if total == 0:
         return {"dns": 0.0, "redirection": 0.0}

@@ -11,7 +11,7 @@ into the numbers a peering coordinator actually uses:
 * peak-hour ingress and the share that stays on-net (the EU2 situation:
   an in-ISP data center keeps ~40 % of YouTube bytes off the peering edge).
 
-Everything here is computed from observables (flow records + whois), so it
+Everything here is computed from observables (flow columns + whois), so it
 runs unchanged on real traces.
 """
 
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
+
+import numpy as np
 
 from repro.net.asn import AsRegistry
 from repro.reporting.tables import TextTable
@@ -137,21 +139,28 @@ def analyze_peering(dataset: Dataset, registry: AsRegistry) -> PeeringReport:
         The :class:`PeeringReport`, ASes byte-descending.
     """
     num_hours = max(1, dataset.num_hours)
-    buckets: Dict[int, List[int]] = {}
-    names: Dict[int, str] = {}
-    for record in dataset:
-        system = registry.whois(record.dst_ip)
-        asn = system.asn if system is not None else 0
-        if asn not in buckets:
-            buckets[asn] = [0] * num_hours
-            names[asn] = system.name if system is not None else "unattributed"
-        hour = min(record.hour, num_hours - 1)
-        buckets[asn][hour] += record.num_bytes
-
-    rows = [
-        AsTraffic(asn=asn, name=names[asn], hourly_bytes=hours)
-        for asn, hours in buckets.items()
-    ]
+    table = dataset.table
+    cols = table.columns()
+    # whois once per distinct server; ASes keep the order the flows
+    # first reach them in, which the byte-descending sort ties break on.
+    servers, server_code = table.dst_codes()
+    systems = [registry.whois(ip) for ip in servers.tolist()]
+    flow_asn = np.array(
+        [0 if system is None else system.asn for system in systems], dtype=np.int64
+    )[server_code]
+    asns, first, as_code = np.unique(flow_asn, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    hourly = np.zeros((len(asns), num_hours), dtype=np.int64)
+    # Fancy indexing wraps a negative hour as a list index would.
+    np.add.at(hourly, (as_code, np.minimum(cols.hour, num_hours - 1)), cols.num_bytes)
+    rows = []
+    for j in order.tolist():
+        system = systems[server_code[first[j]]]
+        rows.append(AsTraffic(
+            asn=int(asns[j]),
+            name=system.name if system is not None else "unattributed",
+            hourly_bytes=hourly[j].tolist(),
+        ))
     rows.sort(key=lambda r: -r.total_bytes)
     on_net = 0
     host_asn = dataset.vantage.asn

@@ -51,7 +51,7 @@ from repro.reporting.series import Cdf
 from repro.sim.week import SimulationResult
 from repro.sim.seeding import derive_seed
 from repro.trace.columnar import FlowTable
-from repro.trace.records import Dataset, FlowRecord
+from repro.trace.records import Dataset
 
 if TYPE_CHECKING:
     # Only the full report and the figures run these analyses; each
@@ -90,7 +90,7 @@ class StudyPipeline:
     Args:
         results: Mapping dataset name → simulation result: its ``world``
             (for active measurements) and its ``dataset``, which only the
-            record-level analyses (sessions, Figures 4-6 and 10-16) read.
+            flow-level analyses (sessions, Figures 4-6 and 10-16) read.
         landmark_count: Landmark budget for CBG; ``None`` uses the paper's
             full 215-node set.  Tests pass a smaller number.
         seed: Measurement-noise seed (independent of the worlds' seeds).
@@ -122,16 +122,16 @@ class StudyPipeline:
         return list(self._results)
 
     def dataset(self, name: str) -> Dataset:
-        """One dataset's trace: what every record-level view reads.
+        """One dataset's trace: what every flow-level view reads.
 
         Raises:
             ValueError: On a pipeline built from streamed ``folds``, which
-                holds no records.
+                holds no flow table.
         """
         if self._folds is not None:
             raise ValueError(
-                "a streamed study holds only its folds; the record-level views "
-                "(sessions, session_histogram, focus_records, flow_size_cdf, "
+                "a streamed study holds only its folds; the flow-level views "
+                "(sessions, session_histogram, focus_tables, flow_size_cdf, "
                 "gap_sensitivity, peering and Figures 10-16) need the batch path"
             )
         return self._results[name].dataset
@@ -223,10 +223,9 @@ class StudyPipeline:
     def focus_tables(self) -> Dict[str, FlowTable]:
         """Per-dataset flow tables restricted to the focus servers.
 
-        Each selects its dataset's rows with a ``dst_ip`` mask, so no
-        record is built.  Every analysis method below hands these to the
-        core modules, so the columnar work is done once per dataset, not
-        once per figure.
+        Each selects its dataset's rows with a ``dst_ip`` mask.  Every
+        analysis method below hands these to the core modules, so the
+        columnar work is done once per dataset, not once per figure.
         """
         out: Dict[str, FlowTable] = {}
         for name in self._results:
@@ -234,11 +233,6 @@ class StudyPipeline:
             keep = np.isin(table.columns().dst_ip, self.focus_ips[name])
             out[name] = table.select(keep)
         return out
-
-    @property
-    def focus_records(self) -> Dict[str, List[FlowRecord]]:
-        """Per-dataset flow records restricted to the focus servers."""
-        return {name: table.records for name, table in self.focus_tables.items()}
 
     # ------------------------------------------------------------------- F2
 
@@ -343,7 +337,7 @@ class StudyPipeline:
             return sessions_mod.gap_sensitivity(self.focus_tables[name])
 
     @cached_property
-    def sessions(self) -> Dict[str, List[sessions_mod.Session]]:
+    def sessions(self) -> Dict[str, sessions_mod.Sessions]:
         """Per-dataset video sessions at the paper's gap T (1 s)."""
         with obs.span("analysis/sessions", layer="analysis"):
             built = {
@@ -414,7 +408,7 @@ class StudyPipeline:
     def session_verdicts(self, name: str) -> List[Optional[str]]:
         """Blind per-session attribution verdicts for one dataset.
 
-        Parallel to :attr:`sessions` ``[name]``; what the ground-truth
+        In :attr:`sessions` ``[name]`` order; what the ground-truth
         scorer (:mod:`repro.eval.attribution`) grades.  Uses measurement
         data only — simulator ground truth never enters the pipeline.
         """
@@ -462,7 +456,7 @@ class StudyPipeline:
             self.dataset(name),
             self.preferred_reports[name],
             self.server_map,
-            records=self.focus_records[name],
+            table=self.focus_tables[name],
         )
 
     # ------------------------------------------------- F13, F14, F15, F16

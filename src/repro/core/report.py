@@ -177,7 +177,7 @@ def render_study_report(pipeline: StudyPipeline, hot_dataset: str = "EU1-ADSL") 
 
     lines += _section(f"Hot spots and cold content (Figures 13-16, {hot_dataset})")
     counts = nonpreferred_requests_per_video(
-        pipeline.focus_records[hot_dataset],
+        pipeline.focus_tables[hot_dataset],
         pipeline.preferred_reports[hot_dataset],
         pipeline.server_map,
     )

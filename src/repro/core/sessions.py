@@ -13,22 +13,22 @@ the flows-per-session distribution at T = 1 s for every dataset.
 session index of :mod:`repro.trace.columnar`: one stable lexsort on
 (client, video, t_start, t_end) plus a group-wise running-max horizon.
 The Figure 5 sweep shares that single sorted pass — only the gap
-comparison is re-evaluated per T.  :class:`WindowedSessionBuilder` runs
-the same index over sealed windows, one at a time, and counts the
-sessions as they close.  The record-at-a-time spec of the rule
-lives in ``tests/oracle/sessions.py``, and the parity tests hold these
-kernels to its exact session lists.
+comparison is re-evaluated per T.  :class:`Sessions` is that sort cut
+at one gap: every Figure 10-16 consumer reads a per-flow column in
+session order and reduces it per session, with no per-flow object.
+:class:`WindowedSessionBuilder` runs the same index over sealed
+windows, one at a time, and counts the sessions as they close.  The
+record-at-a-time spec of the rule lives in ``tests/oracle/sessions.py``,
+and the parity tests hold these kernels to its exact session lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.trace.columnar import FlowTable, as_table, concat_tables
-from repro.trace.records import FlowRecord
+from repro.trace.columnar import RECORD_FIELDS, FlowTable, concat_tables
 
 #: The paper's chosen session gap.
 DEFAULT_GAP_S = 1.0
@@ -40,89 +40,81 @@ PAPER_GAP_SWEEP_S = (1.0, 5.0, 10.0, 60.0, 300.0)
 HISTOGRAM_BUCKETS = tuple(str(i) for i in range(1, 10)) + (">9",)
 
 
-@dataclass
-class Session:
-    """A group of related flows: one user's attempt to watch one video.
+class Sessions:
+    """One table's video sessions at one gap, as columns in session order.
+
+    Sessions are ordered by (client, video, start time) and each session's
+    flows by (start, end), the order of the table's
+    :class:`~repro.trace.columnar.SessionIndex`.  Session ``k``'s flows
+    are the table rows ``rows[offsets[k]:offsets[k + 1]]``; a per-flow
+    column of the table in session order is ``column[rows]``.
 
     Attributes:
-        client_ip: The client address.
-        video_id: The requested VideoID.
-        flows: Member flows ordered by start time.
+        table: The flows the sessions group.
+        rows: Table row of every flow, in session order.
+        offsets: Per session, where its flows start in :attr:`rows`, plus
+            one final entry, ``len(rows)``.
+        sizes: Flows per session.
+        first: Table row of each session's first flow (its DNS landing
+            point).
+        last: Table row of each session's last flow (normally the video
+            transfer).
+        client_ip: Per-session client address.
+        video_code: Per-session video, as a code into the table's
+            ``video_ids`` column.
+        t_start: Per-session start: its first flow's ``t_start``.
     """
 
-    client_ip: int
-    video_id: str
-    flows: List[FlowRecord] = field(default_factory=list)
+    __slots__ = (
+        "table", "rows", "offsets", "sizes", "first", "last",
+        "client_ip", "video_code", "t_start",
+    )
 
-    @property
-    def num_flows(self) -> int:
-        """Number of member flows."""
-        return len(self.flows)
+    def __init__(self, table: FlowTable, gap_s: float):
+        index = table.session_index()
+        cols = table.columns()
+        self.table = table
+        self.rows = index.order
+        starts = np.flatnonzero(index.session_starts(gap_s))
+        self.offsets = np.append(starts, len(self.rows))
+        self.sizes = np.diff(self.offsets)
+        self.first = self.rows[starts]
+        self.last = self.rows[self.offsets[1:] - 1]
+        self.client_ip = cols.src_ip[self.first]
+        self.video_code = cols.video_code[self.first]
+        self.t_start = cols.t_start[self.first]
 
-    @property
-    def t_start(self) -> float:
-        """Start of the first flow."""
-        return self.flows[0].t_start
+    def __len__(self) -> int:
+        return len(self.sizes)
 
-    @property
-    def hour(self) -> int:
-        """Trace hour the session started in."""
-        return int(self.t_start // 3600.0)
+    def per_session_any(self, flags) -> "np.ndarray":
+        """Per session: whether any of its flows is flagged.
 
-    @property
-    def first_flow(self) -> FlowRecord:
-        """The session's first flow (DNS landing point)."""
-        return self.flows[0]
-
-    @property
-    def last_flow(self) -> FlowRecord:
-        """The session's last flow (normally the video transfer)."""
-        return self.flows[-1]
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes over all member flows."""
-        return sum(f.num_bytes for f in self.flows)
+        Args:
+            flags: One boolean per flow, in session order (a table
+                column indexed by :attr:`rows`).
+        """
+        if not len(self):
+            return np.zeros(0, dtype=bool)
+        return np.logical_or.reduceat(flags, self.offsets[:-1])
 
 
-def build_sessions(
-    records: Union[Iterable[FlowRecord], FlowTable], gap_s: float = DEFAULT_GAP_S
-) -> List[Session]:
-    """Group flows into video sessions.
+def build_sessions(table: FlowTable, gap_s: float = DEFAULT_GAP_S) -> Sessions:
+    """Group a table's flows into video sessions.
 
     Args:
-        records: Flow records (any order), or a
-            :class:`~repro.trace.columnar.FlowTable` over them.
+        table: The flows, in any order.
         gap_s: The session gap T.
 
     Returns:
-        Sessions ordered by (client, video, start time).
+        The sessions, ordered by (client, video, start time).
 
     Raises:
         ValueError: For a non-positive gap.
     """
     if gap_s <= 0:
         raise ValueError("gap_s must be positive")
-    table = as_table(records)
-    index = table.session_index()
-    n = len(index.order)
-    if n == 0:
-        return []
-    recs = table.records
-    ordered = [recs[i] for i in index.order.tolist()]
-    # Pull each session's key from the columns instead of the first record:
-    # 75k attribute lookups cost more than three vectorised gathers.
-    cols = table.columns()
-    first_rows = index.session_starts(gap_s).nonzero()[0]
-    client_ips = cols.src_ip[index.order[first_rows]].tolist()
-    video_codes = cols.video_code[index.order[first_rows]].tolist()
-    video_ids = cols.video_ids.tolist()  # built-in str, not numpy str_
-    bounds = first_rows.tolist()
-    bounds.append(n)
-    flow_lists = [ordered[start:end] for start, end in zip(bounds, bounds[1:])]
-    return list(
-        map(Session, client_ips, map(video_ids.__getitem__, video_codes), flow_lists)
-    )
+    return Sessions(table, gap_s)
 
 
 class SessionStatsAccumulator:
@@ -190,7 +182,7 @@ class WindowedSessionBuilder:
         if gap_s <= 0:
             raise ValueError("gap_s must be positive")
         self._gap_s = gap_s
-        self._open = FlowTable([])
+        self._open = FlowTable.from_rows([], RECORD_FIELDS)
         self.stats = SessionStatsAccumulator()
 
     def observe(self, window: FlowTable) -> None:
@@ -212,10 +204,10 @@ class WindowedSessionBuilder:
     def finish(self) -> None:
         """Count the sessions still open: no window follows."""
         self.stats.add_sizes(self._open.session_index().session_sizes(self._gap_s))
-        self._open = FlowTable([])
+        self._open = FlowTable.from_rows([], RECORD_FIELDS)
 
 
-def flows_per_session_histogram(sessions: Sequence[Session]) -> Dict[str, float]:
+def flows_per_session_histogram(sessions: Sessions) -> Dict[str, float]:
     """The Figure 5/6 histogram: fraction of sessions per flow-count bucket.
 
     Returns:
@@ -224,10 +216,10 @@ def flows_per_session_histogram(sessions: Sequence[Session]) -> Dict[str, float]
     Raises:
         ValueError: With no sessions.
     """
-    return SessionStatsAccumulator([s.num_flows for s in sessions]).histogram()
+    return SessionStatsAccumulator(sessions.sizes).histogram()
 
 
-def multi_flow_fraction(sessions: Sequence[Session]) -> float:
+def multi_flow_fraction(sessions: Sessions) -> float:
     """Fraction of sessions with at least two flows.
 
     The paper reports 19.5-27.5 % at T = 1 s ("the use of application-layer
@@ -236,13 +228,13 @@ def multi_flow_fraction(sessions: Sequence[Session]) -> float:
     Raises:
         ValueError: With no sessions.
     """
-    if not sessions:
+    if not len(sessions):
         raise ValueError("no sessions")
-    return sum(1 for s in sessions if s.num_flows >= 2) / len(sessions)
+    return int(np.count_nonzero(sessions.sizes >= 2)) / len(sessions)
 
 
 def gap_sensitivity(
-    records: Union[Sequence[FlowRecord], FlowTable],
+    table: FlowTable,
     gaps_s: Sequence[float] = PAPER_GAP_SWEEP_S,
 ) -> Dict[float, Dict[str, float]]:
     """Figure 5: the flows-per-session histogram for each gap value.
@@ -256,7 +248,7 @@ def gap_sensitivity(
     for gap in gaps_s:
         if gap <= 0:
             raise ValueError("gap_s must be positive")
-    index = as_table(records).session_index()
+    index = table.session_index()
     return {
         gap: SessionStatsAccumulator(index.session_sizes(gap)).histogram()
         for gap in gaps_s

@@ -11,12 +11,15 @@ non-preferred data centers."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.core.nonpreferred import video_flow_preference
+import numpy as np
+
+from repro.core.nonpreferred import preference_masks
 from repro.core.preferred import PreferredDcReport
 from repro.geoloc.clustering import ServerMap
-from repro.trace.records import Dataset, FlowRecord
+from repro.trace.columnar import FlowTable
+from repro.trace.records import Dataset
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,7 @@ def subnet_shares(
     dataset: Dataset,
     report: PreferredDcReport,
     server_map: ServerMap,
-    records: Optional[Sequence[FlowRecord]] = None,
+    table: Optional[FlowTable] = None,
 ) -> List[SubnetShare]:
     """Compute Figure 12's bars for a dataset.
 
@@ -53,8 +56,8 @@ def subnet_shares(
         dataset: The dataset (its subnet plan attributes client addresses).
         report: Preferred-data-center report.
         server_map: CBG clustering.
-        records: Flow records to analyse (defaults to the dataset's own;
-            pass the focus-filtered list to match the paper).
+        table: Flows to analyse (defaults to the dataset's own; pass the
+            focus-filtered table to match the paper).
 
     Returns:
         One :class:`SubnetShare` per subnet, in the vantage point's order.
@@ -62,38 +65,36 @@ def subnet_shares(
     Raises:
         ValueError: With no classifiable video flows.
     """
-    if records is None:
-        records = dataset.records
-    split = video_flow_preference(records, report, server_map)
-    all_flows = split[True] + split[False]
-    if not all_flows:
+    if table is None:
+        table = dataset.table
+    is_video, verdict = preference_masks(table, report, server_map)
+    classified = is_video & (verdict != -1)
+    if not classified.any():
         raise ValueError("no classifiable video flows")
-    nonpref_flows = split[False]
+    subnets = dataset.vantage.subnets
+    slot = {subnet.name: i for i, subnet in enumerate(subnets)}
 
-    def count_by_subnet(flows: Sequence[FlowRecord]) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for flow in flows:
-            subnet = dataset.vantage.subnet_of(flow.src_ip)
-            if subnet is None:
-                continue
-            counts[subnet.name] = counts.get(subnet.name, 0) + 1
-        return counts
+    def slot_of(client_ip: int) -> int:
+        subnet = dataset.vantage.subnet_of(client_ip)
+        return -1 if subnet is None else slot[subnet.name]
 
-    all_counts = count_by_subnet(all_flows)
-    nonpref_counts = count_by_subnet(nonpref_flows)
-    total_all = max(1, sum(all_counts.values()))
-    total_nonpref = max(1, sum(nonpref_counts.values()))
-
-    shares: List[SubnetShare] = []
-    for subnet in dataset.vantage.subnets:
-        shares.append(
-            SubnetShare(
-                subnet_name=subnet.name,
-                all_share=all_counts.get(subnet.name, 0) / total_all,
-                nonpreferred_share=nonpref_counts.get(subnet.name, 0) / total_nonpref,
-            )
+    # Each distinct client is placed in the subnet plan once.
+    clients, client_code = np.unique(table.columns().src_ip[classified], return_inverse=True)
+    flow_slot = np.array([slot_of(ip) for ip in clients.tolist()], dtype=np.int64)[client_code]
+    in_plan = flow_slot >= 0
+    nonpref = in_plan & (verdict[classified] == 0)
+    all_counts = np.bincount(flow_slot[in_plan], minlength=len(subnets)).tolist()
+    nonpref_counts = np.bincount(flow_slot[nonpref], minlength=len(subnets)).tolist()
+    total_all = max(1, sum(all_counts))
+    total_nonpref = max(1, sum(nonpref_counts))
+    return [
+        SubnetShare(
+            subnet_name=subnet.name,
+            all_share=all_counts[slot[subnet.name]] / total_all,
+            nonpreferred_share=nonpref_counts[slot[subnet.name]] / total_nonpref,
         )
-    return shares
+        for subnet in subnets
+    ]
 
 
 def most_biased_subnet(shares: Sequence[SubnetShare]) -> SubnetShare:

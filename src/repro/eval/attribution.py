@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.pipeline import StudyPipeline
-from repro.core.sessions import Session
+from repro.core.sessions import Sessions
 from repro.core.validation import cluster_majority_dc
 from repro.sim.week import (
     GroundTruthLog,
@@ -122,35 +122,41 @@ class AttributionScore:
 
 
 def match_session_truths(
-    sessions: Sequence[Session],
+    sessions: Sessions,
     truth: GroundTruthLog,
     slack_s: float = MATCH_SLACK_S,
 ) -> Tuple[List[List[int]], int]:
     """Join truth records to the sessions whose flow spans contain them.
 
     Args:
-        sessions: One dataset's sessions (any order).
+        sessions: One dataset's sessions.
         truth: The dataset's ground-truth log.
         slack_s: Tolerated gap between a request time and the session's
             observed span (monitor-missed edge flows).
 
     Returns:
         ``(assignments, orphans)`` — per-session lists of truth-record
-        indices (parallel to ``sessions``), and the count of truth
-        records no session contains.
+        indices (in session order), and the count of truth records no
+        session contains.
     """
+    cols = sessions.table.columns()
+    video_ids = cols.video_ids.tolist()
+    t_start = sessions.t_start.tolist()
+    t_end = cols.t_end[sessions.last].tolist()
+    # Sessions come in (client, video, start) order: each key's sessions
+    # are one run, already in start order.
     by_key: Dict[Tuple[int, str], List[int]] = {}
-    for position, session in enumerate(sessions):
-        by_key.setdefault((session.client_ip, session.video_id), []).append(position)
-    for positions in by_key.values():
-        positions.sort(key=lambda p: sessions[p].t_start)
+    for position, (client, video) in enumerate(
+        zip(sessions.client_ip.tolist(), sessions.video_code.tolist())
+    ):
+        by_key.setdefault((client, video_ids[video]), []).append(position)
 
     truth_by_key: Dict[Tuple[int, str], List[int]] = {}
     for index in range(len(truth)):
         key = (truth.client_ips[index], truth.video_ids[index])
         truth_by_key.setdefault(key, []).append(index)
 
-    assignments: List[List[int]] = [[] for _ in sessions]
+    assignments: List[List[int]] = [[] for _ in range(len(sessions))]
     orphans = 0
     for key, indices in truth_by_key.items():
         positions = by_key.get(key)
@@ -163,15 +169,9 @@ def match_session_truths(
             t = truth.t_s[index]
             # Same-key sessions are time-disjoint (the gap merge separates
             # them), so advance past every session that ended before t.
-            while (
-                cursor < len(positions)
-                and t > sessions[positions[cursor]].last_flow.t_end + slack_s
-            ):
+            while cursor < len(positions) and t > t_end[positions[cursor]] + slack_s:
                 cursor += 1
-            if (
-                cursor < len(positions)
-                and t >= sessions[positions[cursor]].t_start - slack_s
-            ):
+            if cursor < len(positions) and t >= t_start[positions[cursor]] - slack_s:
                 assignments[positions[cursor]].append(index)
             else:
                 orphans += 1

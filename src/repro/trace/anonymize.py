@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
-from repro.trace.records import FlowRecord
+import numpy as np
+
+from repro.trace.columnar import FlowTable, _Columns
 
 
 class PrefixPreservingAnonymizer:
@@ -69,21 +71,23 @@ class PrefixPreservingAnonymizer:
         self._cache[ip] = out
         return out
 
-    def anonymize_record(self, record: FlowRecord) -> FlowRecord:
-        """Anonymise one flow record (addresses only; metrics unchanged)."""
-        return FlowRecord(
-            src_ip=self.anonymize_ip(record.src_ip),
-            dst_ip=self.anonymize_ip(record.dst_ip),
-            num_bytes=record.num_bytes,
-            t_start=record.t_start,
-            t_end=record.t_end,
-            video_id=record.video_id,
-            resolution=record.resolution,
-        )
+    def anonymize_table(self, table: FlowTable) -> FlowTable:
+        """Anonymise a flow table's two address columns (metrics unchanged).
 
-    def anonymize_records(self, records: Iterable[FlowRecord]) -> List[FlowRecord]:
-        """Anonymise a batch of records."""
-        return [self.anonymize_record(r) for r in records]
+        Each distinct address is mapped once.
+        """
+        cols = table.columns()
+        return FlowTable(_Columns(
+            self._anonymize_column(cols.src_ip),
+            self._anonymize_column(cols.dst_ip),
+            cols.num_bytes, cols.t_start, cols.t_end,
+            cols.video_ids, cols.video_code, cols.resolutions, cols.resolution_code,
+        ))
+
+    def _anonymize_column(self, ips):
+        uniq, code = np.unique(ips, return_inverse=True)
+        mapped = np.fromiter(map(self.anonymize_ip, uniq.tolist()), np.int64, count=len(uniq))
+        return mapped[code]
 
 
 def shared_prefix_bits(a: int, b: int) -> int:

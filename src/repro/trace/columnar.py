@@ -9,8 +9,8 @@ here:
 * :class:`FlowTable` — a week's flows as numpy column arrays (``src_ip``,
   ``dst_ip``, ``num_bytes``, ``t_start``, ``t_end``, integer-coded
   ``video_id`` / ``resolution``, and the derived ``hour``), collected as
-  columns by the edge monitor or built from an ad-hoc record list, with
-  the record view built only when a record-level consumer asks;
+  columns by the edge monitor or a flow-log reader; the one form every
+  analysis reads;
 * :class:`SessionIndex` — the gap-*independent* part of session building
   (one lexsort over (client, video, start, end) plus the group-wise
   running-max horizon), shared by every gap value of the Figure 5 sweep;
@@ -42,11 +42,9 @@ from __future__ import annotations
 
 import math
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
-
-from repro.trace.records import FlowRecord
 
 
 class _Columns:
@@ -81,7 +79,7 @@ class _Columns:
         self.t_start = t_start
         self.t_end = t_end
         # int(t // 3600.0): the float is already floored, so astype's
-        # truncation equals FlowRecord.hour exactly.
+        # truncation equals int() of it exactly.
         self.hour = (t_start // 3600.0).astype(np.int64)
         self.video_ids = video_ids
         self.video_code = video_code
@@ -89,7 +87,8 @@ class _Columns:
         self.resolution_code = resolution_code
 
 
-#: Getters of a :class:`FlowRecord`'s fields, in order.
+#: Getters of a :class:`~repro.trace.records.FlowRecord`'s fields, in
+#: order: the ``fields`` of :meth:`FlowTable.from_rows` for parsed records.
 RECORD_FIELDS = tuple(
     attrgetter(name)
     for name in ("src_ip", "dst_ip", "num_bytes", "t_start", "t_end", "video_id", "resolution")
@@ -102,8 +101,9 @@ _DTYPES = (np.int64, np.int64, np.int64, np.float64, np.float64)
 def _columns(rows: Sequence, fields: Sequence[Callable]) -> _Columns:
     """The columns of ``rows``, in row order.
 
-    ``fields`` gets each of a :class:`FlowRecord`'s fields, in order, out
-    of a row; no per-row object is built on the way.
+    ``fields`` gets each of the seven flow fields, in
+    :data:`RECORD_FIELDS` order, out of a row; no per-row object is built
+    on the way.
     """
     n = len(rows)
     numeric = [
@@ -216,76 +216,54 @@ class SessionIndex:
 
 
 class FlowTable:
-    """A columnar flow table: numpy columns, with a record view on demand.
+    """A week's flows (or any subset) as numpy columns.
 
-    A table is built either from a record list (``FlowTable(records)``,
-    for ad-hoc lists; its columns materialise the first time a kernel
-    asks) or straight into columns (:meth:`from_rows`, which the edge
-    monitor runs on the flow tuples it keeps, and :meth:`select`; its
-    records are built on first use of :attr:`records`).  Either way it
-    is a ``Sequence[FlowRecord]``, so record-level consumers can iterate
-    it.  Build one per dataset / filtered flow set and pass it to the
-    analysis functions, so every analysis shares its cached columns.  A
-    table pickles as its columns only.
+    A table is built straight into columns: :meth:`from_rows` over the
+    flow tuples the edge monitor keeps or the records a flow log reads,
+    :meth:`select` over another table's rows, :func:`concat_tables` over
+    two tables.  Build one per dataset / filtered flow set and pass it to
+    the analysis functions, so every analysis shares its cached session
+    index and server coding.  A table pickles as its columns.
+    ``FlowTable(columns)`` wraps already-built :class:`_Columns`.
     """
 
-    __slots__ = (
-        "_records",
-        "_cols",
-        "_session_index",
-        "_dst_unique",
-        "_dst_code",
-    )
+    __slots__ = ("_cols", "_session_index", "_dst_unique", "_dst_code")
 
-    def __init__(self, records: Union[Sequence[FlowRecord], Iterable[FlowRecord]]):
-        self._records: Optional[List[FlowRecord]] = (
-            records if isinstance(records, list) else list(records)
-        )
-        self._cols: Optional[_Columns] = None
+    def __init__(self, cols: _Columns):
+        self._cols = cols
         self._session_index: Optional[SessionIndex] = None
         self._dst_unique = None
         self._dst_code = None
-
-    @classmethod
-    def _of_columns(cls, cols: _Columns) -> "FlowTable":
-        table = cls.__new__(cls)
-        table._records = None
-        table._cols = cols
-        table._session_index = None
-        table._dst_unique = None
-        table._dst_code = None
-        return table
 
     @classmethod
     def from_rows(cls, rows: Sequence, fields: Sequence[Callable]) -> "FlowTable":
         """A table of arbitrary flow rows, in row order.
 
         Args:
-            rows: One object per flow (a tuple, say).
-            fields: Getters of a :class:`FlowRecord`'s seven fields, in
-                order, out of a row.
+            rows: One object per flow (a tuple, a parsed log record).
+            fields: Getters of the seven flow fields, in
+                :data:`RECORD_FIELDS` order, out of a row.
 
         Raises:
-            ValueError: :class:`FlowRecord`'s value checks, applied to
-                every row at once: a flow ends before it starts, or has a
-                negative byte count.
+            ValueError: A flow ends before it starts, or has a negative
+                byte count (the flow log's own value checks, applied to
+                every row at once).
         """
         cols = _columns(rows, fields)
         if (cols.t_end < cols.t_start).any():
             raise ValueError("flow ends before it starts")
         if (cols.num_bytes < 0).any():
             raise ValueError("negative byte count")
-        return cls._of_columns(cols)
+        return cls(cols)
 
     def select(self, rows) -> "FlowTable":
         """The table of the selected rows (a boolean mask or index array).
 
         The string codes are re-derived over the rows kept, so the result
-        equals, column for column, ``FlowTable`` over the selected
-        records, and is built without them.
+        equals, column for column, :meth:`from_rows` over the same flows.
         """
-        cols = self.columns()
-        return FlowTable._of_columns(_Columns(
+        cols = self._cols
+        return FlowTable(_Columns(
             cols.src_ip[rows], cols.dst_ip[rows], cols.num_bytes[rows],
             cols.t_start[rows], cols.t_end[rows],
             *_recode(cols.video_ids, cols.video_code[rows]),
@@ -293,89 +271,42 @@ class FlowTable:
         ))
 
     def __reduce__(self):
-        cols = self.columns()
-        return _table_of_stored, tuple(getattr(cols, name) for name in _Columns._STORED)
-
-    # ------------------------------------------------ sequence protocol
-
-    @property
-    def records(self) -> List[FlowRecord]:
-        """One :class:`FlowRecord` per row (built on first use, then cached)."""
-        if self._records is None:
-            cols = self._cols
-            video_ids = cols.video_ids.tolist()
-            resolutions = cols.resolutions.tolist()
-            self._records = list(map(
-                FlowRecord,
-                cols.src_ip.tolist(),
-                cols.dst_ip.tolist(),
-                cols.num_bytes.tolist(),
-                cols.t_start.tolist(),
-                cols.t_end.tolist(),
-                [video_ids[code] for code in cols.video_code.tolist()],
-                [resolutions[code] for code in cols.resolution_code.tolist()],
-            ))
-        return self._records
+        return _table_of_stored, tuple(getattr(self._cols, name) for name in _Columns._STORED)
 
     def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
         return len(self._cols.t_start)
 
-    def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(self.records)
-
-    def __getitem__(self, index):
-        return self.records[index]
-
-    # ------------------------------------------------------- columns
-
     def columns(self) -> _Columns:
-        """The column arrays (built from the records on first use)."""
-        if self._cols is None:
-            self._cols = _columns(self._records, RECORD_FIELDS)
+        """The column arrays."""
         return self._cols
 
     def session_index(self) -> SessionIndex:
         """The cached gap-independent session skeleton."""
         if self._session_index is None:
-            self._session_index = SessionIndex(self.columns())
+            self._session_index = SessionIndex(self._cols)
         return self._session_index
 
     def dst_codes(self):
         """``(unique_dst_ips, per-flow code)`` — server-identity coding."""
         if self._dst_unique is None:
-            self._dst_unique, code = np.unique(
-                self.columns().dst_ip, return_inverse=True
-            )
+            self._dst_unique, code = np.unique(self._cols.dst_ip, return_inverse=True)
             self._dst_code = code.astype(np.int64, copy=False)
         return self._dst_unique, self._dst_code
 
 
 def _table_of_stored(*stored) -> FlowTable:
     """Unpickle a :class:`FlowTable` from its stored columns."""
-    return FlowTable._of_columns(_Columns(*stored))
+    return FlowTable(_Columns(*stored))
 
 
 def concat_tables(first: FlowTable, second: FlowTable) -> FlowTable:
     """The rows of ``first`` followed by those of ``second``, as one table."""
     a, b = first.columns(), second.columns()
-    return FlowTable._of_columns(_Columns(
+    return FlowTable(_Columns(
         *(np.concatenate((getattr(a, name), getattr(b, name))) for name in _Columns._STORED[:5]),
         *_merge_codes(a.video_ids, a.video_code, b.video_ids, b.video_code),
         *_merge_codes(a.resolutions, a.resolution_code, b.resolutions, b.resolution_code),
     ))
-
-
-def as_table(records: Union[Sequence[FlowRecord], FlowTable]) -> FlowTable:
-    """The :class:`FlowTable` to run the kernels over.
-
-    An existing table passes through (reusing its cached columns); a plain
-    record sequence gets a throwaway table.
-    """
-    if isinstance(records, FlowTable):
-        return records
-    return FlowTable(records)
 
 
 # ------------------------------------------------------------- windowing
@@ -397,7 +328,7 @@ def seal_rows(rows: List, before_s: float, fields: Sequence[Callable]) -> FlowTa
             taken out of it and released once their columns are built.
         before_s: Seal the rows that start before this instant
             (``math.inf`` takes them all without a pass over them).
-        fields: Getters of a :class:`FlowRecord`'s seven fields out of a
+        fields: Getters of the seven flow fields out of a
             row (see :meth:`FlowTable.from_rows`).
 
     Raises:

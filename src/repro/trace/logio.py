@@ -15,7 +15,6 @@ layer forgives only the faults it creates.
 
 from __future__ import annotations
 
-import io
 import math
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
@@ -32,45 +31,26 @@ _HEADER = "#src_ip\tdst_ip\tbytes\tt_start\tt_end\tvideo_id\tresolution"
 _NUM_FIELDS = 7
 
 
-def format_record(record: FlowRecord) -> str:
-    """One log line for a flow record.
-
-    Timestamps use Python's shortest-roundtrip float repr, so a written
-    log parses back to bit-identical records.
-    """
-    return (
-        f"{format_ip(record.src_ip)}\t{format_ip(record.dst_ip)}\t{record.num_bytes}\t"
-        f"{record.t_start!r}\t{record.t_end!r}\t{record.video_id}\t{record.resolution}"
-    )
+#: Rows per rendered chunk: few enough that a chunk's text stays small
+#: next to the columns it renders.
+_CHUNK_LINES = 4096
 
 
-#: Rows per :func:`update_digest` hash call: few enough that a chunk's
-#: text stays small next to the columns it renders.
-_DIGEST_CHUNK_LINES = 4096
+def _chunks(table: FlowTable) -> Iterator[str]:
+    """A flow table's log lines, :data:`_CHUNK_LINES` at a time.
 
-
-def update_digest(digest, table: FlowTable) -> None:
-    """Feed a flow table's flow-log lines into a running hash.
-
-    The one content-digest serialisation: a batch dataset hashes its
-    table in one call, a stream its sealed windows' tables in order, and
-    both give the same hex digest for the same flows.  The lines are
-    :func:`format_record`'s, each ending in a newline, rendered straight
-    from the columns: a week has a few hundred distinct addresses and a
-    few thousand videos, so each is formatted once, and the lines are
-    hashed :data:`_DIGEST_CHUNK_LINES` at a time (the same bytes in the
-    same order, so the same digest).
-
-    Args:
-        digest: A ``hashlib`` object, e.g. ``hashlib.sha256()``.
-        table: The flows, in flow-log order.
+    The one renderer of the line format: the writers and the content
+    digest all read it.  Each line ends in a newline; timestamps use
+    Python's shortest-roundtrip float repr, so a written log parses back
+    to bit-identical columns.  A week has a few hundred distinct
+    addresses and a few thousand videos, so each is formatted once.
     """
     cols = table.columns()
     video_ids = cols.video_ids.tolist()
     resolutions = cols.resolutions.tolist()
-    for lo in range(0, len(table), _DIGEST_CHUNK_LINES):
-        rows = slice(lo, lo + _DIGEST_CHUNK_LINES)
-        lines = [
+    for lo in range(0, len(table), _CHUNK_LINES):
+        rows = slice(lo, lo + _CHUNK_LINES)
+        yield "".join([
             f"{src}\t{dst}\t{num_bytes}\t{t_start!r}\t{t_end!r}\t"
             f"{video_ids[video]}\t{resolutions[resolution]}\n"
             for src, dst, num_bytes, t_start, t_end, video, resolution in zip(
@@ -82,8 +62,23 @@ def update_digest(digest, table: FlowTable) -> None:
                 cols.video_code[rows].tolist(),
                 cols.resolution_code[rows].tolist(),
             )
-        ]
-        digest.update("".join(lines).encode("ascii"))
+        ])
+
+
+def update_digest(digest, table: FlowTable) -> None:
+    """Feed a flow table's flow-log lines into a running hash.
+
+    The one content-digest serialisation: a batch dataset hashes its
+    table in one call, a stream its sealed windows' tables in order, and
+    both give the same hex digest for the same flows.  The bytes are a
+    written log's, less its header.
+
+    Args:
+        digest: A ``hashlib`` object, e.g. ``hashlib.sha256()``.
+        table: The flows, in flow-log order.
+    """
+    for chunk in _chunks(table):
+        digest.update(chunk.encode("ascii"))
 
 
 def _formatted_ips(ips) -> List[str]:
@@ -117,19 +112,16 @@ def parse_record(line: str, address: Callable[[str], int] = parse_ip) -> FlowRec
     )
 
 
-def write_flow_log(records: Iterable[FlowRecord], path: Union[str, Path]) -> int:
-    """Write records to a flow-log file.
+def write_flow_log(table: FlowTable, path: Union[str, Path]) -> int:
+    """Write a flow table to a flow-log file, header first.
 
     Returns:
-        Number of records written.
+        Number of flows written.
     """
-    count = 0
     with open(path, "w", encoding="ascii") as handle:
         handle.write(_HEADER + "\n")
-        for record in records:
-            handle.write(format_record(record) + "\n")
-            count += 1
-    return count
+        handle.writelines(_chunks(table))
+    return len(table)
 
 
 def _parse_lines(lines: Iterable[str], source: str) -> Iterator[FlowRecord]:
@@ -182,14 +174,14 @@ def _parse_lines(lines: Iterable[str], source: str) -> Iterator[FlowRecord]:
             degradation.record("trace/logio", degraded=1, skipped=skipped)
 
 
-def read_flow_log(path: Union[str, Path]) -> List[FlowRecord]:
-    """Read a flow-log file back into records (comments skipped).
+def read_flow_log(path: Union[str, Path]) -> FlowTable:
+    """Read a flow-log file back into a table, in file order (comments skipped).
 
     Raises:
         ValueError: On a malformed line (see :func:`_parse_lines`).
     """
     with open(path, "r", encoding="ascii") as handle:
-        return list(_parse_lines(handle, Path(path).name))
+        return FlowTable.from_rows(list(_parse_lines(handle, Path(path).name)), RECORD_FIELDS)
 
 
 def iter_flow_log(path: Union[str, Path]) -> Iterator[FlowRecord]:
@@ -255,15 +247,11 @@ def sealed_log_windows(
     yield from split_windows(seal_rows(rows, math.inf, RECORD_FIELDS), window_s)
 
 
-def dumps(records: Iterable[FlowRecord]) -> str:
-    """Render records to a string (used by tests and examples)."""
-    buffer = io.StringIO()
-    buffer.write(_HEADER + "\n")
-    for record in records:
-        buffer.write(format_record(record) + "\n")
-    return buffer.getvalue()
+def dumps(table: FlowTable) -> str:
+    """Render a flow table as flow-log text, header first."""
+    return "".join([_HEADER + "\n", *_chunks(table)])
 
 
-def loads(text: str) -> List[FlowRecord]:
-    """Parse records from a string (see :func:`read_flow_log`)."""
-    return list(_parse_lines(text.splitlines(), "<string>"))
+def loads(text: str) -> FlowTable:
+    """Parse flow-log text into a table (see :func:`read_flow_log`)."""
+    return FlowTable.from_rows(list(_parse_lines(text.splitlines(), "<string>")), RECORD_FIELDS)

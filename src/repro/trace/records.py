@@ -1,18 +1,19 @@
 """Flow-log record schema and the dataset container.
 
-A :class:`FlowRecord` carries exactly the observables the paper's Tstat logs
-expose — nothing from the simulator's ground truth (which data center served,
-why a redirect happened) leaks into it.  The analysis pipeline must re-infer
-those the way the authors did.
+A :class:`FlowRecord` is one line of a flow log as the reader parses it:
+exactly the observables the paper's Tstat logs expose — nothing from the
+simulator's ground truth (which data center served, why a redirect
+happened) leaks into it.  A :class:`Dataset` holds its flows as a
+:class:`~repro.trace.columnar.FlowTable`, the one form the analysis
+pipeline reads; it must re-infer the ground truth the way the authors did.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List
+from typing import TYPE_CHECKING, List
 
-from repro.net.ip import format_ip
 from repro.net.topology import VantagePoint
 
 if TYPE_CHECKING:
@@ -61,11 +62,6 @@ class FlowRecord:
         """Trace hour the flow started in (Figure 9/11/15 binning)."""
         return int(self.t_start // 3600.0)
 
-    @property
-    def src_str(self) -> str:
-        """Dotted-quad client address."""
-        return format_ip(self.src_ip)
-
 
 @dataclass
 class Dataset:
@@ -95,14 +91,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.table)
-
-    def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(self.table)
-
-    @property
-    def records(self) -> List[FlowRecord]:
-        """The flows as records, for record-level consumers (built once)."""
-        return self.table.records
 
     @property
     def num_hours(self) -> int:

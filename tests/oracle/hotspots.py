@@ -1,16 +1,17 @@
-"""Spec of :mod:`repro.core.hotspots`: Figures 13-15, one flow at a time."""
+"""Spec of :mod:`repro.core.hotspots`: Figures 13-16, one flow at a time."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.hotspots import HotVideoSeries, ServerLoadReport
+from repro.core.hotspots import HotServerReport, HotVideoSeries, ServerLoadReport
 from repro.core.preferred import PreferredDcReport
 from repro.geoloc.clustering import ServerMap
-from repro.reporting.series import Series
+from repro.reporting.series import Series, hourly_counts
 from repro.trace.records import FlowRecord
 
 from tests.oracle.nonpreferred import video_flow_preference
+from tests.oracle.sessions import Session
 
 
 def nonpreferred_requests_per_video(
@@ -104,3 +105,60 @@ def preferred_server_load(
             avg_series.append(float(hour), 0.0)
             max_series.append(float(hour), 0.0)
     return ServerLoadReport(avg_per_hour=avg_series, max_per_hour=max_series)
+
+
+def hot_server_sessions(
+    sessions: Sequence[Session],
+    video_id: str,
+    report: PreferredDcReport,
+    server_map: ServerMap,
+    num_hours: int,
+) -> HotServerReport:
+    """Spec of :func:`repro.core.hotspots.hot_server_sessions`."""
+    first_contact_counts: Dict[int, int] = {}
+    for session in sessions:
+        if session.video_id != video_id:
+            continue
+        ip = session.first_flow.dst_ip
+        cluster = server_map.by_ip.get(ip)
+        if cluster is not None and cluster.cluster_id == report.preferred_id:
+            first_contact_counts[ip] = first_contact_counts.get(ip, 0) + 1
+    if not first_contact_counts:
+        raise ValueError(f"video {video_id} never lands on the preferred data center")
+    server_ip = max(first_contact_counts, key=lambda ip: first_contact_counts[ip])
+
+    def is_preferred(ip: int) -> Optional[bool]:
+        cluster = server_map.by_ip.get(ip)
+        if cluster is None:
+            return None
+        return cluster.cluster_id == report.preferred_id
+
+    buckets: Dict[str, List[int]] = {"all_pref": [], "first_pref": [], "others": []}
+    for session in sessions:
+        if not any(f.dst_ip == server_ip for f in session.flows):
+            continue
+        verdicts = [is_preferred(f.dst_ip) for f in session.flows]
+        if any(v is None for v in verdicts):
+            buckets["others"].append(session.hour)
+        elif all(verdicts):
+            buckets["all_pref"].append(session.hour)
+        elif verdicts[0] and not all(verdicts[1:]):
+            buckets["first_pref"].append(session.hour)
+        else:
+            buckets["others"].append(session.hour)
+
+    def to_series(label: str, hours: List[int]) -> Series:
+        counts = hourly_counts(hours, num_hours)
+        series = Series(label=label)
+        for hour in range(num_hours):
+            series.append(float(hour), float(counts[hour]))
+        return series
+
+    return HotServerReport(
+        server_ip=server_ip,
+        all_preferred=to_series("all preferred flows", buckets["all_pref"]),
+        first_preferred_rest_not=to_series(
+            "only the first flow is preferred", buckets["first_pref"]
+        ),
+        others=to_series("others", buckets["others"]),
+    )

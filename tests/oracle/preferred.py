@@ -9,6 +9,8 @@ from repro.geo.coords import GeoPoint, haversine_km
 from repro.geoloc.clustering import ServerMap
 from repro.trace.records import Dataset
 
+from tests.oracle import records_of
+
 
 def analyze_preferred(
     dataset: Dataset,
@@ -24,7 +26,7 @@ def analyze_preferred(
 
     views: Dict[str, DataCenterView] = {}
     total_bytes = 0
-    for record in dataset:
+    for record in records_of(dataset.table):
         if keep is not None and record.dst_ip not in keep:
             continue
         cluster = server_map.by_ip.get(record.dst_ip)

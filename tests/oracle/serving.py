@@ -67,9 +67,10 @@ from repro.sim.week import (
     GroundTruthLog,
     SimulationResult,
 )
-from repro.trace.columnar import FlowTable
 from repro.trace.monitor import EdgeMonitor
 from repro.trace.records import Dataset, FlowRecord
+
+from tests.oracle import table_of
 from repro.workload.requests import Request, RequestGenerator, _poisson, sample_resolution
 
 # ------------------------------------------------------------------ DNS chain
@@ -613,7 +614,7 @@ class SpecProcessor:
         result.dataset = Dataset(
             name=self.world.spec.name,
             vantage=result.world.vantage,
-            table=FlowTable(self.records),
+            table=table_of(self.records),
             duration_s=self.world.duration_s,
         )
         result.truth = GroundTruthLog.freeze(

@@ -2,15 +2,58 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.sessions import (
-    DEFAULT_GAP_S,
-    HISTOGRAM_BUCKETS,
-    PAPER_GAP_SWEEP_S,
-    Session,
-)
+from repro.core.sessions import DEFAULT_GAP_S, HISTOGRAM_BUCKETS, PAPER_GAP_SWEEP_S
 from repro.trace.records import FlowRecord
+
+from tests.oracle import records_of
+
+
+@dataclass
+class Session:
+    """A group of related flows: one user's attempt to watch one video.
+
+    Attributes:
+        client_ip: The client address.
+        video_id: The requested VideoID.
+        flows: Member flows ordered by start time.
+    """
+
+    client_ip: int
+    video_id: str
+    flows: List[FlowRecord] = field(default_factory=list)
+
+    @property
+    def num_flows(self) -> int:
+        """Number of member flows."""
+        return len(self.flows)
+
+    @property
+    def t_start(self) -> float:
+        """Start of the first flow."""
+        return self.flows[0].t_start
+
+    @property
+    def hour(self) -> int:
+        """Trace hour the session started in."""
+        return int(self.t_start // 3600.0)
+
+    @property
+    def first_flow(self) -> FlowRecord:
+        """The session's first flow (DNS landing point)."""
+        return self.flows[0]
+
+    @property
+    def last_flow(self) -> FlowRecord:
+        """The session's last flow (normally the video transfer)."""
+        return self.flows[-1]
+
+    @property
+    def total_bytes(self) -> int:
+        """Bytes over all member flows."""
+        return sum(f.num_bytes for f in self.flows)
 
 
 def _sorted_groups(records: Iterable[FlowRecord]) -> List[List[FlowRecord]]:
@@ -91,3 +134,24 @@ def gap_sensitivity(
             sizes.extend(_group_session_sizes(flows, gap))
         out[gap] = histogram(sizes)
     return out
+
+
+def multi_flow_fraction(sessions: Sequence[Session]) -> float:
+    """Spec of :func:`repro.core.sessions.multi_flow_fraction`."""
+    if not sessions:
+        raise ValueError("no sessions")
+    return sum(1 for s in sessions if s.num_flows >= 2) / len(sessions)
+
+
+def sessions_of(sessions) -> List[Session]:
+    """The spec's session list of a runtime :class:`~repro.core.sessions.Sessions`."""
+    records = records_of(sessions.table)
+    video_ids = sessions.table.columns().video_ids.tolist()
+    rows = sessions.rows.tolist()
+    offsets = sessions.offsets.tolist()
+    return [
+        Session(client, video_ids[video], [records[r] for r in rows[lo:hi]])
+        for client, video, lo, hi in zip(
+            sessions.client_ip.tolist(), sessions.video_code.tolist(), offsets, offsets[1:]
+        )
+    ]

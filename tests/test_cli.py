@@ -106,9 +106,10 @@ class TestAnonymize:
         original = read_flow_log(log)
         anonymised = read_flow_log(out_log)
         assert len(original) == len(anonymised)
-        assert {r.src_ip for r in original} != {r.src_ip for r in anonymised}
+        before, after = original.columns(), anonymised.columns()
+        assert set(before.src_ip.tolist()) != set(after.src_ip.tolist())
         # Metrics untouched.
-        assert [r.num_bytes for r in original] == [r.num_bytes for r in anonymised]
+        assert before.num_bytes.tolist() == after.num_bytes.tolist()
 
 
 class TestComposite:
@@ -348,6 +349,12 @@ BAD_INPUTS = [
     (["simulate", "--dataset", "EU1-ADSL", "--out", "x.tsv", "--scale", "0"], {}, "--scale"),
     (["study", "--landmarks", "3"], {}, "--landmarks"),
     (["eval", "--landmarks", "3"], {}, "--landmarks"),
+    # Above the 215 landmarks there are, not silently "all of them".
+    (["study", "--landmarks", "300"], {}, "repro study: --landmarks must be at most 215, got 300"),
+    (["study", "--landmarks", "9999"], {}, "repro study: --landmarks must be at most 215"),
+    (["eval", "--landmarks", "216"], {}, "repro eval: --landmarks must be at most 215, got 216"),
+    (["figures", "--out-dir", "figs", "--landmarks", "300"], {},
+     "repro figures: --landmarks must be at most 215, got 300"),
     (["study", "--stream", "--window-s", "0"], {}, "--window-s"),
     (["sessions", "--flows", "missing.tsv", "--stream", "--window-s", "0"], {}, "--window-s"),
     (["sessions", "--flows", "missing.tsv", "--stream", "--lag-s", "-1"], {}, "--lag-s"),

@@ -28,6 +28,7 @@ from repro.reporting.series import Cdf
 from repro.trace.columnar import FlowTable, split_windows
 from repro.trace.records import FlowRecord
 
+from tests.oracle import records_of, table_of
 from tests.oracle import accumulators as oracle_accumulators
 from tests.oracle import flows as oracle_flows
 from tests.oracle import hotspots as oracle_hotspots
@@ -89,11 +90,13 @@ def random_windows(rng: random.Random, n: int, window_s: float) -> List[FlowTabl
         ),
         key=lambda r: (r.t_start, r.t_end),
     )
-    return list(split_windows(FlowTable(records), window_s))
+    return list(split_windows(table_of(records), window_s))
 
 
 def session_shape(sessions) -> list:
     """A comparable projection of a session list (records compare by value)."""
+    if not isinstance(sessions, list):
+        sessions = oracle_sessions.sessions_of(sessions)
     return [(s.client_ip, s.video_id, s.flows) for s in sessions]
 
 
@@ -113,7 +116,7 @@ def hourly_state(acc: HourlyShareAccumulator) -> list:
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_build_sessions_parity(seed):
     records = random_flows(random.Random(seed), n=120)
-    assert session_shape(build_sessions(records)) == session_shape(
+    assert session_shape(build_sessions(table_of(records))) == session_shape(
         oracle_sessions.build_sessions(records)
     )
 
@@ -121,7 +124,7 @@ def test_build_sessions_parity(seed):
 @pytest.mark.parametrize("seed", [10, 11, 12, 13])
 def test_gap_sensitivity_parity(seed):
     records = random_flows(random.Random(seed), n=150)
-    got = gap_sensitivity(records, PAPER_GAP_SWEEP_S)
+    got = gap_sensitivity(table_of(records), PAPER_GAP_SWEEP_S)
     want = oracle_sessions.gap_sensitivity(records, PAPER_GAP_SWEEP_S)
     assert list(got.items()) == list(want.items())
 
@@ -129,12 +132,12 @@ def test_gap_sensitivity_parity(seed):
 @pytest.mark.parametrize("seed", [20, 21, 22])
 def test_histogram_and_cdf_parity(seed):
     records = random_flows(random.Random(seed), n=90)
-    hist = flows_per_session_histogram(build_sessions(records))
+    hist = flows_per_session_histogram(build_sessions(table_of(records)))
     want = oracle_sessions.histogram(
         [s.num_flows for s in oracle_sessions.build_sessions(records)]
     )
     assert list(hist.items()) == list(want.items())
-    cdf = flows.flow_size_cdf(records)
+    cdf = flows.flow_size_cdf(table_of(records))
     spec = oracle_flows.flow_size_cdf(records)
     assert cdf._values == spec._values
     for p in (0.01, 0.25, 0.5, 0.9, 0.99):
@@ -143,10 +146,10 @@ def test_histogram_and_cdf_parity(seed):
 
 def test_classify_flows_parity():
     records = random_flows(random.Random(33), n=80)
-    got = flows.classify_flows(records)
-    want = oracle_flows.classify_flows(records)
-    assert got.video == want.video
-    assert got.control == want.control
+    got = flows.classify_flows(table_of(records))
+    control, video = oracle_flows.classify_flows(records)
+    assert records_of(got.video) == video
+    assert records_of(got.control) == control
 
 
 @pytest.mark.parametrize("seed", [50, 51, 52, 53])
@@ -170,18 +173,20 @@ def test_hourly_accumulator_parity(seed):
 
 
 def test_empty_dataset():
-    assert build_sessions([]) == oracle_sessions.build_sessions([]) == []
+    assert session_shape(build_sessions(table_of([]))) == session_shape(
+        oracle_sessions.build_sessions([])
+    ) == []
     with pytest.raises(ValueError):
-        gap_sensitivity([])
+        gap_sensitivity(table_of([]))
     with pytest.raises(ValueError):
         oracle_sessions.gap_sensitivity([])
 
 
 def test_single_flow():
     records = [FlowRecord(1, 100, 500, 0.0, 1.0, "v" * 11, "360p")]
-    sessions = build_sessions(records)
+    sessions = build_sessions(table_of(records))
     assert len(sessions) == 1
-    assert sessions[0].flows == records
+    assert session_shape(sessions)[0][2] == records
     assert session_shape(sessions) == session_shape(oracle_sessions.build_sessions(records))
 
 
@@ -190,7 +195,7 @@ def test_fully_overlapping_flows():
     records = [
         FlowRecord(1, 100 + i, 1000 + i, 0.0, 100.0, "v" * 11, "360p") for i in range(6)
     ]
-    got = build_sessions(records, gap_s=1.0)
+    got = build_sessions(table_of(records), gap_s=1.0)
     want = oracle_sessions.build_sessions(records, gap_s=1.0)
     assert len(got) == len(want) == 1
     assert session_shape(got) == session_shape(want)
@@ -203,7 +208,7 @@ def test_t_start_ties():
         FlowRecord(1, 100, 10, 5.0, 5.0 + e, "v" * 11, "360p")
         for e in (3.0, 0.0, 1.0, 2.0)
     ] + [FlowRecord(1, 101, 10, 9.5, 20.0, "v" * 11, "360p")]
-    assert session_shape(build_sessions(records, gap_s=1.0)) == session_shape(
+    assert session_shape(build_sessions(table_of(records), gap_s=1.0)) == session_shape(
         oracle_sessions.build_sessions(records, gap_s=1.0)
     )
 
@@ -216,28 +221,20 @@ def test_long_flow_covers_later_short_ones():
         FlowRecord(2, 102, 10, 49.0, 49.5, "w" * 11, "360p"),
         FlowRecord(2, 103, 10, 60.0, 61.0, "w" * 11, "360p"),
     ]
-    got = build_sessions(records, gap_s=1.0)
-    assert [len(s.flows) for s in got] == [3, 1]
+    got = build_sessions(table_of(records), gap_s=1.0)
+    assert got.sizes.tolist() == [3, 1]
     assert session_shape(got) == session_shape(
         oracle_sessions.build_sessions(records, gap_s=1.0)
     )
-
-
-def test_flow_table_is_a_sequence():
-    records = random_flows(random.Random(1), n=10)
-    table = FlowTable(records)
-    assert len(table) == 10
-    assert list(table) == records
-    assert table[3] is records[3]
 
 
 class TestStudyParity:
     """Figure-level parity over the shared simulated study.
 
     The pipeline fixture's server map, preferred reports, and focus
-    records are the *inputs*; each analysis below runs from those inputs
-    through the kernels and through the spec, and the outputs are
-    compared exactly.
+    tables are the *inputs*; each analysis below runs from those inputs
+    through the kernels and, as records, through the spec, and the
+    outputs are compared exactly.
     """
 
     NAME = "EU1-ADSL"
@@ -245,11 +242,15 @@ class TestStudyParity:
     @pytest.fixture(scope="class")
     def inputs(self, pipeline):
         return (
-            pipeline.focus_records[self.NAME],
+            pipeline.focus_tables[self.NAME],
             pipeline.preferred_reports[self.NAME],
             pipeline.server_map,
             pipeline.dataset(self.NAME).num_hours,
         )
+
+    @pytest.fixture(scope="class")
+    def records(self, pipeline):
+        return records_of(pipeline.focus_tables[self.NAME])
 
     @pytest.fixture(scope="class")
     def windows(self, pipeline):
@@ -259,52 +260,53 @@ class TestStudyParity:
     def test_build_sessions(self, pipeline):
         dataset = pipeline.dataset(self.NAME)
         assert session_shape(build_sessions(dataset.table)) == session_shape(
-            oracle_sessions.build_sessions(dataset.records)
+            oracle_sessions.build_sessions(records_of(dataset.table))
         )
 
-    def test_video_flow_preference(self, inputs):
-        records, report, smap, _ = inputs
-        got = nonpreferred.video_flow_preference(records, report, smap)
+    def test_video_flow_preference(self, inputs, records):
+        table, report, smap, _ = inputs
+        is_video, verdict = nonpreferred.preference_masks(table, report, smap)
         want = oracle_nonpreferred.video_flow_preference(records, report, smap)
-        assert list(got.items()) == list(want.items())
+        assert records_of(table.select(is_video & (verdict == 1))) == want[True]
+        assert records_of(table.select(is_video & (verdict == 0))) == want[False]
 
-    def test_nonpreferred_fraction(self, inputs):
-        records, report, smap, _ = inputs
+    def test_nonpreferred_fraction(self, inputs, records):
+        table, report, smap, _ = inputs
         assert nonpreferred.nonpreferred_fraction(
-            records, report, smap
+            table, report, smap
         ) == oracle_nonpreferred.nonpreferred_fraction(records, report, smap)
 
-    def test_fig9_hourly_cdf(self, inputs):
-        records, report, smap, num_hours = inputs
-        got = nonpreferred.hourly_nonpreferred_cdf(records, report, smap, num_hours)
+    def test_fig9_hourly_cdf(self, inputs, records):
+        table, report, smap, num_hours = inputs
+        got = nonpreferred.hourly_nonpreferred_cdf(table, report, smap, num_hours)
         want = oracle_nonpreferred.hourly_nonpreferred_cdf(records, report, smap, num_hours)
         assert got._values == want._values
 
-    def test_fig13_video_cdf_and_counts(self, inputs):
-        records, report, smap, _ = inputs
-        counts = hotspots.nonpreferred_requests_per_video(records, report, smap)
+    def test_fig13_video_cdf_and_counts(self, inputs, records):
+        table, report, smap, _ = inputs
+        counts = hotspots.nonpreferred_requests_per_video(table, report, smap)
         want = oracle_hotspots.nonpreferred_requests_per_video(records, report, smap)
         # Dict *order* matters too: downstream top-k relies on stable ties.
         assert list(counts.items()) == list(want.items())
-        cdf = hotspots.nonpreferred_video_cdf(records, report, smap)
+        cdf = hotspots.nonpreferred_video_cdf(table, report, smap)
         assert cdf._values == Cdf(want.values())._values
 
-    def test_fig14_hot_videos(self, inputs):
-        records, report, smap, num_hours = inputs
+    def test_fig14_hot_videos(self, inputs, records):
+        table, report, smap, num_hours = inputs
         assert hotspots.top_nonpreferred_videos(
-            records, report, smap, num_hours
+            table, report, smap, num_hours
         ) == oracle_hotspots.top_nonpreferred_videos(records, report, smap, num_hours)
 
-    def test_fig15_server_load(self, inputs):
-        records, report, smap, num_hours = inputs
+    def test_fig15_server_load(self, inputs, records):
+        table, report, smap, num_hours = inputs
         assert hotspots.preferred_server_load(
-            records, report, smap, num_hours
+            table, report, smap, num_hours
         ) == oracle_hotspots.preferred_server_load(records, report, smap, num_hours)
 
-    def test_fig11_load_balance(self, inputs):
-        records, report, smap, num_hours = inputs
+    def test_fig11_load_balance(self, inputs, records):
+        table, report, smap, num_hours = inputs
         assert loadbalance.analyze_load_balance(
-            records, report, smap, num_hours
+            table, report, smap, num_hours
         ) == oracle_loadbalance.analyze_load_balance(records, report, smap, num_hours)
 
     def test_preferred_report(self, pipeline):

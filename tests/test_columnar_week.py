@@ -4,7 +4,7 @@ The edge monitor turns the flow tuples it keeps into a
 :class:`~repro.trace.columnar.FlowTable`; the store pickles that table as
 its columns; the pipeline's focus tables are row masks over it.  None of
 these steps builds a :class:`~repro.trace.records.FlowRecord`, and each
-must equal the record-built form it replaces.
+must equal the table built from the spec's records.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.trace.columnar import FlowTable, _Columns
 from repro.trace.monitor import EdgeMonitor
 from repro.trace.records import FlowRecord
 
+from tests.oracle import records_of, table_of
 from tests.oracle import serving as oracle
 from tests.test_columnar_kernels import random_flows
 
@@ -48,7 +49,7 @@ def assert_same_table(got: FlowTable, want: FlowTable) -> None:
 def test_masked_table_equals_the_table_of_its_records(seed):
     rng = random.Random(seed)
     records = random_flows(rng, n=150)
-    table = FlowTable(records)
+    table = table_of(records)
     masks = [
         [rng.random() < 0.4 for _ in records],
         [record.dst_ip == records[0].dst_ip for record in records],
@@ -58,15 +59,15 @@ def test_masked_table_equals_the_table_of_its_records(seed):
     for mask in masks:
         kept = [record for record, keep in zip(records, mask) if keep]
         selected = table.select(np.asarray(mask))
-        assert_same_table(selected, FlowTable(kept))
-        assert selected.records == kept
+        assert_same_table(selected, table_of(kept))
+        assert records_of(selected) == kept
 
 
 def test_focus_tables_equal_the_tables_of_the_focus_records(pipeline):
     for name in pipeline.dataset_names:
         keep = set(pipeline.focus_ips[name])
-        focus = [r for r in pipeline.dataset(name).records if r.dst_ip in keep]
-        assert_same_table(pipeline.focus_tables[name], FlowTable(focus))
+        focus = [r for r in records_of(pipeline.dataset(name).table) if r.dst_ip in keep]
+        assert_same_table(pipeline.focus_tables[name], table_of(focus))
 
 
 def test_monitor_rows_are_in_stable_start_end_order(tiny_world):
@@ -85,8 +86,8 @@ def test_monitor_rows_are_in_stable_start_end_order(tiny_world):
          for t0, t1, src, dst, nbytes, vid, res, _ in flows),
         key=lambda r: (r.t_start, r.t_end),
     )
-    assert dataset.records == want
-    assert_same_table(dataset.table, FlowTable(want))
+    assert records_of(dataset.table) == want
+    assert_same_table(dataset.table, table_of(want))
 
 
 @pytest.mark.parametrize(
@@ -113,7 +114,6 @@ def test_pickled_week_loads_as_columns():
         digest = loaded.dataset.content_digest()
         assert loaded.dataset.total_bytes > 0
     want = oracle.run_requests(spec_world).dataset
-    assert loaded.dataset.records == want.records
-    assert loaded.dataset.records is loaded.dataset.records  # built once
+    assert records_of(loaded.dataset.table) == records_of(want.table)
     assert digest == want.content_digest()
-    assert_same_table(loaded.dataset.table, FlowTable(want.records))
+    assert_same_table(loaded.dataset.table, want.table)

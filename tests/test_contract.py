@@ -316,6 +316,23 @@ def test_summary_study_builds_no_flow_record(mode, tmp_path):
     assert events.count(("sim/run_week", "hit")) == (5 if mode == "batch" else 0)
 
 
+def test_full_study_eval_simulate_and_monitor_build_no_flow_record(tmp_path):
+    """Every analysis, the attribution join, the log writer and the
+    monitor's fold read columns: only a flow-log reader builds records."""
+    env = {"REPRO_CACHE_DIR": str(tmp_path / "cache")}
+    report = (GOLDEN.parent / "report_0.01.txt").read_text(encoding="utf-8")
+    small = ["--scale", "0.004", "--seed", "5"]
+    with mock.patch.object(
+        FlowRecord, "__post_init__", side_effect=AssertionError("a FlowRecord was built")
+    ):
+        assert run_study(STUDY + ["--full", "--validate"], env) == report
+        assert "ATTRIBUTION SCORECARD" in run_study(["eval", *small, "--landmarks", "40"], env)
+        log = tmp_path / "flows.tsv"
+        assert run_study(["simulate", "--dataset", "EU1-FTTH", *small, "--out", str(log)], env)
+        assert run_study(["monitor", *small, "--epochs", "2"], env)
+    assert log.read_text(encoding="ascii").count("\n") > 1
+
+
 #: Retried task attempts and retried RTT timeouts, none of them exhausted.
 RETRIED_PLAN = {"seed": 4, "task_transient": 0.3, "probe_timeout": 0.2}
 

@@ -13,8 +13,8 @@ from repro.core.nonpreferred import (
     hourly_nonpreferred_cdf,
     nonpreferred_fraction,
     one_flow_breakdown,
+    preference_masks,
     two_flow_breakdown,
-    video_flow_preference,
 )
 from repro.core.preferred import (
     DataCenterView,
@@ -25,6 +25,8 @@ from repro.core.summary import DatasetSummary, render_table1, summarize
 from repro.geo.cities import default_atlas
 from repro.geoloc.clustering import DataCenterCluster, ServerMap
 from repro.trace.records import FlowRecord
+
+from tests.oracle import table_of
 
 #: Synthetic server addresses: 100s = preferred DC, 200s = other DC.
 PREF_IP = 100
@@ -88,17 +90,18 @@ def report(server_map):
 class TestVideoFlowPreference:
     def test_split(self, server_map, report):
         records = [vflow(PREF_IP), vflow(OTHER_IP), cflow(PREF_IP), vflow(999)]
-        split = video_flow_preference(records, report, server_map)
-        assert len(split[True]) == 1
-        assert len(split[False]) == 1  # control + unknown dropped
+        is_video, verdict = preference_masks(table_of(records), report, server_map)
+        assert (is_video & (verdict == 1)).tolist() == [True, False, False, False]
+        # The control flow and the unclustered server are in neither.
+        assert (is_video & (verdict == 0)).tolist() == [False, True, False, False]
 
     def test_fraction(self, server_map, report):
         records = [vflow(PREF_IP), vflow(PREF_IP), vflow(OTHER_IP), vflow(OTHER_IP)]
-        assert nonpreferred_fraction(records, report, server_map) == pytest.approx(0.5)
+        assert nonpreferred_fraction(table_of(records), report, server_map) == pytest.approx(0.5)
 
     def test_fraction_empty_raises(self, server_map, report):
         with pytest.raises(ValueError):
-            nonpreferred_fraction([cflow(PREF_IP)], report, server_map)
+            nonpreferred_fraction(table_of([cflow(PREF_IP)]), report, server_map)
 
 
 class TestHourlyCdf:
@@ -110,7 +113,7 @@ class TestHourlyCdf:
         for i in range(5):
             records.append(vflow(PREF_IP, t0=3700.0 + i))
             records.append(vflow(OTHER_IP, t0=3700.0 + i))
-        cdf = hourly_nonpreferred_cdf(records, report, server_map, num_hours=2,
+        cdf = hourly_nonpreferred_cdf(table_of(records), report, server_map, num_hours=2,
                                       min_flows_per_hour=5)
         assert len(cdf) == 2
         assert cdf.min == pytest.approx(0.0)
@@ -119,7 +122,7 @@ class TestHourlyCdf:
     def test_thin_hours_skipped(self, server_map, report):
         records = [vflow(OTHER_IP, t0=10.0)]
         with pytest.raises(ValueError):
-            hourly_nonpreferred_cdf(records, report, server_map, num_hours=1,
+            hourly_nonpreferred_cdf(table_of(records), report, server_map, num_hours=1,
                                     min_flows_per_hour=5)
 
 
@@ -130,7 +133,7 @@ class TestSessionPatterns:
             vflow(OTHER_IP, src=2, t0=0.0),
             cflow(PREF_IP, src=3, t0=0.0), vflow(PREF_IP, src=3, t0=0.2),
         ]
-        sessions = build_sessions(records, 1.0)
+        sessions = build_sessions(table_of(records), 1.0)
         breakdown = one_flow_breakdown(sessions, report, server_map)
         assert breakdown.total_sessions == 3
         assert breakdown.preferred == 1
@@ -144,7 +147,7 @@ class TestSessionPatterns:
             cflow(OTHER_IP, src=3), vflow(PREF_IP, src=3, t0=0.2),
             cflow(OTHER_IP, src=4), vflow(OTHER_IP, src=4, t0=0.2),
         ]
-        sessions = build_sessions(records, 1.0)
+        sessions = build_sessions(table_of(records), 1.0)
         patterns = two_flow_breakdown(sessions, report, server_map)
         assert patterns[SessionPattern.PREFERRED_PREFERRED] == pytest.approx(0.25)
         assert patterns[SessionPattern.PREFERRED_NONPREFERRED] == pytest.approx(0.25)
@@ -152,7 +155,7 @@ class TestSessionPatterns:
         assert patterns[SessionPattern.NONPREFERRED_NONPREFERRED] == pytest.approx(0.25)
 
     def test_two_flow_requires_sessions(self, server_map, report):
-        sessions = build_sessions([vflow(PREF_IP)], 1.0)
+        sessions = build_sessions(table_of([vflow(PREF_IP)]), 1.0)
         with pytest.raises(ValueError):
             two_flow_breakdown(sessions, report, server_map)
 
@@ -164,13 +167,13 @@ class TestSessionPatterns:
             cflow(PREF_IP, src=2), vflow(OTHER_IP, src=2, t0=0.2),
             cflow(PREF_IP, src=3), vflow(OTHER_IP, src=3, t0=0.2),
         ]
-        sessions = build_sessions(records, 1.0)
+        sessions = build_sessions(table_of(records), 1.0)
         shares = dns_vs_redirection_shares(sessions, report, server_map)
         assert shares["dns"] == pytest.approx(1 / 3)
         assert shares["redirection"] == pytest.approx(2 / 3)
 
     def test_dns_vs_redirection_no_nonpreferred(self, server_map, report):
-        sessions = build_sessions([vflow(PREF_IP)], 1.0)
+        sessions = build_sessions(table_of([vflow(PREF_IP)]), 1.0)
         shares = dns_vs_redirection_shares(sessions, report, server_map)
         assert shares == {"dns": 0.0, "redirection": 0.0}
 
@@ -219,7 +222,7 @@ class TestLoadBalance:
         for i in range(10):
             records.append(vflow(PREF_IP, t0=3700.0 + i))
             records.append(vflow(OTHER_IP, t0=3700.0 + i))
-        lb = analyze_load_balance(records, report, server_map, num_hours=2)
+        lb = analyze_load_balance(table_of(records), report, server_map, num_hours=2)
         assert lb.flows_per_hour.ys == [4.0, 20.0]
         assert lb.local_fraction.ys[0] == pytest.approx(1.0)
         assert lb.local_fraction.ys[1] == pytest.approx(0.5)
@@ -231,7 +234,7 @@ class TestLoadBalance:
         import math
 
         records = [vflow(PREF_IP, t0=10.0)]
-        lb = analyze_load_balance(records, report, server_map, num_hours=3)
+        lb = analyze_load_balance(table_of(records), report, server_map, num_hours=3)
         assert math.isnan(lb.local_fraction.ys[2])
 
 

@@ -4,20 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.flows import (
-    classify_flows,
-    detect_size_threshold,
-    flow_size_cdf,
-    is_video_flow,
-)
+from repro.core import sessions as sessions_mod
+from repro.core.flows import classify_flows, detect_size_threshold, flow_size_cdf
 from repro.core.sessions import (
     HISTOGRAM_BUCKETS,
-    build_sessions,
     flows_per_session_histogram,
-    gap_sensitivity,
     multi_flow_fraction,
 )
 from repro.trace.records import FlowRecord
+
+from tests.oracle import table_of
+from tests.oracle.sessions import sessions_of
+
+
+def build_sessions(records, gap_s=1.0):
+    """The sessions of a record list."""
+    return sessions_mod.build_sessions(table_of(records), gap_s)
+
+
+def gap_sensitivity(records):
+    return sessions_mod.gap_sensitivity(table_of(records))
 
 
 def flow(src=1, vid="V" * 11, t0=0.0, dur=1.0, nbytes=5000, dst=100):
@@ -30,22 +36,18 @@ def flow(src=1, vid="V" * 11, t0=0.0, dur=1.0, nbytes=5000, dst=100):
 class TestClassification:
     def test_threshold_split(self):
         records = [flow(nbytes=999), flow(nbytes=1000), flow(nbytes=500000)]
-        classes = classify_flows(records)
+        classes = classify_flows(table_of(records))
         assert len(classes.control) == 1
         assert len(classes.video) == 2
         assert classes.total == 3
         assert classes.control_fraction == pytest.approx(1 / 3)
 
-    def test_is_video_flow(self):
-        assert not is_video_flow(flow(nbytes=999))
-        assert is_video_flow(flow(nbytes=1000))
-
     def test_empty_fraction_raises(self):
         with pytest.raises(ValueError):
-            classify_flows([]).control_fraction
+            classify_flows(table_of([])).control_fraction
 
     def test_size_cdf(self):
-        cdf = flow_size_cdf([flow(nbytes=n) for n in (100, 200, 5000)])
+        cdf = flow_size_cdf(table_of([flow(nbytes=n) for n in (100, 200, 5000)]))
         assert cdf.fraction_below(250) == pytest.approx(2 / 3)
 
     def test_detect_threshold_finds_valley(self):
@@ -53,12 +55,12 @@ class TestClassification:
             [flow(nbytes=n) for n in range(300, 900, 10)]
             + [flow(nbytes=n) for n in range(100_000, 5_000_000, 50_000)]
         )
-        detected = detect_size_threshold(records)
+        detected = detect_size_threshold(table_of(records))
         assert 900 <= detected <= 100_000
 
     def test_detect_threshold_needs_data(self):
         with pytest.raises(ValueError):
-            detect_size_threshold([flow()])
+            detect_size_threshold(table_of([flow()]))
 
 
 class TestSessions:
@@ -69,7 +71,7 @@ class TestSessions:
         ]
         sessions = build_sessions(records, gap_s=1.0)
         assert len(sessions) == 1
-        assert sessions[0].num_flows == 2
+        assert sessions.sizes.tolist() == [2]
 
     def test_interaction_split_at_small_gap(self):
         records = [
@@ -101,7 +103,7 @@ class TestSessions:
         ]
         sessions = build_sessions(records, gap_s=1.0)
         assert len(sessions) == 1
-        assert sessions[0].num_flows == 3
+        assert sessions.sizes.tolist() == [3]
 
     def test_gap_validation(self):
         with pytest.raises(ValueError):
@@ -109,12 +111,14 @@ class TestSessions:
 
     def test_session_properties(self):
         records = [flow(t0=3700.0, dur=1.0, nbytes=100), flow(t0=3701.5, dur=5.0, nbytes=900)]
-        session = build_sessions(records, gap_s=1.0)[0]
-        assert session.t_start == 3700.0
-        assert session.hour == 1
-        assert session.total_bytes == 1000
-        assert session.first_flow.num_bytes == 100
-        assert session.last_flow.num_bytes == 900
+        sessions = build_sessions(records, gap_s=1.0)
+        nbytes = sessions.table.columns().num_bytes
+        assert sessions.t_start.tolist() == [3700.0]
+        assert sessions.client_ip.tolist() == [1]
+        assert sessions.table.columns().video_ids[sessions.video_code].tolist() == ["V" * 11]
+        assert nbytes[sessions.rows].sum() == 1000
+        assert nbytes[sessions.first].tolist() == [100]
+        assert nbytes[sessions.last].tolist() == [900]
 
     @given(
         st.lists(
@@ -137,10 +141,10 @@ class TestSessions:
             flow(src=c, vid=videos[v], t0=t0, dur=dur) for c, v, t0, dur in rows
         ]
         sessions = build_sessions(records, gap_s=gap)
-        flattened = [f for s in sessions for f in s.flows]
-        assert len(flattened) == len(records)
-        assert {id(f) for f in flattened} == {id(f) for f in records}
-        for s in sessions:
+        assert sorted(sessions.rows.tolist()) == list(range(len(records)))
+        flattened = [f for s in sessions_of(sessions) for f in s.flows]
+        assert sorted(flattened, key=repr) == sorted(records, key=repr)
+        for s in sessions_of(sessions):
             keys = {(f.src_ip, f.video_id) for f in s.flows}
             assert len(keys) == 1
             starts = [f.t_start for f in s.flows]
@@ -170,9 +174,9 @@ class TestHistogram:
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            flows_per_session_histogram([])
+            flows_per_session_histogram(build_sessions([]))
         with pytest.raises(ValueError):
-            multi_flow_fraction([])
+            multi_flow_fraction(build_sessions([]))
 
     def test_multi_flow_fraction(self):
         records = [

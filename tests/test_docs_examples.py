@@ -12,6 +12,8 @@ from repro.core.sessions import build_sessions, flows_per_session_histogram
 from repro.sim.driver import run_scenario
 from repro.trace.logio import read_flow_log, write_flow_log
 
+from tests.oracle import records_of
+
 
 @pytest.fixture(scope="module")
 def tour_result():
@@ -27,17 +29,17 @@ class TestTourSection1Simulate:
 
     def test_flow_log_roundtrip(self, tour_result, tmp_path):
         path = tmp_path / "flows.tsv"
-        write_flow_log(tour_result.dataset.records, path)
-        records = read_flow_log(path)
-        assert records == tour_result.dataset.records
+        write_flow_log(tour_result.dataset.table, path)
+        table = read_flow_log(path)
+        assert records_of(table) == records_of(tour_result.dataset.table)
 
 
 class TestTourSection2Sessions:
     def test_flows_and_sessions(self, tour_result):
-        records = tour_result.dataset.records
-        classes = classify_flows(records)
-        assert classes.total == len(records)
-        sessions = build_sessions(records, gap_s=1.0)
+        table = tour_result.dataset.table
+        classes = classify_flows(table)
+        assert classes.total == len(table)
+        sessions = build_sessions(table, gap_s=1.0)
         histogram = flows_per_session_histogram(sessions)
         assert 0.0 < histogram["1"] <= 1.0
 

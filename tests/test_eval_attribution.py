@@ -25,6 +25,8 @@ from repro.eval.attribution import (
 from repro.sim.week import TRUTH_LABELS
 from repro.trace.records import Dataset
 
+from tests.oracle import sessions as oracle_sessions
+
 
 def run_cli(*argv):
     out = io.StringIO()
@@ -95,7 +97,7 @@ class TestTruthMatching:
         for name, result in study_results.items():
             sessions = pipeline.sessions[name]
             assignments, _ = match_session_truths(sessions, result.truth)
-            for session, indices in zip(sessions, assignments):
+            for session, indices in zip(oracle_sessions.sessions_of(sessions), assignments):
                 for index in indices:
                     assert result.truth.client_ips[index] == session.client_ip
                     assert result.truth.video_ids[index] == session.video_id

@@ -39,6 +39,7 @@ from repro.reporting.tables import render_degradation_table
 from repro.trace.logio import dumps, loads
 from repro.trace.records import FlowRecord
 from tests.execpaths import PATH_IDS, PATHS, forced
+from tests.oracle import records_of, table_of
 
 
 @pytest.fixture
@@ -596,20 +597,20 @@ def _flow_text(n=10):
                    video_id=f"v{i}", resolution="360p")
         for i in range(n)
     ]
-    return dumps(records)
+    return dumps(table_of(records))
 
 
 class TestLogioGarble:
     def test_round_trip_is_exact_without_plan(self):
         clear_current_plan()
         text = _flow_text(5)
-        records = loads(text)
-        assert len(records) == 5
-        assert dumps(records) == text
+        table = loads(text)
+        assert len(table) == 5
+        assert dumps(table) == text
 
     def test_garbled_lines_are_skipped_and_counted(self, install_plan):
         install_plan(seed=6, line_garble=1.0)
-        assert loads(_flow_text(8)) == []
+        assert len(loads(_flow_text(8))) == 0
         tally = collect().stages["trace/logio"]
         assert tally["skipped"] == 8
         assert tally["degraded"] == 1
@@ -617,17 +618,17 @@ class TestLogioGarble:
     def test_garble_pattern_is_deterministic(self, install_plan):
         install_plan(seed=6, line_garble=0.5)
         text = _flow_text(20)
-        first = [r.video_id for r in loads(text)]
-        second = [r.video_id for r in loads(text)]
+        first = [r.video_id for r in records_of(loads(text))]
+        second = [r.video_id for r in records_of(loads(text))]
         assert first == second
         assert 0 < len(first) < 20
 
     def test_surviving_records_parse_to_clean_values(self, install_plan):
         install_plan(seed=6, line_garble=0.5)
         text = _flow_text(20)
-        survivors = {r.video_id: r for r in loads(text)}
+        survivors = {r.video_id: r for r in records_of(loads(text))}
         set_current_plan(None)
-        clean = {r.video_id: r for r in loads(text)}
+        clean = {r.video_id: r for r in records_of(loads(text))}
         for video_id, record in survivors.items():
             assert record == clean[video_id]
 
@@ -648,8 +649,8 @@ class TestLogioGarble:
         text = _flow_text(20)
         path_a.write_text(text, encoding="ascii")
         path_b.write_text(text, encoding="ascii")
-        ids_a = {r.video_id for r in read_flow_log(path_a)}
-        ids_b = {r.video_id for r in read_flow_log(path_b)}
+        ids_a = set(read_flow_log(path_a).columns().video_ids.tolist())
+        ids_b = set(read_flow_log(path_b).columns().video_ids.tolist())
         assert ids_a != ids_b  # different sources, different garble sites
 
 

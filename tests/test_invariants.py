@@ -116,16 +116,17 @@ class TestEngineInvariants:
     def test_trace_times_within_window(self, study_results):
         for name, result in study_results.items():
             duration = result.dataset.duration_s
-            for record in result.dataset.records[:2000]:
-                assert 0.0 <= record.t_start
-                # Flows may end (or, via interactions, start) slightly past
-                # the window edge, but never implausibly far.
-                assert record.t_end < duration + 4000.0, name
+            cols = result.dataset.table.columns()
+            assert (cols.t_start >= 0.0).all(), name
+            # Flows may end (or, via interactions, start) slightly past
+            # the window edge, but never implausibly far.
+            assert (cols.t_end < duration + 4000.0).all(), name
 
 
 class TestSessionFlowPartition:
     def test_focus_records_partition_into_sessions(self, pipeline):
         for name in pipeline.dataset_names:
-            records = pipeline.focus_records[name]
+            table = pipeline.focus_tables[name]
             sessions = pipeline.sessions[name]
-            assert sum(s.num_flows for s in sessions) == len(records)
+            assert int(sessions.sizes.sum()) == len(table)
+            assert sorted(sessions.rows.tolist()) == list(range(len(table)))

@@ -35,8 +35,9 @@ from repro.monitor.report import render_timeline
 from repro.monitor.run import run_monitor
 from repro.monitor.snapshot import EpochSnapshot, build_epoch_snapshot
 from repro.spec.model import SpecError
-from repro.trace.columnar import FlowTable
 from repro.trace.records import FlowRecord
+
+from tests.oracle import table_of
 
 SCALE = 0.01
 SEED = 7
@@ -126,7 +127,7 @@ class TestEvolutionPlan:
 
 
 def _table(records):
-    return FlowTable(records)
+    return table_of(records)
 
 
 def _flow(src, dst, num_bytes):

@@ -266,7 +266,7 @@ class TestFigure13:
         """Paper: ~85 % of non-preferred videos downloaded exactly once."""
         for name in ("EU1-Campus", "EU1-ADSL"):
             counts = nonpreferred_requests_per_video(
-                pipeline.focus_records[name],
+                pipeline.focus_tables[name],
                 pipeline.preferred_reports[name],
                 pipeline.server_map,
             )

@@ -132,8 +132,10 @@ def test_sessions_stream_loads_no_simulator(tmp_path):
     from repro.trace.logio import write_flow_log
     from repro.trace.records import FlowRecord
 
+    from tests.oracle import table_of
+
     write_flow_log(
-        [FlowRecord(1, 100, 5000, float(t), t + 0.5, "vidA", "360p") for t in range(5)],
+        table_of(FlowRecord(1, 100, 5000, float(t), t + 0.5, "vidA", "360p") for t in range(5)),
         tmp_path / "flows.tsv",
     )
     modules = loaded_modules(

@@ -29,18 +29,19 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.artifacts.keys import canonicalize, stage_key  # noqa: E402
-from repro.core.sessions import (  # noqa: E402
-    PAPER_GAP_SWEEP_S,
-    WindowedSessionBuilder,
-    build_sessions,
-    gap_sensitivity,
-)
-from repro.trace.columnar import FlowTable  # noqa: E402
+from repro.core import sessions as sessions_mod  # noqa: E402
+from repro.core.sessions import PAPER_GAP_SWEEP_S, WindowedSessionBuilder  # noqa: E402
 from repro.trace.logio import sealed_log_windows  # noqa: E402
 from repro.trace.records import FlowRecord  # noqa: E402
 
+from tests.oracle import records_of, table_of  # noqa: E402
 from tests.oracle import sessions as oracle_sessions  # noqa: E402
 from tests.test_stream import SizeLog  # noqa: E402
+
+
+def build_sessions(records, gap_s):
+    """The runtime's sessions of a record list, as the spec's session list."""
+    return oracle_sessions.sessions_of(sessions_mod.build_sessions(table_of(records), gap_s))
 
 
 def flow_records(min_size=0, max_size=60):
@@ -182,7 +183,7 @@ class TestKernelParity:
     @given(records=flow_records(min_size=1))
     @settings(max_examples=30, deadline=None)
     def test_gap_sweep_parity(self, records):
-        got = gap_sensitivity(records, PAPER_GAP_SWEEP_S)
+        got = sessions_mod.gap_sensitivity(table_of(records), PAPER_GAP_SWEEP_S)
         want = oracle_sessions.gap_sensitivity(records, PAPER_GAP_SWEEP_S)
         assert list(got.items()) == list(want.items())
 
@@ -224,7 +225,7 @@ class TestWindowedSessions:
         for window in sealed_log_windows(logged, window_s, lag_s):
             for builder in builders:
                 builder.observe(window)
-        index = FlowTable(logged).session_index()
+        index = table_of(logged).session_index()
         for gap, builder in zip(self.gap_values, builders):
             builder.finish()
             assert sorted(builder.stats.sizes) == sorted(index.session_sizes(gap).tolist())
@@ -237,6 +238,6 @@ class TestWindowedSessions:
         logged = self._shuffled(records, lag_s, seed)
         windows = list(sealed_log_windows(logged, window_s, lag_s))
         assert all(len(window) for window in windows)
-        assert [record for window in windows for record in window] == sorted(
+        assert [record for window in windows for record in records_of(window)] == sorted(
             logged, key=lambda r: (r.t_start, r.t_end)
         )

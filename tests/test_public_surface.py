@@ -265,3 +265,20 @@ def test_every_import_is_used():
         for finding in unused_imports(path)
     ]
     assert unused == []
+
+
+def test_only_the_trace_package_names_flow_record():
+    """``FlowRecord`` is the flow-log reader's line type.
+
+    Every other module of ``src/repro`` reads flows as
+    :class:`~repro.trace.columnar.FlowTable` columns, so none of them
+    imports or otherwise names the record class.
+    """
+    naming = sorted(
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in PACKAGE.rglob("*.py")
+        if not (module_name(path) + ".").startswith("repro.trace.")
+        for line, name in identifiers(path)
+        if name == "FlowRecord"
+    )
+    assert naming == []

@@ -20,6 +20,8 @@ from repro.net.latency import AccessTechnology, LatencyModel, Site
 from repro.sim.engine import run_requests
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 
+from tests.oracle import table_of
+
 
 class TestMonitorLoss:
     """Tstat misses flows; the session analysis must survive it."""
@@ -32,10 +34,10 @@ class TestMonitorLoss:
         clean = run_requests(lossy_world, miss_probability=0.0)
         lossy = run_requests(lossy_world, miss_probability=0.05)
         h_clean = flows_per_session_histogram(
-            build_sessions(clean.dataset.records, 1.0)
+            build_sessions(clean.dataset.table, 1.0)
         )
         h_lossy = flows_per_session_histogram(
-            build_sessions(lossy.dataset.records, 1.0)
+            build_sessions(lossy.dataset.table, 1.0)
         )
         # 5% flow loss moves the single-flow share by a few points at most.
         assert abs(h_clean["1"] - h_lossy["1"]) < 0.06
@@ -116,7 +118,7 @@ class TestSeedRobustness:
 
 class TestEmptyAndEdgeInputs:
     def test_sessions_on_empty_records(self):
-        assert build_sessions([], gap_s=1.0) == []
+        assert len(build_sessions(table_of([]), gap_s=1.0)) == 0
 
     def test_pipeline_rejects_empty(self):
         from repro.core.pipeline import StudyPipeline
@@ -130,7 +132,7 @@ class TestEmptyAndEdgeInputs:
         )
         result = run_requests(world)
         assert result.dataset.num_hours == 1
-        assert all(r.hour == 0 for r in result.dataset.records)
+        assert (result.dataset.table.columns().hour == 0).all()
 
     def test_two_week_trace(self):
         """Longer windows: weekly periodicity repeats, features keep coming."""
@@ -142,8 +144,9 @@ class TestEmptyAndEdgeInputs:
         dataset = result.dataset
         assert dataset.num_hours == 14 * 24
         # Both weeks carry traffic.
-        week1 = sum(1 for r in dataset.records if r.hour < 168)
-        week2 = sum(1 for r in dataset.records if r.hour >= 168)
+        hours = dataset.table.columns().hour
+        week1 = int((hours < 168).sum())
+        week2 = int((hours >= 168).sum())
         assert week1 > 0 and week2 > 0
         assert 0.5 < week1 / week2 < 2.0
         # The catalog features a video on every one of the 14 days.

@@ -22,6 +22,7 @@ from repro.sim.engine import RequestProcessor, run_requests, sealed_windows
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.trace.records import WEEK_S
 
+from tests.oracle import records_of
 from tests.oracle import serving as oracle
 
 SCALE = 0.01
@@ -63,7 +64,7 @@ def _assert_same_run(runtime_world, spec_world, runtime, spec):
     """``runtime``/``spec`` are finished processors of the two worlds."""
     got, want = runtime.result, spec.result
     assert got.requests == want.requests
-    assert got.dataset.records == want.dataset.records
+    assert records_of(got.dataset.table) == records_of(want.dataset.table)
     assert got.truth == want.truth
     for tally in ("cause_counts", "dns_dc_counts", "served_dc_counts"):
         assert list(getattr(got, tally).items()) == list(getattr(want, tally).items())
@@ -124,8 +125,8 @@ def test_sealed_windows_match_spec():
     assert all(len(hour) == 1 for hour in hours)
     order = [min(hour) for hour in hours]
     assert order == sorted(set(order)) and len(order) > 100
-    sealed = [record for table in windows for record in table.records]
-    assert sealed == oracle.run_requests(spec_world).dataset.records
+    sealed = [record for table in windows for record in records_of(table)]
+    assert sealed == records_of(oracle.run_requests(spec_world).dataset.table)
     assert _world_state(runtime_world) == _world_state(spec_world)
 
 

@@ -28,15 +28,16 @@ from repro.core.sessions import (
 from repro.core.summary import summarize
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.stream.study import stream_dataset
-from repro.trace.columnar import FlowTable
 from repro.trace.logio import (
-    format_record,
     iter_flow_log,
     sealed_log_windows,
     update_digest,
     write_flow_log,
 )
 from repro.trace.records import FlowRecord
+
+from tests.oracle import records_of, table_of
+from tests.oracle.logio import format_record
 
 
 def rec(t_start, t_end, src=1, dst=100, num_bytes=5000, video="vidA"):
@@ -51,7 +52,7 @@ def replay(records, window_s=3600.0, lag_s=0.0):
 
 
 def concatenated(windows):
-    return [r for w in windows for r in w.records]
+    return [r for w in windows for r in records_of(w)]
 
 
 def session_histogram(records, window_s=3600.0, gap_s=1.0):
@@ -75,7 +76,7 @@ def counted_stream(world, window_s):
 class TestLogWindows:
     def test_window_boundaries_are_half_open(self):
         windows = replay([rec(9.999, 11.0), rec(10.0, 12.0)], window_s=10.0)
-        assert [[r.t_start for r in w] for w in windows] == [[9.999], [10.0]]
+        assert [w.columns().t_start.tolist() for w in windows] == [[9.999], [10.0]]
 
     def test_windows_seal_as_the_clock_passes(self):
         read = []
@@ -88,9 +89,9 @@ class TestLogWindows:
         windows = sealed_log_windows(records(), 10.0, lag_s=1.0)
         # The clock reaches 11 at the third record, past the first
         # window's end, so that window is sealed before the fourth is read.
-        assert [r.t_start for r in next(windows)] == [1.0, 9.0]
+        assert next(windows).columns().t_start.tolist() == [1.0, 9.0]
         assert read == [1.0, 9.0, 12.0]
-        assert [r.t_start for r in next(windows)] == [12.0, 14.0]
+        assert next(windows).columns().t_start.tolist() == [12.0, 14.0]
 
     def test_rows_sorted_by_t_start_t_end_then_file_order(self):
         arrivals = [rec(5.0, 9.0), rec(1.0, 3.0), rec(5.0, 9.0), rec(5.0, 5.5)]
@@ -146,7 +147,7 @@ class TestWindowedSessionBuilder:
         return sorted(builder.stats.sizes)
 
     def batch_sizes(self, records, gap_s):
-        return sorted(s.num_flows for s in build_sessions(records, gap_s=gap_s))
+        return sorted(build_sessions(table_of(records), gap_s=gap_s).sizes.tolist())
 
     def test_matches_batch_on_gap_breaks(self):
         records = [rec(0.0, 1.0), rec(1.5, 2.0), rec(10.0, 11.0),
@@ -164,10 +165,10 @@ class TestWindowedSessionBuilder:
         # The boundary is the last t_start sealed: a session is counted
         # once it lies a gap behind the boundary, and not before.
         builder = self.builder(gap_s=2.0)
-        builder.observe(FlowTable([rec(5.0, 6.0)]))
-        builder.observe(FlowTable([rec(7.5, 8.0, src=2)]))
+        builder.observe(table_of([rec(5.0, 6.0)]))
+        builder.observe(table_of([rec(7.5, 8.0, src=2)]))
         assert builder.stats.sizes == []  # 7.5 - 6 < 2: a flow may still join
-        builder.observe(FlowTable([rec(8.0, 8.5, src=3)]))
+        builder.observe(table_of([rec(8.0, 8.5, src=3)]))
         assert builder.stats.sizes == [1]  # 8 - 6 >= 2: closed
         builder.finish()
         assert sorted(builder.stats.sizes) == [1, 1, 1]
@@ -188,7 +189,7 @@ class TestWindowedSessionBuilder:
     def test_counts_into_the_session_histogram(self):
         records = [rec(float(i), float(i) + 0.1, src=i % 3) for i in range(30)]
         assert session_histogram(records, window_s=4.0, gap_s=2.0) == (
-            flows_per_session_histogram(build_sessions(records, gap_s=2.0))
+            flows_per_session_histogram(build_sessions(table_of(records), gap_s=2.0))
         )
 
     def test_rejects_nonpositive_gap(self):
@@ -220,7 +221,7 @@ class TestReplaySources:
         records = [rec(float(i), float(i) + 0.5, dst=100 + i % 3)
                    for i in range(20)]
         path = tmp_path / "flows.tsv"
-        write_flow_log(records, path)
+        write_flow_log(table_of(records), path)
         from_file = concatenated(replay(iter_flow_log(path), window_s=3.0))
         assert from_file == concatenated(replay(records, window_s=3.0)) == records
 
@@ -277,9 +278,9 @@ class TestSimulatedStreamParity:
 
     def test_session_histogram_matches_batch(self, eu1_adsl):
         batch = flows_per_session_histogram(
-            build_sessions(eu1_adsl.dataset.records, gap_s=1.0)
+            build_sessions(eu1_adsl.dataset.table, gap_s=1.0)
         )
-        assert session_histogram(eu1_adsl.dataset.records) == batch
+        assert session_histogram(records_of(eu1_adsl.dataset.table)) == batch
 
     def test_memory_stays_windowed(self, counted_eu1):
         week, metrics = counted_eu1
@@ -374,7 +375,7 @@ class TestStudyParity:
         views = {
             "sessions": lambda: stream.sessions,
             "session_histogram": lambda: stream.session_histogram(name),
-            "focus_records": lambda: stream.focus_records,
+            "focus_tables": lambda: stream.focus_tables,
             "flow_size_cdf": lambda: stream.flow_size_cdf(name),
             "gap_sensitivity": lambda: stream.gap_sensitivity(name),
             "Figure 10": lambda: stream.one_flow_breakdown(name),
@@ -385,7 +386,7 @@ class TestStudyParity:
         for view, read in views.items():
             with pytest.raises(ValueError, match="need the batch path") as caught:
                 read()
-            assert "sessions, session_histogram, focus_records" in str(caught.value), view
+            assert "sessions, session_histogram, focus_tables" in str(caught.value), view
 
 
 class TestAccumulators:
@@ -425,9 +426,9 @@ class TestAccumulators:
 
     def test_session_stats_histogram_parity(self):
         records = [rec(float(i), float(i) + 0.1) for i in range(5)]
-        sessions = build_sessions(records, gap_s=0.5)
+        sessions = build_sessions(table_of(records), gap_s=0.5)
         acc = SessionStatsAccumulator()
-        acc.add_sizes([s.num_flows for s in sessions])
+        acc.add_sizes(sessions.sizes.tolist())
         assert acc.histogram() == flows_per_session_histogram(sessions)
 
     def test_empty_histogram_raises(self):
@@ -458,7 +459,7 @@ class TestCliStream:
 
     def test_sessions_stream_is_byte_identical(self, tmp_path, eu1_adsl):
         path = tmp_path / "flows.tsv"
-        write_flow_log(eu1_adsl.dataset.records, path)
+        write_flow_log(eu1_adsl.dataset.table, path)
         args = ("sessions", "--flows", str(path), "--gaps", "1,10,60")
         code, batch = self.run(*args)
         assert code == 0
@@ -470,11 +471,12 @@ class TestCliStream:
         """A real log whose lines are shuffled within 5 s: ``--lag-s 5``
         prints the batch bytes."""
         rng = random.Random(5)
-        keyed = [(r.t_start + 5.0 * rng.random(), r) for r in eu1_adsl.dataset.records]
+        records = records_of(eu1_adsl.dataset.table)
+        keyed = [(r.t_start + 5.0 * rng.random(), r) for r in records]
         shuffled = [r for _, r in sorted(keyed, key=lambda pair: pair[0])]
-        assert shuffled != eu1_adsl.dataset.records
+        assert shuffled != records
         path = tmp_path / "flows.tsv"
-        write_flow_log(shuffled, path)
+        write_flow_log(table_of(shuffled), path)
         args = ("sessions", "--flows", str(path), "--gaps", "1,10,60")
         code, batch = self.run(*args)
         assert code == 0

@@ -12,10 +12,12 @@ from repro.cdn.cluster import FlowEvent
 from repro.net.ip import parse_ip
 from repro.sim.scenarios import PAPER_SCENARIOS, build_world
 from repro.trace import logio
-from repro.trace.logio import dumps, format_record, loads, parse_record, read_flow_log, write_flow_log
-from repro.trace.columnar import FlowTable
+from repro.trace.logio import dumps, loads, parse_record, read_flow_log, write_flow_log
 from repro.trace.monitor import EdgeMonitor
 from repro.trace.records import Dataset, FlowRecord
+
+from tests.oracle import records_of, table_of
+from tests.oracle.logio import format_record
 
 
 def record(src="128.210.0.5", dst="173.194.0.10", nbytes=5000, t0=10.0, t1=20.0,
@@ -31,7 +33,6 @@ class TestFlowRecord:
         r = record()
         assert r.duration_s == 10.0
         assert r.hour == 0
-        assert r.src_str == "128.210.0.5"
 
     def test_hour_binning(self):
         assert record(t0=3599.9, t1=3600.5).hour == 0
@@ -51,7 +52,7 @@ class TestDataset:
 
     def test_aggregates(self, vantage):
         records = [record(nbytes=100), record(dst="173.194.0.11", nbytes=200)]
-        ds = Dataset(name="X", vantage=vantage, table=FlowTable(records))
+        ds = Dataset(name="X", vantage=vantage, table=table_of(records))
         assert len(ds) == 2
         assert ds.total_bytes == 300
         assert len(ds.server_ips) == 2
@@ -59,7 +60,7 @@ class TestDataset:
 
     def test_duration_validated(self, vantage):
         with pytest.raises(ValueError):
-            Dataset(name="X", vantage=vantage, table=FlowTable([]), duration_s=0.0)
+            Dataset(name="X", vantage=vantage, table=table_of([]), duration_s=0.0)
 
 
 class TestMonitor:
@@ -92,7 +93,7 @@ class TestMonitor:
         monitor = EdgeMonitor(vantage, miss_probability=0.0)
         monitor.observe(self.make_event(i) for i in (5, 1, 3))
         ds = monitor.finish("X", 3600.0)
-        starts = [r.t_start for r in ds.records]
+        starts = ds.table.columns().t_start.tolist()
         assert starts == sorted(starts)
 
     def test_validation(self, vantage):
@@ -102,7 +103,7 @@ class TestMonitor:
     def _observed_ids(self, vantage, seed):
         monitor = EdgeMonitor(vantage, miss_probability=0.3, seed=seed)
         monitor.observe(self.make_event(i, video_id=f"vid{i:08d}") for i in range(200))
-        return {r.video_id for r in monitor.finish("X", 3600.0).records}
+        return set(monitor.finish("X", 3600.0).table.columns().video_ids.tolist())
 
     def test_same_seed_drops_the_same_flows(self, vantage):
         first = self._observed_ids(vantage, seed=17)
@@ -129,14 +130,14 @@ class TestMonitor:
 class TestLogIo:
     def test_roundtrip_string(self):
         records = [record(), record(dst="74.125.1.2", nbytes=999, vid="B_-123456Zz")]
-        assert loads(dumps(records)) == records
+        assert records_of(loads(dumps(table_of(records)))) == records
 
     def test_roundtrip_file(self, tmp_path):
         records = [record(t0=1.5, t1=2.25)]
         path = tmp_path / "flows.tsv"
-        count = write_flow_log(records, path)
+        count = write_flow_log(table_of(records), path)
         assert count == 1
-        assert read_flow_log(path) == records
+        assert records_of(read_flow_log(path)) == records
 
     def test_header_skipped(self):
         text = "# a comment\n\n" + format_record(record()) + "\n"
@@ -152,7 +153,7 @@ class TestLogIo:
         records = [record(src=clients[i % 3], dst=servers[i % 2], t0=float(i), t1=i + 0.5)
                    for i in range(60)]
         path = tmp_path / "flows.tsv"
-        write_flow_log(records, path)
+        write_flow_log(table_of(records), path)
         calls = []
 
         def counting_parse_ip(text):
@@ -160,7 +161,7 @@ class TestLogIo:
             return parse_ip(text)
 
         monkeypatch.setattr(logio, "parse_ip", counting_parse_ip)
-        assert read_flow_log(path) == records
+        assert records_of(read_flow_log(path)) == records
         assert sorted(calls) == sorted(clients + servers)
         calls.clear()
         assert list(logio.iter_flow_log(path)) == records
@@ -196,7 +197,7 @@ class TestLogIo:
 
 
 class TestDigest:
-    """``update_digest`` hashes exactly the flow-log lines, in chunks."""
+    """``update_digest`` and the writers render exactly the spec's flow-log lines, in chunks."""
 
     @staticmethod
     def line_by_line(records):
@@ -221,14 +222,52 @@ class TestDigest:
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 7, 9])
     def test_chunks_hash_the_same_bytes(self, count, monkeypatch):
-        monkeypatch.setattr(logio, "_DIGEST_CHUNK_LINES", 3)
+        monkeypatch.setattr(logio, "_CHUNK_LINES", 3)
         records = self.records(count)
         digest = hashlib.sha256()
-        logio.update_digest(digest, FlowTable(records))
+        logio.update_digest(digest, table_of(records))
         assert digest.hexdigest() == self.line_by_line(records)
+        text = "".join(format_record(r) + "\n" for r in records)
+        assert dumps(table_of(records)).partition("\n")[2] == text
 
     def test_default_chunk_over_a_boundary(self):
-        records = self.records(2 * logio._DIGEST_CHUNK_LINES + 5)
+        records = self.records(2 * logio._CHUNK_LINES + 5)
         digest = hashlib.sha256()
-        logio.update_digest(digest, FlowTable(records))
+        logio.update_digest(digest, table_of(records))
         assert digest.hexdigest() == self.line_by_line(records)
+
+
+class TestCliLogs:
+    """``repro simulate`` and ``repro anonymize`` write through the one renderer."""
+
+    def test_simulated_log_hashes_to_the_content_digest(self, tmp_path):
+        import io
+
+        from repro.cli import main
+        from repro.sim.driver import run_scenario
+
+        path = tmp_path / "flows.tsv"
+        argv = ["simulate", "--dataset", "EU1-FTTH", "--scale", "0.002", "--seed", "9"]
+        assert main([*argv, "--out", str(path)], out=io.StringIO()) == 0
+        header, _, body = path.read_text(encoding="ascii").partition("\n")
+        assert header.startswith("#")
+        dataset = run_scenario("EU1-FTTH", scale=0.002, seed=9).dataset
+        assert hashlib.sha256(body.encode("ascii")).hexdigest() == dataset.content_digest()
+
+    def test_anonymized_log_maps_every_line(self, tmp_path):
+        import io
+
+        from repro.cli import main
+        from repro.trace.anonymize import PrefixPreservingAnonymizer
+
+        records = TestDigest.records(50)
+        raw, shared = tmp_path / "raw.tsv", tmp_path / "shared.tsv"
+        write_flow_log(table_of(records), raw)
+        argv = ["anonymize", "--flows", str(raw), "--key", "k", "--out", str(shared)]
+        assert main(argv, out=io.StringIO()) == 0
+        anon = PrefixPreservingAnonymizer(b"k")
+        assert records_of(read_flow_log(shared)) == [
+            FlowRecord(anon.anonymize_ip(r.src_ip), anon.anonymize_ip(r.dst_ip), r.num_bytes,
+                       r.t_start, r.t_end, r.video_id, r.resolution)
+            for r in records
+        ]

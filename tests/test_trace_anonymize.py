@@ -92,11 +92,11 @@ class TestAnalysisSurvivesAnonymisation:
         from repro.core.sessions import build_sessions, flows_per_session_histogram
 
         anon = PrefixPreservingAnonymizer(b"study-key")
-        records = eu1_adsl.dataset.records[:4000]
-        anonymised = anon.anonymize_records(records)
-        h1 = flows_per_session_histogram(build_sessions(records, 1.0))
+        table = eu1_adsl.dataset.table.select(slice(0, 4000))
+        anonymised = anon.anonymize_table(table)
+        h1 = flows_per_session_histogram(build_sessions(table, 1.0))
         h2 = flows_per_session_histogram(build_sessions(anonymised, 1.0))
         assert h1 == h2
-        assert classify_flows(records).control_fraction == classify_flows(
+        assert classify_flows(table).control_fraction == classify_flows(
             anonymised
         ).control_fraction
